@@ -15,9 +15,6 @@ from .field import (
     LatticeK,
     solve_linear,
     lattice_hermite,
-    valuation_t,
-    frobenius,
-    rf_arith,
     rf_from_string,
     rf_to_string,
     INFINITY,

@@ -22,7 +22,13 @@ from .covering import (
 )
 from .curves import betti_rank, pi1_presentation
 from .descent import check_cocycle, datum_from_rep, hom_cocycle, integralize
-from .errors import NodalCoverError, SpecParseError
+from .errors import (
+    BadElementIndex,
+    BadFactorIndex,
+    NodalCoverError,
+    SpecParseError,
+    TrivialW,
+)
 from .field import is_prime
 from .groups import parse_word
 from .hopf import QuotientTower, function_hopf, tower_hull
@@ -125,9 +131,7 @@ def cmd_cover(args, cfg: RunConfig) -> int:
 
 def cmd_free(args, cfg: RunConfig) -> int:
     rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
-    import random
-    rng = random.Random(cfg.seed)
-    rpt = certify_free_action(rep.sig, cfg.max_len, rng=rng)
+    rpt = certify_free_action(rep.sig, cfg.max_len)
     report = {
         "command": "free",
         "signature": rpt.sig_description,
@@ -146,12 +150,18 @@ def cmd_domain(args, cfg: RunConfig) -> int:
     rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
     sig = rep.sig
     if args.word:
-        w = parse_word(sig, args.word)
+        try:
+            w = parse_word(sig, args.word)
+        except (ValueError, BadFactorIndex, BadElementIndex) as exc:
+            raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     else:
         w = default_kernel_word(rep, cfg.max_len)
         if w is None:
             raise SpecParseError("no nontrivial kernel word within the bound; pass --word")
-    dom = fundamental_domain(sig, w, rep.presentation)
+    try:
+        dom = fundamental_domain(sig, w, rep.presentation)
+    except TrivialW as exc:
+        raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     witnesses = []
     from .covering import enumerate_components
     for target in enumerate_components(sig, min(cfg.max_len, 4)):
@@ -343,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-len", type=int, default=6, dest="max_len",
                     help="word-length truncation recorded in every certificate")
     ap.add_argument("--depth", type=int, default=5, help="Frobenius chain depth")
-    ap.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
+    ap.add_argument("--seed", type=int, default=42,
+                    help="seed for the randomized checks of selftest")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     dest="out_format")
     sub = ap.add_subparsers(dest="command", required=True)

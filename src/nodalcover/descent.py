@@ -36,6 +36,7 @@ from .reps import ContinuousRep, solve_intertwining
 
 FULL = "full"
 KERNEL = "kernel"
+PAIR_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,10 @@ class CocycleCertificate:
     witness: tuple[str, str] | None
 
 
-def check_cocycle(c, max_len: int, pair_budget: int = 1_000_000,
-                  strict: bool = False) -> CocycleCertificate:
+def check_cocycle(c, max_len: int, strict: bool = False) -> CocycleCertificate:
     """Verify H(v) H(u) = H(u v) over enumerated word pairs.
 
-    All pairs are checked when the square of the word count fits the budget;
+    All pairs are checked when the square of the word count fits PAIR_BUDGET;
     otherwise every pair whose summed generator length stays within max_len.
     The certificate records the bound and strategy, and carries the first
     counterexample on failure.
@@ -170,7 +170,7 @@ def check_cocycle(c, max_len: int, pair_budget: int = 1_000_000,
     r = sig.r
     total = sum(1 for letters, al, _ in iter_words_raw(sig, max_len, sorted_grades=False)
                 if not kernel_only or al == ident)
-    all_pairs = total * total <= pair_budget
+    all_pairs = total * total <= PAIR_BUDGET
     # products of two words within the bound stay within twice the bound
     full_range = c.twist_map(2 * max_len if all_pairs else max_len, kernel_only)
     words_by_len: dict[int, list] = {}

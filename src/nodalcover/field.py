@@ -392,25 +392,6 @@ def _punfrob(a: tuple, p: int) -> tuple:
     return tuple(a[i] for i in range(0, len(a), p))
 
 
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Named entry point for field arithmetic: op in {add, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def valuation_t(f: RationalFunction):
-    return f.valuation()
-
-
-def frobenius(f: RationalFunction) -> RationalFunction:
-    return f.frobenius()
-
-
 # ---------------------------------------------------------------------------
 # string form: polynomials in sparse c*t^k notation, elements as num/den
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def criterion_3(rng) -> tuple[bool, str]:
     details = []
     for r, groups in cases:
         sig = FPSignature(r, groups)
-        report = certify_free_action(sig, 6, rng=rng)
+        report = certify_free_action(sig, 6)
         if not report.passed or not report.full_group_witnesses:
             return False, f"freeness failed on {sig.describe()}"
         details.append(f"{sig.describe()}: {report.strategy}, {report.checks} checks")

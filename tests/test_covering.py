@@ -83,31 +83,33 @@ def test_factor_letter_stabilizes_base_component():
 
 # -- freeness ----------------------------------------------------------------------
 
-def test_free_action_small_signature_exhaustive():
-    sig = FPSignature(1, (Z2,))
+def _direct_pairing(sig, max_len):
+    """Oracle: act by every nonempty kernel word on every enumerated component
+    and require that it moves it.  Returns (kernel words, components)."""
+    kernel = [w for w in enumerate_words(sig, max_len, "ker_alpha") if not w.is_identity()]
+    comps = enumerate_components(sig, max_len)
+    for w in kernel:
+        for c in comps:
+            assert component_action(w, c) != c, f"{w} fixes {c}"
+    return len(kernel), len(comps)
+
+
+@pytest.mark.parametrize("r, groups", [(1, (Z2,)), (1, (Z2, Z3)), (2, (Z2,))],
+                         ids=["Z^*1*[Z2]", "Z^*1*[Z2,Z3]", "Z^*2*[Z2]"])
+def test_free_action_agrees_with_direct_pairing(r, groups):
+    sig = FPSignature(r, groups)
+    kernel_words, components = _direct_pairing(sig, 4)
     report = certify_free_action(sig, 4)
-    assert report.passed and report.strategy == "direct-pairing"
-    assert report.full_group_witnesses
-
-
-def test_free_action_stabilizer_strategy():
-    report = certify_free_action(SIG, 4, pair_budget=10)
     assert report.passed and report.strategy == "stabilizer-enumeration"
+    assert report.kernel_words == kernel_words
+    assert report.components == components
+    assert report.full_group_witnesses
 
 
 def test_free_action_vacuous_without_z_factors():
     sig = FPSignature(0, (Z3,))
     report = certify_free_action(sig, 4)
     assert report.passed and report.kernel_words == 0
-
-
-def test_direct_and_stabilizer_agree():
-    r1 = certify_free_action(SIG, 4)
-    r2 = certify_free_action(SIG, 4, pair_budget=10,
-                             rng=random.Random(5))
-    assert r1.passed and r2.passed
-    assert r1.kernel_words == r2.kernel_words
-    assert r1.components == r2.components
 
 
 def test_max_len_precondition():

@@ -80,6 +80,20 @@ def test_corrupted_generator_fails_with_witness():
         check_cocycle(bad, 3, strict=True)
 
 
+def test_length_sum_bounded_regime_passes_and_catches_corruption():
+    # 1,706 words over Z^{*2}*[Z2] at L=5: too many pairs for all-pairs
+    rep = rank1_rep(r=2)
+    datum = datum_from_rep(rep)
+    cert = check_cocycle(datum, 5)
+    assert cert.strategy == "length-sum-bounded"
+    assert cert.passed and cert.identity_ok and cert.witness is None
+    bad = CorruptedCocycle(datum, fp_normalize(rep.sig, [(0, 1)]),
+                           MatrixK.from_rows(F3, [["1"]]))
+    bad_cert = check_cocycle(bad, 5)
+    assert bad_cert.strategy == "length-sum-bounded"
+    assert not bad_cert.passed and bad_cert.witness is not None
+
+
 def test_restricted_scope_passes_iff_full_does():
     rep = rank2_rep()
     full = check_cocycle(datum_from_rep(rep), 4)

@@ -167,6 +167,14 @@ def test_cli_bad_prime_rejected():
     assert_error_line(err)
 
 
+@pytest.mark.parametrize("word", ["z1^x", "q", "g9:0", "g1:1"])
+def test_cli_domain_bad_word_exits_2(word):
+    # malformed, no such factor, and well formed but outside the kernel
+    code, _, err = run_cli("--max-len", "3", "domain", "rank1_rep.json", "--word", word)
+    assert code == 2
+    assert_error_line(err)
+
+
 def test_cli_main_callable_in_process(capsys):
     code = main(["--format", "json", "pi1", str(DATA / "nodal_cubic.json")])
     assert code == 0
