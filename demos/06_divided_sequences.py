@@ -29,11 +29,8 @@ unit = trivial_rep(pres, F, (Z2,))
 print("\n== endomorphisms of the unit ==")
 s_end = hom_fdiv(fdiv_from_rep(unit, S_RELATIVE), fdiv_from_rep(unit, S_RELATIVE))
 print(f"base-relative: dimension {s_end.dimension} over {s_end.scalar_field}")
-for depth in (1, 3, 5):
-    k_end = hom_fdiv(fdiv_from_rep(unit, K_RELATIVE, depth),
-                     fdiv_from_rep(unit, K_RELATIVE, depth))
-    print(f"field-relative, depth {depth}: dimension {k_end.dimension} "
-          f"over {k_end.scalar_field}")
+k_end = hom_fdiv(fdiv_from_rep(unit, K_RELATIVE), fdiv_from_rep(unit, K_RELATIVE))
+print(f"field-relative: dimension {k_end.dimension} over {k_end.scalar_field}")
 
 print("\n== a rank-two example ==")
 rep = ContinuousRep.build(

@@ -41,7 +41,6 @@ from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_
 class RunConfig:
     prime: int
     max_len: int
-    depth: int
     seed: int
     out_format: str
 
@@ -50,14 +49,11 @@ class RunConfig:
             raise SpecParseError(f"--prime must be prime, got {self.prime}")
         if self.max_len < 2:
             raise SpecParseError("--max-len must be at least 2")
-        if self.depth < 1:
-            raise SpecParseError("--depth must be at least 1")
         if self.out_format not in ("text", "json"):
             raise SpecParseError("--format must be text or json")
 
     def header(self) -> dict:
-        return {"prime": self.prime, "max_len": self.max_len,
-                "depth": self.depth, "seed": self.seed}
+        return {"prime": self.prime, "max_len": self.max_len, "seed": self.seed}
 
 
 def _emit(cfg: RunConfig, report: dict, ok: bool) -> int:
@@ -217,13 +213,11 @@ def cmd_strat(args, cfg: RunConfig) -> int:
     mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
     if args.action == "hom":
         rep2 = spec_io.load_rep(args.rep2, _base_dir(args.rep2)) if args.rep2 else rep1
-        hb = hom_fdiv(fdiv_from_rep(rep1, mode, cfg.depth),
-                      fdiv_from_rep(rep2, mode, cfg.depth),
+        hb = hom_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode),
                       max_len=cfg.max_len)
         report = {
             "command": "strat hom",
             "mode": hb.mode,
-            "depth": hb.depth,
             "scalar_field": hb.scalar_field,
             "dimension": hb.dimension,
             "basis": [spec_io.matrix_to_json(b) for b in hb.basis],
@@ -232,8 +226,7 @@ def cmd_strat(args, cfg: RunConfig) -> int:
     if not args.rep2:
         raise SpecParseError("strat tensor needs two rep files")
     rep2 = spec_io.load_rep(args.rep2, _base_dir(args.rep2))
-    tensored, cert = tensor_fdiv(fdiv_from_rep(rep1, mode, cfg.depth),
-                                 fdiv_from_rep(rep2, mode, cfg.depth))
+    tensored, cert = tensor_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
     report = {
         "command": "strat tensor",
         "mode": mode,
@@ -288,7 +281,10 @@ def cmd_hull(args, cfg: RunConfig) -> int:
         if high.order % low.order:
             raise SpecParseError("tower orders must divide; give explicit maps in a file")
         maps.append([x % low.order for x in range(high.order)])
-    tower = QuotientTower.build(groups, maps)
+    try:
+        tower = QuotientTower.build(groups, maps)
+    except ValueError as exc:
+        raise SpecParseError(f"tower {' -> '.join(args.groups)}: {exc}") from exc
     rpt = tower_hull(tower, base_field)
     report = {
         "command": "hull",
@@ -352,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--prime", type=int, default=3, help="coefficient characteristic")
     ap.add_argument("--max-len", type=int, default=6, dest="max_len",
                     help="word-length truncation recorded in every certificate")
-    ap.add_argument("--depth", type=int, default=5, help="Frobenius chain depth")
     ap.add_argument("--seed", type=int, default=42,
                     help="seed for the randomized checks of selftest")
     ap.add_argument("--format", choices=("text", "json"), default="text",
@@ -412,8 +407,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig(args.prime, args.max_len, args.depth, args.seed,
-                        args.out_format)
+        cfg = RunConfig(args.prime, args.max_len, args.seed, args.out_format)
         return args.fn(args, cfg)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,12 +154,6 @@ class Pi1Presentation:
     def loop_index(self, node_id: str) -> int:
         return self.loop_nodes.index(node_id)
 
-    def paths_for(self, node_id: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        for nid, paths in self.path_data:
-            if nid == node_id:
-                return paths
-        raise InvalidCurve(f"no path data for node {node_id}")
-
 
 def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:
     graph = dual_graph(curve)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .covering import ComponentIndex, component_action
 from .errors import (
-    CocycleViolation,
     EquivarianceViolation,
     KernelNotTrivial,
     ScopeMismatch,
@@ -155,7 +154,7 @@ class CocycleCertificate:
     witness: tuple[str, str] | None
 
 
-def check_cocycle(c, max_len: int, strict: bool = False) -> CocycleCertificate:
+def check_cocycle(c, max_len: int) -> CocycleCertificate:
     """Verify H(v) H(u) = H(u v) over enumerated word pairs.
 
     All pairs are checked when the square of the word count fits PAIR_BUDGET;
@@ -198,22 +197,13 @@ def check_cocycle(c, max_len: int, strict: bool = False) -> CocycleCertificate:
         candidates = gen()
     passed = identity_ok
     for u, v in candidates:
-        uv = _concat(sig, u, v)
-        if kernel_only and _alpha_tuple(sig, uv) != ident:
-            continue
-        huv = full_range.get(uv)
-        if huv is None:
-            continue
         pairs += 1
-        if full_range[v] * full_range[u] != huv:
+        if full_range[v] * full_range[u] != full_range[_concat(sig, u, v)]:
             passed = False
             witness = (str(FPWord(sig, u)), str(FPWord(sig, v)))
             break
-    cert = CocycleCertificate(c.scope, max_len, strategy, pairs, identity_ok,
+    return CocycleCertificate(c.scope, max_len, strategy, pairs, identity_ok,
                               passed, witness)
-    if strict and not passed:
-        raise CocycleViolation("cocycle law failed", witness=witness)
-    return cert
 
 
 def hom_cocycle(c1, c2, max_len: int = 4) -> list[MatrixK]:
@@ -307,8 +297,7 @@ def is_unimodular_matrix(M: MatrixK) -> bool:
     return is_integral_matrix(M) and M.det().valuation() == 0
 
 
-def integralize(c: MeromorphicCocycle, max_len: int = 4,
-                verify_words_len: int | None = None) -> LatticeAssignment:
+def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
     """Pick the standard lattice on one representative per component orbit and
     transport it along the kernel action; freeness makes this conflict-free.
 
@@ -332,9 +321,9 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4,
             orbit_reps.setdefault(key, ci)
     assignment = LatticeAssignment(c, max_len, tuple(orbit_reps.values()),
                                    tuple(comps))
-    bound = verify_words_len if verify_words_len is not None else min(max_len, 3)
     kernel_words = [FPWord(sig, letters)
-                    for letters, al, _ in iter_words_raw(sig, bound, sorted_grades=False)
+                    for letters, al, _ in iter_words_raw(sig, min(max_len, 3),
+                                                         sorted_grades=False)
                     if letters and al == ident]
     for c0 in assignment.orbit_reps:
         base = assignment.lattice_of(c0)

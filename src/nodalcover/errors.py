@@ -63,12 +63,6 @@ class TrivialW(NodalCoverError):
 
 
 # descent
-class CocycleViolation(NodalCoverError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class ScopeMismatch(NodalCoverError):
     pass
 

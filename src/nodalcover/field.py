@@ -55,10 +55,6 @@ class FunctionField:
     def rationals(cls) -> "FunctionField":
         return cls(p=None)
 
-    @property
-    def has_frobenius(self) -> bool:
-        return self.p is not None
-
     # -- coefficient arithmetic ------------------------------------------
     def cfrom_int(self, n: int):
         if self.p is None:
@@ -583,9 +579,6 @@ class MatrixK:
 
     def scale(self, c: RationalFunction) -> "MatrixK":
         return MatrixK(self.field, tuple(tuple(c * e for e in row) for row in self.entries))
-
-    def transpose(self) -> "MatrixK":
-        return MatrixK(self.field, tuple(zip(*self.entries)))
 
     def kron(self, other: "MatrixK") -> "MatrixK":
         out = []

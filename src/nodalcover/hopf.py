@@ -198,24 +198,22 @@ class QuotientTower:
     maps: tuple[tuple[int, ...], ...]  # maps[i]: pi_{i+1} -> pi_i, element images
 
     @classmethod
-    def build(cls, groups, maps, validate: bool = True) -> "QuotientTower":
+    def build(cls, groups, maps) -> "QuotientTower":
         groups = tuple(groups)
         maps = tuple(tuple(int(x) for x in m) for m in maps)
         if len(maps) != len(groups) - 1:
             raise ValueError("need one transition map per consecutive pair")
-        tower = cls(groups, maps)
-        if validate:
-            for i, m in enumerate(maps):
-                up, down = groups[i + 1], groups[i]
-                if len(m) != up.order:
-                    raise ValueError(f"map {i} must cover every element upstairs")
-                for a in range(up.order):
-                    for b in range(up.order):
-                        if down.table[m[a]][m[b]] != m[up.table[a][b]]:
-                            raise ValueError(f"map {i} is not a homomorphism")
-                if set(m) != set(range(down.order)):
-                    raise ValueError(f"map {i} is not surjective")
-        return tower
+        for i, m in enumerate(maps):
+            up, down = groups[i + 1], groups[i]
+            if len(m) != up.order:
+                raise ValueError(f"map {i} must cover every element upstairs")
+            for a in range(up.order):
+                for b in range(up.order):
+                    if down.table[m[a]][m[b]] != m[up.table[a][b]]:
+                        raise ValueError(f"map {i} is not a homomorphism")
+            if set(m) != set(range(down.order)):
+                raise ValueError(f"map {i} is not surjective")
+        return cls(groups, maps)
 
     def dual_matrix(self, i: int) -> list[list[int]]:
         """0/1 matrix of the dual map: rows indexed upstairs, columns down."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .descent import MeromorphicCocycle, datum_from_rep, hom_cocycle
 from .errors import ModeMismatch
-from .field import FunctionField, MatrixK
+from .field import FunctionField, MatrixK, solve_linear
 from .groups import product_subgroup
 from .reps import ContinuousRep, rep_tensor
 
@@ -29,7 +29,6 @@ class FDividedDatum:
 
     generator: MeromorphicCocycle
     mode: str = S_RELATIVE
-    depth: int = 5
 
     def __post_init__(self):
         if self.mode not in (S_RELATIVE, K_RELATIVE):
@@ -49,9 +48,8 @@ class FDividedDatum:
         return self.generator.field
 
 
-def fdiv_from_rep(rep: ContinuousRep, mode: str = S_RELATIVE,
-                  depth: int = 5) -> FDividedDatum:
-    return FDividedDatum(datum_from_rep(rep), mode, depth)
+def fdiv_from_rep(rep: ContinuousRep, mode: str = S_RELATIVE) -> FDividedDatum:
+    return FDividedDatum(datum_from_rep(rep), mode)
 
 
 def frobenius_transport(M: MatrixK, mode: str) -> MatrixK:
@@ -66,7 +64,6 @@ def frobenius_transport(M: MatrixK, mode: str) -> MatrixK:
 @dataclass(frozen=True)
 class FdivHomBasis:
     mode: str
-    depth: int
     scalar_field: str
     basis: tuple[MatrixK, ...]
 
@@ -90,14 +87,14 @@ def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum, max_len: int = 4) -> FdivHomB
         raise ModeMismatch("twist data over different deck scopes")
     basis = hom_cocycle(d1.generator, d2.generator, max_len=max_len)
     if d1.mode == S_RELATIVE:
-        return FdivHomBasis(S_RELATIVE, d1.depth, "K", tuple(basis))
+        return FdivHomBasis(S_RELATIVE, "K", tuple(basis))
     field = d1.field
     if field.p is None:
         raise ModeMismatch("field-relative transport needs prime characteristic")
     if not basis:
-        return FdivHomBasis(K_RELATIVE, d1.depth, f"F_{field.p}", ())
+        return FdivHomBasis(K_RELATIVE, f"F_{field.p}", ())
     fixed = _frobenius_fixed_combinations(field, basis)
-    return FdivHomBasis(K_RELATIVE, d1.depth, f"F_{field.p}", tuple(fixed))
+    return FdivHomBasis(K_RELATIVE, f"F_{field.p}", tuple(fixed))
 
 
 def _frobenius_fixed_combinations(field: FunctionField,
@@ -105,13 +102,13 @@ def _frobenius_fixed_combinations(field: FunctionField,
     """All f = sum c_j B_j with entrywise f^p = f.
 
     The reduced basis has unit pivots, so the pivot coordinates force every
-    coefficient into the prime field; what remains is the mod-p linear system
-    sum c_j (B_j^p - B_j) = 0, assembled by clearing denominators entrywise.
+    coefficient into the prime field; what remains is the linear system
+    sum c_j (B_j^p - B_j) = 0 with constant coefficients, assembled by
+    clearing denominators entrywise and solved over K.
     """
-    p = field.p
     diffs = [B.frobenius() - B for B in basis]
-    m = len(basis)
-    rows: list[list[int]] = []
+    zero = field.zero()
+    rows: list[tuple] = []
     shape = (basis[0].rows, basis[0].cols)
     for i in range(shape[0]):
         for j in range(shape[1]):
@@ -131,50 +128,21 @@ def _frobenius_fixed_combinations(field: FunctionField,
                 polys.append(cleared.num)
                 max_deg = max(max_deg, len(cleared.num))
             for k in range(max_deg):
-                row = [int(poly[k]) if k < len(poly) else 0 for poly in polys]
-                if any(row):
+                row = tuple(field.from_int(poly[k]) if k < len(poly) else zero
+                            for poly in polys)
+                if any(e.num for e in row):
                     rows.append(row)
-    kernel = _mod_p_kernel(p, rows, m)
+    if not rows:
+        rows = [tuple([zero] * len(basis))]
+    sol = solve_linear(MatrixK(field, tuple(rows)), MatrixK.zeros(field, len(rows), 1))
     out = []
-    for coeffs in kernel:
-        acc = None
-        for c, B in zip(coeffs, basis):
-            if c == 0:
-                continue
-            term = B.scale(field.from_int(c))
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out.append(acc)
+    for vec in sol.kernel:
+        terms = [B.scale(c) for (c,), B in zip(vec.entries, basis) if c.num]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        out.append(acc)
     return out
-
-
-def _mod_p_kernel(p: int, rows: list[list[int]], nvars: int) -> list[tuple[int, ...]]:
-    """Reduced kernel basis of an integer matrix modulo p."""
-    a = [[x % p for x in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(nvars):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] % p), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(nvars) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [0] * nvars
-        vec[fcol] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-a[r][fcol]) % p
-        basis.append(tuple(vec))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -190,8 +158,7 @@ def tensor_fdiv(d1: FDividedDatum, d2: FDividedDatum) -> tuple[FDividedDatum, Te
         raise ModeMismatch("cannot mix transport modes")
     r1, r2 = d1.generator.rep, d2.generator.rep
     tensor_rep = rep_tensor(r1, r2)
-    out = FDividedDatum(MeromorphicCocycle(tensor_rep, d1.generator.scope),
-                        d1.mode, max(d1.depth, d2.depth))
+    out = FDividedDatum(MeromorphicCocycle(tensor_rep, d1.generator.scope), d1.mode)
     checked = 0
     sig = tensor_rep.sig
     r = sig.r

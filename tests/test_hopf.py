@@ -117,9 +117,8 @@ def test_constant_tower_is_isomorphism_levelwise():
 def test_tower_validation_rejects_non_surjective():
     with pytest.raises(ValueError):
         QuotientTower.build([Z4, Z4], [[(2 * x) % 4 for x in range(4)]])
-    # skipping validation defers the failure to the dual-injectivity check
-    tower = QuotientTower.build([Z4, Z4], [[(2 * x) % 4 for x in range(4)]],
-                                validate=False)
+    # an unvalidated tower is caught again by the dual-injectivity check
+    tower = QuotientTower((Z4, Z4), (tuple((2 * x) % 4 for x in range(4)),))
     with pytest.raises(NonInjectiveDual):
         tower_hull(tower, F3)
 

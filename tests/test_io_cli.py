@@ -175,6 +175,15 @@ def test_cli_domain_bad_word_exits_2(word):
     assert_error_line(err)
 
 
+def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
+    # x -> x % 2 is not a homomorphism from S3 (element order) onto Z2
+    s3 = tmp_path / "s3.json"
+    s3.write_text(json.dumps({"builtin": "symmetric", "n": 3}))
+    code, _, err = run_cli("hull", "--tower", "z2.json", str(s3))
+    assert code == 2
+    assert_error_line(err)
+
+
 def test_cli_main_callable_in_process(capsys):
     code = main(["--format", "json", "pi1", str(DATA / "nodal_cubic.json")])
     assert code == 0

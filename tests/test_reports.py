@@ -47,7 +47,7 @@ CASES = {
 
 def run_report(argv):
     """Exit code and stdout of ``nodalcover --format json *argv`` run in DATA."""
-    from nodalcover.cli import main
+    from nodalcover.cli import main  # late, so the script form can put src/ first
 
     buf = io.StringIO()
     cwd = os.getcwd()

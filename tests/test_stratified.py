@@ -1,5 +1,7 @@
 """Divided sequences: constancy, transport modes, morphism chains, tensor."""
 
+import itertools
+
 import pytest
 
 from nodalcover.descent import datum_from_rep, hom_cocycle
@@ -21,9 +23,9 @@ from helpers import F3, QQ, rank1_rep, rank2_rep, sig_with_pres
 Z2 = cyclic_group(2)
 
 
-def unit_datum(mode=S_RELATIVE, depth=5):
+def unit_datum(mode=S_RELATIVE):
     sig, pres = sig_with_pres(1, (Z2,))
-    return fdiv_from_rep(trivial_rep(pres, F3, (Z2,)), mode, depth)
+    return fdiv_from_rep(trivial_rep(pres, F3, (Z2,)), mode)
 
 
 # -- constancy ------------------------------------------------------------------
@@ -81,12 +83,11 @@ def test_s_relative_homs_equal_plain_twisted_homs():
 
 
 def test_k_relative_unit_end_is_prime_field():
-    for depth in range(1, 6):
-        hb = hom_fdiv(unit_datum(K_RELATIVE, depth), unit_datum(K_RELATIVE, depth))
-        assert hb.dimension == 1
-        assert hb.scalar_field == "F_3"
-        entry = hb.basis[0].entries[0][0]
-        assert entry.den == (1,) and len(entry.num) <= 1  # a constant
+    hb = hom_fdiv(unit_datum(K_RELATIVE), unit_datum(K_RELATIVE))
+    assert hb.dimension == 1
+    assert hb.scalar_field == "F_3"
+    entry = hb.basis[0].entries[0][0]
+    assert entry.den == (1,) and len(entry.num) <= 1  # a constant
 
 
 def test_k_relative_solutions_are_frobenius_fixed_intertwiners():
@@ -99,6 +100,44 @@ def test_k_relative_solutions_are_frobenius_fixed_intertwiners():
         assert f.frobenius() == f
         for A in gens:
             assert A * f == f * A
+
+
+def conjugated_rank2_rep():
+    """z -> P diag(t, 1) P^-1 with P = [[1, 0], [t, 1]], trivial Z2 factor."""
+    sig, pres = sig_with_pres(1, (Z2,))
+    P = MatrixK.from_rows(F3, [["1", "0"], ["t", "1"]])
+    z = P * MatrixK.from_rows(F3, [["t", "0"], ["0", "1"]]) * P.inverse()
+    I = MatrixK.identity(F3, 2)
+    return ContinuousRep.build(pres, F3, [z], (Z2,), ((I, I),))
+
+
+@pytest.mark.parametrize("rep, dim", [
+    (trivial_rep(sig_with_pres(1, (Z2,))[1], F3, (Z2,), rank=2), 4),
+    (conjugated_rank2_rep(), 1),
+], ids=["unit-rank2", "conjugated-diag"])
+def test_k_relative_homs_match_brute_force_fixed_combinations(rep, dim):
+    # every F_p combination of the K-basis that Frobenius fixes, by brute force
+    d = fdiv_from_rep(rep, K_RELATIVE)
+    basis = hom_cocycle(d.generator, d.generator)
+    zero = MatrixK.zeros(F3, 2, 2)
+
+    def combination(coeffs, mats):
+        acc = zero
+        for c, B in zip(coeffs, mats):
+            acc = acc + B.scale(F3.from_int(c))
+        return acc
+
+    fixed = set()
+    for coeffs in itertools.product(range(3), repeat=len(basis)):
+        f = combination(coeffs, basis)
+        if f.frobenius() == f:
+            fixed.add(f)
+    hb = hom_fdiv(d, d)
+    assert hb.dimension == dim
+    assert len(fixed) == 3 ** hb.dimension
+    span = {combination(coeffs, hb.basis)
+            for coeffs in itertools.product(range(3), repeat=hb.dimension)}
+    assert span == fixed
 
 
 def test_k_relative_distinct_rank_one_data_have_no_homs():
