@@ -4,6 +4,9 @@ Everything downstream (representation matrices, descent twists, lattice
 transport) computes in the rational function field over a small prime
 field.  Elements are kept in a canonical form (coprime numerator and
 denominator, monic denominator, zero as 0/1) so equality is literal.
+Monomial denominators c*t^k and monomial factors are normalised and
+multiplied by shifting and scaling, without Euclid; only denominators of
+two or more terms go through the polynomial gcd.
 An optional coefficient mode over the rationals exists for sanity tests;
 Frobenius is disabled there.
 
@@ -168,6 +171,14 @@ def _psub(F: FunctionField, a: tuple, b: tuple) -> tuple:
 def _pmul(F: FunctionField, a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
+    if any(a[:-1]):
+        a, b = b, a
+    if not any(a[:-1]):
+        # a = c*t^k: shift b by k and scale by c; over a field no term vanishes
+        c = a[-1]
+        if c != F.cone():
+            b = tuple(F.cmul(c, cb) for cb in b)
+        return (F.czero(),) * (len(a) - 1) + b
     out = [F.czero()] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
@@ -350,12 +361,18 @@ def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
     one = F.cone()
     if not num:
         return RationalFunction(F, (), (one,))
-    if len(den) == 1:
-        # constant denominator: no gcd needed, just rescale
-        if den[0] == one:
+    if not any(den[:-1]):
+        # den = c*t^k (a constant is k = 0): the gcd is t^s with s = min(k, ord num)
+        k, c = len(den) - 1, den[-1]
+        s = 0
+        while s < k and not num[s]:
+            s += 1
+        if c != one:
+            inv = F.cinv(c)
+            num = tuple(F.cmul(x, inv) for x in num)
+        elif not s:
             return RationalFunction(F, num, den)
-        inv = F.cinv(den[0])
-        return RationalFunction(F, tuple(F.cmul(c, inv) for c in num), (one,))
+        return RationalFunction(F, num[s:], (F.czero(),) * (k - s) + (one,))
     g = _pgcd(F, num, den)
     if len(g) > 1 or g[0] != one:
         num = _pdivmod(F, num, g)[0]

@@ -166,6 +166,8 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Symmetric group on n points by permutation tuples in lexicographic order."""
+    if n < 0:
+        raise ValueError("symmetric group needs n >= 0")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
 

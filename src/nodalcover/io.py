@@ -64,7 +64,9 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
         raise SpecParseError("group spec must be an object")
     if "builtin" in obj:
         kind = obj["builtin"]
-        n = int(obj.get("n", 1))
+        n = obj.get("n", 1)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise SpecParseError(f"builtin group size n must be an integer, got {n!r}")
         try:
             if kind == "cyclic":
                 return cyclic_group(n)
@@ -85,7 +87,7 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
             labels=obj.get("labels"),
             name=obj.get("name", "G"),
             generators=obj.get("generators"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad group spec: {exc}") from exc
 
 

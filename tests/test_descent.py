@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nodalcover import field
 from nodalcover.covering import canonical_component
 from nodalcover.descent import (
     CorruptedCocycle,
@@ -66,6 +67,27 @@ def test_check_cocycle_passes_and_has_identity():
     cert = check_cocycle(datum_from_rep(rank2_rep()), 4)
     assert cert.passed and cert.identity_ok
     assert cert.pairs_checked > 0
+
+
+def test_laurent_twists_check_without_gcd(monkeypatch):
+    # z -> [[t,1],[0,1]] has det t, so every twist entry is a Laurent polynomial
+    sig, pres = sig_with_pres(1, (Z2,))
+    rep = ContinuousRep.build(
+        pres, F3, [MatrixK.from_rows(F3, [["t", "1"], ["0", "1"]])], (Z2,),
+        ((MatrixK.identity(F3, 2), MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]])),))
+    datum = datum_from_rep(rep)
+    calls = []
+    pgcd = field._pgcd
+
+    def counted(*args):
+        calls.append(args)
+        return pgcd(*args)
+
+    monkeypatch.setattr(field, "_pgcd", counted)
+    cert = check_cocycle(datum, 4)
+    assert cert.passed
+    assert cert.pairs_checked == 2116
+    assert len(calls) == 0
 
 
 def test_corrupted_generator_fails_with_witness():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,10 @@ from nodalcover.errors import DivisionByZero, FrobeniusUnavailable, SingularBasi
 from nodalcover.field import (
     FunctionField,
     MatrixK,
+    _make_rf,
+    _pdivmod,
+    _pgcd,
+    _pmul,
     lattice_hermite,
     rf_from_string,
     rf_to_string,
@@ -18,7 +23,7 @@ from nodalcover.field import (
     tadic_coefficients,
 )
 
-from helpers import F3, F5, QQ, random_matrix, random_rf
+from helpers import F3, F5, F7, QQ, random_matrix, random_rf
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -80,6 +85,84 @@ def test_zero_normalization_and_division_guard():
         F3.one() / F3.zero()
     with pytest.raises(DivisionByZero):
         F3.rf(1, 0)
+
+
+# -- monomial fast paths against the general path -----------------------------
+
+KERNEL_FIELDS = [FunctionField(2), F3, F7, QQ]
+KERNEL_IDS = ["F2", "F3", "F7", "Q"]
+
+
+def _coeffs(F, nonzero=False):
+    if F.p is None:
+        c = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        c = st.integers(0, F.p - 1)
+    return c.filter(bool) if nonzero else c
+
+
+def _poly_of_order(data, F, order):
+    """A normalised polynomial whose lowest nonzero term has degree ``order``."""
+    low = data.draw(_coeffs(F, nonzero=True))
+    rest = data.draw(st.lists(_coeffs(F), max_size=3))
+    if rest:
+        rest.append(data.draw(_coeffs(F, nonzero=True)))
+    return (F.czero(),) * order + (low,) + tuple(rest)
+
+
+def _monomial(data, F, k):
+    return (F.czero(),) * k + (data.draw(_coeffs(F, nonzero=True)),)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("where", ["below", "equal", "above"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_make_rf_monomial_den_matches_euclid(F, where, data):
+    # ord num below, equal to or above the denominator's degree k
+    if where == "below":
+        k = data.draw(st.integers(1, 4))
+        order = data.draw(st.integers(0, k - 1))
+    elif where == "equal":
+        k = order = data.draw(st.integers(0, 4))
+    else:
+        k = data.draw(st.integers(0, 4))
+        order = data.draw(st.integers(k + 1, k + 3))
+    num = _poly_of_order(data, F, order)
+    den = _monomial(data, F, k)
+    got = _make_rf(F, num, den)
+    # the general canonical form: divide out the Euclidean gcd, make den monic
+    g = _pgcd(F, num, den)
+    n, d = _pdivmod(F, num, g)[0], _pdivmod(F, den, g)[0]
+    inv = F.cinv(d[-1])
+    assert got.num == tuple(F.cmul(c, inv) for c in n)
+    assert got.den == tuple(F.cmul(c, inv) for c in d)
+    assert got.den[-1] == F.cone()
+    if F.p is not None:
+        assert len(_poly_gcd_oracle(F.p, got.num, got.den)) == 1
+
+
+def _schoolbook(F, a, b):
+    out = [F.czero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    if F.p is not None:
+        out = [c % F.p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pmul_by_monomial_matches_schoolbook(F, data):
+    a = _poly_of_order(data, F, data.draw(st.integers(0, 3)))
+    m = _monomial(data, F, data.draw(st.integers(0, 4)))
+    want = _schoolbook(F, a, m)
+    assert _pmul(F, a, m) == want
+    assert _pmul(F, m, a) == want
 
 
 # -- field axioms (randomized, exact equality) --------------------------------

@@ -7,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nodalcover
 from nodalcover import io as spec_io
 from nodalcover.cli import main
 from nodalcover.errors import SpecParseError
 from nodalcover.field import MatrixK
+from nodalcover.groups import FiniteGroup
 
 from helpers import F3
 
@@ -35,6 +37,43 @@ def test_load_group_builtin_and_table():
         spec_io.load_group({"builtin": "simple", "n": 7})
     with pytest.raises(SpecParseError):
         spec_io.load_group({"table": [[0, 0], [0, 0]]})
+
+
+# Group specs that are valid JSON but not valid groups.  Sizes stay small: the
+# loaders build full multiplication tables, so an order of 10**9 exhausts
+# memory, and S_n for n >= 5 makes each example slow.
+BUILTIN_KINDS = ["cyclic", "dihedral", "symmetric", "trivial", "simple"]
+GROUP_KEYS = ["builtin", "n", "table", "labels", "name", "generators", "order"]
+json_leaves = (st.none() | st.booleans() | st.integers(-4, 4)
+               | st.floats(-4, 4, allow_nan=False) | st.sampled_from(BUILTIN_KINDS)
+               | st.text(max_size=3))
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(GROUP_KEYS) | st.text(max_size=3),
+                                    kids, max_size=4)),
+    max_leaves=20)
+builtin_specs = st.one_of(
+    st.fixed_dictionaries({"builtin": st.sampled_from(["cyclic", "dihedral", "trivial"]),
+                           "n": st.integers(-12, 12) | json_leaves}),
+    st.fixed_dictionaries({"builtin": st.just("symmetric"),
+                           "n": st.integers(-12, 4) | json_leaves}))
+table_specs = st.fixed_dictionaries(
+    {"table": st.lists(st.lists(st.integers(-1, 4) | json_leaves, max_size=4), max_size=4)},
+    optional={key: json_values for key in ("labels", "name", "generators", "order")})
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values | builtin_specs | table_specs)
+def test_load_group_fuzz_gives_group_or_spec_error(tmp_path_factory, spec):
+    # loaded from a file, as the command line does, so a JSON string is a value
+    path = tmp_path_factory.getbasetemp() / "fuzzed_group.json"
+    path.write_text(json.dumps(spec))
+    try:
+        G = spec_io.load_group(path)
+    except SpecParseError:
+        return
+    assert isinstance(G, FiniteGroup) and G.order == len(G.table)
 
 
 def test_load_curve_and_rep_from_demo_files():
@@ -180,6 +219,20 @@ def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
     s3 = tmp_path / "s3.json"
     s3.write_text(json.dumps({"builtin": "symmetric", "n": 3}))
     code, _, err = run_cli("hull", "--tower", "z2.json", str(s3))
+    assert code == 2
+    assert_error_line(err)
+
+
+@pytest.mark.parametrize("spec", [
+    {"builtin": "cyclic", "n": "x"},
+    {"builtin": "cyclic", "n": 1.5},
+    {"builtin": "symmetric", "n": -3},
+    {"table": [[0]], "generators": 5},
+], ids=["n-not-a-number", "n-fractional", "n-negative", "generators-not-a-list"])
+def test_cli_hull_malformed_group_exits_2(tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("hull", str(path))
     assert code == 2
     assert_error_line(err)
 
