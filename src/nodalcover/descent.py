@@ -6,7 +6,8 @@ that the composition law reads H(v) H(u) = H(u v): an anti-homomorphism in
 the word, which is exactly the cocycle condition once pullback acts
 trivially on constant matrices.  The identity word maps to the identity
 matrix.  Scopes distinguish data over the whole deck group from data over
-the kernel of the direct-product quotient.
+the kernel of the direct-product quotient.  Each cocycle memoises its twists
+per word and each lattice assignment its lattices per component.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class MeromorphicCocycle:
 
     def __post_init__(self):
         object.__setattr__(self, "_letter_cache", {})
+        object.__setattr__(self, "_twist_cache", {(): self.rep.identity_matrix()})
         object.__setattr__(self, "_sig_cache", self.rep.sig)
 
     @property
@@ -62,8 +64,20 @@ class MeromorphicCocycle:
         return self.rep.rank
 
     def twist(self, w: FPWord) -> MatrixK:
-        """H(w) = rho(w)^{-1}: the matrix glued along the deck word w."""
-        return self.rep.eval(w.inv())
+        """H(w) = rho(w)^{-1}: the matrix glued along the deck word w, built
+        from its longest memoised prefix u by H(u a) = H(a) H(u), as in `twist_map`."""
+        if w.sig != self.sig:
+            raise SignatureMismatch("word does not match the representation's signature")
+        letters = w.letters
+        cache = self._twist_cache
+        k = len(letters)
+        while letters[:k] not in cache:
+            k -= 1
+        out = cache[letters[:k]]
+        for i in range(k, len(letters)):
+            out = self.letter_twist(letters[i]) * out
+            cache[letters[:i + 1]] = out
+        return out
 
     def letter_twist(self, letter: tuple[int, int]) -> MatrixK:
         cached = self._letter_cache.get(letter)
@@ -253,6 +267,9 @@ class LatticeAssignment:
     orbit_reps: tuple[ComponentIndex, ...]
     components: tuple[ComponentIndex, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_lattice_cache", {})
+
     def transport_word(self, c: ComponentIndex) -> FPWord:
         """The unique kernel word carrying the orbit representative to c."""
         sig = self.cocycle.sig
@@ -280,7 +297,11 @@ class LatticeAssignment:
         return w
 
     def lattice_of(self, c: ComponentIndex) -> LatticeK:
-        return lattice_hermite(self.cocycle.twist(self.transport_word(c)))
+        out = self._lattice_cache.get(c)
+        if out is None:
+            out = lattice_hermite(self.cocycle.twist(self.transport_word(c)))
+            self._lattice_cache[c] = out
+        return out
 
     def integral_twist(self, w: FPWord, c: ComponentIndex) -> MatrixK:
         """Basis change B(c w)^{-1} H(w) B(c); integral with integral inverse."""

@@ -108,6 +108,3 @@ class SquareViolation(NodalCoverError):
 class SpecParseError(NodalCoverError):
     pass
 
-
-class CertificateFailure(NodalCoverError):
-    pass

@@ -65,7 +65,7 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
     if "builtin" in obj:
         kind = obj["builtin"]
         n = obj.get("n", 1)
-        if isinstance(n, bool) or not isinstance(n, int):
+        if type(n) is not int:  # bool is an int subclass, and not a size
             raise SpecParseError(f"builtin group size n must be an integer, got {n!r}")
         try:
             if kind == "cyclic":
@@ -80,13 +80,19 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
             raise SpecParseError(str(exc)) from exc
         raise SpecParseError(f"unknown builtin group {kind!r}")
     try:
-        if "order" in obj and int(obj["order"]) != len(obj["table"]):
+        table = obj["table"]
+        order = obj.get("order", len(table))
+        generators = obj.get("generators")
+        name = obj.get("name", "G")
+        ints = [order, *(x for row in table for x in row), *(generators or ())]
+        if any(type(x) is not int for x in ints):
+            raise ValueError("table entries, order and generators must be integers")
+        if not isinstance(name, str):
+            raise ValueError(f"group name must be a string, got {name!r}")
+        if order != len(table):
             raise ValueError("declared order does not match the table size")
-        return FiniteGroup.from_table(
-            obj["table"],
-            labels=obj.get("labels"),
-            name=obj.get("name", "G"),
-            generators=obj.get("generators"))
+        return FiniteGroup.from_table(table, labels=obj.get("labels"), name=name,
+                                      generators=generators)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad group spec: {exc}") from exc
 

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nodalcover import field
+from nodalcover import descent, field, reps
 from nodalcover.covering import canonical_component
 from nodalcover.descent import (
     CorruptedCocycle,
     FiniteCocycle,
+    LatticeAssignment,
     check_cocycle,
     conj_equivariance_check,
     datum_from_rep,
@@ -22,9 +24,16 @@ from nodalcover.errors import (
     EquivarianceViolation,
     KernelNotTrivial,
     ScopeMismatch,
+    SignatureMismatch,
 )
 from nodalcover.field import MatrixK, smith_exponents
-from nodalcover.groups import FPWord, cyclic_group, enumerate_words, fp_normalize
+from nodalcover.groups import (
+    FPSignature,
+    FPWord,
+    cyclic_group,
+    enumerate_words,
+    fp_normalize,
+)
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep, inflate, intertwiners, trivial_rep
 
 from helpers import F3, rank1_rep, rank2_rep, random_word, s3_rep_2dim, sig_with_pres
@@ -88,6 +97,75 @@ def test_laurent_twists_check_without_gcd(monkeypatch):
     assert cert.passed
     assert cert.pairs_checked == 2116
     assert len(calls) == 0
+
+
+TWIST_ENTRIES = ["0", "1", "2", "t", "t + 1", "(1)/(t)", "(t + 2)/(t^2 + 1)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_twist_memo_matches_word_evaluation(data):
+    r = data.draw(st.integers(1, 2))
+    rank = data.draw(st.integers(1, 2))
+    sig, pres = sig_with_pres(r, (Z2,))
+    square = st.lists(st.lists(st.sampled_from(TWIST_ENTRIES), min_size=rank,
+                               max_size=rank), min_size=rank, max_size=rank)
+    z_images = [MatrixK.from_rows(F3, data.draw(square)) for _ in range(r)]
+    assume(all(not z.det().is_zero() for z in z_images))
+    ident = MatrixK.identity(F3, rank)
+    involutions = [ident, ident.scale(F3.from_int(-1))]
+    if rank == 2:
+        involutions.append(MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]]))
+    sign = data.draw(st.sampled_from(involutions))
+    rep = ContinuousRep.build(pres, F3, z_images, (Z2,), ((ident, sign),))
+    # words of generator length <= 4, asked with their prefixes in a random
+    # order, so a word is sometimes asked before the prefixes it extends
+    letter = st.tuples(st.integers(0, r - 1), st.sampled_from([1, -1])) | st.tuples(
+        st.just(r), st.just(1))
+    words = [fp_normalize(sig, raw)
+             for raw in data.draw(st.lists(st.lists(letter, max_size=4), max_size=5))]
+    queries = {w.letters: w for w in words}
+    for w in words:
+        for k in range(len(w.letters)):
+            queries.setdefault(w.letters[:k], FPWord(sig, w.letters[:k]))
+    datum = datum_from_rep(rep)
+    for w in data.draw(st.permutations(list(queries.values()))):
+        assert datum.twist(w) == rep.eval(w.inv())
+    with pytest.raises(SignatureMismatch):
+        datum.twist(fp_normalize(FPSignature(r + 1, (Z2,)), [(r, 1)]))
+
+
+def test_integralize_computes_each_lattice_once(monkeypatch):
+    rep = rank2_rep()
+    datum = datum_from_rep(rep).restricted()
+    hermite_calls = []
+    eval_calls = []
+    asked = set()
+    hermite = descent.lattice_hermite
+    eval_word = reps.eval_word
+    lattice_of = LatticeAssignment.lattice_of
+
+    def counted_hermite(M):
+        hermite_calls.append(M)
+        return hermite(M)
+
+    def counted_eval(*args):
+        eval_calls.append(args)
+        return eval_word(*args)
+
+    def recorded_lattice_of(self, c):
+        asked.add(c)
+        return lattice_of(self, c)
+
+    monkeypatch.setattr(descent, "lattice_hermite", counted_hermite)
+    monkeypatch.setattr(reps, "eval_word", counted_eval)
+    monkeypatch.setattr(LatticeAssignment, "lattice_of", recorded_lattice_of)
+    assignment = integralize(datum, max_len=3)
+    kernel = [w for w in enumerate_words(rep.sig, 3, "ker_alpha") if not w.is_identity()]
+    # one Hermite form per distinct component asked, plus the independent
+    # check of each (orbit representative, kernel word) pair
+    assert len(eval_calls) == 0
+    assert len(hermite_calls) == len(asked) + len(assignment.orbit_reps) * len(kernel)
 
 
 def test_corrupted_generator_fails_with_witness():

@@ -61,10 +61,29 @@ builtin_specs = st.one_of(
 table_specs = st.fixed_dictionaries(
     {"table": st.lists(st.lists(st.integers(-1, 4) | json_leaves, max_size=4), max_size=4)},
     optional={key: json_values for key in ("labels", "name", "generators", "order")})
+# Random tables are almost never groups, so also start from real group tables
+# and disguise one index or the order as a float, a string or a boolean.
+GROUP_TABLES = [[[0]], [[0, 1], [1, 0]], [[(a + b) % 3 for b in range(3)] for a in range(3)]]
+
+
+def disguises(x):
+    return st.sampled_from([x, float(x), x + 0.5, str(x), x == 1])
+
+
+@st.composite
+def group_table_specs(draw):
+    table = [list(row) for row in draw(st.sampled_from(GROUP_TABLES))]
+    m = len(table)
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    table[i][j] = draw(disguises(table[i][j]))
+    return draw(st.fixed_dictionaries({"table": st.just(table)}, optional={
+        "order": disguises(m) | json_leaves,
+        "generators": st.lists(st.integers(0, m - 1).flatmap(disguises), max_size=2),
+        "name": st.text(max_size=3) | json_leaves}))
 
 
 @settings(max_examples=200, deadline=None)
-@given(json_values | builtin_specs | table_specs)
+@given(json_values | builtin_specs | table_specs | group_table_specs())
 def test_load_group_fuzz_gives_group_or_spec_error(tmp_path_factory, spec):
     # loaded from a file, as the command line does, so a JSON string is a value
     path = tmp_path_factory.getbasetemp() / "fuzzed_group.json"
@@ -74,6 +93,14 @@ def test_load_group_fuzz_gives_group_or_spec_error(tmp_path_factory, spec):
     except SpecParseError:
         return
     assert isinstance(G, FiniteGroup) and G.order == len(G.table)
+    if "builtin" not in spec:
+        # a table spec loads only when every index is a JSON integer
+        def is_int(x):
+            return type(x) is int
+        assert all(is_int(x) for row in spec["table"] for x in row)
+        assert is_int(spec.get("order", 0))
+        assert all(is_int(g) for g in spec.get("generators") or ())
+        assert G.name == spec.get("name", "G")
 
 
 def test_load_curve_and_rep_from_demo_files():
@@ -228,7 +255,14 @@ def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
     {"builtin": "cyclic", "n": 1.5},
     {"builtin": "symmetric", "n": -3},
     {"table": [[0]], "generators": 5},
-], ids=["n-not-a-number", "n-fractional", "n-negative", "generators-not-a-list"])
+    {"table": [[0.5]]},
+    {"table": [["0"]]},
+    {"table": [[0, 1], [1, 0]], "order": 2.7},
+    {"table": [[0, 1], [1, 0]], "generators": [True]},
+    {"table": [[0]], "name": [1]},
+], ids=["n-not-a-number", "n-fractional", "n-negative", "generators-not-a-list",
+        "entry-fractional", "entry-string", "order-fractional", "generator-boolean",
+        "name-not-a-string"])
 def test_cli_hull_malformed_group_exits_2(tmp_path, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
