@@ -58,15 +58,19 @@ def matrix_to_json(M: MatrixK) -> list[list[str]]:
     return M.to_strings()
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, and not a count
+        raise SpecParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
     obj, _ = _load_obj(source, base_dir)
     if not isinstance(obj, dict):
         raise SpecParseError("group spec must be an object")
     if "builtin" in obj:
         kind = obj["builtin"]
-        n = obj.get("n", 1)
-        if type(n) is not int:  # bool is an int subclass, and not a size
-            raise SpecParseError(f"builtin group size n must be an integer, got {n!r}")
+        n = _json_int(obj.get("n", 1), "builtin group size n")
         try:
             if kind == "cyclic":
                 return cyclic_group(n)
@@ -84,14 +88,18 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
         order = obj.get("order", len(table))
         generators = obj.get("generators")
         name = obj.get("name", "G")
+        labels = obj.get("labels")
         ints = [order, *(x for row in table for x in row), *(generators or ())]
         if any(type(x) is not int for x in ints):
             raise ValueError("table entries, order and generators must be integers")
         if not isinstance(name, str):
             raise ValueError(f"group name must be a string, got {name!r}")
+        if labels is not None and (type(labels) is not list
+                                   or any(type(s) is not str for s in labels)):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
         if order != len(table):
             raise ValueError("declared order does not match the table size")
-        return FiniteGroup.from_table(table, labels=obj.get("labels"), name=name,
+        return FiniteGroup.from_table(table, labels=labels, name=name,
                                       generators=generators)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad group spec: {exc}") from exc
@@ -125,9 +133,9 @@ def load_rep(source, base_dir: Path | None = None,
              prime: int | None = None) -> ContinuousRep:
     obj, base_dir = _load_obj(source, base_dir)
     try:
-        p = int(obj["p"]) if prime is None else prime
+        p = _json_int(obj["p"], "p") if prime is None else prime
         field = FunctionField(p)
-        rank = int(obj["rank"])
+        rank = _json_int(obj["rank"], "rank")
         curve = load_curve(obj["curve"], base_dir)
         pres = pi1_presentation(curve)
         z_images = tuple(matrix_from_json(field, m) for m in obj.get("z_images", ()))
@@ -154,14 +162,15 @@ def load_fq(source, curve: NodalCurve, base_dir: Path | None = None,
             prime: int | None = None) -> FiniteQuotientRep:
     obj, base_dir = _load_obj(source, base_dir)
     try:
-        p = int(obj["p"]) if prime is None else prime
+        p = _json_int(obj["p"], "p") if prime is None else prime
         field = FunctionField(p)
-        rank = int(obj["rank"])
+        rank = _json_int(obj["rank"], "rank")
         pres = pi1_presentation(curve)
         source_groups = [load_group(g, base_dir) for g in obj["source_groups"]]
         quotient = load_group(obj["quotient"], base_dir)
-        z_to = [int(x) for x in obj.get("z_to", ())]
-        factor_to = [tuple(int(x) for x in m) for m in obj["factor_to"]]
+        z_to = [_json_int(x, "z_to entry") for x in obj.get("z_to", ())]
+        factor_to = [tuple(_json_int(x, "factor_to entry") for x in m)
+                     for m in obj["factor_to"]]
         if "hom" in obj:
             hom = tuple(matrix_from_json(field, m) for m in obj["hom"])
         else:

@@ -30,6 +30,7 @@ from nodalcover.field import MatrixK, smith_exponents
 from nodalcover.groups import (
     FPSignature,
     FPWord,
+    _concat,
     cyclic_group,
     enumerate_words,
     fp_normalize,
@@ -73,9 +74,12 @@ def test_anti_composition_on_random_pairs():
 
 
 def test_check_cocycle_passes_and_has_identity():
-    cert = check_cocycle(datum_from_rep(rank2_rep()), 4)
+    datum = datum_from_rep(rank2_rep())
+    cert = check_cocycle(datum, 4)
     assert cert.passed and cert.identity_ok
     assert cert.pairs_checked > 0
+    with pytest.raises(ValueError):
+        check_cocycle(datum, 0)
 
 
 def test_laurent_twists_check_without_gcd(monkeypatch):
@@ -95,7 +99,8 @@ def test_laurent_twists_check_without_gcd(monkeypatch):
     monkeypatch.setattr(field, "_pgcd", counted)
     cert = check_cocycle(datum, 4)
     assert cert.passed
-    assert cert.pairs_checked == 2116
+    # 2 relations and the recurrence of the 42 words of length 2 to 4
+    assert cert.pairs_checked == 44
     assert len(calls) == 0
 
 
@@ -177,18 +182,97 @@ def test_corrupted_generator_fails_with_witness():
     assert not cert.passed and cert.witness is not None
 
 
-def test_length_sum_bounded_regime_passes_and_catches_corruption():
-    # 1,706 words over Z^{*2}*[Z2] at L=5: too many pairs for all-pairs
+def test_certificate_over_1706_words_passes_and_catches_corruption():
+    # 1,706 words over Z^{*2}*[Z2] at L=5: 2.9 million pairs for the oracle
     rep = rank1_rep(r=2)
     datum = datum_from_rep(rep)
     cert = check_cocycle(datum, 5)
-    assert cert.strategy == "length-sum-bounded"
+    assert cert.strategy == "presentation"
     assert cert.passed and cert.identity_ok and cert.witness is None
     bad = CorruptedCocycle(datum, fp_normalize(rep.sig, [(0, 1)]),
                            MatrixK.from_rows(F3, [["1"]]))
     bad_cert = check_cocycle(bad, 5)
-    assert bad_cert.strategy == "length-sum-bounded"
     assert not bad_cert.passed and bad_cert.witness is not None
+
+
+def _gen_length(r, letters):
+    return sum(abs(v) if fid < r else 1 for fid, v in letters)
+
+
+def all_pairs_law(c, max_len: int) -> bool:
+    """Oracle: H(v) H(u) = H(u v) for every pair of words up to max_len, with
+    the products read from the stored twists up to 2 * max_len."""
+    sig = c.sig
+    full_range = c.twist_map(2 * max_len)
+    words = sorted((w for w in full_range if _gen_length(sig.r, w) <= max_len),
+                   key=lambda w: _gen_length(sig.r, w))
+    if not full_range[()].is_identity():
+        return False
+    return all(full_range[v] * full_range[u] == full_range[_concat(sig, u, v)]
+               for u in words for v in words)
+
+
+OVERRIDE_ENTRIES = ["0", "1", "2", "t", "(1)/(t)"]
+CERTIFIED_REPS = {"Z^*1*[Z2]": rank2_rep, "Z^*2*[Z2]": lambda: rank1_rep(r=2),
+                  "Z^*1*[S3]": s3_rep_2dim}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_certificate_agrees_with_all_pairs_oracle(data):
+    rep = CERTIFIED_REPS[data.draw(st.sampled_from(sorted(CERTIFIED_REPS)))]()
+    L = data.draw(st.integers(1, 3))
+    datum = datum_from_rep(rep)
+    sig, n = rep.sig, rep.rank
+    w = data.draw(st.sampled_from(enumerate_words(sig, L)))
+    rows = data.draw(st.lists(st.lists(st.sampled_from(OVERRIDE_ENTRIES), min_size=n,
+                                       max_size=n), min_size=n, max_size=n))
+    M = MatrixK.from_rows(rep.field, rows)
+    assume(M != datum.twist(w))
+    bad = CorruptedCocycle(datum, w, M)
+    passed = check_cocycle(bad, L).passed
+    letter = w.letters[0] if len(w.letters) == 1 else None
+    if (L == 1 and letter and letter[0] >= sig.r
+            and sig.factor(letter[0] - sig.r).order == 2 and (M * M).is_identity()):
+        # the stored words up to L carry another anti-homomorphism, one that
+        # sends the involution to M; only the oracle reads the products past L
+        assert passed and not all_pairs_law(bad, L)
+    else:
+        assert passed == all_pairs_law(bad, L)
+
+
+def test_relations_only_double_fails_both_checks():
+    # the twists follow the letter recurrence, but the Z2 letter goes to t,
+    # whose square is not the identity
+    sig, pres = sig_with_pres(1, (Z2,))
+    one = MatrixK.identity(F3, 1)
+    bogus = ContinuousRep(pres, F3, 1, (MatrixK.from_rows(F3, [["t"]]),), (Z2,),
+                          ((one, MatrixK.from_rows(F3, [["t"]])),))
+    datum = datum_from_rep(bogus)
+    for L in (1, 3):
+        cert = check_cocycle(datum, L)
+        assert not cert.passed and cert.identity_ok
+        assert cert.witness == ("g1:1", "g1:1")
+        assert not all_pairs_law(datum, L)
+
+
+def test_certificate_covers_words_up_to_max_len():
+    rep = rank2_rep()
+    datum = datum_from_rep(rep)
+    for L in (1, 2, 3):
+        w = next(w for w in enumerate_words(rep.sig, L + 1)
+                 if _gen_length(1, w.letters) == L + 1)
+        bad = CorruptedCocycle(datum, w, datum.twist(w).scale(F3.t()))
+        assert check_cocycle(bad, L).passed
+        assert not check_cocycle(bad, L + 1).passed
+        # the oracle reads the products of two words up to L, so twice as far
+        assert not all_pairs_law(bad, L)
+    # at L=1 the letters alone are stored: sending the Z2 letter to another
+    # involution gives another anti-homomorphism there, caught from L=2 on
+    g = fp_normalize(rep.sig, [(1, 1)])
+    bad = CorruptedCocycle(datum, g, MatrixK.identity(F3, 2))
+    assert check_cocycle(bad, 1).passed and not all_pairs_law(bad, 1)
+    assert not check_cocycle(bad, 2).passed
 
 
 def test_restricted_scope_passes_iff_full_does():

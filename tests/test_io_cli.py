@@ -1,9 +1,12 @@
 """Spec files and the command line: parsing, determinism, exit codes."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from nodalcover.cli import main
 from nodalcover.errors import SpecParseError
 from nodalcover.field import MatrixK
 from nodalcover.groups import FiniteGroup
+from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
 from helpers import F3
 
@@ -82,8 +86,18 @@ def group_table_specs(draw):
         "name": st.text(max_size=3) | json_leaves}))
 
 
+@st.composite
+def labelled_table_specs(draw):
+    table = draw(st.sampled_from(GROUP_TABLES))
+    m = len(table)
+    labels = draw(st.lists(st.text(max_size=2) | json_leaves, min_size=m, max_size=m)
+                  | st.text(min_size=m, max_size=m))
+    return {"table": table, "labels": labels}
+
+
 @settings(max_examples=200, deadline=None)
-@given(json_values | builtin_specs | table_specs | group_table_specs())
+@given(json_values | builtin_specs | table_specs | group_table_specs()
+       | labelled_table_specs())
 def test_load_group_fuzz_gives_group_or_spec_error(tmp_path_factory, spec):
     # loaded from a file, as the command line does, so a JSON string is a value
     path = tmp_path_factory.getbasetemp() / "fuzzed_group.json"
@@ -101,6 +115,57 @@ def test_load_group_fuzz_gives_group_or_spec_error(tmp_path_factory, spec):
         assert is_int(spec.get("order", 0))
         assert all(is_int(g) for g in spec.get("generators") or ())
         assert G.name == spec.get("name", "G")
+        labels = spec.get("labels")
+        assert labels is None or list(G.labels) == labels
+
+
+# Rep and quotient-rep specs: the demo files with one field, at any depth,
+# dropped or replaced by another JSON value or a disguised integer.
+FUZZED_SPECS = {"rep": json.loads((DATA / "rank2_rep.json").read_text()),
+                "fq": json.loads((DATA / "s3_2dim.json").read_text())}
+
+
+def _field_paths(obj, path=()):
+    if path:
+        yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _field_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_specs(draw, kind):
+    spec = copy.deepcopy(FUZZED_SPECS[kind])
+    path = draw(st.sampled_from(list(_field_paths(spec))))
+    holder = reduce(getitem, path[:-1], spec)
+    old = holder[path[-1]]
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[path[-1]]
+    elif type(old) is int:
+        holder[path[-1]] = draw(disguises(old) | json_values)
+    else:
+        holder[path[-1]] = draw(json_values)
+    return kind, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_specs("rep") | mutated_specs("fq"))
+def test_load_rep_and_fq_fuzz_give_spec_or_spec_error(case):
+    kind, spec = case
+    try:
+        if kind == "rep":
+            loaded = spec_io.load_rep(spec, DATA)
+        else:
+            loaded = spec_io.load_fq(spec, spec_io.load_curve(DATA / "nodal_cubic.json"))
+    except SpecParseError:
+        return
+    assert isinstance(loaded, ContinuousRep if kind == "rep" else FiniteQuotientRep)
+    # a spec loads only when its integer fields are JSON integers
+    ints = [spec["p"], spec["rank"]]
+    if kind == "fq":
+        ints += [*spec.get("z_to", ()), *(x for m in spec["factor_to"] for x in m)]
+    assert all(type(x) is int for x in ints)
 
 
 def test_load_curve_and_rep_from_demo_files():
@@ -260,15 +325,42 @@ def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
     {"table": [[0, 1], [1, 0]], "order": 2.7},
     {"table": [[0, 1], [1, 0]], "generators": [True]},
     {"table": [[0]], "name": [1]},
+    {"table": [[0, 1], [1, 0]], "labels": "ab"},
+    {"table": [[0, 1], [1, 0]], "labels": [1, True]},
 ], ids=["n-not-a-number", "n-fractional", "n-negative", "generators-not-a-list",
         "entry-fractional", "entry-string", "order-fractional", "generator-boolean",
-        "name-not-a-string"])
+        "name-not-a-string", "labels-a-string", "labels-not-strings"])
 def test_cli_hull_malformed_group_exits_2(tmp_path, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     code, _, err = run_cli("hull", str(path))
     assert code == 2
     assert_error_line(err)
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("rep", "rank", 2.7),
+    ("rep", "p", "3"),
+    ("rep", "p", 3.9),
+    ("rep", "p", True),
+    ("fq", "rank", True),
+    ("fq", "z_to", [4.0]),
+    ("fq", "factor_to", [[0, 1, 2, 3, 4, "5"]]),
+], ids=["rank-fractional", "p-string", "p-fractional", "p-boolean", "fq-rank-boolean",
+        "z_to-float", "factor_to-string"])
+def test_cli_malformed_rep_or_fq_integer_exits_2(tmp_path, kind, field, value):
+    spec = dict(FUZZED_SPECS[kind], **{field: value})
+    path = tmp_path / "bad.json"
+    if kind == "rep":
+        spec["curve"] = str(DATA / "nodal_cubic.json")
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli("rep", "check", str(path))
+    else:
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli("square", str(path), "nodal_cubic.json")
+    assert code == 2
+    assert_error_line(err)
+    assert f"{field} " in err and "must be prime" not in err
 
 
 def test_cli_main_callable_in_process(capsys):
