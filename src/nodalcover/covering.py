@@ -11,7 +11,7 @@ free, which is what every certificate here witnesses on a truncation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .curves import Pi1Presentation, chain_curve_for_signature, pi1_presentation
 from .errors import (
@@ -227,17 +227,19 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
         raise ValueError("max_len must be at least 2")
     r = sig.r
     ident = sig.identity_tuple()
+    stabilizers = [(j, r + j, [(g, ((r + j, g),)) for g in sig.factor(j).nonidentity()])
+                   for j in range(sig.num_factors)]
     kernel_words = components = checks = 0
     for s, al, _ in iter_words_raw(sig, max_len, sorted_grades=False):
         if s and al == ident:
             kernel_words += 1
         s_inv = _inv_letters(sig, s)
-        for j in range(sig.num_factors):
-            if s and s[0][0] == r + j:
+        for j, fid, letters in stabilizers:
+            if s and s[0][0] == fid:
                 continue
             components += 1
-            for g in sig.factor(j).nonidentity():
-                w = _concat(sig, _concat(sig, s_inv, ((r + j, g),)), s)
+            for g, g_letter in letters:
+                w = _concat(sig, _concat(sig, s_inv, g_letter), s)
                 if _alpha_tuple(sig, w) == ident:
                     raise FreenessViolation(
                         f"conjugate {g} of factor {j} lands in the kernel at s={s}")
@@ -378,11 +380,16 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 
 @dataclass(frozen=True)
 class FundamentalDomain:
+    """Finite core of a fundamental domain and its boundary lifts.  ``section``
+    maps each direct-product element g to the letters of w*sigma(g) and of
+    their inverse, which every coverage witness starts from."""
+
     sig: FPSignature
     word: FPWord
     core: tuple[ComponentIndex, ...]
     boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...]
     geometry_note: str
+    section: dict[tuple[int, ...], tuple[tuple, tuple]] = field(repr=False, compare=False)
 
     @property
     def size_bound(self) -> int:
@@ -415,8 +422,10 @@ def fundamental_domain(sig: FPSignature, w: FPWord,
 
     groups = [sig.factor(j) for j in range(sig.num_factors)]
     core: set[ComponentIndex] = set()
+    section = {}
     for coords in itertools.product(*(range(G.order) for G in groups)):
         tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
+        section[coords] = (tail, _inv_letters(sig, tail))
         for j in range(sig.num_factors):
             core.add(ComponentIndex(
                 j, FPWord(sig, _canon_rep_letters(sig, j, tail))))
@@ -459,7 +468,7 @@ def fundamental_domain(sig: FPSignature, w: FPWord,
     core_sorted = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
     boundary_sorted = tuple(sorted(
         boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
-    return FundamentalDomain(sig, w, core_sorted, boundary_sorted, note)
+    return FundamentalDomain(sig, w, core_sorted, boundary_sorted, note, section)
 
 
 def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
@@ -470,12 +479,13 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     indexed by w sigma(g) onto the target; both facts are asserted."""
     sig = dom.sig
     s = target.rep
-    g = _alpha_tuple(sig, s.letters)
-    ws = dom.word * sigma_word(sig, g)
-    t = ws.inv() * s
+    if s.sig != sig:
+        raise SignatureMismatch("target over the wrong signature")
+    ws, ws_inv = dom.section[_alpha_tuple(sig, s.letters)]
+    t = FPWord(sig, _concat(sig, ws_inv, s.letters))
     if _alpha_tuple(sig, t.letters) != sig.identity_tuple():
         raise FreenessViolation("coverage witness fell outside the kernel")
-    start = canonical_component(sig, target.j, ws)
+    start = canonical_component(sig, target.j, FPWord(sig, ws))
     if component_action(t, start) != target:
         raise FreenessViolation("coverage witness failed to act correctly")
     return t

@@ -9,6 +9,8 @@ The empty sequence is the identity.
 Two length notions coexist: len(word) counts syllables, while generator
 length charges a Z syllable its |exponent|; enumeration is graded by
 generator length, the only grading with finitely many words per grade.
+The word kernels read the factor tables, identities and inverses that each
+signature compiles once when it is built.
 """
 
 from __future__ import annotations
@@ -249,6 +251,17 @@ class FPSignature:
             raise ValueError("r must be nonnegative")
         if self.r == 0 and not self.factors:
             raise ValueError("empty signature: need r >= 1 or at least one factor")
+        # compiled tables the word kernels index by j = fid - r; a placeholder
+        # slot holds None, and the identity tuple is None while one remains
+        groups = self.factors
+        object.__setattr__(self, "_tables", tuple(
+            None if G is None else G.table for G in groups))
+        object.__setattr__(self, "_inverses", tuple(
+            None if G is None else G.inverse for G in groups))
+        object.__setattr__(self, "_idents", tuple(
+            None if G is None else G.identity for G in groups))
+        object.__setattr__(self, "_identity", None if None in self._idents
+                           else self._idents)
 
     @property
     def num_factors(self) -> int:
@@ -270,7 +283,9 @@ class FPSignature:
         return FPSignature(self.r, groups)
 
     def identity_tuple(self) -> tuple[int, ...]:
-        return tuple(self.factor(j).identity for j in range(self.num_factors))
+        if self._identity is None:
+            raise BadFactorIndex("placeholder factor slots have no identity")
+        return self._identity
 
     def describe(self) -> str:
         names = ",".join(G.name if G else "?" for G in self.factors)
@@ -290,10 +305,6 @@ class FPWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def gen_length(self) -> int:
-        r = self.sig.r
-        return sum(abs(v) if fid < r else 1 for fid, v in self.letters)
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -309,30 +320,32 @@ class FPWord:
 
 def _normalize_letters(sig: FPSignature, raw) -> tuple[tuple[int, int], ...]:
     r = sig.r
-    n = sig.num_factors
+    tables, idents = sig._tables, sig._idents
     out: list[tuple[int, int]] = []
     for fid, v in raw:
-        if not 0 <= fid < r + n:
+        if not 0 <= fid < r + len(tables):
             raise BadFactorIndex(f"factor id {fid} out of range")
         if fid < r:
             if v == 0:
                 continue
         else:
-            G = sig.factor(fid - r)
-            if not 0 <= v < G.order:
-                raise BadElementIndex(f"element {v} out of range for factor {fid - r}")
-            if v == G.identity:
+            j = fid - r
+            tab = tables[j]
+            if tab is None:
+                raise BadFactorIndex(f"factor slot {j} is a placeholder without a group")
+            if not 0 <= v < len(tab):
+                raise BadElementIndex(f"element {v} out of range for factor {j}")
+            if v == idents[j]:
                 continue
         if out and out[-1][0] == fid:
-            pfid, pv = out.pop()
+            pv = out.pop()[1]
             if fid < r:
                 e = pv + v
                 if e:
                     out.append((fid, e))
             else:
-                G = sig.factor(fid - r)
-                g = G.table[pv][v]
-                if g != G.identity:
+                g = tab[pv][v]
+                if g != idents[j]:
                     out.append((fid, g))
         else:
             out.append((fid, v))
@@ -341,38 +354,38 @@ def _normalize_letters(sig: FPSignature, raw) -> tuple[tuple[int, int], ...]:
 
 def _inv_letters(sig: FPSignature, letters) -> tuple[tuple[int, int], ...]:
     r = sig.r
-    return tuple(
-        (fid, -v if fid < r else sig.factor(fid - r).inverse[v])
-        for fid, v in reversed(letters))
+    inverses = sig._inverses
+    return tuple([(fid, -v) if fid < r else (fid, inverses[fid - r][v])
+                  for fid, v in reversed(letters)])
 
 
 def _concat(sig: FPSignature, a, b) -> tuple[tuple[int, int], ...]:
-    """Product of two normal forms: only the junction can simplify."""
+    """Product of two normal forms: only the junction can simplify.
+
+    k letter pairs cancel across the junction; the next pair, if it shares a
+    factor, merges into one letter."""
+    if not a or not b or a[-1][0] != b[0][0]:
+        return a + b
     r = sig.r
-    out = list(a)
-    i = 0
-    nb = len(b)
-    while i < nb and out:
-        fid, v = b[i]
-        if out[-1][0] != fid:
+    tables, idents = sig._tables, sig._idents
+    na = len(a)
+    m = min(na, len(b))
+    k = 0
+    while k < m:
+        fid, v = b[k]
+        pfid, pv = a[na - 1 - k]
+        if pfid != fid:
             break
-        pfid, pv = out.pop()
         if fid < r:
             e = pv + v
             if e:
-                out.append((fid, e))
-                i += 1
-                break
+                return a[:na - 1 - k] + ((fid, e),) + b[k + 1:]
         else:
-            G = sig.factor(fid - r)
-            g = G.table[pv][v]
-            if g != G.identity:
-                out.append((fid, g))
-                i += 1
-                break
-        i += 1
-    out.extend(b[i:])
-    return tuple(out)
+            g = tables[fid - r][pv][v]
+            if g != idents[fid - r]:
+                return a[:na - 1 - k] + ((fid, g),) + b[k + 1:]
+        k += 1
+    return a[:na - k] + b[k:]
 
 
 def fp_normalize(sig: FPSignature, raw) -> FPWord:
@@ -413,11 +426,12 @@ class DirectTuple:
 
 def _alpha_tuple(sig: FPSignature, letters) -> tuple[int, ...]:
     r = sig.r
+    tables = sig._tables
     coords = list(sig.identity_tuple())
     for fid, v in letters:
         if fid >= r:
             j = fid - r
-            coords[j] = sig.factor(j).table[coords[j]][v]
+            coords[j] = tables[j][coords[j]][v]
     return tuple(coords)
 
 
@@ -453,22 +467,31 @@ def iter_words_raw(sig: FPSignature, max_len: int,
     is reached exactly once by a unit extension of its length-n prefix, so no
     deduplication is needed.  The optional carry threads any multiplicative
     bookkeeping (matrix evaluation, quotient images) along the extension.
+    Words of one grade share their generator length, so a sorted grade is
+    ordered by its letters' shortlex ranks alone.
     """
     r = sig.r
-    n = sig.num_factors
-    factors = [sig.factor(j) for j in range(n)]
-    ident = tuple(G.identity for G in factors)
-    grade: list[tuple] = [((), ident, carry_init)]
-    if sorted_grades:
-        grade.sort(key=lambda e: shortlex_key(sig, e[0]))
+    tables, idents = sig._tables, sig._idents
+    grade: list[tuple] = [((), sig.identity_tuple(), carry_init)]
     yield from grade
+    # per finite factor: its letter id, table, and (letter, element) extensions
+    finite = [(r + j, j, tab, [((r + j, g), g) for g in range(len(tab)) if g != idents[j]])
+              for j, tab in enumerate(tables)]
+    if sorted_grades:
+        alphabet = [(i, e) for i in range(r) for k in range(1, max_len + 1) for e in (k, -k)]
+        alphabet += [letter for _, _, _, ext in finite for letter, _ in ext]
+        alphabet.sort(key=lambda letter: _letter_key(r, letter))
+        rank = {letter: k for k, letter in enumerate(alphabet)}.__getitem__
+
+        def grade_key(entry):
+            return tuple(map(rank, entry[0]))
     for _ in range(max_len):
         nxt: list[tuple] = []
         for letters, al, carry in grade:
-            last = letters[-1] if letters else None
+            last = letters[-1][0] if letters else -1
             for i in range(r):
-                if last is not None and last[0] == i:
-                    e = last[1]
+                if last == i:
+                    e = letters[-1][1]
                     d = 1 if e > 0 else -1
                     child = letters[:-1] + ((i, e + d),)
                     c2 = carry_step(carry, (i, d)) if carry_step else None
@@ -478,21 +501,16 @@ def iter_words_raw(sig: FPSignature, max_len: int,
                         child = letters + ((i, d),)
                         c2 = carry_step(carry, (i, d)) if carry_step else None
                         nxt.append((child, al, c2))
-            for j in range(n):
-                fid = r + j
-                if last is not None and last[0] == fid:
+            for fid, j, tab, ext in finite:
+                if last == fid:
                     continue
-                G = factors[j]
-                tab_row = G.table
-                for g in range(G.order):
-                    if g == G.identity:
-                        continue
-                    child = letters + ((fid, g),)
-                    al2 = al[:j] + (tab_row[al[j]][g],) + al[j + 1:]
-                    c2 = carry_step(carry, (fid, g)) if carry_step else None
-                    nxt.append((child, al2, c2))
+                row = tab[al[j]]
+                head, tail = al[:j], al[j + 1:]
+                for letter, g in ext:
+                    c2 = carry_step(carry, letter) if carry_step else None
+                    nxt.append((letters + (letter,), head + (row[g],) + tail, c2))
         if sorted_grades:
-            nxt.sort(key=lambda e: shortlex_key(sig, e[0]))
+            nxt.sort(key=grade_key)
         yield from nxt
         grade = nxt
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .curves import NodalCurve, pi1_presentation
+from .curves import NodalCurve, dual_graph, pi1_presentation
 from .errors import SpecParseError
 from .field import FunctionField, MatrixK, rf_from_string
 from .groups import (
@@ -46,12 +46,22 @@ def _load_obj(source, base_dir: Path | None = None):
         raise SpecParseError(f"cannot read spec file {path}: {exc}") from exc
 
 
-def matrix_from_json(field: FunctionField, rows) -> MatrixK:
+def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> MatrixK:
+    """Matrix from rows of element strings; a given rank asks for rank x rank."""
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise SpecParseError(f"a matrix must be a list of rows, got {rows!r}")
+    for row in rows:
+        for e in row:
+            if type(e) is not str:
+                raise SpecParseError(f"matrix entry {e!r} is not a string")
     try:
-        return MatrixK(field, tuple(
-            tuple(rf_from_string(field, str(e)) for e in row) for row in rows))
+        M = MatrixK(field, tuple(tuple(rf_from_string(field, e) for e in row) for row in rows))
     except Exception as exc:
         raise SpecParseError(f"bad matrix literal: {exc}") from exc
+    if rank is not None and (M.rows, M.cols) != (rank, rank):
+        raise SpecParseError(
+            f"a {M.rows}x{M.cols} matrix does not match the declared rank {rank}")
+    return M
 
 
 def matrix_to_json(M: MatrixK) -> list[list[str]]:
@@ -105,16 +115,40 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
         raise SpecParseError(f"bad group spec: {exc}") from exc
 
 
+def _json_str(value, what: str) -> str:
+    if type(value) is not str:
+        raise SpecParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _node_end(end) -> tuple[str, str]:
+    if type(end) is not list or len(end) != 2:
+        raise SpecParseError(f"a node end must be a [component, branch] pair, got {end!r}")
+    return _json_str(end[0], "node end component"), _json_str(end[1], "node end branch")
+
+
 def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
     obj, _ = _load_obj(source, base_dir)
     try:
-        comps = [(c["id"], tuple(c.get("branches", ()))) for c in obj["components"]]
+        comps = []
+        for c in obj["components"]:
+            branches = c.get("branches", [])
+            if type(branches) is not list:
+                raise SpecParseError(f"branches must be a list, got {branches!r}")
+            comps.append((_json_str(c["id"], "component id"),
+                          tuple(_json_str(b, "branch label") for b in branches)))
         nodes = []
         for k, n in enumerate(obj.get("nodes", ())):
             ends = n["ends"]
-            nodes.append((n.get("id", f"n{k}"),
-                          (ends[0][0], ends[0][1]), (ends[1][0], ends[1][1])))
-        return NodalCurve.build(comps, nodes)
+            if type(ends) is not list or len(ends) != 2:
+                raise SpecParseError(f"node ends must be two pairs, got {ends!r}")
+            nodes.append((_json_str(n.get("id", f"n{k}"), "node id"),
+                          _node_end(ends[0]), _node_end(ends[1])))
+        curve = NodalCurve.build(comps, nodes)
+        dual_graph(curve)  # a disconnected curve has no presentation
+        return curve
+    except SpecParseError:
+        raise
     except (KeyError, IndexError, TypeError) as exc:
         raise SpecParseError(f"bad curve spec: {exc}") from exc
     except Exception as exc:
@@ -138,16 +172,16 @@ def load_rep(source, base_dir: Path | None = None,
         rank = _json_int(obj["rank"], "rank")
         curve = load_curve(obj["curve"], base_dir)
         pres = pi1_presentation(curve)
-        z_images = tuple(matrix_from_json(field, m) for m in obj.get("z_images", ()))
+        z_images = tuple(matrix_from_json(field, m, rank) for m in obj.get("z_images", ()))
         groups = []
         homs = []
         for fac in obj["factors"]:
             G = load_group(fac["group"], base_dir)
             groups.append(G)
             if "images" in fac:
-                homs.append(tuple(matrix_from_json(field, m) for m in fac["images"]))
+                homs.append(tuple(matrix_from_json(field, m, rank) for m in fac["images"]))
             else:
-                gens = [matrix_from_json(field, m) for m in fac["gen_images"]]
+                gens = [matrix_from_json(field, m, rank) for m in fac["gen_images"]]
                 homs.append(_hom_from_gen_images(field, G, gens, rank))
         return ContinuousRep.build(pres, field, z_images, groups, homs)
     except SpecParseError:
@@ -172,9 +206,9 @@ def load_fq(source, curve: NodalCurve, base_dir: Path | None = None,
         factor_to = [tuple(_json_int(x, "factor_to entry") for x in m)
                      for m in obj["factor_to"]]
         if "hom" in obj:
-            hom = tuple(matrix_from_json(field, m) for m in obj["hom"])
+            hom = tuple(matrix_from_json(field, m, rank) for m in obj["hom"])
         else:
-            gens = [matrix_from_json(field, m) for m in obj["hom_gen_images"]]
+            gens = [matrix_from_json(field, m, rank) for m in obj["hom_gen_images"]]
             hom = _hom_from_gen_images(field, quotient, gens, rank)
         return FiniteQuotientRep.build(pres, field, source_groups, quotient,
                                        z_to, factor_to, hom)

@@ -255,13 +255,12 @@ def criterion_4(rng) -> tuple[bool, str]:
         w = FPWord(sig, ((0, 1),))
         dom = fundamental_domain(sig, w)
         count = 0
-        ident = sig.identity_tuple()
         for letters, _, _ in iter_words_raw(sig, 6, sorted_grades=False):
             for j in range(sig.num_factors):
                 if letters and letters[0][0] == sig.r + j:
                     continue
                 target = canonical_component(sig, j, FPWord(sig, letters))
-                t = cover_witness(dom, target)  # raises on any failure
+                cover_witness(dom, target)  # raises on any failure
                 count += 1
         totals.append(f"{sig.describe()}: {count} witnesses")
     return True, "; ".join(totals)

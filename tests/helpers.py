@@ -47,6 +47,11 @@ def random_matrix(rng: random.Random, field, n, deg=1, invertible=False):
             return M
 
 
+def gen_length(r, letters):
+    """Generator length: a Z syllable counts its |exponent|, a finite letter one."""
+    return sum(abs(v) if fid < r else 1 for fid, v in letters)
+
+
 def random_word(rng: random.Random, sig: FPSignature, syllables=4) -> FPWord:
     raw = []
     for _ in range(syllables):

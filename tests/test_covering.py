@@ -1,5 +1,6 @@
 """Components, deck actions, freeness, separating opens, domains, witnesses."""
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from nodalcover.covering import (
     sigma_word,
 )
 from nodalcover.curves import pi1_presentation
-from nodalcover.errors import NoComplement, TrivialW
+from nodalcover.errors import NoComplement, SignatureMismatch, TrivialW
 from nodalcover.groups import (
     FPSignature,
     FPWord,
@@ -28,6 +29,7 @@ from nodalcover.groups import (
     cyclic_group,
     enumerate_words,
     fp_normalize,
+    symmetric_group,
     trivial_group,
 )
 from nodalcover.reps import trivial_rep
@@ -231,6 +233,26 @@ def test_witness_every_component_up_to_length():
     dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]))
     for target in enumerate_components(sig, 5):
         cover_witness(dom, target)  # raises on failure
+
+
+@pytest.mark.parametrize("r, groups, word", [
+    (1, (Z2,), [(0, 1)]),
+    (1, (Z2, Z3), [(0, 1), (1, 1), (0, -1), (1, 1), (2, 1), (0, 1), (2, 2)]),
+    (2, (symmetric_group(3),), [(1, -2), (2, 3), (0, 1), (2, 4)]),
+])
+def test_witness_from_section_equals_recomputed_witness(r, groups, word):
+    sig = FPSignature(r, groups)
+    dom = fundamental_domain(sig, fp_normalize(sig, word))
+    assert set(dom.section) == set(itertools.product(*(range(G.order) for G in groups)))
+    for coords, (ws, ws_inv) in dom.section.items():
+        recomputed = dom.word * sigma_word(sig, coords)
+        assert ws == recomputed.letters and ws_inv == recomputed.inv().letters
+    for target in enumerate_components(sig, 4):
+        ws = dom.word * sigma_word(sig, alpha(target.rep).coords)
+        assert cover_witness(dom, target) == ws.inv() * target.rep
+    other = FPSignature(r + 1, groups)
+    with pytest.raises(SignatureMismatch):
+        cover_witness(dom, canonical_component(other, 0, FPWord(other, ())))
 
 
 # -- finite covers ------------------------------------------------------------------------

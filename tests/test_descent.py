@@ -37,7 +37,15 @@ from nodalcover.groups import (
 )
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep, inflate, intertwiners, trivial_rep
 
-from helpers import F3, rank1_rep, rank2_rep, random_word, s3_rep_2dim, sig_with_pres
+from helpers import (
+    F3,
+    gen_length,
+    rank1_rep,
+    rank2_rep,
+    random_word,
+    s3_rep_2dim,
+    sig_with_pres,
+)
 
 Z2 = cyclic_group(2)
 
@@ -195,17 +203,13 @@ def test_certificate_over_1706_words_passes_and_catches_corruption():
     assert not bad_cert.passed and bad_cert.witness is not None
 
 
-def _gen_length(r, letters):
-    return sum(abs(v) if fid < r else 1 for fid, v in letters)
-
-
 def all_pairs_law(c, max_len: int) -> bool:
     """Oracle: H(v) H(u) = H(u v) for every pair of words up to max_len, with
     the products read from the stored twists up to 2 * max_len."""
     sig = c.sig
     full_range = c.twist_map(2 * max_len)
-    words = sorted((w for w in full_range if _gen_length(sig.r, w) <= max_len),
-                   key=lambda w: _gen_length(sig.r, w))
+    words = sorted((w for w in full_range if gen_length(sig.r, w) <= max_len),
+                   key=lambda w: gen_length(sig.r, w))
     if not full_range[()].is_identity():
         return False
     return all(full_range[v] * full_range[u] == full_range[_concat(sig, u, v)]
@@ -261,7 +265,7 @@ def test_certificate_covers_words_up_to_max_len():
     datum = datum_from_rep(rep)
     for L in (1, 2, 3):
         w = next(w for w in enumerate_words(rep.sig, L + 1)
-                 if _gen_length(1, w.letters) == L + 1)
+                 if gen_length(1, w.letters) == L + 1)
         bad = CorruptedCocycle(datum, w, datum.twist(w).scale(F3.t()))
         assert check_cocycle(bad, L).passed
         assert not check_cocycle(bad, L + 1).passed

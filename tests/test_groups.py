@@ -10,6 +10,10 @@ from nodalcover.groups import (
     DirectTuple,
     FPSignature,
     FPWord,
+    _alpha_tuple,
+    _concat,
+    _inv_letters,
+    _normalize_letters,
     alpha,
     cyclic_group,
     dihedral_group,
@@ -17,6 +21,7 @@ from nodalcover.groups import (
     format_word,
     fp_mul,
     fp_normalize,
+    iter_words_raw,
     parse_word,
     product_subgroup,
     shortlex_key,
@@ -24,7 +29,7 @@ from nodalcover.groups import (
     trivial_group,
 )
 
-from helpers import random_word
+from helpers import gen_length, random_word
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -223,7 +228,7 @@ def test_enumerate_is_shortlex_sorted_and_complete():
             fp_normalize(SIG, [(3, 2)])]
     seen = set(w.letters for w in words)
     for w in words:
-        if w.gen_length() <= 2:
+        if gen_length(SIG.r, w.letters) <= 2:
             for g in gens:
                 assert (w * g).letters in seen
 
@@ -242,13 +247,151 @@ def test_section_witnesses_alpha_surjectivity():
         coords = (rng.randrange(Z2.order), rng.randrange(Z3.order))
         w = sigma_word(SIG, coords)
         assert alpha(w).coords == coords
-        assert w.gen_length() <= SIG.num_factors
+        assert gen_length(SIG.r, w.letters) <= SIG.num_factors
 
 
 def test_syllable_vs_generator_length():
     w = fp_normalize(SIG, [(0, 3), (2, 1)])
     assert len(w) == 2
-    assert w.gen_length() == 4
+    assert gen_length(SIG.r, w.letters) == 4
+
+
+# -- compiled kernels against the general path ---------------------------------------
+
+signatures = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.sampled_from([Z2, Z3, cyclic_group(4), S3]), max_size=3),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+def raw_words(sig, max_size=8):
+    def letter(fid):
+        if fid < sig.r:
+            return st.tuples(st.just(fid), st.integers(-3, 3))
+        return st.tuples(st.just(fid), st.integers(0, sig.factor(fid - sig.r).order - 1))
+
+    return st.lists(st.integers(0, sig.r + sig.num_factors - 1).flatmap(letter),
+                    max_size=max_size)
+
+
+def nonidentity_values(sig, fid):
+    if fid < sig.r:
+        return [-3, -2, -1, 1, 2, 3]
+    return sig.factor(fid - sig.r).nonidentity()
+
+
+@st.composite
+def junction_pairs(draw):
+    """Normal forms a, b whose junction cancels fully, cancels partly, merges
+    into a non-identity letter, or does not touch."""
+    sig = draw(signatures)
+    a = _normalize_letters(sig, draw(raw_words(sig)))
+    mode = draw(st.sampled_from(["cancel", "partial", "merge", "free"]))
+    k = 0 if mode == "free" else draw(st.integers(min(1, len(a)), len(a)))
+    head = _inv_letters(sig, a[len(a) - k:])  # cancels the last k letters of a
+    meets = a[len(a) - k - 1] if k < len(a) else None  # a's letter after the cancellation
+    tail = []
+    if mode == "merge" and meets is not None:
+        fid, v = meets
+        inv = -v if fid < sig.r else sig.factor(fid - sig.r).inv(v)
+        merging = [x for x in nonidentity_values(sig, fid) if x != inv]
+        if merging:  # an order-two factor only cancels
+            tail = [(fid, draw(st.sampled_from(merging)))]
+    elif mode == "partial":
+        blocked = {letter[0] for letter in (meets, head[-1] if head else None) if letter}
+        fids = [f for f in range(sig.r + sig.num_factors) if f not in blocked]
+        if fids:
+            fid = draw(st.sampled_from(fids))
+            tail = [(fid, draw(st.sampled_from(nonidentity_values(sig, fid))))]
+    elif mode == "free":
+        tail = draw(raw_words(sig, 4))
+    return sig, a, _normalize_letters(sig, list(head) + tail)
+
+
+def alpha_oracle(sig, letters):
+    coords = []
+    for j in range(sig.num_factors):
+        G = sig.factor(j)
+        x = G.identity
+        for fid, v in letters:
+            if fid == sig.r + j:
+                x = G.mul(x, v)
+        coords.append(x)
+    return tuple(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(junction_pairs())
+def test_concat_equals_normalized_concatenation(case):
+    sig, a, b = case
+    assert _concat(sig, a, b) == _normalize_letters(sig, a + b)
+    assert _concat(sig, b, a) == _normalize_letters(sig, b + a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(junction_pairs())
+def test_inverse_letters_cancel_under_concat(case):
+    sig, a, b = case
+    for w in (a, b, _concat(sig, a, b)):
+        inv = _inv_letters(sig, w)
+        assert _concat(sig, w, inv) == () and _concat(sig, inv, w) == ()
+        assert _normalize_letters(sig, inv) == inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(junction_pairs(), st.data())
+def test_alpha_tuple_equals_factorwise_oracle(case, data):
+    sig, a, b = case
+    raw = data.draw(raw_words(sig))
+    assert _alpha_tuple(sig, raw) == alpha_oracle(sig, raw)
+    assert _alpha_tuple(sig, _concat(sig, a, b)) == alpha_oracle(sig, a + b)
+
+
+small_signatures = st.tuples(
+    st.integers(0, 2), st.lists(st.sampled_from([Z2, Z3, S3]), max_size=2),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_signatures, st.integers(0, 3))
+def test_sorted_grades_are_shortlex_sorted_enumeration(sig, L):
+    unsorted = list(iter_words_raw(sig, L, sorted_grades=False))
+    words = [letters for letters, _, _ in unsorted]
+    ordered = [letters for letters, _, _ in iter_words_raw(sig, L)]
+    assert ordered == sorted(words, key=lambda w: shortlex_key(sig, w))
+    assert len(set(words)) == len(words)
+    for letters, al, _ in unsorted:
+        assert _normalize_letters(sig, letters) == letters
+        assert al == alpha_oracle(sig, letters)
+    # unit products of words below the top grade normalize into the enumeration
+    seen = set(words)
+    units = [(i, d) for i in range(sig.r) for d in (1, -1)]
+    units += [(sig.r + j, g) for j in range(sig.num_factors)
+              for g in sig.factor(j).nonidentity()]
+    for w in words:
+        if gen_length(sig.r, w) < L:
+            for x in units:
+                product = _concat(sig, w, (x,))
+                assert product == _normalize_letters(sig, w + (x,)) and product in seen
+
+
+def test_placeholder_signature_raises_bad_factor_index():
+    sig = FPSignature(1, (Z2, None))
+    assert sig == FPSignature(1, (Z2, None)) and hash(sig) == hash(FPSignature(1, (Z2, None)))
+    assert repr(sig) == f"FPSignature(r=1, factors=({Z2!r}, None))"
+    assert fp_normalize(sig, [(0, 2), (0, -1), (1, 1)]).letters == ((0, 1), (1, 1))
+    with pytest.raises(BadFactorIndex):
+        sig.factor(1)
+    with pytest.raises(BadFactorIndex):
+        sig.identity_tuple()
+    with pytest.raises(BadFactorIndex):
+        fp_normalize(sig, [(2, 1)])
+    with pytest.raises(BadFactorIndex):
+        next(iter_words_raw(sig, 1))
+    with pytest.raises(BadFactorIndex):
+        alpha(FPWord(sig, ((0, 1),)))
+    full = sig.with_factors((Z2, Z3))
+    assert full.identity_tuple() == (0, 0) and full.factor(1) is Z3
 
 
 # -- strings -------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import nodalcover
 from nodalcover import io as spec_io
 from nodalcover.cli import main
+from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
 from nodalcover.errors import SpecParseError
 from nodalcover.field import MatrixK
 from nodalcover.groups import FiniteGroup
@@ -144,9 +145,20 @@ def mutated_specs(draw, kind):
         del holder[path[-1]]
     elif type(old) is int:
         holder[path[-1]] = draw(disguises(old) | json_values)
+    elif type(old) is str and old.isdigit():
+        # a matrix entry given as a JSON number or boolean
+        holder[path[-1]] = draw(disguises(int(old)) | json_values)
     else:
         holder[path[-1]] = draw(json_values)
     return kind, spec
+
+
+def _spec_matrices(kind, spec):
+    if kind == "fq":
+        return spec.get("hom") or spec["hom_gen_images"]
+    factors = spec["factors"]
+    return [*spec.get("z_images", ()),
+            *(m for fac in factors for m in fac.get("images") or fac["gen_images"])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,6 +178,59 @@ def test_load_rep_and_fq_fuzz_give_spec_or_spec_error(case):
     if kind == "fq":
         ints += [*spec.get("z_to", ()), *(x for m in spec["factor_to"] for x in m)]
     assert all(type(x) is int for x in ints)
+    # ... its matrix entries are JSON strings, and each matrix has the declared rank
+    rank = spec["rank"]
+    for m in _spec_matrices(kind, spec):
+        assert len(m) == rank and all(len(row) == rank for row in m)
+        assert all(type(e) is str for row in m for e in row)
+    assert loaded.rank == rank
+
+
+# Curve specs: the demo curves with one field, at any depth, dropped or
+# replaced by another JSON value.
+FUZZED_CURVES = [json.loads((DATA / name).read_text())
+                 for name in ("nodal_cubic.json", "cycle3.json")]
+CURVE_NAMES = ["C1", "C2", "C3", "a", "b", "n0", "x0"]
+curve_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2, 2, allow_nan=False)
+    | st.sampled_from(CURVE_NAMES) | st.text(max_size=2),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(["id", "branches", "ends", "components",
+                                                     "nodes"]), kids, max_size=3)),
+    max_leaves=10)
+
+
+@st.composite
+def mutated_curves(draw):
+    spec = copy.deepcopy(draw(st.sampled_from(FUZZED_CURVES)))
+    path = draw(st.sampled_from(list(_field_paths(spec))))
+    holder = reduce(getitem, path[:-1], spec)
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = draw(curve_values)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_curves())
+def test_load_curve_fuzz_gives_curve_or_spec_error(tmp_path_factory, spec):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_curve.json"
+    path.write_text(json.dumps(spec))
+    try:
+        curve = spec_io.load_curve(path)
+    except SpecParseError:
+        return
+    assert isinstance(curve, NodalCurve)
+    # a curve loads only when its names are JSON strings and it has a presentation
+    names = [c["id"] for c in spec["components"]]
+    names += [b for c in spec["components"] for b in c.get("branches", ())]
+    names += [n["id"] for n in spec.get("nodes", ()) if "id" in n]
+    names += [x for n in spec.get("nodes", ()) for end in n["ends"] for x in end]
+    assert all(type(x) is str for x in names)
+    assert all(len(n["ends"]) == 2 and all(len(end) == 2 for end in n["ends"])
+               for n in spec.get("nodes", ()))
+    assert pi1_presentation(curve).r == betti_rank(curve)
 
 
 def test_load_curve_and_rep_from_demo_files():
@@ -361,6 +426,53 @@ def test_cli_malformed_rep_or_fq_integer_exits_2(tmp_path, kind, field, value):
     assert code == 2
     assert_error_line(err)
     assert f"{field} " in err and "must be prime" not in err
+
+
+IMAGES_Z2 = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"rank": 7, "factors": [{"group": {"builtin": "cyclic", "n": 2}, "images": IMAGES_Z2}]},
+     "declared rank 7"),
+    ({"rank": 1}, "declared rank 1"),
+    ({"rank": 3, "z_images": []}, "declared rank 3"),
+    ({"z_images": [[["t", 1], [0, 1]]]}, "matrix entry 1 is not a string"),
+    ({"z_images": [[["1", True], ["0", "1"]]]}, "matrix entry True is not a string"),
+    ({"z_images": ["t"]}, "list of rows"),
+], ids=["rank-7-images", "rank-1-z_images", "rank-3-gen_images", "entry-number",
+        "entry-boolean", "rows-not-lists"])
+def test_cli_rep_matrix_shape_or_entry_mismatch_exits_2(tmp_path, edit, message):
+    spec = dict(FUZZED_SPECS["rep"], **edit)
+    spec["curve"] = str(DATA / "nodal_cubic.json")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("rep", "check", str(path))
+    assert code == 2
+    assert_error_line(err)
+    assert message in err
+
+
+TWO_LOOPS = {"components": [{"id": "C1", "branches": ["a", "b"]},
+                            {"id": "C2", "branches": ["a", "b"]}],
+             "nodes": [{"id": "x0", "ends": [["C1", "a"], ["C1", "b"]]},
+                       {"id": "x1", "ends": [["C2", "a"], ["C2", "b"]]}]}
+
+
+@pytest.mark.parametrize("spec", [
+    TWO_LOOPS,
+    {"components": [{"id": "C1", "branches": ["a", "b"]}],
+     "nodes": [{"id": None, "ends": [["C1", "a"], ["C1", "b"]]}]},
+    {"components": [{"id": "C1", "branches": "ab"}],
+     "nodes": [{"id": "x0", "ends": [["C1", "a"], ["C1", "b"]]}]},
+    {"components": [{"id": "C1", "branches": ["a", "b"]}],
+     "nodes": [{"id": "x0", "ends": ["C1a", ["C1", "b"]]}]},
+], ids=["disconnected", "node-id-null", "branches-a-string", "end-not-a-pair"])
+def test_cli_pi1_malformed_curve_exits_2(tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("pi1", str(path))
+    assert code == 2
+    assert_error_line(err)
 
 
 def test_cli_main_callable_in_process(capsys):
