@@ -1,13 +1,14 @@
-"""Byte-identical JSON reports: CLI commands on demos/data against goldens.
+"""Byte-identical output: CLI reports and demo scripts against goldens.
 
-Each case runs ``cli.main`` in-process with ``--format json`` from inside
+Each CLI case runs ``cli.main`` in-process with ``--format json`` from inside
 ``demos/data`` and compares the exit code and the exact stdout with
 ``tests/golden/<name>.json``.  A golden stores the parsed report, so a diff
 of the golden files shows each intended report change field by field; the
 test renders it back in the canonical form (sorted keys, no spaces) and
-compares bytes.
+compares bytes.  Each ``demos/0*.py`` script runs in-process as ``__main__``
+and its stdout must equal ``tests/golden/demos/<script name>.txt``.
 
-To rewrite the goldens after an intended report change:
+To rewrite the goldens after an intended output change:
 
     python tests/test_reports.py
 """
@@ -16,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 CASES = {
     # the README worked example
@@ -73,6 +76,20 @@ def test_report_matches_golden(name):
     assert out == canonical(golden["report"])
 
 
+def run_demo(path: Path) -> str:
+    """Stdout of one demo script run as ``__main__``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(path), run_name="__main__")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_matches_golden(path):
+    golden = (GOLDEN / "demos" / f"{path.stem}.txt").read_text()
+    assert run_demo(path) == golden
+
+
 def write_goldens():
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
@@ -81,6 +98,10 @@ def write_goldens():
         assert canonical(golden["report"]) == out, f"{name}: stdout is not canonical"
         (GOLDEN / f"{name}.json").write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         print(f"wrote {name}.json (exit {code})")
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for path in DEMOS:
+        (GOLDEN / "demos" / f"{path.stem}.txt").write_text(run_demo(path))
+        print(f"wrote demos/{path.stem}.txt")
 
 
 if __name__ == "__main__":
