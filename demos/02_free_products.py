@@ -3,7 +3,7 @@
 Run:  python demos/02_free_products.py
 """
 
-from nodalcover import FPSignature, alpha, enumerate_words, fp_normalize
+from nodalcover import FPSignature, FPWord, alpha, enumerate_words, fp_normalize, kernel_words
 from nodalcover.groups import cyclic_group, symmetric_group
 
 Z2 = cyclic_group(2)
@@ -29,7 +29,7 @@ words = enumerate_words(sig, 2)
 print(f"{len(words)} words of generator length <= 2; the first ten:")
 for word in words[:10]:
     print(f"  {word}")
-kernel = enumerate_words(sig, 4, "ker_alpha")
+kernel = [FPWord(sig, ())] + list(kernel_words(sig, 4))
 print(f"kernel words of length <= 4: {len(kernel)} (first five)")
 for word in kernel[:5]:
     print(f"  {word}")

@@ -18,7 +18,7 @@ from nodalcover import (
     integralize,
 )
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
-from nodalcover.groups import cyclic_group, enumerate_words, fp_normalize
+from nodalcover.groups import cyclic_group, fp_normalize, kernel_words
 from nodalcover.reps import ContinuousRep
 
 F = FunctionField(3)
@@ -52,7 +52,7 @@ for k in range(-2, 3):
     print(f"  lattice at z1^{k:+d}: diagonal exponents {exps}")
 
 print("\ndeterminant valuations are conserved along the transport:")
-kernel = [w for w in enumerate_words(sig, 3, "ker_alpha") if not w.is_identity()]
+kernel = list(kernel_words(sig, 3))
 ok = all(det_valuation_conserved(assignment, w, c)
          for w in kernel for c in assignment.orbit_reps)
 print(f"  {len(kernel)} kernel words x {len(assignment.orbit_reps)} orbits: {ok}")

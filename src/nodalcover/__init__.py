@@ -28,6 +28,7 @@ from .groups import (
     fp_mul,
     alpha,
     enumerate_words,
+    kernel_words,
 )
 from .curves import NodalCurve, Pi1Presentation, dual_graph, betti_rank, pi1_presentation
 from .reps import (
@@ -60,7 +61,6 @@ from .descent import (
     hom_cocycle,
     integralize,
     det_valuation_conserved,
-    conj_equivariance_check,
     descend_inflation,
 )
 from .stratified import (

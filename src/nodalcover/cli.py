@@ -18,6 +18,7 @@ from .covering import (
     build_finite_cover,
     certify_free_action,
     cover_witness,
+    enumerate_components,
     fundamental_domain,
 )
 from .curves import betti_rank, pi1_presentation
@@ -30,10 +31,10 @@ from .errors import (
     TrivialW,
 )
 from .field import is_prime
-from .groups import parse_word
+from .groups import kernel_words, parse_word
 from .hopf import QuotientTower, function_hopf, tower_hull
 from .reps import intertwiners
-from .specialize import commuting_square_check, default_kernel_word
+from .specialize import commuting_square_check
 from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
 
 
@@ -151,7 +152,7 @@ def cmd_domain(args, cfg: RunConfig) -> int:
         except (ValueError, BadFactorIndex, BadElementIndex) as exc:
             raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     else:
-        w = default_kernel_word(rep, cfg.max_len)
+        w = next(kernel_words(sig, cfg.max_len), None)
         if w is None:
             raise SpecParseError("no nontrivial kernel word within the bound; pass --word")
     try:
@@ -159,7 +160,6 @@ def cmd_domain(args, cfg: RunConfig) -> int:
     except TrivialW as exc:
         raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     witnesses = []
-    from .covering import enumerate_components
     for target in enumerate_components(sig, min(cfg.max_len, 4)):
         t = cover_witness(dom, target)
         witnesses.append({"target": str(target), "translate": str(t)})

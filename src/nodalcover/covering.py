@@ -27,6 +27,7 @@ from .groups import (
     _concat,
     _inv_letters,
     iter_words_raw,
+    kernel_words,
     shortlex_key,
 )
 from .reps import ContinuousRep
@@ -87,17 +88,14 @@ def sigma_word(sig: FPSignature, coords) -> FPWord:
     return FPWord(sig, tuple(letters))
 
 
-def enumerate_components(sig: FPSignature, max_len: int,
-                         j: int | None = None) -> list[ComponentIndex]:
-    """Component indices with canonical representative of generator length
-    <= max_len, shortlex-ordered; all factors unless j is given."""
-    js = range(sig.num_factors) if j is None else [j]
-    out = []
-    for letters, _, _ in iter_words_raw(sig, max_len):
-        for jj in js:
-            if not letters or letters[0][0] != sig.r + jj:
-                out.append(ComponentIndex(jj, FPWord(sig, letters)))
-    return out
+def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
+    """Component indices over every factor whose canonical representative has
+    generator length <= max_len, shortlex-ordered by representative."""
+    r = sig.r
+    return [ComponentIndex(j, FPWord(sig, letters))
+            for letters, _, _ in iter_words_raw(sig, max_len)
+            for j in range(sig.num_factors)
+            if not letters or letters[0][0] != r + j]
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +320,12 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
     if not U.removed:
         raise NoComplement("the open set is the whole covering")
     sig = geom.sig
-    ident = sig.identity_tuple()
     smooth = [c for c in U.removed if isinstance(c, SmoothClass)]
     nodes = [c for c in U.removed if isinstance(c, NodeClass)]
     if len(smooth) + len(nodes) != len(U.removed):
         raise ValueError("removed classes must be SmoothClass or NodeClass")
 
-    kernel = []
-    for letters, al, _ in iter_words_raw(sig, max_len, sorted_grades=False):
-        if letters and al == ident:
-            kernel.append(letters)
+    kernel = list(kernel_words(sig, max_len))
 
     if smooth:
         cl = smooth[0]
@@ -341,7 +335,7 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
         c = canonical_component(sig, cl.j, s)
         empty = 0
         for w in kernel:
-            moved = _canon_rep_letters(sig, c.j, _concat(sig, c.rep.letters, w))
+            moved = _canon_rep_letters(sig, c.j, _concat(sig, c.rep.letters, w.letters))
             if moved == c.rep.letters:
                 raise FreenessViolation("case 1 separating open hit a fixed component")
             empty += 1
@@ -358,8 +352,8 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
     empty = one_sided = 0
     guard_ok = True
     for w in kernel:
-        hit_ba = component_action(FPWord(sig, w), c_b) == c_a
-        hit_ab = component_action(FPWord(sig, w), c_a) == c_b
+        hit_ba = component_action(w, c_b) == c_a
+        hit_ab = component_action(w, c_a) == c_b
         if hit_ba and hit_ab:
             guard_ok = False
             raise FreenessViolation(

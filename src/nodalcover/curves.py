@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedCurve, InvalidCurve
-from .groups import FPSignature
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,6 @@ class Pi1Presentation:
     loop_nodes: tuple[str, ...]
     base_component: str
     path_data: tuple[tuple[str, tuple[tuple[str, ...], tuple[str, ...]]], ...]
-
-    @property
-    def signature(self) -> FPSignature:
-        """Signature with placeholder factor slots, one per component."""
-        return FPSignature(self.r, (None,) * len(self.curve.components))
-
-    def signature_with(self, groups) -> FPSignature:
-        return self.signature.with_factors(groups)
 
     def loop_index(self, node_id: str) -> int:
         return self.loop_nodes.index(node_id)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import ComponentIndex, component_action
+from .covering import ComponentIndex, component_action, enumerate_components
 from .errors import (
-    EquivarianceViolation,
     KernelNotTrivial,
     ScopeMismatch,
     SignatureMismatch,
@@ -33,6 +32,7 @@ from .groups import (
     _concat,
     _inv_letters,
     iter_words_raw,
+    kernel_words,
 )
 from .reps import ContinuousRep, solve_intertwining
 
@@ -94,22 +94,15 @@ class MeromorphicCocycle:
         self._letter_cache[letter] = out
         return out
 
-    def twist_map(self, max_len: int, kernel_only: bool = False) -> dict:
+    def twist_map(self, max_len: int) -> dict:
         """Twists of every enumerated word, built one letter at a time."""
-        ident = self.sig.identity_tuple()
         start = self.rep.identity_matrix()
 
         def step(carry, letter):
             return self.letter_twist(letter) * carry
 
-        out = {}
-        for letters, al, carry in iter_words_raw(
-                self.sig, max_len, carry_init=start, carry_step=step,
-                sorted_grades=False):
-            if kernel_only and al != ident:
-                continue
-            out[letters] = carry
-        return out
+        return {letters: carry for letters, _, carry in iter_words_raw(
+            self.sig, max_len, carry_init=start, carry_step=step, sorted_grades=False)}
 
     def restricted(self) -> "MeromorphicCocycle":
         return MeromorphicCocycle(self.rep, KERNEL)
@@ -133,8 +126,8 @@ class CorruptedCocycle:
             return self.override_matrix
         return self.base.twist(w)
 
-    def twist_map(self, max_len: int, kernel_only: bool = False) -> dict:
-        out = self.base.twist_map(max_len, kernel_only)
+    def twist_map(self, max_len: int) -> dict:
+        out = self.base.twist_map(max_len)
         if self.override_word.letters in out:
             out[self.override_word.letters] = self.override_matrix
         return out
@@ -227,11 +220,8 @@ def hom_cocycle(c1, c2, max_len: int = 4) -> list[MatrixK]:
             w = FPWord(sig, (letter,))
             pairs.append((c1.twist(w), c2.twist(w)))
     else:
-        m1 = c1.twist_map(max_len, kernel_only=True)
-        m2 = c2.twist_map(max_len, kernel_only=True)
-        for letters in m1:
-            if letters:
-                pairs.append((m1[letters], m2[letters]))
+        for w in kernel_words(sig, max_len):
+            pairs.append((c1.twist(w), c2.twist(w)))
     return solve_intertwining(c1.field, c1.rank, c2.rank, pairs)
 
 
@@ -311,26 +301,17 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
     if c.scope != KERNEL:
         raise ScopeMismatch("integral transport works over the kernel scope")
     sig = c.sig
-    ident = sig.identity_tuple()
-    comps: list[ComponentIndex] = []
+    comps = enumerate_components(sig, max_len)
     orbit_reps: dict[tuple, ComponentIndex] = {}
-    for letters, al, _ in iter_words_raw(sig, max_len):
-        for j in range(sig.num_factors):
-            if letters and letters[0][0] == sig.r + j:
-                continue
-            ci = ComponentIndex(j, FPWord(sig, letters))
-            comps.append(ci)
-            key = (j, al[:j] + al[j + 1:])
-            orbit_reps.setdefault(key, ci)
+    for ci in comps:
+        al = _alpha_tuple(sig, ci.rep.letters)
+        orbit_reps.setdefault((ci.j, al[:ci.j] + al[ci.j + 1:]), ci)
     assignment = LatticeAssignment(c, max_len, tuple(orbit_reps.values()),
                                    tuple(comps))
-    kernel_words = [FPWord(sig, letters)
-                    for letters, al, _ in iter_words_raw(sig, min(max_len, 3),
-                                                         sorted_grades=False)
-                    if letters and al == ident]
+    kernel = list(kernel_words(sig, min(max_len, 3)))
     for c0 in assignment.orbit_reps:
         base = assignment.lattice_of(c0)
-        for w in kernel_words:
+        for w in kernel:
             moved = component_action(w, c0)
             k = assignment.integral_twist(w, c0)
             if not is_unimodular_matrix(k):
@@ -352,42 +333,6 @@ def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
     before = sum(assignment.lattice_of(c).diagonal_exponents)
     after = sum(assignment.lattice_of(component_action(w, c)).diagonal_exponents)
     return int(dv) == after - before
-
-
-# ---------------------------------------------------------------------------
-# conjugation equivariance
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EquivarianceCertificate:
-    word: str
-    max_len: int
-    words_checked: int
-    witness: MatrixK
-    passed: bool
-
-
-def conj_equivariance_check(c, g: FPWord, max_len: int = 4) -> EquivarianceCertificate:
-    """The conjugated assignment u -> H(g^{-1} u g) is again a kernel cocycle,
-    intertwined with the original by H(g): checked as the matrix identity
-    H(g^{-1} u g) H(g) = H(g) H(u) over enumerated kernel words."""
-    sig = c.sig
-    ident = sig.identity_tuple()
-    hg = c.twist(g)
-    g_letters = g.letters
-    g_inv = _inv_letters(sig, g_letters)
-    checked = 0
-    for letters, al, _ in iter_words_raw(sig, max_len, sorted_grades=False):
-        if al != ident:
-            continue
-        conj = _concat(sig, _concat(sig, g_inv, letters), g_letters)
-        lhs = c.twist(FPWord(sig, conj)) * hg
-        rhs = hg * c.twist(FPWord(sig, letters))
-        if lhs != rhs:
-            raise EquivarianceViolation(
-                f"conjugation square failed at u={FPWord(sig, letters)}, g={g}")
-        checked += 1
-    return EquivarianceCertificate(str(g), max_len, checked, hg, True)
 
 
 # ---------------------------------------------------------------------------

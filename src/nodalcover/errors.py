@@ -71,10 +71,6 @@ class TransportConflict(NodalCoverError):
     pass
 
 
-class EquivarianceViolation(NodalCoverError):
-    pass
-
-
 class KernelNotTrivial(NodalCoverError):
     pass
 

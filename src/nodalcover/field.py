@@ -836,40 +836,3 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
     entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return LatticeK(F, n, MatrixK(F, entries))
-
-
-def smith_exponents(M: MatrixK) -> tuple[int, ...]:
-    """Elementary divisor exponents of an invertible matrix over the valuation
-    ring: M is GL_n(A)-equivalent on both sides to diag(t^{e_1}, ..., t^{e_n}),
-    e_1 <= ... <= e_n."""
-    if M.rows != M.cols:
-        raise SingularBasis("square matrices only")
-    n = M.rows
-    a = [list(row) for row in M.entries]
-    exps = []
-    for k in range(n):
-        best, bestv = None, INFINITY
-        for i in range(k, n):
-            for j in range(k, n):
-                v = a[i][j].valuation()
-                if v < bestv:
-                    best, bestv = (i, j), v
-        if best is None or bestv == INFINITY:
-            raise SingularBasis("matrix is singular over K")
-        bi, bj = best
-        a[k], a[bi] = a[bi], a[k]
-        for row in a:
-            row[k], row[bj] = row[bj], row[k]
-        piv = a[k][k]
-        inv = piv.inverse()
-        for i in range(k + 1, n):
-            if a[i][k].num:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        for j in range(k + 1, n):
-            if a[k][j].num:
-                f = a[k][j] * inv
-                for i in range(k, n):
-                    a[i][j] = a[i][j] - f * a[i][k]
-        exps.append(int(bestv))
-    return tuple(sorted(exps))

@@ -9,6 +9,8 @@ The empty sequence is the identity.
 Two length notions coexist: len(word) counts syllables, while generator
 length charges a Z syllable its |exponent|; enumeration is graded by
 generator length, the only grading with finitely many words per grade.
+`enumerate_words` lists every normal form up to a bound and `kernel_words`
+yields the nonidentity ones in the kernel of the direct-product quotient.
 The word kernels read the factor tables, identities and inverses that each
 signature compiles once when it is built.
 """
@@ -234,14 +236,10 @@ def product_subgroup(G: FiniteGroup, H: FiniteGroup,
 
 @dataclass(frozen=True, eq=True)
 class FPSignature:
-    """Shape of the free product: r Z factors and a tuple of finite factors.
-
-    Factor slots may hold None as placeholders (a presentation before any
-    finite quotients are attached); word arithmetic requires concrete groups.
-    """
+    """Shape of the free product: r Z factors and a tuple of finite factors."""
 
     r: int
-    factors: tuple[FiniteGroup | None, ...] = ()
+    factors: tuple[FiniteGroup, ...] = ()
 
     def __hash__(self):
         return hash((self.r, len(self.factors)))
@@ -251,17 +249,10 @@ class FPSignature:
             raise ValueError("r must be nonnegative")
         if self.r == 0 and not self.factors:
             raise ValueError("empty signature: need r >= 1 or at least one factor")
-        # compiled tables the word kernels index by j = fid - r; a placeholder
-        # slot holds None, and the identity tuple is None while one remains
-        groups = self.factors
-        object.__setattr__(self, "_tables", tuple(
-            None if G is None else G.table for G in groups))
-        object.__setattr__(self, "_inverses", tuple(
-            None if G is None else G.inverse for G in groups))
-        object.__setattr__(self, "_idents", tuple(
-            None if G is None else G.identity for G in groups))
-        object.__setattr__(self, "_identity", None if None in self._idents
-                           else self._idents)
+        # compiled tables the word kernels index by j = fid - r
+        object.__setattr__(self, "_tables", tuple(G.table for G in self.factors))
+        object.__setattr__(self, "_inverses", tuple(G.inverse for G in self.factors))
+        object.__setattr__(self, "_idents", tuple(G.identity for G in self.factors))
 
     @property
     def num_factors(self) -> int:
@@ -270,25 +261,13 @@ class FPSignature:
     def factor(self, j: int) -> FiniteGroup:
         if not 0 <= j < len(self.factors):
             raise BadFactorIndex(f"no finite factor {j}")
-        G = self.factors[j]
-        if G is None:
-            raise BadFactorIndex(f"factor slot {j} is a placeholder without a group")
-        return G
-
-    def with_factors(self, groups) -> "FPSignature":
-        groups = tuple(groups)
-        if len(groups) != len(self.factors):
-            raise SignatureMismatch(
-                f"expected {len(self.factors)} factor groups, got {len(groups)}")
-        return FPSignature(self.r, groups)
+        return self.factors[j]
 
     def identity_tuple(self) -> tuple[int, ...]:
-        if self._identity is None:
-            raise BadFactorIndex("placeholder factor slots have no identity")
-        return self._identity
+        return self._idents
 
     def describe(self) -> str:
-        names = ",".join(G.name if G else "?" for G in self.factors)
+        names = ",".join(G.name for G in self.factors)
         return f"Z^*{self.r} * [{names}]"
 
 
@@ -331,8 +310,6 @@ def _normalize_letters(sig: FPSignature, raw) -> tuple[tuple[int, int], ...]:
         else:
             j = fid - r
             tab = tables[j]
-            if tab is None:
-                raise BadFactorIndex(f"factor slot {j} is a placeholder without a group")
             if not 0 <= v < len(tab):
                 raise BadElementIndex(f"element {v} out of range for factor {j}")
             if v == idents[j]:
@@ -515,22 +492,20 @@ def iter_words_raw(sig: FPSignature, max_len: int,
         grade = nxt
 
 
-def enumerate_words(sig: FPSignature, max_len: int, filt: str = "all") -> list[FPWord]:
-    """Shortlex list of normal forms with generator length <= max_len.
-
-    filt="ker_alpha" keeps exactly the words mapping to the identity tuple.
-    """
+def enumerate_words(sig: FPSignature, max_len: int) -> list[FPWord]:
+    """Shortlex list of normal forms with generator length <= max_len."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if filt not in ("all", "ker_alpha"):
-        raise ValueError(f"unknown filter {filt!r}")
+    return [FPWord(sig, letters) for letters, _, _ in iter_words_raw(sig, max_len)]
+
+
+def kernel_words(sig: FPSignature, max_len: int) -> Iterator[FPWord]:
+    """Nonidentity words of generator length <= max_len in the kernel of
+    alpha, lazily and in shortlex order."""
     ident = sig.identity_tuple()
-    out = []
     for letters, al, _ in iter_words_raw(sig, max_len):
-        if filt == "ker_alpha" and al != ident:
-            continue
-        out.append(FPWord(sig, letters))
-    return out
+        if letters and al == ident:
+            yield FPWord(sig, letters)
 
 
 # ---------------------------------------------------------------------------

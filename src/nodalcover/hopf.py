@@ -215,13 +215,6 @@ class QuotientTower:
                 raise ValueError(f"map {i} is not surjective")
         return cls(groups, maps)
 
-    def dual_matrix(self, i: int) -> list[list[int]]:
-        """0/1 matrix of the dual map: rows indexed upstairs, columns down."""
-        up, down = self.groups[i + 1], self.groups[i]
-        m = self.maps[i]
-        return [[1 if m[h] == g else 0 for g in range(down.order)]
-                for h in range(up.order)]
-
 
 @dataclass(frozen=True)
 class TowerReport:

@@ -42,7 +42,7 @@ def _load_obj(source, base_dir: Path | None = None):
     try:
         # nested file references resolve relative to the referencing file
         return json.loads(path.read_text()), path.resolve().parent
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise SpecParseError(f"cannot read spec file {path}: {exc}") from exc
 
 
@@ -163,12 +163,10 @@ def _hom_from_gen_images(field: FunctionField, G: FiniteGroup,
         raise SpecParseError(str(exc)) from exc
 
 
-def load_rep(source, base_dir: Path | None = None,
-             prime: int | None = None) -> ContinuousRep:
+def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
     obj, base_dir = _load_obj(source, base_dir)
     try:
-        p = _json_int(obj["p"], "p") if prime is None else prime
-        field = FunctionField(p)
+        field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")
         curve = load_curve(obj["curve"], base_dir)
         pres = pi1_presentation(curve)
@@ -192,12 +190,10 @@ def load_rep(source, base_dir: Path | None = None,
         raise SpecParseError(f"invalid rep: {exc}") from exc
 
 
-def load_fq(source, curve: NodalCurve, base_dir: Path | None = None,
-            prime: int | None = None) -> FiniteQuotientRep:
+def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQuotientRep:
     obj, base_dir = _load_obj(source, base_dir)
     try:
-        p = _json_int(obj["p"], "p") if prime is None else prime
-        field = FunctionField(p)
+        field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")
         pres = pi1_presentation(curve)
         source_groups = [load_group(g, base_dir) for g in obj["source_groups"]]

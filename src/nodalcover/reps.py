@@ -231,12 +231,6 @@ class FiniteQuotientRep:
             return out
         return self.factor_to[fid - r][v]
 
-    def q_word(self, w: FPWord) -> int:
-        out = self.group.identity
-        for letter in w.letters:
-            out = self.group.table[out][self.q_letter(letter)]
-        return out
-
 
 def inflate(fq: FiniteQuotientRep, pres: Pi1Presentation) -> ContinuousRep:
     """Pull a finite-quotient rep back to the free product; evaluation then
@@ -249,30 +243,6 @@ def inflate(fq: FiniteQuotientRep, pres: Pi1Presentation) -> ContinuousRep:
         factor_groups=fq.source_groups,
         factor_homs=tuple(tuple(fq.hom[mp[g]] for g in range(G.order))
                           for G, mp in zip(fq.source_groups, fq.factor_to)))
-
-
-def fq_direct_sum(a: FiniteQuotientRep, b: FiniteQuotientRep) -> FiniteQuotientRep:
-    """Blockwise direct sum of two quotient reps sharing the same surjection."""
-    if (a.presentation, a.group, a.z_to, a.factor_to) != \
-       (b.presentation, b.group, b.z_to, b.factor_to):
-        raise PresentationMismatch("direct sum needs identical quotient data")
-    if a.field != b.field:
-        raise PresentationMismatch("direct sum needs one coefficient field")
-    hom = tuple(_block_diag(x, y) for x, y in zip(a.hom, b.hom))
-    return FiniteQuotientRep.build(a.presentation, a.field, a.source_groups,
-                                   a.group, a.z_to, a.factor_to, hom)
-
-
-def _block_diag(x: MatrixK, y: MatrixK) -> MatrixK:
-    F = x.field
-    zero = F.zero()
-    n, m = x.rows, y.rows
-    rows = []
-    for i in range(n):
-        rows.append(tuple(x.entries[i]) + tuple(zero for _ in range(m)))
-    for i in range(m):
-        rows.append(tuple(zero for _ in range(n)) + tuple(y.entries[i]))
-    return MatrixK(F, tuple(rows))
 
 
 def intertwiners(r1: ContinuousRep, r2: ContinuousRep) -> list[MatrixK]:

@@ -18,9 +18,9 @@ from .covering import (
     InvariantOpen,
     NodeClass,
     SmoothClass,
-    canonical_component,
     certify_free_action,
     cover_witness,
+    enumerate_components,
     find_separating_open,
     fundamental_domain,
 )
@@ -41,7 +41,7 @@ from .groups import (
     dihedral_group,
     fp_mul,
     fp_normalize,
-    iter_words_raw,
+    kernel_words,
     symmetric_group,
 )
 from .hopf import QuotientTower, function_hopf, rep_comodule_roundtrip, tower_hull
@@ -254,15 +254,10 @@ def criterion_4(rng) -> tuple[bool, str]:
         sig = FPSignature(r, groups)
         w = FPWord(sig, ((0, 1),))
         dom = fundamental_domain(sig, w)
-        count = 0
-        for letters, _, _ in iter_words_raw(sig, 6, sorted_grades=False):
-            for j in range(sig.num_factors):
-                if letters and letters[0][0] == sig.r + j:
-                    continue
-                target = canonical_component(sig, j, FPWord(sig, letters))
-                cover_witness(dom, target)  # raises on any failure
-                count += 1
-        totals.append(f"{sig.describe()}: {count} witnesses")
+        targets = enumerate_components(sig, 6)
+        for target in targets:
+            cover_witness(dom, target)  # raises on any failure
+        totals.append(f"{sig.describe()}: {len(targets)} witnesses")
     return True, "; ".join(totals)
 
 
@@ -387,16 +382,13 @@ def criterion_7(rng) -> tuple[bool, str]:
     field = FunctionField(3)
     Z2 = cyclic_group(2)
     sig, pres = _sig_with_pres(1, (Z2,))
-    ident_tuple = sig.identity_tuple()
-    kernel_words = [FPWord(sig, letters)
-                    for letters, al, _ in iter_words_raw(sig, 3, sorted_grades=False)
-                    if letters and al == ident_tuple]
+    kernel = list(kernel_words(sig, 3))
     conserved = 0
     for trial in range(50):
         rep = _random_rank_le2_rep(rng, field, pres, Z2)
         assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
         for c0 in assignment.orbit_reps:
-            for w in kernel_words:
+            for w in kernel:
                 if not det_valuation_conserved(assignment, w, c0):
                     return False, f"determinant valuation drifted at trial {trial}"
                 conserved += 1

@@ -32,7 +32,7 @@ from .descent import (
 )
 from .errors import NodalCoverError, SquareViolation, TransportConflict
 from .field import MatrixK
-from .groups import FPWord, iter_words_raw
+from .groups import kernel_words
 from .reps import ContinuousRep, FiniteQuotientRep, inflate
 from .stratified import FDividedDatum, S_RELATIVE, fdiv_from_rep
 
@@ -65,16 +65,6 @@ class SpecializationResult:
         raise KeyError(name)
 
 
-def default_kernel_word(rep: ContinuousRep, max_len: int = 4) -> FPWord | None:
-    """Shortlex-first nontrivial word killed by the direct-product quotient."""
-    sig = rep.sig
-    ident = sig.identity_tuple()
-    for letters, al, _ in iter_words_raw(sig, max_len):
-        if letters and al == ident:
-            return FPWord(sig, letters)
-    return None
-
-
 def sp_pipeline(rep: ContinuousRep, max_len: int = 4,
                 lattice_len: int = 3) -> SpecializationResult:
     """Run a representation through cover, freeness, domain, twist datum,
@@ -94,7 +84,7 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4,
         f"{free.kernel_words} kernel words, {free.components} components"))
 
     domain = None
-    w = default_kernel_word(rep, max_len)
+    w = next(kernel_words(sig, max_len), None)
     if w is None:
         certs.append(Certificate(
             "fundamental-domain", True, max_len,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
-from nodalcover.field import FunctionField, MatrixK
+from nodalcover.errors import SingularBasis
+from nodalcover.field import INFINITY, FunctionField, MatrixK
 from nodalcover.groups import (
     FPSignature,
     FPWord,
@@ -13,7 +14,7 @@ from nodalcover.groups import (
     fp_normalize,
     symmetric_group,
 )
-from nodalcover.reps import ContinuousRep
+from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
 F3 = FunctionField(3)
 F5 = FunctionField(5)
@@ -81,6 +82,61 @@ def rank2_rep(field=F3):
     swap = MatrixK.from_rows(field, [["0", "1"], ["1", "0"]])
     return ContinuousRep.build(pres, field, [z], (Z2,),
                                ((MatrixK.identity(field, 2), swap),))
+
+
+def smith_exponents(M: MatrixK) -> tuple[int, ...]:
+    """Elementary divisor exponents of an invertible matrix over the valuation
+    ring: M is GL_n(A)-equivalent on both sides to diag(t^{e_1}, ..., t^{e_n}),
+    e_1 <= ... <= e_n."""
+    if M.rows != M.cols:
+        raise SingularBasis("square matrices only")
+    n = M.rows
+    a = [list(row) for row in M.entries]
+    exps = []
+    for k in range(n):
+        best, bestv = None, INFINITY
+        for i in range(k, n):
+            for j in range(k, n):
+                v = a[i][j].valuation()
+                if v < bestv:
+                    best, bestv = (i, j), v
+        if best is None or bestv == INFINITY:
+            raise SingularBasis("matrix is singular over K")
+        bi, bj = best
+        a[k], a[bi] = a[bi], a[k]
+        for row in a:
+            row[k], row[bj] = row[bj], row[k]
+        piv = a[k][k]
+        inv = piv.inverse()
+        for i in range(k + 1, n):
+            if a[i][k].num:
+                f = a[i][k] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        for j in range(k + 1, n):
+            if a[k][j].num:
+                f = a[k][j] * inv
+                for i in range(k, n):
+                    a[i][j] = a[i][j] - f * a[i][k]
+        exps.append(int(bestv))
+    return tuple(sorted(exps))
+
+
+def block_diag(x: MatrixK, y: MatrixK) -> MatrixK:
+    F = x.field
+    zero = F.zero()
+    n, m = x.rows, y.rows
+    rows = [tuple(x.entries[i]) + (zero,) * m for i in range(n)]
+    rows += [(zero,) * n + tuple(y.entries[i]) for i in range(m)]
+    return MatrixK(F, tuple(rows))
+
+
+def fq_direct_sum(a: FiniteQuotientRep, b: FiniteQuotientRep) -> FiniteQuotientRep:
+    """Blockwise direct sum of two quotient reps sharing the same surjection."""
+    assert (a.presentation, a.group, a.z_to, a.factor_to, a.field) == \
+        (b.presentation, b.group, b.z_to, b.factor_to, b.field)
+    hom = tuple(block_diag(x, y) for x, y in zip(a.hom, b.hom))
+    return FiniteQuotientRep.build(a.presentation, a.field, a.source_groups,
+                                   a.group, a.z_to, a.factor_to, hom)
 
 
 def s3_rep_2dim(field=F7):

@@ -88,7 +88,8 @@ def test_factor_letter_stabilizes_base_component():
 def _direct_pairing(sig, max_len):
     """Oracle: act by every nonempty kernel word on every enumerated component
     and require that it moves it.  Returns (kernel words, components)."""
-    kernel = [w for w in enumerate_words(sig, max_len, "ker_alpha") if not w.is_identity()]
+    kernel = [w for w in enumerate_words(sig, max_len)
+              if not w.is_identity() and alpha(w).is_identity()]
     comps = enumerate_components(sig, max_len)
     for w in kernel:
         for c in comps:
@@ -188,8 +189,8 @@ def test_domain_core_components_not_stabilized():
     sig = FPSignature(1, (Z2,))
     dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]))
     for c in dom.core:
-        for w in enumerate_words(sig, 4, "ker_alpha"):
-            if not w.is_identity():
+        for w in enumerate_words(sig, 4):
+            if not w.is_identity() and alpha(w).is_identity():
                 assert component_action(w, c) != c
 
 

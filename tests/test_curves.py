@@ -202,15 +202,3 @@ def test_base_choice_does_not_change_rank():
     assert pres2.base_component != pres.base_component
     assert pres2.r == pres.r
     assert len(pres2.path_data) == len(pres.path_data)
-
-
-def test_signature_placeholders():
-    pres = pi1_presentation(triangle())
-    sig = pres.signature
-    assert sig.r == 1 and sig.num_factors == 3
-    from nodalcover.errors import BadFactorIndex
-    with pytest.raises(BadFactorIndex):
-        sig.factor(0)
-    from nodalcover.groups import cyclic_group
-    sig2 = pres.signature_with([cyclic_group(2)] * 3)
-    assert sig2.factor(0).order == 2

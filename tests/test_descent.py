@@ -5,14 +5,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nodalcover import descent, field, reps
+from nodalcover import covering, descent, field, groups, reps
 from nodalcover.covering import canonical_component
 from nodalcover.descent import (
     CorruptedCocycle,
     FiniteCocycle,
     LatticeAssignment,
     check_cocycle,
-    conj_equivariance_check,
     datum_from_rep,
     descend_inflation,
     det_valuation_conserved,
@@ -21,16 +20,17 @@ from nodalcover.descent import (
     is_unimodular_matrix,
 )
 from nodalcover.errors import (
-    EquivarianceViolation,
     KernelNotTrivial,
     ScopeMismatch,
     SignatureMismatch,
 )
-from nodalcover.field import MatrixK, smith_exponents
+from nodalcover.field import MatrixK
 from nodalcover.groups import (
     FPSignature,
     FPWord,
     _concat,
+    _inv_letters,
+    alpha,
     cyclic_group,
     enumerate_words,
     fp_normalize,
@@ -45,9 +45,16 @@ from helpers import (
     random_word,
     s3_rep_2dim,
     sig_with_pres,
+    smith_exponents,
 )
 
 Z2 = cyclic_group(2)
+
+
+def kernel_oracle(sig, max_len):
+    """Nonidentity words up to max_len in the kernel of alpha, filtered here."""
+    return [w for w in enumerate_words(sig, max_len)
+            if not w.is_identity() and alpha(w).is_identity()]
 
 
 # -- the twist and its law -----------------------------------------------------
@@ -174,11 +181,31 @@ def test_integralize_computes_each_lattice_once(monkeypatch):
     monkeypatch.setattr(reps, "eval_word", counted_eval)
     monkeypatch.setattr(LatticeAssignment, "lattice_of", recorded_lattice_of)
     assignment = integralize(datum, max_len=3)
-    kernel = [w for w in enumerate_words(rep.sig, 3, "ker_alpha") if not w.is_identity()]
+    kernel = kernel_oracle(rep.sig, 3)
     # one Hermite form per distinct component asked, plus the independent
     # check of each (orbit representative, kernel word) pair
     assert len(eval_calls) == 0
     assert len(hermite_calls) == len(asked) + len(assignment.orbit_reps) * len(kernel)
+
+
+def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
+    """integralize lists the components and the transport-check kernel words
+    (two enumerations); kernel-scope hom_cocycle reads one enumeration."""
+    calls = []
+    original = groups.iter_words_raw
+
+    def counted(sig, max_len, *args, **kwargs):
+        calls.append(max_len)
+        return original(sig, max_len, *args, **kwargs)
+
+    for module in (groups, covering, descent):
+        monkeypatch.setattr(module, "iter_words_raw", counted)
+    datum = datum_from_rep(rank2_rep()).restricted()
+    integralize(datum, max_len=4)
+    assert calls == [4, 3]
+    calls.clear()
+    assert len(hom_cocycle(datum, datum, max_len=4)) >= 1
+    assert calls == [4]
 
 
 def test_corrupted_generator_fails_with_witness():
@@ -394,7 +421,7 @@ def test_integral_twist_matrices_are_unimodular():
     rng = random.Random(103)
     rep = rank2_rep()
     assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
-    kernel = [w for w in enumerate_words(rep.sig, 3, "ker_alpha") if not w.is_identity()]
+    kernel = kernel_oracle(rep.sig, 3)
     for _ in range(20):
         w = kernel[rng.randrange(len(kernel))]
         c = assignment.components[rng.randrange(len(assignment.components))]
@@ -404,9 +431,7 @@ def test_integral_twist_matrices_are_unimodular():
 def test_det_valuation_conservation():
     rep = rank2_rep()
     assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
-    for w in enumerate_words(rep.sig, 3, "ker_alpha"):
-        if w.is_identity():
-            continue
+    for w in kernel_oracle(rep.sig, 3):
         for c in assignment.orbit_reps:
             assert det_valuation_conserved(assignment, w, c)
 
@@ -440,13 +465,37 @@ def test_integralize_needs_kernel_scope():
 
 # -- conjugation equivariance ----------------------------------------------------------
 
+class EquivarianceViolation(AssertionError):
+    pass
+
+
+def conj_equivariance_check(c, g: FPWord, max_len: int):
+    """Oracle for the equivariance of the twist under conjugation: the
+    conjugated assignment u -> H(g^{-1} u g) is again a kernel cocycle,
+    intertwined with the original by H(g), checked as the matrix identity
+    H(g^{-1} u g) H(g) = H(g) H(u) over the enumerated kernel words, the
+    identity included.  Returns (words checked, H(g))."""
+    sig = c.sig
+    hg = c.twist(g)
+    g_inv = _inv_letters(sig, g.letters)
+    checked = 0
+    for u in enumerate_words(sig, max_len):
+        if not alpha(u).is_identity():
+            continue
+        conj = _concat(sig, _concat(sig, g_inv, u.letters), g.letters)
+        if c.twist(FPWord(sig, conj)) * hg != hg * c.twist(u):
+            raise EquivarianceViolation(f"conjugation square failed at u={u}, g={g}")
+        checked += 1
+    return checked, hg
+
+
 def test_equivariance_identity_and_factor_letter():
     sig, pres = sig_with_pres(1, (Z2,))
     unit = datum_from_rep(trivial_rep(pres, F3, (Z2,)))
-    cert = conj_equivariance_check(unit, FPWord(unit.sig, ()), 3)
-    assert cert.passed and cert.witness.is_identity()
-    cert2 = conj_equivariance_check(unit, fp_normalize(unit.sig, [(1, 1)]), 3)
-    assert cert2.passed
+    checked, witness = conj_equivariance_check(unit, FPWord(unit.sig, ()), 3)
+    assert checked and witness.is_identity()
+    checked2, _ = conj_equivariance_check(unit, fp_normalize(unit.sig, [(1, 1)]), 3)
+    assert checked2
 
 
 def test_equivariance_random_rank_two():
@@ -455,9 +504,9 @@ def test_equivariance_random_rank_two():
     rng = random.Random(107)
     for _ in range(5):
         g = random_word(rng, rep.sig, 3)
-        cert = conj_equivariance_check(datum, g, 4)
-        assert cert.passed
-        assert cert.witness == datum.twist(g)
+        checked, witness = conj_equivariance_check(datum, g, 4)
+        assert checked
+        assert witness == datum.twist(g)
 
 
 def test_equivariance_violation_detected():

@@ -18,12 +18,11 @@ from nodalcover.field import (
     lattice_hermite,
     rf_from_string,
     rf_to_string,
-    smith_exponents,
     solve_linear,
     tadic_coefficients,
 )
 
-from helpers import F3, F5, F7, QQ, random_matrix, random_rf
+from helpers import F3, F5, F7, QQ, random_matrix, random_rf, smith_exponents
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -360,6 +359,7 @@ def test_hermite_rejects_singular():
 
 
 def test_smith_exponents_invariance():
+    # smith_exponents is the test oracle of the relative elementary divisors
     rng = random.Random(23)
     for _ in range(15):
         B = random_matrix(rng, F3, 2, invertible=True)

@@ -22,6 +22,7 @@ from nodalcover.groups import (
     fp_mul,
     fp_normalize,
     iter_words_raw,
+    kernel_words,
     parse_word,
     product_subgroup,
     shortlex_key,
@@ -234,8 +235,10 @@ def test_enumerate_is_shortlex_sorted_and_complete():
 
 
 def test_kernel_filter_postcondition():
-    for w in enumerate_words(SIG, 4, "ker_alpha"):
-        assert alpha(w).is_identity()
+    words = list(kernel_words(SIG, 4))
+    assert words
+    for w in words:
+        assert alpha(w).is_identity() and not w.is_identity()
 
 
 def test_section_witnesses_alpha_surjectivity():
@@ -375,23 +378,12 @@ def test_sorted_grades_are_shortlex_sorted_enumeration(sig, L):
                 assert product == _normalize_letters(sig, w + (x,)) and product in seen
 
 
-def test_placeholder_signature_raises_bad_factor_index():
-    sig = FPSignature(1, (Z2, None))
-    assert sig == FPSignature(1, (Z2, None)) and hash(sig) == hash(FPSignature(1, (Z2, None)))
-    assert repr(sig) == f"FPSignature(r=1, factors=({Z2!r}, None))"
-    assert fp_normalize(sig, [(0, 2), (0, -1), (1, 1)]).letters == ((0, 1), (1, 1))
-    with pytest.raises(BadFactorIndex):
-        sig.factor(1)
-    with pytest.raises(BadFactorIndex):
-        sig.identity_tuple()
-    with pytest.raises(BadFactorIndex):
-        fp_normalize(sig, [(2, 1)])
-    with pytest.raises(BadFactorIndex):
-        next(iter_words_raw(sig, 1))
-    with pytest.raises(BadFactorIndex):
-        alpha(FPWord(sig, ((0, 1),)))
-    full = sig.with_factors((Z2, Z3))
-    assert full.identity_tuple() == (0, 0) and full.factor(1) is Z3
+@settings(max_examples=30, deadline=None)
+@given(signatures, st.integers(0, 4))
+def test_kernel_words_are_the_filtered_enumeration(sig, L):
+    expected = [w for w in enumerate_words(sig, L)
+                if w.letters and alpha(w).is_identity()]
+    assert list(kernel_words(sig, L)) == expected
 
 
 # -- strings -------------------------------------------------------------------------

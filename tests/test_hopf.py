@@ -123,12 +123,19 @@ def test_tower_validation_rejects_non_surjective():
         tower_hull(tower, F3)
 
 
+def dual_matrix(tower, i):
+    """0/1 matrix of the dual map: rows indexed upstairs, columns down."""
+    up, down = tower.groups[i + 1], tower.groups[i]
+    m = tower.maps[i]
+    return [[1 if m[h] == g else 0 for g in range(down.order)] for h in range(up.order)]
+
+
 def test_dual_maps_compose():
     tower = QuotientTower.build(
         [Z2, Z4, Z8],
         [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
-    d0 = tower.dual_matrix(0)  # 4 x 2
-    d1 = tower.dual_matrix(1)  # 8 x 4
+    d0 = dual_matrix(tower, 0)  # 4 x 2
+    d1 = dual_matrix(tower, 1)  # 8 x 4
     composite_map = [(x % 4) % 2 for x in range(8)]
     direct = [[1 if composite_map[h] == g else 0 for g in range(2)]
               for h in range(8)]

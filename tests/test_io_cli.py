@@ -357,6 +357,25 @@ def test_cli_bad_file_exits_2():
     assert_error_line(err)
 
 
+@pytest.mark.parametrize("content", [
+    b"\x80\x81\xfe\xff binary",
+    '{"components": [{"id": "C1", "branches": []}]}'.encode("utf-16"),
+], ids=["binary", "utf-16"])
+@pytest.mark.parametrize("argv", [
+    ["pi1"], ["hull"], ["descend"], ["square", None, "cycle3.json"],
+], ids=["pi1", "hull", "descend", "square"])
+def test_cli_non_utf8_spec_file_exits_2(tmp_path, content, argv):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    args = [str(path) if a is None else a for a in argv]
+    if None not in argv:
+        args.append(str(path))
+    code, _, err = run_cli(*args)
+    assert code == 2
+    assert_error_line(err)
+    assert "cannot read spec file" in err
+
+
 def test_cli_bad_prime_rejected():
     code, _, err = run_cli("--prime", "6", "pi1", "nodal_cubic.json")
     assert code == 2
