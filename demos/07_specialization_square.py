@@ -38,7 +38,7 @@ fq = FiniteQuotientRep.build(
 direct = F_pipeline(fq).finite_cocycle
 print(f"direct finite data: {[m.to_strings() for m in direct.mats]}")
 cert = commuting_square_check(fq, pres, max_len=6)
-print(f"square: passed={cert.passed} after {cert.words_checked} enumerated words; "
+print(f"square: passed={cert.passed} covering {cert.words_checked} normal forms; "
       f"witness = identity: {cert.witness.is_identity()}")
 
 print("\n== the square for a nonabelian quotient ==")

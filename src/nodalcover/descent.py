@@ -31,6 +31,7 @@ from .groups import (
     _alpha_tuple,
     _concat,
     _inv_letters,
+    iter_grade_states,
     iter_words_raw,
     kernel_words,
 )
@@ -342,7 +343,8 @@ def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
 @dataclass(frozen=True, eq=False)
 class FiniteCocycle:
     """Twist data indexed by a finite group, with the same anti-composition
-    law as the word-indexed data it came from."""
+    law as the word-indexed data it came from.  A collapse records how many
+    normal forms it covered (`words_checked`) and up to which length."""
 
     group: FiniteGroup
     field: FunctionField
@@ -369,37 +371,41 @@ class FiniteCocycle:
 def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
     """Collapse an inflated datum to its finite quotient: H must be constant
     on every fiber of the quotient map, with fibers over the identity acting
-    trivially; every enumerated word is checked, which more than covers the
-    two-preimage sampling the construction requires."""
+    trivially.  Every normal form of generator length <= max_len is covered,
+    which more than covers the two-preimage sampling the construction requires.
+
+    No word is built.  Once every word up to some length carries its fiber's
+    matrix, H(w a) = H(a) H(w) depends only on the edge (q(w), a), so the
+    walk over (last letter, q(w)) states of `iter_grade_states` multiplies
+    and compares each reachable edge once, in the order of its first word.
+    The work grows linearly in max_len; `words_checked` is the number of
+    normal forms covered, the sum of the state counts.
+    """
     sig = c.sig
     if fq.sig != sig:
         raise SignatureMismatch("quotient data does not match the twist datum")
     G = fq.group
-    start = (G.identity, c.rep.identity_matrix())
     slots: list[MatrixK | None] = [None] * G.order
-    checked = 0
+    slots[G.identity] = c.rep.identity_matrix()
 
-    # thread the quotient image and the twist together: the twist composes
-    # on the left (anti-law), the quotient image on the right.
-    def step(carry, letter):
-        qv, mat = carry
-        return (G.table[qv][fq.q_letter(letter)], c.letter_twist(letter) * mat)
-
-    for letters, _, (qv, mat) in iter_words_raw(
-            sig, max_len, carry_init=start, carry_step=step, sorted_grades=False):
-        checked += 1
-        if slots[qv] is None:
-            slots[qv] = mat
-        elif slots[qv] != mat:
+    # the twist composes on the left (anti-law), the quotient image on the right
+    def step(qv, letter):
+        qa = G.table[qv][fq.q_letter(letter)]
+        mat = c.letter_twist(letter) * slots[qv]
+        if slots[qa] is None:
+            slots[qa] = mat
+        elif slots[qa] != mat:
             raise KernelNotTrivial(
-                f"twist is not constant on the fiber over element {G.labels[qv]}: "
+                f"twist is not constant on the fiber over element {G.labels[qa]}: "
                 "the datum does not arise by inflation")
+        return qa
+
+    checked = sum(sum(grade.values())
+                  for grade in iter_grade_states(sig, max_len, G.identity, step))
     missing = [G.labels[i] for i, m in enumerate(slots) if m is None]
     if missing:
         raise KernelNotTrivial(
             f"enumeration bound too small: no preimage found for {missing}")
-    if not slots[G.identity].is_identity():
-        raise KernelNotTrivial("kernel words do not act trivially")
     fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked, max_len)
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")

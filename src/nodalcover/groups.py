@@ -10,7 +10,8 @@ Two length notions coexist: len(word) counts syllables, while generator
 length charges a Z syllable its |exponent|; enumeration is graded by
 generator length, the only grading with finitely many words per grade.
 `enumerate_words` lists every normal form up to a bound and `kernel_words`
-yields the nonidentity ones in the kernel of the direct-product quotient.
+yields the nonidentity ones in the kernel of the direct-product quotient;
+`iter_grade_states` counts them by (last letter, key) state instead.
 The word kernels read the factor tables, identities and inverses that each
 signature compiles once when it is built.
 """
@@ -489,6 +490,42 @@ def iter_words_raw(sig: FPSignature, max_len: int,
         if sorted_grades:
             nxt.sort(key=grade_key)
         yield from nxt
+        grade = nxt
+
+
+def iter_grade_states(sig: FPSignature, max_len: int, key_init,
+                      key_step: Callable) -> Iterator[dict]:
+    """Normal forms of each generator length 0..max_len, counted by state.
+
+    Yields one dict {(last, sign, key): count} per grade.  `last` is the
+    factor id of the last letter (-1 for the identity), `sign` the sign of
+    its exponent for a Z letter (0 otherwise), and `key` is threaded along
+    the unit extensions of `iter_words_raw` by key_step(key, letter), which
+    runs once per distinct (key, letter).  The children of a word depend on
+    its state alone, so a grade costs its number of states, not its number
+    of words.  States appear in the order of their first word in the
+    unsorted enumeration.
+    """
+    r = sig.r
+    finite = [(r + j, [(r + j, g) for g in range(len(tab)) if g != ident])
+              for j, (tab, ident) in enumerate(zip(sig._tables, sig._idents))]
+    steps: dict = {}
+    grade = {(-1, 0, key_init): 1}
+    yield grade
+    for _ in range(max_len):
+        nxt: dict = {}
+        for (last, sign, key), n in grade.items():
+            children = [(i, d) for i in range(r)
+                        for d in ((sign,) if last == i else (1, -1))]
+            children += [letter for fid, ext in finite if fid != last for letter in ext]
+            for letter in children:
+                edge = (key, letter)
+                if edge not in steps:
+                    steps[edge] = key_step(key, letter)
+                fid, v = letter
+                state = (fid, v if fid < r else 0, steps[edge])
+                nxt[state] = nxt.get(state, 0) + n
+        yield nxt
         grade = nxt
 
 

@@ -163,10 +163,14 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
     """Both routes to the finite twist data coincide.
 
     Route one inflates the quotient rep, builds the word-indexed datum, and
-    collapses it back through the quotient (enumerated words must act through
-    their quotient image alone, with kernel words acting trivially).  Route
-    two builds the quotient twist data directly.  The collapse is compared
-    elementwise; the identity matrix witnesses the identification.
+    collapses it back through the quotient: every normal form up to max_len
+    must act through its quotient image alone, with kernel words acting
+    trivially.  The collapse walks (last letter, quotient image) states, so
+    its matrix work is one product per (quotient element, letter) edge at any
+    max_len, while `words_checked`, the number of normal forms covered, grows
+    exponentially.  Route two builds the
+    quotient twist data directly.  The collapse is compared elementwise; the
+    identity matrix witnesses the identification.
     """
     rep = inflate(fq, pres)
     datum = datum_from_rep(rep)

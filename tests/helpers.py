@@ -5,13 +5,15 @@ from __future__ import annotations
 import random
 
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
-from nodalcover.errors import SingularBasis
+from nodalcover.descent import FiniteCocycle
+from nodalcover.errors import KernelNotTrivial, SignatureMismatch, SingularBasis
 from nodalcover.field import INFINITY, FunctionField, MatrixK
 from nodalcover.groups import (
     FPSignature,
     FPWord,
     cyclic_group,
     fp_normalize,
+    iter_words_raw,
     symmetric_group,
 )
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep
@@ -150,3 +152,43 @@ def s3_rep_2dim(field=F7):
     hom = hom_from_generator_images(field, S3, [swap, rot], 2)
     z = MatrixK.from_rows(field, [["t", "0"], ["0", "1"]])
     return ContinuousRep.build(pres, field, [z], (S3,), (hom,))
+
+
+def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
+    """Per-word collapse of an inflated datum: every normal form up to max_len
+    is enumerated with its twist and quotient image, and its twist compared
+    with the first one seen on its fiber.  The oracle of `descend_inflation`,
+    which reaches the same verdict from (last letter, quotient image) states."""
+    sig = c.sig
+    if fq.sig != sig:
+        raise SignatureMismatch("quotient data does not match the twist datum")
+    G = fq.group
+    start = (G.identity, c.rep.identity_matrix())
+    slots: list[MatrixK | None] = [None] * G.order
+    checked = 0
+
+    # thread the quotient image and the twist together: the twist composes
+    # on the left (anti-law), the quotient image on the right.
+    def step(carry, letter):
+        qv, mat = carry
+        return (G.table[qv][fq.q_letter(letter)], c.letter_twist(letter) * mat)
+
+    for letters, _, (qv, mat) in iter_words_raw(
+            sig, max_len, carry_init=start, carry_step=step, sorted_grades=False):
+        checked += 1
+        if slots[qv] is None:
+            slots[qv] = mat
+        elif slots[qv] != mat:
+            raise KernelNotTrivial(
+                f"twist is not constant on the fiber over element {G.labels[qv]}: "
+                "the datum does not arise by inflation")
+    missing = [G.labels[i] for i, m in enumerate(slots) if m is None]
+    if missing:
+        raise KernelNotTrivial(
+            f"enumeration bound too small: no preimage found for {missing}")
+    if not slots[G.identity].is_identity():
+        raise KernelNotTrivial("kernel words do not act trivially")
+    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked, max_len)
+    if not fin.check_law():
+        raise KernelNotTrivial("collapsed data violates the finite composition law")
+    return fin

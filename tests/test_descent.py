@@ -1,5 +1,6 @@
 """Twist data: composition law, morphisms, integral transport, inflation collapse."""
 
+import itertools
 import random
 
 import pytest
@@ -21,10 +22,11 @@ from nodalcover.descent import (
 )
 from nodalcover.errors import (
     KernelNotTrivial,
+    NodalCoverError,
     ScopeMismatch,
     SignatureMismatch,
 )
-from nodalcover.field import MatrixK
+from nodalcover.field import FunctionField, MatrixK
 from nodalcover.groups import (
     FPSignature,
     FPWord,
@@ -34,11 +36,21 @@ from nodalcover.groups import (
     cyclic_group,
     enumerate_words,
     fp_normalize,
+    symmetric_group,
+    trivial_group,
 )
-from nodalcover.reps import ContinuousRep, FiniteQuotientRep, inflate, intertwiners, trivial_rep
+from nodalcover.reps import (
+    ContinuousRep,
+    FiniteQuotientRep,
+    hom_from_generator_images,
+    inflate,
+    intertwiners,
+    trivial_rep,
+)
 
 from helpers import (
     F3,
+    descend_inflation_oracle,
     gen_length,
     rank1_rep,
     rank2_rep,
@@ -529,8 +541,6 @@ def _sign_fq():
 
 
 def test_descend_trivial():
-    from nodalcover.groups import trivial_group
-
     sig, pres = sig_with_pres(1, (Z2,))
     triv = trivial_group()
     fq = FiniteQuotientRep.build(pres, F3, (Z2,), triv, [0], [(0, 0)],
@@ -561,3 +571,112 @@ def test_finite_cocycle_law_check():
     broken = FiniteCocycle(fin.group, fin.field, fin.rank,
                            (fin.mats[1], fin.mats[1]))
     assert not broken.check_law()
+
+
+def test_descend_reports_a_fiber_out_of_reach():
+    """A six-element quotient hit only through z: words up to length 2 reach
+    z^-2 .. z^2, which misses the element 3."""
+    F7 = FunctionField(7)
+    Z6 = cyclic_group(6)
+    sig, pres = sig_with_pres(1, (Z2,))
+    omega = F7.from_int(3)  # a primitive sixth root of unity mod 7
+    hom = tuple(MatrixK(F7, ((omega ** k,),)) for k in range(6))
+    fq = FiniteQuotientRep.build(pres, F7, (Z2,), Z6, [1], [(0, 0)], hom)
+    datum = datum_from_rep(inflate(fq, pres))
+    with pytest.raises(KernelNotTrivial) as exc:
+        descend_inflation(datum, fq, 2)
+    assert str(exc.value) == "enumeration bound too small: no preimage found for ['3']"
+    fin = descend_inflation(datum, fq, 3)
+    assert fin.mats == tuple(hom[-k % 6] for k in range(6))
+    assert fin.words_checked == len(enumerate_words(sig, 3))
+
+
+# -- the state walk against the per-word oracle --------------------------------------------
+
+F13 = FunctionField(13)  # 12 = |F_13^*| is divisible by 2, 3 and 4
+SOURCES = [Z2, cyclic_group(3), cyclic_group(4), symmetric_group(3)]
+QUOTIENTS = [trivial_group(), Z2, cyclic_group(3), cyclic_group(4), symmetric_group(3)]
+ROOTS = {1: 1, 2: 12, 3: 3, 4: 5}  # a primitive n-th root of unity mod 13
+
+
+def group_homs(G, Q):
+    """Every homomorphism G -> Q, as element maps, from the images of G's
+    designated generators."""
+    out = []
+    for images in itertools.product(range(Q.order), repeat=len(G.generators)):
+        mp = {G.identity: Q.identity}
+        frontier = [G.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, img in zip(G.generators, images):
+                    y = G.table[x][g]
+                    if y not in mp:
+                        mp[y] = Q.table[mp[x]][img]
+                        nxt.append(y)
+            frontier = nxt
+        if all(Q.table[mp[a]][mp[b]] == mp[G.table[a][b]] for a in mp for b in mp):
+            out.append(tuple(mp[g] for g in range(G.order)))
+    return out
+
+
+def quotient_reps(Q):
+    """Some matrix representations of Q over F_13."""
+    if not Q.is_abelian():
+        swap = MatrixK.from_rows(F13, [["0", "1"], ["1", "0"]])
+        rot = MatrixK.from_rows(F13, [["0", "12"], ["1", "12"]])
+        one, minus = MatrixK.identity(F13, 1), MatrixK(F13, ((F13.from_int(-1),),))
+        return [hom_from_generator_images(F13, Q, gens, n)
+                for gens, n in (([swap, rot], 2), ([minus, one], 1), ([one, one], 1))]
+    n = Q.order
+    return [tuple(MatrixK(F13, ((F13.from_int(ROOTS[n] ** (k * g)),),)) for g in range(n))
+            for k in range(n)]
+
+
+@st.composite
+def quotient_data(draw, pres, groups, Q):
+    """A surjection of the free product onto Q with a representation of Q,
+    or None when the drawn images do not generate Q."""
+    z_to = [draw(st.integers(0, Q.order - 1)) for _ in range(pres.r)]
+    factor_to = [draw(st.sampled_from(group_homs(G, Q))) for G in groups]
+    hom = draw(st.sampled_from(quotient_reps(Q)))
+    try:
+        return FiniteQuotientRep.build(pres, F13, groups, Q, z_to, factor_to, hom)
+    except ValueError:
+        return None
+
+
+@st.composite
+def collapse_cases(draw):
+    r = draw(st.integers(0, 2))
+    groups = tuple(draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=2)))
+    _, pres = sig_with_pres(r, groups)
+    Q = draw(st.sampled_from(QUOTIENTS))
+    fq = draw(quotient_data(pres, groups, Q))
+    assume(fq is not None)
+    kind = draw(st.sampled_from(["inflated", "other quotient data", "z acts by t"]))
+    rep = inflate(fq, pres)
+    if kind == "other quotient data":
+        other = draw(quotient_data(pres, groups, Q))
+        rep = inflate(other or fq, pres)
+    elif kind == "z acts by t" and r:
+        z1 = rep.z_images[0].scale(F13.t())
+        rep = ContinuousRep.build(pres, F13, (z1,) + rep.z_images[1:],
+                                  rep.factor_groups, rep.factor_homs)
+    return datum_from_rep(rep), fq, draw(st.integers(0, 5))
+
+
+def collapse_outcome(descend, datum, fq, max_len):
+    try:
+        fin = descend(datum, fq, max_len)
+    except NodalCoverError as exc:
+        return type(exc), str(exc)
+    return fin.group, fin.mats, fin.words_checked, fin.max_len
+
+
+@settings(max_examples=60, deadline=None)
+@given(collapse_cases())
+def test_descend_state_walk_equals_per_word_oracle(case):
+    datum, fq, max_len = case
+    assert (collapse_outcome(descend_inflation, datum, fq, max_len)
+            == collapse_outcome(descend_inflation_oracle, datum, fq, max_len))

@@ -1,6 +1,7 @@
 """Free-product normal forms, the direct-product quotient, enumeration."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from nodalcover.groups import (
     format_word,
     fp_mul,
     fp_normalize,
+    iter_grade_states,
     iter_words_raw,
     kernel_words,
     parse_word,
@@ -384,6 +386,34 @@ def test_kernel_words_are_the_filtered_enumeration(sig, L):
     expected = [w for w in enumerate_words(sig, L)
                 if w.letters and alpha(w).is_identity()]
     assert list(kernel_words(sig, L)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures, st.integers(0, 4))
+def test_grade_states_count_the_enumeration_by_alpha(sig, L):
+    """With key = alpha tuple, the state walk counts exactly the enumerated
+    normal forms of each grade by (last factor, exponent sign, alpha), in
+    the order of their first word, and steps each (key, letter) once."""
+    r = sig.r
+    steps = Counter()
+
+    def alpha_step(al, letter):
+        steps[al, letter] += 1
+        fid, v = letter
+        if fid < r:
+            return al
+        j = fid - r
+        return al[:j] + (sig.factor(j).table[al[j]][v],) + al[j + 1:]
+
+    grades = list(iter_grade_states(sig, L, sig.identity_tuple(), alpha_step))
+    expected = [Counter() for _ in range(L + 1)]
+    for letters, al, _ in iter_words_raw(sig, L, sorted_grades=False):
+        fid, v = letters[-1] if letters else (-1, 0)
+        sign = (1 if v > 0 else -1) if 0 <= fid < r else 0
+        expected[gen_length(r, letters)][fid, sign, al] += 1
+    # so the per-grade totals and the counts per alpha agree as well
+    assert [list(g.items()) for g in grades] == [list(e.items()) for e in expected]
+    assert set(steps.values()) <= {1}
 
 
 # -- strings -------------------------------------------------------------------------

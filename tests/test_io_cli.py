@@ -262,11 +262,12 @@ def test_matrix_json_roundtrip():
 
 # -- the command line ---------------------------------------------------------------
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     """Run ``python -m nodalcover.cli`` in DATA; return (exit code, stdout, stderr).
 
     The child runs in DATA so that nested file references in the spec files
     resolve relative to them, as they would for a user in that directory.
+    A child still running after `timeout` seconds is killed and the call raises.
     """
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
@@ -274,7 +275,7 @@ def run_cli(*argv):
         [str(PACKAGE_ROOT)] + ([inherited] if inherited else []))
     proc = subprocess.run(
         [sys.executable, "-m", "nodalcover.cli", *argv],
-        capture_output=True, text=True, cwd=str(DATA), env=env)
+        capture_output=True, text=True, cwd=str(DATA), env=env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -303,6 +304,35 @@ def test_cli_square_json_deterministic():
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["ok"] is True
+
+
+def syllable_grade_counts(r, orders, max_len):
+    """Normal forms of Z^{*r} * G_1 * ... per generator length, by syllables:
+    a Z syllable z_i^{+-k} weighs k, a finite syllable weighs 1, and adjacent
+    syllables come from distinct factors.  ending[f][n] counts the words of
+    length n whose last syllable lies in factor f."""
+    weights = [{k: 2 for k in range(1, max_len + 1)} for _ in range(r)]
+    weights += [{1: m - 1} for m in orders]
+    total = [1] + [0] * max_len
+    ending = [[0] * (max_len + 1) for _ in weights]
+    for n in range(1, max_len + 1):
+        for f, syllables in enumerate(weights):
+            ending[f][n] = sum(c * (total[n - k] - ending[f][n - k])
+                               for k, c in syllables.items() if k <= n)
+        total[n] = sum(e[n] for e in ending)
+    return total
+
+
+def test_cli_square_work_does_not_grow_with_max_len():
+    """At --max-len 40 the square covers about 1.3e23 normal forms of Z * S3;
+    it certifies them from (last letter, quotient image) states, within seconds."""
+    code, out, _ = run_cli("--format", "json", "--max-len", "40",
+                           "square", "s3_2dim.json", "nodal_cubic.json", timeout=10)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"] == "PASS"
+    assert payload["words_checked"] == sum(syllable_grade_counts(1, [6], 40))
+    assert sum(syllable_grade_counts(1, [6], 6)) == 6018  # the pinned L = 6 report
     assert payload["config"]["seed"] == 42
 
 
