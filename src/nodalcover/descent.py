@@ -377,9 +377,14 @@ def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
     No word is built.  Once every word up to some length carries its fiber's
     matrix, H(w a) = H(a) H(w) depends only on the edge (q(w), a), so the
     walk over (last letter, q(w)) states of `iter_grade_states` multiplies
-    and compares each reachable edge once, in the order of its first word.
-    The work grows linearly in max_len; `words_checked` is the number of
-    normal forms covered, the sum of the state counts.
+    and compares each reachable edge once.  The work grows linearly in
+    max_len; `words_checked` is the number of normal forms covered, the sum
+    of the state counts.
+
+    The check relies on `iter_grade_states` calling `step` exactly once per
+    edge, in the order of the edge's first word in the enumeration: that
+    order decides which fiber a failure names, as in the per-word collapse.  Kernel words act trivially because
+    the identity's fiber is seeded with the identity matrix of the empty word.
     """
     sig = c.sig
     if fq.sig != sig:

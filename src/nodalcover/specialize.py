@@ -164,13 +164,15 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
 
     Route one inflates the quotient rep, builds the word-indexed datum, and
     collapses it back through the quotient: every normal form up to max_len
-    must act through its quotient image alone, with kernel words acting
-    trivially.  The collapse walks (last letter, quotient image) states, so
+    must act through its quotient image alone.  Kernel words act trivially
+    because the identity's fiber is seeded with the identity matrix of the
+    empty word.  The collapse walks (last letter, quotient image) states, so
     its matrix work is one product per (quotient element, letter) edge at any
     max_len, while `words_checked`, the number of normal forms covered, grows
-    exponentially.  Route two builds the
-    quotient twist data directly.  The collapse is compared elementwise; the
-    identity matrix witnesses the identification.
+    exponentially.
+
+    Route two builds the quotient twist data directly.  The collapse is
+    compared elementwise; the identity matrix witnesses the identification.
     """
     rep = inflate(fq, pres)
     datum = datum_from_rep(rep)

@@ -36,6 +36,7 @@ from nodalcover.groups import (
     cyclic_group,
     enumerate_words,
     fp_normalize,
+    iter_words_raw,
     symmetric_group,
     trivial_group,
 )
@@ -674,9 +675,40 @@ def collapse_outcome(descend, datum, fq, max_len):
     return fin.group, fin.mats, fin.words_checked, fin.max_len
 
 
+def first_word_edges(fq, max_len):
+    """The (quotient element, letter) edges of the enumeration up to max_len,
+    in the order of their first word."""
+    G = fq.group
+
+    def step(carry, letter):
+        qv = carry[1]
+        return (qv, letter), G.table[qv][fq.q_letter(letter)]
+
+    edges = (edge for letters, _, (edge, _) in iter_words_raw(
+        fq.sig, max_len, carry_init=(None, G.identity), carry_step=step,
+        sorted_grades=False) if letters)
+    return list(dict.fromkeys(edges))
+
+
 @settings(max_examples=60, deadline=None)
 @given(collapse_cases())
 def test_descend_state_walk_equals_per_word_oracle(case):
+    """Same verdict as the per-word collapse, with one step per edge taken
+    in the order of the edge's first word."""
     datum, fq, max_len = case
-    assert (collapse_outcome(descend_inflation, datum, fq, max_len)
-            == collapse_outcome(descend_inflation_oracle, datum, fq, max_len))
+    stepped = []
+
+    def spy(sig, max_len, key_init, key_step):
+        def step(key, letter):
+            stepped.append((key, letter))
+            return key_step(key, letter)
+        return groups.iter_grade_states(sig, max_len, key_init, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent, "iter_grade_states", spy)
+        outcome = collapse_outcome(descend_inflation, datum, fq, max_len)
+    assert outcome == collapse_outcome(descend_inflation_oracle, datum, fq, max_len)
+    expected = first_word_edges(fq, max_len)
+    assert stepped == expected[:len(stepped)]
+    if "not constant on the fiber" not in str(outcome[1]):  # the walk ran to the end
+        assert stepped == expected

@@ -304,6 +304,7 @@ def test_cli_square_json_deterministic():
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["ok"] is True
+    assert payload["config"]["seed"] == 42
 
 
 def syllable_grade_counts(r, orders, max_len):
@@ -333,7 +334,6 @@ def test_cli_square_work_does_not_grow_with_max_len():
     assert payload["result"] == "PASS"
     assert payload["words_checked"] == sum(syllable_grade_counts(1, [6], 40))
     assert sum(syllable_grade_counts(1, [6], 6)) == 6018  # the pinned L = 6 report
-    assert payload["config"]["seed"] == 42
 
 
 def test_cli_descend_json_deterministic():
