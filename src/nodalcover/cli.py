@@ -30,7 +30,7 @@ from .errors import (
     SpecParseError,
     TrivialW,
 )
-from .field import is_prime
+from .field import check_characteristic
 from .groups import kernel_words, parse_word
 from .hopf import QuotientTower, function_hopf, tower_hull
 from .reps import intertwiners
@@ -46,8 +46,10 @@ class RunConfig:
     out_format: str
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise SpecParseError(f"--prime must be prime, got {self.prime}")
+        try:
+            check_characteristic(self.prime)
+        except ValueError as exc:
+            raise SpecParseError(f"--prime: {exc}") from None
         if self.max_len < 2:
             raise SpecParseError("--max-len must be at least 2")
         if self.out_format not in ("text", "json"):

@@ -18,10 +18,6 @@ class SingularBasis(NodalCoverError):
     pass
 
 
-class FrobeniusUnavailable(NodalCoverError):
-    """Frobenius is only defined in prime characteristic."""
-
-
 # free products
 class BadFactorIndex(NodalCoverError):
     pass

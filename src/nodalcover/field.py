@@ -4,11 +4,10 @@ Everything downstream (representation matrices, descent twists, lattice
 transport) computes in the rational function field over a small prime
 field.  Elements are kept in a canonical form (coprime numerator and
 denominator, monic denominator, zero as 0/1) so equality is literal.
-Monomial denominators c*t^k and monomial factors are normalised and
-multiplied by shifting and scaling, without Euclid; only denominators of
-two or more terms go through the polynomial gcd.
-An optional coefficient mode over the rationals exists for sanity tests;
-Frobenius is disabled there.
+Coefficients are plain ints in [0, p), and the polynomial kernels reduce
+mod p inline.  Monomial denominators c*t^k and monomial factors are
+normalised and multiplied by shifting and scaling, without Euclid; only
+denominators of two or more terms go through the polynomial gcd.
 
 The valuation ring A consists of the elements of nonnegative t-adic
 valuation, i.e. F_p[t] localized at (t); its maximal ideal is generated
@@ -19,99 +18,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    FrobeniusUnavailable,
-    SingularBasis,
-)
+from .errors import DimensionMismatch, DivisionByZero, SingularBasis
 
 INFINITY = math.inf
 
+# The bound keeps the trial division of check_characteristic under 46,341
+# steps, so a huge --prime or spec "p" is refused at once instead of hanging.
+MAX_CHARACTERISTIC = 2 ** 31
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+
+def check_characteristic(p: int) -> None:
+    """Raise ValueError unless p is a prime below MAX_CHARACTERISTIC."""
+    if not 2 <= p < MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic must be a prime below 2^31, got {p}")
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"characteristic must be prime, got {p}")
 
 
 @dataclass(frozen=True)
 class FunctionField:
-    """The coefficient field of the package: F_p(t), or Q(t) for sanity runs."""
+    """The coefficient field of the package: F_p(t) for a prime p.
 
-    p: int | None = 3
+    Coefficients are ints in [0, p)."""
+
+    p: int
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"characteristic must be prime, got {self.p}")
+        check_characteristic(self.p)
         object.__setattr__(self, "_cache", {})
 
-    @classmethod
-    def rationals(cls) -> "FunctionField":
-        return cls(p=None)
-
     # -- coefficient arithmetic ------------------------------------------
-    def cfrom_int(self, n: int):
-        if self.p is None:
-            return Fraction(n)
-        return n % self.p
-
     def cadd(self, a, b):
-        if self.p is None:
-            return a + b
         return (a + b) % self.p
 
-    def csub(self, a, b):
-        if self.p is None:
-            return a - b
-        return (a - b) % self.p
-
-    def cneg(self, a):
-        if self.p is None:
-            return -a
-        return (-a) % self.p
-
     def cmul(self, a, b):
-        if self.p is None:
-            return a * b
-        return (a * b) % self.p
+        return a * b % self.p
 
     def cinv(self, a):
-        if self.p is None:
-            if a == 0:
-                raise DivisionByZero("coefficient 0 has no inverse")
-            return Fraction(1) / a
-        if a % self.p == 0:
-            raise DivisionByZero("coefficient 0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-    def czero(self):
-        return Fraction(0) if self.p is None else 0
-
-    def cone(self):
-        return Fraction(1) if self.p is None else 1
+        return pow(a, -1, self.p)
 
     # -- element constructors --------------------------------------------
-    def rf(self, num, den=None) -> "RationalFunction":
-        """Build an element from coefficient sequences (ascending powers) or ints."""
-        num_t = self._coerce_poly(num)
-        den_t = self._coerce_poly(den if den is not None else (1,))
-        return _make_rf(self, num_t, den_t)
+    def rf(self, num, den=1) -> "RationalFunction":
+        """Build an element from int coefficient sequences (ascending powers) or ints."""
+        return _make_rf(self, self._coerce_poly(num), self._coerce_poly(den))
 
     def _coerce_poly(self, obj) -> tuple:
         if isinstance(obj, int):
             obj = (obj,)
-        if isinstance(obj, Fraction):
-            obj = (obj,)
-        return _pnorm(tuple(self.cfrom_int(c) if isinstance(c, int) else c for c in obj))
+        return _pnorm(tuple(c % self.p for c in obj))
 
     def zero(self) -> "RationalFunction":
         cache = self._cache
@@ -154,14 +110,13 @@ def _pnorm(a: tuple) -> tuple:
 def _padd(F: FunctionField, a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.cadd(out[i], c)
-    return _pnorm(tuple(out))
+    p = F.p
+    return _pnorm(tuple([(x + y) % p for x, y in zip(a, b)]) + a[len(b):])
 
 
 def _pneg(F: FunctionField, a: tuple) -> tuple:
-    return tuple(F.cneg(c) for c in a)
+    p = F.p
+    return tuple(-c % p for c in a)
 
 
 def _psub(F: FunctionField, a: tuple, b: tuple) -> tuple:
@@ -173,40 +128,42 @@ def _pmul(F: FunctionField, a: tuple, b: tuple) -> tuple:
         return ()
     if any(a[:-1]):
         a, b = b, a
+    p = F.p
     if not any(a[:-1]):
         # a = c*t^k: shift b by k and scale by c; over a field no term vanishes
         c = a[-1]
-        if c != F.cone():
-            b = tuple(F.cmul(c, cb) for cb in b)
-        return (F.czero(),) * (len(a) - 1) + b
-    out = [F.czero()] * (len(a) + len(b) - 1)
+        if c != 1:
+            b = tuple(c * cb % p for cb in b)
+        return (0,) * (len(a) - 1) + b
+    # exact int sums, reduced once at the end
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = F.cadd(out[i + j], F.cmul(ca, cb))
-    return _pnorm(tuple(out))
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return _pnorm(tuple([c % p for c in out]))
 
 
 def _pdivmod(F: FunctionField, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = F.cinv(lb)
     if len(a) < len(b):
         return (), a
-    quo = [F.czero()] * (len(a) - db)
+    p = F.p
+    db = len(b) - 1
+    inv_lb = pow(b[-1], -1, p)
+    # remainder entries stay unreduced ints until they are read or returned
+    rem = list(a)
+    quo = [0] * (len(a) - db)
     for k in range(len(a) - db - 1, -1, -1):
-        c = rem[k + db]
+        c = rem[k + db] % p
         if not c:
             continue
-        q = F.cmul(c, inv_lb)
+        q = c * inv_lb % p
         quo[k] = q
-        for i, cb in enumerate(b):
-            rem[k + i] = F.csub(rem[k + i], F.cmul(q, cb))
-    return _pnorm(tuple(quo)), _pnorm(tuple(rem))
+        for i, cb in enumerate(b, k):
+            rem[i] -= q * cb
+    return _pnorm(tuple(quo)), _pnorm(tuple([c % p for c in rem]))
 
 
 def _pgcd(F: FunctionField, a: tuple, b: tuple) -> tuple:
@@ -215,8 +172,9 @@ def _pgcd(F: FunctionField, a: tuple, b: tuple) -> tuple:
         a, b = b, r
     if not a:
         return ()
-    inv = F.cinv(a[-1])
-    return tuple(F.cmul(c, inv) for c in a)
+    p = F.p
+    inv = pow(a[-1], -1, p)
+    return tuple([c * inv % p for c in a])
 
 
 def _pord(a: tuple) -> int | None:
@@ -232,7 +190,8 @@ def _pord(a: tuple) -> int | None:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Canonical num/den over F_p[t] (or Q[t]): coprime, monic denominator."""
+    """Canonical num/den over F_p[t]: coprime, monic denominator, int
+    coefficients in [0, p)."""
 
     field: FunctionField
     num: tuple
@@ -241,14 +200,14 @@ class RationalFunction:
     # construction goes through _make_rf; the dataclass stays dumb.
 
     @property
-    def p(self) -> int | None:
+    def p(self) -> int:
         return self.field.p
 
     def is_zero(self) -> bool:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == (self.field.cone(),) and self.den == (self.field.cone(),)
+        return self.num == (1,) and self.den == (1,)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -289,10 +248,9 @@ class RationalFunction:
         F = self.field
         if not self.num or not other.num:
             return F.zero()
-        one = (F.cone(),)
-        if self.num == one and self.den == one:
+        if self.num == (1,) and self.den == (1,):
             return other
-        if other.num == one and other.den == one:
+        if other.num == (1,) and other.den == (1,):
             return self
         return _make_rf(F, _pmul(F, self.num, other.num), _pmul(F, self.den, other.den))
 
@@ -328,20 +286,14 @@ class RationalFunction:
     def frobenius(self) -> "RationalFunction":
         """The p-th power map; a ring endomorphism fixing the prime field."""
         p = self.field.p
-        if p is None:
-            raise FrobeniusUnavailable("no Frobenius over the rationals")
         return RationalFunction(self.field, _pfrob(self.num, p), _pfrob(self.den, p))
 
     def is_pth_power(self) -> bool:
         p = self.field.p
-        if p is None:
-            raise FrobeniusUnavailable("no Frobenius over the rationals")
         return _pis_frob(self.num, p) and _pis_frob(self.den, p)
 
     def pth_root(self) -> "RationalFunction":
         p = self.field.p
-        if p is None:
-            raise FrobeniusUnavailable("no Frobenius over the rationals")
         if not self.is_pth_power():
             raise ValueError("element is not a p-th power")
         return RationalFunction(self.field, _punfrob(self.num, p), _punfrob(self.den, p))
@@ -358,30 +310,30 @@ def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
     den = _pnorm(den)
     if not den:
         raise DivisionByZero("zero denominator")
-    one = F.cone()
     if not num:
-        return RationalFunction(F, (), (one,))
+        return RationalFunction(F, (), (1,))
+    p = F.p
     if not any(den[:-1]):
         # den = c*t^k (a constant is k = 0): the gcd is t^s with s = min(k, ord num)
         k, c = len(den) - 1, den[-1]
         s = 0
         while s < k and not num[s]:
             s += 1
-        if c != one:
-            inv = F.cinv(c)
-            num = tuple(F.cmul(x, inv) for x in num)
+        if c != 1:
+            inv = pow(c, -1, p)
+            num = tuple([x * inv % p for x in num])
         elif not s:
             return RationalFunction(F, num, den)
-        return RationalFunction(F, num[s:], (F.czero(),) * (k - s) + (one,))
+        return RationalFunction(F, num[s:], (0,) * (k - s) + (1,))
     g = _pgcd(F, num, den)
-    if len(g) > 1 or g[0] != one:
+    if len(g) > 1 or g[0] != 1:
         num = _pdivmod(F, num, g)[0]
         den = _pdivmod(F, den, g)[0]
     lc = den[-1]
-    if lc != one:
-        inv = F.cinv(lc)
-        num = tuple(F.cmul(c, inv) for c in num)
-        den = tuple(F.cmul(c, inv) for c in den)
+    if lc != 1:
+        inv = pow(lc, -1, p)
+        num = tuple([c * inv % p for c in num])
+        den = tuple([c * inv % p for c in den])
     return RationalFunction(F, num, den)
 
 
@@ -409,7 +361,7 @@ def _punfrob(a: tuple, p: int) -> tuple:
 # string form: polynomials in sparse c*t^k notation, elements as num/den
 # ---------------------------------------------------------------------------
 
-def _poly_to_string(F: FunctionField, a: tuple) -> str:
+def _poly_to_string(a: tuple) -> str:
     if not a:
         return "0"
     parts = []
@@ -419,7 +371,7 @@ def _poly_to_string(F: FunctionField, a: tuple) -> str:
             continue
         if k == 0:
             parts.append(str(c))
-        elif c == F.cone():
+        elif c == 1:
             parts.append("t" if k == 1 else f"t^{k}")
         else:
             parts.append(f"{c}*t" if k == 1 else f"{c}*t^{k}")
@@ -430,7 +382,7 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
     s = s.strip().replace("-", "+-")
     if s.startswith("+-"):
         s = s[1:]
-    coeffs: dict[int, object] = {}
+    coeffs: dict[int, int] = {}
     for raw in s.split("+"):
         term = raw.strip()
         if not term:
@@ -452,34 +404,24 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
                         f"negative exponent in {raw!r}: put powers of t in the denominator")
             elif exp_part.strip():
                 raise ValueError(f"cannot parse term {raw!r}")
-            c = _coeff_from_string(F, coeff_part) if coeff_part else F.cone()
+            c = int(coeff_part) if coeff_part else 1
         else:
             exp = 0
-            c = _coeff_from_string(F, term)
-        if neg:
-            c = F.cneg(c)
-        coeffs[exp] = F.cadd(coeffs.get(exp, F.czero()), c)
+            c = int(term)
+        coeffs[exp] = coeffs.get(exp, 0) + (-c if neg else c)
     if not coeffs:
         return ()
-    out = [F.czero()] * (max(coeffs) + 1)
+    out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
-        out[k] = c
+        out[k] = c % F.p
     return _pnorm(tuple(out))
 
 
-def _coeff_from_string(F: FunctionField, s: str):
-    s = s.strip()
-    if F.p is None:
-        return Fraction(s)
-    return int(s) % F.p
-
-
 def rf_to_string(f: RationalFunction) -> str:
-    F = f.field
-    num = _poly_to_string(F, f.num)
-    if f.den == (F.cone(),):
+    num = _poly_to_string(f.num)
+    if f.den == (1,):
         return num
-    return f"({num})/({_poly_to_string(F, f.den)})"
+    return f"({num})/({_poly_to_string(f.den)})"
 
 
 def rf_from_string(field: FunctionField, s: str) -> RationalFunction:
@@ -736,7 +678,7 @@ def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:
 # t-adic expansions and lattice normal forms
 # ---------------------------------------------------------------------------
 
-def tadic_coefficients(f: RationalFunction, upto: int) -> dict[int, object]:
+def tadic_coefficients(f: RationalFunction, upto: int) -> dict[int, int]:
     """Coefficients of the t-adic expansion of f for exponents < upto."""
     if f.is_zero():
         return {}
@@ -749,13 +691,14 @@ def tadic_coefficients(f: RationalFunction, upto: int) -> dict[int, object]:
     n0 = f.num[on:]
     d0 = f.den[od:]
     terms = upto - v
-    inv0 = F.cinv(d0[0])
+    p = F.p
+    inv0 = pow(d0[0], -1, p)
     series = []
     for kk in range(terms):
-        acc = n0[kk] if kk < len(n0) else F.czero()
+        acc = n0[kk] if kk < len(n0) else 0
         for i in range(1, min(kk, len(d0) - 1) + 1):
-            acc = F.csub(acc, F.cmul(d0[i], series[kk - i]))
-        series.append(F.cmul(acc, inv0))
+            acc -= d0[i] * series[kk - i]
+        series.append(acc * inv0 % p)
     return {v + i: c for i, c in enumerate(series) if c}
 
 
@@ -767,13 +710,13 @@ def _residue_mod_tpow(f: RationalFunction, d: int) -> RationalFunction:
     if not coeffs:
         return F.zero()
     lo = min(coeffs)
-    poly = [F.czero()] * (max(coeffs) - lo + 1)
+    poly = [0] * (max(coeffs) - lo + 1)
     for k, c in coeffs.items():
         poly[k - lo] = c
     num = _pnorm(tuple(poly))
     if lo >= 0:
-        return F.rf(tuple([F.czero()] * lo) + num)
-    return _make_rf(F, num, tuple([F.czero()] * (-lo)) + (F.cone(),))
+        return F.rf((0,) * lo + num)
+    return _make_rf(F, num, (0,) * (-lo) + (1,))
 
 
 @dataclass(frozen=True)

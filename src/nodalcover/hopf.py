@@ -34,14 +34,13 @@ class HopfAlgebra:
 
     # -- linear structure ---------------------------------------------------
     def zero_vec(self) -> Vector:
-        return tuple(self.base.czero() for _ in range(self.dim))
+        return (0,) * self.dim
 
     def basis_vec(self, g: int) -> Vector:
-        return tuple(self.base.cone() if i == g else self.base.czero()
-                     for i in range(self.dim))
+        return tuple(1 if i == g else 0 for i in range(self.dim))
 
     def unit(self) -> Vector:
-        return tuple(self.base.cone() for _ in range(self.dim))
+        return (1,) * self.dim
 
     def add(self, v: Vector, w: Vector) -> Vector:
         return tuple(self.base.cadd(a, b) for a, b in zip(v, w))
@@ -62,7 +61,7 @@ class HopfAlgebra:
             for k in range(self.dim):
                 c = v[row[k]]
                 if c:
-                    out[(h, k)] = self.base.cadd(out.get((h, k), self.base.czero()), c)
+                    out[(h, k)] = self.base.cadd(out.get((h, k), 0), c)
         return {k: c for k, c in out.items() if c}
 
     # -- tensor helpers -----------------------------------------------------
@@ -83,7 +82,7 @@ class HopfAlgebra:
             for (x, y), d in inner.items():
                 key = (x, y, b) if leg == 0 else (a, x, y)
                 val = self.base.cmul(c, d)
-                acc = self.base.cadd(out.get(key, self.base.czero()), val)
+                acc = self.base.cadd(out.get(key, 0), val)
                 if acc:
                     out[key] = acc
                 elif key in out:
@@ -129,7 +128,7 @@ class HopfAlgebra:
                 checks += 1
         unit_cop = self.comult(self.unit())
         # 1 = sum_g e_g, so its coproduct is the all-ones tensor, i.e. 1 (x) 1
-        expected = {(h, k): self.base.cone()
+        expected = {(h, k): 1
                     for h in range(self.dim) for k in range(self.dim)}
         if unit_cop != expected:
             raise AxiomViolation("coproduct of the unit is not the tensor unit")
@@ -257,7 +256,7 @@ def tower_hull(tower: QuotientTower, base: FunctionField | None = None) -> Tower
                 for ha in fibers[a]:
                     for hb in fibers[b]:
                         key = (ha, hb)
-                        acc = base.cadd(rhs_t.get(key, base.czero()), c)
+                        acc = base.cadd(rhs_t.get(key, 0), c)
                         if acc:
                             rhs_t[key] = acc
                         elif key in rhs_t:

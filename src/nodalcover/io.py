@@ -18,6 +18,7 @@ fq:     {"p", "rank", "source_groups": [<group|path>, ...],
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .curves import NodalCurve, dual_graph, pi1_presentation
@@ -74,6 +75,27 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+# Loading a group builds its m x m table and checks associativity in m^3
+# steps, so m is worked out from the spec and refused past this budget
+# before anything is built.  120 admits S_5.
+MAX_GROUP_ORDER = 120
+
+
+def _check_order(order: int, what: str) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise SpecParseError(f"{what} has order above the budget of {MAX_GROUP_ORDER}")
+
+
+def _builtin_order(kind, n: int) -> int:
+    """|G| of a builtin spec (or a lower bound past the budget); n! is
+    computed only for n within the budget."""
+    if kind == "dihedral":
+        return 2 * n
+    if kind == "symmetric":
+        return math.factorial(n) if 0 <= n <= MAX_GROUP_ORDER else n
+    return n if kind == "cyclic" else 1
+
+
 def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
     obj, _ = _load_obj(source, base_dir)
     if not isinstance(obj, dict):
@@ -81,6 +103,7 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
     if "builtin" in obj:
         kind = obj["builtin"]
         n = _json_int(obj.get("n", 1), "builtin group size n")
+        _check_order(_builtin_order(kind, n), f"builtin {kind} group with n = {n}")
         try:
             if kind == "cyclic":
                 return cyclic_group(n)
@@ -95,6 +118,7 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
         raise SpecParseError(f"unknown builtin group {kind!r}")
     try:
         table = obj["table"]
+        _check_order(len(table), f"a table of {len(table)} rows")
         order = obj.get("order", len(table))
         generators = obj.get("generators")
         name = obj.get("name", "G")

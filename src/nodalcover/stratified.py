@@ -89,8 +89,6 @@ def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum, max_len: int = 4) -> FdivHomB
     if d1.mode == S_RELATIVE:
         return FdivHomBasis(S_RELATIVE, "K", tuple(basis))
     field = d1.field
-    if field.p is None:
-        raise ModeMismatch("field-relative transport needs prime characteristic")
     if not basis:
         return FdivHomBasis(K_RELATIVE, f"F_{field.p}", ())
     fixed = _frobenius_fixed_combinations(field, basis)
@@ -123,7 +121,7 @@ def _frobenius_fixed_combinations(field: FunctionField,
             max_deg = 0
             for e in entries:
                 cleared = e * common
-                if cleared.den != (field.cone(),):
+                if cleared.den != (1,):
                     raise ModeMismatch("denominator clearing failed")
                 polys.append(cleared.num)
                 max_deg = max(max_deg, len(cleared.num))

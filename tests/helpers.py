@@ -21,7 +21,6 @@ from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 F3 = FunctionField(3)
 F5 = FunctionField(5)
 F7 = FunctionField(7)
-QQ = FunctionField.rationals()
 
 
 def sig_with_pres(r, groups):

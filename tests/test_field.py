@@ -2,19 +2,20 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcover.errors import DivisionByZero, FrobeniusUnavailable, SingularBasis
+from nodalcover.errors import DivisionByZero, SingularBasis
 from nodalcover.field import (
     FunctionField,
     MatrixK,
     _make_rf,
+    _padd,
     _pdivmod,
     _pgcd,
     _pmul,
+    _psub,
     lattice_hermite,
     rf_from_string,
     rf_to_string,
@@ -22,7 +23,7 @@ from nodalcover.field import (
     tadic_coefficients,
 )
 
-from helpers import F3, F5, F7, QQ, random_matrix, random_rf, smith_exponents
+from helpers import F3, F5, F7, random_matrix, random_rf, smith_exponents
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -88,15 +89,12 @@ def test_zero_normalization_and_division_guard():
 
 # -- monomial fast paths against the general path -----------------------------
 
-KERNEL_FIELDS = [FunctionField(2), F3, F7, QQ]
-KERNEL_IDS = ["F2", "F3", "F7", "Q"]
+KERNEL_FIELDS = [FunctionField(2), F3, F7]
+KERNEL_IDS = ["F2", "F3", "F7"]
 
 
 def _coeffs(F, nonzero=False):
-    if F.p is None:
-        c = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    else:
-        c = st.integers(0, F.p - 1)
+    c = st.integers(0, F.p - 1)
     return c.filter(bool) if nonzero else c
 
 
@@ -106,11 +104,11 @@ def _poly_of_order(data, F, order):
     rest = data.draw(st.lists(_coeffs(F), max_size=3))
     if rest:
         rest.append(data.draw(_coeffs(F, nonzero=True)))
-    return (F.czero(),) * order + (low,) + tuple(rest)
+    return (0,) * order + (low,) + tuple(rest)
 
 
 def _monomial(data, F, k):
-    return (F.czero(),) * k + (data.draw(_coeffs(F, nonzero=True)),)
+    return (0,) * k + (data.draw(_coeffs(F, nonzero=True)),)
 
 
 @pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
@@ -136,21 +134,30 @@ def test_make_rf_monomial_den_matches_euclid(F, where, data):
     inv = F.cinv(d[-1])
     assert got.num == tuple(F.cmul(c, inv) for c in n)
     assert got.den == tuple(F.cmul(c, inv) for c in d)
-    assert got.den[-1] == F.cone()
-    if F.p is not None:
-        assert len(_poly_gcd_oracle(F.p, got.num, got.den)) == 1
+    assert got.den[-1] == 1
+    assert len(_poly_gcd_oracle(F.p, got.num, got.den)) == 1
 
 
-def _schoolbook(F, a, b):
-    out = [F.czero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    if F.p is not None:
-        out = [c % F.p for c in out]
+def _strip(coeffs):
+    out = list(coeffs)
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def _schoolbook(F, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(c % F.p for c in out)
+
+
+def _coefwise(F, a, b, sign):
+    """a + sign*b coefficient by coefficient, mod p."""
+    pad = max(len(a), len(b))
+    a, b = a + (0,) * (pad - len(a)), b + (0,) * (pad - len(b))
+    return _strip((x + sign * y) % F.p for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
@@ -162,6 +169,30 @@ def test_pmul_by_monomial_matches_schoolbook(F, data):
     want = _schoolbook(F, a, m)
     assert _pmul(F, a, m) == want
     assert _pmul(F, m, a) == want
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_general_kernels_match_schoolbook(F, data):
+    poly = st.lists(_coeffs(F), max_size=6).map(_strip)
+    a, b = data.draw(poly), data.draw(poly)
+    assert _pmul(F, a, b) == _schoolbook(F, a, b)
+    assert _padd(F, a, b) == _coefwise(F, a, b, 1)
+    assert _psub(F, a, b) == _coefwise(F, a, b, -1)
+    if not b:
+        return
+    q, r = _pdivmod(F, a, b)
+    assert len(r) < len(b)
+    assert _coefwise(F, _schoolbook(F, q, b), r, 1) == a
+    g = _pgcd(F, a, b)
+    assert g[-1] == 1
+    assert len(g) == len(_poly_gcd_oracle(F.p, a, b))
+    # the canonical form of a/b: the same element, coprime, monic denominator
+    f = _make_rf(F, a, b)
+    assert _schoolbook(F, f.num, b) == _schoolbook(F, a, f.den)
+    assert f.den[-1] == 1
+    assert len(_poly_gcd_oracle(F.p, f.num, f.den)) == 1
 
 
 # -- field axioms (randomized, exact equality) --------------------------------
@@ -182,14 +213,6 @@ def test_field_axioms(a, b, c):
     assert a + (-a) == F3.zero()
     if not a.is_zero():
         assert (a * a.inverse()).is_one()
-
-
-def test_qq_mode_sanity():
-    t = QQ.t()
-    f = (t + QQ.one()) * (t - QQ.one())
-    assert f == QQ.rf((-1, 0, 1))
-    with pytest.raises(FrobeniusUnavailable):
-        t.frobenius()
 
 
 # -- valuations ---------------------------------------------------------------
@@ -386,3 +409,8 @@ def test_string_roundtrip():
 def test_prime_validation():
     with pytest.raises(ValueError):
         FunctionField(4)
+    # characteristics are bounded below 2^31: the largest prime under the
+    # bound loads, the first prime above it does not
+    assert FunctionField(2 ** 31 - 1).p == 2 ** 31 - 1
+    with pytest.raises(ValueError, match="below 2"):
+        FunctionField(2 ** 31 + 11)

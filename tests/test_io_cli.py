@@ -44,9 +44,16 @@ def test_load_group_builtin_and_table():
         spec_io.load_group({"table": [[0, 0], [0, 0]]})
 
 
-# Group specs that are valid JSON but not valid groups.  Sizes stay small: the
-# loaders build full multiplication tables, so an order of 10**9 exhausts
-# memory, and S_n for n >= 5 makes each example slow.
+def test_load_group_largest_orders_within_the_budget():
+    top = spec_io.MAX_GROUP_ORDER
+    assert spec_io.load_group({"builtin": "cyclic", "n": top}).order == top
+    assert spec_io.load_group({"builtin": "dihedral", "n": top // 2}).order == top
+    assert spec_io.load_group({"builtin": "symmetric", "n": 5}).order == 120
+
+
+# Group specs that are valid JSON but not valid groups.  Sizes within the
+# order budget stay small, because S_n for n >= 5 makes each example slow;
+# sizes past the budget must be refused before any table is built.
 BUILTIN_KINDS = ["cyclic", "dihedral", "symmetric", "trivial", "simple"]
 GROUP_KEYS = ["builtin", "n", "table", "labels", "name", "generators", "order"]
 json_leaves = (st.none() | st.booleans() | st.integers(-4, 4)
@@ -60,9 +67,10 @@ json_values = st.recursive(
     max_leaves=20)
 builtin_specs = st.one_of(
     st.fixed_dictionaries({"builtin": st.sampled_from(["cyclic", "dihedral", "trivial"]),
-                           "n": st.integers(-12, 12) | json_leaves}),
+                           "n": st.integers(-12, 12) | json_leaves
+                           | st.integers(spec_io.MAX_GROUP_ORDER + 1, 10 ** 18)}),
     st.fixed_dictionaries({"builtin": st.just("symmetric"),
-                           "n": st.integers(-12, 4) | json_leaves}))
+                           "n": st.integers(-12, 4) | json_leaves | st.integers(6, 10 ** 18)}))
 table_specs = st.fixed_dictionaries(
     {"table": st.lists(st.lists(st.integers(-1, 4) | json_leaves, max_size=4), max_size=4)},
     optional={key: json_values for key in ("labels", "name", "generators", "order")})
@@ -412,12 +420,52 @@ def test_cli_bad_prime_rejected():
     assert_error_line(err)
 
 
+# A prime far past 2^31: trial division up to its square root would run for
+# hours, so it must be refused by the characteristic bound before that.
+HUGE_PRIME = 1000000000000000003
+
+
+def test_cli_prime_above_the_bound_exits_2_at_once():
+    code, _, err = run_cli("--prime", str(HUGE_PRIME), "pi1", "nodal_cubic.json", timeout=10)
+    assert code == 2
+    assert_error_line(err)
+
+
+def test_cli_rep_p_above_the_bound_exits_2_at_once(tmp_path):
+    spec = dict(FUZZED_SPECS["rep"], p=HUGE_PRIME, curve=str(DATA / "nodal_cubic.json"))
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("rep", "check", str(path), timeout=10)
+    assert code == 2
+    assert_error_line(err)
+    assert "below 2^31" in err
+
+
 @pytest.mark.parametrize("word", ["z1^x", "q", "g9:0", "g1:1"])
 def test_cli_domain_bad_word_exits_2(word):
     # malformed, no such factor, and well formed but outside the kernel
     code, _, err = run_cli("--max-len", "3", "domain", "rank1_rep.json", "--word", word)
     assert code == 2
     assert_error_line(err)
+
+
+PAST_BUDGET = spec_io.MAX_GROUP_ORDER + 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"builtin": "cyclic", "n": 10 ** 9},
+    {"builtin": "symmetric", "n": 8},
+    {"builtin": "dihedral", "n": PAST_BUDGET // 2 + 1},
+    {"table": [[(a + b) % PAST_BUDGET for b in range(PAST_BUDGET)]
+               for a in range(PAST_BUDGET)]},
+], ids=["cyclic-1e9", "symmetric-8", "dihedral-past-budget", "table-past-budget"])
+def test_cli_hull_group_past_the_order_budget_exits_2(tmp_path, spec):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli("hull", str(path), timeout=10)
+    assert code == 2
+    assert_error_line(err)
+    assert "budget" in err
 
 
 def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):

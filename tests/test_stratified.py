@@ -18,7 +18,7 @@ from nodalcover.stratified import (
     tensor_fdiv,
 )
 
-from helpers import F3, QQ, rank1_rep, rank2_rep, sig_with_pres
+from helpers import F3, rank1_rep, rank2_rep, sig_with_pres
 
 Z2 = cyclic_group(2)
 
@@ -154,13 +154,6 @@ def test_k_relative_distinct_rank_one_data_have_no_homs():
 def test_mode_mismatch_rejected():
     with pytest.raises(ModeMismatch):
         hom_fdiv(unit_datum(S_RELATIVE), unit_datum(K_RELATIVE))
-
-
-def test_qq_mode_k_relative_rejected():
-    sig, pres = sig_with_pres(1, (Z2,))
-    unit_qq = fdiv_from_rep(trivial_rep(pres, QQ, (Z2,)), K_RELATIVE)
-    with pytest.raises(ModeMismatch):
-        hom_fdiv(unit_qq, unit_qq)
 
 
 # -- tensor ---------------------------------------------------------------------------
