@@ -26,6 +26,7 @@ from .groups import (
     _alpha_tuple,
     _concat,
     _inv_letters,
+    iter_grade_states,
     iter_words_raw,
     kernel_words,
     shortlex_key,
@@ -212,41 +213,56 @@ class FreenessReport:
 def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
     """Certify that nonidentity kernel words move every enumerated component.
 
-    The stabilizer of Y^j_s is the conjugate s^{-1} G_j s.  For each
-    enumerated component, every conjugate s^{-1} g s with g a nonidentity
-    j-factor element is built, checked to fix the component through the
-    action code path, and checked to lie outside the kernel of the
-    direct-product quotient: an exact proof that no nonidentity kernel word,
-    of any length, fixes the component.  The report also confirms the
-    full-group failure of freeness: each factor letter fixes its own base
-    component.
+    The stabilizer of Y^j_s is the conjugate s^{-1} G_j s, and
+    alpha(s^{-1} g s) = alpha(s)^{-1} alpha(g) alpha(s) in the direct product,
+    so whether a stabilizer conjugate lies in the kernel depends on alpha(s)
+    alone.  Normal forms are counted by (last letter, alpha) state, and every
+    reachable alpha is tested once per nonidentity factor element by table
+    lookups: an exact proof that no nonidentity kernel word, of any length,
+    fixes an enumerated component.  A component Y^j_s is counted through a
+    word s that does not end in a j-factor letter: w -> w^{-1} is a
+    length-preserving bijection of normal forms that swaps the first letter
+    and the last, so this counts the canonical representatives.  The report
+    also confirms the full-group failure of freeness: each factor letter
+    fixes its own base component.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     r = sig.r
     ident = sig.identity_tuple()
-    stabilizers = [(j, r + j, [(g, ((r + j, g),)) for g in sig.factor(j).nonidentity()])
-                   for j in range(sig.num_factors)]
+    tables, inverses = sig._tables, sig._inverses
+
+    def step(al, letter):
+        fid, v = letter
+        if fid < r:
+            return al
+        j = fid - r
+        return al[:j] + (tables[j][al[j]][v],) + al[j + 1:]
+
+    # (components, checks) a word contributes, by the factor id of its last
+    # letter: one component per factor it does not end in, one check per
+    # nonidentity element of that factor
+    all_checks = sum(len(tab) - 1 for tab in tables)
+    weight = {fid: (sig.num_factors, all_checks) for fid in range(-1, r)}
+    for j, tab in enumerate(tables):
+        weight[r + j] = (sig.num_factors - 1, all_checks - (len(tab) - 1))
     kernel_words = components = checks = 0
-    for s, al, _ in iter_words_raw(sig, max_len, sorted_grades=False):
-        if s and al == ident:
-            kernel_words += 1
-        s_inv = _inv_letters(sig, s)
-        for j, fid, letters in stabilizers:
-            if s and s[0][0] == fid:
-                continue
-            components += 1
-            for g, g_letter in letters:
-                w = _concat(sig, _concat(sig, s_inv, g_letter), s)
-                if _alpha_tuple(sig, w) == ident:
+    reached = set()
+    for n, grade in enumerate(iter_grade_states(sig, max_len, ident, step)):
+        for (last, _, al), count in grade.items():
+            reached.add(al)
+            if n and al == ident:
+                kernel_words += count
+            comps, chks = weight[last]
+            components += count * comps
+            checks += count * chks
+    for al in reached:
+        for j, tab in enumerate(tables):
+            a, a_inv, e = al[j], inverses[j][al[j]], ident[j]
+            for g in range(len(tab)):
+                if g != e and tab[tab[a_inv][g]][a] == e:
                     raise FreenessViolation(
-                        f"conjugate {g} of factor {j} lands in the kernel at s={s}")
-                # the candidate must fix its component through the action code
-                # path too; anything else is a reduction bug
-                if _canon_rep_letters(sig, j, _concat(sig, s, w)) != s:
-                    raise FreenessViolation(
-                        f"stabilizer candidate failed to fix ({j},{s})")
-                checks += 1
+                        f"conjugate {g} of factor {j} lands in the kernel at alpha={al}")
     witnesses = []
     for j in range(sig.num_factors):
         G = sig.factor(j)
@@ -472,14 +488,16 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     (w sigma(g))^{-1} s lies in the kernel and moves the core component
     indexed by w sigma(g) onto the target; both facts are asserted."""
     sig = dom.sig
-    s = target.rep
-    if s.sig != sig:
+    s = target.rep.letters
+    if target.rep.sig is not sig and target.rep.sig != sig:
         raise SignatureMismatch("target over the wrong signature")
-    ws, ws_inv = dom.section[_alpha_tuple(sig, s.letters)]
-    t = FPWord(sig, _concat(sig, ws_inv, s.letters))
-    if _alpha_tuple(sig, t.letters) != sig.identity_tuple():
+    j = target.j
+    if not 0 <= j < sig.num_factors:
+        raise SignatureMismatch(f"no finite factor {j}")
+    ws, ws_inv = dom.section[_alpha_tuple(sig, s)]
+    t = _concat(sig, ws_inv, s)
+    if _alpha_tuple(sig, t) != sig.identity_tuple():
         raise FreenessViolation("coverage witness fell outside the kernel")
-    start = canonical_component(sig, target.j, FPWord(sig, ws))
-    if component_action(t, start) != target:
+    if _canon_rep_letters(sig, j, _concat(sig, _canon_rep_letters(sig, j, ws), t)) != s:
         raise FreenessViolation("coverage witness failed to act correctly")
-    return t
+    return FPWord(sig, t)

@@ -55,14 +55,17 @@ class HopfAlgebra:
         return tuple(v[self.group.inverse[g]] for g in range(self.dim))
 
     def comult(self, v: Vector) -> Tensor2:
+        """Delta(v) = sum_g v(g) sum_{hk=g} e_h (x) e_k over the support of v:
+        the pair (h, k) with k = h^{-1} g determines g = hk, so each pair
+        gets one coefficient and nothing accumulates."""
+        G = self.group
+        support = [(g, c) for g, c in enumerate(v) if c]
         out: Tensor2 = {}
         for h in range(self.dim):
-            row = self.group.table[h]
-            for k in range(self.dim):
-                c = v[row[k]]
-                if c:
-                    out[(h, k)] = self.base.cadd(out.get((h, k), 0), c)
-        return {k: c for k, c in out.items() if c}
+            row = G.table[G.inverse[h]]
+            for g, c in support:
+                out[(h, row[g])] = c
+        return out
 
     # -- tensor helpers -----------------------------------------------------
     def tensor_mult(self, s: Tensor2, t: Tensor2) -> Tensor2:

@@ -4,13 +4,27 @@ from __future__ import annotations
 
 import random
 
+from nodalcover.covering import (
+    ComponentIndex,
+    FreenessReport,
+    _canon_rep_letters,
+    component_action,
+)
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
 from nodalcover.descent import FiniteCocycle
-from nodalcover.errors import KernelNotTrivial, SignatureMismatch, SingularBasis
+from nodalcover.errors import (
+    FreenessViolation,
+    KernelNotTrivial,
+    SignatureMismatch,
+    SingularBasis,
+)
 from nodalcover.field import INFINITY, FunctionField, MatrixK
 from nodalcover.groups import (
     FPSignature,
     FPWord,
+    _alpha_tuple,
+    _concat,
+    _inv_letters,
     cyclic_group,
     fp_normalize,
     iter_words_raw,
@@ -191,3 +205,52 @@ def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")
     return fin
+
+
+def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
+    """Per-word freeness certificate: for every enumerated component Y^j_s
+    and nonidentity j-factor element g, the conjugate s^{-1} g s is built
+    with `_concat`, checked to fix the component through the action code
+    path, and checked to lie outside the kernel of the direct-product
+    quotient.  The oracle of `certify_free_action`, which reaches the same
+    report from (last letter, alpha) states."""
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    r = sig.r
+    ident = sig.identity_tuple()
+    stabilizers = [(j, r + j, [(g, ((r + j, g),)) for g in sig.factor(j).nonidentity()])
+                   for j in range(sig.num_factors)]
+    kernel_words = components = checks = 0
+    for s, al, _ in iter_words_raw(sig, max_len, sorted_grades=False):
+        if s and al == ident:
+            kernel_words += 1
+        s_inv = _inv_letters(sig, s)
+        for j, fid, letters in stabilizers:
+            if s and s[0][0] == fid:
+                continue
+            components += 1
+            for g, g_letter in letters:
+                w = _concat(sig, _concat(sig, s_inv, g_letter), s)
+                if _alpha_tuple(sig, w) == ident:
+                    raise FreenessViolation(
+                        f"conjugate {g} of factor {j} lands in the kernel at s={s}")
+                # the candidate must fix its component through the action code
+                # path too; anything else is a reduction bug
+                if _canon_rep_letters(sig, j, _concat(sig, s, w)) != s:
+                    raise FreenessViolation(
+                        f"stabilizer candidate failed to fix ({j},{s})")
+                checks += 1
+    witnesses = []
+    for j in range(sig.num_factors):
+        G = sig.factor(j)
+        if G.order == 1:
+            continue
+        g = G.nonidentity()[0]
+        w = FPWord(sig, ((r + j, g),))
+        base = ComponentIndex(j, FPWord(sig, ()))
+        if component_action(w, base) != base:
+            raise FreenessViolation(
+                "expected full-group witness failed: factor letter moved its base")
+        witnesses.append(f"g{j + 1}:{G.labels[g]} fixes Y^{j + 1}_e")
+    return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",
+                          kernel_words, components, checks, tuple(witnesses), True)

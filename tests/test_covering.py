@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcover.covering import (
     CoverGeometry,
@@ -21,7 +22,7 @@ from nodalcover.covering import (
     sigma_word,
 )
 from nodalcover.curves import pi1_presentation
-from nodalcover.errors import NoComplement, SignatureMismatch, TrivialW
+from nodalcover.errors import FreenessViolation, NoComplement, SignatureMismatch, TrivialW
 from nodalcover.groups import (
     FPSignature,
     FPWord,
@@ -34,10 +35,13 @@ from nodalcover.groups import (
 )
 from nodalcover.reps import trivial_rep
 
-from helpers import rank1_rep, rank2_rep, random_word, sig_with_pres
+from helpers import certify_free_oracle, rank1_rep, rank2_rep, random_word, sig_with_pres
 
+Z1 = trivial_group()
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
+Z4 = cyclic_group(4)
+S3 = symmetric_group(3)
 SIG = FPSignature(1, (Z2, Z3))
 
 
@@ -87,26 +91,43 @@ def test_factor_letter_stabilizes_base_component():
 
 def _direct_pairing(sig, max_len):
     """Oracle: act by every nonempty kernel word on every enumerated component
-    and require that it moves it.  Returns (kernel words, components)."""
+    and require that it moves it.  Returns (kernel words, components, checks),
+    one check per component and nonidentity element of its factor."""
     kernel = [w for w in enumerate_words(sig, max_len)
               if not w.is_identity() and alpha(w).is_identity()]
     comps = enumerate_components(sig, max_len)
     for w in kernel:
         for c in comps:
             assert component_action(w, c) != c, f"{w} fixes {c}"
-    return len(kernel), len(comps)
+    return len(kernel), len(comps), sum(sig.factor(c.j).order - 1 for c in comps)
 
 
 @pytest.mark.parametrize("r, groups", [(1, (Z2,)), (1, (Z2, Z3)), (2, (Z2,))],
                          ids=["Z^*1*[Z2]", "Z^*1*[Z2,Z3]", "Z^*2*[Z2]"])
 def test_free_action_agrees_with_direct_pairing(r, groups):
     sig = FPSignature(r, groups)
-    kernel_words, components = _direct_pairing(sig, 4)
+    kernel_words, components, checks = _direct_pairing(sig, 4)
     report = certify_free_action(sig, 4)
     assert report.passed and report.strategy == "stabilizer-enumeration"
     assert report.kernel_words == kernel_words
     assert report.components == components
+    assert report.checks == checks
     assert report.full_group_witnesses
+
+
+free_signatures = st.tuples(
+    st.integers(0, 2), st.lists(st.sampled_from([Z1, Z2, Z3, Z4, S3]), max_size=3),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_signatures, st.integers(2, 5))
+def test_free_action_equals_per_word_oracle(sig, L):
+    # the oracle walks every word: cap L by the alphabet size to keep it small
+    alphabet = 2 * sig.r + sum(G.order - 1 for G in sig.factors)
+    while L > 2 and sum(alphabet ** n for n in range(L + 1)) > 3000:
+        L -= 1
+    assert certify_free_action(sig, L) == certify_free_oracle(sig, L)
 
 
 def test_free_action_vacuous_without_z_factors():
@@ -234,6 +255,24 @@ def test_witness_every_component_up_to_length():
     dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]))
     for target in enumerate_components(sig, 5):
         cover_witness(dom, target)  # raises on failure
+
+
+def test_witness_checks_survive_a_corrupted_section():
+    """Both checks of cover_witness are live: a section entry whose inverse
+    leaves the kernel, and one whose inverse stays in the kernel but belongs
+    to another word, are each refused."""
+    w = fp_normalize(SIG, [(0, 1)])
+    target = canonical_component(SIG, 1, fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)]))
+    coords = alpha(target.rep).coords
+    for bad_letter, message in (((1, 1), "fell outside the kernel"),
+                                ((0, 1), "failed to act correctly")):
+        dom = fundamental_domain(SIG, w)
+        cover_witness(dom, target)
+        ws, _ = dom.section[coords]
+        wrong = FPWord(SIG, ws) * fp_normalize(SIG, [bad_letter])
+        dom.section[coords] = (ws, wrong.inv().letters)
+        with pytest.raises(FreenessViolation, match=message):
+            cover_witness(dom, target)
 
 
 @pytest.mark.parametrize("r, groups, word", [

@@ -1,11 +1,13 @@
 """Function Hopf algebras, comodule roundtrips, towers of quotients."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcover.errors import NonInjectiveDual
 from nodalcover.field import MatrixK
 from nodalcover.groups import cyclic_group, dihedral_group, symmetric_group
 from nodalcover.hopf import (
+    HopfAlgebra,
     QuotientTower,
     function_hopf,
     rep_comodule_roundtrip,
@@ -57,6 +59,33 @@ def test_coassociativity_triple_sum_oracle():
             left = H._comult_leg(dg, 0)
             assert set(left) == triples
             assert all(v == 1 for v in left.values())
+
+
+def dense_comult(H, v):
+    """Convolution coproduct by its definition: every pair (h, k) gets v(hk)."""
+    G = H.group
+    out = {}
+    for h in range(G.order):
+        for k in range(G.order):
+            c = v[G.table[h][k]]
+            if c:
+                out[(h, k)] = H.base.cadd(out.get((h, k), 0), c)
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def group_vectors(draw):
+    G = draw(st.sampled_from([cyclic_group(n) for n in range(1, 7)] + [S3]))
+    v = tuple(draw(st.lists(st.integers(0, 2), min_size=G.order, max_size=G.order)))
+    return G, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_vectors())
+def test_sparse_comult_equals_dense_definition(case):
+    G, v = case
+    H = HopfAlgebra(G, F3)
+    assert H.comult(v) == dense_comult(H, v)
 
 
 def test_commutative_always_cocommutative_iff_abelian():

@@ -18,10 +18,10 @@ from nodalcover.cli import main
 from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
 from nodalcover.errors import SpecParseError
 from nodalcover.field import MatrixK
-from nodalcover.groups import FiniteGroup
+from nodalcover.groups import FiniteGroup, FPSignature, cyclic_group
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
-from helpers import F3
+from helpers import F3, certify_free_oracle
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 # The directory holding the nodalcover package this process imported.  The CLI
@@ -344,6 +344,26 @@ def test_cli_square_work_does_not_grow_with_max_len():
     assert sum(syllable_grade_counts(1, [6], 6)) == 6018  # the pinned L = 6 report
 
 
+def test_cli_free_work_does_not_grow_with_max_len():
+    """At --max-len 40 the free certificate counts about 2.2e12 components of
+    Z * Z2 from (last letter, alpha) states, within seconds.  A component
+    Y^1_s is a word s not starting with the Z2 letter; by inversion these
+    are as many as the words not ending in it."""
+    code, out, _ = run_cli("--format", "json", "--max-len", "40",
+                           "free", "rank1_rep.json", timeout=10)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["free"] is True and payload["strategy"] == "stabilizer-enumeration"
+    total = syllable_grade_counts(1, [2], 40)
+    ending = [0] * 41  # words of length n ending in the Z2 letter
+    for n in range(1, 41):
+        ending[n] = total[n - 1] - ending[n - 1]
+    components = sum(t - e for t, e in zip(total, ending))
+    assert payload["components"] == payload["checks"] == components
+    assert certify_free_oracle(FPSignature(1, (cyclic_group(2),)), 6).components == \
+        sum(t - e for t, e in zip(total[:7], ending[:7]))
+
+
 def test_cli_descend_json_deterministic():
     args = ("--format", "json", "--max-len", "4", "descend", "rank2_rep.json")
     first = run_cli(*args)
@@ -381,6 +401,16 @@ def test_cli_hull_tower():
                            "z2.json", "z4.json", "z8.json", "--tower")
     assert code == 0
     assert json.loads(out)["dimensions"] == [2, 4, 8]
+
+
+def test_cli_hull_at_the_order_budget(tmp_path):
+    """A group at io.MAX_GROUP_ORDER passes its Hopf axiom suite within a
+    minute: the coproduct visits only the support of a vector."""
+    path = tmp_path / "z120.json"
+    path.write_text(json.dumps({"builtin": "cyclic", "n": spec_io.MAX_GROUP_ORDER}))
+    code, out, _ = run_cli("--format", "json", "hull", str(path), timeout=60)
+    assert code == 0
+    assert json.loads(out)["dimension"] == 120
 
 
 def test_cli_rep_check():
