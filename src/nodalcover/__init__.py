@@ -34,7 +34,6 @@ from .curves import NodalCurve, Pi1Presentation, dual_graph, betti_rank, pi1_pre
 from .reps import (
     ContinuousRep,
     FiniteQuotientRep,
-    eval_word,
     rep_tensor,
     inflate,
     intertwiners,

@@ -88,7 +88,8 @@ class MeromorphicCocycle:
         fid, v = letter
         r = self.sig.r
         if fid < r:
-            out = self.rep.z_images[fid] ** (-v)
+            # H(z^v) = rho(z)^-v: a power of the rep's inverse, or of z itself
+            out = self.rep.z_inverses[fid] ** v if v > 0 else self.rep.z_images[fid] ** -v
         else:
             G = self.sig.factor(fid - r)
             out = self.rep.factor_homs[fid - r][G.inverse[v]]

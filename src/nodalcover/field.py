@@ -89,8 +89,8 @@ class FunctionField:
 
     def t_power(self, k: int) -> "RationalFunction":
         if k >= 0:
-            return self.rf([0] * k + [1])
-        return self.rf(1, [0] * (-k) + [1])
+            return RationalFunction(self, (0,) * k + (1,), (1,))
+        return RationalFunction(self, (1,), (0,) * -k + (1,))
 
     def from_int(self, n: int) -> "RationalFunction":
         return self.rf(n)
@@ -267,15 +267,9 @@ class RationalFunction:
         return _make_rf(self.field, self.den, self.num)
 
     def __pow__(self, k: int) -> "RationalFunction":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = self.field.one()
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if not k:
+            return self.field.one()
+        return _power(self if k > 0 else self.inverse(), abs(k))
 
     def valuation(self):
         """t-adic valuation; +inf on zero."""
@@ -303,6 +297,17 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RF({rf_to_string(self)})"
+
+
+def _power(base, k: int):
+    """base ** k for k >= 1, squaring from the top bit down: no product with
+    the identity and no square past the last bit, so z ** -1 is one inverse."""
+    out = base
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
 
 
 def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
@@ -592,15 +597,11 @@ class MatrixK:
         return sol.particular
 
     def __pow__(self, k: int) -> "MatrixK":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = MatrixK.identity(self.field, self.rows)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if self.rows != self.cols:
+            raise DimensionMismatch("power needs a square matrix")
+        if not k:
+            return MatrixK.identity(self.field, self.rows)
+        return _power(self if k > 0 else self.inverse(), abs(k))
 
     def column(self, j: int) -> "MatrixK":
         return MatrixK(self.field, tuple((row[j],) for row in self.entries))

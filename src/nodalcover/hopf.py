@@ -78,10 +78,11 @@ class HopfAlgebra:
                     out[(a, b)] = prod
         return out
 
-    def _comult_leg(self, t: Tensor2, leg: int) -> dict:
+    def _comult_leg(self, t: Tensor2, leg: int, cops: list[Tensor2]) -> dict:
+        """(Delta (x) id) t for leg 0, (id (x) Delta) t for leg 1; cops[g] is Delta(e_g)."""
         out: dict = {}
         for (a, b), c in t.items():
-            inner = self.comult(self.basis_vec(a if leg == 0 else b))
+            inner = cops[a if leg == 0 else b]
             for (x, y), d in inner.items():
                 key = (x, y, b) if leg == 0 else (a, x, y)
                 val = self.base.cmul(c, d)
@@ -96,25 +97,25 @@ class HopfAlgebra:
     def verify_axioms(self) -> dict:
         G = self.group
         checks = 0
-        for g in range(self.dim):
-            eg = self.basis_vec(g)
-            dg = self.comult(eg)
-            if self._comult_leg(dg, 0) != self._comult_leg(dg, 1):
+        basis = [self.basis_vec(g) for g in range(self.dim)]
+        cops = [self.comult(eg) for eg in basis]
+        for g, (eg, dg) in enumerate(zip(basis, cops)):
+            if self._comult_leg(dg, 0, cops) != self._comult_leg(dg, 1, cops):
                 raise AxiomViolation(f"coassociativity fails at basis element {g}")
             left = self.zero_vec()
             right = self.zero_vec()
             for (h, k), c in dg.items():
                 if h == G.identity:
                     left = self.add(left, tuple(
-                        self.base.cmul(c, x) for x in self.basis_vec(k)))
+                        self.base.cmul(c, x) for x in basis[k]))
                 if k == G.identity:
                     right = self.add(right, tuple(
-                        self.base.cmul(c, x) for x in self.basis_vec(h)))
+                        self.base.cmul(c, x) for x in basis[h]))
             if left != eg or right != eg:
                 raise AxiomViolation(f"counit law fails at basis element {g}")
             conv = self.zero_vec()
             for (h, k), c in dg.items():
-                term = self.mult(self.antipode(self.basis_vec(h)), self.basis_vec(k))
+                term = self.mult(self.antipode(basis[h]), basis[k])
                 conv = self.add(conv, tuple(self.base.cmul(c, x) for x in term))
             target = tuple(
                 self.base.cmul(self.counit(eg), x) for x in self.unit())
@@ -123,9 +124,8 @@ class HopfAlgebra:
             checks += 3
         for g in range(self.dim):
             for h in range(self.dim):
-                lhs = self.comult(self.mult(self.basis_vec(g), self.basis_vec(h)))
-                rhs = self.tensor_mult(self.comult(self.basis_vec(g)),
-                                       self.comult(self.basis_vec(h)))
+                lhs = self.comult(self.mult(basis[g], basis[h]))
+                rhs = self.tensor_mult(cops[g], cops[h])
                 if lhs != rhs:
                     raise AxiomViolation(f"bialgebra compatibility fails at ({g},{h})")
                 checks += 1

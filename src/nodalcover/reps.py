@@ -8,19 +8,12 @@ down to once every component factor acts through a finite quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .curves import Pi1Presentation
 from .errors import PresentationMismatch, SignatureMismatch, SingularBasis
 from .field import FunctionField, MatrixK
 from .groups import FiniteGroup, FPSignature, FPWord, product_subgroup
-
-
-def _check_invertible(M: MatrixK, what: str):
-    if M.rows != M.cols:
-        raise SingularBasis(f"{what} must be square")
-    if M.det().is_zero():
-        raise SingularBasis(f"{what} is singular")
 
 
 def _check_hom(G: FiniteGroup, images: tuple[MatrixK, ...], what: str):
@@ -37,7 +30,8 @@ def _check_hom(G: FiniteGroup, images: tuple[MatrixK, ...], what: str):
 
 @dataclass(frozen=True)
 class ContinuousRep:
-    """Matrices over K for the Z generators plus a hom per finite factor."""
+    """Matrices over K for the Z generators plus a hom per finite factor. The
+    Z images are inverted once, at construction: that certifies them invertible."""
 
     presentation: Pi1Presentation
     field: FunctionField
@@ -45,6 +39,16 @@ class ContinuousRep:
     z_images: tuple[MatrixK, ...]
     factor_groups: tuple[FiniteGroup, ...]
     factor_homs: tuple[tuple[MatrixK, ...], ...]
+    z_inverses: tuple[MatrixK, ...] = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inverses = []
+        for i, z in enumerate(self.z_images):
+            try:
+                inverses.append(z.inverse())
+            except SingularBasis:
+                raise SingularBasis(f"z{i + 1} image is singular") from None
+        object.__setattr__(self, "z_inverses", tuple(inverses))
 
     @classmethod
     def build(cls, presentation: Pi1Presentation, field: FunctionField,
@@ -68,24 +72,14 @@ class ContinuousRep:
                 raise PresentationMismatch("matrix over the wrong coefficient field")
             if (m.rows, m.cols) != (rank, rank):
                 raise PresentationMismatch("all matrices must share the rep's rank")
-        for i, m in enumerate(z_images):
-            _check_invertible(m, f"z{i + 1} image")
+        rep = cls(presentation, field, rank, z_images, factor_groups, factor_homs)
         for j, (G, images) in enumerate(zip(factor_groups, factor_homs)):
             _check_hom(G, images, f"factor hom {j + 1} ({G.name})")
-        return cls(presentation, field, rank, z_images, factor_groups, factor_homs)
+        return rep
 
     @property
     def sig(self) -> FPSignature:
         return FPSignature(self.presentation.r, self.factor_groups)
-
-    def letter_matrix(self, letter: tuple[int, int]) -> MatrixK:
-        fid, v = letter
-        if fid < self.presentation.r:
-            return self.z_images[fid] ** v
-        return self.factor_homs[fid - self.presentation.r][v]
-
-    def eval(self, w: FPWord) -> MatrixK:
-        return eval_word(self, w)
 
     def identity_matrix(self) -> MatrixK:
         return MatrixK.identity(self.field, self.rank)
@@ -130,13 +124,11 @@ def trivial_rep(presentation: Pi1Presentation, field: FunctionField,
 
 
 def eval_word(rep: ContinuousRep, w: FPWord) -> MatrixK:
-    """Multiplicative evaluation: the product of the letter matrices in order."""
-    if w.sig != rep.sig:
-        raise SignatureMismatch("word does not match the representation's signature")
-    out = rep.identity_matrix()
-    for letter in w.letters:
-        out = out * rep.letter_matrix(letter)
-    return out
+    """rho(w) = H(w^-1), read off the descent twist, which builds the letter
+    matrices; `perfbench/tracing.py` wraps this function by name."""
+    from .descent import datum_from_rep
+
+    return datum_from_rep(rep).twist(w.inv())
 
 
 def rep_tensor(r1: ContinuousRep, r2: ContinuousRep) -> ContinuousRep:

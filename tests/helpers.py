@@ -99,6 +99,26 @@ def rank2_rep(field=F3):
                                ((MatrixK.identity(field, 2), swap),))
 
 
+def letter_matrix(rep: ContinuousRep, letter) -> MatrixK:
+    """Oracle for rho(a): z ** v through MatrixK's general power, whose
+    negative exponents invert by elimination, or the factor's hom image."""
+    fid, v = letter
+    r = rep.presentation.r
+    if fid < r:
+        return rep.z_images[fid] ** v
+    return rep.factor_homs[fid - r][v]
+
+
+def eval_word(rep: ContinuousRep, w: FPWord) -> MatrixK:
+    """Oracle for rho(w): the product of the letter matrices in order."""
+    if w.sig != rep.sig:
+        raise SignatureMismatch("word does not match the representation's signature")
+    out = rep.identity_matrix()
+    for letter in w.letters:
+        out = out * letter_matrix(rep, letter)
+    return out
+
+
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:
     """Elementary divisor exponents of an invertible matrix over the valuation
     ring: M is GL_n(A)-equivalent on both sides to diag(t^{e_1}, ..., t^{e_n}),

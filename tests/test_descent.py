@@ -52,6 +52,7 @@ from nodalcover.reps import (
 from helpers import (
     F3,
     descend_inflation_oracle,
+    eval_word,
     gen_length,
     rank1_rep,
     rank2_rep,
@@ -135,9 +136,9 @@ def test_laurent_twists_check_without_gcd(monkeypatch):
 TWIST_ENTRIES = ["0", "1", "2", "t", "t + 1", "(1)/(t)", "(t + 2)/(t^2 + 1)"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_twist_memo_matches_word_evaluation(data):
+def draw_rep(data):
+    """A rank-1 or rank-2 rep over Z^{*r} * [Z2], r = 1 or 2, with Z images
+    from TWIST_ENTRIES and an involution for the Z2 letter."""
     r = data.draw(st.integers(1, 2))
     rank = data.draw(st.integers(1, 2))
     sig, pres = sig_with_pres(r, (Z2,))
@@ -150,7 +151,14 @@ def test_twist_memo_matches_word_evaluation(data):
     if rank == 2:
         involutions.append(MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]]))
     sign = data.draw(st.sampled_from(involutions))
-    rep = ContinuousRep.build(pres, F3, z_images, (Z2,), ((ident, sign),))
+    return ContinuousRep.build(pres, F3, z_images, (Z2,), ((ident, sign),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_twist_memo_matches_word_evaluation(data):
+    rep = draw_rep(data)
+    sig, r = rep.sig, rep.sig.r
     # words of generator length <= 4, asked with their prefixes in a random
     # order, so a word is sometimes asked before the prefixes it extends
     letter = st.tuples(st.integers(0, r - 1), st.sampled_from([1, -1])) | st.tuples(
@@ -163,7 +171,7 @@ def test_twist_memo_matches_word_evaluation(data):
             queries.setdefault(w.letters[:k], FPWord(sig, w.letters[:k]))
     datum = datum_from_rep(rep)
     for w in data.draw(st.permutations(list(queries.values()))):
-        assert datum.twist(w) == rep.eval(w.inv())
+        assert datum.twist(w) == eval_word(rep, w.inv())
     with pytest.raises(SignatureMismatch):
         datum.twist(fp_normalize(FPSignature(r + 1, (Z2,)), [(r, 1)]))
 
@@ -175,7 +183,7 @@ def test_integralize_computes_each_lattice_once(monkeypatch):
     eval_calls = []
     asked = set()
     hermite = descent.lattice_hermite
-    eval_word = reps.eval_word
+    rep_eval_word = reps.eval_word
     lattice_of = LatticeAssignment.lattice_of
 
     def counted_hermite(M):
@@ -184,7 +192,7 @@ def test_integralize_computes_each_lattice_once(monkeypatch):
 
     def counted_eval(*args):
         eval_calls.append(args)
-        return eval_word(*args)
+        return rep_eval_word(*args)
 
     def recorded_lattice_of(self, c):
         asked.add(c)
@@ -199,6 +207,47 @@ def test_integralize_computes_each_lattice_once(monkeypatch):
     # check of each (orbit representative, kernel word) pair
     assert len(eval_calls) == 0
     assert len(hermite_calls) == len(asked) + len(assignment.orbit_reps) * len(kernel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_letter_twist_matches_the_inverse_letter_oracle(data):
+    rep = draw_rep(data)
+    sig, r = rep.sig, rep.sig.r
+    datum = datum_from_rep(rep)
+    z_letter = st.tuples(st.integers(0, r - 1), st.integers(1, 4) | st.integers(-4, -1))
+    for letter in data.draw(st.lists(z_letter | st.just((r, 1)), min_size=1, max_size=6)):
+        oracle = eval_word(rep, FPWord(sig, (letter,)).inv())
+        assert datum.letter_twist(letter) == oracle
+
+
+def r2_rank2_rep():
+    sig, pres = sig_with_pres(2, (Z2,))
+    z1 = MatrixK.from_rows(F3, [["t", "1"], ["0", "1"]])
+    z2 = MatrixK.from_rows(F3, [["1", "0"], ["t + 1", "t"]])
+    swap = MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]])
+    return ContinuousRep.build(pres, F3, [z1, z2], (Z2,),
+                               ((MatrixK.identity(F3, 2), swap),))
+
+
+def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
+    """The rep inverts its Z images once, when it is built; after that the
+    only inverses are the destination bases of `integral_twist`, one per
+    (orbit representative, kernel word) pair of the transport check."""
+    rep = r2_rank2_rep()
+    calls = []
+    inverse = MatrixK.inverse
+
+    def counted(M):
+        calls.append(M)
+        return inverse(M)
+
+    monkeypatch.setattr(MatrixK, "inverse", counted)
+    datum = datum_from_rep(rep).restricted()
+    assignment = integralize(datum, 3)
+    assert len(hom_cocycle(datum, datum_from_rep(rep).restricted(), max_len=3)) >= 1
+    assert len(hom_cocycle(datum_from_rep(rep), datum_from_rep(rep))) >= 1
+    assert len(calls) == len(assignment.orbit_reps) * len(kernel_oracle(rep.sig, 3))
 
 
 def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
@@ -336,8 +385,8 @@ def test_convention_pinning_on_noncommutative_example():
     words = enumerate_words(sig, 2)
     for u in words:
         for v in words:
-            lhs = rep.eval(v) * rep.eval(u)
-            rhs = rep.eval(u * v)
+            lhs = eval_word(rep, v) * eval_word(rep, u)
+            rhs = eval_word(rep, u * v)
             if lhs != rhs:
                 found_mismatch = True
                 break

@@ -215,6 +215,22 @@ def test_field_axioms(a, b, c):
         assert (a * a.inverse()).is_one()
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_rf.filter(lambda f: not f.is_zero()), st.integers(-5, 5))
+def test_rf_power_matches_repeated_products(f, k):
+    expected = F3.one()
+    for _ in range(abs(k)):
+        expected = expected * (f if k > 0 else F3.one() / f)
+    assert f ** k == expected
+
+
+def test_t_power_is_canonical():
+    for k in range(-4, 5):
+        f = F3.t_power(k)
+        assert f == F3.rf(f.num, f.den) and f.valuation() == k
+        assert f == F3.t() ** k
+
+
 # -- valuations ---------------------------------------------------------------
 
 def test_valuation_examples():
@@ -309,6 +325,20 @@ def test_kernel_is_echelonized():
     # free columns get unit entries in index order
     assert sol.kernel[0].entries[1][0].is_one()
     assert sol.kernel[1].entries[2][0].is_one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2), k=st.integers(-5, 5))
+def test_matrix_power_matches_repeated_products(seed, n, k):
+    M = random_matrix(random.Random(seed), F3, n, invertible=True)
+    ident = MatrixK.identity(F3, n)
+    base = M if k >= 0 else solve_linear(M, ident).particular
+    expected = ident
+    for _ in range(abs(k)):
+        expected = expected * base
+    assert M ** k == expected
+    if k == 0:
+        assert (M ** k).is_identity()
 
 
 # -- lattices ---------------------------------------------------------------------

@@ -419,6 +419,19 @@ def test_cli_rep_check():
     assert "valid: True" in out
 
 
+@pytest.mark.parametrize("command", [("rep", "check"), ("descend",)], ids=["rep-check", "descend"])
+def test_cli_singular_z_image_exits_2(tmp_path, command):
+    spec = json.loads((DATA / "rank1_rep.json").read_text())
+    spec["z_images"] = [[["0"]]]
+    spec["curve"] = str(DATA / "nodal_cubic.json")
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(*command, str(path))
+    assert code == 2
+    assert_error_line(err)
+    assert "error: invalid rep: z1 image is singular" in err.splitlines()
+
+
 def test_cli_bad_file_exits_2():
     code, _, err = run_cli("pi1", "no_such_file.json")
     assert code == 2

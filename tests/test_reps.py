@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nodalcover.errors import PresentationMismatch, SignatureMismatch
+from nodalcover.errors import PresentationMismatch, SignatureMismatch, SingularBasis
 from nodalcover.field import MatrixK
 from nodalcover.groups import FPWord, cyclic_group, fp_normalize
 from nodalcover.reps import (
@@ -18,9 +19,11 @@ from nodalcover.reps import (
     trivial_rep,
 )
 
+import helpers
 from helpers import (
     F3,
     fq_direct_sum,
+    random_matrix,
     rank1_rep,
     rank2_rep,
     random_word,
@@ -62,8 +65,16 @@ def test_eval_well_defined_on_raw_sequences():
     w = fp_normalize(sig, raw)
     prod = rep.identity_matrix()
     for letter in raw:
-        prod = prod * rep.letter_matrix(letter)
+        prod = prod * helpers.letter_matrix(rep, letter)
     assert prod == eval_word(rep, w)
+
+
+def test_eval_matches_the_letter_product_oracle():
+    rep = s3_rep_2dim()
+    rng = random.Random(29)
+    for _ in range(100):
+        w = random_word(rng, rep.sig, rng.randint(0, 5))
+        assert eval_word(rep, w) == helpers.eval_word(rep, w)
 
 
 def test_eval_signature_mismatch():
@@ -71,6 +82,27 @@ def test_eval_signature_mismatch():
     other_sig, _ = sig_with_pres(1, (Z3,))
     with pytest.raises(SignatureMismatch):
         eval_word(rep, FPWord(other_sig, ()))
+
+
+def test_build_rejects_a_singular_z_image():
+    sig, pres = sig_with_pres(1, (Z2,))
+    one = MatrixK.identity(F3, 1)
+    with pytest.raises(SingularBasis, match="^z1 image is singular$"):
+        ContinuousRep.build(pres, F3, [MatrixK.from_rows(F3, [["0"]])], (Z2,),
+                            ((one, one),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 2), rank=st.integers(1, 2))
+def test_z_inverses_invert_the_z_images(seed, r, rank):
+    rng = random.Random(seed)
+    sig, pres = sig_with_pres(r, (Z2,))
+    z_images = [random_matrix(rng, F3, rank, invertible=True) for _ in range(r)]
+    ident = MatrixK.identity(F3, rank)
+    rep = ContinuousRep.build(pres, F3, z_images, (Z2,), ((ident, ident),))
+    assert len(rep.z_inverses) == r
+    for z_inv, z in zip(rep.z_inverses, rep.z_images):
+        assert (z_inv * z).is_identity()
 
 
 def test_build_validates_homs():
