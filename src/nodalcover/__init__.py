@@ -36,7 +36,6 @@ from .reps import (
     FiniteQuotientRep,
     rep_tensor,
     inflate,
-    intertwiners,
 )
 from .covering import (
     ComponentIndex,

@@ -33,7 +33,6 @@ from .errors import (
 from .field import check_characteristic
 from .groups import kernel_words, parse_word
 from .hopf import QuotientTower, function_hopf, tower_hull
-from .reps import intertwiners
 from .specialize import commuting_square_check
 from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
 
@@ -302,7 +301,8 @@ def cmd_rep(args, cfg: RunConfig) -> int:
     if args.action != "check":
         raise SpecParseError(f"unknown rep action {args.action!r}")
     rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
-    end = intertwiners(rep, rep)
+    datum = datum_from_rep(rep)
+    end = hom_cocycle(datum, datum)
     report = {
         "command": "rep check",
         "rank": rep.rank,

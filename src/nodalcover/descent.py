@@ -356,13 +356,8 @@ class FiniteCocycle:
 
     def check_law(self) -> bool:
         G = self.group
-        if not self.mats[G.identity].is_identity():
-            return False
-        for a in range(G.order):
-            for b in range(G.order):
-                if self.mats[b] * self.mats[a] != self.mats[G.table[a][b]]:
-                    return False
-        return True
+        return (self.mats[G.identity].is_identity()
+                and G.hom_failure(self.mats, lambda x, y: y * x) is None)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteCocycle) and self.group.table == other.group.table

@@ -111,6 +111,18 @@ class FiniteGroup:
         return all(self.table[a][b] == self.table[b][a]
                    for a in range(self.order) for b in range(self.order))
 
+    def hom_failure(self, images, compose: Callable) -> tuple[int, int] | None:
+        """First pair (a, b), scanning rows first, at which a map out of this
+        group breaks its law: compose(images[a], images[b]) != images[ab].
+        None when every pair holds.  This is the one |G|^2 law scan; callers
+        supply their own compose and keep their own identity checks."""
+        for a in range(self.order):
+            row = self.table[a]
+            for b in range(self.order):
+                if compose(images[a], images[b]) != images[row[b]]:
+                    return a, b
+        return None
+
     def closure(self, seed: Iterable[int]) -> list[int]:
         """Subgroup generated by seed, in discovery order starting from the identity."""
         seen = {self.identity}

@@ -8,6 +8,7 @@ down to once every component factor acts through a finite quotient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .curves import Pi1Presentation
@@ -22,10 +23,22 @@ def _check_hom(G: FiniteGroup, images: tuple[MatrixK, ...], what: str):
     ident = MatrixK.identity(images[0].field, images[0].rows)
     if images[G.identity] != ident:
         raise ValueError(f"{what}: identity element must map to the identity matrix")
-    for a in range(G.order):
-        for b in range(G.order):
-            if images[a] * images[b] != images[G.table[a][b]]:
-                raise ValueError(f"{what}: images do not respect the table at ({a},{b})")
+    bad = G.hom_failure(images, operator.mul)
+    if bad is not None:
+        raise ValueError(f"{what}: images do not respect the table at ({bad[0]},{bad[1]})")
+
+
+def _common_rank(field: FunctionField, mats) -> int:
+    """The size every matrix in mats shares, each checked square over field."""
+    if not mats:
+        raise PresentationMismatch("empty representation data")
+    rank = mats[0].rows
+    for m in mats:
+        if m.field != field:
+            raise PresentationMismatch("matrix over the wrong coefficient field")
+        if (m.rows, m.cols) != (rank, rank):
+            raise PresentationMismatch("all matrices must share the rep's rank")
+    return rank
 
 
 @dataclass(frozen=True)
@@ -63,15 +76,7 @@ class ContinuousRep:
             raise PresentationMismatch("one factor group per curve component required")
         if len(factor_homs) != len(factor_groups):
             raise PresentationMismatch("one factor hom per factor group required")
-        mats = list(z_images) + [m for h in factor_homs for m in h]
-        if not mats:
-            raise PresentationMismatch("empty representation data")
-        rank = mats[0].rows
-        for m in mats:
-            if m.field != field:
-                raise PresentationMismatch("matrix over the wrong coefficient field")
-            if (m.rows, m.cols) != (rank, rank):
-                raise PresentationMismatch("all matrices must share the rep's rank")
+        rank = _common_rank(field, list(z_images) + [m for h in factor_homs for m in h])
         rep = cls(presentation, field, rank, z_images, factor_groups, factor_homs)
         for j, (G, images) in enumerate(zip(factor_groups, factor_homs)):
             _check_hom(G, images, f"factor hom {j + 1} ({G.name})")
@@ -195,12 +200,10 @@ class FiniteQuotientRep:
                 raise ValueError(f"factor map {j + 1} must cover every element")
             if mp[G.identity] != group.identity:
                 raise ValueError(f"factor map {j + 1} must send identity to identity")
-            for a in range(G.order):
-                for b in range(G.order):
-                    if group.table[mp[a]][mp[b]] != mp[G.table[a][b]]:
-                        raise ValueError(f"factor map {j + 1} is not a homomorphism")
+            if G.hom_failure(mp, lambda x, y: group.table[x][y]) is not None:
+                raise ValueError(f"factor map {j + 1} is not a homomorphism")
+        rank = _common_rank(field, hom)
         _check_hom(group, hom, "quotient hom")
-        rank = hom[0].rows
         images = list(z_to) + [x for mp in factor_to for x in mp]
         if len(group.closure(images)) != group.order:
             raise ValueError("surjection data does not hit every quotient element")
@@ -226,31 +229,19 @@ class FiniteQuotientRep:
 
 def inflate(fq: FiniteQuotientRep, pres: Pi1Presentation) -> ContinuousRep:
     """Pull a finite-quotient rep back to the free product; evaluation then
-    factors through the quotient, so kernel words act as the identity."""
+    factors through the quotient, so kernel words act as the identity.
+
+    Nothing is re-checked: `FiniteQuotientRep.build` checked the hom's field,
+    shape and law and each factor map's law, and a hom composed with a
+    factor map is again a hom."""
     if pres != fq.presentation:
         raise SignatureMismatch("presentation does not match the quotient data")
-    return ContinuousRep.build(
-        pres, fq.field,
+    return ContinuousRep(
+        pres, fq.field, fq.rank,
         z_images=tuple(fq.hom[x] for x in fq.z_to),
         factor_groups=fq.source_groups,
         factor_homs=tuple(tuple(fq.hom[mp[g]] for g in range(G.order))
                           for G, mp in zip(fq.source_groups, fq.factor_to)))
-
-
-def intertwiners(r1: ContinuousRep, r2: ContinuousRep) -> list[MatrixK]:
-    """Deterministic basis of {f : eval(r2, gamma) f = f eval(r1, gamma)} over
-    the generators; multiplicativity extends the relation to every word."""
-    if r1.presentation != r2.presentation or r1.field != r2.field:
-        raise PresentationMismatch("intertwiners need a common presentation and field")
-    gens: list[tuple[MatrixK, MatrixK]] = []
-    for i in range(r1.presentation.r):
-        gens.append((r1.z_images[i], r2.z_images[i]))
-    for j, (G, H) in enumerate(zip(r1.factor_groups, r2.factor_groups)):
-        if G is not H and G != H:
-            raise PresentationMismatch("intertwiners need matching factor groups")
-        for g in G.generators:
-            gens.append((r1.factor_homs[j][g], r2.factor_homs[j][g]))
-    return solve_intertwining(r1.field, r1.rank, r2.rank, gens)
 
 
 def solve_intertwining(field: FunctionField, n1: int, n2: int,

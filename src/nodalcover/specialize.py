@@ -171,16 +171,18 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
     max_len, while `words_checked`, the number of normal forms covered, grows
     exponentially.
 
-    Route two builds the quotient twist data directly.  The collapse is
-    compared elementwise; the identity matrix witnesses the identification.
+    Route two reads the quotient twist data directly, H(g) = rho(g^-1).  The
+    collapse is compared elementwise; the identity matrix witnesses the
+    identification.
+
+    The group law is checked once per input: `FiniteQuotientRep.build`
+    checked rho's law when fq was loaded, and `descend_inflation` checks the
+    collapse's.  `inflate` and the comparison re-check nothing.
     """
-    rep = inflate(fq, pres)
-    datum = datum_from_rep(rep)
-    fin_sp = descend_inflation(datum, fq, max_len)
-    fin_f = F_pipeline(fq).finite_cocycle
+    fin_sp = descend_inflation(datum_from_rep(inflate(fq, pres)), fq, max_len)
     G = fq.group
     for g in range(G.order):
-        if fin_sp.mats[g] != fin_f.mats[g]:
+        if fin_sp.mats[g] != fq.hom[G.inverse[g]]:
             raise SquareViolation(
                 f"routes disagree at quotient element {G.labels[g]}",
                 witness=G.labels[g])

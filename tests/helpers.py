@@ -15,6 +15,7 @@ from nodalcover.descent import FiniteCocycle
 from nodalcover.errors import (
     FreenessViolation,
     KernelNotTrivial,
+    PresentationMismatch,
     SignatureMismatch,
     SingularBasis,
 )
@@ -30,7 +31,7 @@ from nodalcover.groups import (
     iter_words_raw,
     symmetric_group,
 )
-from nodalcover.reps import ContinuousRep, FiniteQuotientRep
+from nodalcover.reps import ContinuousRep, FiniteQuotientRep, solve_intertwining
 
 F3 = FunctionField(3)
 F5 = FunctionField(5)
@@ -117,6 +118,25 @@ def eval_word(rep: ContinuousRep, w: FPWord) -> MatrixK:
     for letter in w.letters:
         out = out * letter_matrix(rep, letter)
     return out
+
+
+def intertwiners(r1: ContinuousRep, r2: ContinuousRep) -> list[MatrixK]:
+    """Oracle for End/Hom on the rho side: a basis of
+    {f : rho2(gamma) f = f rho1(gamma)} from the generator images, which
+    multiplicativity extends to every word.  Full-scope `hom_cocycle` solves
+    the same space from the letter twists H = rho^-1 and must return the same
+    basis."""
+    if r1.presentation != r2.presentation or r1.field != r2.field:
+        raise PresentationMismatch("intertwiners need a common presentation and field")
+    gens: list[tuple[MatrixK, MatrixK]] = []
+    for i in range(r1.presentation.r):
+        gens.append((r1.z_images[i], r2.z_images[i]))
+    for j, (G, H) in enumerate(zip(r1.factor_groups, r2.factor_groups)):
+        if G is not H and G != H:
+            raise PresentationMismatch("intertwiners need matching factor groups")
+        for g in G.generators:
+            gens.append((r1.factor_homs[j][g], r2.factor_homs[j][g]))
+    return solve_intertwining(r1.field, r1.rank, r2.rank, gens)
 
 
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:

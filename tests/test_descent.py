@@ -45,7 +45,6 @@ from nodalcover.reps import (
     FiniteQuotientRep,
     hom_from_generator_images,
     inflate,
-    intertwiners,
     trivial_rep,
 )
 
@@ -54,6 +53,8 @@ from helpers import (
     descend_inflation_oracle,
     eval_word,
     gen_length,
+    intertwiners,
+    random_matrix,
     rank1_rep,
     rank2_rep,
     random_word,
@@ -422,6 +423,66 @@ def test_hom_end_contains_identity():
     assert len(basis) >= 1
 
 
+def _random_involution(rng, F, n):
+    """P diag(+-1) P^-1 for a random invertible P over K: a Z2 image."""
+    P = random_matrix(rng, F, n, invertible=True)
+    signs = MatrixK(F, tuple(tuple(F.from_int(rng.choice((1, -1)) if i == j else 0)
+                                   for j in range(n)) for i in range(n)))
+    return P * signs * P.inverse()
+
+
+def _random_rep(rng, F, pres, n):
+    z = random_matrix(rng, F, n, invertible=True)
+    return ContinuousRep.build(pres, F, [z], (Z2,),
+                               ((MatrixK.identity(F, n), _random_involution(rng, F, n)),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from((3, 5, 7)),
+       n1=st.integers(1, 2), n2=st.integers(1, 2), conjugate=st.booleans())
+def test_full_scope_hom_equals_the_intertwiner_oracle(seed, p, n1, n2, conjugate):
+    """Full-scope `hom_cocycle` solves Hom from the letter twists H = rho^-1;
+    the oracle solves it from rho on the generators.  Same space, same RREF
+    basis.  A conjugate pair makes Hom nonzero."""
+    rng = random.Random(seed)
+    F = FunctionField(p)
+    sig, pres = sig_with_pres(1, (Z2,))
+    r1 = _random_rep(rng, F, pres, n1)
+    if conjugate:
+        P = random_matrix(rng, F, n1, invertible=True)
+        Pinv = P.inverse()
+        r2 = ContinuousRep.build(pres, F, [P * r1.z_images[0] * Pinv], (Z2,),
+                                 (tuple(P * m * Pinv for m in r1.factor_homs[0]),))
+    else:
+        r2 = _random_rep(rng, F, pres, n2)
+    for a, b in ((r1, r2), (r1, r1), (r2, r2)):
+        assert hom_cocycle(datum_from_rep(a), datum_from_rep(b)) == intertwiners(a, b)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_full_scope_hom_equals_the_oracle_on_trivial_reps(rank):
+    sig, pres = sig_with_pres(1, (Z2,))
+    unit = trivial_rep(pres, F3, (Z2,), rank)
+    basis = hom_cocycle(datum_from_rep(unit), datum_from_rep(unit))
+    assert len(basis) == rank * rank
+    assert basis == intertwiners(unit, unit)
+
+
+def test_full_scope_hom_equals_the_oracle_on_the_inflated_s3_rep():
+    S3 = symmetric_group(3)
+    F7 = FunctionField(7)
+    sig, pres = sig_with_pres(1, (S3,))
+    swap = MatrixK.from_rows(F7, [["0", "1"], ["1", "0"]])
+    rot = MatrixK.from_rows(F7, [["0", "6"], ["1", "6"]])
+    hom = hom_from_generator_images(F7, S3, [swap, rot], 2)
+    fq = FiniteQuotientRep.build(pres, F7, (S3,), S3, [S3.generators[0]],
+                                 [tuple(range(6))], hom)
+    rep = inflate(fq, pres)
+    basis = hom_cocycle(datum_from_rep(rep), datum_from_rep(rep))
+    assert len(basis) == 1
+    assert basis == intertwiners(rep, rep)
+
+
 def test_hom_scope_mismatch():
     datum = datum_from_rep(rank2_rep())
     with pytest.raises(ScopeMismatch):
@@ -621,6 +682,17 @@ def test_finite_cocycle_law_check():
     broken = FiniteCocycle(fin.group, fin.field, fin.rank,
                            (fin.mats[1], fin.mats[1]))
     assert not broken.check_law()
+
+
+def test_finite_cocycle_law_check_past_the_identity():
+    """Z3 data (1, 2, 4) over F_7 satisfies the law; (1, -1, 1) keeps the
+    identity but breaks H(b) H(a) = H(ab) at (1,2)."""
+    F7 = FunctionField(7)
+    Z3 = cyclic_group(3)
+    good = tuple(MatrixK.from_rows(F7, [[x]]) for x in ("1", "2", "4"))
+    bad = tuple(MatrixK.from_rows(F7, [[x]]) for x in ("1", "6", "1"))
+    assert FiniteCocycle(Z3, F7, 1, good).check_law()
+    assert not FiniteCocycle(Z3, F7, 1, bad).check_law()
 
 
 def test_descend_reports_a_fiber_out_of_reach():

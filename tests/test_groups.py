@@ -59,6 +59,23 @@ def test_bad_table_rejected():
         FiniteGroup.from_table(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
 
 
+def test_hom_failure_scans_rows_first():
+    Z4 = cyclic_group(4)
+    assert Z4.hom_failure(range(4), Z4.mul) is None
+    broken = {(2, 1), (1, 3)}
+
+    def compose(x, y):
+        return -1 if (x, y) in broken else Z4.mul(x, y)
+
+    # row 1 comes before row 2, though (2,1) comes first by columns
+    assert Z4.hom_failure(range(4), compose) == (1, 3)
+    # the anti-law of a non-abelian group fails where the law holds
+    ident = list(range(S3.order))
+    assert S3.hom_failure(ident, S3.mul) is None
+    a, b = S3.hom_failure(ident, lambda x, y: S3.mul(y, x))
+    assert S3.mul(a, b) != S3.mul(b, a)
+
+
 def test_product_subgroup_diagonal_and_mixed():
     diag, elems = product_subgroup(Z2, Z2, [(1, 1)])
     assert diag.order == 2 and set(elems) == {(0, 0), (1, 1)}

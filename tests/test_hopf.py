@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcover.errors import NonInjectiveDual
+from nodalcover.errors import NonInjectiveDual, RoundtripFailure
 from nodalcover.field import MatrixK
 from nodalcover.groups import cyclic_group, dihedral_group, symmetric_group
 from nodalcover.hopf import (
@@ -18,6 +18,7 @@ from nodalcover.reps import FiniteQuotientRep
 from helpers import F3, sig_with_pres
 
 Z2 = cyclic_group(2)
+Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 Z8 = cyclic_group(8)
 S3 = symmetric_group(3)
@@ -122,6 +123,16 @@ def test_roundtrip_nonabelian():
     assert report.exact and report.coassociative_pairs == 36
 
 
+def test_roundtrip_names_the_first_pair_breaking_coassociativity():
+    """A raw-constructed quotient rep skips the law check at build: Z3 images
+    (1, -1, 1) first fail at (1,2)."""
+    sig, pres = sig_with_pres(1, (Z3,))
+    one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
+    fq = FiniteQuotientRep(pres, F3, 1, (Z3,), Z3, (1,), ((0, 1, 2),), (one, neg, one))
+    with pytest.raises(RoundtripFailure, match=r"^comodule coassociativity fails at \(1,2\)$"):
+        rep_comodule_roundtrip(fq)
+
+
 # -- towers -----------------------------------------------------------------------
 
 def test_tower_of_twos():
@@ -142,6 +153,8 @@ def test_constant_tower_is_isomorphism_levelwise():
 def test_tower_validation_rejects_non_surjective():
     with pytest.raises(ValueError):
         QuotientTower.build([Z4, Z4], [[(2 * x) % 4 for x in range(4)]])
+    with pytest.raises(ValueError, match="^map 0 is not a homomorphism$"):
+        QuotientTower.build([Z2, Z4], [[0, 1, 1, 0]])
     # an unvalidated tower is caught again by the dual-injectivity check
     tower = QuotientTower((Z4, Z4), (tuple((2 * x) % 4 for x in range(4)),))
     with pytest.raises(NonInjectiveDual):

@@ -14,7 +14,6 @@ from nodalcover.reps import (
     eval_word,
     hom_from_generator_images,
     inflate,
-    intertwiners,
     rep_tensor,
     trivial_rep,
 )
@@ -22,7 +21,9 @@ from nodalcover.reps import (
 import helpers
 from helpers import (
     F3,
+    F7,
     fq_direct_sum,
+    intertwiners,
     random_matrix,
     rank1_rep,
     rank2_rep,
@@ -114,6 +115,16 @@ def test_build_validates_homs():
     with pytest.raises(Exception):
         ContinuousRep.build(pres, F3, [MatrixK.from_rows(F3, [["0"]])],
                             (Z2,), ((good, good),))
+
+
+def test_build_names_the_first_pair_breaking_the_law():
+    """Z3 images (1, -1, 1) over F_3: (1,1) holds, (1,2) is the first pair
+    in row order where rho(a) rho(b) != rho(ab)."""
+    sig, pres = sig_with_pres(1, (Z3,))
+    one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
+    with pytest.raises(ValueError, match=r"^factor hom 1 \(Z3\): images do not "
+                                         r"respect the table at \(1,2\)$"):
+        ContinuousRep.build(pres, F3, [one], (Z3,), ((one, neg, one),))
 
 
 # -- tensor ----------------------------------------------------------------------
@@ -233,6 +244,36 @@ def test_fq_validates_surjectivity():
         FiniteQuotientRep.build(pres, F3, (Z2,), Z2, [0], [(0, 0)],
                                 (MatrixK.identity(F3, 1),
                                  MatrixK.from_rows(F3, [["2"]])))
+
+
+def test_fq_names_the_first_pair_breaking_the_quotient_law():
+    sig, pres = sig_with_pres(1, (Z3,))
+    one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
+    with pytest.raises(ValueError, match=r"^quotient hom: images do not respect "
+                                         r"the table at \(1,2\)$"):
+        FiniteQuotientRep.build(pres, F3, (Z3,), Z3, [1], [(0, 1, 2)], (one, neg, one))
+
+
+def test_fq_rejects_a_factor_map_that_is_not_a_homomorphism():
+    sig, pres = sig_with_pres(1, (Z4,))
+    one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
+    with pytest.raises(ValueError, match="^factor map 1 is not a homomorphism$"):
+        FiniteQuotientRep.build(pres, F3, (Z4,), Z2, [1], [(0, 1, 1, 0)], (one, neg))
+
+
+def test_fq_rejects_hom_matrices_off_the_field_or_rank():
+    """The quotient hom is the only matrix data inflation reads, so its
+    field and shape are checked where it is loaded."""
+    sig, pres = sig_with_pres(1, (Z2,))
+    with pytest.raises(PresentationMismatch, match="wrong coefficient field"):
+        FiniteQuotientRep.build(pres, F7, (Z2,), Z2, [1], [(0, 1)],
+                                (MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])))
+    with pytest.raises(PresentationMismatch, match="share the rep's rank"):
+        FiniteQuotientRep.build(pres, F3, (Z2,), Z2, [1], [(0, 1)],
+                                (MatrixK.identity(F3, 1), MatrixK.identity(F3, 2)))
+    with pytest.raises(PresentationMismatch, match="share the rep's rank"):
+        FiniteQuotientRep.build(pres, F3, (Z2,), Z2, [1], [(0, 1)],
+                                (MatrixK.from_rows(F3, [["1", "0"]]),) * 2)
 
 
 def test_fq_direct_sum_rank_additivity():

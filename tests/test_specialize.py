@@ -1,6 +1,12 @@
 """Pipelines: sp on representations, F on quotient reps, the square."""
 
+from pathlib import Path
+
+import pytest
+
+from nodalcover import io as spec_io
 from nodalcover.covering import canonical_component
+from nodalcover.curves import pi1_presentation
 from nodalcover.descent import descend_inflation, datum_from_rep
 from nodalcover.field import MatrixK
 from nodalcover.groups import cyclic_group, fp_normalize, kernel_words, symmetric_group
@@ -9,7 +15,6 @@ from nodalcover.reps import (
     FiniteQuotientRep,
     hom_from_generator_images,
     inflate,
-    intertwiners,
     trivial_rep,
 )
 from nodalcover.specialize import (
@@ -20,7 +25,7 @@ from nodalcover.specialize import (
 )
 from nodalcover.descent import hom_cocycle
 
-from helpers import F3, F7, fq_direct_sum, rank1_rep, rank2_rep, sig_with_pres
+from helpers import F3, F7, fq_direct_sum, intertwiners, rank1_rep, rank2_rep, sig_with_pres
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -167,3 +172,30 @@ def test_square_detects_route_divergence():
         (MatrixK.identity(F3, 1), MatrixK.identity(F3, 1) * MatrixK.from_rows(F3, [["1"]])))
     fin_f = F_pipeline(other).finite_cocycle
     assert fin_sp.mats[1] != fin_f.mats[1]
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+@pytest.mark.parametrize("fq_file, curve_file, max_len, products, words", [
+    ("s3_2dim.json", "nodal_cubic.json", 6, 78, 6018),
+    ("s3_2dim.json", "nodal_cubic.json", 40, 78, 128597964580756467848386),
+    ("z2_sign.json", "cycle3.json", 6, 10, 190),
+])
+def test_square_checks_the_group_law_once(monkeypatch, fq_file, curve_file,
+                                          max_len, products, words):
+    """The loaded quotient's law is not re-checked: the square's matrix
+    products are the collapse's walk, one per (quotient element, letter)
+    edge, plus its one |G|^2 law check."""
+    curve = spec_io.load_curve(DATA / curve_file)
+    fq = spec_io.load_fq(DATA / fq_file, curve)
+    count = [0]
+    mul = MatrixK.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(MatrixK, "__mul__", counted)
+    cert = commuting_square_check(fq, pi1_presentation(curve), max_len=max_len)
+    assert (count[0], cert.words_checked) == (products, words)
