@@ -67,7 +67,7 @@ class MeromorphicCocycle:
 
     def twist(self, w: FPWord) -> MatrixK:
         """H(w) = rho(w)^{-1}: the matrix glued along the deck word w, built
-        from its longest memoised prefix u by H(u a) = H(a) H(u), as in `twist_map`."""
+        from its longest memoised prefix u by H(u a) = H(a) H(u)."""
         if w.sig != self.sig:
             raise SignatureMismatch("word does not match the representation's signature")
         letters = w.letters
@@ -97,14 +97,15 @@ class MeromorphicCocycle:
         return out
 
     def twist_map(self, max_len: int) -> dict:
-        """Twists of every enumerated word, built one letter at a time."""
+        """Twists of every word in shortlex order, by H(a x) = H(x) H(a) from
+        the first unit letter a: the opposite recurrence to `twist`'s."""
         start = self.rep.identity_matrix()
 
         def step(carry, letter):
-            return self.letter_twist(letter) * carry
+            return carry * self.letter_twist(letter)
 
         return {letters: carry for letters, _, carry in iter_words_raw(
-            self.sig, max_len, carry_init=start, carry_step=step, sorted_grades=False)}
+            self.sig, max_len, carry_init=start, carry_step=step)}
 
     def restricted(self) -> "MeromorphicCocycle":
         return MeromorphicCocycle(self.rep, KERNEL)
@@ -178,7 +179,8 @@ def check_cocycle(c, max_len: int) -> CocycleCertificate:
                 gh = G.table[g][h]
                 checks.append((((r + j, g),), ((r + j, h),),
                                ((r + j, gh),) if gh != G.identity else ()))
-    # w = parent * a, where a is the unit letter iter_words_raw appended
+    # w = parent * a, a its last unit letter: twist_map built H(w) from the
+    # front letter instead, so this compares two different products
     for w in H:
         if w and w[-1][0] < r and abs(w[-1][1]) > 1:
             fid, v = w[-1]

@@ -451,58 +451,54 @@ def iter_words_raw(sig: FPSignature, max_len: int,
                    carry_init=None,
                    carry_step: Callable | None = None,
                    sorted_grades: bool = True) -> Iterator[tuple]:
-    """All normal forms of generator length <= max_len, graded by length.
+    """All normal forms of generator length <= max_len, in shortlex order.
 
     Yields (letters, alpha_coords, carry).  Every normal form of length n+1
-    is reached exactly once by a unit extension of its length-n prefix, so no
-    deduplication is needed.  The optional carry threads any multiplicative
-    bookkeeping (matrix evaluation, quotient images) along the extension.
-    Words of one grade share their generator length, so a sorted grade is
-    ordered by its letters' shortlex ranks alone.
+    is u x for exactly one unit first letter u and one word x of length n,
+    so grade n+1 is built in blocks by first letter, in `_letter_key` rank
+    order, and needs no sort.  A block z_i^{+-1} or a finite letter of
+    factor f prefixes, in grade order, every word of grade n that does not
+    start with that factor; the block z_i^{+-k}, k >= 2, rewrites the first
+    letter of grade n's z_i^{+-(k-1)} block, and those blocks lie in grade n
+    in the same rank order.  The optional carry threads any multiplicative
+    bookkeeping (matrix evaluation, quotient images) from the back:
+    carry(u x) = carry_step(carry(x), u).  `sorted_grades` must be True.
     """
+    if not sorted_grades:
+        raise ValueError("iter_words_raw yields shortlex-sorted grades only")
     r = sig.r
-    tables, idents = sig._tables, sig._idents
+    step = carry_step
     grade: list[tuple] = [((), sig.identity_tuple(), carry_init)]
     yield from grade
-    # per finite factor: its letter id, table, and (letter, element) extensions
-    finite = [(r + j, j, tab, [((r + j, g), g) for g in range(len(tab)) if g != idents[j]])
-              for j, tab in enumerate(tables)]
-    if sorted_grades:
-        alphabet = [(i, e) for i in range(r) for k in range(1, max_len + 1) for e in (k, -k)]
-        alphabet += [letter for _, _, _, ext in finite for letter, _ in ext]
-        alphabet.sort(key=lambda letter: _letter_key(r, letter))
-        rank = {letter: k for k, letter in enumerate(alphabet)}.__getitem__
-
-        def grade_key(entry):
-            return tuple(map(rank, entry[0]))
+    # per finite factor: its letter id, coordinate, table and unit letters
+    finite = [(r + j, j, tab, [g for g in range(len(tab)) if g != ident])
+              for j, (tab, ident) in enumerate(zip(sig._tables, sig._idents))]
+    spans: dict = {}  # factor id -> (start, end) of the words it starts
     for _ in range(max_len):
         nxt: list[tuple] = []
-        for letters, al, carry in grade:
-            last = letters[-1][0] if letters else -1
-            for i in range(r):
-                if last == i:
-                    e = letters[-1][1]
-                    d = 1 if e > 0 else -1
-                    child = letters[:-1] + ((i, e + d),)
-                    c2 = carry_step(carry, (i, d)) if carry_step else None
-                    nxt.append((child, al, c2))
-                else:
-                    for d in (1, -1):
-                        child = letters + ((i, d),)
-                        c2 = carry_step(carry, (i, d)) if carry_step else None
-                        nxt.append((child, al, c2))
-            for fid, j, tab, ext in finite:
-                if last == fid:
-                    continue
-                row = tab[al[j]]
-                head, tail = al[:j], al[j + 1:]
-                for letter, g in ext:
-                    c2 = carry_step(carry, letter) if carry_step else None
-                    nxt.append((letters + (letter,), head + (row[g],) + tail, c2))
-        if sorted_grades:
-            nxt.sort(key=grade_key)
+        nspans: dict = {}
+        for i in range(r):
+            start = len(nxt)
+            lo, hi = spans.get(i, (0, 0))
+            rest = grade[:lo] + grade[hi:]
+            for u in ((i, 1), (i, -1)):
+                nxt += [((u,) + x, al, step(c, u) if step else None) for x, al, c in rest]
+            for x, al, c in grade[lo:hi]:
+                e = x[0][1]
+                d = 1 if e > 0 else -1
+                nxt.append((((i, e + d),) + x[1:], al, step(c, (i, d)) if step else None))
+            nspans[i] = (start, len(nxt))
+        for fid, j, tab, units in finite:
+            start = len(nxt)
+            lo, hi = spans.get(fid, (0, 0))
+            rest = grade[:lo] + grade[hi:]
+            for g in units:
+                u, row = (fid, g), tab[g]
+                nxt += [((u,) + x, al[:j] + (row[al[j]],) + al[j + 1:],
+                         step(c, u) if step else None) for x, al, c in rest]
+            nspans[fid] = (start, len(nxt))
         yield from nxt
-        grade = nxt
+        grade, spans = nxt, nspans
 
 
 def iter_grade_states(sig: FPSignature, max_len: int, key_init,
@@ -512,11 +508,12 @@ def iter_grade_states(sig: FPSignature, max_len: int, key_init,
     Yields one dict {(last, sign, key): count} per grade.  `last` is the
     factor id of the last letter (-1 for the identity), `sign` the sign of
     its exponent for a Z letter (0 otherwise), and `key` is threaded along
-    the unit extensions of `iter_words_raw` by key_step(key, letter), which
-    runs once per distinct (key, letter).  The children of a word depend on
-    its state alone, so a grade costs its number of states, not its number
-    of words.  States appear in the order of their first word in the
-    unsorted enumeration.
+    appended unit letters by key_step(key, letter), which runs once per
+    distinct (key, letter).  The children of a word depend on its state
+    alone, so a grade costs its number of states, not its number of words.
+    States appear in the order of their first word in the append walk: each
+    word of a grade in turn takes z_i^{+1}, z_i^{-1} for each i (after z_i,
+    only the sign that grows it), then each finite letter of another factor.
     """
     r = sig.r
     finite = [(r + j, [(r + j, g) for g in range(len(tab)) if g != ident])

@@ -28,7 +28,6 @@ from nodalcover.groups import (
     _inv_letters,
     cyclic_group,
     fp_normalize,
-    iter_words_raw,
     symmetric_group,
 )
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep, solve_intertwining
@@ -207,6 +206,48 @@ def s3_rep_2dim(field=F7):
     return ContinuousRep.build(pres, field, [z], (S3,), (hom,))
 
 
+def append_walk(sig: FPSignature, max_len: int, carry_init=None, carry_step=None):
+    """Oracle enumeration by unit extension, graded but unsorted.
+
+    Yields (letters, alpha_coords, carry).  Every normal form of length n+1
+    is reached exactly once by a unit extension of its length-n prefix, and
+    carry(x a) = carry_step(carry(x), a) threads along the appended letters.
+    `iter_words_raw` yields the same words sorted per grade."""
+    r = sig.r
+    tables, idents = sig._tables, sig._idents
+    grade: list[tuple] = [((), sig.identity_tuple(), carry_init)]
+    yield from grade
+    # per finite factor: its letter id, table, and (letter, element) extensions
+    finite = [(r + j, j, tab, [((r + j, g), g) for g in range(len(tab)) if g != idents[j]])
+              for j, tab in enumerate(tables)]
+    for _ in range(max_len):
+        nxt: list[tuple] = []
+        for letters, al, carry in grade:
+            last = letters[-1][0] if letters else -1
+            for i in range(r):
+                if last == i:
+                    e = letters[-1][1]
+                    d = 1 if e > 0 else -1
+                    child = letters[:-1] + ((i, e + d),)
+                    c2 = carry_step(carry, (i, d)) if carry_step else None
+                    nxt.append((child, al, c2))
+                else:
+                    for d in (1, -1):
+                        child = letters + ((i, d),)
+                        c2 = carry_step(carry, (i, d)) if carry_step else None
+                        nxt.append((child, al, c2))
+            for fid, j, tab, ext in finite:
+                if last == fid:
+                    continue
+                row = tab[al[j]]
+                head, tail = al[:j], al[j + 1:]
+                for letter, g in ext:
+                    c2 = carry_step(carry, letter) if carry_step else None
+                    nxt.append((letters + (letter,), head + (row[g],) + tail, c2))
+        yield from nxt
+        grade = nxt
+
+
 def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
     """Per-word collapse of an inflated datum: every normal form up to max_len
     is enumerated with its twist and quotient image, and its twist compared
@@ -226,8 +267,8 @@ def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
         qv, mat = carry
         return (G.table[qv][fq.q_letter(letter)], c.letter_twist(letter) * mat)
 
-    for letters, _, (qv, mat) in iter_words_raw(
-            sig, max_len, carry_init=start, carry_step=step, sorted_grades=False):
+    for letters, _, (qv, mat) in append_walk(
+            sig, max_len, carry_init=start, carry_step=step):
         checked += 1
         if slots[qv] is None:
             slots[qv] = mat
@@ -261,7 +302,7 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
     stabilizers = [(j, r + j, [(g, ((r + j, g),)) for g in sig.factor(j).nonidentity()])
                    for j in range(sig.num_factors)]
     kernel_words = components = checks = 0
-    for s, al, _ in iter_words_raw(sig, max_len, sorted_grades=False):
+    for s, al, _ in append_walk(sig, max_len):
         if s and al == ident:
             kernel_words += 1
         s_inv = _inv_letters(sig, s)

@@ -36,7 +36,6 @@ from nodalcover.groups import (
     cyclic_group,
     enumerate_words,
     fp_normalize,
-    iter_words_raw,
     symmetric_group,
     trivial_group,
 )
@@ -50,6 +49,7 @@ from nodalcover.reps import (
 
 from helpers import (
     F3,
+    append_walk,
     descend_inflation_oracle,
     eval_word,
     gen_length,
@@ -175,6 +175,19 @@ def test_twist_memo_matches_word_evaluation(data):
         assert datum.twist(w) == eval_word(rep, w.inv())
     with pytest.raises(SignatureMismatch):
         datum.twist(fp_normalize(FPSignature(r + 1, (Z2,)), [(r, 1)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_twist_map_matches_the_prefix_memo(data):
+    """twist_map builds H(a x) = H(x) H(a) from the front letter and `twist`
+    builds H(u a) = H(a) H(u) from the longest memoised prefix: opposite
+    recurrences that must give the same matrix on every word."""
+    rep = draw_rep(data)
+    datum = datum_from_rep(rep)
+    H = datum.twist_map(data.draw(st.integers(0, 3)))
+    for letters, mat in H.items():
+        assert mat == datum.twist(FPWord(rep.sig, letters))
 
 
 def test_integralize_computes_each_lattice_once(monkeypatch):
@@ -805,9 +818,8 @@ def first_word_edges(fq, max_len):
         qv = carry[1]
         return (qv, letter), G.table[qv][fq.q_letter(letter)]
 
-    edges = (edge for letters, _, (edge, _) in iter_words_raw(
-        fq.sig, max_len, carry_init=(None, G.identity), carry_step=step,
-        sorted_grades=False) if letters)
+    edges = (edge for letters, _, (edge, _) in append_walk(
+        fq.sig, max_len, carry_init=(None, G.identity), carry_step=step) if letters)
     return list(dict.fromkeys(edges))
 
 

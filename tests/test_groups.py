@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover.errors import BadElementIndex, BadFactorIndex, SignatureMismatch
 from nodalcover.groups import (
@@ -32,7 +32,7 @@ from nodalcover.groups import (
     trivial_group,
 )
 
-from helpers import gen_length, random_word
+from helpers import append_walk, gen_length, random_word
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -377,7 +377,7 @@ small_signatures = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(small_signatures, st.integers(0, 3))
 def test_sorted_grades_are_shortlex_sorted_enumeration(sig, L):
-    unsorted = list(iter_words_raw(sig, L, sorted_grades=False))
+    unsorted = list(append_walk(sig, L))
     words = [letters for letters, _, _ in unsorted]
     ordered = [letters for letters, _, _ in iter_words_raw(sig, L)]
     assert ordered == sorted(words, key=lambda w: shortlex_key(sig, w))
@@ -395,6 +395,38 @@ def test_sorted_grades_are_shortlex_sorted_enumeration(sig, L):
             for x in units:
                 product = _concat(sig, w, (x,))
                 assert product == _normalize_letters(sig, w + (x,)) and product in seen
+
+
+shortlex_signatures = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.sampled_from([cyclic_group(n) for n in range(1, 5)] + [S3]), max_size=2),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shortlex_signatures, st.integers(0, 5))
+def test_prepend_walk_is_the_sorted_append_walk(sig, L):
+    """iter_words_raw builds each grade already sorted: it equals the append
+    walk sorted per grade by shortlex_key, letters and alpha both, and a
+    carry that prepends each unit letter rebuilds every word."""
+    states = iter_grade_states(sig, L, None, lambda key, letter: None)
+    assume(sum(sum(grade.values()) for grade in states) <= 20000)
+    expected = sorted(((letters, al) for letters, al, _ in append_walk(sig, L)),
+                      key=lambda entry: shortlex_key(sig, entry[0]))
+    walk = list(iter_words_raw(sig, L, (), lambda c, u: (u,) + c))
+    assert [(letters, al) for letters, al, _ in walk] == expected
+    for letters, _, built in walk:
+        assert _normalize_letters(sig, built) == letters
+
+
+def test_unsorted_grades_are_rejected():
+    with pytest.raises(ValueError):
+        next(iter_words_raw(SIG, 2, sorted_grades=False))
+
+
+def test_kernel_words_start_at_once_under_a_huge_bound():
+    """Grades are built one at a time, so nothing up front grows with the bound."""
+    assert next(kernel_words(SIG, 10**9)) == next(kernel_words(SIG, 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -424,7 +456,7 @@ def test_grade_states_count_the_enumeration_by_alpha(sig, L):
 
     grades = list(iter_grade_states(sig, L, sig.identity_tuple(), alpha_step))
     expected = [Counter() for _ in range(L + 1)]
-    for letters, al, _ in iter_words_raw(sig, L, sorted_grades=False):
+    for letters, al, _ in append_walk(sig, L):
         fid, v = letters[-1] if letters else (-1, 0)
         sign = (1 if v > 0 else -1) if 0 <= fid < r else 0
         expected[gen_length(r, letters)][fid, sign, al] += 1

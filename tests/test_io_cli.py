@@ -364,6 +364,20 @@ def test_cli_free_work_does_not_grow_with_max_len():
         sum(t - e for t, e in zip(total[:7], ending[:7]))
 
 
+def test_cli_domain_work_does_not_grow_with_max_len():
+    """The first kernel word is found in the first grades and the coverage
+    targets stop at length 4, so a bound of 10^7 costs what 4 does."""
+    code, out, _ = run_cli("--format", "json", "--max-len", "10000000",
+                           "domain", "rank1_rep.json", timeout=10)
+    assert code == 0
+    payload = json.loads(out)
+    small = json.loads(run_cli("--format", "json", "--max-len", "4",
+                               "domain", "rank1_rep.json")[1])
+    assert payload.pop("config")["max_len"] == 10000000
+    small.pop("config")
+    assert payload == small
+
+
 def test_cli_descend_json_deterministic():
     args = ("--format", "json", "--max-len", "4", "descend", "rank2_rep.json")
     first = run_cli(*args)
