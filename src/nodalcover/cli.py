@@ -32,21 +32,25 @@ from .errors import (
 )
 from .field import check_characteristic
 from .groups import kernel_words, parse_word
-from .hopf import QuotientTower, function_hopf, tower_hull
+from .hopf import HopfAlgebra, QuotientTower, tower_hull
 from .specialize import commuting_square_check
 from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
 
 
+DEFAULT_PRIME = 3
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    prime: int
+    prime: int | None  # None when --prime is not given: reports echo the default
     max_len: int
     seed: int
     out_format: str
 
     def __post_init__(self):
         try:
-            check_characteristic(self.prime)
+            if self.prime is not None:
+                check_characteristic(self.prime)
         except ValueError as exc:
             raise SpecParseError(f"--prime: {exc}") from None
         if self.max_len < 2:
@@ -55,7 +59,16 @@ class RunConfig:
             raise SpecParseError("--format must be text or json")
 
     def header(self) -> dict:
-        return {"prime": self.prime, "max_len": self.max_len, "seed": self.seed}
+        return {"prime": self.field_prime, "max_len": self.max_len, "seed": self.seed}
+
+    @property
+    def field_prime(self) -> int:
+        return DEFAULT_PRIME if self.prime is None else self.prime
+
+    def check_spec_prime(self, p: int, path: str) -> None:
+        """A spec carries its own characteristic; an explicit --prime must agree."""
+        if self.prime is not None and self.prime != p:
+            raise SpecParseError(f"--prime {self.prime} conflicts with p = {p} in {path}")
 
 
 def _emit(cfg: RunConfig, report: dict, ok: bool) -> int:
@@ -93,6 +106,12 @@ def _base_dir(path: str) -> Path:
     return Path(path).resolve().parent
 
 
+def _load_rep(path: str, cfg: RunConfig):
+    rep = spec_io.load_rep(path, _base_dir(path))
+    cfg.check_spec_prime(rep.field.p, path)
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -115,7 +134,7 @@ def cmd_pi1(args, cfg: RunConfig) -> int:
 
 
 def cmd_cover(args, cfg: RunConfig) -> int:
-    rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
+    rep = _load_rep(args.rep, cfg)
     cover = build_finite_cover(rep)
     report = {
         "command": "cover",
@@ -128,7 +147,7 @@ def cmd_cover(args, cfg: RunConfig) -> int:
 
 
 def cmd_free(args, cfg: RunConfig) -> int:
-    rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
+    rep = _load_rep(args.rep, cfg)
     rpt = certify_free_action(rep.sig, cfg.max_len)
     report = {
         "command": "free",
@@ -145,7 +164,7 @@ def cmd_free(args, cfg: RunConfig) -> int:
 
 
 def cmd_domain(args, cfg: RunConfig) -> int:
-    rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
+    rep = _load_rep(args.rep, cfg)
     sig = rep.sig
     if args.word:
         try:
@@ -179,7 +198,7 @@ def cmd_domain(args, cfg: RunConfig) -> int:
 
 
 def cmd_descend(args, cfg: RunConfig) -> int:
-    rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
+    rep = _load_rep(args.rep, cfg)
     datum = datum_from_rep(rep)
     cert = check_cocycle(datum, min(cfg.max_len, 4))
     end_basis = hom_cocycle(datum, datum)
@@ -209,11 +228,10 @@ def cmd_descend(args, cfg: RunConfig) -> int:
 
 
 def cmd_strat(args, cfg: RunConfig) -> int:
-    base = _base_dir(args.rep1)
-    rep1 = spec_io.load_rep(args.rep1, base)
+    rep1 = _load_rep(args.rep1, cfg)
     mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
     if args.action == "hom":
-        rep2 = spec_io.load_rep(args.rep2, _base_dir(args.rep2)) if args.rep2 else rep1
+        rep2 = _load_rep(args.rep2, cfg) if args.rep2 else rep1
         hb = hom_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode),
                       max_len=cfg.max_len)
         report = {
@@ -226,7 +244,7 @@ def cmd_strat(args, cfg: RunConfig) -> int:
         return _emit(cfg, report, True)
     if not args.rep2:
         raise SpecParseError("strat tensor needs two rep files")
-    rep2 = spec_io.load_rep(args.rep2, _base_dir(args.rep2))
+    rep2 = _load_rep(args.rep2, cfg)
     tensored, cert = tensor_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
     report = {
         "command": "strat tensor",
@@ -241,6 +259,7 @@ def cmd_strat(args, cfg: RunConfig) -> int:
 def cmd_square(args, cfg: RunConfig) -> int:
     curve = spec_io.load_curve(args.curve, _base_dir(args.curve))
     fq = spec_io.load_fq(args.fq, curve, _base_dir(args.fq))
+    cfg.check_spec_prime(fq.field.p, args.fq)
     pres = pi1_presentation(curve)
     try:
         cert = commuting_square_check(fq, pres, max_len=cfg.max_len)
@@ -262,10 +281,10 @@ def cmd_square(args, cfg: RunConfig) -> int:
 def cmd_hull(args, cfg: RunConfig) -> int:
     from .field import FunctionField
 
-    base_field = FunctionField(cfg.prime)
+    base_field = FunctionField(cfg.field_prime)
     if len(args.groups) == 1 and not args.tower:
         G = spec_io.load_group(args.groups[0], _base_dir(args.groups[0]))
-        algebra = function_hopf(G, base_field)
+        algebra = HopfAlgebra(G, base_field)
         info = algebra.verify_axioms()
         report = {
             "command": "hull",
@@ -300,7 +319,7 @@ def cmd_hull(args, cfg: RunConfig) -> int:
 def cmd_rep(args, cfg: RunConfig) -> int:
     if args.action != "check":
         raise SpecParseError(f"unknown rep action {args.action!r}")
-    rep = spec_io.load_rep(args.rep, _base_dir(args.rep))
+    rep = _load_rep(args.rep, cfg)
     datum = datum_from_rep(rep)
     end = hom_cocycle(datum, datum)
     report = {
@@ -347,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nodalcover",
         description="Exact covering-space combinatorics and descent data for nodal curves.")
-    ap.add_argument("--prime", type=int, default=3, help="coefficient characteristic")
+    ap.add_argument("--prime", type=int,
+                    help=f"coefficient characteristic (default {DEFAULT_PRIME}); "
+                         "a rep or quotient spec's p must equal it when given")
     ap.add_argument("--max-len", type=int, default=6, dest="max_len",
                     help="word-length truncation recorded in every certificate")
     ap.add_argument("--seed", type=int, default=42,

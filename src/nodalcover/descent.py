@@ -286,21 +286,18 @@ class LatticeAssignment:
         return dst.inverse() * self.cocycle.twist(w) * src
 
 
-def is_integral_matrix(M: MatrixK) -> bool:
-    return all(e.valuation() >= 0 for row in M.entries for e in row)
-
-
-def is_unimodular_matrix(M: MatrixK) -> bool:
-    return is_integral_matrix(M) and M.det().valuation() == 0
-
-
 def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
     """Pick the standard lattice on one representative per component orbit and
     transport it along the kernel action; freeness makes this conflict-free.
 
     The returned assignment is verified: transporting by any enumerated kernel
-    word maps each orbit representative's lattice onto the lattice stored at
-    the moved component, through an integral matrix with integral inverse.
+    word w maps each orbit representative c0's lattice onto the lattice stored
+    at the moved component c0 w, compared through their Hermite forms.  That
+    one comparison also proves the basis change `integral_twist(w, c0)` =
+    B(c0 w)^{-1} H(w) B(c0) lies in GL_n(A): `lattice_hermite` is a complete
+    invariant, so equal forms give H(w) B(c0) A^n = B(c0 w) A^n, hence the
+    basis change maps A^n onto A^n; its columns are then integral, and so
+    are its inverse's, since the inverse maps A^n onto A^n too.
     """
     if c.scope != KERNEL:
         raise ScopeMismatch("integral transport works over the kernel scope")
@@ -317,10 +314,6 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
         base = assignment.lattice_of(c0)
         for w in kernel:
             moved = component_action(w, c0)
-            k = assignment.integral_twist(w, c0)
-            if not is_unimodular_matrix(k):
-                raise TransportConflict(
-                    f"transport by {w} from {c0} is not an integral isomorphism")
             if lattice_hermite(c.twist(w) * base.basis) != assignment.lattice_of(moved):
                 raise TransportConflict(
                     f"transported lattice disagrees at {moved}")

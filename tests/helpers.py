@@ -13,8 +13,10 @@ from nodalcover.covering import (
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
 from nodalcover.descent import FiniteCocycle
 from nodalcover.errors import (
+    AxiomViolation,
     FreenessViolation,
     KernelNotTrivial,
+    NonInjectiveDual,
     PresentationMismatch,
     SignatureMismatch,
     SingularBasis,
@@ -30,6 +32,7 @@ from nodalcover.groups import (
     fp_normalize,
     symmetric_group,
 )
+from nodalcover.hopf import HopfAlgebra, QuotientTower, TowerReport
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep, solve_intertwining
 
 F3 = FunctionField(3)
@@ -173,6 +176,15 @@ def smith_exponents(M: MatrixK) -> tuple[int, ...]:
                     a[i][j] = a[i][j] - f * a[i][k]
         exps.append(int(bestv))
     return tuple(sorted(exps))
+
+
+def is_integral_matrix(M: MatrixK) -> bool:
+    return all(e.valuation() >= 0 for row in M.entries for e in row)
+
+
+def is_unimodular_matrix(M: MatrixK) -> bool:
+    """M lies in GL_n(A): integral entries and a unit determinant."""
+    return is_integral_matrix(M) and M.det().valuation() == 0
 
 
 def block_diag(x: MatrixK, y: MatrixK) -> MatrixK:
@@ -335,3 +347,137 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
         witnesses.append(f"g{j + 1}:{G.labels[g]} fixes Y^{j + 1}_e")
     return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",
                           kernel_words, components, checks, tuple(witnesses), True)
+
+
+class DenseHopf(HopfAlgebra):
+    """Oracle for `HopfAlgebra.verify_axioms`: every axiom instance checked by
+    dense coordinate arithmetic on m-tuples and coproduct tensors, where the
+    library reads each axiom off one group law of the table."""
+
+    def zero_vec(self):
+        return (0,) * self.dim
+
+    def unit(self):
+        return (1,) * self.dim
+
+    def add(self, v, w):
+        return tuple(self.base.cadd(a, b) for a, b in zip(v, w))
+
+    def mult(self, v, w):
+        return tuple(self.base.cmul(a, b) for a, b in zip(v, w))
+
+    def counit(self, v):
+        return v[self.group.identity]
+
+    def tensor_mult(self, s, t):
+        out = {}
+        for (a, b), c1 in s.items():
+            c2 = t.get((a, b))
+            if c2:
+                prod = self.base.cmul(c1, c2)
+                if prod:
+                    out[(a, b)] = prod
+        return out
+
+    def _comult_leg(self, t, leg: int, cops: list) -> dict:
+        """(Delta (x) id) t for leg 0, (id (x) Delta) t for leg 1; cops[g] is Delta(e_g)."""
+        out: dict = {}
+        for (a, b), c in t.items():
+            inner = cops[a if leg == 0 else b]
+            for (x, y), d in inner.items():
+                key = (x, y, b) if leg == 0 else (a, x, y)
+                val = self.base.cmul(c, d)
+                acc = self.base.cadd(out.get(key, 0), val)
+                if acc:
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
+        return out
+
+    def verify_axioms(self) -> dict:
+        G = self.group
+        checks = 0
+        basis = [self.basis_vec(g) for g in range(self.dim)]
+        cops = [self.comult(eg) for eg in basis]
+        for g, (eg, dg) in enumerate(zip(basis, cops)):
+            if self._comult_leg(dg, 0, cops) != self._comult_leg(dg, 1, cops):
+                raise AxiomViolation(f"coassociativity fails at basis element {g}")
+            left = self.zero_vec()
+            right = self.zero_vec()
+            for (h, k), c in dg.items():
+                if h == G.identity:
+                    left = self.add(left, tuple(self.base.cmul(c, x) for x in basis[k]))
+                if k == G.identity:
+                    right = self.add(right, tuple(self.base.cmul(c, x) for x in basis[h]))
+            if left != eg or right != eg:
+                raise AxiomViolation(f"counit law fails at basis element {g}")
+            conv = self.zero_vec()
+            for (h, k), c in dg.items():
+                term = self.mult(self.antipode(basis[h]), basis[k])
+                conv = self.add(conv, tuple(self.base.cmul(c, x) for x in term))
+            target = tuple(self.base.cmul(self.counit(eg), x) for x in self.unit())
+            if conv != target:
+                raise AxiomViolation(f"antipode convolution fails at {g}")
+            checks += 3
+        for g in range(self.dim):
+            for h in range(self.dim):
+                lhs = self.comult(self.mult(basis[g], basis[h]))
+                rhs = self.tensor_mult(cops[g], cops[h])
+                if lhs != rhs:
+                    raise AxiomViolation(f"bialgebra compatibility fails at ({g},{h})")
+                checks += 1
+        # 1 = sum_g e_g, so its coproduct is the all-ones tensor, i.e. 1 (x) 1
+        expected = {(h, k): 1 for h in range(self.dim) for k in range(self.dim)}
+        if self.comult(self.unit()) != expected:
+            raise AxiomViolation("coproduct of the unit is not the tensor unit")
+        checks += 1
+        return {"dimension": self.dim, "checks": checks}
+
+
+def dense_tower_hull(tower: QuotientTower, base: FunctionField) -> TowerReport:
+    """Oracle for `tower_hull`: each dual map v -> v o f is checked on every
+    basis vector to be multiplicative and to respect the coproduct, counit,
+    antipode and unit, where the library checks that f is a surjective
+    homomorphism."""
+    algebras = [DenseHopf(G, base) for G in tower.groups]
+    for A in algebras:
+        A.verify_axioms()
+    for i, m in enumerate(tower.maps):
+        Adown, Aup = algebras[i], algebras[i + 1]
+        down, up = tower.groups[i], tower.groups[i + 1]
+        fibers = {g: [h for h in range(up.order) if m[h] == g] for g in range(down.order)}
+        for g, fiber in fibers.items():
+            if not fiber:
+                raise NonInjectiveDual(
+                    f"level {i}: element {down.labels[g]} has no preimage, "
+                    "the transition map is not surjective")
+
+        def dual(vec):
+            return tuple(vec[m[h]] for h in range(up.order))
+
+        for g in range(down.order):
+            for h in range(down.order):
+                lhs = dual(Adown.mult(Adown.basis_vec(g), Adown.basis_vec(h)))
+                rhs = Aup.mult(dual(Adown.basis_vec(g)), dual(Adown.basis_vec(h)))
+                if lhs != rhs:
+                    raise AxiomViolation(f"dual map {i} is not multiplicative")
+            src = Adown.basis_vec(g)
+            lifted = dual(src)
+            rhs_t = {}
+            for (a, b), c in Adown.comult(src).items():
+                for ha in fibers[a]:
+                    for hb in fibers[b]:
+                        acc = base.cadd(rhs_t.get((ha, hb), 0), c)
+                        if acc:
+                            rhs_t[(ha, hb)] = acc
+                        else:
+                            rhs_t.pop((ha, hb), None)
+            if Aup.comult(lifted) != rhs_t:
+                raise AxiomViolation(f"dual map {i} does not respect the coproduct")
+            if Aup.counit(lifted) != Adown.counit(src):
+                raise AxiomViolation(f"dual map {i} does not respect the counit")
+            if dual(Adown.antipode(src)) != Aup.antipode(lifted):
+                raise AxiomViolation(f"dual map {i} does not respect the antipode")
+        if dual(Adown.unit()) != Aup.unit():
+            raise AxiomViolation(f"dual map {i} does not respect the unit")
+    return TowerReport(tuple(G.order for G in tower.groups), True, len(tower.maps))

@@ -18,13 +18,13 @@ from nodalcover.descent import (
     det_valuation_conserved,
     hom_cocycle,
     integralize,
-    is_unimodular_matrix,
 )
 from nodalcover.errors import (
     KernelNotTrivial,
     NodalCoverError,
     ScopeMismatch,
     SignatureMismatch,
+    TransportConflict,
 )
 from nodalcover.field import FunctionField, MatrixK
 from nodalcover.groups import (
@@ -54,6 +54,7 @@ from helpers import (
     eval_word,
     gen_length,
     intertwiners,
+    is_unimodular_matrix,
     random_matrix,
     rank1_rep,
     rank2_rep,
@@ -245,9 +246,11 @@ def r2_rank2_rep():
 
 
 def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
-    """The rep inverts its Z images once, when it is built; after that the
-    only inverses are the destination bases of `integral_twist`, one per
-    (orbit representative, kernel word) pair of the transport check."""
+    """The rep inverts its Z images once, when it is built; after that
+    `integralize` and both hom solves invert nothing: the transport check
+    compares Hermite forms and never builds `integral_twist`, whose
+    destination-basis inverse was once made per (orbit representative,
+    kernel word) pair, 56 at r = 2, L = 3."""
     rep = r2_rank2_rep()
     calls = []
     inverse = MatrixK.inverse
@@ -261,7 +264,8 @@ def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
     assignment = integralize(datum, 3)
     assert len(hom_cocycle(datum, datum_from_rep(rep).restricted(), max_len=3)) >= 1
     assert len(hom_cocycle(datum_from_rep(rep), datum_from_rep(rep))) >= 1
-    assert len(calls) == len(assignment.orbit_reps) * len(kernel_oracle(rep.sig, 3))
+    assert len(assignment.orbit_reps) * len(kernel_oracle(rep.sig, 3)) == 56
+    assert calls == []
 
 
 def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
@@ -562,6 +566,46 @@ def test_integral_twist_matrices_are_unimodular():
         w = kernel[rng.randrange(len(kernel))]
         c = assignment.components[rng.randrange(len(assignment.components))]
         assert is_unimodular_matrix(assignment.integral_twist(w, c))
+
+
+@st.composite
+def transport_reps(draw):
+    """A random rank-2 rep over F_3 with r = 1 or 2 Z images in GL_2(F_3(t))
+    and a two-element factor acting by the swap or trivially."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    r = draw(st.integers(1, 2))
+    sig, pres = sig_with_pres(r, (Z2,))
+    zs = [random_matrix(rng, F3, 2, deg=1, invertible=True) for _ in range(r)]
+    g = draw(st.sampled_from([MatrixK.identity(F3, 2),
+                              MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]])]))
+    return ContinuousRep.build(pres, F3, zs, (Z2,), ((MatrixK.identity(F3, 2), g),))
+
+
+@settings(max_examples=25, deadline=None)
+@given(transport_reps())
+def test_lattice_check_implies_unimodular_twists(rep):
+    """Where `integralize`'s Hermite-form check passes, every basis change it
+    vouches for is unimodular, without the check building one."""
+    try:
+        assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
+    except TransportConflict:
+        assume(False)
+    for c0 in assignment.orbit_reps:
+        for w in kernel_oracle(rep.sig, 3):
+            assert is_unimodular_matrix(assignment.integral_twist(w, c0))
+
+
+def test_transport_conflict_from_a_corrupted_identity_twist():
+    """Every kernel word w is its own transport word from an orbit
+    representative, whose own transport word is the empty one, so the check
+    compares the Hermite forms of H(w) B and H(w), with B the lattice basis
+    the empty word's twist gives.  Corrupting a nonempty word changes both
+    sides alike; corrupting H(()) to t I makes B = t I, and the forms differ."""
+    rep = rank2_rep()
+    datum = datum_from_rep(rep).restricted()
+    bad = CorruptedCocycle(datum, FPWord(rep.sig, ()), MatrixK.identity(F3, 2).scale(F3.t()))
+    with pytest.raises(TransportConflict, match=r"^transported lattice disagrees at Y\^1_\[z1\]$"):
+        integralize(bad, 3)
 
 
 def test_det_valuation_conservation():

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcover.errors import NonInjectiveDual, RoundtripFailure
+from nodalcover.errors import AxiomViolation, NonInjectiveDual, RoundtripFailure
 from nodalcover.field import MatrixK
-from nodalcover.groups import cyclic_group, dihedral_group, symmetric_group
+from nodalcover.groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from nodalcover.hopf import (
     HopfAlgebra,
     QuotientTower,
@@ -15,7 +15,7 @@ from nodalcover.hopf import (
 )
 from nodalcover.reps import FiniteQuotientRep
 
-from helpers import F3, sig_with_pres
+from helpers import F3, DenseHopf, dense_tower_hull, sig_with_pres
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -50,7 +50,7 @@ def test_dimension_is_group_order():
 def test_coassociativity_triple_sum_oracle():
     # both triple coproducts of e_g list the factorizations g = a b c
     for G in (S3, cyclic_group(6)):
-        H = function_hopf(G, F3)
+        H = DenseHopf(G, F3)
         cops = [H.comult(H.basis_vec(g)) for g in range(G.order)]
         for g in range(G.order):
             triples = {(a, b, c)
@@ -87,6 +87,89 @@ def test_sparse_comult_equals_dense_definition(case):
     G, v = case
     H = HopfAlgebra(G, F3)
     assert H.comult(v) == dense_comult(H, v)
+
+
+# -- the axioms from the table, against the dense oracle ----------------------------
+
+# The smallest loop that is not a group: an identity and two-sided inverses
+# (every element is its own), but (1 1) 2 = 0 2 = 2 while 1 (1 2) = 1 3 = 4.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def test_non_associative_table_fails_coassociativity():
+    G = FiniteGroup(LOOP5, tuple("01234"), "L5", tuple(range(5)), 0, tuple(range(5)))
+    with pytest.raises(AxiomViolation, match="^coassociativity fails at basis element 2$"):
+        function_hopf(G, F3)
+    with pytest.raises(AxiomViolation):
+        DenseHopf(G, F3).verify_axioms()
+
+
+def test_wrong_inverse_fails_the_antipode_law():
+    G = FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators, Z3.identity, (0, 1, 2))
+    with pytest.raises(AxiomViolation, match="^antipode convolution fails at 1$"):
+        function_hopf(G, F3)
+    with pytest.raises(AxiomViolation):
+        DenseHopf(G, F3).verify_axioms()
+
+
+def test_wrong_identity_fails_the_counit_law():
+    G = FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators, 1, Z3.inverse)
+    with pytest.raises(AxiomViolation, match="^counit law fails at basis element 0$"):
+        function_hopf(G, F3)
+
+
+def relabelled(G, perm):
+    """G transported along the bijection x -> perm[x]: identity and inverses move too."""
+    m = G.order
+    back = [0] * m
+    for x, y in enumerate(perm):
+        back[y] = x
+    table = tuple(tuple(perm[G.table[back[a]][back[b]]] for b in range(m)) for a in range(m))
+    inverse = tuple(perm[G.inverse[back[y]]] for y in range(m))
+    return FiniteGroup(table, tuple(str(i) for i in range(m)), G.name,
+                       tuple(perm[g] for g in G.generators), perm[G.identity], inverse)
+
+
+SMALL_GROUPS = ([cyclic_group(n) for n in range(1, 9)]
+                + [dihedral_group(n) for n in (2, 3, 4)] + [S3])
+
+
+@st.composite
+def small_groups(draw):
+    """A group of order <= 8 under a random labelling, and the same table
+    with two entries swapped (a swap of equal entries leaves it unbroken)."""
+    G = draw(st.sampled_from(SMALL_GROUPS))
+    G = relabelled(G, draw(st.permutations(range(G.order))))
+    m = G.order
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    (a, b), (c, d) = draw(cells), draw(cells)
+    rows = [list(row) for row in G.table]
+    rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
+    broken = FiniteGroup(tuple(map(tuple, rows)), G.labels, G.name, G.generators,
+                         G.identity, G.inverse)
+    return G, broken
+
+
+def verdict(H):
+    try:
+        return H.verify_axioms()
+    except AxiomViolation:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_groups())
+def test_table_check_agrees_with_the_dense_oracle(case):
+    G, broken = case
+    assert verdict(HopfAlgebra(G, F3)) == verdict(DenseHopf(G, F3)) == {
+        "dimension": G.order, "checks": 3 * G.order + G.order ** 2 + 1}
+    # the table check proves a group, and every group passes the dense suite,
+    # so the table check cannot pass where the oracle fails
+    dense = verdict(DenseHopf(broken, F3))
+    table = verdict(HopfAlgebra(broken, F3))
+    assert dense is not None or table is None
+    if table is not None:
+        assert table == dense
 
 
 def test_commutative_always_cocommutative_iff_abelian():
@@ -157,8 +240,28 @@ def test_tower_validation_rejects_non_surjective():
         QuotientTower.build([Z2, Z4], [[0, 1, 1, 0]])
     # an unvalidated tower is caught again by the dual-injectivity check
     tower = QuotientTower((Z4, Z4), (tuple((2 * x) % 4 for x in range(4)),))
-    with pytest.raises(NonInjectiveDual):
+    with pytest.raises(NonInjectiveDual, match="^level 0: element 1 has no preimage"):
         tower_hull(tower, F3)
+    with pytest.raises(NonInjectiveDual):
+        dense_tower_hull(tower, F3)
+
+
+def test_surjective_non_homomorphism_dual_breaks_the_coproduct():
+    """x -> 0, 1, 1, 0 maps Z4 onto Z2 but sends 1 + 1 = 2 to 1, not 1 + 1 = 0."""
+    tower = QuotientTower((Z2, Z4), ((0, 1, 1, 0),))
+    with pytest.raises(AxiomViolation, match=r"^dual map 0 does not respect the coproduct at \(1,1\)$"):
+        tower_hull(tower, F3)
+    with pytest.raises(AxiomViolation, match="^dual map 0 does not respect the coproduct$"):
+        dense_tower_hull(tower, F3)
+
+
+def test_tower_hull_agrees_with_the_dense_oracle():
+    for groups, maps in (
+            ([Z2, Z4, Z8], [[x % 2 for x in range(4)], [x % 4 for x in range(8)]]),
+            ([Z2, S3], [[0, 1, 1, 0, 0, 1]]),  # the sign of a permutation
+            ([Z2, D4], [[0] * 4 + [1] * 4])):  # rotations and reflections
+        tower = QuotientTower.build(groups, maps)
+        assert tower_hull(tower, F3) == dense_tower_hull(tower, F3)
 
 
 def dual_matrix(tower, i):

@@ -418,13 +418,16 @@ def test_cli_hull_tower():
 
 
 def test_cli_hull_at_the_order_budget(tmp_path):
-    """A group at io.MAX_GROUP_ORDER passes its Hopf axiom suite within a
-    minute: the coproduct visits only the support of a vector."""
+    """A group at io.MAX_GROUP_ORDER passes its Hopf axiom suite within ten
+    seconds: the axioms are read off the table by one associativity scan,
+    and all 3m + m^2 + 1 instances are still counted."""
     path = tmp_path / "z120.json"
     path.write_text(json.dumps({"builtin": "cyclic", "n": spec_io.MAX_GROUP_ORDER}))
-    code, out, _ = run_cli("--format", "json", "hull", str(path), timeout=60)
+    code, out, _ = run_cli("--format", "json", "hull", str(path), timeout=10)
     assert code == 0
-    assert json.loads(out)["dimension"] == 120
+    report = json.loads(out)
+    assert report["dimension"] == 120
+    assert report["axiom_checks"] == 3 * 120 + 120 ** 2 + 1
 
 
 def test_cli_rep_check():
@@ -475,6 +478,35 @@ def test_cli_bad_prime_rejected():
     code, _, err = run_cli("--prime", "6", "pi1", "nodal_cubic.json")
     assert code == 2
     assert_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep", "check", "rank1_rep.json"),
+    ("descend", "rank2_rep.json"),
+    ("strat", "tensor", "rank1_rep.json", "rank2_rep.json"),
+    ("square", "s3_2dim.json", "nodal_cubic.json"),
+], ids=["rep-check", "descend", "strat", "square"])
+def test_cli_prime_conflicting_with_a_spec_exits_2(argv):
+    """rank1/rank2 specs carry p = 3 and s3_2dim p = 7: a different --prime
+    is refused rather than echoed beside the spec's own characteristic."""
+    code, out, err = run_cli("--prime", "5", *argv)
+    assert code == 2 and out == ""
+    assert_error_line(err)
+    assert "--prime 5 conflicts with p = " in err
+
+
+def test_cli_prime_default_and_matching_prime_echo_the_same_report():
+    """Without --prime the header still echoes 3, even over a p = 7 spec; an
+    explicit --prime equal to the spec's p is accepted."""
+    default = run_cli("--format", "json", "rep", "check", "rank1_rep.json")
+    explicit = run_cli("--prime", "3", "--format", "json", "rep", "check", "rank1_rep.json")
+    assert default[0] == explicit[0] == 0 and default[1] == explicit[1]
+    assert json.loads(default[1])["config"]["prime"] == 3
+    code, out, _ = run_cli("--format", "json", "square", "s3_2dim.json", "nodal_cubic.json")
+    assert code == 0 and json.loads(out)["config"]["prime"] == 3
+    code, out, _ = run_cli("--prime", "7", "--format", "json",
+                           "square", "s3_2dim.json", "nodal_cubic.json")
+    assert code == 0 and json.loads(out)["config"]["prime"] == 7
 
 
 # A prime far past 2^31: trial division up to its square root would run for
