@@ -9,9 +9,10 @@ from nodalcover.covering import (
     FreenessReport,
     _canon_rep_letters,
     component_action,
+    enumerate_components,
 )
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
-from nodalcover.descent import FiniteCocycle
+from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
 from nodalcover.errors import (
     AxiomViolation,
     FreenessViolation,
@@ -20,8 +21,9 @@ from nodalcover.errors import (
     PresentationMismatch,
     SignatureMismatch,
     SingularBasis,
+    TransportConflict,
 )
-from nodalcover.field import INFINITY, FunctionField, MatrixK
+from nodalcover.field import INFINITY, FunctionField, MatrixK, lattice_hermite
 from nodalcover.groups import (
     FPSignature,
     FPWord,
@@ -30,6 +32,7 @@ from nodalcover.groups import (
     _inv_letters,
     cyclic_group,
     fp_normalize,
+    kernel_words,
     symmetric_group,
 )
 from nodalcover.hopf import HopfAlgebra, QuotientTower, TowerReport
@@ -298,6 +301,28 @@ def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")
     return fin
+
+
+def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
+    """Per-pair transport check: the same assignment as `integralize`, verified
+    by comparing, for each orbit representative c0 and nonidentity kernel word
+    w of length <= min(max_len, 3), the Hermite form of H(w) B(c0) with the
+    lattice stored at c0 w.  The oracle of `integralize`, which reduces every
+    pair to one standard-lattice check per representative."""
+    sig = c.sig
+    comps = enumerate_components(sig, max_len)
+    reps: dict[tuple, ComponentIndex] = {}
+    for ci in comps:
+        reps.setdefault(_orbit_key(sig, ci)[0], ci)
+    assignment = LatticeAssignment(c, max_len, tuple(reps.values()), tuple(comps))
+    kernel = list(kernel_words(sig, min(max_len, 3)))
+    for c0 in assignment.orbit_reps:
+        base = assignment.lattice_of(c0)
+        for w in kernel:
+            moved = component_action(w, c0)
+            if lattice_hermite(c.twist(w) * base.basis) != assignment.lattice_of(moved):
+                raise TransportConflict(f"transported lattice disagrees at {moved}")
+    return assignment
 
 
 def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:

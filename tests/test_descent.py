@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover import covering, descent, field, groups, reps
-from nodalcover.covering import canonical_component
+from nodalcover.covering import canonical_component, component_action
 from nodalcover.descent import (
     CorruptedCocycle,
     FiniteCocycle,
@@ -36,6 +36,7 @@ from nodalcover.groups import (
     cyclic_group,
     enumerate_words,
     fp_normalize,
+    kernel_words,
     symmetric_group,
     trivial_group,
 )
@@ -53,6 +54,7 @@ from helpers import (
     descend_inflation_oracle,
     eval_word,
     gen_length,
+    integralize_pair_oracle,
     intertwiners,
     is_unimodular_matrix,
     random_matrix,
@@ -217,11 +219,10 @@ def test_integralize_computes_each_lattice_once(monkeypatch):
     monkeypatch.setattr(reps, "eval_word", counted_eval)
     monkeypatch.setattr(LatticeAssignment, "lattice_of", recorded_lattice_of)
     assignment = integralize(datum, max_len=3)
-    kernel = kernel_oracle(rep.sig, 3)
-    # one Hermite form per distinct component asked, plus the independent
-    # check of each (orbit representative, kernel word) pair
+    # one Hermite form per distinct component asked: the orbit representatives
     assert len(eval_calls) == 0
-    assert len(hermite_calls) == len(asked) + len(assignment.orbit_reps) * len(kernel)
+    assert asked == set(assignment.orbit_reps)
+    assert len(hermite_calls) == len(asked)
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,9 +249,9 @@ def r2_rank2_rep():
 def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
     """The rep inverts its Z images once, when it is built; after that
     `integralize` and both hom solves invert nothing: the transport check
-    compares Hermite forms and never builds `integral_twist`, whose
-    destination-basis inverse was once made per (orbit representative,
-    kernel word) pair, 56 at r = 2, L = 3."""
+    reads one Hermite form per orbit representative and never builds
+    `integral_twist`, whose destination-basis inverse was once made per
+    (orbit representative, kernel word) pair, 56 at r = 2, L = 3."""
     rep = r2_rank2_rep()
     calls = []
     inverse = MatrixK.inverse
@@ -269,8 +270,9 @@ def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
 
 
 def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
-    """integralize lists the components and the transport-check kernel words
-    (two enumerations); kernel-scope hom_cocycle reads one enumeration."""
+    """integralize lists the components (one enumeration) and checks its
+    orbit representatives without listing kernel words; kernel-scope
+    hom_cocycle reads one enumeration."""
     calls = []
     original = groups.iter_words_raw
 
@@ -282,7 +284,7 @@ def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
         monkeypatch.setattr(module, "iter_words_raw", counted)
     datum = datum_from_rep(rank2_rep()).restricted()
     integralize(datum, max_len=4)
-    assert calls == [4, 3]
+    assert calls == [4]
     calls.clear()
     assert len(hom_cocycle(datum, datum, max_len=4)) >= 1
     assert calls == [4]
@@ -584,8 +586,8 @@ def transport_reps(draw):
 @settings(max_examples=25, deadline=None)
 @given(transport_reps())
 def test_lattice_check_implies_unimodular_twists(rep):
-    """Where `integralize`'s Hermite-form check passes, every basis change it
-    vouches for is unimodular, without the check building one."""
+    """Where `integralize`'s standard-lattice check passes, every basis change
+    it vouches for is unimodular, without the check building one."""
     try:
         assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
     except TransportConflict:
@@ -595,16 +597,80 @@ def test_lattice_check_implies_unimodular_twists(rep):
             assert is_unimodular_matrix(assignment.integral_twist(w, c0))
 
 
+@st.composite
+def two_factor_transport_reps(draw):
+    """A random rank-2 rep over F_3 of Z * [Z2, Z3]: Z to GL_2(F_3(t)), Z2 by
+    the swap, Z3 by a unipotent matrix of order 3."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    Z3 = cyclic_group(3)
+    sig, pres = sig_with_pres(1, (Z2, Z3))
+    z = random_matrix(rng, F3, 2, deg=1, invertible=True)
+    ident = MatrixK.identity(F3, 2)
+    swap = MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]])
+    rot = MatrixK.from_rows(F3, [["0", "2"], ["1", "2"]])
+    return ContinuousRep.build(pres, F3, [z], (Z2, Z3), (
+        (ident, swap), hom_from_generator_images(F3, Z3, [rot], 2)))
+
+
+def transport_passes(check, c) -> bool:
+    try:
+        check(c, 3)
+    except TransportConflict:
+        return False
+    return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(transport_reps() | two_factor_transport_reps(), st.data())
+def test_standard_lattice_check_agrees_with_the_per_pair_oracle(rep, data):
+    """Each kernel word is its own transport word from an orbit representative,
+    and `integralize` raises exactly when the per-pair check does: untouched,
+    with a nonempty kernel word's twist overridden (both sides of each pair
+    change alike), and with the identity twist overridden."""
+    sig = rep.sig
+    datum = datum_from_rep(rep).restricted()
+    kernel = list(kernel_words(sig, 3))
+    assignment = integralize(datum, 3)
+    for c0 in assignment.orbit_reps:
+        for w in kernel:
+            assert assignment.transport_word(component_action(w, c0)).letters == w.letters
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    M = random_matrix(rng, F3, 2, deg=1, invertible=True)
+    at_word = CorruptedCocycle(datum, data.draw(st.sampled_from(kernel)), M)
+    identity = data.draw(st.sampled_from([
+        M, MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]]),
+        MatrixK.identity(F3, 2).scale(F3.t())]))
+    at_identity = CorruptedCocycle(datum, FPWord(sig, ()), identity)
+    for c in (datum, at_word):
+        assert transport_passes(integralize, c)
+        assert transport_passes(integralize_pair_oracle, c)
+    assert (transport_passes(integralize, at_identity)
+            == transport_passes(integralize_pair_oracle, at_identity))
+
+
+def test_standard_lattice_check_runs_without_z_factors():
+    """Over Z2 * Z3 the shortest kernel word is a commutator of length 4, so
+    the per-pair check has no pair at L = 3 and passes a corrupted H(());
+    the standard-lattice check does not need a kernel word to see it."""
+    Z3 = cyclic_group(3)
+    sig, pres = sig_with_pres(0, (Z2, Z3))
+    one = MatrixK.identity(F3, 1)
+    rep = ContinuousRep.build(pres, F3, [], (Z2, Z3), ((one, one), (one, one, one)))
+    bad = CorruptedCocycle(datum_from_rep(rep).restricted(), FPWord(sig, ()), one.scale(F3.t()))
+    assert list(kernel_words(sig, 3)) == []
+    assert transport_passes(integralize_pair_oracle, bad)
+    assert not transport_passes(integralize, bad)
+
+
 def test_transport_conflict_from_a_corrupted_identity_twist():
-    """Every kernel word w is its own transport word from an orbit
-    representative, whose own transport word is the empty one, so the check
-    compares the Hermite forms of H(w) B and H(w), with B the lattice basis
-    the empty word's twist gives.  Corrupting a nonempty word changes both
-    sides alike; corrupting H(()) to t I makes B = t I, and the forms differ."""
+    """An orbit representative's transport word is the empty one, so its
+    lattice basis is the Hermite form of H(()); corrupting H(()) to t I
+    makes it t I, which spans t A^2, not the standard lattice."""
     rep = rank2_rep()
     datum = datum_from_rep(rep).restricted()
     bad = CorruptedCocycle(datum, FPWord(rep.sig, ()), MatrixK.identity(F3, 2).scale(F3.t()))
-    with pytest.raises(TransportConflict, match=r"^transported lattice disagrees at Y\^1_\[z1\]$"):
+    with pytest.raises(TransportConflict, match=r"^lattice at orbit representative Y\^1_\[e\] "
+                                                r"is not the standard lattice$"):
         integralize(bad, 3)
 
 
