@@ -232,8 +232,7 @@ def cmd_strat(args, cfg: RunConfig) -> int:
     mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
     if args.action == "hom":
         rep2 = _load_rep(args.rep2, cfg) if args.rep2 else rep1
-        hb = hom_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode),
-                      max_len=cfg.max_len)
+        hb = hom_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
         report = {
             "command": "strat hom",
             "mode": hb.mode,

@@ -4,8 +4,8 @@ The big covering attached to a rep has fiber the free-product group itself;
 its irreducible components over the j-th curve component are the right
 cosets G_j * s, stored canonically by stripping a leading j-factor letter.
 Deck transformations over the finite cover are right concatenations by
-kernel words of the direct-product quotient; that action on components is
-free, which is what every certificate here witnesses on a truncation.
+kernel words of the direct-product quotient.  That kernel is free (Kurosh),
+generated by `kernel_generators`, and acts freely on components.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .groups import (
     _inv_letters,
     iter_grade_states,
     iter_words_raw,
-    kernel_words,
     shortlex_key,
 )
 from .reps import ContinuousRep
@@ -87,6 +86,38 @@ def sigma_word(sig: FPSignature, coords) -> FPWord:
         if g != G.identity:
             letters.append((sig.r + j, g))
     return FPWord(sig, tuple(letters))
+
+
+def generator_letters(sig: FPSignature) -> list[tuple[int, int]]:
+    """Letters generating the free product: each z_i, then each factor's
+    designated non-identity generators."""
+    return [(i, 1) for i in range(sig.r)] + [
+        (sig.r + j, g) for j, G in enumerate(sig.factors) for g in G.generators
+        if g != G.identity]
+
+
+def kernel_generators(sig: FPSignature) -> list[FPWord]:
+    """Schreier generators sigma(g) x sigma(g alpha(x))^{-1} of ker alpha, for g
+    over the direct product and x over `generator_letters`, without empty
+    words or repeats; each has generator length at most 2N + 1.  The sigma(g)
+    are a right transversal containing the empty word, so these generate ker
+    alpha (Schreier's lemma): a kernel word x_1 ... x_n is the product of the
+    sigma(g_{k-1}) x_k sigma(g_k)^{-1}, g_k = alpha(x_1 ... x_k), along its
+    coset walk, where x_k = z^{-1} gives the inverse of the word at (g_k, z)."""
+    letters = generator_letters(sig)
+    out: dict[tuple, None] = {}
+    for coords in itertools.product(*(range(G.order) for G in sig.factors)):
+        head = sigma_word(sig, coords).letters
+        for fid, v in letters:
+            moved = list(coords)
+            if fid >= sig.r:
+                j = fid - sig.r
+                moved[j] = sig.factor(j).table[coords[j]][v]
+            w = _concat(sig, _concat(sig, head, ((fid, v),)),
+                        _inv_letters(sig, sigma_word(sig, moved).letters))
+            if w:
+                out[w] = None
+    return [FPWord(sig, w) for w in out]
 
 
 def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
@@ -317,21 +348,27 @@ class SeparatingOpen:
     kernel_words_checked: int
     empty_meets: int
     one_sided_meets: int
-    guard_ok: bool
     note: str
 
 
 def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
                          max_len: int = 6) -> SeparatingOpen:
     """Construct a quasi-compact open V with V not inside U and V cap wV
-    inside U for every nonidentity enumerated kernel word w.
+    inside U for every nonidentity kernel word w, and count how the kernel
+    words up to max_len (at least 2) meet V; `certify_free_action`'s state
+    walk counts those words.
 
     Case 1 (some smooth point removed): V is the component through that point
     minus its nodes; translates are disjoint by freeness.  Case 2 (only node
-    lifts removed): V is the union of the two components through one removed
-    node minus the other nodes; each translate meets V in at most one smooth
-    component part, and the double-overlap subcase would force a square root
-    of the identity in the torsion-free kernel, so it must never occur.
+    lifts removed): V is the union of the components c_a and c_b through one
+    removed node lift minus the other nodes, and wV meets V in a smooth part
+    only when w carries one onto the other.  The action keeps the curve
+    component, so that needs c_a.j = c_b.j = j; then c_b w = c_a means
+    w = s_b^{-1} g s_a for some g in G_j, and c_a w = c_b that w is the inverse
+    of such a word: the one-sided meets are the kernel words among these
+    2|G_j| candidates.  No w meets both ways: c_a w^2 = c_a would put w^2 in
+    the stabilizer s_a^{-1} G_j s_a, which meets ker alpha only in 1, and ker
+    alpha is free, hence torsion-free, so w = 1.
     """
     if not U.removed:
         raise NoComplement("the open set is the whole covering")
@@ -341,46 +378,32 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
     if len(smooth) + len(nodes) != len(U.removed):
         raise ValueError("removed classes must be SmoothClass or NodeClass")
 
-    kernel = list(kernel_words(sig, max_len))
+    kernel = certify_free_action(sig, max_len).kernel_words
 
     if smooth:
         cl = smooth[0]
         if cl.coords[cl.j] != sig.factor(cl.j).identity:
             raise ValueError("smooth class coordinates must be trivial at its own factor")
-        s = sigma_word(sig, cl.coords)
-        c = canonical_component(sig, cl.j, s)
-        empty = 0
-        for w in kernel:
-            moved = _canon_rep_letters(sig, c.j, _concat(sig, c.rep.letters, w.letters))
-            if moved == c.rep.letters:
-                raise FreenessViolation("case 1 separating open hit a fixed component")
-            empty += 1
-        return SeparatingOpen(1, (c,), max_len, len(kernel), empty, 0, True,
+        c = canonical_component(sig, cl.j, sigma_word(sig, cl.coords))
+        return SeparatingOpen(1, (c,), max_len, kernel, kernel, 0,
                               "component through the removed smooth point, nodes deleted")
 
     cl = nodes[0]
     nid_info = next((ni for ni in geom.node_info if ni[0] == cl.node_id), None)
     if nid_info is None:
         raise ValueError(f"unknown node {cl.node_id}")
-    nid, ja, jb, z = nid_info
-    u = sigma_word(sig, cl.coords).letters
-    c_a, c_b = geom.lift_sides(nid, ja, jb, z, u)
-    empty = one_sided = 0
-    guard_ok = True
-    for w in kernel:
-        hit_ba = component_action(w, c_b) == c_a
-        hit_ab = component_action(w, c_a) == c_b
-        if hit_ba and hit_ab:
-            guard_ok = False
-            raise FreenessViolation(
-                f"excluded double-overlap subcase fired for w={w}: "
-                "the kernel would contain a square root of the identity")
-        if hit_ba or hit_ab:
-            one_sided += 1
-        else:
-            empty += 1
-    return SeparatingOpen(2, (c_a, c_b), max_len, len(kernel), empty, one_sided,
-                          guard_ok,
+    c_a, c_b = geom.lift_sides(*nid_info, sigma_word(sig, cl.coords).letters)
+    hits = set()
+    if c_a.j == c_b.j:
+        G = sig.factor(c_a.j)
+        for g in range(G.order):
+            g_letters = ((sig.r + c_a.j, g),) if g != G.identity else ()
+            w = _concat(sig, _concat(sig, _inv_letters(sig, c_b.rep.letters), g_letters),
+                        c_a.rep.letters)
+            if w and _alpha_tuple(sig, w) == sig.identity_tuple() \
+                    and shortlex_key(sig, w)[0] <= max_len:
+                hits.update((w, _inv_letters(sig, w)))
+    return SeparatingOpen(2, (c_a, c_b), max_len, kernel, kernel - len(hits), len(hits),
                           "two components through the removed node, other nodes deleted")
 
 
@@ -444,36 +467,22 @@ def fundamental_domain(sig: FPSignature, w: FPWord,
                 core.add(ComponentIndex(
                     j, FPWord(sig, _canon_rep_letters(sig, j, shifted))))
 
+    # a lift reached from both of its sides has both in the core, so it is
+    # never a boundary lift, and each lift is reached at most once per side
     boundary = []
-    seen_lifts: set[tuple[str, tuple]] = set()
     for c in core:
         for nid, ja, jb, z in geom.node_info:
-            if ja == c.j:
-                G = groups[ja]
+            for side, j in ((0, ja), (1, jb)):
+                if j != c.j:
+                    continue
+                G = groups[j]
+                glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
                 for g in range(G.order):
-                    u = _concat(sig, ((sig.r + ja, g),) if g != G.identity else (),
-                                c.rep.letters)
-                    key = (nid, u)
-                    if key in seen_lifts:
-                        continue
-                    seen_lifts.add(key)
-                    a, b = geom.lift_sides(nid, ja, jb, z, u)
-                    if b not in core:
-                        boundary.append((nid, FPWord(sig, u), a, b))
-            if jb == c.j:
-                G = groups[jb]
-                glue_inv = _inv_letters(sig, geom.glue_letters(z))
-                for g in range(G.order):
-                    gl = _concat(sig, ((sig.r + jb, g),) if g != G.identity else (),
-                                 c.rep.letters)
-                    u = _concat(sig, glue_inv, gl)
-                    key = (nid, u)
-                    if key in seen_lifts:
-                        continue
-                    seen_lifts.add(key)
-                    a, b = geom.lift_sides(nid, ja, jb, z, u)
-                    if a not in core:
-                        boundary.append((nid, FPWord(sig, u), b, a))
+                    u = _concat(sig, glue_inv, _concat(
+                        sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters))
+                    outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
+                    if outside not in core:
+                        boundary.append((nid, FPWord(sig, u), c, outside))
 
     core_sorted = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
     boundary_sorted = tuple(sorted(

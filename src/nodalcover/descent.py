@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import ComponentIndex, component_action, enumerate_components
+from .covering import (
+    ComponentIndex,
+    component_action,
+    enumerate_components,
+    generator_letters,
+    kernel_generators,
+)
 from .errors import (
     KernelNotTrivial,
     ScopeMismatch,
@@ -33,7 +39,6 @@ from .groups import (
     _inv_letters,
     iter_grade_states,
     iter_words_raw,
-    kernel_words,
 )
 from .reps import ContinuousRep, solve_intertwining
 
@@ -199,12 +204,11 @@ def check_cocycle(c, max_len: int) -> CocycleCertificate:
                               identity_ok and witness is None, witness)
 
 
-def hom_cocycle(c1, c2, max_len: int = 4) -> list[MatrixK]:
-    """Basis of twisted morphisms: f with twist2(w) f = f twist1(w).
-
-    Over the full deck group the conditions for the generator words suffice
-    (both sides are anti-homomorphisms); over the kernel scope the system is
-    assembled from all enumerated kernel words up to the bound.
+def hom_cocycle(c1, c2) -> list[MatrixK]:
+    """Basis of twisted morphisms: f with twist2(w) f = f twist1(w) for every
+    w in the scope's deck group, exact at every word length.  Both twists are
+    anti-homomorphisms, so the conditions on a generating set suffice: the
+    generator letters over the full scope, `kernel_generators` over the kernel.
     """
     if c1.scope != c2.scope:
         raise ScopeMismatch("twist data over different deck scopes")
@@ -213,19 +217,11 @@ def hom_cocycle(c1, c2, max_len: int = 4) -> list[MatrixK]:
     sig = c1.sig
     if sig != c2.sig:
         raise ScopeMismatch("twist data over different signatures")
-    pairs: list[tuple[MatrixK, MatrixK]] = []
     if c1.scope == FULL:
-        r = sig.r
-        letters = [(i, 1) for i in range(r)]
-        for j in range(sig.num_factors):
-            G = sig.factor(j)
-            letters.extend((r + j, g) for g in G.generators if g != G.identity)
-        for letter in letters:
-            w = FPWord(sig, (letter,))
-            pairs.append((c1.twist(w), c2.twist(w)))
+        words = [FPWord(sig, (letter,)) for letter in generator_letters(sig)]
     else:
-        for w in kernel_words(sig, max_len):
-            pairs.append((c1.twist(w), c2.twist(w)))
+        words = kernel_generators(sig)
+    pairs = [(c1.twist(w), c2.twist(w)) for w in words]
     return solve_intertwining(c1.field, c1.rank, c2.rank, pairs)
 
 
@@ -267,7 +263,11 @@ class LatticeAssignment:
         object.__setattr__(self, "_reps_by_key", by_key)
 
     def transport_word(self, c: ComponentIndex) -> FPWord:
-        """The unique kernel word carrying the orbit representative to c."""
+        """The unique kernel word carrying the orbit representative to c.
+
+        It is c0^{-1} g c with g = alpha(c0)_j alpha(c)_j^{-1} in G_j.  The
+        orbit key fixes alpha off coordinate j, and g fixes coordinate j, so
+        alpha(c0^{-1} g c) = e."""
         sig = self.cocycle.sig
         key, al = _orbit_key(sig, c)
         rep0 = self._reps_by_key.get(key)
@@ -276,13 +276,9 @@ class LatticeAssignment:
         c0, al0 = rep0
         G = sig.factor(c.j)
         g = G.table[al0[c.j]][G.inverse[al[c.j]]]
-        letters = _concat(sig, _concat(
+        return FPWord(sig, _concat(sig, _concat(
             sig, _inv_letters(sig, c0.rep.letters),
-            ((sig.r + c.j, g),) if g != G.identity else ()), c.rep.letters)
-        w = FPWord(sig, letters)
-        if _alpha_tuple(sig, letters) != sig.identity_tuple():
-            raise TransportConflict("transport word escaped the kernel")
-        return w
+            ((sig.r + c.j, g),) if g != G.identity else ()), c.rep.letters))
 
     def lattice_of(self, c: ComponentIndex) -> LatticeK:
         out = self._lattice_cache.get(c)

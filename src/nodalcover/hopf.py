@@ -105,11 +105,9 @@ class HopfAlgebra:
         return True  # pointwise products commute; kept for symmetry with the next
 
     def is_cocommutative(self) -> bool:
-        for g in range(self.dim):
-            dg = self.comult(self.basis_vec(g))
-            if {(k, h): c for (h, k), c in dg.items()} != dg:
-                return False
-        return True
+        """Delta(e_g) is the sum of e_h (x) e_k over hk = g, so it is symmetric
+        for every g exactly when hk = kh for all h, k."""
+        return self.group.is_abelian()
 
 
 def function_hopf(G: FiniteGroup, base: FunctionField | None = None) -> HopfAlgebra:

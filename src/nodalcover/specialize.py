@@ -36,6 +36,8 @@ from .groups import kernel_words
 from .reps import ContinuousRep, FiniteQuotientRep, inflate
 from .stratified import FDividedDatum, S_RELATIVE, fdiv_from_rep
 
+LATTICE_LEN = 3  # integral transport lists the components up to this length
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -65,8 +67,7 @@ class SpecializationResult:
         raise KeyError(name)
 
 
-def sp_pipeline(rep: ContinuousRep, max_len: int = 4,
-                lattice_len: int = 3) -> SpecializationResult:
+def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
     """Run a representation through cover, freeness, domain, twist datum,
     divided sequence, and integral transport, bundling every certificate."""
     sig = rep.sig
@@ -115,12 +116,12 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4,
 
     lattice = None
     try:
-        lattice = integralize(datum.restricted(), max_len=lattice_len)
+        lattice = integralize(datum.restricted(), max_len=LATTICE_LEN)
         certs.append(Certificate(
-            "integral-model", True, lattice_len,
+            "integral-model", True, LATTICE_LEN,
             f"{len(lattice.orbit_reps)} orbits, {len(lattice.components)} components"))
     except TransportConflict as exc:
-        certs.append(Certificate("integral-model", False, lattice_len, str(exc)))
+        certs.append(Certificate("integral-model", False, LATTICE_LEN, str(exc)))
 
     return SpecializationResult(fdiv, cover, None, domain, lattice, tuple(certs))
 

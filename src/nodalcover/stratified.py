@@ -72,7 +72,7 @@ class FdivHomBasis:
         return len(self.basis)
 
 
-def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum, max_len: int = 4) -> FdivHomBasis:
+def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum) -> FdivHomBasis:
     """Morphisms of constant sequences compatible with the transport.
 
     Base-relative mode: chains are constant over K, so the answer is the
@@ -85,7 +85,7 @@ def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum, max_len: int = 4) -> FdivHomB
         raise ModeMismatch("cannot mix transport modes")
     if d1.generator.scope != d2.generator.scope:
         raise ModeMismatch("twist data over different deck scopes")
-    basis = hom_cocycle(d1.generator, d2.generator, max_len=max_len)
+    basis = hom_cocycle(d1.generator, d2.generator)
     if d1.mode == S_RELATIVE:
         return FdivHomBasis(S_RELATIVE, "K", tuple(basis))
     field = d1.field

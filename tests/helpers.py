@@ -6,10 +6,17 @@ import random
 
 from nodalcover.covering import (
     ComponentIndex,
+    CoverGeometry,
     FreenessReport,
+    InvariantOpen,
+    NodeClass,
+    SeparatingOpen,
+    SmoothClass,
     _canon_rep_letters,
+    canonical_component,
     component_action,
     enumerate_components,
+    sigma_word,
 )
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
 from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
@@ -17,6 +24,7 @@ from nodalcover.errors import (
     AxiomViolation,
     FreenessViolation,
     KernelNotTrivial,
+    NoComplement,
     NonInjectiveDual,
     PresentationMismatch,
     SignatureMismatch,
@@ -142,6 +150,92 @@ def intertwiners(r1: ContinuousRep, r2: ContinuousRep) -> list[MatrixK]:
         for g in G.generators:
             gens.append((r1.factor_homs[j][g], r2.factor_homs[j][g]))
     return solve_intertwining(r1.field, r1.rank, r2.rank, gens)
+
+
+def kernel_hom_oracle(c1, c2, max_len: int) -> list[MatrixK]:
+    """Truncated kernel-scope Hom: the intertwining system over every
+    nonidentity kernel word of generator length <= max_len.  The oracle of
+    kernel-scope `hom_cocycle`, which solves on the Schreier generators; the
+    two agree once max_len reaches their length bound 2N + 1."""
+    pairs = [(c1.twist(w), c2.twist(w)) for w in kernel_words(c1.sig, max_len)]
+    return solve_intertwining(c1.field, c1.rank, c2.rank, pairs)
+
+
+def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
+                           max_len: int = 6) -> SeparatingOpen:
+    """Per-word separating open: every nonidentity kernel word up to max_len
+    acts on the open's components, and a word meeting it both ways raises.
+    The oracle of `find_separating_open`, which counts the kernel words by
+    states and its meets from the 2|G_j| candidate words."""
+    if not U.removed:
+        raise NoComplement("the open set is the whole covering")
+    sig = geom.sig
+    smooth = [c for c in U.removed if isinstance(c, SmoothClass)]
+    nodes = [c for c in U.removed if isinstance(c, NodeClass)]
+    kernel = list(kernel_words(sig, max_len))
+    if smooth:
+        cl = smooth[0]
+        c = canonical_component(sig, cl.j, sigma_word(sig, cl.coords))
+        for w in kernel:
+            if component_action(w, c) == c:
+                raise FreenessViolation("case 1 separating open hit a fixed component")
+        return SeparatingOpen(1, (c,), max_len, len(kernel), len(kernel), 0,
+                              "component through the removed smooth point, nodes deleted")
+    nid, ja, jb, z = next(ni for ni in geom.node_info if ni[0] == nodes[0].node_id)
+    c_a, c_b = geom.lift_sides(nid, ja, jb, z, sigma_word(sig, nodes[0].coords).letters)
+    one_sided = 0
+    for w in kernel:
+        hit_ba = component_action(w, c_b) == c_a
+        hit_ab = component_action(w, c_a) == c_b
+        if hit_ba and hit_ab:
+            raise FreenessViolation(f"double overlap at w={w}")
+        one_sided += hit_ba or hit_ab
+    return SeparatingOpen(2, (c_a, c_b), max_len, len(kernel), len(kernel) - one_sided,
+                          one_sided,
+                          "two components through the removed node, other nodes deleted")
+
+
+def reidemeister_factors(sig: FPSignature, w: FPWord) -> list[tuple[tuple, int]]:
+    """Reidemeister's coset walk of w as (Schreier word letters, sign) factors.
+
+    Each z^v syllable is read as |v| letters z^{+-1} and each finite letter
+    as a product of its factor's designated generators; with g the image of
+    the prefix read so far, letter x contributes sigma(g) x sigma(g alpha(x))^{-1},
+    and z^{-1} contributes the inverse of the factor at (g z^{-1}, z).  The
+    product of the factors is w sigma(alpha(w))^{-1}."""
+    r = sig.r
+    spelled: list[tuple[int, int]] = []
+    for fid, v in w.letters:
+        if fid < r:
+            spelled += [(fid, 1 if v > 0 else -1)] * abs(v)
+            continue
+        G = sig.factor(fid - r)
+        path = {G.identity: ()}  # a shortest spelling of each element
+        frontier = [G.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in G.generators:
+                    y = G.table[x][g]
+                    if y not in path:
+                        path[y] = path[x] + (g,)
+                        nxt.append(y)
+            frontier = nxt
+        spelled += [(fid, g) for g in path[v] if g != G.identity]
+    coords = sig.identity_tuple()
+    out = []
+    for fid, v in spelled:
+        if fid < r:
+            head = sigma_word(sig, coords).letters
+            out.append((_concat(sig, _concat(sig, head, ((fid, 1),)),
+                                _inv_letters(sig, head)), v))
+            continue
+        j = fid - r
+        moved = coords[:j] + (sig.factor(j).table[coords[j]][v],) + coords[j + 1:]
+        out.append((_concat(sig, _concat(sig, sigma_word(sig, coords).letters, ((fid, v),)),
+                            _inv_letters(sig, sigma_word(sig, moved).letters)), 1))
+        coords = moved
+    return out
 
 
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,10 @@ from nodalcover.covering import (
     enumerate_components,
     find_separating_open,
     fundamental_domain,
+    kernel_generators,
     sigma_word,
 )
-from nodalcover.curves import pi1_presentation
+from nodalcover.curves import NodalCurve, pi1_presentation
 from nodalcover.errors import FreenessViolation, NoComplement, SignatureMismatch, TrivialW
 from nodalcover.groups import (
     FPSignature,
@@ -30,12 +32,23 @@ from nodalcover.groups import (
     cyclic_group,
     enumerate_words,
     fp_normalize,
+    iter_grade_states,
+    kernel_words,
+    shortlex_key,
     symmetric_group,
     trivial_group,
 )
 from nodalcover.reps import trivial_rep
 
-from helpers import certify_free_oracle, rank1_rep, rank2_rep, random_word, sig_with_pres
+from helpers import (
+    certify_free_oracle,
+    rank1_rep,
+    rank2_rep,
+    random_word,
+    reidemeister_factors,
+    separating_open_oracle,
+    sig_with_pres,
+)
 
 Z1 = trivial_group()
 Z2 = cyclic_group(2)
@@ -156,30 +169,116 @@ def test_case_one_disjoint_translates():
         InvariantOpen((SmoothClass(0, (0, 2), "pt"),)), geom, max_len=4)
     assert out.case == 1
     assert out.one_sided_meets == 0
-    assert out.kernel_words_checked > 0
+    assert out.kernel_words_checked == out.empty_meets > 0
 
 
 def test_case_two_subcases_and_guard():
+    """A tree node joins two curve components, which no kernel word
+    exchanges; the double-overlap subcase is excluded by proof, not checked."""
     geom = _geom()
     out = find_separating_open(
         InvariantOpen((NodeClass("n0", (1, 1)),)), geom, max_len=4)
-    assert out.case == 2 and out.guard_ok
+    assert out.case == 2 and out.one_sided_meets == 0
     assert out.empty_meets + out.one_sided_meets == out.kernel_words_checked
 
 
 def test_self_node_case_two():
+    """The self-node's lift at g joins G s and G z s; the kernel word
+    s^-1 z^-1 s and its inverse are its one-sided meets."""
     rep = rank1_rep()
     pres = rep.presentation
     sig = rep.sig
     geom = CoverGeometry.build(pres, sig)
     out = find_separating_open(
         InvariantOpen((NodeClass("x0", (1,)),)), geom, max_len=4)
-    assert out.case == 2 and out.guard_ok
+    assert out.case == 2 and out.one_sided_meets == 2
+    assert out.empty_meets + out.one_sided_meets == out.kernel_words_checked
 
 
 def test_no_complement():
     with pytest.raises(NoComplement):
         find_separating_open(InvariantOpen(()), _geom(), 4)
+
+
+def test_separating_open_needs_max_len_two():
+    with pytest.raises(ValueError, match="max_len must be at least 2"):
+        find_separating_open(InvariantOpen((NodeClass("n0", (1, 1)),)), _geom(), 1)
+
+
+@st.composite
+def separating_cases(draw):
+    """A chain curve of a signature with r 0-2 and one or two factors, one
+    removed smooth class or node class, and max_len 2-5, lowered while the
+    oracle would walk more than 50,000 words."""
+    r = draw(st.integers(0, 2))
+    groups = draw(st.lists(st.sampled_from([Z2, Z3, S3]), min_size=1, max_size=2))
+    sig = FPSignature(r, tuple(groups))
+    geom = CoverGeometry.for_signature(sig)
+    coords = tuple(draw(st.integers(0, G.order - 1)) for G in groups)
+    node_ids = [ni[0] for ni in geom.node_info]
+    if node_ids and draw(st.integers(0, 3)):  # three node classes in four
+        removed = NodeClass(draw(st.sampled_from(node_ids)), coords)
+    else:
+        j = draw(st.integers(0, len(groups) - 1))
+        removed = SmoothClass(j, coords[:j] + (groups[j].identity,) + coords[j + 1:])
+    L = draw(st.integers(2, 5))
+    while L > 2 and sum(sum(g.values()) for g in iter_grade_states(
+            sig, L, None, lambda key, letter: None)) > 50000:
+        L -= 1
+    return InvariantOpen((removed,)), geom, L
+
+
+@settings(max_examples=100, deadline=None)
+@given(separating_cases())
+def test_separating_open_equals_per_word_oracle(case):
+    U, geom, L = case
+    assert find_separating_open(U, geom, L) == separating_open_oracle(U, geom, L)
+
+
+def test_separating_open_at_length_forty_is_fast():
+    """Criterion 5's case-2 triangle at max_len 40: the count is a state walk
+    and the meets come from 2|G_j| candidate words, so no kernel word is
+    listed."""
+    triangle = NodalCurve.build(
+        [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
+        [("n0", ("C1", "b"), ("C2", "a")),
+         ("n1", ("C2", "b"), ("C3", "a")),
+         ("n2", ("C3", "b"), ("C1", "a"))])
+    pres = pi1_presentation(triangle)
+    geom = CoverGeometry.build(pres, FPSignature(pres.r, (Z2, Z2, Z2)))
+    start = time.perf_counter()
+    out = find_separating_open(InvariantOpen((NodeClass("n1", (1, 0, 1)),)), geom, 40)
+    assert time.perf_counter() - start < 1.0
+    assert out.case == 2
+    assert out.kernel_words_checked == certify_free_action(geom.sig, 40).kernel_words
+
+
+# -- Schreier generators of the kernel ---------------------------------------------------
+
+small_signatures = st.tuples(
+    st.integers(0, 2), st.lists(st.sampled_from([Z2, Z3, S3]), max_size=2),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_signatures)
+def test_kernel_words_are_products_of_schreier_generators(sig):
+    """Every kernel word up to length 4 is the product of the factors of its
+    Reidemeister coset walk, each a Schreier generator, its inverse, or empty;
+    the generators are distinct nonempty kernel words of length <= 2N + 1."""
+    gens = [w.letters for w in kernel_generators(sig)]
+    assert len(set(gens)) == len(gens)
+    for g in gens:
+        assert g and alpha(FPWord(sig, g)).is_identity()
+        assert shortlex_key(sig, g)[0] <= 2 * sig.num_factors + 1
+    gen_set = set(gens)
+    for w in kernel_words(sig, 4):
+        product = FPWord(sig, ())
+        for letters, sign in reidemeister_factors(sig, w):
+            assert not letters or letters in gen_set
+            factor = FPWord(sig, letters)
+            product = product * (factor if sign > 0 else factor.inv())
+        assert product == w
 
 
 # -- fundamental domains ----------------------------------------------------------------

@@ -50,6 +50,7 @@ from nodalcover.reps import (
 
 from helpers import (
     F3,
+    F7,
     append_walk,
     descend_inflation_oracle,
     eval_word,
@@ -57,6 +58,7 @@ from helpers import (
     integralize_pair_oracle,
     intertwiners,
     is_unimodular_matrix,
+    kernel_hom_oracle,
     random_matrix,
     rank1_rep,
     rank2_rep,
@@ -67,6 +69,7 @@ from helpers import (
 )
 
 Z2 = cyclic_group(2)
+Z3 = cyclic_group(3)
 
 
 def kernel_oracle(sig, max_len):
@@ -263,7 +266,7 @@ def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
     monkeypatch.setattr(MatrixK, "inverse", counted)
     datum = datum_from_rep(rep).restricted()
     assignment = integralize(datum, 3)
-    assert len(hom_cocycle(datum, datum_from_rep(rep).restricted(), max_len=3)) >= 1
+    assert len(hom_cocycle(datum, datum_from_rep(rep).restricted())) >= 1
     assert len(hom_cocycle(datum_from_rep(rep), datum_from_rep(rep))) >= 1
     assert len(assignment.orbit_reps) * len(kernel_oracle(rep.sig, 3)) == 56
     assert calls == []
@@ -272,7 +275,7 @@ def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
 def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
     """integralize lists the components (one enumeration) and checks its
     orbit representatives without listing kernel words; kernel-scope
-    hom_cocycle reads one enumeration."""
+    hom_cocycle solves on the Schreier generators and lists no words."""
     calls = []
     original = groups.iter_words_raw
 
@@ -286,8 +289,8 @@ def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
     integralize(datum, max_len=4)
     assert calls == [4]
     calls.clear()
-    assert len(hom_cocycle(datum, datum, max_len=4)) >= 1
-    assert calls == [4]
+    assert len(hom_cocycle(datum, datum)) >= 1
+    assert calls == []
 
 
 def test_corrupted_generator_fails_with_witness():
@@ -523,11 +526,57 @@ def test_hom_dimension_invariant_under_conjugation():
 
 
 def test_kernel_scope_hom_stabilizes():
+    """The Schreier generators of ker alpha have length <= 2N + 1 = 3, so the
+    truncated systems at L = 3 and 4 give the generators' basis."""
     rep = rank1_rep()
     datum = datum_from_rep(rep).restricted()
-    d3 = len(hom_cocycle(datum, datum, max_len=3))
-    d4 = len(hom_cocycle(datum, datum, max_len=4))
-    assert d3 == d4 == 1
+    basis = hom_cocycle(datum, datum)
+    assert len(basis) == 1
+    assert basis == kernel_hom_oracle(datum, datum, 3) == kernel_hom_oracle(datum, datum, 4)
+
+
+@st.composite
+def kernel_hom_pairs(draw):
+    """Two reps of rank 1 or 2 over F_3 or F_7 of Z * [Z2] or Z * [Z2, Z3]:
+    random Z images (constant or of degree 1), Z2 by an involution and Z3 by
+    an element of order dividing 3; the second rep is sometimes the first."""
+    field = draw(st.sampled_from([F3, F7]))
+    groups = draw(st.sampled_from([(Z2,), (Z2, Z3)]))
+    _, pres = sig_with_pres(1, groups)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+
+    def const(rows):
+        return MatrixK(field, tuple(tuple(field.from_int(x) for x in row) for row in rows))
+
+    def rep(n):
+        z = random_matrix(rng, field, n, deg=draw(st.integers(0, 1)), invertible=True)
+        ident = MatrixK.identity(field, n)
+        if n == 1:
+            involutions, order3 = [ident, const([[-1]])], [ident]
+            if field.p == 7:
+                order3.append(const([[2]]))
+        else:
+            involutions = [ident, const([[-1, 0], [0, -1]]), const([[0, 1], [1, 0]])]
+            order3 = [ident, const([[0, -1], [1, -1]])]
+        homs = [(ident, draw(st.sampled_from(involutions)))]
+        if len(groups) == 2:
+            homs.append(hom_from_generator_images(field, Z3, [draw(st.sampled_from(order3))], n))
+        return ContinuousRep.build(pres, field, [z], groups, tuple(homs))
+
+    first = rep(draw(st.integers(1, 2)))
+    second = first if draw(st.booleans()) else rep(draw(st.integers(1, 2)))
+    return first, second
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_hom_pairs())
+def test_kernel_scope_hom_equals_the_truncated_oracle(pair):
+    """Kernel-scope Hom from the Schreier generators is the truncated solve
+    over every kernel word up to their length bound 2N + 1."""
+    a, b = pair
+    c1, c2 = datum_from_rep(a).restricted(), datum_from_rep(b).restricted()
+    L = 2 * a.sig.num_factors + 1
+    assert hom_cocycle(c1, c2) == kernel_hom_oracle(c1, c2, L)
 
 
 # -- integral transport -----------------------------------------------------------------
@@ -634,6 +683,8 @@ def test_standard_lattice_check_agrees_with_the_per_pair_oracle(rep, data):
     for c0 in assignment.orbit_reps:
         for w in kernel:
             assert assignment.transport_word(component_action(w, c0)).letters == w.letters
+    assert all(alpha(assignment.transport_word(c)).is_identity()
+               for c in assignment.components)
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     M = random_matrix(rng, F3, 2, deg=1, invertible=True)
     at_word = CorruptedCocycle(datum, data.draw(st.sampled_from(kernel)), M)
@@ -937,8 +988,11 @@ def first_word_edges(fq, max_len):
 @given(collapse_cases())
 def test_descend_state_walk_equals_per_word_oracle(case):
     """Same verdict as the per-word collapse, with one step per edge taken
-    in the order of the edge's first word."""
+    in the order of the edge's first word.  The oracle's work grows with the
+    number of normal forms, so each example is bounded at 20,000 of them."""
     datum, fq, max_len = case
+    states = groups.iter_grade_states(fq.sig, max_len, None, lambda key, letter: None)
+    assume(sum(sum(grade.values()) for grade in states) <= 20000)
     stepped = []
 
     def spy(sig, max_len, key_init, key_step):

@@ -177,6 +177,9 @@ def test_commutative_always_cocommutative_iff_abelian():
         H = function_hopf(G, F3)
         assert H.is_commutative()
         assert H.is_cocommutative() == abelian
+        # the dense oracle: every coproduct Delta(e_g) is symmetric
+        cops = [H.comult(H.basis_vec(g)) for g in range(G.order)]
+        assert all({(k, h): c for (h, k), c in d.items()} == d for d in cops) == abelian
 
 
 # -- comodules -------------------------------------------------------------------

@@ -23,3 +23,46 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign, foreign
+
+
+
+def module_scope_reads(tree: ast.AST) -> set[str]:
+    """Names read where they resolve to the module scope: a read inside a
+    function that binds the same name (an argument or an assignment anywhere
+    in its body) reads the local, not the import."""
+    reads = set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            local |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id not in local:
+            reads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_package_modules_use_every_name_they_import():
+    """Each name a module imports is read somewhere in that module; the
+    package's `__init__` re-exports its imports and is exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        reads = module_scope_reads(tree)
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in reads]
+    assert not unused, unused
