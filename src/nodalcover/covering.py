@@ -99,11 +99,12 @@ def generator_letters(sig: FPSignature) -> list[tuple[int, int]]:
 def kernel_generators(sig: FPSignature) -> list[FPWord]:
     """Schreier generators sigma(g) x sigma(g alpha(x))^{-1} of ker alpha, for g
     over the direct product and x over `generator_letters`, without empty
-    words or repeats; each has generator length at most 2N + 1.  The sigma(g)
-    are a right transversal containing the empty word, so these generate ker
-    alpha (Schreier's lemma): a kernel word x_1 ... x_n is the product of the
-    sigma(g_{k-1}) x_k sigma(g_k)^{-1}, g_k = alpha(x_1 ... x_k), along its
-    coset walk, where x_k = z^{-1} gives the inverse of the word at (g_k, z)."""
+    words, repeats or inverses of listed words; each has generator length at
+    most 2N + 1.  The sigma(g) are a right transversal containing the empty
+    word, so these generate ker alpha (Schreier's lemma): a kernel word
+    x_1 ... x_n is the product of the sigma(g_{k-1}) x_k sigma(g_k)^{-1},
+    g_k = alpha(x_1 ... x_k), along its coset walk, each a listed word or the
+    inverse of one (x_k = z^{-1} gives the inverse of the word at (g_k, z))."""
     letters = generator_letters(sig)
     out: dict[tuple, None] = {}
     for coords in itertools.product(*(range(G.order) for G in sig.factors)):
@@ -115,7 +116,7 @@ def kernel_generators(sig: FPSignature) -> list[FPWord]:
                 moved[j] = sig.factor(j).table[coords[j]][v]
             w = _concat(sig, _concat(sig, head, ((fid, v),)),
                         _inv_letters(sig, sigma_word(sig, moved).letters))
-            if w:
+            if w and _inv_letters(sig, w) not in out:
                 out[w] = None
     return [FPWord(sig, w) for w in out]
 
@@ -159,21 +160,13 @@ def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
             perm = tuple(
                 index[t[:j] + (G.table[g][t[j]],) + t[j + 1:]] for t in fiber)
             actions.append((f"g{j + 1}:{G.labels[g]}", perm))
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for _, perm in actions:
-                y = perm[x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    deck = 1
-    for G in groups:
-        deck *= G.order
-    return FiniteCover(sig, fiber, tuple(actions), deck, len(seen) == len(fiber))
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for y in {perm[x] for _, perm in actions} - seen:
+            seen.add(y)
+            stack.append(y)
+    return FiniteCover(sig, fiber, tuple(actions), len(fiber), len(seen) == len(fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +408,8 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 class FundamentalDomain:
     """Finite core of a fundamental domain and its boundary lifts.  ``section``
     maps each direct-product element g to the letters of w*sigma(g) and of
-    their inverse, which every coverage witness starts from."""
+    their inverse, which every coverage witness starts from; ``checked`` maps
+    (g, j) to the entry `cover_witness` last proved for factor j."""
 
     sig: FPSignature
     word: FPWord
@@ -423,13 +417,11 @@ class FundamentalDomain:
     boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...]
     geometry_note: str
     section: dict[tuple[int, ...], tuple[tuple, tuple]] = field(repr=False, compare=False)
+    checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size_bound(self) -> int:
-        total = 1
-        for j in range(self.sig.num_factors):
-            total *= self.sig.factor(j).order
-        return self.sig.num_factors * total * (1 + self.sig.r)
+        return self.sig.num_factors * len(self.section) * (1 + self.sig.r)
 
 
 def fundamental_domain(sig: FPSignature, w: FPWord,
@@ -493,9 +485,15 @@ def fundamental_domain(sig: FPSignature, w: FPWord,
 def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     """Explicit kernel word carrying a core component onto the target.
 
-    For the target coset representative s with quotient image g, the word
-    (w sigma(g))^{-1} s lies in the kernel and moves the core component
-    indexed by w sigma(g) onto the target; both facts are asserted."""
+    With s the target's representative, g = alpha(s) and (ws, ws^{-1}) =
+    section[g], the witness is t = ws^{-1} s.  It lies in the kernel iff
+    alpha(t) = alpha(ws^{-1}) g is trivial, i.e. alpha((ws^{-1})^{-1}) = g.  It
+    carries the component of ws onto the target iff canon_j(canon_j(ws) t) =
+    canon_j(c s) equals s, c = canon_j(ws) ws^{-1}: for s without a leading
+    j-letter iff c is empty or one G_j letter, and for s with one never, since
+    canon_j strips it.  Both checks are thus facts of (section entry, j),
+    proved once per (g, j) against the entry object itself, so a replaced
+    entry is proved again."""
     sig = dom.sig
     s = target.rep.letters
     if target.rep.sig is not sig and target.rep.sig != sig:
@@ -503,10 +501,17 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     j = target.j
     if not 0 <= j < sig.num_factors:
         raise SignatureMismatch(f"no finite factor {j}")
-    ws, ws_inv = dom.section[_alpha_tuple(sig, s)]
-    t = _concat(sig, ws_inv, s)
-    if _alpha_tuple(sig, t) != sig.identity_tuple():
-        raise FreenessViolation("coverage witness fell outside the kernel")
-    if _canon_rep_letters(sig, j, _concat(sig, _canon_rep_letters(sig, j, ws), t)) != s:
+    g = _alpha_tuple(sig, s)
+    ws, ws_inv = entry = dom.section[g]
+    fid = sig.r + j
+    acts = dom.checked.get((g, j)) is entry
+    if not acts:
+        if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
+            raise FreenessViolation("coverage witness fell outside the kernel")
+        c = _concat(sig, _canon_rep_letters(sig, j, ws), ws_inv)
+        acts = not c or len(c) == 1 and c[0][0] == fid
+        if acts:
+            dom.checked[(g, j)] = entry
+    if not acts or s and s[0][0] == fid:
         raise FreenessViolation("coverage witness failed to act correctly")
-    return FPWord(sig, t)
+    return FPWord(sig, _concat(sig, ws_inv, s))

@@ -330,7 +330,9 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
 def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
                             c: ComponentIndex) -> bool:
     """v(det H(w)) equals the diagonal-exponent shift between the lattices at
-    c and at c w."""
+    c and at c w.  At an orbit representative c this holds by construction:
+    its lattice is standard, the lattice at c w is the Hermite form of H(w),
+    and Hermite column operations are unimodular."""
     dv = assignment.cocycle.twist(w).det().valuation()
     if dv == INFINITY:
         return False

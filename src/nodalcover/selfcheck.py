@@ -8,6 +8,7 @@ gate cannot drift between the two entry points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -114,28 +115,20 @@ def _dfs_tree_edge_count(curve: NodalCurve) -> int:
         adj[a].append((n.id, b))
         adj[b].append((n.id, a))
     seen = {curve.component_ids[0]}
-    used = 0
     stack = [curve.component_ids[0]]
     while stack:
         v = stack.pop()
         for _, w in adj[v]:
             if w not in seen:
                 seen.add(w)
-                used += 1
                 stack.append(w)
-    return used
+    return len(seen) - 1
 
 
-_GROUP_POOL = None
-
-
+@functools.cache
 def _group_pool():
-    global _GROUP_POOL
-    if _GROUP_POOL is None:
-        _GROUP_POOL = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
-                       cyclic_group(6), cyclic_group(12), symmetric_group(3),
-                       dihedral_group(4)]
-    return _GROUP_POOL
+    return [cyclic_group(2), cyclic_group(3), cyclic_group(4), cyclic_group(6),
+            cyclic_group(12), symmetric_group(3), dihedral_group(4)]
 
 
 def _random_word(rng: random.Random, sig: FPSignature, syllables: int) -> FPWord:

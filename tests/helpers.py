@@ -8,6 +8,7 @@ from nodalcover.covering import (
     ComponentIndex,
     CoverGeometry,
     FreenessReport,
+    FundamentalDomain,
     InvariantOpen,
     NodeClass,
     SeparatingOpen,
@@ -417,6 +418,28 @@ def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
             if lattice_hermite(c.twist(w) * base.basis) != assignment.lattice_of(moved):
                 raise TransportConflict(f"transported lattice disagrees at {moved}")
     return assignment
+
+
+def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
+    """Per-target coverage witness: t = (w sigma(g))^{-1} s for the target's
+    representative s with quotient image g, checked to lie in the kernel by
+    its own alpha and to carry the core component onto the target through the
+    action code path.  The oracle of `cover_witness`, which proves both checks
+    once per (section entry, factor)."""
+    sig = dom.sig
+    s = target.rep.letters
+    if target.rep.sig is not sig and target.rep.sig != sig:
+        raise SignatureMismatch("target over the wrong signature")
+    j = target.j
+    if not 0 <= j < sig.num_factors:
+        raise SignatureMismatch(f"no finite factor {j}")
+    ws, ws_inv = dom.section[_alpha_tuple(sig, s)]
+    t = _concat(sig, ws_inv, s)
+    if _alpha_tuple(sig, t) != sig.identity_tuple():
+        raise FreenessViolation("coverage witness fell outside the kernel")
+    if _canon_rep_letters(sig, j, _concat(sig, _canon_rep_letters(sig, j, ws), t)) != s:
+        raise FreenessViolation("coverage witness failed to act correctly")
+    return FPWord(sig, t)
 
 
 def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:

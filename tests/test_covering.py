@@ -5,9 +5,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover.covering import (
+    ComponentIndex,
     CoverGeometry,
     InvariantOpen,
     NodeClass,
@@ -20,6 +21,7 @@ from nodalcover.covering import (
     enumerate_components,
     find_separating_open,
     fundamental_domain,
+    generator_letters,
     kernel_generators,
     sigma_word,
 )
@@ -33,6 +35,7 @@ from nodalcover.groups import (
     enumerate_words,
     fp_normalize,
     iter_grade_states,
+    iter_words_raw,
     kernel_words,
     shortlex_key,
     symmetric_group,
@@ -42,6 +45,7 @@ from nodalcover.reps import trivial_rep
 
 from helpers import (
     certify_free_oracle,
+    cover_witness_oracle,
     rank1_rep,
     rank2_rep,
     random_word,
@@ -265,18 +269,20 @@ small_signatures = st.tuples(
 def test_kernel_words_are_products_of_schreier_generators(sig):
     """Every kernel word up to length 4 is the product of the factors of its
     Reidemeister coset walk, each a Schreier generator, its inverse, or empty;
-    the generators are distinct nonempty kernel words of length <= 2N + 1."""
+    the generators are distinct nonempty kernel words of length <= 2N + 1, and
+    none is the inverse of another."""
     gens = [w.letters for w in kernel_generators(sig)]
-    assert len(set(gens)) == len(gens)
+    gen_set = set(gens)
+    assert len(gen_set) == len(gens)
     for g in gens:
         assert g and alpha(FPWord(sig, g)).is_identity()
         assert shortlex_key(sig, g)[0] <= 2 * sig.num_factors + 1
-    gen_set = set(gens)
+        assert FPWord(sig, g).inv().letters not in gen_set
     for w in kernel_words(sig, 4):
         product = FPWord(sig, ())
         for letters, sign in reidemeister_factors(sig, w):
-            assert not letters or letters in gen_set
             factor = FPWord(sig, letters)
+            assert not letters or letters in gen_set or factor.inv().letters in gen_set
             product = product * (factor if sign > 0 else factor.inv())
         assert product == w
 
@@ -372,6 +378,75 @@ def test_witness_checks_survive_a_corrupted_section():
         dom.section[coords] = (ws, wrong.inv().letters)
         with pytest.raises(FreenessViolation, match=message):
             cover_witness(dom, target)
+
+
+def test_witness_refuses_a_non_canonical_target():
+    """A representative with a leading j-letter is not canonical for factor j,
+    so no witness carries a core component onto it."""
+    dom = fundamental_domain(SIG, fp_normalize(SIG, [(0, 1)]))
+    target = ComponentIndex(1, FPWord(SIG, ((2, 1), (0, 1))))
+    for witness in (cover_witness, cover_witness_oracle):
+        with pytest.raises(FreenessViolation, match="failed to act correctly"):
+            witness(dom, target)
+    cover_witness(dom, ComponentIndex(0, target.rep))
+
+
+def test_witness_rechecks_a_corrupted_entry_at_every_factor():
+    """An entry proved for two factors is proved again for each of them once
+    the section holds another entry at its coordinates."""
+    w = fp_normalize(SIG, [(0, 1)])
+    s = fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)])
+    targets = [canonical_component(SIG, j, s) for j in range(2)]
+    coords = alpha(s).coords
+    for bad_letter, message in (((1, 1), "fell outside the kernel"),
+                                ((0, 1), "failed to act correctly")):
+        dom = fundamental_domain(SIG, w)
+        for target in targets:
+            cover_witness(dom, target)
+        ws, _ = dom.section[coords]
+        wrong = FPWord(SIG, ws) * fp_normalize(SIG, [bad_letter])
+        dom.section[coords] = (ws, wrong.inv().letters)
+        for target in targets:
+            with pytest.raises(FreenessViolation, match=message):
+                cover_witness(dom, target)
+
+
+def _witness_or_message(witness, dom, target):
+    try:
+        return witness(dom, target)
+    except FreenessViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_signatures, st.data())
+def test_witness_equals_per_target_oracle(sig, data):
+    """For every word s among the first 3,000 normal forms of length <= 4 and
+    every factor j, canonical for j or not, `cover_witness` returns the
+    oracle's word or raises its message, both on the fundamental domain and
+    after one section entry is corrupted."""
+    kernel = list(itertools.islice(kernel_words(sig, 4), 12))
+    assume(sig.num_factors and kernel)
+    dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
+    targets = [ComponentIndex(j, FPWord(sig, letters))
+               for letters, _, _ in itertools.islice(iter_words_raw(sig, 4), 3000)
+               for j in range(sig.num_factors)]
+
+    def agree():
+        for target in targets:
+            assert (_witness_or_message(cover_witness, dom, target)
+                    == _witness_or_message(cover_witness_oracle, dom, target))
+
+    agree()
+    coords = data.draw(st.sampled_from(sorted(dom.section)))
+    bad = FPWord(sig, (data.draw(st.sampled_from(generator_letters(sig))),))
+    ws, ws_inv = (FPWord(sig, letters) for letters in dom.section[coords])
+    dom.section[coords] = data.draw(st.sampled_from([
+        (ws.letters, (ws * bad).inv().letters),
+        (ws.letters, (bad * ws).inv().letters),
+        ((ws * bad).letters, ws_inv.letters),
+    ]))
+    agree()
 
 
 @pytest.mark.parametrize("r, groups, word", [
