@@ -148,6 +148,13 @@ class FiniteCover:
 
 
 def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
+    """The finite cover of `rep`'s signature, which is always transitive.
+
+    Each generator of G_j acts on the fiber G_1 x ... x G_N by left
+    multiplication on coordinate j.  `FiniteGroup.from_table`, which builds
+    every group, refuses designated generators that do not generate the
+    group, so the actions generate G_1 x ... x G_N acting on itself by left
+    multiplication: a regular, hence transitive, action."""
     sig = rep.sig
     groups = [sig.factor(j) for j in range(sig.num_factors)]
     fiber = tuple(itertools.product(*(range(G.order) for G in groups)))
@@ -160,13 +167,7 @@ def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
             perm = tuple(
                 index[t[:j] + (G.table[g][t[j]],) + t[j + 1:]] for t in fiber)
             actions.append((f"g{j + 1}:{G.labels[g]}", perm))
-    seen, stack = {0}, [0]
-    while stack:
-        x = stack.pop()
-        for y in {perm[x] for _, perm in actions} - seen:
-            seen.add(y)
-            stack.append(y)
-    return FiniteCover(sig, fiber, tuple(actions), len(fiber), len(seen) == len(fiber))
+    return FiniteCover(sig, fiber, tuple(actions), len(fiber), True)
 
 
 # ---------------------------------------------------------------------------

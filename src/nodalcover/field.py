@@ -11,7 +11,11 @@ denominators of two or more terms go through the polynomial gcd.
 
 The valuation ring A consists of the elements of nonnegative t-adic
 valuation, i.e. F_p[t] localized at (t); its maximal ideal is generated
-by the uniformizer t.  No floating point is used anywhere.
+by the uniformizer t.  Lattice normal forms (`lattice_hermite`) do no
+rational-function arithmetic: the Hermite form is computed modulo t^N on
+int lists of t-adic coefficients, at a precision N > v(det) that the run
+certifies, and each output entry (a Laurent polynomial) is built directly
+in canonical form.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ INFINITY = math.inf
 # The bound keeps the trial division of check_characteristic under 46,341
 # steps, so a huge --prime or spec "p" is refused at once instead of hanging.
 MAX_CHARACTERISTIC = 2 ** 31
+
+# A literal c*t^k is parsed into k + 1 dense coefficients, and a product of
+# two entries costs about the product of their lengths, so an exponent in a
+# spec is refused past this budget before anything is allocated.
+MAX_LITERAL_DEGREE = 1000
 
 
 def check_characteristic(p: int) -> None:
@@ -407,6 +416,9 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
                 if exp < 0:
                     raise ValueError(
                         f"negative exponent in {raw!r}: put powers of t in the denominator")
+                if exp > MAX_LITERAL_DEGREE:
+                    raise ValueError(f"exponent {exp} in {raw.strip()!r} is above the "
+                                     f"degree budget of {MAX_LITERAL_DEGREE}")
             elif exp_part.strip():
                 raise ValueError(f"cannot parse term {raw!r}")
             c = int(coeff_part) if coeff_part else 1
@@ -679,45 +691,20 @@ def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:
 # t-adic expansions and lattice normal forms
 # ---------------------------------------------------------------------------
 
-def tadic_coefficients(f: RationalFunction, upto: int) -> dict[int, int]:
-    """Coefficients of the t-adic expansion of f for exponents < upto."""
-    if f.is_zero():
-        return {}
-    F = f.field
-    v = f.valuation()
-    if v >= upto:
-        return {}
-    on = _pord(f.num)
-    od = _pord(f.den)
-    n0 = f.num[on:]
-    d0 = f.den[od:]
-    terms = upto - v
-    p = F.p
-    inv0 = pow(d0[0], -1, p)
-    series = []
-    for kk in range(terms):
-        acc = n0[kk] if kk < len(n0) else 0
-        for i in range(1, min(kk, len(d0) - 1) + 1):
-            acc -= d0[i] * series[kk - i]
+def tadic_coefficients(p: int, num, den, terms: int) -> list[int]:
+    """The first `terms` coefficients of the power series num/den over F_p.
+
+    num and den are coefficient sequences (ascending powers) with
+    den[0] != 0, so num/den lies in the valuation ring."""
+    inv0 = pow(den[0], -1, p)
+    top = len(den) - 1
+    series: list[int] = []
+    for k in range(terms):
+        acc = num[k] if k < len(num) else 0
+        for i in range(1, min(k, top) + 1):
+            acc -= den[i] * series[k - i]
         series.append(acc * inv0 % p)
-    return {v + i: c for i, c in enumerate(series) if c}
-
-
-def _residue_mod_tpow(f: RationalFunction, d: int) -> RationalFunction:
-    """Canonical representative of f modulo t^d * A: the Laurent tail of the
-    expansion below exponent d."""
-    F = f.field
-    coeffs = tadic_coefficients(f, d)
-    if not coeffs:
-        return F.zero()
-    lo = min(coeffs)
-    poly = [0] * (max(coeffs) - lo + 1)
-    for k, c in coeffs.items():
-        poly[k - lo] = c
-    num = _pnorm(tuple(poly))
-    if lo >= 0:
-        return F.rf((0,) * lo + num)
-    return _make_rf(F, num, (0,) * (-lo) + (1,))
+    return series
 
 
 @dataclass(frozen=True)
@@ -736,47 +723,151 @@ class LatticeK:
 def lattice_hermite(basis: MatrixK) -> LatticeK:
     """Canonical form of the column lattice of an invertible matrix.
 
-    Column operations over the valuation ring only: the result is upper
-    triangular with diagonal t^{d_i} and the entry (i, j), j > i, reduced to
-    the canonical residue modulo t^{d_i} * A.  Two bases span the same
-    lattice exactly when their canonical forms coincide.
+    The result is upper triangular with diagonal t^{d_i}, and its entry
+    (i, j), j > i, is the canonical residue modulo t^{d_i} A: a Laurent
+    polynomial with exponents below d_i.  Column operations over A preserve
+    the lattice, and the form is unique, so two bases span the same lattice
+    exactly when their canonical forms coincide.
+
+    It is the Hermite form modulo the determinant (Domich, Kannan and
+    Trotter 1987) on int lists mod p.  Let m be the least valuation of an
+    entry; B' = t^-m B has entries in A, L' = B' A^n and delta' = v(det B').
+    Each entry of B' is expanded mod t^N (`tadic_coefficients`), and
+    `_hermite_mod_tpow` runs the bottom-up elimination with valuation pivots
+    and then the off-diagonal reduction, each column operation exact on the
+    current polynomial matrix C followed by truncation mod t^N.
+
+    Precision: a run certifies itself exactly when N > delta'.  Unimodular
+    column operations and changes by t^N M_n(A) keep M = C A^n + t^N A^n
+    fixed, and at the start M = L' + t^N A^n.  Adding t^N A^n to a lattice
+    with elementary divisors t^{a_k} gives index sum_k min(a_k, N), which is
+    below N only when every a_k < N, and then adds nothing.  (1) Let every
+    pivot be seen with D = sum d_i < N.  The triangular C with diagonal
+    t^{d_i} contains t^D A^n (C adj(C) = t^D I), so M = C A^n has index
+    D < N; then L' = M, and the result is the form of L' with D = delta'.
+    (2) Let N > delta', so M = L' has index delta' < N.  A pivot zero mod
+    t^N at row i would leave rows >= i of M spanned by n - i - 1 columns
+    and t^N A^{n-i}, of index >= N; so every pivot is seen, and the count
+    applied to C A^n gives D = delta' < N.  N starts at 1, and after a run
+    that does not certify it doubles, or becomes D + 1 if that is more.
+    Output entries are t^m times polynomials, built in canonical form with
+    denominator 1 or t^k, without Euclid.  A 1 x 1 basis costs one
+    valuation.
+
+    Singular input.  Write b'_ij = n_ij / e_ij with e_ij(0) != 0, and clear
+    each row's denominators: P_ij = n_ij prod_{k != j} e_ik.  Then
+    det(P) = det(B') prod_ik e_ik, whose second factor is a unit, so a
+    nonzero det(P) gives delta' <= deg det P <= bound = sum_i max_j deg P_ij.
+    A run with N > bound that does not certify therefore proves det B = 0,
+    and `SingularBasis` is raised; N never grows past bound + 1.
     """
     if basis.rows != basis.cols:
         raise SingularBasis("lattice bases must be square")
     F = basis.field
-    n = basis.rows
-    cols = [[basis.entries[i][j] for i in range(n)] for j in range(n)]
-
-    def val(c, i):
-        return cols[c][i].valuation()
-
-    for i in range(n - 1, -1, -1):
-        best, bestv = None, INFINITY
-        for c in range(i + 1):
-            v = val(c, i)
-            if v < bestv:
-                best, bestv = c, v
-        if best is None or bestv == INFINITY:
+    n, p = basis.rows, F.p
+    if n == 1:
+        v = basis.entries[0][0].valuation()
+        if v == INFINITY:
             raise SingularBasis("basis is singular over K")
-        cols[best], cols[i] = cols[i], cols[best]
-        d = int(bestv)
-        unit_inv = (F.t_power(d) / cols[i][i])
-        cols[i] = [e * unit_inv for e in cols[i]]
-        tpow_inv = F.t_power(-d)
-        for c in range(i):
-            if cols[c][i].num:
-                q = cols[c][i] * tpow_inv
-                cols[c] = [a - q * b for a, b in zip(cols[c], cols[i])]
-    for i in range(n - 1, -1, -1):
-        d = int(cols[i][i].valuation())
-        tpow_inv = F.t_power(-d)
-        for j in range(i + 1, n):
-            e = cols[j][i]
-            if not e.num:
-                continue
-            r = _residue_mod_tpow(e, d)
-            q = (e - r) * tpow_inv
-            if q.num:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-    entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        return LatticeK(F, 1, MatrixK(F, ((F.t_power(int(v)),),)))
+    # b_ij = t^v * n0/d0 with n0(0) and d0(0) nonzero
+    parts = {}
+    for i, row in enumerate(basis.entries):
+        for j, e in enumerate(row):
+            if e.num:
+                on, od = _pord(e.num), _pord(e.den)
+                parts[i, j] = (on - od, e.num[on:], e.den[od:])
+    if len({i for i, _ in parts}) < n:
+        raise SingularBasis("basis is singular over K")
+    m = min(v for v, _, _ in parts.values())
+
+    def expansion(part, N):
+        s = N if part is None else part[0] - m
+        if s >= N:
+            return [0] * N
+        return [0] * s + tadic_coefficients(p, part[1], part[2], N - s)
+
+    N, bound = 1, None
+    while True:
+        cols = [[expansion(parts.get((i, j)), N) for i in range(n)] for j in range(n)]
+        ds = _hermite_mod_tpow(p, cols, N)
+        if ds is not None and sum(ds) < N:
+            break
+        if bound is None:
+            bound = 0
+            for i in range(n):
+                # (deg n_ij, deg e_ij) over the row's nonzero entries
+                row = [(v - m + len(n0) - 1, len(d0) - 1)
+                       for (r, _), (v, n0, d0) in parts.items() if r == i]
+                bound += sum(de for _, de in row) + max(dn - de for dn, de in row)
+        if N > bound:
+            raise SingularBasis("basis is singular over K")
+        N = min(bound + 1, 2 * N if ds is None else max(2 * N, sum(ds) + 1))
+
+    zero = F.zero()
+
+    def element(c):
+        # t^m * c for a polynomial c of degree < N, in canonical form
+        o = next((k for k, x in enumerate(c) if x), None)
+        if o is None:
+            return zero
+        num, s = _pnorm(tuple(c[o:])), m + o
+        if s >= 0:
+            return RationalFunction(F, (0,) * s + num, (1,))
+        return RationalFunction(F, num, (0,) * -s + (1,))
+
+    entries = tuple(tuple(element(cols[j][i]) if j >= i else zero for j in range(n))
+                    for i in range(n))
     return LatticeK(F, n, MatrixK(F, entries))
+
+
+def _hermite_mod_tpow(p: int, cols: list, N: int) -> list[int] | None:
+    """Bring the columns (lists of rows of N coefficients, mod t^N) to
+    Hermite form in place; see `lattice_hermite`.  Returns the diagonal
+    exponents, or None when a pivot is zero mod t^N.  The off-diagonal
+    reduction runs only when their sum is below N."""
+    n = len(cols)
+    ds = [0] * n
+    for i in range(n - 1, -1, -1):
+        best, d = None, N
+        for c in range(i + 1):
+            v = next((k for k, x in enumerate(cols[c][i]) if x), N)
+            if v < d:
+                best, d = c, v
+        if best is None:
+            return None
+        cols[best], cols[i] = cols[i], cols[best]
+        piv = cols[i]
+        unit = _pnorm(tuple(piv[i][d:]))
+        if unit != (1,):
+            # scale by the inverse of the unit: the pivot becomes t^d exactly
+            piv[:i + 1] = [tadic_coefficients(p, e, unit, N) for e in piv[:i + 1]]
+        for c in range(i):
+            q = cols[c][i][d:]
+            if any(q):
+                _sub_mul(p, cols[c], q, piv, i, N)
+        ds[i] = d
+    if sum(ds) >= N:
+        return ds
+    for i in range(n - 1, -1, -1):
+        d, piv = ds[i], cols[i]
+        for j in range(i + 1, n):
+            q = cols[j][i][d:]
+            if any(q):
+                _sub_mul(p, cols[j], q, piv, i, N)
+    return ds
+
+
+def _sub_mul(p: int, col: list, q: list, piv: list, i: int, N: int) -> None:
+    """col -= q * piv mod t^N on rows 0..i, where piv's row i is t^d and q
+    has N - d terms; row i keeps exactly its part below t^d."""
+    for r in range(i + 1):
+        b = piv[r]
+        if not any(b):
+            continue
+        out = col[r]
+        for k, c in enumerate(q):
+            if c:
+                for l in range(N - k):
+                    out[k + l] -= c * b[l]
+        col[r] = [x % p for x in out]

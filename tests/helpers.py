@@ -7,6 +7,7 @@ import random
 from nodalcover.covering import (
     ComponentIndex,
     CoverGeometry,
+    FiniteCover,
     FreenessReport,
     FundamentalDomain,
     InvariantOpen,
@@ -32,7 +33,7 @@ from nodalcover.errors import (
     SingularBasis,
     TransportConflict,
 )
-from nodalcover.field import INFINITY, FunctionField, MatrixK, lattice_hermite
+from nodalcover.field import INFINITY, FunctionField, LatticeK, MatrixK, lattice_hermite
 from nodalcover.groups import (
     FPSignature,
     FPWord,
@@ -276,6 +277,64 @@ def smith_exponents(M: MatrixK) -> tuple[int, ...]:
     return tuple(sorted(exps))
 
 
+def _laurent_tail(f, d: int):
+    """f modulo t^d A: the terms of f's t-adic expansion below exponent d."""
+    F = f.field
+    if f.is_zero() or f.valuation() >= d:
+        return F.zero()
+    v = int(f.valuation())
+    num = f.num[next(i for i, c in enumerate(f.num) if c):]
+    den = f.den[next(i for i, c in enumerate(f.den) if c):]
+    inv0 = pow(den[0], -1, F.p)
+    series = []
+    for k in range(d - v):
+        acc = num[k] if k < len(num) else 0
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[i] * series[k - i]
+        series.append(acc * inv0 % F.p)
+    return F.rf(tuple(series)) * F.t_power(v)
+
+
+def lattice_hermite_oracle(basis: MatrixK) -> LatticeK:
+    """The canonical Hermite form by elimination over K in RationalFunction
+    arithmetic: bottom-up valuation pivots scaled to t^{d_i}, then each
+    off-diagonal entry reduced to its Laurent tail below t^{d_i}.  The oracle
+    of `lattice_hermite`, which eliminates on t-adic expansions mod t^N."""
+    if basis.rows != basis.cols:
+        raise SingularBasis("lattice bases must be square")
+    F = basis.field
+    n = basis.rows
+    cols = [[basis.entries[i][j] for i in range(n)] for j in range(n)]
+    for i in range(n - 1, -1, -1):
+        best, bestv = None, INFINITY
+        for c in range(i + 1):
+            v = cols[c][i].valuation()
+            if v < bestv:
+                best, bestv = c, v
+        if best is None or bestv == INFINITY:
+            raise SingularBasis("basis is singular over K")
+        cols[best], cols[i] = cols[i], cols[best]
+        d = int(bestv)
+        unit_inv = F.t_power(d) / cols[i][i]
+        cols[i] = [e * unit_inv for e in cols[i]]
+        tpow_inv = F.t_power(-d)
+        for c in range(i):
+            if cols[c][i].num:
+                q = cols[c][i] * tpow_inv
+                cols[c] = [a - q * b for a, b in zip(cols[c], cols[i])]
+    for i in range(n - 1, -1, -1):
+        d = int(cols[i][i].valuation())
+        tpow_inv = F.t_power(-d)
+        for j in range(i + 1, n):
+            e = cols[j][i]
+            if e.num:
+                q = (e - _laurent_tail(e, d)) * tpow_inv
+                if q.num:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+    entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return LatticeK(F, n, MatrixK(F, entries))
+
+
 def is_integral_matrix(M: MatrixK) -> bool:
     return all(e.valuation() >= 0 for row in M.entries for e in row)
 
@@ -418,6 +477,19 @@ def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
             if lattice_hermite(c.twist(w) * base.basis) != assignment.lattice_of(moved):
                 raise TransportConflict(f"transported lattice disagrees at {moved}")
     return assignment
+
+
+def finite_cover_transitive_oracle(cover: FiniteCover) -> bool:
+    """Whether the actions carry the first fiber point to every other, by a
+    search of the fiber.  The oracle of `build_finite_cover`, which proves
+    transitivity from the groups' generators."""
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for y in {perm[x] for _, perm in cover.actions} - seen:
+            seen.add(y)
+            stack.append(y)
+    return len(seen) == len(cover.fiber)
 
 
 def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:

@@ -1,6 +1,7 @@
 """Components, deck actions, freeness, separating opens, domains, witnesses."""
 
 import itertools
+import math
 import random
 import time
 
@@ -28,10 +29,12 @@ from nodalcover.covering import (
 from nodalcover.curves import NodalCurve, pi1_presentation
 from nodalcover.errors import FreenessViolation, NoComplement, SignatureMismatch, TrivialW
 from nodalcover.groups import (
+    FiniteGroup,
     FPSignature,
     FPWord,
     alpha,
     cyclic_group,
+    dihedral_group,
     enumerate_words,
     fp_normalize,
     iter_grade_states,
@@ -46,6 +49,7 @@ from nodalcover.reps import trivial_rep
 from helpers import (
     certify_free_oracle,
     cover_witness_oracle,
+    finite_cover_transitive_oracle,
     rank1_rep,
     rank2_rep,
     random_word,
@@ -494,3 +498,46 @@ def test_finite_cover_regular_orbit():
     assert cover.transitive
     for name, perm in cover.actions:
         assert sorted(perm) == list(range(6))
+
+
+STOCK_GROUPS = (trivial_group(), *map(cyclic_group, range(1, 7)),
+                *map(dihedral_group, range(1, 5)), *map(symmetric_group, range(5)))
+
+
+def _relabelled(G: FiniteGroup, rng: random.Random) -> FiniteGroup:
+    """G's table under a random permutation of its element indices."""
+    perm = list(range(G.order))
+    rng.shuffle(perm)
+    table = [[0] * G.order for _ in range(G.order)]
+    labels = [""] * G.order
+    for a in range(G.order):
+        labels[perm[a]] = G.labels[a]
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return FiniteGroup.from_table(table, labels=labels, name=G.name,
+                                  generators=[perm[g] for g in G.generators])
+
+
+def test_finite_cover_of_every_stock_group_is_transitive():
+    field = rank1_rep().field
+    for G in STOCK_GROUPS:
+        sig, pres = sig_with_pres(1, (G,))
+        cover = build_finite_cover(trivial_rep(pres, field, (G,)))
+        assert cover.transitive and finite_cover_transitive_oracle(cover)
+    # the proof's premise: generators that do not generate are refused
+    with pytest.raises(ValueError, match="do not generate"):
+        FiniteGroup.from_table(Z4.table, generators=[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_finite_cover_transitivity_equals_the_search_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    groups = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        G = data.draw(st.sampled_from(STOCK_GROUPS))
+        groups.append(_relabelled(G, rng) if data.draw(st.booleans()) else G)
+    assume(math.prod(G.order for G in groups) <= 2000)
+    sig, pres = sig_with_pres(data.draw(st.integers(0, 2)), groups)
+    cover = build_finite_cover(trivial_rep(pres, rank1_rep().field, tuple(groups)))
+    assert cover.transitive and finite_cover_transitive_oracle(cover)

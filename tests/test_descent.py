@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover import covering, descent, field, groups, reps
+from nodalcover import io as spec_io
 from nodalcover.covering import canonical_component, component_action
 from nodalcover.descent import (
     CorruptedCocycle,
@@ -59,6 +62,7 @@ from helpers import (
     intertwiners,
     is_unimodular_matrix,
     kernel_hom_oracle,
+    lattice_hermite_oracle,
     random_matrix,
     rank1_rep,
     rank2_rep,
@@ -70,6 +74,7 @@ from helpers import (
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def kernel_oracle(sig, max_len):
@@ -226,6 +231,26 @@ def test_integralize_computes_each_lattice_once(monkeypatch):
     assert len(eval_calls) == 0
     assert asked == set(assignment.orbit_reps)
     assert len(hermite_calls) == len(asked)
+
+
+def test_lattice_layer_does_no_euclid(monkeypatch):
+    """The Hermite forms of H(w) over the demo rank-2 rep's kernel words of
+    length <= 4 take no polynomial gcd and no polynomial division; the
+    RationalFunction oracle needs both on the same bases."""
+    rep = spec_io.load_rep(DATA / "rank2_rep.json")
+    datum = datum_from_rep(rep)
+    twists = [datum.twist(w) for w in kernel_words(rep.sig, 4)]
+    calls = Counter()
+    for name in ("_pgcd", "_pdivmod"):
+        def counted(*args, name=name, kernel=getattr(field, name)):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(field, name, counted)
+    forms = [field.lattice_hermite(H) for H in twists]
+    assert calls == Counter()
+    assert len({sum(L.diagonal_exponents) for L in forms}) > 1
+    assert [lattice_hermite_oracle(H) for H in twists] == forms
+    assert calls["_pgcd"] > 0 and calls["_pdivmod"] > 0
 
 
 @settings(max_examples=40, deadline=None)

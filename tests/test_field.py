@@ -2,12 +2,15 @@
 
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from nodalcover import field
 from nodalcover.errors import DivisionByZero, SingularBasis
 from nodalcover.field import (
+    MAX_LITERAL_DEGREE,
     FunctionField,
     MatrixK,
     _make_rf,
@@ -23,7 +26,17 @@ from nodalcover.field import (
     tadic_coefficients,
 )
 
-from helpers import F3, F5, F7, random_matrix, random_rf, smith_exponents
+from helpers import (
+    F3,
+    F5,
+    F7,
+    lattice_hermite_oracle,
+    random_matrix,
+    random_rf,
+    smith_exponents,
+)
+
+F2 = FunctionField(2)
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -250,10 +263,10 @@ def test_valuation_is_discrete_valuation():
 
 
 def test_tadic_coefficients_match_series():
-    # 1/(1 - t) = 1 + t + t^2 + ... over the three-element field
-    f = F3.rf(1, (1, -1))
-    coeffs = tadic_coefficients(f, 4)
-    assert coeffs == {0: 1, 1: 1, 2: 1, 3: 1}
+    # 1/(1 - t) = 1 + t + t^2 + ... and (1 + t)/(1 - t) = 1 + 2t + 2t^2 + ...
+    # over the three-element field
+    assert tadic_coefficients(3, (1,), (1, 2), 4) == [1, 1, 1, 1]
+    assert tadic_coefficients(3, (1, 1), (1, 2), 4) == [1, 2, 2, 2]
 
 
 # -- Frobenius -----------------------------------------------------------------
@@ -351,38 +364,38 @@ def test_hermite_identity_and_diagonal():
     assert lattice_hermite(D).diagonal_exponents == (2, 0)
 
 
-def _random_unit_a(rng):
+def _random_unit_a(rng, F=F3):
     # valuation-zero element: nonzero constant term over t-free denominator
-    num = [rng.choice([1, 2])] + [rng.randrange(3) for _ in range(2)]
-    den = [1] + [rng.randrange(3) for _ in range(2)]
-    return F3.rf(tuple(num), tuple(den))
+    num = [rng.choice(range(1, F.p))] + [rng.randrange(F.p) for _ in range(2)]
+    den = [1] + [rng.randrange(F.p) for _ in range(2)]
+    return F.rf(tuple(num), tuple(den))
 
 
-def _random_integral(rng):
-    num = [rng.randrange(3) for _ in range(3)]
-    den = [1] + [rng.randrange(3) for _ in range(2)]
-    return F3.rf(tuple(num), tuple(den))
+def _random_integral(rng, F=F3):
+    num = [rng.randrange(F.p) for _ in range(3)]
+    den = [1] + [rng.randrange(F.p) for _ in range(2)]
+    return F.rf(tuple(num), tuple(den))
 
 
-def _random_gl_a(rng, n):
+def _random_gl_a(rng, n, F=F3):
     """Random invertible-over-the-valuation-ring matrix via elementary ops."""
-    M = MatrixK.identity(F3, n)
+    M = MatrixK.identity(F, n)
     rows = [list(r) for r in M.entries]
     for _ in range(6):
         kind = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if kind == 0 and i != j:
-            f = _random_integral(rng)
+            f = _random_integral(rng, F)
             for k in range(n):
                 rows[k][j] = rows[k][j] + f * rows[k][i]
         elif kind == 1:
-            u = _random_unit_a(rng)
+            u = _random_unit_a(rng, F)
             for k in range(n):
                 rows[k][i] = rows[k][i] * u
         elif i != j:
             for k in range(n):
                 rows[k][i], rows[k][j] = rows[k][j], rows[k][i]
-    return MatrixK(F3, tuple(tuple(r) for r in rows))
+    return MatrixK(F, tuple(tuple(r) for r in rows))
 
 
 def test_hermite_invariant_under_unit_column_changes():
@@ -406,9 +419,98 @@ def test_hermite_idempotent_and_triangular():
             assert e == F3.t_power(int(e.valuation()))
 
 
+SINGULAR_BASES = {
+    "ones": [["1", "1"], ["1", "1"]],
+    # rank one, entries of valuations 1, 2, 0, 1
+    "valuations": [["t", "t^2"], ["1", "t"]],
+    # rank one, negative valuations
+    "negative": [["(1)/(t)", "1"], ["(1)/(t^2)", "(1)/(t)"]],
+    # rank one, general denominators: row 2 is (1 + t) times row 1
+    "denominators": [["(1)/(t + 1)", "(t)/(t + 1)"], ["1", "t"]],
+    # rank two of three, no zero entry; the third column is t^40 (c1 + c2)
+    "rank-two": [["1", "t + 1", "t^41 + 2*t^40"], ["t", "2", "t^41 + 2*t^40"],
+                 ["(1)/(t + 2)", "t^2", "(t^43 + 2*t^42 + t^40)/(t + 2)"]],
+    "zero": [["0", "0"], ["0", "0"]],
+    "non-square": [["1", "0", "t"], ["0", "1", "1"]],
+}
+
+
 def test_hermite_rejects_singular():
-    with pytest.raises(SingularBasis):
-        lattice_hermite(MatrixK.from_rows(F3, [["1", "1"], ["1", "1"]]))
+    for name, rows in SINGULAR_BASES.items():
+        B = MatrixK.from_rows(F3, rows)
+        if B.rows == B.cols:
+            assert B.det().is_zero(), name
+        start = time.perf_counter()
+        with pytest.raises(SingularBasis):
+            lattice_hermite(B)
+        assert time.perf_counter() - start < 1.0, name
+
+
+@st.composite
+def hermite_bases(draw, min_n=1):
+    """An invertible n x n basis over F2, F3 or F7, n <= 3, with entries 0 or
+    t^v a/b: v in [-3, 3], and a, b of degree <= 2 with nonzero constant
+    terms, so most denominators are not monomials."""
+    F = draw(st.sampled_from((F2, F3, F7)))
+    n = draw(st.integers(min_n, 3))
+    coeffs = st.integers(0, F.p - 1)
+
+    def unit_poly():
+        return (draw(st.integers(1, F.p - 1)),) + tuple(draw(st.lists(coeffs, max_size=2)))
+
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if draw(st.integers(0, 5)):
+                row.append(F.rf(unit_poly(), unit_poly()) * F.t_power(draw(st.integers(-3, 3))))
+            else:
+                row.append(F.zero())
+        rows.append(tuple(row))
+    B = MatrixK(F, tuple(rows))
+    assume(not B.det().is_zero())
+    return B
+
+
+@settings(max_examples=150, deadline=None)
+@given(B=hermite_bases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_hermite_equals_the_oracle(B, seed):
+    L = lattice_hermite(B)
+    assert L == lattice_hermite_oracle(B)
+    U = _random_gl_a(random.Random(seed), B.rows, B.field)
+    assert lattice_hermite(B * U) == L
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=hermite_bases(min_n=2), a=st.integers(4, 8))
+def test_hermite_restarts_until_the_precision_passes_the_determinant(B, a):
+    """With delta' >= 4 the first run, mod t, cannot certify itself: the
+    precision grows until it exceeds delta', and only the last run
+    certifies (a run certifies exactly when its precision exceeds delta')."""
+    F, n = B.field, B.rows
+    m = min(int(e.valuation()) for row in B.entries for e in row if e.num)
+    shifted = [[e * F.t_power(-m) for e in row] for row in B.entries]
+    # column j0 holds a valuation-0 entry; scaling another column by t^a
+    # keeps the least valuation at 0 and raises v(det) by a
+    j0 = next(j for row in shifted for j, e in enumerate(row) if e.valuation() == 0)
+    j = (j0 + 1) % n
+    C = MatrixK(F, tuple(tuple(e * F.t_power(a) if k == j else e for k, e in enumerate(row))
+                         for row in shifted))
+    expected = lattice_hermite_oracle(C)
+    delta = sum(expected.diagonal_exponents)
+    assert delta >= a
+    precisions = []
+    run = field._hermite_mod_tpow
+
+    def spy(p, cols, N):
+        precisions.append(N)
+        return run(p, cols, N)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_hermite_mod_tpow", spy)
+        assert lattice_hermite(C) == expected
+    assert precisions[0] == 1 and len(precisions) >= 2
+    assert all(N <= delta for N in precisions[:-1]) and precisions[-1] > delta
 
 
 def test_smith_exponents_invariance():
@@ -434,6 +536,14 @@ def test_string_roundtrip():
     assert rf_from_string(F3, "(t^2 + 1)/(t + 2)") == F3.rf((1, 0, 1), (2, 1))
     assert rf_from_string(F3, "2*t^3 - 1") == F3.rf((-1, 0, 0, 2))
     assert rf_to_string(F3.zero()) == "0"
+
+
+def test_literal_exponent_past_the_degree_budget_is_refused():
+    # only exponents above the budget, which are refused before allocating
+    for literal in (f"t^{MAX_LITERAL_DEGREE + 1}", "2*t^99999999999 + 1",
+                    "(1)/(t^99999999999)"):
+        with pytest.raises(ValueError, match="degree budget of 1000"):
+            rf_from_string(F3, literal)
 
 
 def test_prime_validation():

@@ -17,7 +17,7 @@ from nodalcover import io as spec_io
 from nodalcover.cli import main
 from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
 from nodalcover.errors import SpecParseError
-from nodalcover.field import MatrixK
+from nodalcover.field import MAX_LITERAL_DEGREE, MatrixK
 from nodalcover.groups import FiniteGroup, FPSignature, cyclic_group
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
@@ -555,6 +555,21 @@ def test_cli_hull_group_past_the_order_budget_exits_2(tmp_path, spec):
     assert code == 2
     assert_error_line(err)
     assert "budget" in err
+
+
+@pytest.mark.parametrize("literal", [
+    "t^99999999999", "(1)/(t^99999999999)", f"2*t^{MAX_LITERAL_DEGREE + 1} + 1"])
+def test_cli_literal_past_the_degree_budget_exits_2(tmp_path, literal):
+    # only exponents above the budget: they are refused before any allocation
+    spec = json.loads((DATA / "rank2_rep.json").read_text())
+    spec["curve"] = str(DATA / spec["curve"])
+    spec["z_images"] = [[[literal, "1"], ["0", "1"]]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("rep", "check", str(path), timeout=10)
+    assert code == 2 and out == ""
+    assert_error_line(err)
+    assert f"above the degree budget of {MAX_LITERAL_DEGREE}" in err
 
 
 def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
