@@ -29,7 +29,7 @@ from .errors import (
     SignatureMismatch,
     TransportConflict,
 )
-from .field import INFINITY, FunctionField, LatticeK, MatrixK, lattice_hermite
+from .field import FunctionField, LatticeK, MatrixK, lattice_hermite
 from .groups import (
     FiniteGroup,
     FPSignature,
@@ -101,6 +101,15 @@ class MeromorphicCocycle:
         self._letter_cache[letter] = out
         return out
 
+    def det_valuation(self, w: FPWord) -> int:
+        """v(det H(w)) = -sum_i e_i(w) v(det rho(z_i)), e_i(w) the exponent sum
+        of z_i in w: see `det_valuation_conserved`."""
+        if w.sig != self.sig:
+            raise SignatureMismatch("word does not match the representation's signature")
+        vals = self.rep.z_det_valuations
+        r = self.sig.r
+        return -sum(v * vals[fid] for fid, v in w.letters if fid < r)
+
     def twist_map(self, max_len: int) -> dict:
         """Twists of every word in shortlex order, by H(a x) = H(x) H(a) from
         the first unit letter a: the opposite recurrence to `twist`'s."""
@@ -133,6 +142,10 @@ class CorruptedCocycle:
         if w.letters == self.override_word.letters:
             return self.override_matrix
         return self.base.twist(w)
+
+    def det_valuation(self, w: FPWord) -> int:
+        """Read off the base rep's letters, not the overridden twist."""
+        return self.base.det_valuation(w)
 
     def twist_map(self, max_len: int) -> dict:
         out = self.base.twist_map(max_len)
@@ -330,15 +343,21 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
 def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
                             c: ComponentIndex) -> bool:
     """v(det H(w)) equals the diagonal-exponent shift between the lattices at
-    c and at c w.  At an orbit representative c this holds by construction:
-    its lattice is standard, the lattice at c w is the Hermite form of H(w),
-    and Hermite column operations are unimodular."""
-    dv = assignment.cocycle.twist(w).det().valuation()
-    if dv == INFINITY:
-        return False
+    c and at c w.
+
+    The two sides are computed independently.  The left side is read off the
+    letters of w.  H is an anti-homomorphism and det is multiplicative, so
+    v(det H(-)) is a homomorphism from the free product to Z.  A finite-factor
+    letter g contributes 0: det rho(g) is a root of unity in F_p(t), and F_p
+    is algebraically closed in F_p(t), so it lies in F_p^*.  Hence
+    v(det H(w)) = -sum_i e_i(w) v(det rho(z_i)), with e_i(w) the exponent sum
+    of z_i in w and one memoised determinant per Z image.  The right side
+    comes from the two lattices' Hermite forms, `lattice_hermite` of the
+    twists along their transport words."""
+    dv = assignment.cocycle.det_valuation(w)
     before = sum(assignment.lattice_of(c).diagonal_exponents)
     after = sum(assignment.lattice_of(component_action(w, c)).diagonal_exponents)
-    return int(dv) == after - before
+    return dv == after - before
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .curves import Pi1Presentation
 from .errors import PresentationMismatch, SignatureMismatch, SingularBasis
@@ -88,6 +89,12 @@ class ContinuousRep:
 
     def identity_matrix(self) -> MatrixK:
         return MatrixK.identity(self.field, self.rank)
+
+    @cached_property
+    def z_det_valuations(self) -> tuple[int, ...]:
+        """v(det rho(z_i)) per Z generator: one determinant each, on first use.
+        Each is finite, since the Z images were inverted at construction."""
+        return tuple(int(z.det().valuation()) for z in self.z_images)
 
 
 def hom_from_generator_images(field: FunctionField, G: FiniteGroup,

@@ -479,6 +479,18 @@ def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
     return assignment
 
 
+def det_valuation_conserved_oracle(assignment: LatticeAssignment, w: FPWord,
+                                   c: ComponentIndex) -> bool:
+    """Per-word oracle of `det_valuation_conserved`: v(det H(w)) by eliminating
+    H(w) itself, False on a zero determinant."""
+    dv = assignment.cocycle.twist(w).det().valuation()
+    if dv == INFINITY:
+        return False
+    before = sum(assignment.lattice_of(c).diagonal_exponents)
+    after = sum(assignment.lattice_of(component_action(w, c)).diagonal_exponents)
+    return int(dv) == after - before
+
+
 def finite_cover_transitive_oracle(cover: FiniteCover) -> bool:
     """Whether the actions carry the first fiber point to every other, by a
     search of the fiber.  The oracle of `build_finite_cover`, which proves

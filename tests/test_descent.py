@@ -56,6 +56,7 @@ from helpers import (
     F7,
     append_walk,
     descend_inflation_oracle,
+    det_valuation_conserved_oracle,
     eval_word,
     gen_length,
     integralize_pair_oracle,
@@ -756,6 +757,61 @@ def test_det_valuation_conservation():
     for w in kernel_oracle(rep.sig, 3):
         for c in assignment.orbit_reps:
             assert det_valuation_conserved(assignment, w, c)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transport_reps() | two_factor_transport_reps())
+def test_det_valuation_letter_sum_equals_the_determinant(rep):
+    """v(det H(w)) read off the Z letters equals the valuation of the
+    eliminated determinant for every word of length <= 4, finite letters
+    included."""
+    datum = datum_from_rep(rep)
+    for w in enumerate_words(rep.sig, 4):
+        assert datum.det_valuation(w) == datum.twist(w).det().valuation()
+
+
+@settings(max_examples=15, deadline=None)
+@given(transport_reps() | two_factor_transport_reps())
+def test_det_valuation_conserved_equals_the_per_word_oracle(rep):
+    assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
+    for c0 in assignment.orbit_reps:
+        for w in kernel_words(rep.sig, 3):
+            assert (det_valuation_conserved(assignment, w, c0)
+                    == det_valuation_conserved_oracle(assignment, w, c0))
+
+
+def test_det_valuation_conserved_fails_on_a_corrupted_lattice():
+    """Scaling H(z1) by t moves the lattice at c0 z1 by t A^2 but leaves the
+    letters of z1 alone: the letter sum misses the Hermite diagonal by the
+    rank.  The per-word determinant of the overridden twist would not."""
+    rep = rank2_rep()
+    datum = datum_from_rep(rep).restricted()
+    z1 = FPWord(rep.sig, ((0, 1),))
+    bad = CorruptedCocycle(datum, z1, datum.twist(z1).scale(F3.t()))
+    assignment = integralize(bad, 3)
+    for c0 in assignment.orbit_reps:
+        assert not det_valuation_conserved(assignment, z1, c0)
+        assert det_valuation_conserved_oracle(assignment, z1, c0)
+
+
+def test_det_valuation_conserved_takes_one_det_per_z_image(monkeypatch):
+    """Over the kernel words of length <= 3 at each orbit representative, the
+    checks take at most one determinant per Z image in all, not one per word."""
+    rep = rank2_rep()
+    assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
+    kernel = list(kernel_words(rep.sig, 3))
+    calls = Counter()
+
+    def counted(self, det=MatrixK.det):
+        calls["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(MatrixK, "det", counted)
+    assert len(kernel) == 8
+    for c0 in assignment.orbit_reps:
+        for w in kernel:
+            assert det_valuation_conserved(assignment, w, c0)
+    assert calls["det"] <= rep.sig.r
 
 
 def test_change_of_representative_constant_relative_position():

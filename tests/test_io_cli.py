@@ -1,11 +1,14 @@
 """Spec files and the command line: parsing, determinism, exit codes."""
 
+import contextlib
 import copy
 import json
 import os
+import signal
 import subprocess
 import sys
 from functools import reduce
+from io import StringIO
 from operator import getitem
 from pathlib import Path
 
@@ -22,9 +25,10 @@ from nodalcover.groups import FiniteGroup, FPSignature, cyclic_group
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
 from helpers import F3, certify_free_oracle
+from test_reports import CASES as REPORT_CASES
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
-# The directory holding the nodalcover package this process imported.  The CLI
+# The directory holding the nodalcover package this process imported.  A CLI
 # subprocess runs from DATA, where a relative PYTHONPATH such as "src" no
 # longer resolves, so the child is pointed at this directory explicitly.
 PACKAGE_ROOT = Path(nodalcover.__file__).resolve().parents[1]
@@ -271,19 +275,53 @@ def test_matrix_json_roundtrip():
 # -- the command line ---------------------------------------------------------------
 
 def run_cli(*argv, timeout=None):
-    """Run ``python -m nodalcover.cli`` in DATA; return (exit code, stdout, stderr).
+    """Run ``nodalcover *argv`` in-process in DATA; return (exit code, stdout, stderr).
 
-    The child runs in DATA so that nested file references in the spec files
-    resolve relative to them, as they would for a user in that directory.
-    A child still running after `timeout` seconds is killed and the call raises.
+    It runs in DATA so that nested file references in the spec files resolve
+    relative to them, as they would for a user in that directory.  A
+    `SystemExit` (argparse's usage errors) gives its code, as the process
+    would exit with.  A run still going after `timeout` seconds is
+    interrupted by SIGALRM and the call raises `TimeoutError`.
     """
+    out, err = StringIO(), StringIO()
+    cwd = os.getcwd()
+    os.chdir(DATA)
+    if timeout is not None:
+        previous = signal.signal(signal.SIGALRM, _out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        if timeout is not None:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the command ran past its time limit")
+
+
+def child_env():
+    """The environment for a child interpreter, with PACKAGE_ROOT first on its path."""
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT)] + ([inherited] if inherited else []))
+    return env
+
+
+def run_cli_process(*argv, timeout=None):
+    """Run ``python -m nodalcover.cli *argv`` in DATA; return (exit code, stdout, stderr).
+    A child still running after `timeout` seconds is killed and the call raises."""
     proc = subprocess.run(
         [sys.executable, "-m", "nodalcover.cli", *argv],
-        capture_output=True, text=True, cwd=str(DATA), env=env, timeout=timeout)
+        capture_output=True, text=True, cwd=str(DATA), env=child_env(), timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -335,8 +373,8 @@ def syllable_grade_counts(r, orders, max_len):
 def test_cli_square_work_does_not_grow_with_max_len():
     """At --max-len 40 the square covers about 1.3e23 normal forms of Z * S3;
     it certifies them from (last letter, quotient image) states, within seconds."""
-    code, out, _ = run_cli("--format", "json", "--max-len", "40",
-                           "square", "s3_2dim.json", "nodal_cubic.json", timeout=10)
+    code, out, _ = run_cli_process("--format", "json", "--max-len", "40",
+                                   "square", "s3_2dim.json", "nodal_cubic.json", timeout=10)
     assert code == 0
     payload = json.loads(out)
     assert payload["result"] == "PASS"
@@ -681,3 +719,69 @@ def test_cli_main_callable_in_process(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank_r"] == 1 and payload["betti"] == 1
+
+
+# -- the command line through a real process --------------------------------------
+# Every test above runs `cli.main` in-process.  These start an interpreter for
+# what only a child shows: the module entry, the package the child imports,
+# exit codes as the operating system reports them, and a stderr without a
+# traceback.  Each one also checks that the in-process run gives the same
+# exit code, stdout and stderr.
+
+def test_cli_process_imports_the_package_under_test():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import nodalcover; print(nodalcover.__file__)"],
+        capture_output=True, text=True, cwd=str(DATA), env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).resolve() == Path(nodalcover.__file__).resolve()
+
+
+# Z7 reached from one Z generator: at --max-len 2 the words z^{+-1}, z^{+-2}
+# miss the elements 3 and 4, so the square fails (exit 1); it passes at 3.
+Z7_QUOTIENT = {"p": 3, "rank": 1, "source_groups": [{"builtin": "trivial"}],
+               "quotient": {"builtin": "cyclic", "n": 7}, "z_to": [1], "factor_to": [[0]],
+               "hom": [[["1"]]] * 7}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["pi1", "nodal_cubic.json"], 0),
+    (["--max-len", "2", "square", None, "nodal_cubic.json"], 1),
+    (["pi1", "no_such_file.json"], 2),
+    (["--depth", "3", "pi1", "nodal_cubic.json"], 2),
+], ids=["pass", "failed-certificate", "missing-file", "usage-error"])
+def test_cli_process_exit_codes(tmp_path, argv, expected):
+    path = tmp_path / "z7.json"
+    path.write_text(json.dumps(Z7_QUOTIENT))
+    argv = [str(path) if a is None else a for a in argv]
+    code, out, err = run_cli_process(*argv)
+    assert code == expected
+    assert "Traceback" not in err
+    assert run_cli(*argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("kind,command", [
+    ("curve", ["pi1"]),
+    ("group", ["hull"]),
+    ("rep", ["rep", "check"]),
+    ("fq", ["square", None, "nodal_cubic.json"]),
+])
+def test_cli_process_malformed_input_per_loader_exits_2(tmp_path, kind, command):
+    spec = {"curve": TWO_LOOPS,
+            "group": {"table": [[0.5]]},
+            "rep": dict(FUZZED_SPECS["rep"], rank=2.7, curve=str(DATA / "nodal_cubic.json")),
+            "fq": dict(FUZZED_SPECS["fq"], z_to=[4.0])}[kind]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    argv = [str(path) if a is None else a for a in command]
+    if None not in command:
+        argv.append(str(path))
+    code, out, err = run_cli_process(*argv)
+    assert code == 2 and out == ""
+    assert_error_line(err)
+    assert run_cli(*argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_cli_in_process_agrees_with_the_process_on_golden_commands(name):
+    argv = ["--format", "json", *REPORT_CASES[name]]
+    assert run_cli(*argv) == run_cli_process(*argv)
