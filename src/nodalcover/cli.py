@@ -9,9 +9,9 @@ every certificate in the report passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import io as spec_io
 from .covering import (
@@ -102,12 +102,8 @@ def _print_text(obj, indent: int = 0):
         print(f"{pad}{obj}")
 
 
-def _base_dir(path: str) -> Path:
-    return Path(path).resolve().parent
-
-
 def _load_rep(path: str, cfg: RunConfig):
-    rep = spec_io.load_rep(path, _base_dir(path))
+    rep = spec_io.load_rep(path)
     cfg.check_spec_prime(rep.field.p, path)
     return rep
 
@@ -117,7 +113,7 @@ def _load_rep(path: str, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_pi1(args, cfg: RunConfig) -> int:
-    curve = spec_io.load_curve(args.curve, _base_dir(args.curve))
+    curve = spec_io.load_curve(args.curve)
     pres = pi1_presentation(curve)
     report = {
         "command": "pi1",
@@ -256,12 +252,11 @@ def cmd_strat(args, cfg: RunConfig) -> int:
 
 
 def cmd_square(args, cfg: RunConfig) -> int:
-    curve = spec_io.load_curve(args.curve, _base_dir(args.curve))
-    fq = spec_io.load_fq(args.fq, curve, _base_dir(args.fq))
+    curve = spec_io.load_curve(args.curve)
+    fq = spec_io.load_fq(args.fq, curve)
     cfg.check_spec_prime(fq.field.p, args.fq)
-    pres = pi1_presentation(curve)
     try:
-        cert = commuting_square_check(fq, pres, max_len=cfg.max_len)
+        cert = commuting_square_check(fq, fq.presentation, max_len=cfg.max_len)
         report = {
             "command": "square",
             "result": "PASS",
@@ -282,7 +277,7 @@ def cmd_hull(args, cfg: RunConfig) -> int:
 
     base_field = FunctionField(cfg.field_prime)
     if len(args.groups) == 1 and not args.tower:
-        G = spec_io.load_group(args.groups[0], _base_dir(args.groups[0]))
+        G = spec_io.load_group(args.groups[0])
         algebra = HopfAlgebra(G, base_field)
         info = algebra.verify_axioms()
         report = {
@@ -294,11 +289,13 @@ def cmd_hull(args, cfg: RunConfig) -> int:
             "cocommutative": algebra.is_cocommutative(),
         }
         return _emit(cfg, report, True)
-    groups = [spec_io.load_group(g, _base_dir(g)) for g in args.groups]
+    groups = [spec_io.load_group(g) for g in args.groups]
     maps = []
     for low, high in zip(groups, groups[1:]):
         if high.order % low.order:
-            raise SpecParseError("tower orders must divide; give explicit maps in a file")
+            raise SpecParseError(
+                f"tower orders must divide: each level reduces x to x mod |low|, "
+                f"and |{low.name}| = {low.order} does not divide |{high.name}| = {high.order}")
         maps.append([x % low.order for x in range(high.order)])
     try:
         tower = QuotientTower.build(groups, maps)
@@ -425,9 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: `parse_args` keeps no
+    state between calls and returns a fresh namespace each time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig(args.prime, args.max_len, args.seed, args.out_format)
         return args.fn(args, cfg)

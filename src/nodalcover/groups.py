@@ -109,15 +109,23 @@ class FiniteGroup:
                    for a in range(self.order) for b in range(self.order))
 
     def hom_failure(self, images, compose: Callable) -> tuple[int, int] | None:
-        """First pair (a, b), scanning rows first, at which a map out of this
-        group breaks its law: compose(images[a], images[b]) != images[ab].
-        None when every pair holds.  This is the one |G|^2 law scan; callers
-        supply their own compose and keep their own identity checks."""
+        """First pair (a, s), rows first, with s a designated generator, at
+        which a map f out of this group breaks its law: compose(f(a), f(s)) !=
+        f(as); None when every such pair holds.  Then the law holds at every
+        pair (a, b) when compose is associative: `from_table` proved that the
+        generators generate, so b is a product of one or more of them (an
+        inverse is a positive power), and by induction on that length
+        f(a bs) = f(ab) f(s) = f(a) f(b) f(s) = f(a) f(bs).  For a trivial
+        group that lists no generator, the identity stands in.  This is the
+        one law scan; callers supply their own compose and keep their own
+        identity checks."""
+        gens = self.generators or (self.identity,)
         for a in range(self.order):
             row = self.table[a]
-            for b in range(self.order):
-                if compose(images[a], images[b]) != images[row[b]]:
-                    return a, b
+            fa = images[a]
+            for s in gens:
+                if compose(fa, images[s]) != images[row[s]]:
+                    return a, s
         return None
 
     def associativity_failure(self) -> tuple[int, int] | None:
@@ -125,8 +133,16 @@ class FiniteGroup:
         None.  The left-regular map a -> row a sends ab to row ab, whose entry
         c is (ab)c, and composing rows a and b gives a(bc); so it is a
         homomorphism under row composition exactly when the table is
-        associative, and this is the one associativity scan."""
-        return self.hom_failure(self.table, lambda x, y: tuple(map(x.__getitem__, y)))
+        associative.  This scans all |G|^2 pairs: the generator scan of
+        `hom_failure` assumes the associativity proved here, and a table
+        handed in directly need not be generated by its designated
+        generators."""
+        tab = self.table
+        for a, row in enumerate(tab):
+            for b, row_b in enumerate(tab):
+                if tab[row[b]] != tuple(map(row.__getitem__, row_b)):
+                    return a, b
+        return None
 
     def closure(self, seed: Iterable[int]) -> list[int]:
         """Subgroup generated by seed, in discovery order starting from the identity."""

@@ -131,8 +131,11 @@ class RoundtripReport:
 
 def rep_comodule_roundtrip(fq: FiniteQuotientRep) -> RoundtripReport:
     """Turn the quotient rep into its coaction v -> sum rho(g) v (x) e_g and
-    verify the comodule axioms on all |G|^2 pairs.  The coaction's g-component
-    is rho(g) itself, so reading the rep back off it is exact."""
+    verify the comodule axioms.  Coassociativity at (g, h) is
+    rho(g) rho(h) = rho(gh), checked on the (element, generator) pairs of
+    `FiniteGroup.hom_failure`, which prove it on all |G|^2 pairs; the report
+    counts those.  The coaction's g-component is rho(g) itself, so reading
+    the rep back off it is exact."""
     G = fq.group
     if fq.hom[G.identity] != MatrixK.identity(fq.field, fq.rank):
         raise RoundtripFailure("counit axiom fails: identity component is not the identity")

@@ -35,6 +35,7 @@ from nodalcover.errors import (
 )
 from nodalcover.field import INFINITY, FunctionField, LatticeK, MatrixK, lattice_hermite
 from nodalcover.groups import (
+    FiniteGroup,
     FPSignature,
     FPWord,
     _alpha_tuple,
@@ -56,6 +57,18 @@ F7 = FunctionField(7)
 def sig_with_pres(r, groups):
     pres = pi1_presentation(chain_curve_for_signature(r, len(groups)))
     return FPSignature(r, tuple(groups)), pres
+
+
+def hom_failure_oracle(G: FiniteGroup, images, compose) -> tuple[int, int] | None:
+    """First pair (a, b) of all |G|^2, rows first, with compose(f(a), f(b))
+    != f(ab), or None.  The oracle of `FiniteGroup.hom_failure`, which scans
+    only the generator columns."""
+    for a in range(G.order):
+        row = G.table[a]
+        for b in range(G.order):
+            if compose(images[a], images[b]) != images[row[b]]:
+                return a, b
+    return None
 
 
 def random_rf(rng: random.Random, field=F3, deg=2, nonzero=False):

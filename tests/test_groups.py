@@ -1,5 +1,6 @@
 """Free-product normal forms, the direct-product quotient, enumeration."""
 
+import operator
 import random
 from collections import Counter
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover.errors import BadElementIndex, BadFactorIndex, SignatureMismatch
+from nodalcover.field import MatrixK
 from nodalcover.groups import (
     DirectTuple,
+    FiniteGroup,
     FPSignature,
     FPWord,
     _alpha_tuple,
@@ -32,7 +35,7 @@ from nodalcover.groups import (
     trivial_group,
 )
 
-from helpers import append_walk, gen_length, random_word
+from helpers import F7, append_walk, gen_length, hom_failure_oracle, random_word
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -62,18 +65,83 @@ def test_bad_table_rejected():
 def test_hom_failure_scans_rows_first():
     Z4 = cyclic_group(4)
     assert Z4.hom_failure(range(4), Z4.mul) is None
-    broken = {(2, 1), (1, 3)}
+    D4 = dihedral_group(4)  # generators 1 (a rotation) and 4 (a reflection)
+    broken = {(2, 1), (1, 4), (0, 3)}
 
     def compose(x, y):
-        return -1 if (x, y) in broken else Z4.mul(x, y)
+        return -1 if (x, y) in broken else D4.mul(x, y)
 
-    # row 1 comes before row 2, though (2,1) comes first by columns
-    assert Z4.hom_failure(range(4), compose) == (1, 3)
+    # (0,3) is off the generator columns; row 1 comes before row 2, though
+    # (2,1) comes first by columns
+    assert D4.hom_failure(range(8), compose) == (1, 4)
     # the anti-law of a non-abelian group fails where the law holds
     ident = list(range(S3.order))
     assert S3.hom_failure(ident, S3.mul) is None
     a, b = S3.hom_failure(ident, lambda x, y: S3.mul(y, x))
-    assert S3.mul(a, b) != S3.mul(b, a)
+    assert b in S3.generators and S3.mul(a, b) != S3.mul(b, a)
+
+
+SMALL_GROUPS = ([cyclic_group(n) for n in range(1, 7)]
+                + [dihedral_group(2), dihedral_group(3), S3,
+                   FiniteGroup.from_table(((0,),), name="1", generators=())])
+# 1x1 and 2x2 matrices over F_7, singular ones included: the scan needs an
+# associative compose, not a group on the target side
+SCALARS = [MatrixK.from_rows(F7, [[str(c)]]) for c in range(7)]
+SQUARES = [MatrixK.from_rows(F7, rows) for rows in (
+    [["1", "0"], ["0", "1"]], [["6", "0"], ["0", "6"]], [["0", "1"], ["1", "0"]],
+    [["0", "6"], ["1", "6"]], [["2", "0"], ["0", "4"]], [["1", "1"], ["0", "1"]],
+    [["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]])]
+
+
+def extend_from_generators(G, gen_images, compose, one):
+    """The map with f(e) = one and f(xs) = f(x) f(s) at each element's first
+    discovery from the identity; a homomorphism exactly when the generator
+    images satisfy G's relations."""
+    f = {G.identity: one}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, fs in zip(G.generators, gen_images):
+                y = G.mul(x, s)
+                if y not in f:
+                    f[y] = compose(f[x], fs)
+                    nxt.append(y)
+        frontier = nxt
+    return [f[x] for x in G.elements()]
+
+
+@st.composite
+def maps_out_of_small_groups(draw):
+    """(G, images, compose): a map from a small group into a group or into
+    1x1 or 2x2 matrices, extended from random generator images, with one
+    image replaced by a random target half of the time."""
+    G = draw(st.sampled_from(SMALL_GROUPS))
+    target = draw(st.sampled_from(["group", "1x1", "2x2"]))
+    if target == "group":
+        H = draw(st.sampled_from(SMALL_GROUPS))
+        pool, compose, one = list(H.elements()), H.mul, H.identity
+    else:
+        pool = SCALARS if target == "1x1" else SQUARES
+        compose, one = operator.mul, MatrixK.identity(F7, pool[0].rows)
+    targets = st.sampled_from(pool)
+    gen_images = [draw(targets) for _ in G.generators]
+    images = extend_from_generators(G, gen_images, compose, one)
+    if draw(st.booleans()):
+        images[draw(st.integers(0, G.order - 1))] = draw(targets)
+    return G, images, compose
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_out_of_small_groups())
+def test_generator_scan_agrees_with_the_all_pairs_oracle(case):
+    G, images, compose = case
+    bad = G.hom_failure(images, compose)
+    assert (bad is None) == (hom_failure_oracle(G, images, compose) is None)
+    if bad is not None:
+        a, s = bad
+        assert s in (G.generators or (G.identity,))
+        assert compose(images[a], images[s]) != images[G.mul(a, s)]
 
 
 def test_product_subgroup_diagonal_and_mixed():

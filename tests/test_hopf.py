@@ -104,6 +104,16 @@ def test_non_associative_table_fails_coassociativity():
         DenseHopf(G, F3).verify_axioms()
 
 
+@pytest.mark.parametrize("generators", [(1,), (0,)])
+def test_non_associative_table_fails_whatever_its_generators(generators):
+    """The associativity scan covers all pairs.  LOOP5's element 1 generates
+    only {0, 1}, and with the identity alone a scan of the generator columns
+    would test nothing at all."""
+    G = FiniteGroup(LOOP5, tuple("01234"), "L5", generators, 0, tuple(range(5)))
+    with pytest.raises(AxiomViolation, match="^coassociativity fails at basis element 2$"):
+        HopfAlgebra(G, F3).verify_axioms()
+
+
 def test_wrong_inverse_fails_the_antipode_law():
     G = FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators, Z3.identity, (0, 1, 2))
     with pytest.raises(AxiomViolation, match="^antipode convolution fails at 1$"):
@@ -211,11 +221,12 @@ def test_roundtrip_nonabelian():
 
 def test_roundtrip_names_the_first_pair_breaking_coassociativity():
     """A raw-constructed quotient rep skips the law check at build: Z3 images
-    (1, -1, 1) first fail at (1,2)."""
+    (1, -1, 1) hold at (0,1) and (1,1) on the generator column and first fail
+    at (2,1)."""
     sig, pres = sig_with_pres(1, (Z3,))
     one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
     fq = FiniteQuotientRep(pres, F3, 1, (Z3,), Z3, (1,), ((0, 1, 2),), (one, neg, one))
-    with pytest.raises(RoundtripFailure, match=r"^comodule coassociativity fails at \(1,2\)$"):
+    with pytest.raises(RoundtripFailure, match=r"^comodule coassociativity fails at \(2,1\)$"):
         rep_comodule_roundtrip(fq)
 
 

@@ -1,9 +1,11 @@
 """Spec files and the command line: parsing, determinism, exit codes."""
 
+import argparse
 import contextlib
 import copy
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -619,6 +621,15 @@ def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
     assert_error_line(err)
 
 
+def test_cli_hull_tower_orders_that_do_not_divide_exit_2(tmp_path):
+    z3 = tmp_path / "z3.json"
+    z3.write_text(json.dumps({"builtin": "cyclic", "n": 3}))
+    code, out, err = run_cli("hull", "--tower", "z2.json", str(z3))
+    assert code == 2 and out == ""
+    assert_error_line(err)
+    assert "x mod |low|" in err and "|Z2| = 2 does not divide |Z3| = 3" in err
+
+
 @pytest.mark.parametrize("spec", [
     {"builtin": "cyclic", "n": "x"},
     {"builtin": "cyclic", "n": 1.5},
@@ -721,6 +732,37 @@ def test_cli_main_callable_in_process(capsys):
     assert payload["rank_r"] == 1 and payload["betti"] == 1
 
 
+def test_cli_paths_are_relative_to_the_working_directory(tmp_path, monkeypatch):
+    """A path with a directory part names the file from the working directory;
+    a spec's nested file references stay relative to the spec itself."""
+    shutil.copytree(DATA, tmp_path / "specs")
+    commands = (["pi1", "nodal_cubic.json"], ["square", "z2_sign.json", "cycle3.json"],
+                ["rep", "check", "rank1_filegroup_rep.json"])
+    expected = [run_cli("--format", "json", *argv) for argv in commands]
+    monkeypatch.chdir(tmp_path)
+    for argv, want in zip(commands, expected):
+        argv = [f"specs/{a}" if a.endswith(".json") else a for a in argv]
+        out = StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--format", "json", *argv])
+        assert (code, out.getvalue()) == want[:2]
+        assert code == 0
+
+
+def test_cli_main_builds_its_parser_once(monkeypatch):
+    run_cli("pi1", "nodal_cubic.json")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli("pi1", "nodal_cubic.json")[0] == 0
+    assert built == []
+
+
 # -- the command line through a real process --------------------------------------
 # Every test above runs `cli.main` in-process.  These start an interpreter for
 # what only a child shows: the module entry, the package the child imports,
@@ -779,6 +821,18 @@ def test_cli_process_malformed_input_per_loader_exits_2(tmp_path, kind, command)
     assert code == 2 and out == ""
     assert_error_line(err)
     assert run_cli(*argv) == (code, out, err)
+
+
+def test_cli_in_process_calls_in_a_row_print_what_fresh_processes_print():
+    """The shared parser carries nothing from one call to the next: a usage
+    error, then an explicit --prime, then the default prime."""
+    sequence = (["--depth", "3", "pi1", "nodal_cubic.json"],
+                ["--prime", "5", "--format", "json", "hull", "z2.json"],
+                ["--format", "json", "hull", "z2.json"])
+    results = [run_cli(*argv) for argv in sequence]
+    assert results == [run_cli_process(*argv) for argv in sequence]
+    assert [code for code, _, _ in results] == [2, 0, 0]
+    assert [json.loads(out)["config"]["prime"] for _, out, _ in results[1:]] == [5, 3]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_CASES))

@@ -118,12 +118,13 @@ def test_build_validates_homs():
 
 
 def test_build_names_the_first_pair_breaking_the_law():
-    """Z3 images (1, -1, 1) over F_3: (1,1) holds, (1,2) is the first pair
-    in row order where rho(a) rho(b) != rho(ab)."""
+    """Z3 images (1, -1, 1) over F_3, scanned on the generator column 1:
+    (0,1) and (1,1) hold, and (2,1) is the first pair where
+    rho(a) rho(1) != rho(a + 1)."""
     sig, pres = sig_with_pres(1, (Z3,))
     one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
     with pytest.raises(ValueError, match=r"^factor hom 1 \(Z3\): images do not "
-                                         r"respect the table at \(1,2\)$"):
+                                         r"respect the table at \(2,1\)$"):
         ContinuousRep.build(pres, F3, [one], (Z3,), ((one, neg, one),))
 
 
@@ -250,7 +251,7 @@ def test_fq_names_the_first_pair_breaking_the_quotient_law():
     sig, pres = sig_with_pres(1, (Z3,))
     one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
     with pytest.raises(ValueError, match=r"^quotient hom: images do not respect "
-                                         r"the table at \(1,2\)$"):
+                                         r"the table at \(2,1\)$"):
         FiniteQuotientRep.build(pres, F3, (Z3,), Z3, [1], [(0, 1, 2)], (one, neg, one))
 
 
