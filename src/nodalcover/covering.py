@@ -151,9 +151,8 @@ def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
     """The finite cover of `rep`'s signature, which is always transitive.
 
     Each generator of G_j acts on the fiber G_1 x ... x G_N by left
-    multiplication on coordinate j.  `FiniteGroup.from_table`, which builds
-    every group, refuses designated generators that do not generate the
-    group, so the actions generate G_1 x ... x G_N acting on itself by left
+    multiplication on coordinate j.  Constructing a `FiniteGroup` refuses
+    designated generators that do not generate the group, so the actions generate G_1 x ... x G_N acting on itself by left
     multiplication: a regular, hence transitive, action."""
     sig = rep.sig
     groups = [sig.factor(j) for j in range(sig.num_factors)]

@@ -76,19 +76,6 @@ class ModeMismatch(NodalCoverError):
     pass
 
 
-# hulls
-class AxiomViolation(NodalCoverError):
-    pass
-
-
-class RoundtripFailure(NodalCoverError):
-    pass
-
-
-class NonInjectiveDual(NodalCoverError):
-    pass
-
-
 # specialization
 class SquareViolation(NodalCoverError):
     def __init__(self, message, witness=None):

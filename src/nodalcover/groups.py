@@ -19,7 +19,7 @@ signature compiles once when it is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Iterator
 
 from .errors import BadElementIndex, BadFactorIndex, SignatureMismatch
@@ -31,14 +31,61 @@ from .errors import BadElementIndex, BadFactorIndex, SignatureMismatch
 
 @dataclass(frozen=True, eq=True)
 class FiniteGroup:
-    """Finite group on indices 0..order-1 given by its multiplication table."""
+    """Finite group on indices 0..order-1 given by its multiplication table.
+
+    Construction proves the group laws, so every value of this type is a
+    group whose designated generators generate it; the identity and the
+    inverses are worked out from the table."""
 
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     name: str
     generators: tuple[int, ...]
-    identity: int
-    inverse: tuple[int, ...]
+    identity: int = dataclass_field(init=False, repr=False, compare=False)
+    inverse: tuple[int, ...] = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Refuse a table that is not a group under these generators.
+
+        Associativity is tested on the generator columns alone, (ab)s = a(bs)
+        for all a, b and each designated generator s (Light's test), after
+        the generators are shown to generate.  The set C of c with
+        (ab)c = a(bc) for all a, b holds e, by the identity law, and every s.
+        It is closed under products: for c, d in C,
+        (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  The closure
+        walk reaches every element as x s with x reached and s a generator,
+        so C is the whole group: m^2 |S| steps, not m^3."""
+        tab = self.table
+        m = len(tab)
+        if m == 0 or any(len(row) != m for row in tab):
+            raise ValueError("multiplication table must be square and nonempty")
+        if any(not 0 <= x < m for row in tab for x in row):
+            raise ValueError("table entry out of range")
+        e = next((e for e in range(m)
+                  if all(tab[e][x] == x and tab[x][e] == x for x in range(m))), None)
+        if e is None:
+            raise ValueError("table has no identity element")
+        inverse = []
+        for x, row in enumerate(tab):
+            inv = row.index(e) if e in row else None
+            if inv is None or tab[inv][x] != e:
+                raise ValueError(f"element {x} has no two-sided inverse")
+            inverse.append(inv)
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "inverse", tuple(inverse))
+        if len(self.labels) != m or len(set(self.labels)) != m:
+            raise ValueError("labels must be distinct, one per element")
+        if any(not 0 <= g < m for g in self.generators):
+            raise ValueError("generator index out of range")
+        if len(self.closure(self.generators)) != m:
+            raise ValueError("designated generators do not generate the group")
+        cols = tuple(zip(*tab))  # cols[c][x] = xc
+        for s in self.generators:
+            right_s = cols[s].__getitem__
+            for b, col_b in enumerate(cols):
+                # (ab)s against a(bs), for every a at once
+                if tuple(map(right_s, col_b)) != cols[tab[b][s]]:
+                    raise ValueError("table is not associative")
 
     def __hash__(self):
         # equality stays structural; hashing the whole table per call would
@@ -51,46 +98,15 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, table, labels=None, name="G", generators=None) -> "FiniteGroup":
+        """The group of `table`, with labels "0", "1", ... and every element a
+        generator unless given."""
         tab = tuple(tuple(int(x) for x in row) for row in table)
-        m = len(tab)
-        if m == 0 or any(len(row) != m for row in tab):
-            raise ValueError("multiplication table must be square and nonempty")
-        for row in tab:
-            for x in row:
-                if not 0 <= x < m:
-                    raise ValueError("table entry out of range")
-        identity = None
-        for e in range(m):
-            if all(tab[e][x] == x and tab[x][e] == x for x in range(m)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("table has no identity element")
-        inverse = []
-        for x in range(m):
-            inv = next((y for y in range(m) if tab[x][y] == identity), None)
-            if inv is None or tab[inv][x] != identity:
-                raise ValueError(f"element {x} has no two-sided inverse")
-            inverse.append(inv)
         if labels is None:
-            labels = tuple(str(i) for i in range(m))
-        else:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != m or len(set(labels)) != m:
-                raise ValueError("labels must be distinct, one per element")
+            labels = range(len(tab))
         if generators is None:
-            generators = tuple(range(m))
-        else:
-            generators = tuple(int(g) for g in generators)
-            for g in generators:
-                if not 0 <= g < m:
-                    raise ValueError("generator index out of range")
-        grp = cls(tab, labels, name, generators, identity, tuple(inverse))
-        if grp.associativity_failure() is not None:
-            raise ValueError("table is not associative")
-        if generators != tuple(range(m)) and len(grp.closure(generators)) != m:
-            raise ValueError("designated generators do not generate the group")
-        return grp
+            generators = range(len(tab))
+        return cls(tab, tuple(str(s) for s in labels), name,
+                   tuple(int(g) for g in generators))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -112,7 +128,7 @@ class FiniteGroup:
         """First pair (a, s), rows first, with s a designated generator, at
         which a map f out of this group breaks its law: compose(f(a), f(s)) !=
         f(as); None when every such pair holds.  Then the law holds at every
-        pair (a, b) when compose is associative: `from_table` proved that the
+        pair (a, b) when compose is associative: construction proved that the
         generators generate, so b is a product of one or more of them (an
         inverse is a positive power), and by induction on that length
         f(a bs) = f(ab) f(s) = f(a) f(b) f(s) = f(a) f(bs).  For a trivial
@@ -126,22 +142,6 @@ class FiniteGroup:
             for s in gens:
                 if compose(fa, images[s]) != images[row[s]]:
                     return a, s
-        return None
-
-    def associativity_failure(self) -> tuple[int, int] | None:
-        """First pair (a, b), rows first, with (ab)c != a(bc) for some c, or
-        None.  The left-regular map a -> row a sends ab to row ab, whose entry
-        c is (ab)c, and composing rows a and b gives a(bc); so it is a
-        homomorphism under row composition exactly when the table is
-        associative.  This scans all |G|^2 pairs: the generator scan of
-        `hom_failure` assumes the associativity proved here, and a table
-        handed in directly need not be generated by its designated
-        generators."""
-        tab = self.table
-        for a, row in enumerate(tab):
-            for b, row_b in enumerate(tab):
-                if tab[row[b]] != tuple(map(row.__getitem__, row_b)):
-                    return a, b
         return None
 
     def closure(self, seed: Iterable[int]) -> list[int]:

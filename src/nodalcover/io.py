@@ -75,9 +75,10 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-# Loading a group builds its m x m table and checks associativity in m^3
-# steps, so m is worked out from the spec and refused past this budget
-# before anything is built.  120 admits S_5.
+# Loading a group builds its m x m table and checks associativity on the
+# generator columns in m^2 |S| steps, or m^3 when a spec names no generators
+# and every element is one, so m is worked out from the spec and refused past
+# this budget before anything is built.  120 admits S_5.
 MAX_GROUP_ORDER = 120
 
 

@@ -102,8 +102,8 @@ def hom_from_generator_images(field: FunctionField, G: FiniteGroup,
     """Extend matrices on the designated generators to all of G by closure.
 
     The extension is only well defined when the assignment respects the
-    relations; callers validate the result (ContinuousRep.build and
-    FiniteQuotientRep.build both do)."""
+    relations; callers validate the result (ContinuousRep.build and the
+    FiniteQuotientRep constructor both do)."""
     gen_mats = list(gen_mats)
     if len(gen_mats) != len(G.generators):
         raise ValueError(
@@ -175,46 +175,48 @@ def rep_tensor(r1: ContinuousRep, r2: ContinuousRep) -> ContinuousRep:
 @dataclass(frozen=True)
 class FiniteQuotientRep:
     """A surjection of the free-product group onto a finite group, plus a
-    matrix representation of that quotient."""
+    matrix representation of that quotient.  Construction proves both, and
+    the rank is read off the matrices."""
 
     presentation: Pi1Presentation
     field: FunctionField
-    rank: int
     source_groups: tuple[FiniteGroup, ...]
     group: FiniteGroup
     z_to: tuple[int, ...]
     factor_to: tuple[tuple[int, ...], ...]
     hom: tuple[MatrixK, ...]
+    rank: int = dataclass_field(init=False)
 
-    @classmethod
-    def build(cls, presentation: Pi1Presentation, field: FunctionField,
-              source_groups, group: FiniteGroup, z_to, factor_to, hom) -> "FiniteQuotientRep":
-        source_groups = tuple(source_groups)
-        z_to = tuple(int(x) for x in z_to)
-        factor_to = tuple(tuple(int(x) for x in m) for m in factor_to)
-        hom = tuple(hom)
-        if len(z_to) != presentation.r:
+    def __post_init__(self):
+        group = self.group
+        if len(self.z_to) != self.presentation.r:
             raise PresentationMismatch("one quotient image per Z generator required")
-        if len(source_groups) != len(presentation.curve.components):
+        if len(self.source_groups) != len(self.presentation.curve.components):
             raise PresentationMismatch("one source group per curve component required")
-        if len(factor_to) != len(source_groups):
+        if len(self.factor_to) != len(self.source_groups):
             raise PresentationMismatch("one element map per source factor required")
-        for x in z_to:
+        for x in self.z_to:
             if not 0 <= x < group.order:
                 raise ValueError("z image out of range in the quotient")
-        for j, (G, mp) in enumerate(zip(source_groups, factor_to)):
+        for j, (G, mp) in enumerate(zip(self.source_groups, self.factor_to)):
             if len(mp) != G.order:
                 raise ValueError(f"factor map {j + 1} must cover every element")
             if mp[G.identity] != group.identity:
                 raise ValueError(f"factor map {j + 1} must send identity to identity")
             if G.hom_failure(mp, lambda x, y: group.table[x][y]) is not None:
                 raise ValueError(f"factor map {j + 1} is not a homomorphism")
-        rank = _common_rank(field, hom)
-        _check_hom(group, hom, "quotient hom")
-        images = list(z_to) + [x for mp in factor_to for x in mp]
+        object.__setattr__(self, "rank", _common_rank(self.field, self.hom))
+        _check_hom(group, self.hom, "quotient hom")
+        images = list(self.z_to) + [x for mp in self.factor_to for x in mp]
         if len(group.closure(images)) != group.order:
             raise ValueError("surjection data does not hit every quotient element")
-        return cls(presentation, field, rank, source_groups, group, z_to, factor_to, hom)
+
+    @classmethod
+    def build(cls, presentation: Pi1Presentation, field: FunctionField,
+              source_groups, group: FiniteGroup, z_to, factor_to, hom) -> "FiniteQuotientRep":
+        return cls(presentation, field, tuple(source_groups), group,
+                   tuple(int(x) for x in z_to),
+                   tuple(tuple(int(x) for x in m) for m in factor_to), tuple(hom))
 
     @property
     def sig(self) -> FPSignature:
@@ -238,8 +240,8 @@ def inflate(fq: FiniteQuotientRep, pres: Pi1Presentation) -> ContinuousRep:
     """Pull a finite-quotient rep back to the free product; evaluation then
     factors through the quotient, so kernel words act as the identity.
 
-    Nothing is re-checked: `FiniteQuotientRep.build` checked the hom's field,
-    shape and law and each factor map's law, and a hom composed with a
+    Nothing is re-checked: constructing `fq` checked the hom's field, shape
+    and law and each factor map's law, and a hom composed with a
     factor map is again a hom."""
     if pres != fq.presentation:
         raise SignatureMismatch("presentation does not match the quotient data")

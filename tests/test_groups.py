@@ -1,5 +1,6 @@
 """Free-product normal forms, the direct-product quotient, enumeration."""
 
+import itertools
 import operator
 import random
 from collections import Counter
@@ -35,7 +36,15 @@ from nodalcover.groups import (
     trivial_group,
 )
 
-from helpers import F7, append_walk, gen_length, hom_failure_oracle, random_word
+from helpers import (
+    F7,
+    LOOP5,
+    append_walk,
+    associativity_failure,
+    gen_length,
+    hom_failure_oracle,
+    random_word,
+)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -60,6 +69,77 @@ def test_bad_table_rejected():
         # non-associative magma on three points
         from nodalcover.groups import FiniteGroup
         FiniteGroup.from_table(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+
+
+def generated(table, identity, generators) -> bool:
+    """Whether right multiplication by the generators reaches every element
+    from the identity."""
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [table[x][s] for x in frontier for s in generators
+                    if table[x][s] not in seen]
+        seen.update(frontier)
+    return len(seen) == len(table)
+
+
+def earlier_checks_pass(table, generators) -> bool:
+    """The checks construction makes before associativity, written out
+    independently: an identity, a two-sided inverse for every element, and
+    generators that generate."""
+    m = len(table)
+    units = [e for e in range(m) if all(table[e][x] == x == table[x][e] for x in range(m))]
+    if not units:
+        return False
+    e = units[0]
+    return (all(any(table[x][y] == e == table[y][x] for y in range(m)) for x in range(m))
+            and generated(table, e, generators))
+
+
+def test_loop5_is_refused_under_every_generator_set():
+    """LOOP5 has an identity and inverses but is not associative, so every
+    generator set is refused: those that do not generate for that, and those
+    that do by the generator-column test, which must catch it (see
+    `FiniteGroup.__post_init__`)."""
+    assert associativity_failure(LOOP5) == (1, 1)
+    for k in range(6):
+        for gens in itertools.combinations(range(5), k):
+            reason = ("table is not associative" if generated(LOOP5, 0, gens)
+                      else "designated generators do not generate the group")
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                FiniteGroup(LOOP5, tuple("01234"), "L5", gens)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """(table, generators): a small group's table or LOOP5 under a random
+    labelling, with one entry overwritten half of the time, and a random
+    generator tuple."""
+    base = draw(st.sampled_from([G.table for G in SMALL_GROUPS] + [LOOP5]))
+    m = len(base)
+    perm = draw(st.permutations(range(m)))
+    rows = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            rows[perm[a]][perm[b]] = perm[base[a][b]]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] = draw(st.integers(0, m - 1))
+    gens = tuple(draw(st.lists(st.integers(0, m - 1), max_size=3)))
+    return tuple(map(tuple, rows)), gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_tables())
+def test_generator_column_test_agrees_with_the_all_pairs_oracle(case):
+    """Construction refuses exactly the tables that the all-pairs
+    associativity oracle or one of the earlier checks refuses."""
+    table, gens = case
+    try:
+        FiniteGroup(table, tuple(map(str, range(len(table)))), "T", gens)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (earlier_checks_pass(table, gens)
+                        and associativity_failure(table) is None)
 
 
 def test_hom_failure_scans_rows_first():

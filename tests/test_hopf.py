@@ -1,9 +1,10 @@
 """Function Hopf algebras, comodule roundtrips, towers of quotients."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcover.errors import AxiomViolation, NonInjectiveDual, RoundtripFailure
 from nodalcover.field import MatrixK
 from nodalcover.groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from nodalcover.hopf import (
@@ -15,7 +16,7 @@ from nodalcover.hopf import (
 )
 from nodalcover.reps import FiniteQuotientRep
 
-from helpers import F3, DenseHopf, dense_tower_hull, sig_with_pres
+from helpers import F3, LOOP5, DenseHopf, dense_tower_hull, raw_group, sig_with_pres
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -91,53 +92,53 @@ def test_sparse_comult_equals_dense_definition(case):
 
 # -- the axioms from the table, against the dense oracle ----------------------------
 
-# The smallest loop that is not a group: an identity and two-sided inverses
-# (every element is its own), but (1 1) 2 = 0 2 = 2 while 1 (1 2) = 1 3 = 4.
-LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-
-
 def test_non_associative_table_fails_coassociativity():
-    G = FiniteGroup(LOOP5, tuple("01234"), "L5", tuple(range(5)), 0, tuple(range(5)))
-    with pytest.raises(AxiomViolation, match="^coassociativity fails at basis element 2$"):
-        function_hopf(G, F3)
-    with pytest.raises(AxiomViolation):
-        DenseHopf(G, F3).verify_axioms()
+    with pytest.raises(ValueError, match="^table is not associative$"):
+        FiniteGroup(LOOP5, tuple("01234"), "L5", tuple(range(5)))
+    with pytest.raises(AssertionError, match="^coassociativity fails at basis element"):
+        DenseHopf(raw_group(LOOP5, 0, tuple(range(5))), F3).verify_axioms()
 
 
 @pytest.mark.parametrize("generators", [(1,), (0,)])
 def test_non_associative_table_fails_whatever_its_generators(generators):
-    """The associativity scan covers all pairs.  LOOP5's element 1 generates
-    only {0, 1}, and with the identity alone a scan of the generator columns
-    would test nothing at all."""
-    G = FiniteGroup(LOOP5, tuple("01234"), "L5", generators, 0, tuple(range(5)))
-    with pytest.raises(AxiomViolation, match="^coassociativity fails at basis element 2$"):
-        HopfAlgebra(G, F3).verify_axioms()
+    """LOOP5's element 1 generates only {0, 1}, and the identity alone
+    generates nothing more, so construction refuses both before any
+    associativity test: a scan of those generator columns would prove
+    nothing."""
+    with pytest.raises(ValueError, match="^designated generators do not generate the group$"):
+        FiniteGroup(LOOP5, tuple("01234"), "L5", generators)
 
 
 def test_wrong_inverse_fails_the_antipode_law():
-    G = FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators, Z3.identity, (0, 1, 2))
-    with pytest.raises(AxiomViolation, match="^antipode convolution fails at 1$"):
-        function_hopf(G, F3)
-    with pytest.raises(AxiomViolation):
-        DenseHopf(G, F3).verify_axioms()
+    """A group's inverses are worked out from its table, so a wrong one
+    cannot be stored; the dense oracle still refuses raw data that has one
+    (its coproduct reads the inverses, so the first failure varies)."""
+    G = FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators)
+    assert G.inverse == (0, 2, 1)
+    with pytest.raises(AssertionError):
+        DenseHopf(raw_group(Z3.table, 0, (0, 1, 2)), F3).verify_axioms()
 
 
 def test_wrong_identity_fails_the_counit_law():
-    G = FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators, 1, Z3.inverse)
-    with pytest.raises(AxiomViolation, match="^counit law fails at basis element 0$"):
-        function_hopf(G, F3)
+    """Likewise for the identity."""
+    assert FiniteGroup(Z3.table, Z3.labels, "Z3", Z3.generators).identity == 0
+    with pytest.raises(AssertionError, match="^counit law fails at basis element 0$"):
+        DenseHopf(raw_group(Z3.table, 1, Z3.inverse), F3).verify_axioms()
 
 
 def relabelled(G, perm):
-    """G transported along the bijection x -> perm[x]: identity and inverses move too."""
+    """G transported along the bijection x -> perm[x]: identity and inverses
+    move with it, and construction works them out again."""
     m = G.order
     back = [0] * m
     for x, y in enumerate(perm):
         back[y] = x
     table = tuple(tuple(perm[G.table[back[a]][back[b]]] for b in range(m)) for a in range(m))
-    inverse = tuple(perm[G.inverse[back[y]]] for y in range(m))
-    return FiniteGroup(table, tuple(str(i) for i in range(m)), G.name,
-                       tuple(perm[g] for g in G.generators), perm[G.identity], inverse)
+    H = FiniteGroup(table, tuple(str(i) for i in range(m)), G.name,
+                    tuple(perm[g] for g in G.generators))
+    assert H.identity == perm[G.identity]
+    assert H.inverse == tuple(perm[G.inverse[back[y]]] for y in range(m))
+    return H
 
 
 SMALL_GROUPS = ([cyclic_group(n) for n in range(1, 9)]
@@ -146,8 +147,8 @@ SMALL_GROUPS = ([cyclic_group(n) for n in range(1, 9)]
 
 @st.composite
 def small_groups(draw):
-    """A group of order <= 8 under a random labelling, and the same table
-    with two entries swapped (a swap of equal entries leaves it unbroken)."""
+    """A group of order <= 8 under a random labelling, and its table with
+    two entries swapped (a swap of equal entries leaves it unchanged)."""
     G = draw(st.sampled_from(SMALL_GROUPS))
     G = relabelled(G, draw(st.permutations(range(G.order))))
     m = G.order
@@ -155,31 +156,25 @@ def small_groups(draw):
     (a, b), (c, d) = draw(cells), draw(cells)
     rows = [list(row) for row in G.table]
     rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
-    broken = FiniteGroup(tuple(map(tuple, rows)), G.labels, G.name, G.generators,
-                         G.identity, G.inverse)
-    return G, broken
-
-
-def verdict(H):
-    try:
-        return H.verify_axioms()
-    except AxiomViolation:
-        return None
+    return G, tuple(map(tuple, rows))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_groups())
 def test_table_check_agrees_with_the_dense_oracle(case):
-    G, broken = case
-    assert verdict(HopfAlgebra(G, F3)) == verdict(DenseHopf(G, F3)) == {
+    """Construction accepts a swapped table exactly when the swap was of
+    equal entries: any other swap repeats an entry in a row or a column, and
+    a group table is a Latin square.  The dense oracle passes every accepted
+    group with the count that `verify_axioms` reads off the order."""
+    G, swapped = case
+    try:
+        H = FiniteGroup(swapped, G.labels, G.name, G.generators)
+    except ValueError:
+        H = None
+    assert (H is not None) == (swapped == G.table)
+    assert H is None or H == G
+    assert HopfAlgebra(G, F3).verify_axioms() == DenseHopf(G, F3).verify_axioms() == {
         "dimension": G.order, "checks": 3 * G.order + G.order ** 2 + 1}
-    # the table check proves a group, and every group passes the dense suite,
-    # so the table check cannot pass where the oracle fails
-    dense = verdict(DenseHopf(broken, F3))
-    table = verdict(HopfAlgebra(broken, F3))
-    assert dense is not None or table is None
-    if table is not None:
-        assert table == dense
 
 
 def test_commutative_always_cocommutative_iff_abelian():
@@ -220,14 +215,45 @@ def test_roundtrip_nonabelian():
 
 
 def test_roundtrip_names_the_first_pair_breaking_coassociativity():
-    """A raw-constructed quotient rep skips the law check at build: Z3 images
-    (1, -1, 1) hold at (0,1) and (1,1) on the generator column and first fail
-    at (2,1)."""
+    """A quotient rep whose hom breaks the law cannot be built, not even by
+    the raw constructor, so no roundtrip sees one: Z3 images (1, -1, 1) hold
+    at (0,1) and (1,1) on the generator column and first fail at (2,1)."""
     sig, pres = sig_with_pres(1, (Z3,))
     one, neg = MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])
-    fq = FiniteQuotientRep(pres, F3, 1, (Z3,), Z3, (1,), ((0, 1, 2),), (one, neg, one))
-    with pytest.raises(RoundtripFailure, match=r"^comodule coassociativity fails at \(2,1\)$"):
-        rep_comodule_roundtrip(fq)
+    with pytest.raises(ValueError,
+                       match=r"^quotient hom: images do not respect the table at \(2,1\)$"):
+        FiniteQuotientRep(pres, F3, (Z3,), Z3, (1,), ((0, 1, 2),), (one, neg, one))
+
+
+def test_certificates_check_nothing_that_construction_proved(monkeypatch):
+    """`function_hopf`, `tower_hull` and `rep_comodule_roundtrip` report on
+    inputs already built: with every group-law check and every matrix
+    product made to raise, and the groups' tables refusing to be read, they
+    still run."""
+    z2, z4, z8, s3 = cyclic_group(2), cyclic_group(4), cyclic_group(8), symmetric_group(3)
+    tower = QuotientTower.build(
+        [z2, z4, z8], [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
+    sig, pres = sig_with_pres(1, (z2,))
+    fq = FiniteQuotientRep.build(
+        pres, F3, (z2,), z2, [1], [(0, 1)],
+        (MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])))
+
+    def refuse(*args):
+        raise AssertionError("a proved law was checked again")
+
+    class Unread(tuple):
+        """A table that knows its size and refuses every read."""
+        __getitem__ = __iter__ = refuse
+
+    for G in (z2, z4, z8, s3):
+        object.__setattr__(G, "table", Unread(G.table))
+    for owner, name in ((FiniteGroup, "__post_init__"), (FiniteGroup, "hom_failure"),
+                        (FiniteGroup, "closure"), (QuotientTower, "map_failure"),
+                        (MatrixK, "__mul__")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert function_hopf(s3, F3).verify_axioms() == {"dimension": 6, "checks": 55}
+    assert tower_hull(tower, F3).dimensions == (2, 4, 8)
+    assert rep_comodule_roundtrip(fq).coassociative_pairs == 4
 
 
 # -- towers -----------------------------------------------------------------------
@@ -252,21 +278,21 @@ def test_tower_validation_rejects_non_surjective():
         QuotientTower.build([Z4, Z4], [[(2 * x) % 4 for x in range(4)]])
     with pytest.raises(ValueError, match="^map 0 is not a homomorphism$"):
         QuotientTower.build([Z2, Z4], [[0, 1, 1, 0]])
-    # an unvalidated tower is caught again by the dual-injectivity check
-    tower = QuotientTower((Z4, Z4), (tuple((2 * x) % 4 for x in range(4)),))
-    with pytest.raises(NonInjectiveDual, match="^level 0: element 1 has no preimage"):
-        tower_hull(tower, F3)
-    with pytest.raises(NonInjectiveDual):
-        dense_tower_hull(tower, F3)
+    # the raw constructor refuses it too; the dense oracle refuses the raw data
+    maps = (tuple((2 * x) % 4 for x in range(4)),)
+    with pytest.raises(ValueError, match="^map 0 is not surjective$"):
+        QuotientTower((Z4, Z4), maps)
+    with pytest.raises(AssertionError, match="^level 0: element 1 has no preimage"):
+        dense_tower_hull(SimpleNamespace(groups=(Z4, Z4), maps=maps), F3)
 
 
 def test_surjective_non_homomorphism_dual_breaks_the_coproduct():
     """x -> 0, 1, 1, 0 maps Z4 onto Z2 but sends 1 + 1 = 2 to 1, not 1 + 1 = 0."""
-    tower = QuotientTower((Z2, Z4), ((0, 1, 1, 0),))
-    with pytest.raises(AxiomViolation, match=r"^dual map 0 does not respect the coproduct at \(1,1\)$"):
-        tower_hull(tower, F3)
-    with pytest.raises(AxiomViolation, match="^dual map 0 does not respect the coproduct$"):
-        dense_tower_hull(tower, F3)
+    maps = ((0, 1, 1, 0),)
+    with pytest.raises(ValueError, match="^map 0 is not a homomorphism$"):
+        QuotientTower((Z2, Z4), maps)
+    with pytest.raises(AssertionError, match="^dual map 0 does not respect the coproduct$"):
+        dense_tower_hull(SimpleNamespace(groups=(Z2, Z4), maps=maps), F3)
 
 
 def test_tower_hull_agrees_with_the_dense_oracle():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodalcover.errors import PresentationMismatch, SignatureMismatch, SingularBasis
 from nodalcover.field import MatrixK
-from nodalcover.groups import FPWord, cyclic_group, fp_normalize
+from nodalcover.groups import FiniteGroup, FPWord, cyclic_group, fp_normalize
 from nodalcover.reps import (
     ContinuousRep,
     FiniteQuotientRep,
@@ -21,6 +21,7 @@ from nodalcover.reps import (
 import helpers
 from helpers import (
     F3,
+    F5,
     F7,
     fq_direct_sum,
     intertwiners,
@@ -126,6 +127,25 @@ def test_build_names_the_first_pair_breaking_the_law():
     with pytest.raises(ValueError, match=r"^factor hom 1 \(Z3\): images do not "
                                          r"respect the table at \(2,1\)$"):
         ContinuousRep.build(pres, F3, [one], (Z3,), ((one, neg, one),))
+
+
+def test_a_group_with_non_generating_generators_cannot_carry_a_rep():
+    """The generator law scan is sound only for generators that generate.
+    Z4 designated by the identity alone is refused at construction, so
+    the non-homomorphism (1, 2, 2, 3) over F_5, which holds at every
+    (element, identity) pair, cannot pass as a factor hom through it."""
+    sig, pres = sig_with_pres(1, (Z4,))
+    one = MatrixK.identity(F5, 1)
+    images = tuple(MatrixK.from_rows(F5, [[str(c)]]) for c in (1, 2, 2, 3))
+
+    def build_through(generators):
+        G = FiniteGroup(Z4.table, Z4.labels, "Z4", generators)
+        return ContinuousRep.build(pres, F5, [one], (G,), (images,))
+
+    with pytest.raises(ValueError, match="^designated generators do not generate the group$"):
+        build_through((0,))
+    with pytest.raises(ValueError, match=r"images do not respect the table at \(1,1\)$"):
+        build_through((1,))
 
 
 # -- tensor ----------------------------------------------------------------------
