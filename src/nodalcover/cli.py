@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from . import io as spec_io
@@ -27,6 +29,8 @@ from .errors import (
     BadElementIndex,
     BadFactorIndex,
     NodalCoverError,
+    PresentationMismatch,
+    ScopeMismatch,
     SpecParseError,
     TrivialW,
 )
@@ -108,6 +112,31 @@ def _load_rep(path: str, cfg: RunConfig):
     return rep
 
 
+# `domain` and `cover` list entries that grow with |G_1 x ... x G_N| (the
+# witnesses also exponentially in min(--max-len, 4)), so each count is worked
+# out from the rep and refused past this budget before anything is built.
+MAX_REPORT_ENTRIES = 100_000
+
+
+def _check_budget(entries: int, what: str) -> None:
+    if entries > MAX_REPORT_ENTRIES:
+        raise SpecParseError(f"{what} would list up to {entries} entries, "
+                             f"above the budget of {MAX_REPORT_ENTRIES}")
+
+
+def _domain_entries(rep, max_len: int) -> int:
+    """Bound on a `domain` report's entries: per factor j, |G_1 x ... x G_N|
+    (1 + r) core components with |G_j| boundary lifts per node end on curve
+    component j, then the witnesses, counted exactly by the freeness walk
+    once the rest, which bounds its states, is within budget."""
+    sig, curve = rep.sig, rep.presentation.curve
+    ends = Counter(curve.component_index(c) for n in curve.nodes for c, _ in n.ends)
+    bound = math.prod(G.order for G in sig.factors) * (1 + sig.r) * sum(
+        1 + ends[j] * G.order for j, G in enumerate(sig.factors))
+    _check_budget(bound, "domain")
+    return bound + certify_free_action(sig, min(max_len, 4)).components
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -131,6 +160,9 @@ def cmd_pi1(args, cfg: RunConfig) -> int:
 
 def cmd_cover(args, cfg: RunConfig) -> int:
     rep = _load_rep(args.rep, cfg)
+    sig = rep.sig
+    _check_budget(math.prod(G.order for G in sig.factors)
+                  * (sig.r + sum(len(G.generators) for G in sig.factors)), "cover")
     cover = build_finite_cover(rep)
     report = {
         "command": "cover",
@@ -161,6 +193,7 @@ def cmd_free(args, cfg: RunConfig) -> int:
 
 def cmd_domain(args, cfg: RunConfig) -> int:
     rep = _load_rep(args.rep, cfg)
+    _check_budget(_domain_entries(rep, cfg.max_len), "domain")
     sig = rep.sig
     if args.word:
         try:
@@ -226,21 +259,25 @@ def cmd_descend(args, cfg: RunConfig) -> int:
 def cmd_strat(args, cfg: RunConfig) -> int:
     rep1 = _load_rep(args.rep1, cfg)
     mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
+    if args.action == "tensor" and not args.rep2:
+        raise SpecParseError("strat tensor needs two rep files")
+    rep2 = _load_rep(args.rep2, cfg) if args.rep2 else rep1
+    op = hom_fdiv if args.action == "hom" else tensor_fdiv
+    try:
+        out = op(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
+    except (PresentationMismatch, ScopeMismatch) as exc:
+        # reps that cannot be paired are malformed input, not a failed certificate
+        raise SpecParseError(f"{args.rep1} and {args.rep2}: {exc}") from exc
     if args.action == "hom":
-        rep2 = _load_rep(args.rep2, cfg) if args.rep2 else rep1
-        hb = hom_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
         report = {
             "command": "strat hom",
-            "mode": hb.mode,
-            "scalar_field": hb.scalar_field,
-            "dimension": hb.dimension,
-            "basis": [spec_io.matrix_to_json(b) for b in hb.basis],
+            "mode": out.mode,
+            "scalar_field": out.scalar_field,
+            "dimension": out.dimension,
+            "basis": [spec_io.matrix_to_json(b) for b in out.basis],
         }
         return _emit(cfg, report, True)
-    if not args.rep2:
-        raise SpecParseError("strat tensor needs two rep files")
-    rep2 = _load_rep(args.rep2, cfg)
-    tensored, cert = tensor_fdiv(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
+    tensored, cert = out
     report = {
         "command": "strat tensor",
         "mode": mode,
@@ -313,8 +350,6 @@ def cmd_hull(args, cfg: RunConfig) -> int:
 
 
 def cmd_rep(args, cfg: RunConfig) -> int:
-    if args.action != "check":
-        raise SpecParseError(f"unknown rep action {args.action!r}")
     rep = _load_rep(args.rep, cfg)
     datum = datum_from_rep(rep)
     end = hom_cocycle(datum, datum)

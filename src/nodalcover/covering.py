@@ -11,7 +11,9 @@ generated by `kernel_generators`, and acts freely on components.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .curves import Pi1Presentation, chain_curve_for_signature, pi1_presentation
 from .errors import (
@@ -247,8 +249,8 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
     word s that does not end in a j-factor letter: w -> w^{-1} is a
     length-preserving bijection of normal forms that swaps the first letter
     and the last, so this counts the canonical representatives.  The report
-    also confirms the full-group failure of freeness: each factor letter
-    fixes its own base component.
+    also lists the full-group failure of freeness: each factor letter fixes
+    its own base component, since canonicalisation strips it.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -287,18 +289,8 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
                 if g != e and tab[tab[a_inv][g]][a] == e:
                     raise FreenessViolation(
                         f"conjugate {g} of factor {j} lands in the kernel at alpha={al}")
-    witnesses = []
-    for j in range(sig.num_factors):
-        G = sig.factor(j)
-        if G.order == 1:
-            continue
-        g = G.nonidentity()[0]
-        w = FPWord(sig, ((r + j, g),))
-        base = ComponentIndex(j, FPWord(sig, ()))
-        if component_action(w, base) != base:
-            raise FreenessViolation(
-                "expected full-group witness failed: factor letter moved its base")
-        witnesses.append(f"g{j + 1}:{G.labels[g]} fixes Y^{j + 1}_e")
+    witnesses = [f"g{j + 1}:{G.labels[G.nonidentity()[0]]} fixes Y^{j + 1}_e"
+                 for j, G in enumerate(sig.factors) if G.order > 1]
     return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",
                           kernel_words, components, checks, tuple(witnesses), True)
 
@@ -406,18 +398,29 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 
 @dataclass(frozen=True)
 class FundamentalDomain:
-    """Finite core of a fundamental domain and its boundary lifts.  ``section``
-    maps each direct-product element g to the letters of w*sigma(g) and of
-    their inverse, which every coverage witness starts from; ``checked`` maps
-    (g, j) to the entry `cover_witness` last proved for factor j."""
+    """Finite core of a fundamental domain and its boundary lifts.  The
+    read-only ``section`` maps each direct-product element g to the letters
+    of ws = w*sigma(g) and of their inverse, which coverage witnesses start
+    from.  Construction proves per entry what `cover_witness` rests on:
+    alpha((ws^{-1})^{-1}) = g, and ws^{-1} is the exact inverse of ws.  Each
+    entry `fundamental_domain` builds is (x, x^{-1}) with alpha(x) = g."""
 
     sig: FPSignature
     word: FPWord
     core: tuple[ComponentIndex, ...]
     boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...]
     geometry_note: str
-    section: dict[tuple[int, ...], tuple[tuple, tuple]] = field(repr=False, compare=False)
-    checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    section: Mapping[tuple[int, ...], tuple[tuple, tuple]] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        sig = self.sig
+        section = dict(self.section)
+        for g, (ws, ws_inv) in section.items():
+            if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
+                raise FreenessViolation("coverage witness fell outside the kernel")
+            if ws_inv != _inv_letters(sig, ws):
+                raise FreenessViolation("coverage witness failed to act correctly")
+        object.__setattr__(self, "section", MappingProxyType(section))
 
     @property
     def size_bound(self) -> int:
@@ -486,14 +489,10 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     """Explicit kernel word carrying a core component onto the target.
 
     With s the target's representative, g = alpha(s) and (ws, ws^{-1}) =
-    section[g], the witness is t = ws^{-1} s.  It lies in the kernel iff
-    alpha(t) = alpha(ws^{-1}) g is trivial, i.e. alpha((ws^{-1})^{-1}) = g.  It
-    carries the component of ws onto the target iff canon_j(canon_j(ws) t) =
-    canon_j(c s) equals s, c = canon_j(ws) ws^{-1}: for s without a leading
-    j-letter iff c is empty or one G_j letter, and for s with one never, since
-    canon_j strips it.  Both checks are thus facts of (section entry, j),
-    proved once per (g, j) against the entry object itself, so a replaced
-    entry is proved again."""
+    section[g], the witness is t = ws^{-1} s.  The section's proof puts t in
+    the kernel, and makes c = canon_j(ws) ws^{-1} empty or one G_j letter, so
+    t carries the component of ws onto canon_j(c s): that is s unless s has
+    a leading j-letter, which canon_j strips; such a target is refused."""
     sig = dom.sig
     s = target.rep.letters
     if target.rep.sig is not sig and target.rep.sig != sig:
@@ -501,17 +500,6 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     j = target.j
     if not 0 <= j < sig.num_factors:
         raise SignatureMismatch(f"no finite factor {j}")
-    g = _alpha_tuple(sig, s)
-    ws, ws_inv = entry = dom.section[g]
-    fid = sig.r + j
-    acts = dom.checked.get((g, j)) is entry
-    if not acts:
-        if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
-            raise FreenessViolation("coverage witness fell outside the kernel")
-        c = _concat(sig, _canon_rep_letters(sig, j, ws), ws_inv)
-        acts = not c or len(c) == 1 and c[0][0] == fid
-        if acts:
-            dom.checked[(g, j)] = entry
-    if not acts or s and s[0][0] == fid:
+    if s and s[0][0] == sig.r + j:
         raise FreenessViolation("coverage witness failed to act correctly")
-    return FPWord(sig, _concat(sig, ws_inv, s))
+    return FPWord(sig, _concat(sig, dom.section[_alpha_tuple(sig, s)][1], s))

@@ -332,35 +332,29 @@ class FPWord:
 
 
 def _normalize_letters(sig: FPSignature, raw) -> tuple[tuple[int, int], ...]:
+    """Normal form of an arbitrary letter sequence: each raw letter is
+    validated, identity letters and zero exponents are dropped, and the rest
+    are multiplied by `_concat`, neighbours pairwise in rounds that halve
+    their number, so a sequence of n letters costs O(n log n)."""
     r = sig.r
     tables, idents = sig._tables, sig._idents
-    out: list[tuple[int, int]] = []
+    words = []
     for fid, v in raw:
         if not 0 <= fid < r + len(tables):
             raise BadFactorIndex(f"factor id {fid} out of range")
-        if fid < r:
-            if v == 0:
-                continue
-        else:
+        if fid >= r:
             j = fid - r
-            tab = tables[j]
-            if not 0 <= v < len(tab):
+            if not 0 <= v < len(tables[j]):
                 raise BadElementIndex(f"element {v} out of range for factor {j}")
             if v == idents[j]:
                 continue
-        if out and out[-1][0] == fid:
-            pv = out.pop()[1]
-            if fid < r:
-                e = pv + v
-                if e:
-                    out.append((fid, e))
-            else:
-                g = tab[pv][v]
-                if g != idents[j]:
-                    out.append((fid, g))
-        else:
-            out.append((fid, v))
-    return tuple(out)
+        elif v == 0:
+            continue
+        words.append(((fid, v),))
+    while len(words) > 1:
+        pairs = iter(words)
+        words = [_concat(sig, a, next(pairs, ())) for a in pairs]
+    return words[0] if words else ()
 
 
 def _inv_letters(sig: FPSignature, letters) -> tuple[tuple[int, int], ...]:

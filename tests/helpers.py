@@ -24,6 +24,8 @@ from nodalcover.covering import (
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
 from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
 from nodalcover.errors import (
+    BadElementIndex,
+    BadFactorIndex,
     FreenessViolation,
     KernelNotTrivial,
     NoComplement,
@@ -43,10 +45,17 @@ from nodalcover.groups import (
     cyclic_group,
     fp_normalize,
     kernel_words,
+    product_subgroup,
     symmetric_group,
 )
 from nodalcover.hopf import HopfAlgebra, TowerReport
-from nodalcover.reps import ContinuousRep, FiniteQuotientRep, solve_intertwining
+from nodalcover.reps import (
+    ContinuousRep,
+    FiniteQuotientRep,
+    hom_from_generator_images,
+    solve_intertwining,
+)
+from nodalcover.stratified import TensorCertificate
 
 F3 = FunctionField(3)
 F5 = FunctionField(5)
@@ -68,6 +77,42 @@ def hom_failure_oracle(G: FiniteGroup, images, compose) -> tuple[int, int] | Non
             if compose(images[a], images[b]) != images[row[b]]:
                 return a, b
     return None
+
+
+def normalize_letters_oracle(sig: FPSignature, raw) -> tuple[tuple[int, int], ...]:
+    """Normal form of a raw letter sequence by one stack merge: each letter
+    is pushed, merged with the top when both share a factor, and popped when
+    the merge is trivial.  The oracle of `_normalize_letters`, which multiplies
+    the letters in one at a time with `_concat`."""
+    r = sig.r
+    tables, idents = sig._tables, sig._idents
+    out: list[tuple[int, int]] = []
+    for fid, v in raw:
+        if not 0 <= fid < r + len(tables):
+            raise BadFactorIndex(f"factor id {fid} out of range")
+        if fid < r:
+            if v == 0:
+                continue
+        else:
+            j = fid - r
+            tab = tables[j]
+            if not 0 <= v < len(tab):
+                raise BadElementIndex(f"element {v} out of range for factor {j}")
+            if v == idents[j]:
+                continue
+        if out and out[-1][0] == fid:
+            pv = out.pop()[1]
+            if fid < r:
+                e = pv + v
+                if e:
+                    out.append((fid, e))
+            else:
+                g = tab[pv][v]
+                if g != idents[j]:
+                    out.append((fid, g))
+        else:
+            out.append((fid, v))
+    return tuple(out)
 
 
 # The smallest loop that is not a group: an identity and two-sided inverses
@@ -399,10 +444,36 @@ def fq_direct_sum(a: FiniteQuotientRep, b: FiniteQuotientRep) -> FiniteQuotientR
                                    a.group, a.z_to, a.factor_to, hom)
 
 
+def tensor_certificate_oracle(d1, d2, out) -> TensorCertificate:
+    """The tensor certificate with every generator compared: each Z letter of
+    `out` against the Kronecker product of the factors' letters, and each
+    refined factor letter (g, h), with the refined group rebuilt by
+    `product_subgroup`, against rho1(g^-1) (x) rho2(h^-1) read off the factors'
+    homs.  The oracle of `tensor_fdiv`, which proves the factor letters."""
+    r1, r2 = d1.generator.rep, d2.generator.rep
+    checked = 0
+    sig = out.generator.rep.sig
+    for i in range(sig.r):
+        rhs = d1.generator.letter_twist((i, 1)).kron(d2.generator.letter_twist((i, 1)))
+        if out.generator.letter_twist((i, 1)) != rhs:
+            return TensorCertificate(checked, False)
+        checked += 1
+    for j in range(sig.num_factors):
+        G, H = r1.factor_groups[j], r2.factor_groups[j]
+        _, elems = product_subgroup(G, H, tuple(zip(G.generators, H.generators)))
+        refined = sig.factor(j)
+        for idx, (g, h) in enumerate(elems):
+            lhs = out.generator.letter_twist((sig.r + j, idx)) if idx != refined.identity \
+                else out.generator.rep.identity_matrix()
+            rhs = r1.factor_homs[j][G.inverse[g]].kron(r2.factor_homs[j][H.inverse[h]])
+            if lhs != rhs:
+                return TensorCertificate(checked, False)
+            checked += 1
+    return TensorCertificate(checked, True)
+
+
 def s3_rep_2dim(field=F7):
     """Faithful two-dimensional representation of the symmetric group."""
-    from nodalcover.reps import hom_from_generator_images
-
     S3 = symmetric_group(3)
     sig, pres = sig_with_pres(1, (S3,))
     swap = MatrixK.from_rows(field, [["0", "1"], ["1", "0"]])
@@ -410,6 +481,56 @@ def s3_rep_2dim(field=F7):
     hom = hom_from_generator_images(field, S3, [swap, rot], 2)
     z = MatrixK.from_rows(field, [["t", "0"], ["0", "1"]])
     return ContinuousRep.build(pres, field, [z], (S3,), (hom,))
+
+
+def f7_hom(rng: random.Random, G: FiniteGroup, n: int) -> tuple[MatrixK, ...]:
+    """A random hom of Z2, Z3, Z4 or S3 into GL_n(F_7), n = 1 or 2, extended
+    from its designated generators' images: a matrix of order dividing the
+    group's for the cyclic groups, and the trivial, sign or standard rep for
+    the symmetric group."""
+    ident = [["1", "0"], ["0", "1"]] if n == 2 else [["1"]]
+    if G.name == "S3":
+        gens = rng.choice([[ident, ident]] + ([[[["6"]], [["1"]]]] if n == 1 else
+                          [[[["0", "1"], ["1", "0"]], [["0", "6"], ["1", "6"]]]]))
+    else:
+        gens = [rng.choice({
+            ("Z2", 1): [ident, [["6"]]],
+            ("Z2", 2): [ident, [["0", "1"], ["1", "0"]], [["6", "0"], ["0", "6"]]],
+            ("Z3", 1): [ident, [["2"]], [["4"]]],
+            ("Z3", 2): [ident, [["0", "6"], ["1", "6"]]],
+            ("Z4", 1): [ident, [["6"]]],
+            ("Z4", 2): [ident, [["0", "6"], ["1", "0"]]],
+        }[G.name, n])]
+    return hom_from_generator_images(F7, G, [MatrixK.from_rows(F7, m) for m in gens], n)
+
+
+def random_tensor_pair(rng: random.Random) -> tuple[ContinuousRep, ContinuousRep]:
+    """Two reps over F_7 of ranks 1 or 2 on one chain presentation, with
+    r = 1 or 2 and one or two components.  Each component carries S3 in both
+    reps, or one of Z2, Z3 and Z4 in each, so the designated generators pair
+    up; the Z images are random in GL_n(F_7(t))."""
+    r = rng.randint(1, 2)
+    slots = [rng.random() < 0.3 for _ in range(rng.randint(1, 2))]
+    pres = pi1_presentation(chain_curve_for_signature(r, len(slots)))
+    cyclic = [cyclic_group(2), cyclic_group(3), cyclic_group(4)]
+    reps = []
+    for _ in range(2):
+        n = rng.randint(1, 2)
+        groups = [symmetric_group(3) if s3 else rng.choice(cyclic) for s3 in slots]
+        zs = [random_matrix(rng, F7, n, deg=1, invertible=True) for _ in range(r)]
+        reps.append(ContinuousRep.build(pres, F7, zs, groups,
+                                        [f7_hom(rng, G, n) for G in groups]))
+    return reps[0], reps[1]
+
+
+def random_f7_quotient(rng: random.Random) -> FiniteQuotientRep:
+    """A quotient rep over F_7 of Z^{*r} * G onto G, r = 0 to 2, with G one of
+    Z2, Z3, Z4 and S3 mapped identically and acting by `f7_hom`."""
+    G = rng.choice([cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3)])
+    r = rng.randint(0, 2)
+    _, pres = sig_with_pres(r, (G,))
+    return FiniteQuotientRep.build(pres, F7, (G,), G, [rng.randrange(G.order) for _ in range(r)],
+                                   [tuple(range(G.order))], f7_hom(rng, G, rng.randint(1, 2)))
 
 
 def append_walk(sig: FPSignature, max_len: int, carry_init=None, carry_step=None):
@@ -561,6 +682,20 @@ def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWo
     if _canon_rep_letters(sig, j, _concat(sig, _canon_rep_letters(sig, j, ws), t)) != s:
         raise FreenessViolation("coverage witness failed to act correctly")
     return FPWord(sig, t)
+
+
+def section_entry_oracle(sig: FPSignature, g, j: int, entry) -> str | None:
+    """How the section entry (ws, ws^{-1}) at g fails factor j's coverage
+    witnesses, or None: alpha((ws^{-1})^{-1}) must be g, and c =
+    canon_j(ws) ws^{-1} must be empty or one G_j letter.  The per-(g, j)
+    oracle of the entry proof that building a `FundamentalDomain` runs."""
+    ws, ws_inv = entry
+    if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
+        return "coverage witness fell outside the kernel"
+    c = _concat(sig, _canon_rep_letters(sig, j, ws), ws_inv)
+    if not c or len(c) == 1 and c[0][0] == sig.r + j:
+        return None
+    return "coverage witness failed to act correctly"
 
 
 def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:

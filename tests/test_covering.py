@@ -4,13 +4,16 @@ import itertools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nodalcover import covering as covering_module
 from nodalcover.covering import (
     ComponentIndex,
     CoverGeometry,
+    FundamentalDomain,
     InvariantOpen,
     NodeClass,
     SmoothClass,
@@ -54,6 +57,7 @@ from helpers import (
     rank2_rep,
     random_word,
     reidemeister_factors,
+    section_entry_oracle,
     separating_open_oracle,
     sig_with_pres,
 )
@@ -149,6 +153,21 @@ def test_free_action_equals_per_word_oracle(sig, L):
     while L > 2 and sum(alphabet ** n for n in range(L + 1)) > 3000:
         L -= 1
     assert certify_free_action(sig, L) == certify_free_oracle(sig, L)
+
+
+def test_free_action_lists_its_witnesses_without_acting(monkeypatch):
+    """Each nontrivial factor's first letter fixes its base component by
+    canonicalisation, so the report lists the witnesses and calls no
+    `component_action`."""
+    expected = certify_free_oracle(SIG, 4)
+
+    def refuse(*args):
+        raise AssertionError("a witness fixed by construction was acted out")
+
+    monkeypatch.setattr(covering_module, "component_action", refuse)
+    report = certify_free_action(SIG, 4)
+    assert report == expected
+    assert report.full_group_witnesses == ("g1:1 fixes Y^1_e", "g2:1 fixes Y^2_e")
 
 
 def test_free_action_vacuous_without_z_factors():
@@ -366,22 +385,37 @@ def test_witness_every_component_up_to_length():
         cover_witness(dom, target)  # raises on failure
 
 
+def _rebuilt(dom, section):
+    """The domain's data with another section, through the raw constructor."""
+    return FundamentalDomain(dom.sig, dom.word, dom.core, dom.boundary,
+                             dom.geometry_note, section)
+
+
+def _corrupted(dom, coords, entry):
+    section = dict(dom.section)
+    section[coords] = entry
+    return section
+
+
 def test_witness_checks_survive_a_corrupted_section():
-    """Both checks of cover_witness are live: a section entry whose inverse
-    leaves the kernel, and one whose inverse stays in the kernel but belongs
-    to another word, are each refused."""
+    """Both section checks are live, and run when the domain is built: a
+    section entry whose inverse leaves the kernel, and one whose inverse
+    stays in the kernel but belongs to another word, are each refused with
+    the message a coverage witness from it would have failed with."""
     w = fp_normalize(SIG, [(0, 1)])
     target = canonical_component(SIG, 1, fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)]))
     coords = alpha(target.rep).coords
+    dom = fundamental_domain(SIG, w)
+    cover_witness(dom, target)
+    ws, _ = dom.section[coords]
     for bad_letter, message in (((1, 1), "fell outside the kernel"),
                                 ((0, 1), "failed to act correctly")):
-        dom = fundamental_domain(SIG, w)
-        cover_witness(dom, target)
-        ws, _ = dom.section[coords]
         wrong = FPWord(SIG, ws) * fp_normalize(SIG, [bad_letter])
-        dom.section[coords] = (ws, wrong.inv().letters)
+        section = _corrupted(dom, coords, (ws, wrong.inv().letters))
         with pytest.raises(FreenessViolation, match=message):
-            cover_witness(dom, target)
+            _rebuilt(dom, section)
+        with pytest.raises(FreenessViolation, match=message):
+            cover_witness_oracle(SimpleNamespace(sig=SIG, section=section), target)
 
 
 def test_witness_refuses_a_non_canonical_target():
@@ -395,24 +429,34 @@ def test_witness_refuses_a_non_canonical_target():
     cover_witness(dom, ComponentIndex(0, target.rep))
 
 
-def test_witness_rechecks_a_corrupted_entry_at_every_factor():
-    """An entry proved for two factors is proved again for each of them once
-    the section holds another entry at its coordinates."""
+def test_section_is_read_only_and_proved_for_every_factor():
+    """The section cannot be replaced after the proof: item assignment
+    raises, and the domain keeps its own copy of the mapping it was built
+    from.  Each of the three corruptions of an entry is refused at
+    construction with the message the per-(g, j) oracle gives it at every
+    factor j."""
     w = fp_normalize(SIG, [(0, 1)])
     s = fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)])
-    targets = [canonical_component(SIG, j, s) for j in range(2)]
     coords = alpha(s).coords
-    for bad_letter, message in (((1, 1), "fell outside the kernel"),
-                                ((0, 1), "failed to act correctly")):
-        dom = fundamental_domain(SIG, w)
-        for target in targets:
-            cover_witness(dom, target)
-        ws, _ = dom.section[coords]
-        wrong = FPWord(SIG, ws) * fp_normalize(SIG, [bad_letter])
-        dom.section[coords] = (ws, wrong.inv().letters)
-        for target in targets:
-            with pytest.raises(FreenessViolation, match=message):
-                cover_witness(dom, target)
+    dom = fundamental_domain(SIG, w)
+    entry = dom.section[coords]
+    with pytest.raises(TypeError):
+        dom.section[coords] = entry
+    given_section = dict(dom.section)
+    kept = _rebuilt(dom, given_section)
+    given_section[coords] = ((), ())
+    assert kept.section[coords] == entry
+    assert {section_entry_oracle(SIG, coords, j, entry) for j in range(2)} == {None}
+    ws, ws_inv = (FPWord(SIG, letters) for letters in entry)
+    for bad in (fp_normalize(SIG, [(1, 1)]), fp_normalize(SIG, [(0, 1)])):
+        for wrong in ((ws.letters, (ws * bad).inv().letters),
+                      (ws.letters, (bad * ws).inv().letters),
+                      ((ws * bad).letters, ws_inv.letters)):
+            expected = {section_entry_oracle(SIG, coords, j, wrong) for j in range(2)}
+            assert len(expected) == 1 and None not in expected
+            with pytest.raises(FreenessViolation) as exc:
+                _rebuilt(dom, _corrupted(dom, coords, wrong))
+            assert str(exc.value) == expected.pop()
 
 
 def _witness_or_message(witness, dom, target):
@@ -427,30 +471,62 @@ def _witness_or_message(witness, dom, target):
 def test_witness_equals_per_target_oracle(sig, data):
     """For every word s among the first 3,000 normal forms of length <= 4 and
     every factor j, canonical for j or not, `cover_witness` returns the
-    oracle's word or raises its message, both on the fundamental domain and
-    after one section entry is corrupted."""
+    oracle's word or raises its message on the fundamental domain.  A section
+    with one corrupted entry is refused when the domain is built, with the
+    message the oracle gives every canonical target over that entry."""
     kernel = list(itertools.islice(kernel_words(sig, 4), 12))
     assume(sig.num_factors and kernel)
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
     targets = [ComponentIndex(j, FPWord(sig, letters))
                for letters, _, _ in itertools.islice(iter_words_raw(sig, 4), 3000)
                for j in range(sig.num_factors)]
+    for target in targets:
+        assert (_witness_or_message(cover_witness, dom, target)
+                == _witness_or_message(cover_witness_oracle, dom, target))
 
-    def agree():
-        for target in targets:
-            assert (_witness_or_message(cover_witness, dom, target)
-                    == _witness_or_message(cover_witness_oracle, dom, target))
-
-    agree()
-    coords = data.draw(st.sampled_from(sorted(dom.section)))
+    canonical = [t for t in targets if not t.rep.letters
+                 or t.rep.letters[0][0] != sig.r + t.j]
+    coords = data.draw(st.sampled_from(sorted({alpha(t.rep).coords for t in canonical})))
     bad = FPWord(sig, (data.draw(st.sampled_from(generator_letters(sig))),))
     ws, ws_inv = (FPWord(sig, letters) for letters in dom.section[coords])
-    dom.section[coords] = data.draw(st.sampled_from([
+    section = _corrupted(dom, coords, data.draw(st.sampled_from([
         (ws.letters, (ws * bad).inv().letters),
         (ws.letters, (bad * ws).inv().letters),
         ((ws * bad).letters, ws_inv.letters),
-    ]))
-    agree()
+    ])))
+    with pytest.raises(FreenessViolation) as exc:
+        _rebuilt(dom, section)
+    raw = SimpleNamespace(sig=sig, section=section)
+    for target in canonical:
+        if alpha(target.rep).coords == coords:
+            assert _witness_or_message(cover_witness_oracle, raw, target) == str(exc.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_signatures, st.data())
+def test_section_proof_agrees_with_the_per_factor_oracle(sig, data):
+    """Building a domain accepts every entry `fundamental_domain` makes, which
+    the per-(g, j) oracle accepts at every factor; an entry corrupted in any
+    of the three ways is refused with the message the oracle gives it at
+    every factor."""
+    kernel = list(itertools.islice(kernel_words(sig, 4), 12))
+    assume(sig.num_factors and kernel)
+    dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
+    for coords, entry in dom.section.items():
+        for j in range(sig.num_factors):
+            assert section_entry_oracle(sig, coords, j, entry) is None
+    coords = data.draw(st.sampled_from(sorted(dom.section)))
+    bad = FPWord(sig, (data.draw(st.sampled_from(generator_letters(sig))),))
+    ws, ws_inv = (FPWord(sig, letters) for letters in dom.section[coords])
+    for wrong in ((ws.letters, (ws * bad).inv().letters),
+                  (ws.letters, (bad * ws).inv().letters),
+                  ((ws * bad).letters, ws_inv.letters)):
+        expected = {section_entry_oracle(sig, coords, j, wrong)
+                    for j in range(sig.num_factors)}
+        assert len(expected) == 1 and None not in expected
+        with pytest.raises(FreenessViolation) as exc:
+            _rebuilt(dom, _corrupted(dom, coords, wrong))
+        assert str(exc.value) == expected.pop()
 
 
 @pytest.mark.parametrize("r, groups, word", [

@@ -43,6 +43,7 @@ from helpers import (
     associativity_failure,
     gen_length,
     hom_failure_oracle,
+    normalize_letters_oracle,
     random_word,
 )
 
@@ -494,8 +495,47 @@ def alpha_oracle(sig, letters):
 @given(junction_pairs())
 def test_concat_equals_normalized_concatenation(case):
     sig, a, b = case
-    assert _concat(sig, a, b) == _normalize_letters(sig, a + b)
-    assert _concat(sig, b, a) == _normalize_letters(sig, b + a)
+    assert _concat(sig, a, b) == normalize_letters_oracle(sig, a + b)
+    assert _concat(sig, b, a) == normalize_letters_oracle(sig, b + a)
+
+
+def inverse_raw(sig, raw):
+    return [(fid, -v) if fid < sig.r else (fid, sig.factor(fid - sig.r).inv(v))
+            for fid, v in reversed(raw)]
+
+
+@st.composite
+def raw_with_cancelling_runs(draw):
+    """A raw sequence, with identity letters and zero exponents, into which
+    runs that cancel (a raw word, then its inverse) are spliced anywhere,
+    and sometimes an invalid letter at the end."""
+    sig = draw(signatures)
+    raw = draw(raw_words(sig))
+    for _ in range(draw(st.integers(0, 3))):
+        run = draw(raw_words(sig, 4))
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = run + inverse_raw(sig, run)
+    bad = [(sig.r + sig.num_factors, 0)] + [(sig.r + j, G.order) for j, G in enumerate(sig.factors)]
+    if draw(st.integers(0, 9)) == 0:
+        raw.append(draw(st.sampled_from(bad)))
+    return sig, raw
+
+
+def _normal_form_or_error(normalize, sig, raw):
+    try:
+        return normalize(sig, raw)
+    except (BadFactorIndex, BadElementIndex) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_with_cancelling_runs())
+def test_normalize_equals_the_stack_merge_oracle(case):
+    """Multiplying the letters in one at a time with `_concat` gives the
+    stack merge's normal form, or its error for an invalid letter."""
+    sig, raw = case
+    assert (_normal_form_or_error(_normalize_letters, sig, raw)
+            == _normal_form_or_error(normalize_letters_oracle, sig, raw))
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalcover
+from nodalcover import cli as cli_module
 from nodalcover import io as spec_io
 from nodalcover.cli import main
+from nodalcover.covering import certify_free_action
 from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
 from nodalcover.errors import SpecParseError
 from nodalcover.field import MAX_LITERAL_DEGREE, MatrixK
@@ -576,6 +578,127 @@ def test_cli_domain_bad_word_exits_2(word):
     code, _, err = run_cli("--max-len", "3", "domain", "rank1_rep.json", "--word", word)
     assert code == 2
     assert_error_line(err)
+
+
+def rank1_spec(**changes):
+    """The rank1_rep.json spec with its curve by absolute path, edited."""
+    spec = json.loads((DATA / "rank1_rep.json").read_text())
+    spec["curve"] = str(DATA / "nodal_cubic.json")
+    return dict(spec, **changes)
+
+
+def trivial_factor(builtin, n=1, generators=1):
+    return {"group": {"builtin": builtin, "n": n}, "gen_images": [[["1"]]] * generators}
+
+
+# reps that rank1_rep.json cannot be paired with, and the mismatch each names
+# for `strat hom` and for `strat tensor`
+UNPAIRABLE = {
+    "p5": (rank1_spec(p=5, factors=[{"group": {"builtin": "cyclic", "n": 2},
+                                     "images": [[["1"]], [["4"]]]}]),
+           "twist data over different coefficient fields",
+           "tensor factors must share a coefficient field"),
+    "cycle3": (rank1_spec(curve=str(DATA / "cycle3.json"),
+                          factors=[trivial_factor("cyclic", 2), trivial_factor("trivial"),
+                                   trivial_factor("trivial")]),
+               "twist data over different signatures",
+               "tensor factors must share a presentation"),
+    "s3": (rank1_spec(factors=[trivial_factor("symmetric", 3, 2)]),
+           "twist data over different signatures",
+           "generator tuples of unequal length cannot be paired"),
+}
+
+
+@pytest.mark.parametrize("action", ["hom", "tensor"])
+@pytest.mark.parametrize("other", sorted(UNPAIRABLE))
+def test_cli_strat_on_unpairable_reps_exits_2(tmp_path, action, other):
+    """Reps over different fields, presentations or signatures, or with
+    generator tuples that cannot be paired, are malformed input: exit 2 with
+    an error naming both files and the mismatch, as --prime's conflict with
+    a spec does, not a certificate failure."""
+    spec, hom_message, tensor_message = UNPAIRABLE[other]
+    path = tmp_path / f"{other}.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("strat", action, "rank1_rep.json", str(path))
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    message = hom_message if action == "hom" else tensor_message
+    assert err.startswith(f"error: rank1_rep.json and {path}: ") and message in err
+
+
+def s4_chain_spec(n):
+    """A rank-one rep of a chain of n components with no loop, each with the
+    symmetric group on four points acting trivially."""
+    comps = [{"id": f"C{j}", "branches": ["L"] * (j > 0) + ["R"] * (j < n - 1)}
+             for j in range(n)]
+    nodes = [{"id": f"n{j}", "ends": [[f"C{j}", "R"], [f"C{j + 1}", "L"]]}
+             for j in range(n - 1)]
+    return {"p": 3, "rank": 1, "curve": {"components": comps, "nodes": nodes},
+            "z_images": [], "factors": [trivial_factor("symmetric", 4, 2)] * n}
+
+
+@pytest.mark.parametrize("max_len", ["2", "6"])
+def test_cli_domain_past_the_report_budget_exits_2_before_building(
+        tmp_path, monkeypatch, max_len):
+    """Three S4 factors give a core and boundary of about 1.4 million entries
+    at any length: refused from the spec, before the domain is built."""
+    def refuse(*args):
+        raise AssertionError("the domain was built")
+
+    monkeypatch.setattr(cli_module, "fundamental_domain", refuse)
+    path = tmp_path / "s4_cubed.json"
+    path.write_text(json.dumps(s4_chain_spec(3)))
+    code, out, err = run_cli("--max-len", max_len, "domain", str(path),
+                             "--word", "g1:1023 * g2:1023 * g1:1023 * g2:1023", timeout=10)
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert f"budget of {cli_module.MAX_REPORT_ENTRIES}" in err
+
+
+def test_cli_cover_past_the_report_budget_exits_2_before_building(tmp_path, monkeypatch):
+    """A chain of three S5 factors has 1,728,000 fiber points, each listed
+    by six actions: refused before the cover is built."""
+    def refuse(*args):
+        raise AssertionError("the cover was built")
+
+    monkeypatch.setattr(cli_module, "build_finite_cover", refuse)
+    spec = dict(s4_chain_spec(3), factors=[trivial_factor("symmetric", 5, 2)] * 3)
+    path = tmp_path / "s5_cubed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("cover", str(path), timeout=10)
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert "cover would list up to 10368000 entries" in err
+
+
+@pytest.mark.parametrize("spec,max_len,word", [
+    ("rank1_rep.json", "6", None),
+    ("rank2_rep.json", "3", None),
+    ("s4_squared", "2", "g1:1023 * g2:1023 * g1:1023 * g2:1023"),
+    ("s4_squared", "3", "g1:1023 * g2:1023 * g1:1023 * g2:1023"),
+])
+def test_report_budget_bounds_the_domain_report(tmp_path, spec, max_len, word):
+    """The estimate the budget is held to bounds the entries the report
+    lists, and counts its witnesses exactly."""
+    path = DATA / spec
+    if spec == "s4_squared":
+        path = tmp_path / "s4_squared.json"
+        path.write_text(json.dumps(s4_chain_spec(2)))
+    code, out, _ = run_cli("--format", "json", "--max-len", max_len, "domain", str(path),
+                           *(("--word", word) if word else ()))
+    assert code == 0
+    report = json.loads(out)
+    rep = spec_io.load_rep(path)
+    witnesses = certify_free_action(rep.sig, min(int(max_len), 4)).components
+    assert len(report["coverage_witnesses"]) == witnesses
+    listed = report["core_size"] + len(report["boundary"]) + witnesses
+    assert listed <= cli_module._domain_entries(rep, int(max_len)) <= cli_module.MAX_REPORT_ENTRIES
+
+
+def test_report_budget_admits_every_demo_spec():
+    for name in ("rank1_rep.json", "rank2_rep.json", "rank1_filegroup_rep.json"):
+        assert run_cli("--max-len", "40", "domain", name)[0] == 0
+        assert run_cli("cover", name)[0] == 0
 
 
 PAST_BUDGET = spec_io.MAX_GROUP_ORDER + 1

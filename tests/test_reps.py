@@ -1,5 +1,6 @@
 """Representation data: evaluation, tensor refinement, inflation, intertwiners."""
 
+import operator
 import random
 
 import pytest
@@ -24,8 +25,10 @@ from helpers import (
     F5,
     F7,
     fq_direct_sum,
+    hom_failure_oracle,
     intertwiners,
     random_matrix,
+    random_tensor_pair,
     rank1_rep,
     rank2_rep,
     random_word,
@@ -191,6 +194,20 @@ def test_tensor_refines_unequal_quotients():
     # generators pair (1 mod 4, 1 mod 2); the subgroup they generate has order 4
     assert out.sig.factor(0).order == 4
     assert out.rank == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_tensor_refined_homs_satisfy_the_all_pairs_law(seed):
+    """`rep_tensor` checks no refined law; each refined factor hom still maps
+    the identity to the identity and respects all |G|^2 products, and the
+    checked constructor accepts the same data."""
+    out = rep_tensor(*random_tensor_pair(random.Random(seed)))
+    for G, homs in zip(out.factor_groups, out.factor_homs):
+        assert homs[G.identity].is_identity()
+        assert hom_failure_oracle(G, homs, operator.mul) is None
+    assert ContinuousRep.build(out.presentation, out.field, out.z_images,
+                               out.factor_groups, out.factor_homs) == out
 
 
 def test_tensor_presentation_mismatch():

@@ -1,10 +1,15 @@
 """Pipelines: sp on representations, F on quotient reps, the square."""
 
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcover import io as spec_io
+from nodalcover import reps as reps_module
+from nodalcover import stratified as stratified_module
 from nodalcover.covering import canonical_component
 from nodalcover.curves import pi1_presentation
 from nodalcover.descent import descend_inflation, datum_from_rep
@@ -25,7 +30,17 @@ from nodalcover.specialize import (
 )
 from nodalcover.descent import hom_cocycle
 
-from helpers import F3, F7, fq_direct_sum, intertwiners, rank1_rep, rank2_rep, sig_with_pres
+from helpers import (
+    F3,
+    F7,
+    fq_direct_sum,
+    hom_failure_oracle,
+    intertwiners,
+    random_f7_quotient,
+    rank1_rep,
+    rank2_rep,
+    sig_with_pres,
+)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -85,6 +100,31 @@ def test_sp_tensor_certificate_random_pair():
     assert cert.passed
 
 
+def test_tensor_certificate_compares_the_z_letters_only(monkeypatch):
+    """The factor letters are proved, not compared: on rank2 (x) rank1 the
+    certificate builds the refined group once, in `rep_tensor`, makes no
+    matrix product, takes the tensor rep's three Kronecker products and one
+    for the Z letter, and compares that one pair of matrices."""
+    r1, r2 = rank2_rep(), rank1_rep()
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (reps_module, stratified_module):
+        if hasattr(module, "product_subgroup"):
+            monkeypatch.setattr(module, "product_subgroup",
+                                counted("product_subgroup", module.product_subgroup))
+    for name in ("__mul__", "kron", "__eq__"):
+        monkeypatch.setattr(MatrixK, name, counted(name, getattr(MatrixK, name)))
+    cert = sp_tensor_certificate(r1, r2)
+    assert cert.passed and cert.detail == "3 generators compared"
+    assert dict(counts) == {"product_subgroup": 1, "kron": 4, "__eq__": 1}
+
+
 def test_sp_hom_dims_match_intertwiners():
     r1, r2 = rank2_rep(), rank1_rep()
     d1, d2 = datum_from_rep(r1), datum_from_rep(r2)
@@ -110,6 +150,31 @@ def test_F_sign_rep_cocycle():
     assert res.passed
     assert res.finite_cocycle.mats[1] == MatrixK.from_rows(F3, [["2"]])
     assert res.finite_cocycle.check_law()
+
+
+def test_F_pipeline_makes_no_matrix_product(monkeypatch):
+    """The direct route reads rho(g^-1) off the quotient rep, whose law its
+    construction proved, and multiplies nothing."""
+    fq = _sign_fq()
+
+    def refuse(*args):
+        raise AssertionError("a proved law was checked again")
+
+    monkeypatch.setattr(MatrixK, "__mul__", refuse)
+    res = F_pipeline(fq)
+    assert res.passed and res.finite_cocycle.mats[1] == fq.hom[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_F_pipeline_data_satisfies_the_law_it_does_not_check(seed):
+    """`check_law`, and the anti-law on all |G|^2 pairs, hold on the data
+    `F_pipeline` builds from random quotient reps without checking them."""
+    fq = random_f7_quotient(random.Random(seed))
+    fin = F_pipeline(fq).finite_cocycle
+    assert fin.check_law()
+    assert fin.mats[fq.group.identity].is_identity()
+    assert hom_failure_oracle(fq.group, fin.mats, lambda x, y: y * x) is None
 
 
 def test_F_rank_additive_under_direct_sum():

@@ -1,8 +1,10 @@
 """Divided sequences: constancy, transport modes, morphism chains, tensor."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcover.descent import datum_from_rep, hom_cocycle
 from nodalcover.errors import ModeMismatch
@@ -18,7 +20,14 @@ from nodalcover.stratified import (
     tensor_fdiv,
 )
 
-from helpers import F3, rank1_rep, rank2_rep, sig_with_pres
+from helpers import (
+    F3,
+    random_tensor_pair,
+    rank1_rep,
+    rank2_rep,
+    sig_with_pres,
+    tensor_certificate_oracle,
+)
 
 Z2 = cyclic_group(2)
 
@@ -182,3 +191,14 @@ def test_tensor_associative_rank():
     assert b.rank == c.rank == 1
     # rank-one data multiply commutatively: the twists agree on generators
     assert b.generator.letter_twist((0, 1)) == c.generator.letter_twist((0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_tensor_certificate_equals_the_all_letters_oracle(seed):
+    """Proving the factor letters gives the certificate that comparing every
+    letter against the rebuilt refined group gives, count included."""
+    d1, d2 = (fdiv_from_rep(rep) for rep in random_tensor_pair(random.Random(seed)))
+    out, cert = tensor_fdiv(d1, d2)
+    assert cert.passed
+    assert cert == tensor_certificate_oracle(d1, d2, out)
