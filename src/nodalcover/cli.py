@@ -35,8 +35,8 @@ from .errors import (
     TrivialW,
 )
 from .field import check_characteristic
-from .groups import kernel_words, parse_word
-from .hopf import HopfAlgebra, QuotientTower, tower_hull
+from .groups import first_kernel_word, parse_word
+from .hopf import QuotientTower, function_hopf, tower_hull
 from .specialize import commuting_square_check
 from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
 
@@ -201,9 +201,10 @@ def cmd_domain(args, cfg: RunConfig) -> int:
         except (ValueError, BadFactorIndex, BadElementIndex) as exc:
             raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     else:
-        w = next(kernel_words(sig, cfg.max_len), None)
+        w = first_kernel_word(sig)
         if w is None:
-            raise SpecParseError("no nontrivial kernel word within the bound; pass --word")
+            raise SpecParseError("ker alpha is trivial, so no kernel word exists: "
+                                 "the whole cover is its own domain")
     try:
         dom = fundamental_domain(sig, w, rep.presentation)
     except TrivialW as exc:
@@ -310,12 +311,9 @@ def cmd_square(args, cfg: RunConfig) -> int:
 
 
 def cmd_hull(args, cfg: RunConfig) -> int:
-    from .field import FunctionField
-
-    base_field = FunctionField(cfg.field_prime)
     if len(args.groups) == 1 and not args.tower:
         G = spec_io.load_group(args.groups[0])
-        algebra = HopfAlgebra(G, base_field)
+        algebra = function_hopf(G)
         info = algebra.verify_axioms()
         report = {
             "command": "hull",
@@ -338,7 +336,7 @@ def cmd_hull(args, cfg: RunConfig) -> int:
         tower = QuotientTower.build(groups, maps)
     except ValueError as exc:
         raise SpecParseError(f"tower {' -> '.join(args.groups)}: {exc}") from exc
-    rpt = tower_hull(tower, base_field)
+    rpt = tower_hull(tower)
     report = {
         "command": "hull",
         "tower": [G.name for G in groups],
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("domain", help="fundamental domain and witness table")
     p.add_argument("rep")
-    p.add_argument("--word", help="kernel word like 'z1' (default: first one)")
+    p.add_argument("--word", help="kernel word like 'z1' (default: the shortlex-first one)")
     p.set_defaults(fn=cmd_domain)
 
     p = sub.add_parser("descend", help="cocycle check, hom dims, lattice assignment")

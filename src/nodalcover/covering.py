@@ -242,10 +242,13 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
     The stabilizer of Y^j_s is the conjugate s^{-1} G_j s, and
     alpha(s^{-1} g s) = alpha(s)^{-1} alpha(g) alpha(s) in the direct product,
     so whether a stabilizer conjugate lies in the kernel depends on alpha(s)
-    alone.  Normal forms are counted by (last letter, alpha) state, and every
-    reachable alpha is tested once per nonidentity factor element by table
-    lookups: an exact proof that no nonidentity kernel word, of any length,
-    fixes an enumerated component.  A component Y^j_s is counted through a
+    alone.  It never does: for g != e in G_j, the j-coordinate of
+    alpha(s^{-1} g s) is a^{-1} g a with a = alpha(s)_j, and a^{-1} g a = e
+    would force g = a a^{-1} = e.  Construction proved each factor table a
+    group, so this holds at every alpha, and no nonidentity kernel word, of
+    any length, fixes a component.  `checks` counts the (component, g)
+    instances of that proof; normal forms are counted by (last letter,
+    alpha) state.  A component Y^j_s is counted through a
     word s that does not end in a j-factor letter: w -> w^{-1} is a
     length-preserving bijection of normal forms that swaps the first letter
     and the last, so this counts the canonical representatives.  The report
@@ -256,7 +259,7 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
         raise ValueError("max_len must be at least 2")
     r = sig.r
     ident = sig.identity_tuple()
-    tables, inverses = sig._tables, sig._inverses
+    tables = sig._tables
 
     def step(al, letter):
         fid, v = letter
@@ -273,22 +276,13 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
     for j, tab in enumerate(tables):
         weight[r + j] = (sig.num_factors - 1, all_checks - (len(tab) - 1))
     kernel_words = components = checks = 0
-    reached = set()
     for n, grade in enumerate(iter_grade_states(sig, max_len, ident, step)):
         for (last, _, al), count in grade.items():
-            reached.add(al)
             if n and al == ident:
                 kernel_words += count
             comps, chks = weight[last]
             components += count * comps
             checks += count * chks
-    for al in reached:
-        for j, tab in enumerate(tables):
-            a, a_inv, e = al[j], inverses[j][al[j]], ident[j]
-            for g in range(len(tab)):
-                if g != e and tab[tab[a_inv][g]][a] == e:
-                    raise FreenessViolation(
-                        f"conjugate {g} of factor {j} lands in the kernel at alpha={al}")
     witnesses = [f"g{j + 1}:{G.labels[G.nonidentity()[0]]} fixes Y^{j + 1}_e"
                  for j, G in enumerate(sig.factors) if G.order > 1]
     return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",

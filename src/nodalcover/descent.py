@@ -25,6 +25,7 @@ from .covering import (
 )
 from .errors import (
     KernelNotTrivial,
+    PresentationMismatch,
     ScopeMismatch,
     SignatureMismatch,
     TransportConflict,
@@ -219,7 +220,8 @@ def check_cocycle(c, max_len: int) -> CocycleCertificate:
 
 def hom_cocycle(c1, c2) -> list[MatrixK]:
     """Basis of twisted morphisms: f with twist2(w) f = f twist1(w) for every
-    w in the scope's deck group, exact at every word length.  Both twists are
+    w in the scope's deck group, exact at every word length.  Both data must
+    share a scope, field, signature and presentation.  Both twists are
     anti-homomorphisms, so the conditions on a generating set suffice: the
     generator letters over the full scope, `kernel_generators` over the kernel.
     """
@@ -230,6 +232,8 @@ def hom_cocycle(c1, c2) -> list[MatrixK]:
     sig = c1.sig
     if sig != c2.sig:
         raise ScopeMismatch("twist data over different signatures")
+    if c1.rep.presentation != c2.rep.presentation:
+        raise PresentationMismatch("twist data over different presentations")
     if c1.scope == FULL:
         words = [FPWord(sig, (letter,)) for letter in generator_letters(sig)]
     else:

@@ -58,16 +58,6 @@ class FunctionField:
         check_characteristic(self.p)
         object.__setattr__(self, "_cache", {})
 
-    # -- coefficient arithmetic ------------------------------------------
-    def cadd(self, a, b):
-        return (a + b) % self.p
-
-    def cmul(self, a, b):
-        return a * b % self.p
-
-    def cinv(self, a):
-        return pow(a, -1, self.p)
-
     # -- element constructors --------------------------------------------
     def rf(self, num, den=1) -> "RationalFunction":
         """Build an element from int coefficient sequences (ascending powers) or ints."""
@@ -214,9 +204,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -615,9 +602,6 @@ class MatrixK:
             return MatrixK.identity(self.field, self.rows)
         return _power(self if k > 0 else self.inverse(), abs(k))
 
-    def column(self, j: int) -> "MatrixK":
-        return MatrixK(self.field, tuple((row[j],) for row in self.entries))
-
     def to_strings(self) -> list[list[str]]:
         return [[rf_to_string(e) for e in row] for row in self.entries]
 
@@ -633,10 +617,6 @@ class LinearSolution:
 
     particular: MatrixK | None
     kernel: tuple[MatrixK, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.particular is None
 
 
 def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:

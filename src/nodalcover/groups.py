@@ -29,6 +29,26 @@ from .errors import BadElementIndex, BadFactorIndex, SignatureMismatch
 # finite groups by multiplication table
 # ---------------------------------------------------------------------------
 
+def generation_walk(start, gens, step: Callable) -> Iterator[tuple]:
+    """Breadth-first walk from `start` along `step`: yields (x, k, y) for each
+    newly reached y = step(x, gens[k]), frontier by frontier, each frontier in
+    discovery order and each x's generators in order.  The edges x -> y form
+    a spanning tree of everything reached, and x is always yielded (or is
+    `start`) before any edge leaves it."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for k, g in enumerate(gens):
+                y = step(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    yield x, k, y
+        frontier = nxt
+
+
 @dataclass(frozen=True, eq=True)
 class FiniteGroup:
     """Finite group on indices 0..order-1 given by its multiplication table.
@@ -114,9 +134,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def nonidentity(self) -> list[int]:
         return [x for x in range(self.order) if x != self.identity]
 
@@ -133,8 +150,9 @@ class FiniteGroup:
         inverse is a positive power), and by induction on that length
         f(a bs) = f(ab) f(s) = f(a) f(b) f(s) = f(a) f(bs).  For a trivial
         group that lists no generator, the identity stands in.  This is the
-        one law scan; callers supply their own compose and keep their own
-        identity checks."""
+        one law scan; callers supply their own compose.  Into a group the law
+        forces f(e) = e, by cancelling f(s) in f(e) f(s) = f(s); a map into
+        matrices keeps its own identity check."""
         gens = self.generators or (self.identity,)
         for a in range(self.order):
             row = self.table[a]
@@ -146,21 +164,9 @@ class FiniteGroup:
 
     def closure(self, seed: Iterable[int]) -> list[int]:
         """Subgroup generated by seed, in discovery order starting from the identity."""
-        seen = {self.identity}
-        out = [self.identity]
-        frontier = [self.identity]
-        gens = [g for g in seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        out.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
+        tab = self.table
+        walk = generation_walk(self.identity, tuple(seed), lambda x, g: tab[x][g])
+        return [self.identity] + [y for *_, y in walk]
 
     def label_index(self, label: str) -> int:
         try:
@@ -238,19 +244,8 @@ def product_subgroup(G: FiniteGroup, H: FiniteGroup,
         if not 0 <= g < G.order or not 0 <= h < H.order:
             raise BadElementIndex("generator pair out of range")
     ident = (G.identity, H.identity)
-    seen = {ident}
-    elems = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for (a, b) in frontier:
-            for (g, h) in pairs:
-                y = (G.table[a][g], H.table[b][h])
-                if y not in seen:
-                    seen.add(y)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    walk = generation_walk(ident, pairs, lambda x, p: (G.table[x[0]][p[0]], H.table[x[1]][p[1]]))
+    elems = [ident] + [y for *_, y in walk]
     elems.sort()
     index = {e: i for i, e in enumerate(elems)}
     table = tuple(
@@ -567,6 +562,28 @@ def kernel_words(sig: FPSignature, max_len: int) -> Iterator[FPWord]:
     for letters, al, _ in iter_words_raw(sig, max_len):
         if letters and al == ident:
             yield FPWord(sig, letters)
+
+
+def first_kernel_word(sig: FPSignature) -> FPWord | None:
+    """The shortlex-first nonidentity word in the kernel of alpha, in closed
+    form; None exactly when the kernel is trivial.
+
+    z1 has generator length 1 and the least letter key, so it is first when
+    r >= 1.  With r = 0, every factor met in a kernel word appears at least
+    twice and never twice in a row, so no word of length 2 or 3 lies in the
+    kernel, and one of length 4 has the shape a b a' b' with a' = a^-1 and
+    b' = b^-1 from two factors.  The least such word takes g and h, the
+    smallest nonidentity elements of the first two nontrivial factors: g h
+    g^-1 h^-1.  With fewer than two nontrivial factors and r = 0 the group
+    is one finite factor and alpha is injective."""
+    if sig.r:
+        return FPWord(sig, ((0, 1),))
+    nontrivial = [(j, G) for j, G in enumerate(sig.factors) if G.order > 1][:2]
+    if len(nontrivial) < 2:
+        return None
+    (j1, G), (j2, H) = nontrivial  # with r = 0, factor j has letter id j
+    g, h = G.nonidentity()[0], H.nonidentity()[0]
+    return FPWord(sig, ((j1, g), (j2, h), (j1, G.inverse[g]), (j2, H.inverse[h])))
 
 
 # ---------------------------------------------------------------------------

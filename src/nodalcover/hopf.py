@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FunctionField
 from .groups import FiniteGroup
 from .reps import FiniteQuotientRep
 
@@ -32,7 +31,6 @@ class HopfAlgebra:
     """Functions on a finite group with the convolution coproduct."""
 
     group: FiniteGroup
-    base: FunctionField
 
     @property
     def dim(self) -> int:
@@ -94,10 +92,10 @@ class HopfAlgebra:
         return self.group.is_abelian()
 
 
-def function_hopf(G: FiniteGroup, base: FunctionField | None = None) -> HopfAlgebra:
+def function_hopf(G: FiniteGroup) -> HopfAlgebra:
     """Function algebra on G, whose Hopf axioms G's construction proved
     (`HopfAlgebra.verify_axioms`)."""
-    return HopfAlgebra(G, base if base is not None else FunctionField(3))
+    return HopfAlgebra(G)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ class TowerReport:
     hopf_maps_verified: int
 
 
-def tower_hull(tower: QuotientTower, base: FunctionField | None = None) -> TowerReport:
+def tower_hull(tower: QuotientTower) -> TowerReport:
     """Function algebras of every level with the dual maps injective
     Hopf-algebra morphisms; dimensions grow with the levels.
 
@@ -182,6 +180,6 @@ def tower_hull(tower: QuotientTower, base: FunctionField | None = None) -> Tower
     inverses to inverses, so the dual then respects the counit and the
     antipode too.  Building the tower proved each map a surjective
     homomorphism (`QuotientTower.map_failure`), so nothing is checked again.
-    A level G's function algebra has dimension |G| over any `base`.
+    A level G's function algebra has dimension |G|.
     """
     return TowerReport(tuple(G.order for G in tower.groups), True, len(tower.maps))

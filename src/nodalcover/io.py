@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 from .curves import NodalCurve, dual_graph, pi1_presentation
@@ -43,7 +44,7 @@ def _load_obj(source, base_dir: Path | None = None):
     try:
         # nested file references resolve relative to the referencing file
         return json.loads(path.read_text()), path.resolve().parent
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         raise SpecParseError(f"cannot read spec file {path}: {exc}") from exc
 
 
@@ -67,6 +68,22 @@ def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> Mat
 
 def matrix_to_json(M: MatrixK) -> list[list[str]]:
     return M.to_strings()
+
+
+@contextmanager
+def _spec(kind: str):
+    """The loaders' one error boundary: a SpecParseError passes through, a
+    missing key or a value of the wrong type or range reads "bad <kind>
+    spec", and any other failure while building reads "invalid <kind>", so
+    no malformed spec ends in a traceback."""
+    try:
+        yield
+    except SpecParseError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SpecParseError(f"bad {kind} spec: {exc}") from exc
+    except Exception as exc:
+        raise SpecParseError(f"invalid {kind}: {exc}") from exc
 
 
 def _json_int(value, what: str) -> int:
@@ -99,13 +116,13 @@ def _builtin_order(kind, n: int) -> int:
 
 def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
     obj, _ = _load_obj(source, base_dir)
-    if not isinstance(obj, dict):
-        raise SpecParseError("group spec must be an object")
-    if "builtin" in obj:
-        kind = obj["builtin"]
-        n = _json_int(obj.get("n", 1), "builtin group size n")
-        _check_order(_builtin_order(kind, n), f"builtin {kind} group with n = {n}")
-        try:
+    with _spec("group"):
+        if not isinstance(obj, dict):
+            raise SpecParseError("group spec must be an object")
+        if "builtin" in obj:
+            kind = obj["builtin"]
+            n = _json_int(obj.get("n", 1), "builtin group size n")
+            _check_order(_builtin_order(kind, n), f"builtin {kind} group with n = {n}")
             if kind == "cyclic":
                 return cyclic_group(n)
             if kind == "dihedral":
@@ -114,10 +131,7 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
                 return symmetric_group(n)
             if kind == "trivial":
                 return trivial_group()
-        except ValueError as exc:
-            raise SpecParseError(str(exc)) from exc
-        raise SpecParseError(f"unknown builtin group {kind!r}")
-    try:
+            raise SpecParseError(f"unknown builtin group {kind!r}")
         table = obj["table"]
         _check_order(len(table), f"a table of {len(table)} rows")
         order = obj.get("order", len(table))
@@ -136,8 +150,6 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
             raise ValueError("declared order does not match the table size")
         return FiniteGroup.from_table(table, labels=labels, name=name,
                                       generators=generators)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"bad group spec: {exc}") from exc
 
 
 def _json_str(value, what: str) -> str:
@@ -154,7 +166,7 @@ def _node_end(end) -> tuple[str, str]:
 
 def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
     obj, _ = _load_obj(source, base_dir)
-    try:
+    with _spec("curve"):
         comps = []
         for c in obj["components"]:
             branches = c.get("branches", [])
@@ -172,25 +184,11 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
         curve = NodalCurve.build(comps, nodes)
         dual_graph(curve)  # a disconnected curve has no presentation
         return curve
-    except SpecParseError:
-        raise
-    except (KeyError, IndexError, TypeError) as exc:
-        raise SpecParseError(f"bad curve spec: {exc}") from exc
-    except Exception as exc:
-        raise SpecParseError(f"invalid curve: {exc}") from exc
-
-
-def _hom_from_gen_images(field: FunctionField, G: FiniteGroup,
-                         gen_mats: list[MatrixK], rank: int) -> tuple[MatrixK, ...]:
-    try:
-        return hom_from_generator_images(field, G, gen_mats, rank)
-    except ValueError as exc:
-        raise SpecParseError(str(exc)) from exc
 
 
 def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
     obj, base_dir = _load_obj(source, base_dir)
-    try:
+    with _spec("rep"):
         field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")
         curve = load_curve(obj["curve"], base_dir)
@@ -205,19 +203,13 @@ def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
                 homs.append(tuple(matrix_from_json(field, m, rank) for m in fac["images"]))
             else:
                 gens = [matrix_from_json(field, m, rank) for m in fac["gen_images"]]
-                homs.append(_hom_from_gen_images(field, G, gens, rank))
+                homs.append(hom_from_generator_images(field, G, gens, rank))
         return ContinuousRep.build(pres, field, z_images, groups, homs)
-    except SpecParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"bad rep spec: {exc}") from exc
-    except Exception as exc:
-        raise SpecParseError(f"invalid rep: {exc}") from exc
 
 
 def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQuotientRep:
     obj, base_dir = _load_obj(source, base_dir)
-    try:
+    with _spec("quotient rep"):
         field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")
         pres = pi1_presentation(curve)
@@ -230,15 +222,9 @@ def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQu
             hom = tuple(matrix_from_json(field, m, rank) for m in obj["hom"])
         else:
             gens = [matrix_from_json(field, m, rank) for m in obj["hom_gen_images"]]
-            hom = _hom_from_gen_images(field, quotient, gens, rank)
+            hom = hom_from_generator_images(field, quotient, gens, rank)
         return FiniteQuotientRep.build(pres, field, source_groups, quotient,
                                        z_to, factor_to, hom)
-    except SpecParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"bad quotient rep spec: {exc}") from exc
-    except Exception as exc:
-        raise SpecParseError(f"invalid quotient rep: {exc}") from exc
 
 
 def dumps_report(obj) -> str:

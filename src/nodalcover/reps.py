@@ -15,7 +15,7 @@ from functools import cached_property
 from .curves import Pi1Presentation
 from .errors import PresentationMismatch, SignatureMismatch, SingularBasis
 from .field import FunctionField, MatrixK
-from .groups import FiniteGroup, FPSignature, FPWord, product_subgroup
+from .groups import FiniteGroup, FPSignature, FPWord, generation_walk, product_subgroup
 
 
 def _check_hom(G: FiniteGroup, images: tuple[MatrixK, ...], what: str):
@@ -99,7 +99,9 @@ class ContinuousRep:
 
 def hom_from_generator_images(field: FunctionField, G: FiniteGroup,
                               gen_mats, rank: int) -> tuple[MatrixK, ...]:
-    """Extend matrices on the designated generators to all of G by closure.
+    """Extend matrices on the designated generators to all of G along the
+    spanning tree of `generation_walk`, which reaches every element because
+    construction proved that the generators generate.
 
     The extension is only well defined when the assignment respects the
     relations; callers validate the result (ContinuousRep.build and the
@@ -108,19 +110,9 @@ def hom_from_generator_images(field: FunctionField, G: FiniteGroup,
     if len(gen_mats) != len(G.generators):
         raise ValueError(
             f"need one matrix per designated generator of {G.name}")
-    images: dict[int, MatrixK] = {G.identity: MatrixK.identity(field, rank)}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, M in zip(G.generators, gen_mats):
-                y = G.table[x][g]
-                if y not in images:
-                    images[y] = images[x] * M
-                    nxt.append(y)
-        frontier = nxt
-    if len(images) != G.order:
-        raise ValueError(f"generators of {G.name} do not reach every element")
+    images = {G.identity: MatrixK.identity(field, rank)}
+    for x, k, y in generation_walk(G.identity, G.generators, lambda x, g: G.table[x][g]):
+        images[y] = images[x] * gen_mats[k]
     return tuple(images[g] for g in range(G.order))
 
 
@@ -199,19 +191,16 @@ class FiniteQuotientRep:
             raise PresentationMismatch("one source group per curve component required")
         if len(self.factor_to) != len(self.source_groups):
             raise PresentationMismatch("one element map per source factor required")
-        for x in self.z_to:
-            if not 0 <= x < group.order:
-                raise ValueError("z image out of range in the quotient")
+        images = list(self.z_to) + [x for mp in self.factor_to for x in mp]
+        if any(not 0 <= x < group.order for x in images):
+            raise ValueError("image out of range in the quotient")
         for j, (G, mp) in enumerate(zip(self.source_groups, self.factor_to)):
             if len(mp) != G.order:
                 raise ValueError(f"factor map {j + 1} must cover every element")
-            if mp[G.identity] != group.identity:
-                raise ValueError(f"factor map {j + 1} must send identity to identity")
             if G.hom_failure(mp, lambda x, y: group.table[x][y]) is not None:
                 raise ValueError(f"factor map {j + 1} is not a homomorphism")
         object.__setattr__(self, "rank", _common_rank(self.field, self.hom))
         _check_hom(group, self.hom, "quotient hom")
-        images = list(self.z_to) + [x for mp in self.factor_to for x in mp]
         if len(group.closure(images)) != group.order:
             raise ValueError("surjection data does not hit every quotient element")
 

@@ -491,7 +491,7 @@ def criterion_11(rng) -> tuple[bool, str]:
     f3 = FunctionField(3)
     names = []
     for G in (cyclic_group(2), cyclic_group(4), symmetric_group(3), dihedral_group(4)):
-        function_hopf(G, f3)
+        function_hopf(G)
         names.append(G.name)
     Z2 = cyclic_group(2)
     sig, pres = _sig_with_pres(1, (Z2,))
@@ -504,7 +504,7 @@ def criterion_11(rng) -> tuple[bool, str]:
     tower = QuotientTower.build(
         [cyclic_group(2), cyclic_group(4), cyclic_group(8)],
         [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
-    report = tower_hull(tower, f3)
+    report = tower_hull(tower)
     if report.dimensions != (2, 4, 8) or not report.injective:
         return False, f"tower dual dimensions {report.dimensions}"
     return True, (f"axioms hold for {', '.join(names)}; roundtrip exact; "

@@ -31,7 +31,7 @@ from .descent import (
 )
 from .errors import SquareViolation, TransportConflict
 from .field import MatrixK
-from .groups import kernel_words
+from .groups import first_kernel_word
 from .reps import ContinuousRep, FiniteQuotientRep, inflate
 from .stratified import FDividedDatum, S_RELATIVE, fdiv_from_rep
 
@@ -78,10 +78,10 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
         f"{free.kernel_words} kernel words, {free.components} components"))
 
     domain = None
-    w = next(kernel_words(sig, max_len), None)
+    w = first_kernel_word(sig)
     if w is None:
         certs.append(Certificate(
-            "fundamental-domain", True, max_len,
+            "fundamental-domain", True, None,
             "deck group over the finite cover is trivial; the whole cover is its own domain"))
     else:
         # building the domain proved a coverage witness for every canonical

@@ -82,8 +82,6 @@ def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum) -> FdivHomBasis:
     """
     if d1.mode != d2.mode:
         raise ModeMismatch("cannot mix transport modes")
-    if d1.generator.scope != d2.generator.scope:
-        raise ModeMismatch("twist data over different deck scopes")
     basis = hom_cocycle(d1.generator, d2.generator)
     if d1.mode == S_RELATIVE:
         return FdivHomBasis(S_RELATIVE, "K", tuple(basis))
@@ -101,7 +99,8 @@ def _frobenius_fixed_combinations(field: FunctionField,
     The reduced basis has unit pivots, so the pivot coordinates force every
     coefficient into the prime field; what remains is the linear system
     sum c_j (B_j^p - B_j) = 0 with constant coefficients, assembled by
-    clearing denominators entrywise and solved over K.
+    clearing denominators entrywise and solved over K.  Each entry times the
+    product of every entry's denominator has denominator 1.
     """
     diffs = [B.frobenius() - B for B in basis]
     zero = field.zero()
@@ -116,15 +115,8 @@ def _frobenius_fixed_combinations(field: FunctionField,
             for e in entries:
                 if not e.is_zero():
                     common = common * field.rf(e.den)
-            polys = []
-            max_deg = 0
-            for e in entries:
-                cleared = e * common
-                if cleared.den != (1,):
-                    raise ModeMismatch("denominator clearing failed")
-                polys.append(cleared.num)
-                max_deg = max(max_deg, len(cleared.num))
-            for k in range(max_deg):
+            polys = [(e * common).num for e in entries]
+            for k in range(max(map(len, polys))):
                 row = tuple(field.from_int(poly[k]) if k < len(poly) else zero
                             for poly in polys)
                 if any(e.num for e in row):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 from nodalcover.covering import (
@@ -130,6 +131,73 @@ def associativity_failure(table) -> tuple[int, int] | None:
             if table[row[b]] != tuple(map(row.__getitem__, row_b)):
                 return a, b
     return None
+
+
+def closure_oracle(G: FiniteGroup, seed) -> list[int]:
+    """`FiniteGroup.closure` by its own frontier loop: the subgroup generated
+    by seed, in discovery order starting from the identity."""
+    seen = {G.identity}
+    out = [G.identity]
+    frontier = [G.identity]
+    gens = list(seed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.table[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    out.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return out
+
+
+def product_subgroup_oracle(G: FiniteGroup, H: FiniteGroup, pairs, name=None):
+    """`product_subgroup` with its own frontier loop over pairs: the subgroup
+    of G x H the pairs generate, as a table group, and its sorted elements."""
+    ident = (G.identity, H.identity)
+    seen = {ident}
+    elems = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for (a, b) in frontier:
+            for (g, h) in pairs:
+                y = (G.table[a][g], H.table[b][h])
+                if y not in seen:
+                    seen.add(y)
+                    elems.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    elems.sort()
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[(G.table[a1][a2], H.table[b1][b2])] for (a2, b2) in elems]
+             for (a1, b1) in elems]
+    labels = [f"({G.labels[a]},{H.labels[b]})" for (a, b) in elems]
+    gens = [index[p] for p in dict.fromkeys(pairs)]
+    grp = FiniteGroup.from_table(table, labels=labels,
+                                 name=name or f"{G.name}x{H.name}|gen", generators=gens)
+    return grp, tuple(elems)
+
+
+def extend_from_generators(G, gen_images, compose, one):
+    """The oracle of `hom_from_generator_images`, for any compose: the map
+    with f(e) = one and f(xs) = f(x) f(s) at each element's first discovery
+    from the identity, by a frontier loop; a homomorphism exactly when the
+    generator images satisfy G's relations."""
+    f = {G.identity: one}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, fs in zip(G.generators, gen_images):
+                y = G.mul(x, s)
+                if y not in f:
+                    f[y] = compose(f[x], fs)
+                    nxt.append(y)
+        frontier = nxt
+    return [f[x] for x in range(G.order)]
 
 
 def raw_group(table, identity, inverse):
@@ -483,11 +551,11 @@ def s3_rep_2dim(field=F7):
     return ContinuousRep.build(pres, field, [z], (S3,), (hom,))
 
 
-def f7_hom(rng: random.Random, G: FiniteGroup, n: int) -> tuple[MatrixK, ...]:
-    """A random hom of Z2, Z3, Z4 or S3 into GL_n(F_7), n = 1 or 2, extended
-    from its designated generators' images: a matrix of order dividing the
-    group's for the cyclic groups, and the trivial, sign or standard rep for
-    the symmetric group."""
+def f7_gen_mats(rng: random.Random, G: FiniteGroup, n: int) -> list[MatrixK]:
+    """Images in GL_n(F_7), n = 1 or 2, of the designated generators of Z2,
+    Z3, Z4 or S3 under a random hom: a matrix of order dividing the group's
+    for the cyclic groups, and the trivial, sign or standard rep for the
+    symmetric group."""
     ident = [["1", "0"], ["0", "1"]] if n == 2 else [["1"]]
     if G.name == "S3":
         gens = rng.choice([[ident, ident]] + ([[[["6"]], [["1"]]]] if n == 1 else
@@ -501,7 +569,13 @@ def f7_hom(rng: random.Random, G: FiniteGroup, n: int) -> tuple[MatrixK, ...]:
             ("Z4", 1): [ident, [["6"]]],
             ("Z4", 2): [ident, [["0", "6"], ["1", "0"]]],
         }[G.name, n])]
-    return hom_from_generator_images(F7, G, [MatrixK.from_rows(F7, m) for m in gens], n)
+    return [MatrixK.from_rows(F7, m) for m in gens]
+
+
+def f7_hom(rng: random.Random, G: FiniteGroup, n: int) -> tuple[MatrixK, ...]:
+    """A random hom of Z2, Z3, Z4 or S3 into GL_n(F_7), extended from
+    `f7_gen_mats`."""
+    return hom_from_generator_images(F7, G, f7_gen_mats(rng, G, n), n)
 
 
 def random_tensor_pair(rng: random.Random) -> tuple[ContinuousRep, ContinuousRep]:
@@ -747,11 +821,14 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
                           kernel_words, components, checks, tuple(witnesses), True)
 
 
+@dataclass(frozen=True)
 class DenseHopf(HopfAlgebra):
     """Oracle for `HopfAlgebra.verify_axioms`: every axiom instance checked by
-    dense coordinate arithmetic on m-tuples and coproduct tensors, where the
-    library reads each axiom off one group law of the table.  The group may be
-    raw data (`raw_group`) that no constructor checked."""
+    dense coordinate arithmetic mod p on m-tuples and coproduct tensors, where
+    the library reads each axiom off one group law of the table.  The group
+    may be raw data (`raw_group`) that no constructor checked."""
+
+    p: int = 3
 
     def zero_vec(self):
         return (0,) * self.dim
@@ -760,10 +837,10 @@ class DenseHopf(HopfAlgebra):
         return (1,) * self.dim
 
     def add(self, v, w):
-        return tuple(self.base.cadd(a, b) for a, b in zip(v, w))
+        return tuple((a + b) % self.p for a, b in zip(v, w))
 
     def mult(self, v, w):
-        return tuple(self.base.cmul(a, b) for a, b in zip(v, w))
+        return tuple(a * b % self.p for a, b in zip(v, w))
 
     def counit(self, v):
         return v[self.group.identity]
@@ -773,7 +850,7 @@ class DenseHopf(HopfAlgebra):
         for (a, b), c1 in s.items():
             c2 = t.get((a, b))
             if c2:
-                prod = self.base.cmul(c1, c2)
+                prod = c1 * c2 % self.p
                 if prod:
                     out[(a, b)] = prod
         return out
@@ -785,8 +862,7 @@ class DenseHopf(HopfAlgebra):
             inner = cops[a if leg == 0 else b]
             for (x, y), d in inner.items():
                 key = (x, y, b) if leg == 0 else (a, x, y)
-                val = self.base.cmul(c, d)
-                acc = self.base.cadd(out.get(key, 0), val)
+                acc = (out.get(key, 0) + c * d) % self.p
                 if acc:
                     out[key] = acc
                 elif key in out:
@@ -805,16 +881,16 @@ class DenseHopf(HopfAlgebra):
             right = self.zero_vec()
             for (h, k), c in dg.items():
                 if h == G.identity:
-                    left = self.add(left, tuple(self.base.cmul(c, x) for x in basis[k]))
+                    left = self.add(left, tuple(c * x % self.p for x in basis[k]))
                 if k == G.identity:
-                    right = self.add(right, tuple(self.base.cmul(c, x) for x in basis[h]))
+                    right = self.add(right, tuple(c * x % self.p for x in basis[h]))
             if left != eg or right != eg:
                 raise AssertionError(f"counit law fails at basis element {g}")
             conv = self.zero_vec()
             for (h, k), c in dg.items():
                 term = self.mult(self.antipode(basis[h]), basis[k])
-                conv = self.add(conv, tuple(self.base.cmul(c, x) for x in term))
-            target = tuple(self.base.cmul(self.counit(eg), x) for x in self.unit())
+                conv = self.add(conv, tuple(c * x % self.p for x in term))
+            target = tuple(self.counit(eg) * x % self.p for x in self.unit())
             if conv != target:
                 raise AssertionError(f"antipode convolution fails at {g}")
             checks += 3
@@ -833,13 +909,13 @@ class DenseHopf(HopfAlgebra):
         return {"dimension": self.dim, "checks": checks}
 
 
-def dense_tower_hull(tower, base: FunctionField) -> TowerReport:
+def dense_tower_hull(tower, p: int = 3) -> TowerReport:
     """Oracle for `tower_hull`: each dual map v -> v o f is checked on every
     basis vector to be multiplicative and to respect the coproduct, counit,
     antipode and unit, where building a `QuotientTower` checks that f is a
     surjective homomorphism.  `tower` needs only `groups` and `maps`, so raw
     data can be passed in a namespace."""
-    algebras = [DenseHopf(G, base) for G in tower.groups]
+    algebras = [DenseHopf(G, p) for G in tower.groups]
     for A in algebras:
         A.verify_axioms()
     for i, m in enumerate(tower.maps):
@@ -867,7 +943,7 @@ def dense_tower_hull(tower, base: FunctionField) -> TowerReport:
             for (a, b), c in Adown.comult(src).items():
                 for ha in fibers[a]:
                     for hb in fibers[b]:
-                        acc = base.cadd(rhs_t.get((ha, hb), 0), c)
+                        acc = (rhs_t.get((ha, hb), 0) + c) % p
                         if acc:
                             rhs_t[(ha, hb)] = acc
                         else:

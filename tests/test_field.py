@@ -51,8 +51,8 @@ def test_mul_by_inverse_is_one():
     rng = random.Random(7)
     for _ in range(50):
         f = random_rf(rng, F3, nonzero=True)
-        assert (f * f.inverse()).is_one()
-        assert (f / f).is_one()
+        assert f * f.inverse() == F3.one()
+        assert f / f == F3.one()
 
 
 def _poly_gcd_oracle(p, a, b):
@@ -144,9 +144,9 @@ def test_make_rf_monomial_den_matches_euclid(F, where, data):
     # the general canonical form: divide out the Euclidean gcd, make den monic
     g = _pgcd(F, num, den)
     n, d = _pdivmod(F, num, g)[0], _pdivmod(F, den, g)[0]
-    inv = F.cinv(d[-1])
-    assert got.num == tuple(F.cmul(c, inv) for c in n)
-    assert got.den == tuple(F.cmul(c, inv) for c in d)
+    inv = pow(d[-1], -1, F.p)
+    assert got.num == tuple(c * inv % F.p for c in n)
+    assert got.den == tuple(c * inv % F.p for c in d)
     assert got.den[-1] == 1
     assert len(_poly_gcd_oracle(F.p, got.num, got.den)) == 1
 
@@ -225,7 +225,7 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == F3.zero()
     if not a.is_zero():
-        assert (a * a.inverse()).is_one()
+        assert a * a.inverse() == F3.one()
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,7 +318,7 @@ def test_solve_identity_and_zero():
     assert sol.particular == rhs and not sol.kernel
     Z = MatrixK.zeros(F3, 2, 2)
     bad = MatrixK.from_rows(F3, [["1", "0"], ["0", "1"]])
-    assert solve_linear(Z, bad).is_empty
+    assert solve_linear(Z, bad).particular is None
 
 
 def test_solve_residual_oracle():
@@ -336,8 +336,8 @@ def test_kernel_is_echelonized():
     sol = solve_linear(M, MatrixK.zeros(F3, 2, 1))
     assert len(sol.kernel) == 2
     # free columns get unit entries in index order
-    assert sol.kernel[0].entries[1][0].is_one()
-    assert sol.kernel[1].entries[2][0].is_one()
+    assert sol.kernel[0].entries[1][0] == F3.one()
+    assert sol.kernel[1].entries[2][0] == F3.one()
 
 
 @settings(max_examples=60, deadline=None)

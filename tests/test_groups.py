@@ -23,6 +23,7 @@ from nodalcover.groups import (
     cyclic_group,
     dihedral_group,
     enumerate_words,
+    first_kernel_word,
     format_word,
     fp_mul,
     fp_normalize,
@@ -41,9 +42,12 @@ from helpers import (
     LOOP5,
     append_walk,
     associativity_failure,
+    closure_oracle,
+    extend_from_generators,
     gen_length,
     hom_failure_oracle,
     normalize_letters_oracle,
+    product_subgroup_oracle,
     random_word,
 )
 
@@ -174,24 +178,6 @@ SQUARES = [MatrixK.from_rows(F7, rows) for rows in (
     [["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]])]
 
 
-def extend_from_generators(G, gen_images, compose, one):
-    """The map with f(e) = one and f(xs) = f(x) f(s) at each element's first
-    discovery from the identity; a homomorphism exactly when the generator
-    images satisfy G's relations."""
-    f = {G.identity: one}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, fs in zip(G.generators, gen_images):
-                y = G.mul(x, s)
-                if y not in f:
-                    f[y] = compose(f[x], fs)
-                    nxt.append(y)
-        frontier = nxt
-    return [f[x] for x in G.elements()]
-
-
 @st.composite
 def maps_out_of_small_groups(draw):
     """(G, images, compose): a map from a small group into a group or into
@@ -201,7 +187,7 @@ def maps_out_of_small_groups(draw):
     target = draw(st.sampled_from(["group", "1x1", "2x2"]))
     if target == "group":
         H = draw(st.sampled_from(SMALL_GROUPS))
-        pool, compose, one = list(H.elements()), H.mul, H.identity
+        pool, compose, one = list(range(H.order)), H.mul, H.identity
     else:
         pool = SCALARS if target == "1x1" else SQUARES
         compose, one = operator.mul, MatrixK.identity(F7, pool[0].rows)
@@ -223,6 +209,30 @@ def test_generator_scan_agrees_with_the_all_pairs_oracle(case):
         a, s = bad
         assert s in (G.generators or (G.identity,))
         assert compose(images[a], images[s]) != images[G.mul(a, s)]
+
+
+STOCK_GROUPS = SMALL_GROUPS + [dihedral_group(4), symmetric_group(4)]
+
+
+@st.composite
+def group_and_seed(draw):
+    G = draw(st.sampled_from(STOCK_GROUPS))
+    return G, draw(st.lists(st.integers(0, G.order - 1), max_size=4, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_seed())
+def test_closure_discovery_order_is_the_frontier_oracle(case):
+    G, seed = case
+    assert G.closure(seed) == closure_oracle(G, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS), st.data())
+def test_product_subgroup_is_the_frontier_oracle(G, H, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, G.order - 1),
+                                         st.integers(0, H.order - 1)), max_size=3))
+    assert product_subgroup(G, H, pairs) == product_subgroup_oracle(G, H, pairs)
 
 
 def test_product_subgroup_diagonal_and_mixed():
@@ -615,6 +625,28 @@ def test_unsorted_grades_are_rejected():
 def test_kernel_words_start_at_once_under_a_huge_bound():
     """Grades are built one at a time, so nothing up front grows with the bound."""
     assert next(kernel_words(SIG, 10**9)) == next(kernel_words(SIG, 1))
+
+
+kernel_word_signatures = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.sampled_from([trivial_group(), Z2, Z3, cyclic_group(4), S3, dihedral_group(4)]),
+             min_size=1, max_size=3),
+).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_word_signatures)
+def test_first_kernel_word_is_the_first_enumerated_one(sig):
+    """With no Z factor the first kernel word is a commutator of length 4,
+    so the enumeration to length 4 decides it: none there means none at all."""
+    assert first_kernel_word(sig) == next(kernel_words(sig, 4), None)
+
+
+def test_first_kernel_word_closed_forms():
+    assert str(first_kernel_word(FPSignature(1, (S3, Z2)))) == "z1"
+    sig = FPSignature(0, (trivial_group(), S3, Z2))
+    assert str(first_kernel_word(sig)) == "g2:021 * g3:1 * g2:021 * g3:1"
+    assert first_kernel_word(FPSignature(0, (trivial_group(), S3))) is None
 
 
 @settings(max_examples=30, deadline=None)

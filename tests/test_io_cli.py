@@ -516,6 +516,15 @@ def test_cli_non_utf8_spec_file_exits_2(tmp_path, content, argv):
     assert "cannot read spec file" in err
 
 
+def test_cli_spec_nested_past_the_parser_depth_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli("pi1", str(path))
+    assert code == 2
+    assert_error_line(err)
+    assert "cannot read spec file" in err
+
+
 def test_cli_bad_prime_rejected():
     code, _, err = run_cli("--prime", "6", "pi1", "nodal_cubic.json")
     assert code == 2
@@ -606,6 +615,12 @@ UNPAIRABLE = {
     "s3": (rank1_spec(factors=[trivial_factor("symmetric", 3, 2)]),
            "twist data over different signatures",
            "generator tuples of unequal length cannot be paired"),
+    # the same curve and signature, with the self-node under another id
+    "renamed-node": (rank1_spec(curve={
+        "components": [{"id": "C1", "branches": ["a", "b"]}],
+        "nodes": [{"id": "y9", "ends": [["C1", "a"], ["C1", "b"]]}]}),
+        "twist data over different presentations",
+        "tensor factors must share a presentation"),
 }
 
 
@@ -626,15 +641,43 @@ def test_cli_strat_on_unpairable_reps_exits_2(tmp_path, action, other):
     assert err.startswith(f"error: rank1_rep.json and {path}: ") and message in err
 
 
-def s4_chain_spec(n):
-    """A rank-one rep of a chain of n components with no loop, each with the
-    symmetric group on four points acting trivially."""
+def chain_spec(factors):
+    """A rank-one rep of a chain of components with no loop, one component
+    per factor."""
+    n = len(factors)
     comps = [{"id": f"C{j}", "branches": ["L"] * (j > 0) + ["R"] * (j < n - 1)}
              for j in range(n)]
     nodes = [{"id": f"n{j}", "ends": [[f"C{j}", "R"], [f"C{j + 1}", "L"]]}
              for j in range(n - 1)]
     return {"p": 3, "rank": 1, "curve": {"components": comps, "nodes": nodes},
-            "z_images": [], "factors": [trivial_factor("symmetric", 4, 2)] * n}
+            "z_images": [], "factors": list(factors)}
+
+
+def s4_chain_spec(n):
+    """A chain of n components, each with the symmetric group on four points
+    acting trivially."""
+    return chain_spec([trivial_factor("symmetric", 4, 2)] * n)
+
+
+@pytest.mark.parametrize("max_len", ["2", "3", "6"])
+def test_cli_domain_default_word_needs_no_length_bound(tmp_path, max_len):
+    """With no Z factor the first kernel word is a commutator of length 4,
+    which the default finds at every --max-len."""
+    path = tmp_path / "s3_z2.json"
+    path.write_text(json.dumps(chain_spec([trivial_factor("symmetric", 3, 2),
+                                           trivial_factor("cyclic", 2)])))
+    code, out, _ = run_cli("--format", "json", "--max-len", max_len, "domain", str(path))
+    assert code == 0
+    assert json.loads(out)["word"] == "g1:021 * g2:1 * g1:021 * g2:1"
+
+
+def test_cli_domain_over_a_trivial_kernel_exits_2(tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(chain_spec([trivial_factor("symmetric", 3, 2)])))
+    code, out, err = run_cli("domain", str(path))
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert "ker alpha is trivial" in err
 
 
 @pytest.mark.parametrize("max_len", ["2", "6"])
@@ -774,6 +817,21 @@ def test_cli_hull_malformed_group_exits_2(tmp_path, spec):
     code, _, err = run_cli("hull", str(path))
     assert code == 2
     assert_error_line(err)
+
+
+def test_cli_group_spec_raising_an_unexpected_error_exits_2(tmp_path, monkeypatch):
+    """A failure of a kind the group loader does not anticipate still ends
+    in an error line and exit 2, as for every other spec kind."""
+    def broken(n):
+        raise ArithmeticError("table construction broke")
+
+    monkeypatch.setattr(spec_io, "cyclic_group", broken)
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({"builtin": "cyclic", "n": 4}))
+    code, out, err = run_cli("hull", str(path))
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert "error: invalid group: table construction broke" in err.splitlines()
 
 
 @pytest.mark.parametrize("kind,field,value", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodalcover.errors import PresentationMismatch, SignatureMismatch, SingularBasis
 from nodalcover.field import MatrixK
-from nodalcover.groups import FiniteGroup, FPWord, cyclic_group, fp_normalize
+from nodalcover.groups import FiniteGroup, FPWord, cyclic_group, fp_normalize, symmetric_group
 from nodalcover.reps import (
     ContinuousRep,
     FiniteQuotientRep,
@@ -24,6 +24,8 @@ from helpers import (
     F3,
     F5,
     F7,
+    extend_from_generators,
+    f7_gen_mats,
     fq_direct_sum,
     hom_failure_oracle,
     intertwiners,
@@ -181,6 +183,20 @@ def test_tensor_kronecker_oracle_diagonal_groups():
         assert eval_word(out, w) == eval_word(a, wa).kron(eval_word(b, wb))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Z2, Z3, Z4, symmetric_group(3)]), st.integers(1, 2),
+       st.randoms(use_true_random=False), st.booleans())
+def test_generator_extension_is_the_frontier_oracle(G, n, rng, scramble):
+    """The same images as the frontier loop, on `f7_hom` data and, with
+    scramble, on random generator matrices that need not respect G's
+    relations: the walk fixes every image along its spanning tree."""
+    gens = f7_gen_mats(rng, G, n)
+    if scramble:
+        gens = [random_matrix(rng, F7, n) for _ in gens]
+    expected = extend_from_generators(G, gens, operator.mul, MatrixK.identity(F7, n))
+    assert hom_from_generator_images(F7, G, gens, n) == tuple(expected)
+
+
 def test_tensor_refines_unequal_quotients():
     sig4, pres = sig_with_pres(1, (Z4,))
     i_mat = MatrixK.from_rows(F3, [["0", "2"], ["1", "0"]])  # order 4 over F_3
@@ -329,7 +345,7 @@ def test_intertwiners_trivial_rank_one():
     unit = trivial_rep(pres, F3, (Z2,))
     basis = intertwiners(unit, unit)
     assert len(basis) == 1
-    assert basis[0].entries[0][0].is_one()
+    assert basis[0].entries[0][0] == F3.one()
 
 
 def test_intertwiners_scalar_conflict():
@@ -355,7 +371,7 @@ def test_end_contains_identity_and_is_closed():
         for i in range(2) for j in range(2))
     M = MK(F3, cols)
     rhs = MK(F3, tuple((ident.entries[i][j],) for i in range(2) for j in range(2)))
-    assert not solve_linear(M, rhs).is_empty
+    assert solve_linear(M, rhs).particular is not None
     # closure under multiplication
     rng = random.Random(73)
     for _ in range(10):
@@ -363,7 +379,7 @@ def test_end_contains_identity_and_is_closed():
         y = basis[rng.randrange(len(basis))]
         prod = x * y
         rhs2 = MK(F3, tuple((prod.entries[i][j],) for i in range(2) for j in range(2)))
-        assert not solve_linear(M, rhs2).is_empty
+        assert solve_linear(M, rhs2).particular is not None
         span_checks += 1
     assert span_checks == 10
 

@@ -95,6 +95,18 @@ def test_sp_no_kernel_word_case():
     assert res.domain is None
 
 
+def test_sp_domain_over_a_kernel_with_no_short_word():
+    """ker alpha of S3 * Z2 is free of rank 1 - 12 (1/6 + 1/2 - 1) = 5, but
+    its first word is a commutator of length 4: below that bound the
+    pipeline still builds the domain from it, not a trivial-deck certificate."""
+    _, pres = sig_with_pres(0, (S3, Z2))
+    res = sp_pipeline(trivial_rep(pres, F3, (S3, Z2)), max_len=3)
+    assert res.passed
+    assert str(res.domain.word) == "g1:021 * g2:1 * g1:021 * g2:1"
+    cert = next(c for c in res.certificates if c.name == "fundamental-domain")
+    assert "trivial" not in cert.detail
+
+
 def test_sp_tensor_certificate_random_pair():
     cert = sp_tensor_certificate(rank2_rep(), rank1_rep())
     assert cert.passed

@@ -66,3 +66,41 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in reads]
     assert not unused, unused
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name a module could reach a definition by: loaded names,
+    loaded attributes, names imported with `from ... import`, and string
+    constants, since the benchmark tracer patches methods by name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_every_package_definition_has_a_reader_outside_the_tests():
+    """Each def and class in the package is read somewhere in the package,
+    the demos or the benchmark (read, never written), so no library code
+    exists only for the tests; an oracle belongs in tests/ instead."""
+    reads = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            reads |= names_read(ast.parse(path.read_text(), str(path)))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")) \
+                    and node.name not in reads:
+                unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not unread, unread
