@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from nodalcover.covering import (
@@ -821,14 +820,11 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
                           kernel_words, components, checks, tuple(witnesses), True)
 
 
-@dataclass(frozen=True)
 class DenseHopf(HopfAlgebra):
     """Oracle for `HopfAlgebra.verify_axioms`: every axiom instance checked by
-    dense coordinate arithmetic mod p on m-tuples and coproduct tensors, where
+    dense coordinate arithmetic mod 3 on m-tuples and coproduct tensors, where
     the library reads each axiom off one group law of the table.  The group
     may be raw data (`raw_group`) that no constructor checked."""
-
-    p: int = 3
 
     def zero_vec(self):
         return (0,) * self.dim
@@ -837,10 +833,10 @@ class DenseHopf(HopfAlgebra):
         return (1,) * self.dim
 
     def add(self, v, w):
-        return tuple((a + b) % self.p for a, b in zip(v, w))
+        return tuple((a + b) % F3.p for a, b in zip(v, w))
 
     def mult(self, v, w):
-        return tuple(a * b % self.p for a, b in zip(v, w))
+        return tuple(a * b % F3.p for a, b in zip(v, w))
 
     def counit(self, v):
         return v[self.group.identity]
@@ -850,7 +846,7 @@ class DenseHopf(HopfAlgebra):
         for (a, b), c1 in s.items():
             c2 = t.get((a, b))
             if c2:
-                prod = c1 * c2 % self.p
+                prod = c1 * c2 % F3.p
                 if prod:
                     out[(a, b)] = prod
         return out
@@ -862,7 +858,7 @@ class DenseHopf(HopfAlgebra):
             inner = cops[a if leg == 0 else b]
             for (x, y), d in inner.items():
                 key = (x, y, b) if leg == 0 else (a, x, y)
-                acc = (out.get(key, 0) + c * d) % self.p
+                acc = (out.get(key, 0) + c * d) % F3.p
                 if acc:
                     out[key] = acc
                 elif key in out:
@@ -881,16 +877,16 @@ class DenseHopf(HopfAlgebra):
             right = self.zero_vec()
             for (h, k), c in dg.items():
                 if h == G.identity:
-                    left = self.add(left, tuple(c * x % self.p for x in basis[k]))
+                    left = self.add(left, tuple(c * x % F3.p for x in basis[k]))
                 if k == G.identity:
-                    right = self.add(right, tuple(c * x % self.p for x in basis[h]))
+                    right = self.add(right, tuple(c * x % F3.p for x in basis[h]))
             if left != eg or right != eg:
                 raise AssertionError(f"counit law fails at basis element {g}")
             conv = self.zero_vec()
             for (h, k), c in dg.items():
                 term = self.mult(self.antipode(basis[h]), basis[k])
-                conv = self.add(conv, tuple(c * x % self.p for x in term))
-            target = tuple(self.counit(eg) * x % self.p for x in self.unit())
+                conv = self.add(conv, tuple(c * x % F3.p for x in term))
+            target = tuple(self.counit(eg) * x % F3.p for x in self.unit())
             if conv != target:
                 raise AssertionError(f"antipode convolution fails at {g}")
             checks += 3
@@ -909,13 +905,13 @@ class DenseHopf(HopfAlgebra):
         return {"dimension": self.dim, "checks": checks}
 
 
-def dense_tower_hull(tower, p: int = 3) -> TowerReport:
+def dense_tower_hull(tower) -> TowerReport:
     """Oracle for `tower_hull`: each dual map v -> v o f is checked on every
     basis vector to be multiplicative and to respect the coproduct, counit,
     antipode and unit, where building a `QuotientTower` checks that f is a
     surjective homomorphism.  `tower` needs only `groups` and `maps`, so raw
     data can be passed in a namespace."""
-    algebras = [DenseHopf(G, p) for G in tower.groups]
+    algebras = [DenseHopf(G) for G in tower.groups]
     for A in algebras:
         A.verify_axioms()
     for i, m in enumerate(tower.maps):
@@ -943,7 +939,7 @@ def dense_tower_hull(tower, p: int = 3) -> TowerReport:
             for (a, b), c in Adown.comult(src).items():
                 for ha in fibers[a]:
                     for hb in fibers[b]:
-                        acc = (rhs_t.get((ha, hb), 0) + c) % p
+                        acc = (rhs_t.get((ha, hb), 0) + c) % F3.p
                         if acc:
                             rhs_t[(ha, hb)] = acc
                         else:
