@@ -4,8 +4,8 @@ The big covering attached to a rep has fiber the free-product group itself;
 its irreducible components over the j-th curve component are the right
 cosets G_j * s, stored canonically by stripping a leading j-factor letter.
 Deck transformations over the finite cover are right concatenations by
-kernel words of the direct-product quotient.  That kernel is free (Kurosh),
-generated by `kernel_generators`, and acts freely on components.
+kernel words of the direct-product quotient.  That kernel has the free basis
+`kernel_generators` (Kurosh rank 1 - |Q| chi) and acts freely on components.
 """
 
 from __future__ import annotations
@@ -99,28 +99,26 @@ def generator_letters(sig: FPSignature) -> list[tuple[int, int]]:
 
 
 def kernel_generators(sig: FPSignature) -> list[FPWord]:
-    """Schreier generators sigma(g) x sigma(g alpha(x))^{-1} of ker alpha, for g
-    over the direct product and x over `generator_letters`, without empty
-    words, repeats or inverses of listed words; each has generator length at
-    most 2N + 1.  The sigma(g) are a right transversal containing the empty
-    word, so these generate ker alpha (Schreier's lemma): a kernel word
-    x_1 ... x_n is the product of the sigma(g_{k-1}) x_k sigma(g_k)^{-1},
-    g_k = alpha(x_1 ... x_k), along its coset walk, each a listed word or the
-    inverse of one (x_k = z^{-1} gives the inverse of the word at (g_k, z))."""
-    letters = generator_letters(sig)
-    out: dict[tuple, None] = {}
+    """Free basis of ker alpha, of Kurosh rank 1 - |Q| chi (Q the direct
+    product, chi = sum_j 1/|G_j| - r - N + 1): for each q in Q, the words
+    sigma(q) z_i sigma(q)^{-1}, and sigma(q) q_j^{-1} sigma(q')^{-1} with q'
+    = q cleared at j, for each nontrivial coordinate j of q but its last.
+    Each is a normal form of length <= 2N + 1.  ker alpha acts freely on the
+    Bass-Serre tree; its quotient graph has vertices Q and each Q/G_j, a
+    z_i-loop at each q, and an edge (q, j) from q to qG_j.  The edges with
+    q_j trivial or j last nontrivial in q form a spanning tree, lifted by the
+    prefixes of the sigma words, and a free action's group is free on the
+    non-tree edges' words, as above (Serre, *Trees*, 1980, ch. I); a tree
+    edge's word is empty.  A G_j letter g at q walks the edges (q, j), (qg, j)."""
+    out = []
     for coords in itertools.product(*(range(G.order) for G in sig.factors)):
         head = sigma_word(sig, coords).letters
-        for fid, v in letters:
-            moved = list(coords)
-            if fid >= sig.r:
-                j = fid - sig.r
-                moved[j] = sig.factor(j).table[coords[j]][v]
-            w = _concat(sig, _concat(sig, head, ((fid, v),)),
-                        _inv_letters(sig, sigma_word(sig, moved).letters))
-            if w and _inv_letters(sig, w) not in out:
-                out[w] = None
-    return [FPWord(sig, w) for w in out]
+        back = _inv_letters(sig, head)
+        out += [FPWord(sig, head + ((i, 1),) + back) for i in range(sig.r)]
+        # sigma(q) (sigma(q') q_j)^{-1}: the letters of q with q_j moved last
+        out += [FPWord(sig, head + _inv_letters(sig, head[:k] + head[k + 1:] + head[k:k + 1]))
+                for k in range(len(head) - 1)]
+    return out
 
 
 def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
@@ -394,26 +392,23 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 class FundamentalDomain:
     """Finite core of a fundamental domain and its boundary lifts.  The
     read-only ``section`` maps each direct-product element g to the letters
-    of ws = w*sigma(g) and of their inverse, which coverage witnesses start
-    from.  Construction proves per entry what `cover_witness` rests on:
-    alpha((ws^{-1})^{-1}) = g, and ws^{-1} is the exact inverse of ws.  Each
-    entry `fundamental_domain` builds is (x, x^{-1}) with alpha(x) = g."""
+    of ws^{-1}, the inverse of ws = w*sigma(g), which coverage witnesses
+    start from.  Construction proves per entry what `cover_witness` rests
+    on: alpha((ws^{-1})^{-1}) = g."""
 
     sig: FPSignature
     word: FPWord
     core: tuple[ComponentIndex, ...]
     boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...]
     geometry_note: str
-    section: Mapping[tuple[int, ...], tuple[tuple, tuple]] = field(repr=False, compare=False)
+    section: Mapping[tuple[int, ...], tuple] = field(repr=False, compare=False)
 
     def __post_init__(self):
         sig = self.sig
         section = dict(self.section)
-        for g, (ws, ws_inv) in section.items():
+        for g, ws_inv in section.items():
             if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
                 raise FreenessViolation("coverage witness fell outside the kernel")
-            if ws_inv != _inv_letters(sig, ws):
-                raise FreenessViolation("coverage witness failed to act correctly")
         object.__setattr__(self, "section", MappingProxyType(section))
 
     @property
@@ -447,7 +442,7 @@ def fundamental_domain(sig: FPSignature, w: FPWord,
     section = {}
     for coords in itertools.product(*(range(G.order) for G in groups)):
         tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
-        section[coords] = (tail, _inv_letters(sig, tail))
+        section[coords] = _inv_letters(sig, tail)
         for j in range(sig.num_factors):
             core.add(ComponentIndex(
                 j, FPWord(sig, _canon_rep_letters(sig, j, tail))))
@@ -482,11 +477,11 @@ def fundamental_domain(sig: FPSignature, w: FPWord,
 def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     """Explicit kernel word carrying a core component onto the target.
 
-    With s the target's representative, g = alpha(s) and (ws, ws^{-1}) =
+    With s the target's representative, g = alpha(s) and ws^{-1} =
     section[g], the witness is t = ws^{-1} s.  The section's proof puts t in
-    the kernel, and makes c = canon_j(ws) ws^{-1} empty or one G_j letter, so
-    t carries the component of ws onto canon_j(c s): that is s unless s has
-    a leading j-letter, which canon_j strips; such a target is refused."""
+    the kernel.  canon_j(ws) ws^{-1} = c is empty or one G_j letter, so t
+    carries the component of ws onto canon_j(c s): that is s unless s has a
+    leading j-letter, which canon_j strips; such a target is refused."""
     sig = dom.sig
     s = target.rep.letters
     if target.rep.sig is not sig and target.rep.sig != sig:
@@ -496,4 +491,4 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
         raise SignatureMismatch(f"no finite factor {j}")
     if s and s[0][0] == sig.r + j:
         raise FreenessViolation("coverage witness failed to act correctly")
-    return FPWord(sig, _concat(sig, dom.section[_alpha_tuple(sig, s)][1], s))
+    return FPWord(sig, _concat(sig, dom.section[_alpha_tuple(sig, s)], s))

@@ -223,7 +223,8 @@ def hom_cocycle(c1, c2) -> list[MatrixK]:
     w in the scope's deck group, exact at every word length.  Both data must
     share a scope, field, signature and presentation.  Both twists are
     anti-homomorphisms, so the conditions on a generating set suffice: the
-    generator letters over the full scope, `kernel_generators` over the kernel.
+    generator letters over the full scope, and over the kernel the free basis
+    (Kurosh rank 1 - |Q| chi) `kernel_generators`.
     """
     if c1.scope != c2.scope:
         raise ScopeMismatch("twist data over different deck scopes")

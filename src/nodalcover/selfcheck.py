@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 from .covering import (
     CoverGeometry,
+    FundamentalDomain,
     InvariantOpen,
     NodeClass,
     SmoothClass,
     certify_free_action,
+    component_action,
     cover_witness,
     enumerate_components,
     find_separating_open,
@@ -237,6 +239,28 @@ def criterion_3(rng) -> tuple[bool, str]:
     return True, "; ".join(details)
 
 
+def _alpha_by_letters(sig: FPSignature, letters) -> tuple[int, ...]:
+    """alpha as one factor-table product per letter, apart from the
+    `_alpha_tuple` that the domain's section proof uses."""
+    coords = [G.identity for G in sig.factors]
+    for fid, v in letters:
+        if fid >= sig.r:
+            j = fid - sig.r
+            coords[j] = sig.factors[j].table[coords[j]][v]
+    return tuple(coords)
+
+
+def _witness_fault(sig: FPSignature, core, target, t: FPWord) -> str | None:
+    """Why t is no coverage witness for target, or None: t must lie in
+    ker alpha and carry a component of the domain's core onto target."""
+    if _alpha_by_letters(sig, t.letters) != sig.identity_tuple():
+        return "outside ker alpha"
+    start = component_action(t.inv(), target)
+    if start not in core or component_action(t, start) != target:
+        return "carries no core component onto its target"
+    return None
+
+
 def criterion_4(rng) -> tuple[bool, str]:
     cases = [
         (1, (cyclic_group(2), cyclic_group(2))),
@@ -247,10 +271,26 @@ def criterion_4(rng) -> tuple[bool, str]:
         sig = FPSignature(r, groups)
         w = FPWord(sig, ((0, 1),))
         dom = fundamental_domain(sig, w)
+        core = frozenset(dom.core)
         targets = enumerate_components(sig, 6)
         for target in targets:
-            cover_witness(dom, target)  # raises on any failure
-        totals.append(f"{sig.describe()}: {len(targets)} witnesses")
+            fault = _witness_fault(sig, core, target, cover_witness(dom, target))
+            if fault:
+                return False, f"{sig.describe()}: witness for {target} {fault}"
+        # negative controls: the base target's witness times a factor
+        # letter, and a section entry for w z1^-1 in place of w, which keeps
+        # alpha but starts the base target's witness outside the core
+        base = targets[0]
+        moved = cover_witness(dom, base) * FPWord(sig, ((r, 1),))
+        section = dict(dom.section)
+        section[sig.identity_tuple()] = (w * FPWord(sig, ((0, -1),))).inv().letters
+        tampered = FundamentalDomain(sig, w, dom.core, dom.boundary,
+                                     dom.geometry_note, section)
+        if not (_witness_fault(sig, core, base, moved)
+                and _witness_fault(sig, core, base, cover_witness(tampered, base))):
+            return False, f"{sig.describe()}: a tampered witness passed"
+        totals.append(f"{sig.describe()}: {len(targets)} witnesses in ker alpha from "
+                      "the core, tampered witness and section refused")
     return True, "; ".join(totals)
 
 

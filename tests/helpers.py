@@ -306,8 +306,9 @@ def intertwiners(r1: ContinuousRep, r2: ContinuousRep) -> list[MatrixK]:
 def kernel_hom_oracle(c1, c2, max_len: int) -> list[MatrixK]:
     """Truncated kernel-scope Hom: the intertwining system over every
     nonidentity kernel word of generator length <= max_len.  The oracle of
-    kernel-scope `hom_cocycle`, which solves on the Schreier generators; the
-    two agree once max_len reaches their length bound 2N + 1."""
+    kernel-scope `hom_cocycle`, which solves on the free basis (Kurosh rank
+    1 - |Q| chi) of ker alpha; the two agree once max_len reaches the basis
+    words' length bound 2N + 1."""
     pairs = [(c1.twist(w), c2.twist(w)) for w in kernel_words(c1.sig, max_len)]
     return solve_intertwining(c1.field, c1.rank, c2.rank, pairs)
 
@@ -344,49 +345,6 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
     return SeparatingOpen(2, (c_a, c_b), max_len, len(kernel), len(kernel) - one_sided,
                           one_sided,
                           "two components through the removed node, other nodes deleted")
-
-
-def reidemeister_factors(sig: FPSignature, w: FPWord) -> list[tuple[tuple, int]]:
-    """Reidemeister's coset walk of w as (Schreier word letters, sign) factors.
-
-    Each z^v syllable is read as |v| letters z^{+-1} and each finite letter
-    as a product of its factor's designated generators; with g the image of
-    the prefix read so far, letter x contributes sigma(g) x sigma(g alpha(x))^{-1},
-    and z^{-1} contributes the inverse of the factor at (g z^{-1}, z).  The
-    product of the factors is w sigma(alpha(w))^{-1}."""
-    r = sig.r
-    spelled: list[tuple[int, int]] = []
-    for fid, v in w.letters:
-        if fid < r:
-            spelled += [(fid, 1 if v > 0 else -1)] * abs(v)
-            continue
-        G = sig.factor(fid - r)
-        path = {G.identity: ()}  # a shortest spelling of each element
-        frontier = [G.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in G.generators:
-                    y = G.table[x][g]
-                    if y not in path:
-                        path[y] = path[x] + (g,)
-                        nxt.append(y)
-            frontier = nxt
-        spelled += [(fid, g) for g in path[v] if g != G.identity]
-    coords = sig.identity_tuple()
-    out = []
-    for fid, v in spelled:
-        if fid < r:
-            head = sigma_word(sig, coords).letters
-            out.append((_concat(sig, _concat(sig, head, ((fid, 1),)),
-                                _inv_letters(sig, head)), v))
-            continue
-        j = fid - r
-        moved = coords[:j] + (sig.factor(j).table[coords[j]][v],) + coords[j + 1:]
-        out.append((_concat(sig, _concat(sig, sigma_word(sig, coords).letters, ((fid, v),)),
-                            _inv_letters(sig, sigma_word(sig, moved).letters)), 1))
-        coords = moved
-    return out
 
 
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:
@@ -748,7 +706,8 @@ def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWo
     j = target.j
     if not 0 <= j < sig.num_factors:
         raise SignatureMismatch(f"no finite factor {j}")
-    ws, ws_inv = dom.section[_alpha_tuple(sig, s)]
+    ws_inv = dom.section[_alpha_tuple(sig, s)]
+    ws = _inv_letters(sig, ws_inv)
     t = _concat(sig, ws_inv, s)
     if _alpha_tuple(sig, t) != sig.identity_tuple():
         raise FreenessViolation("coverage witness fell outside the kernel")
@@ -757,13 +716,15 @@ def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWo
     return FPWord(sig, t)
 
 
-def section_entry_oracle(sig: FPSignature, g, j: int, entry) -> str | None:
-    """How the section entry (ws, ws^{-1}) at g fails factor j's coverage
+def section_entry_oracle(sig: FPSignature, g, j: int, ws_inv) -> str | None:
+    """How the section entry ws^{-1} at g fails factor j's coverage
     witnesses, or None: alpha((ws^{-1})^{-1}) must be g, and c =
-    canon_j(ws) ws^{-1} must be empty or one G_j letter.  The per-(g, j)
-    oracle of the entry proof that building a `FundamentalDomain` runs."""
-    ws, ws_inv = entry
-    if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
+    canon_j(ws) ws^{-1}, with ws the inverse of the entry, must be empty or
+    one G_j letter.  The per-(g, j) oracle of the entry proof that building
+    a `FundamentalDomain` runs; that proof checks alpha alone, since the
+    second condition holds for any letters once ws is their exact inverse."""
+    ws = _inv_letters(sig, ws_inv)
+    if _alpha_tuple(sig, ws) != g:
         return "coverage witness fell outside the kernel"
     c = _concat(sig, _canon_rep_letters(sig, j, ws), ws_inv)
     if not c or len(c) == 1 and c[0][0] == sig.r + j:

@@ -301,7 +301,7 @@ def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
 def test_integralize_and_kernel_hom_enumerate_once_per_word_set(monkeypatch):
     """integralize lists the components (one enumeration) and checks its
     orbit representatives without listing kernel words; kernel-scope
-    hom_cocycle solves on the Schreier generators and lists no words."""
+    hom_cocycle solves on the free basis of ker alpha and lists no words."""
     calls = []
     original = groups.iter_words_raw
 
@@ -552,8 +552,8 @@ def test_hom_dimension_invariant_under_conjugation():
 
 
 def test_kernel_scope_hom_stabilizes():
-    """The Schreier generators of ker alpha have length <= 2N + 1 = 3, so the
-    truncated systems at L = 3 and 4 give the generators' basis."""
+    """The free basis words of ker alpha have length <= 2N + 1 = 3, so the
+    truncated systems at L = 3 and 4 give the basis words' solution."""
     rep = rank1_rep()
     datum = datum_from_rep(rep).restricted()
     basis = hom_cocycle(datum, datum)

@@ -104,3 +104,28 @@ def test_every_package_definition_has_a_reader_outside_the_tests():
                     and node.name not in reads:
                 unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unread, unread
+
+
+def test_every_test_helper_has_a_reader():
+    """Each top-level def, class and constant in tests/helpers.py is read by
+    a test module or by another top-level statement of helpers.py, so an
+    oracle left behind by a deleted test fails here."""
+    tests = ROOT / "tests"
+    reads = set()
+    for path in sorted(tests.glob("test_*.py")):
+        reads |= names_read(ast.parse(path.read_text(), str(path)))
+    body = ast.parse((tests / "helpers.py").read_text(), "helpers.py").body
+    node_reads = [names_read(node) for node in body]
+    unread = []
+    for k, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        others = set().union(*node_reads[:k], *node_reads[k + 1:])
+        unread += [f"helpers.py:{node.lineno}: {name}" for name in names
+                   if name not in reads | others]
+    assert not unread, unread
