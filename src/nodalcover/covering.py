@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 
 from .curves import Pi1Presentation, chain_curve_for_signature, pi1_presentation
@@ -390,25 +390,75 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 
 @dataclass(frozen=True)
 class FundamentalDomain:
-    """Finite core of a fundamental domain and its boundary lifts.  The
-    read-only ``section`` maps each direct-product element g to the letters
-    of ws^{-1}, the inverse of ws = w*sigma(g), which coverage witnesses
-    start from.  Construction proves per entry what `cover_witness` rests
-    on: alpha((ws^{-1})^{-1}) = g."""
+    """Finite core of the quasi-compact fundamental domain of the nontrivial
+    kernel word w, its boundary lifts and its read-only ``section``, all built
+    from w and the node structure (a synthetic chain curve by default).
+
+    The core holds, for every factor j and direct-product element g, the
+    components of ws = w*sigma(g) and of each z_i ws; boundary records are
+    the node lifts joining it to components outside.  ``section`` maps g to
+    the letters of ws^{-1}, the exact inverse of ws, and coverage witnesses
+    start from it.  w lies in ker alpha, so alpha(ws) = alpha(w) g = g."""
 
     sig: FPSignature
     word: FPWord
-    core: tuple[ComponentIndex, ...]
-    boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...]
-    geometry_note: str
-    section: Mapping[tuple[int, ...], tuple] = field(repr=False, compare=False)
+    presentation: InitVar[Pi1Presentation | None] = None
+    core: tuple[ComponentIndex, ...] = field(init=False)
+    boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...] = field(init=False)
+    geometry_note: str = field(init=False)
+    section: Mapping[tuple[int, ...], tuple] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        sig = self.sig
-        section = dict(self.section)
-        for g, ws_inv in section.items():
-            if _alpha_tuple(sig, _inv_letters(sig, ws_inv)) != g:
-                raise FreenessViolation("coverage witness fell outside the kernel")
+    def __post_init__(self, presentation):
+        sig, w = self.sig, self.word
+        if w.sig != sig:
+            raise SignatureMismatch("word over the wrong signature")
+        if w.is_identity():
+            raise TrivialW("the chosen word must be nontrivial")
+        if _alpha_tuple(sig, w.letters) != sig.identity_tuple():
+            raise TrivialW("the chosen word must lie in the kernel of the quotient")
+        if presentation is None:
+            geom = CoverGeometry.for_signature(sig)
+            note = "synthetic chain curve supplied the node structure"
+        else:
+            geom = CoverGeometry.build(presentation, sig)
+            note = "node structure from the supplied presentation"
+
+        groups = [sig.factor(j) for j in range(sig.num_factors)]
+        core: set[ComponentIndex] = set()
+        section = {}
+        for coords in itertools.product(*(range(G.order) for G in groups)):
+            tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
+            section[coords] = _inv_letters(sig, tail)
+            for j in range(sig.num_factors):
+                core.add(ComponentIndex(
+                    j, FPWord(sig, _canon_rep_letters(sig, j, tail))))
+                for i in range(sig.r):
+                    shifted = _concat(sig, ((i, 1),), tail)
+                    core.add(ComponentIndex(
+                        j, FPWord(sig, _canon_rep_letters(sig, j, shifted))))
+
+        # a lift reached from both of its sides has both in the core, so it is
+        # never a boundary lift, and each lift is reached at most once per side
+        boundary = []
+        for c in core:
+            for nid, ja, jb, z in geom.node_info:
+                for side, j in ((0, ja), (1, jb)):
+                    if j != c.j:
+                        continue
+                    G = groups[j]
+                    glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
+                    for g in range(G.order):
+                        u = _concat(sig, glue_inv, _concat(
+                            sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters))
+                        outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
+                        if outside not in core:
+                            boundary.append((nid, FPWord(sig, u), c, outside))
+
+        object.__setattr__(self, "core", tuple(sorted(
+            core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters)))))
+        object.__setattr__(self, "boundary", tuple(sorted(
+            boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters)))))
+        object.__setattr__(self, "geometry_note", note)
         object.__setattr__(self, "section", MappingProxyType(section))
 
     @property
@@ -418,70 +468,19 @@ class FundamentalDomain:
 
 def fundamental_domain(sig: FPSignature, w: FPWord,
                        presentation: Pi1Presentation | None = None) -> FundamentalDomain:
-    """Materialize the finite core of the quasi-compact fundamental domain.
-
-    The core collects, for every factor j and direct-product element g, the
-    components indexed by w*sigma(g) and by each z_i w*sigma(g).  Boundary
-    records list the node lifts joining the core to components outside it.
-    """
-    if w.sig != sig:
-        raise SignatureMismatch("word over the wrong signature")
-    if w.is_identity():
-        raise TrivialW("the chosen word must be nontrivial")
-    if _alpha_tuple(sig, w.letters) != sig.identity_tuple():
-        raise TrivialW("the chosen word must lie in the kernel of the quotient")
-    if presentation is None:
-        geom = CoverGeometry.for_signature(sig)
-        note = "synthetic chain curve supplied the node structure"
-    else:
-        geom = CoverGeometry.build(presentation, sig)
-        note = "node structure from the supplied presentation"
-
-    groups = [sig.factor(j) for j in range(sig.num_factors)]
-    core: set[ComponentIndex] = set()
-    section = {}
-    for coords in itertools.product(*(range(G.order) for G in groups)):
-        tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
-        section[coords] = _inv_letters(sig, tail)
-        for j in range(sig.num_factors):
-            core.add(ComponentIndex(
-                j, FPWord(sig, _canon_rep_letters(sig, j, tail))))
-            for i in range(sig.r):
-                shifted = _concat(sig, ((i, 1),), tail)
-                core.add(ComponentIndex(
-                    j, FPWord(sig, _canon_rep_letters(sig, j, shifted))))
-
-    # a lift reached from both of its sides has both in the core, so it is
-    # never a boundary lift, and each lift is reached at most once per side
-    boundary = []
-    for c in core:
-        for nid, ja, jb, z in geom.node_info:
-            for side, j in ((0, ja), (1, jb)):
-                if j != c.j:
-                    continue
-                G = groups[j]
-                glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
-                for g in range(G.order):
-                    u = _concat(sig, glue_inv, _concat(
-                        sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters))
-                    outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
-                    if outside not in core:
-                        boundary.append((nid, FPWord(sig, u), c, outside))
-
-    core_sorted = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
-    boundary_sorted = tuple(sorted(
-        boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
-    return FundamentalDomain(sig, w, core_sorted, boundary_sorted, note, section)
+    """The `FundamentalDomain` of the nontrivial kernel word w."""
+    return FundamentalDomain(sig, w, presentation)
 
 
 def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     """Explicit kernel word carrying a core component onto the target.
 
     With s the target's representative, g = alpha(s) and ws^{-1} =
-    section[g], the witness is t = ws^{-1} s.  The section's proof puts t in
-    the kernel.  canon_j(ws) ws^{-1} = c is empty or one G_j letter, so t
-    carries the component of ws onto canon_j(c s): that is s unless s has a
-    leading j-letter, which canon_j strips; such a target is refused."""
+    section[g], the witness is t = ws^{-1} s.  alpha(ws) = g by construction
+    of the domain, so t lies in the kernel.  canon_j(ws) ws^{-1} = c is empty
+    or one G_j letter, so t carries the core component of ws onto
+    canon_j(c s): that is s unless s has a leading j-letter, which canon_j
+    strips; such a target is refused."""
     sig = dom.sig
     s = target.rep.letters
     if target.rep.sig is not sig and target.rep.sig != sig:

@@ -57,11 +57,10 @@ class MeromorphicCocycle:
     def __post_init__(self):
         object.__setattr__(self, "_letter_cache", {})
         object.__setattr__(self, "_twist_cache", {(): self.rep.identity_matrix()})
-        object.__setattr__(self, "_sig_cache", self.rep.sig)
 
     @property
     def sig(self) -> FPSignature:
-        return self._sig_cache
+        return self.rep.sig
 
     @property
     def field(self) -> FunctionField:

@@ -83,7 +83,7 @@ class ContinuousRep:
             _check_hom(G, images, f"factor hom {j + 1} ({G.name})")
         return rep
 
-    @property
+    @cached_property
     def sig(self) -> FPSignature:
         return FPSignature(self.presentation.r, self.factor_groups)
 
@@ -211,7 +211,7 @@ class FiniteQuotientRep:
                    tuple(int(x) for x in z_to),
                    tuple(tuple(int(x) for x in m) for m in factor_to), tuple(hom))
 
-    @property
+    @cached_property
     def sig(self) -> FPSignature:
         return FPSignature(self.presentation.r, self.source_groups)
 

@@ -36,6 +36,7 @@ from .descent import (
     hom_cocycle,
     integralize,
 )
+from .errors import TrivialW
 from .field import FunctionField, MatrixK
 from .groups import (
     FPSignature,
@@ -241,7 +242,7 @@ def criterion_3(rng) -> tuple[bool, str]:
 
 def _alpha_by_letters(sig: FPSignature, letters) -> tuple[int, ...]:
     """alpha as one factor-table product per letter, apart from the
-    `_alpha_tuple` that the domain's section proof uses."""
+    library's `_alpha_tuple`."""
     coords = [G.identity for G in sig.factors]
     for fid, v in letters:
         if fid >= sig.r:
@@ -269,28 +270,25 @@ def criterion_4(rng) -> tuple[bool, str]:
     totals = []
     for r, groups in cases:
         sig = FPSignature(r, groups)
-        w = FPWord(sig, ((0, 1),))
-        dom = fundamental_domain(sig, w)
+        dom = fundamental_domain(sig, FPWord(sig, ((0, 1),)))
         core = frozenset(dom.core)
         targets = enumerate_components(sig, 6)
         for target in targets:
             fault = _witness_fault(sig, core, target, cover_witness(dom, target))
             if fault:
                 return False, f"{sig.describe()}: witness for {target} {fault}"
-        # negative controls: the base target's witness times a factor
-        # letter, and a section entry for w z1^-1 in place of w, which keeps
-        # alpha but starts the base target's witness outside the core
-        base = targets[0]
-        moved = cover_witness(dom, base) * FPWord(sig, ((r, 1),))
-        section = dict(dom.section)
-        section[sig.identity_tuple()] = (w * FPWord(sig, ((0, -1),))).inv().letters
-        tampered = FundamentalDomain(sig, w, dom.core, dom.boundary,
-                                     dom.geometry_note, section)
-        if not (_witness_fault(sig, core, base, moved)
-                and _witness_fault(sig, core, base, cover_witness(tampered, base))):
+        # negative controls: the base target's witness times a factor letter
+        # must fail, and a domain from that letter, outside ker alpha, must
+        # be refused
+        letter = FPWord(sig, ((r, 1),))
+        if not _witness_fault(sig, core, targets[0], cover_witness(dom, targets[0]) * letter):
             return False, f"{sig.describe()}: a tampered witness passed"
-        totals.append(f"{sig.describe()}: {len(targets)} witnesses in ker alpha from "
-                      "the core, tampered witness and section refused")
+        try:
+            FundamentalDomain(sig, letter)
+            return False, f"{sig.describe()}: a domain from a non-kernel word was built"
+        except TrivialW:
+            totals.append(f"{sig.describe()}: {len(targets)} witnesses in ker alpha from "
+                          "the core, tampered witness and non-kernel word refused")
     return True, "; ".join(totals)
 
 

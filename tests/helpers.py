@@ -697,8 +697,8 @@ def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWo
     """Per-target coverage witness: t = (w sigma(g))^{-1} s for the target's
     representative s with quotient image g, checked to lie in the kernel by
     its own alpha and to carry the core component onto the target through the
-    action code path.  The oracle of `cover_witness`, which proves both checks
-    once per (section entry, factor)."""
+    action code path.  The oracle of `cover_witness`, which rests both checks
+    on how the domain derives each section entry from its kernel word."""
     sig = dom.sig
     s = target.rep.letters
     if target.rep.sig is not sig and target.rep.sig != sig:
@@ -720,9 +720,10 @@ def section_entry_oracle(sig: FPSignature, g, j: int, ws_inv) -> str | None:
     """How the section entry ws^{-1} at g fails factor j's coverage
     witnesses, or None: alpha((ws^{-1})^{-1}) must be g, and c =
     canon_j(ws) ws^{-1}, with ws the inverse of the entry, must be empty or
-    one G_j letter.  The per-(g, j) oracle of the entry proof that building
-    a `FundamentalDomain` runs; that proof checks alpha alone, since the
-    second condition holds for any letters once ws is their exact inverse."""
+    one G_j letter.  The per-(g, j) oracle of the entries a
+    `FundamentalDomain` derives from its kernel word w: ws = w sigma(g) and
+    alpha(w) is trivial, so the first condition holds, and the second holds
+    for any letters once ws is their exact inverse."""
     ws = _inv_letters(sig, ws_inv)
     if _alpha_tuple(sig, ws) != g:
         return "coverage witness fell outside the kernel"

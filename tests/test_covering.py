@@ -5,7 +5,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,7 +25,6 @@ from nodalcover.covering import (
     enumerate_components,
     find_separating_open,
     fundamental_domain,
-    generator_letters,
     kernel_generators,
     sigma_word,
 )
@@ -453,59 +451,6 @@ def test_witness_every_component_up_to_length():
         cover_witness(dom, target)  # raises on failure
 
 
-def _rebuilt(dom, section):
-    """The domain's data with another section, through the raw constructor,
-    or the message it is refused with."""
-    try:
-        return FundamentalDomain(dom.sig, dom.word, dom.core, dom.boundary,
-                                 dom.geometry_note, section)
-    except FreenessViolation as exc:
-        return str(exc)
-
-
-def _corrupted(dom, coords, entry):
-    section = dict(dom.section)
-    section[coords] = entry
-    return section
-
-
-def _corruptions(dom, coords, bad):
-    """The entries of ws*bad and of bad*ws, ws = w*sigma(coords), in place
-    of the entry of ws."""
-    ws = FPWord(dom.sig, dom.section[coords]).inv()
-    return [(ws * bad).inv().letters, (bad * ws).inv().letters]
-
-
-def _refusal_agrees_with_the_oracle(dom, coords, wrong):
-    """Building the domain with `wrong` at coords gives the per-(g, j)
-    oracle's verdict, the same at every factor: refusal with its message,
-    or acceptance where it finds no fault.  Returns that verdict."""
-    sig = dom.sig
-    expected = {section_entry_oracle(sig, coords, j, wrong) for j in range(sig.num_factors)}
-    assert len(expected) == 1
-    verdict = expected.pop()
-    built = _rebuilt(dom, _corrupted(dom, coords, wrong))
-    assert (built if isinstance(built, str) else None) == verdict
-    return verdict
-
-
-def test_witness_checks_survive_a_corrupted_section():
-    """The section check is live, and runs when the domain is built: a
-    section entry whose inverse leaves the kernel is refused with the
-    message a coverage witness from it would have failed with."""
-    w = fp_normalize(SIG, [(0, 1)])
-    target = canonical_component(SIG, 1, fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)]))
-    coords = alpha(target.rep).coords
-    dom = fundamental_domain(SIG, w)
-    cover_witness(dom, target)
-    message = "coverage witness fell outside the kernel"
-    wrong, _ = _corruptions(dom, coords, fp_normalize(SIG, [(1, 1)]))
-    section = _corrupted(dom, coords, wrong)
-    assert _rebuilt(dom, section) == message
-    with pytest.raises(FreenessViolation, match=message):
-        cover_witness_oracle(SimpleNamespace(sig=SIG, section=section), target)
-
-
 def test_witness_refuses_a_non_canonical_target():
     """A representative with a leading j-letter is not canonical for factor j,
     so no witness carries a core component onto it."""
@@ -518,28 +463,15 @@ def test_witness_refuses_a_non_canonical_target():
 
 
 def test_section_is_read_only_and_proved_for_every_factor():
-    """The section cannot be replaced after the proof: item assignment
-    raises, and the domain keeps its own copy of the mapping it was built
-    from.  An entry corrupted by a factor letter moves alpha and is refused
-    at construction with the message the per-(g, j) oracle gives it at
-    every factor; one corrupted by a z letter keeps alpha, and both accept
-    it."""
-    w = fp_normalize(SIG, [(0, 1)])
+    """The section cannot be replaced after construction: item assignment
+    raises, and the per-(g, j) oracle accepts the entry at every factor."""
     s = fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)])
     coords = alpha(s).coords
-    dom = fundamental_domain(SIG, w)
+    dom = fundamental_domain(SIG, fp_normalize(SIG, [(0, 1)]))
     entry = dom.section[coords]
     with pytest.raises(TypeError):
         dom.section[coords] = entry
-    given_section = dict(dom.section)
-    kept = _rebuilt(dom, given_section)
-    given_section[coords] = ()
-    assert kept.section[coords] == entry
     assert {section_entry_oracle(SIG, coords, j, entry) for j in range(2)} == {None}
-    for bad, verdict in ((fp_normalize(SIG, [(1, 1)]), "coverage witness fell outside the kernel"),
-                         (fp_normalize(SIG, [(0, 1)]), None)):
-        for wrong in _corruptions(dom, coords, bad):
-            assert _refusal_agrees_with_the_oracle(dom, coords, wrong) == verdict
 
 
 def _witness_or_message(witness, dom, target):
@@ -554,52 +486,63 @@ def _witness_or_message(witness, dom, target):
 def test_witness_equals_per_target_oracle(sig, data):
     """For every word s among the first 3,000 normal forms of length <= 4 and
     every factor j, canonical for j or not, `cover_witness` returns the
-    oracle's word or raises its message on the fundamental domain.  A section
-    with one corrupted entry is either refused when the domain is built, with
-    the message the oracle gives every canonical target over that entry, or
-    accepted, and then gives the oracle's witnesses there."""
+    oracle's word or raises its message on the fundamental domain."""
     kernel = list(itertools.islice(kernel_words(sig, 4), 12))
     assume(sig.num_factors and kernel)
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
-    targets = [ComponentIndex(j, FPWord(sig, letters))
-               for letters, _, _ in itertools.islice(iter_words_raw(sig, 4), 3000)
-               for j in range(sig.num_factors)]
-    for target in targets:
-        assert (_witness_or_message(cover_witness, dom, target)
-                == _witness_or_message(cover_witness_oracle, dom, target))
-
-    canonical = [t for t in targets if not t.rep.letters
-                 or t.rep.letters[0][0] != sig.r + t.j]
-    coords = data.draw(st.sampled_from(sorted({alpha(t.rep).coords for t in canonical})))
-    bad = FPWord(sig, (data.draw(st.sampled_from(generator_letters(sig))),))
-    section = _corrupted(dom, coords, data.draw(st.sampled_from(
-        _corruptions(dom, coords, bad))))
-    built = _rebuilt(dom, section)
-    raw = SimpleNamespace(sig=sig, section=section)
-    for target in canonical:
-        if alpha(target.rep).coords == coords:
-            got = built if isinstance(built, str) else _witness_or_message(
-                cover_witness, built, target)
-            assert got == _witness_or_message(cover_witness_oracle, raw, target)
+    for letters, _, _ in itertools.islice(iter_words_raw(sig, 4), 3000):
+        for j in range(sig.num_factors):
+            target = ComponentIndex(j, FPWord(sig, letters))
+            assert (_witness_or_message(cover_witness, dom, target)
+                    == _witness_or_message(cover_witness_oracle, dom, target))
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_signatures, st.data())
 def test_section_proof_agrees_with_the_per_factor_oracle(sig, data):
-    """Building a domain accepts every entry `fundamental_domain` makes, which
-    the per-(g, j) oracle accepts at every factor; an entry corrupted by a
-    generator letter on either side is refused exactly when the oracle
-    refuses it at every factor, with the oracle's message."""
+    """The per-(g, j) oracle accepts every entry a domain derives from its
+    kernel word, at every factor."""
     kernel = list(itertools.islice(kernel_words(sig, 4), 12))
     assume(sig.num_factors and kernel)
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
     for coords, entry in dom.section.items():
         for j in range(sig.num_factors):
             assert section_entry_oracle(sig, coords, j, entry) is None
-    coords = data.draw(st.sampled_from(sorted(dom.section)))
-    bad = FPWord(sig, (data.draw(st.sampled_from(generator_letters(sig))),))
-    for wrong in _corruptions(dom, coords, bad):
-        _refusal_agrees_with_the_oracle(dom, coords, wrong)
+
+
+def _raised(build):
+    try:
+        build()
+    except (SignatureMismatch, TrivialW) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_signatures, st.data())
+def test_domain_is_built_from_its_kernel_word_alone(sig, data):
+    """The raw constructor takes the signature, the word and an optional
+    presentation, and refuses what `fundamental_domain` refuses, with its
+    exception and message: a word over another signature, the identity
+    word, and a word outside ker alpha.  On a kernel word it derives the
+    domain `fundamental_domain` returns, field by field."""
+    other = FPSignature(sig.r + 1, sig.factors)
+    refused = [(FPWord(other, ((0, 1),)), SignatureMismatch, "word over the wrong signature"),
+               (FPWord(sig, ()), TrivialW, "the chosen word must be nontrivial")]
+    outside = [FPWord(sig, letters) for letters, al, _ in iter_words_raw(sig, 3)
+               if al != sig.identity_tuple()]
+    if outside:
+        refused.append((data.draw(st.sampled_from(outside)), TrivialW,
+                        "the chosen word must lie in the kernel of the quotient"))
+    for word, exc, message in refused:
+        assert _raised(lambda: FundamentalDomain(sig, word)) == (exc, message)
+        assert _raised(lambda: fundamental_domain(sig, word)) == (exc, message)
+    kernel = list(itertools.islice(kernel_words(sig, 4), 12))
+    assume(sig.num_factors and kernel)
+    w = data.draw(st.sampled_from(kernel))
+    raw, built = FundamentalDomain(sig, w), fundamental_domain(sig, w)
+    assert (raw.core, raw.boundary, raw.geometry_note, dict(raw.section)) \
+        == (built.core, built.boundary, built.geometry_note, dict(built.section))
 
 
 @pytest.mark.parametrize("r, groups, word", [
