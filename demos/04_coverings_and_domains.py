@@ -1,16 +1,18 @@
 """The word-indexed covering: components, free deck action, fundamental domains.
 
-Components over the j-th curve component are right cosets G_j * s.  The deck
-group over the finite cover (kernel words acting by right concatenation) moves
-every component freely, while a single factor letter fixes its base component:
-the two facts that make descent work only after passing to the finite cover.
+Components over the j-th curve component are right cosets G_j * s; an index
+strips a leading j-factor letter when it is built, so any word of the coset
+gives the same index.  The deck group over the finite cover (kernel words
+acting by right concatenation) moves every component freely, while a single
+factor letter fixes its base component: the two facts that make descent work
+only after passing to the finite cover.
 
 Run:  python demos/04_coverings_and_domains.py
 """
 
 from nodalcover import (
+    ComponentIndex,
     FPSignature,
-    canonical_component,
     certify_free_action,
     component_action,
     cover_witness,
@@ -24,13 +26,13 @@ sig = FPSignature(1, (Z2, Z3))
 
 print("== canonical component indices ==")
 s = fp_normalize(sig, [(0, 1), (2, 2)])
-c = canonical_component(sig, 0, s)
+c = ComponentIndex(0, s)
 print(f"component through {s}: {c}")
-gs = fp_normalize(sig, [(1, 1)]) * s
-print(f"same coset after a leading factor letter: {canonical_component(sig, 0, gs) == c}")
+gs = fp_normalize(sig, [(1, 1)]) * s  # built from g1 s, stored as s
+print(f"same coset after a leading factor letter: {ComponentIndex(0, gs) == c}")
 
 print("\n== the action: full group vs kernel ==")
-base = canonical_component(sig, 0, fp_normalize(sig, []))
+base = ComponentIndex(0, fp_normalize(sig, []))
 g = fp_normalize(sig, [(1, 1)])
 print(f"factor letter g1 fixes the base component: {component_action(g, base) == base}")
 z = fp_normalize(sig, [(0, 1)])

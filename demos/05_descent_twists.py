@@ -9,9 +9,9 @@ Run:  python demos/05_descent_twists.py
 """
 
 from nodalcover import (
+    ComponentIndex,
     FunctionField,
     MatrixK,
-    canonical_component,
     check_cocycle,
     datum_from_rep,
     det_valuation_conserved,
@@ -47,7 +47,7 @@ assignment = integralize(datum.restricted(), max_len=3)
 print(f"{len(assignment.orbit_reps)} component orbit(s), "
       f"{len(assignment.components)} components in range")
 for k in range(-2, 3):
-    c = canonical_component(sig, 0, fp_normalize(sig, [(0, k)]))
+    c = ComponentIndex(0, fp_normalize(sig, [(0, k)]))
     exps = assignment.lattice_of(c).diagonal_exponents
     print(f"  lattice at z1^{k:+d}: diagonal exponents {exps}")
 

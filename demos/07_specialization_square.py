@@ -35,7 +35,7 @@ print("\n== the square for the sign character ==")
 fq = FiniteQuotientRep.build(
     pres, F3, (Z2,), Z2, [1], [(0, 1)],
     (MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])))
-direct = F_pipeline(fq).finite_cocycle
+direct = F_pipeline(fq)
 print(f"direct finite data: {[m.to_strings() for m in direct.mats]}")
 cert = commuting_square_check(fq, pres, max_len=6)
 print(f"square: passed={cert.passed} covering {cert.words_checked} normal forms; "

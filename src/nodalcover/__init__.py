@@ -42,7 +42,6 @@ from .covering import (
     FiniteCover,
     InvariantOpen,
     FundamentalDomain,
-    canonical_component,
     component_action,
     certify_free_action,
     find_separating_open,

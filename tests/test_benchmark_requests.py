@@ -1,0 +1,45 @@
+"""Every benchmark request runs and passes its check at seed 1.
+
+`perfbench/workloads.py` calls library functions by name (`enumerate_components`,
+`cover_witness`, `commuting_square_check`, `cli.main`, ...) and checks each
+verdict against an answer it knows independently.  A library change that
+drops or reshapes one of those calls would otherwise surface only when the
+benchmark runs.  This test sends each workload's requests once, untimed, and
+changes nothing under `perfbench/`.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _workload_names() -> list[str]:
+    """The keys of `WORKLOADS`, read from the source without importing it."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WORKLOADS"]:
+            return [key.value for key in node.value.keys]
+    raise AssertionError("perfbench/workloads.py defines no WORKLOADS")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("workloads", "oracle"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_every_request_passes_its_check(workloads, name):
+    wl = workloads.build(name, workloads.import_library(), 1, ROOT)
+    assert wl.requests
+    for req in wl.requests:
+        ok, verdict = req.check(req.run())
+        assert ok, verdict

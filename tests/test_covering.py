@@ -18,7 +18,6 @@ from nodalcover.covering import (
     NodeClass,
     SmoothClass,
     build_finite_cover,
-    canonical_component,
     certify_free_action,
     component_action,
     cover_witness,
@@ -29,7 +28,7 @@ from nodalcover.covering import (
     sigma_word,
 )
 from nodalcover.curves import NodalCurve, pi1_presentation
-from nodalcover.errors import FreenessViolation, NoComplement, SignatureMismatch, TrivialW
+from nodalcover.errors import NoComplement, SignatureMismatch, TrivialW
 from nodalcover.groups import (
     FiniteGroup,
     FPSignature,
@@ -50,6 +49,7 @@ from nodalcover.reps import trivial_rep
 
 from helpers import (
     certify_free_oracle,
+    coset_strip,
     cover_witness_oracle,
     finite_cover_transitive_oracle,
     rank1_rep,
@@ -73,8 +73,8 @@ SIG = FPSignature(1, (Z2, Z3))
 def test_coset_absorption():
     s = fp_normalize(SIG, [(1, 1), (0, 2)])
     gs = fp_normalize(SIG, [(1, 1)]) * s  # leading letter merges into the factor
-    assert canonical_component(SIG, 0, gs) == canonical_component(SIG, 0, s)
-    assert canonical_component(SIG, 0, FPWord(SIG, ())).rep.is_identity()
+    assert ComponentIndex(0, gs) == ComponentIndex(0, s)
+    assert ComponentIndex(0, FPWord(SIG, ())).rep.is_identity()
 
 
 def test_canonical_agrees_with_brute_force_coset():
@@ -87,7 +87,7 @@ def test_canonical_agrees_with_brute_force_coset():
         same_coset = any(
             (fp_normalize(SIG, [(1 + j, g)]) * s1) == s2 or (g == G.identity and s1 == s2)
             for g in range(G.order))
-        idx_equal = canonical_component(SIG, j, s1) == canonical_component(SIG, j, s2)
+        idx_equal = ComponentIndex(j, s1) == ComponentIndex(j, s2)
         assert idx_equal == same_coset
 
 
@@ -97,7 +97,7 @@ def test_action_identity_and_composition():
     rng = random.Random(83)
     e = FPWord(SIG, ())
     for _ in range(100):
-        c = canonical_component(SIG, rng.randrange(2), random_word(rng, SIG, 3))
+        c = ComponentIndex(rng.randrange(2), random_word(rng, SIG, 3))
         assert component_action(e, c) == c
         w1, w2 = random_word(rng, SIG, 3), random_word(rng, SIG, 3)
         assert component_action(w2, component_action(w1, c)) == \
@@ -105,7 +105,7 @@ def test_action_identity_and_composition():
 
 
 def test_factor_letter_stabilizes_base_component():
-    base = canonical_component(SIG, 0, FPWord(SIG, ()))
+    base = ComponentIndex(0, FPWord(SIG, ()))
     g = fp_normalize(SIG, [(1, 1)])
     assert component_action(g, base) == base
 
@@ -427,7 +427,7 @@ def test_witness_identity_on_core():
     w = fp_normalize(sig, [(0, 1)])
     dom = fundamental_domain(sig, w)
     g = sigma_word(sig, (1,))
-    target = canonical_component(sig, 0, w * g)
+    target = ComponentIndex(0, w * g)
     assert cover_witness(dom, target).is_identity()
 
 
@@ -437,10 +437,10 @@ def test_witness_random_targets():
     rng = random.Random(89)
     for _ in range(200):
         j = rng.randrange(2)
-        target = canonical_component(sig, j, random_word(rng, sig, 6))
+        target = ComponentIndex(j, random_word(rng, sig, 6))
         t = cover_witness(dom, target)
         assert alpha(t).is_identity()
-        start = canonical_component(sig, j, dom.word * sigma_word(sig, alpha(target.rep).coords))
+        start = ComponentIndex(j, dom.word * sigma_word(sig, alpha(target.rep).coords))
         assert component_action(t, start) == target
 
 
@@ -451,15 +451,33 @@ def test_witness_every_component_up_to_length():
         cover_witness(dom, target)  # raises on failure
 
 
-def test_witness_refuses_a_non_canonical_target():
-    """A representative with a leading j-letter is not canonical for factor j,
-    so no witness carries a core component onto it."""
-    dom = fundamental_domain(SIG, fp_normalize(SIG, [(0, 1)]))
-    target = ComponentIndex(1, FPWord(SIG, ((2, 1), (0, 1))))
-    for witness in (cover_witness, cover_witness_oracle):
-        with pytest.raises(FreenessViolation, match="failed to act correctly"):
-            witness(dom, target)
-    cover_witness(dom, ComponentIndex(0, target.rep))
+@settings(max_examples=30, deadline=None)
+@given(small_signatures, st.data())
+def test_component_index_is_canonical_by_construction(sig, data):
+    """An index stores its coset's representative whatever word builds it:
+    ComponentIndex(j, g s) equals ComponentIndex(j, s) for every g in G_j,
+    and its letters are the strip of s, the coset's unique shortest member.
+    A factor index outside 0..N-1 is refused, and the witness of a target
+    built from a non-canonical word is its coset's witness."""
+    s = FPWord(sig, data.draw(st.sampled_from(
+        [letters for letters, _, _ in iter_words_raw(sig, 3)])))
+    for bad in (-1, sig.num_factors):
+        with pytest.raises(SignatureMismatch, match=f"^no finite factor {bad}$"):
+            ComponentIndex(bad, s)
+    kernel = list(itertools.islice(kernel_words(sig, 4), 12))
+    assume(sig.num_factors and kernel)
+    j = data.draw(st.integers(0, sig.num_factors - 1))
+    canon = coset_strip(sig, j, s.letters)
+    coset = [fp_normalize(sig, [(sig.r + j, g)]) * s for g in range(sig.factor(j).order)]
+    assert [len(gs) for gs in coset].count(len(canon)) == 1
+    assert min(coset, key=len).letters == canon
+    dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
+    c = ComponentIndex(j, FPWord(sig, canon))
+    witness = cover_witness_oracle(dom, c)
+    for gs in coset:
+        index = ComponentIndex(j, gs)
+        assert (index, hash(index), index.rep.letters) == (c, hash(c), canon)
+        assert cover_witness(dom, index) == witness
 
 
 def test_section_is_read_only_and_proved_for_every_factor():
@@ -474,27 +492,19 @@ def test_section_is_read_only_and_proved_for_every_factor():
     assert {section_entry_oracle(SIG, coords, j, entry) for j in range(2)} == {None}
 
 
-def _witness_or_message(witness, dom, target):
-    try:
-        return witness(dom, target)
-    except FreenessViolation as exc:
-        return str(exc)
-
-
 @settings(max_examples=20, deadline=None)
 @given(small_signatures, st.data())
 def test_witness_equals_per_target_oracle(sig, data):
     """For every word s among the first 3,000 normal forms of length <= 4 and
     every factor j, canonical for j or not, `cover_witness` returns the
-    oracle's word or raises its message on the fundamental domain."""
+    oracle's word on the fundamental domain."""
     kernel = list(itertools.islice(kernel_words(sig, 4), 12))
     assume(sig.num_factors and kernel)
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
     for letters, _, _ in itertools.islice(iter_words_raw(sig, 4), 3000):
         for j in range(sig.num_factors):
             target = ComponentIndex(j, FPWord(sig, letters))
-            assert (_witness_or_message(cover_witness, dom, target)
-                    == _witness_or_message(cover_witness_oracle, dom, target))
+            assert cover_witness(dom, target) == cover_witness_oracle(dom, target)
 
 
 @settings(max_examples=30, deadline=None)
@@ -561,7 +571,7 @@ def test_witness_from_section_equals_recomputed_witness(r, groups, word):
         assert cover_witness(dom, target) == ws.inv() * target.rep
     other = FPSignature(r + 1, groups)
     with pytest.raises(SignatureMismatch):
-        cover_witness(dom, canonical_component(other, 0, FPWord(other, ())))
+        cover_witness(dom, ComponentIndex(0, FPWord(other, ())))
 
 
 # -- finite covers ------------------------------------------------------------------------
@@ -570,23 +580,22 @@ def test_finite_cover_trivial_groups():
     sig, pres = sig_with_pres(1, (trivial_group(),))
     rep = trivial_rep(pres, rank1_rep().field, (trivial_group(),))
     cover = build_finite_cover(rep)
-    assert len(cover.fiber) == 1 and cover.deck_order == 1 and cover.transitive
+    assert len(cover.fiber) == 1 and finite_cover_transitive_oracle(cover)
 
 
 def test_finite_cover_sign():
     rep = rank1_rep()
     cover = build_finite_cover(rep)
     assert len(cover.fiber) == 2
-    assert cover.deck_order == 2
-    assert cover.transitive
+    assert finite_cover_transitive_oracle(cover)
 
 
 def test_finite_cover_regular_orbit():
     sig, pres = sig_with_pres(1, (Z2, Z3))
     rep = trivial_rep(pres, rank1_rep().field, (Z2, Z3))
     cover = build_finite_cover(rep)
-    assert len(cover.fiber) == 6 == cover.deck_order
-    assert cover.transitive
+    assert len(cover.fiber) == 6
+    assert finite_cover_transitive_oracle(cover)
     for name, perm in cover.actions:
         assert sorted(perm) == list(range(6))
 
@@ -614,7 +623,7 @@ def test_finite_cover_of_every_stock_group_is_transitive():
     for G in STOCK_GROUPS:
         sig, pres = sig_with_pres(1, (G,))
         cover = build_finite_cover(trivial_rep(pres, field, (G,)))
-        assert cover.transitive and finite_cover_transitive_oracle(cover)
+        assert finite_cover_transitive_oracle(cover)
     # the proof's premise: generators that do not generate are refused
     with pytest.raises(ValueError, match="do not generate"):
         FiniteGroup.from_table(Z4.table, generators=[2])
@@ -631,4 +640,4 @@ def test_finite_cover_transitivity_equals_the_search_oracle(data):
     assume(math.prod(G.order for G in groups) <= 2000)
     sig, pres = sig_with_pres(data.draw(st.integers(0, 2)), groups)
     cover = build_finite_cover(trivial_rep(pres, rank1_rep().field, tuple(groups)))
-    assert cover.transitive and finite_cover_transitive_oracle(cover)
+    assert finite_cover_transitive_oracle(cover)

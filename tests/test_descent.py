@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover import covering, descent, field, groups, reps
 from nodalcover import io as spec_io
-from nodalcover.covering import canonical_component, component_action
+from nodalcover.covering import ComponentIndex, component_action
 from nodalcover.descent import (
     CorruptedCocycle,
     FiniteCocycle,
@@ -630,7 +630,7 @@ def test_rank_one_lattice_exponents_shift_along_orbit():
     assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
     sig = rep.sig
     for k in range(-2, 3):
-        c = canonical_component(sig, 0, fp_normalize(sig, [(0, k)]))
+        c = ComponentIndex(0, fp_normalize(sig, [(0, k)]))
         assert assignment.lattice_of(c).diagonal_exponents == (k,)
 
 

@@ -1,5 +1,6 @@
 """Pipelines: sp on representations, F on quotient reps, the square."""
 
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -7,12 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodalcover import cli
 from nodalcover import io as spec_io
 from nodalcover import reps as reps_module
+from nodalcover import specialize as specialize_module
 from nodalcover import stratified as stratified_module
-from nodalcover.covering import canonical_component
+from nodalcover.covering import ComponentIndex
 from nodalcover.curves import pi1_presentation
-from nodalcover.descent import descend_inflation, datum_from_rep
+from nodalcover.descent import FiniteCocycle, descend_inflation, datum_from_rep
+from nodalcover.errors import SquareViolation
 from nodalcover.field import MatrixK
 from nodalcover.groups import cyclic_group, fp_normalize, kernel_words, symmetric_group
 from nodalcover.reps import (
@@ -77,7 +81,7 @@ def test_sp_rank_one_exponent_gradient():
     sig = rep.sig
     exps = []
     for k in range(-2, 3):
-        c = canonical_component(sig, 0, fp_normalize(sig, [(0, k)]))
+        c = ComponentIndex(0, fp_normalize(sig, [(0, k)]))
         exps.append(res.lattice.lattice_of(c).diagonal_exponents[0])
     # the twist of z is 1/t, so exponents fall linearly along the orbit
     assert exps == [2, 1, 0, -1, -2]
@@ -152,16 +156,15 @@ def test_F_trivial_quotient():
     triv = trivial_group()
     fq = FiniteQuotientRep.build(pres, F3, (Z2,), triv, [0], [(0, 0)],
                                  (MatrixK.identity(F3, 1),))
-    res = F_pipeline(fq)
-    assert res.passed
-    assert res.finite_cocycle.mats[0].is_identity()
+    fin = F_pipeline(fq)
+    assert fin.check_law()
+    assert fin.mats[0].is_identity()
 
 
 def test_F_sign_rep_cocycle():
-    res = F_pipeline(_sign_fq())
-    assert res.passed
-    assert res.finite_cocycle.mats[1] == MatrixK.from_rows(F3, [["2"]])
-    assert res.finite_cocycle.check_law()
+    fin = F_pipeline(_sign_fq())
+    assert fin.mats[1] == MatrixK.from_rows(F3, [["2"]])
+    assert fin.check_law()
 
 
 def test_F_pipeline_makes_no_matrix_product(monkeypatch):
@@ -173,8 +176,7 @@ def test_F_pipeline_makes_no_matrix_product(monkeypatch):
         raise AssertionError("a proved law was checked again")
 
     monkeypatch.setattr(MatrixK, "__mul__", refuse)
-    res = F_pipeline(fq)
-    assert res.passed and res.finite_cocycle.mats[1] == fq.hom[1]
+    assert F_pipeline(fq).mats[1] == fq.hom[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,7 +185,7 @@ def test_F_pipeline_data_satisfies_the_law_it_does_not_check(seed):
     """`check_law`, and the anti-law on all |G|^2 pairs, hold on the data
     `F_pipeline` builds from random quotient reps without checking them."""
     fq = random_f7_quotient(random.Random(seed))
-    fin = F_pipeline(fq).finite_cocycle
+    fin = F_pipeline(fq)
     assert fin.check_law()
     assert fin.mats[fq.group.identity].is_identity()
     assert hom_failure_oracle(fq.group, fin.mats, lambda x, y: y * x) is None
@@ -192,8 +194,7 @@ def test_F_pipeline_data_satisfies_the_law_it_does_not_check(seed):
 def test_F_rank_additive_under_direct_sum():
     fq = _sign_fq()
     s = fq_direct_sum(fq, fq)
-    res = F_pipeline(s)
-    assert res.finite_cocycle.rank == 2 * fq.rank
+    assert F_pipeline(s).rank == 2 * fq.rank
 
 
 # -- the square ---------------------------------------------------------------------
@@ -247,8 +248,38 @@ def test_square_detects_route_divergence():
     other = FiniteQuotientRep.build(
         fq.presentation, F3, (Z2,), Z2, [1], [(0, 1)],
         (MatrixK.identity(F3, 1), MatrixK.identity(F3, 1) * MatrixK.from_rows(F3, [["1"]])))
-    fin_f = F_pipeline(other).finite_cocycle
+    fin_f = F_pipeline(other)
     assert fin_sp.mats[1] != fin_f.mats[1]
+
+
+def test_square_failure_names_the_element_where_the_routes_part(monkeypatch, capsys):
+    """A direct route that is wrong at one element makes the square raise
+    `SquareViolation` with that element's label as witness, and makes the
+    `square` command report FAIL with exit 1."""
+    fq_path, curve_path = DATA / "z2_sign.json", DATA / "cycle3.json"
+    fq = spec_io.load_fq(fq_path, spec_io.load_curve(curve_path))
+    true_route = specialize_module.F_pipeline
+    wrong_at = fq.group.nonidentity()[-1]
+
+    def wrong_route(quotient):
+        fin = true_route(quotient)
+        mats = list(fin.mats)
+        mats[wrong_at] = mats[wrong_at] * MatrixK.from_rows(quotient.field, [["2"]])
+        return FiniteCocycle(fin.group, fin.field, fin.rank, tuple(mats))
+
+    monkeypatch.setattr(specialize_module, "F_pipeline", wrong_route)
+    with pytest.raises(SquareViolation) as info:
+        commuting_square_check(fq, fq.presentation, max_len=4)
+    label = fq.group.labels[wrong_at]
+    assert info.value.witness == label
+    assert str(info.value) == f"routes disagree at quotient element {label}"
+
+    capsys.readouterr()
+    code = cli.main(["--format", "json", "square", str(fq_path), str(curve_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (report["result"], report["ok"]) == ("FAIL", False)
+    assert report["reason"] == f"routes disagree at quotient element {label}"
 
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
