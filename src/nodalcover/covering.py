@@ -35,13 +35,14 @@ from .reps import ContinuousRep
 # component indices and the right action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
+@dataclass(slots=True)
 class ComponentIndex:
     """Irreducible component over curve component j: the right coset G_j s.
 
     Construction refuses a factor index outside 0..N-1 and strips a leading
     j-factor letter from ``rep``, so the stored representative is the coset's
-    canonical one: equal cosets give equal indices, whatever word built them."""
+    canonical one: equal cosets give equal indices, whatever word built them.
+    Its fields are read-only by contract, as `FPWord`'s are."""
 
     j: int
     rep: FPWord
@@ -51,7 +52,7 @@ class ComponentIndex:
         if not 0 <= self.j < len(sig.factors):
             raise SignatureMismatch(f"no finite factor {self.j}")
         if letters and letters[0][0] == sig.r + self.j:
-            object.__setattr__(self, "rep", FPWord(sig, letters[1:]))
+            self.rep = FPWord(sig, letters[1:])
 
     def __hash__(self):
         return hash((self.j, self.rep.letters))
@@ -111,12 +112,15 @@ def kernel_generators(sig: FPSignature) -> list[FPWord]:
 
 def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
     """Component indices over every factor whose canonical representative has
-    generator length <= max_len, shortlex-ordered by representative."""
+    generator length <= max_len, shortlex-ordered by representative.  Each
+    normal form is one `FPWord`, shared by the indices of every factor it
+    serves."""
     r = sig.r
-    return [ComponentIndex(j, FPWord(sig, letters))
+    factors = range(sig.num_factors)
+    return [ComponentIndex(j, s)
             for letters, _, _ in iter_words_raw(sig, max_len)
-            for j in range(sig.num_factors)
-            if not letters or letters[0][0] != r + j]
+            for s in (FPWord(sig, letters),)
+            for j in factors if not letters or letters[0][0] != r + j]
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,21 @@ def _pord(a: tuple) -> int | None:
 # rational functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RationalFunction:
     """Canonical num/den over F_p[t]: coprime, monic denominator, int
-    coefficients in [0, p)."""
+    coefficients in [0, p).
+
+    Its fields are read-only by contract, as `FPWord`'s are."""
 
     field: FunctionField
     num: tuple
     den: tuple
 
     # construction goes through _make_rf; the dataclass stays dumb.
+
+    def __hash__(self):
+        return hash((self.field, self.num, self.den))
 
     @property
     def p(self) -> int:

@@ -300,9 +300,14 @@ class FPSignature:
         return f"Z^*{self.r} * [{names}]"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(slots=True)
 class FPWord:
-    """Normal-form element of the free product."""
+    """Normal-form element of the free product.
+
+    Its fields are read-only by contract, not by ``frozen``: words are built
+    once per normal form on the hot paths, and ``frozen`` makes construction
+    about 3.5 times dearer.  An AST guard in `tests/test_stdlib_only.py`
+    refuses any store to them outside this class."""
 
     sig: FPSignature
     letters: tuple[tuple[int, int], ...]

@@ -41,6 +41,7 @@ from nodalcover.groups import (
     _inv_letters,
     cyclic_group,
     fp_normalize,
+    iter_words_raw,
     kernel_words,
     product_subgroup,
     symmetric_group,
@@ -696,6 +697,17 @@ def coset_strip(sig: FPSignature, j: int, letters) -> tuple:
     if letters and letters[0][0] == sig.r + j:
         return tuple(letters[1:])
     return tuple(letters)
+
+
+def enumerate_components_oracle(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
+    """One fresh `FPWord` and one index per (normal form, factor) for which
+    the form is canonical: the per-(word, j) comprehension that
+    `enumerate_components` replaced by one word shared across factors."""
+    r = sig.r
+    return [ComponentIndex(j, FPWord(sig, letters))
+            for letters, _, _ in iter_words_raw(sig, max_len)
+            for j in range(sig.num_factors)
+            if not letters or letters[0][0] != r + j]
 
 
 def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:

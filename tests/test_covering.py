@@ -51,6 +51,7 @@ from helpers import (
     certify_free_oracle,
     coset_strip,
     cover_witness_oracle,
+    enumerate_components_oracle,
     finite_cover_transitive_oracle,
     rank1_rep,
     rank2_rep,
@@ -451,6 +452,18 @@ def test_witness_every_component_up_to_length():
         cover_witness(dom, target)  # raises on failure
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_signatures, st.integers(0, 5))
+def test_shared_word_components_equal_the_per_factor_oracle(sig, L):
+    """`enumerate_components` equals, in order, one fresh word per (normal
+    form, factor), and builds each normal form's word once for all factors."""
+    assume(sum(sum(g.values()) for g in iter_grade_states(
+        sig, L, None, lambda key, letter: None)) <= 20000)
+    targets = enumerate_components(sig, L)
+    assert targets == enumerate_components_oracle(sig, L)
+    assert len({id(t.rep) for t in targets}) == len({t.rep.letters for t in targets})
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_signatures, st.data())
 def test_component_index_is_canonical_by_construction(sig, data):
@@ -458,7 +471,9 @@ def test_component_index_is_canonical_by_construction(sig, data):
     ComponentIndex(j, g s) equals ComponentIndex(j, s) for every g in G_j,
     and its letters are the strip of s, the coset's unique shortest member.
     A factor index outside 0..N-1 is refused, and the witness of a target
-    built from a non-canonical word is its coset's witness."""
+    built from a non-canonical word is its coset's witness.  Equality and
+    hash are those of (j, rep) and (j, rep.letters), as when the class was a
+    frozen dataclass."""
     s = FPWord(sig, data.draw(st.sampled_from(
         [letters for letters, _, _ in iter_words_raw(sig, 3)])))
     for bad in (-1, sig.num_factors):
@@ -478,6 +493,10 @@ def test_component_index_is_canonical_by_construction(sig, data):
         index = ComponentIndex(j, gs)
         assert (index, hash(index), index.rep.letters) == (c, hash(c), canon)
         assert cover_witness(dom, index) == witness
+    assert hash(c) == hash((j, canon))
+    for other in (ComponentIndex((j + 1) % sig.num_factors, s), ComponentIndex(j, dom.word)):
+        assert (other == c) == ((other.j, other.rep) == (c.j, c.rep))
+        assert hash(other) == hash((other.j, other.rep.letters))
 
 
 def test_section_is_read_only_and_proved_for_every_factor():

@@ -226,6 +226,13 @@ def test_field_axioms(a, b, c):
     assert a + (-a) == F3.zero()
     if not a.is_zero():
         assert a * a.inverse() == F3.one()
+    # equality and hash are those of (field, num, den), as when
+    # RationalFunction was a frozen dataclass
+    same = (a / b) * b if b else a - c + c
+    assert same == a
+    for x in (same, b, a * b, field.RationalFunction(F5, a.num, a.den)):
+        assert (x == a) == ((x.field, x.num, x.den) == (a.field, a.num, a.den))
+        assert hash(x) == hash((x.field, x.num, x.den))
 
 
 @settings(max_examples=100, deadline=None)

@@ -336,8 +336,14 @@ raw_letters = st.lists(
 @given(raw_letters, raw_letters)
 def test_normalize_is_a_monoid_morphism_on_raw_sequences(a, b):
     # normalizing a concatenation equals multiplying the normalizations
-    assert fp_normalize(SIG, list(a) + list(b)) == \
-        fp_mul(fp_normalize(SIG, a), fp_normalize(SIG, b))
+    w = fp_normalize(SIG, list(a) + list(b))
+    product = fp_mul(fp_normalize(SIG, a), fp_normalize(SIG, b))
+    assert w == product
+    # equality and hash are those of (sig, letters) and letters, as when
+    # FPWord was a frozen dataclass
+    for u in (product, fp_normalize(SIG, a), FPWord(FPSignature(2, (Z2, S3)), w.letters)):
+        assert (u == w) == ((u.sig, u.letters) == (w.sig, w.letters))
+        assert hash(u) == hash(u.letters)
 
 
 @settings(max_examples=200, deadline=None)

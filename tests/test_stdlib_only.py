@@ -129,3 +129,68 @@ def test_every_test_helper_has_a_reader():
         unread += [f"helpers.py:{node.lineno}: {name}" for name in names
                    if name not in reads | others]
     assert not unread, unread
+
+
+# value objects built once per element: slotted, and read-only by contract
+# rather than by `frozen`, which makes construction about 3.5 times dearer
+READ_ONLY = {"groups.py": "FPWord", "covering.py": "ComponentIndex",
+             "field.py": "RationalFunction"}
+STORE_CALLS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def read_only_fields() -> dict[str, str]:
+    """Field name -> the class that owns it, for every class in READ_ONLY."""
+    owner = {}
+    for module, name in READ_ONLY.items():
+        tree = ast.parse((PACKAGE / module).read_text(), module)
+        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+        owner |= {n.target.id: name for n in cls.body if isinstance(n, ast.AnnAssign)}
+    return owner
+
+
+def field_stores(tree: ast.AST, owner: dict[str, str]) -> list[tuple[int, str]]:
+    """(line, field) of each store to a read-only field outside the body of
+    the class that owns it: an attribute target of any assignment or `del`,
+    or a setattr, delattr or `__setattr__` call naming the field by a string
+    constant.  An AST shows no types, so the attribute name alone decides."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        names = []
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            names = [node.attr]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee in STORE_CALLS:
+                names = [a.value for a in node.args[:2] if isinstance(a, ast.Constant)]
+        found.extend((node.lineno, name) for name in names
+                     if name in owner and owner[name] != cls)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_read_only_fields_are_stored_only_in_their_own_class():
+    """No code in the package, the demos, the tests or the benchmark (read,
+    never written) assigns, augments, annotates, deletes or setattr's a field
+    of FPWord, ComponentIndex or RationalFunction outside that class."""
+    owner = read_only_fields()
+    assert set(owner.values()) == set(READ_ONLY.values())
+    probe = ast.parse(
+        "w.letters = ()\nf.num += (1,)\nc.rep: object = w\nsetattr(w, 'sig', s)\n"
+        "object.__setattr__(c, 'j', 1)\ndel f.den\nf.field, x = F, 0\n"
+        "class ComponentIndex:\n    def __post_init__(self):\n        self.rep = w\n"
+        "        self.letters = ()\n")
+    assert [name for _, name in field_stores(probe, owner)] == \
+        ["letters", "num", "rep", "sig", "j", "den", "field", "letters"]
+    stores = []
+    for folder in ("src", "demos", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            stores += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name
+                       in field_stores(ast.parse(path.read_text(), str(path)), owner)]
+    assert not stores, stores
