@@ -1,10 +1,10 @@
 """The whole pipeline, and both routes to the finite twist data.
 
-A representation runs through cover, freeness, domain, twist datum, divided
-sequence, and integral transport.  A finite-quotient rep can also take the
-short route, building its twist data directly; collapsing the long route back
-to the quotient must land on the same matrices, elementwise, with the identity
-matrix as the comparison witness.
+A representation runs through domain, twist datum, divided sequence, and
+integral transport; only the cocycle law is a check that can fail.  A
+finite-quotient rep can also take the short route, building its twist data
+directly; collapsing the long route back to the quotient must land on the
+same matrices, elementwise.
 
 Run:  python demos/07_specialization_square.py
 """
@@ -24,12 +24,15 @@ rep = ContinuousRep.build(
     pres, F3, [MatrixK.from_rows(F3, [["t"]])], (Z2,),
     ((MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])),))
 result = sp_pipeline(rep)
-for cert in result.certificates:
-    print(f"  [{'ok' if cert.passed else 'FAIL'}] {cert.name}: {cert.detail}")
-print(f"pipeline passed: {result.passed}")
+print(f"  fundamental domain: core size {len(result.domain.core)}, "
+      f"{len(result.domain.section)} section entries")
+print(f"  [{'ok' if result.passed else 'FAIL'}] cocycle: "
+      f"{result.cocycle.pairs_checked} pairs compared")
+print(f"  integral model: {len(result.lattice.orbit_reps)} orbits, "
+      f"{len(result.lattice.components)} components")
 
 print("\n== tensor functoriality certificate ==")
-print(f"  {sp_tensor_certificate(rep, rep).detail}")
+print(f"  {sp_tensor_certificate(rep, rep).generators_checked} generators compared")
 
 print("\n== the square for the sign character ==")
 fq = FiniteQuotientRep.build(
@@ -38,8 +41,8 @@ fq = FiniteQuotientRep.build(
 direct = F_pipeline(fq)
 print(f"direct finite data: {[m.to_strings() for m in direct.mats]}")
 cert = commuting_square_check(fq, pres, max_len=6)
-print(f"square: passed={cert.passed} covering {cert.words_checked} normal forms; "
-      f"witness = identity: {cert.witness.is_identity()}")
+print(f"square: the routes agree on {cert.elements_compared} elements, "
+      f"covering {cert.words_checked} normal forms")
 
 print("\n== the square for a nonabelian quotient ==")
 F7 = FunctionField(7)
@@ -52,5 +55,5 @@ hom = hom_from_generator_images(
 fq3 = FiniteQuotientRep.build(pres3, F7, (S3,), S3, [S3.generators[1]],
                               [tuple(range(6))], hom)
 cert3 = commuting_square_check(fq3, pres3, max_len=5)
-print(f"rank-two data over F_7(t), {cert3.elements_compared} elements compared: "
-      f"passed={cert3.passed}")
+print(f"rank-two data over F_7(t): the routes agree on {cert3.elements_compared} "
+      f"elements, covering {cert3.words_checked} normal forms")

@@ -3,13 +3,10 @@
 Run:  python demos/08_hopf_algebras.py
 """
 
-from nodalcover import FunctionField, MatrixK, function_hopf, rep_comodule_roundtrip, tower_hull
-from nodalcover.curves import chain_curve_for_signature, pi1_presentation
+from nodalcover import function_hopf, tower_hull
 from nodalcover.groups import cyclic_group, symmetric_group
 from nodalcover.hopf import QuotientTower
-from nodalcover.reps import FiniteQuotientRep
 
-F3 = FunctionField(3)
 Z2 = cyclic_group(2)
 S3 = symmetric_group(3)
 
@@ -23,18 +20,10 @@ g = S3.label_index("120")  # a 3-cycle, so S(e_g) = e_{g^-1} is another basis ve
 print(f"antipode on S3: S(e_120) = {A.antipode(A.basis_vec(g))}, "
       f"e_{S3.labels[S3.inverse[g]]} = {A.basis_vec(S3.inverse[g])}")
 
-print("\n== commutative always, cocommutative exactly when abelian ==")
+print("\n== cocommutative exactly when abelian ==")
 for G in (Z2, cyclic_group(4), S3):
     A = function_hopf(G)
-    print(f"  {G.name}: commutative={A.is_commutative()}, "
-          f"cocommutative={A.is_cocommutative()}, abelian={G.is_abelian()}")
-
-print("\n== representations are comodules, exactly ==")
-pres = pi1_presentation(chain_curve_for_signature(1, 1))
-fq = FiniteQuotientRep.build(
-    pres, F3, (Z2,), Z2, [1], [(0, 1)],
-    (MatrixK.identity(F3, 1), MatrixK.from_rows(F3, [["2"]])))
-print(f"  {rep_comodule_roundtrip(fq)}")
+    print(f"  {G.name}: cocommutative={A.is_cocommutative()}, abelian={G.is_abelian()}")
 
 print("\n== a tower of quotients and its dual chain ==")
 tower = QuotientTower.build(

@@ -73,4 +73,4 @@ from .specialize import (
     F_pipeline,
     commuting_square_check,
 )
-from .hopf import HopfAlgebra, QuotientTower, function_hopf, rep_comodule_roundtrip, tower_hull
+from .hopf import HopfAlgebra, QuotientTower, function_hopf, tower_hull

@@ -167,7 +167,6 @@ def datum_from_rep(rep: ContinuousRep) -> MeromorphicCocycle:
 class CocycleCertificate:
     scope: str
     max_len: int
-    strategy: str
     pairs_checked: int
     identity_ok: bool
     passed: bool
@@ -213,7 +212,7 @@ def check_cocycle(c, max_len: int) -> CocycleCertificate:
         if H[v] * H[u] != H[uv]:
             witness = (str(FPWord(sig, u)), str(FPWord(sig, v)))
             break
-    return CocycleCertificate(c.scope, max_len, "presentation", pairs, identity_ok,
+    return CocycleCertificate(c.scope, max_len, pairs, identity_ok,
                               identity_ok and witness is None, witness)
 
 

@@ -29,7 +29,7 @@ from .errors import DimensionMismatch, DivisionByZero, SingularBasis
 INFINITY = math.inf
 
 # The bound keeps the trial division of check_characteristic under 46,341
-# steps, so a huge --prime or spec "p" is refused at once instead of hanging.
+# steps, so a huge spec "p" is refused at once instead of hanging.
 MAX_CHARACTERISTIC = 2 ** 31
 
 # A literal c*t^k is parsed into k + 1 dense coefficients, and a product of

@@ -609,6 +609,14 @@ def format_word(w: FPWord) -> str:
     return " * ".join(parts)
 
 
+def _token_int(token: str, text: str) -> int:
+    """int(text), refused with the word token that holds it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"cannot parse word token {token!r}") from None
+
+
 def parse_word(sig: FPSignature, s: str) -> FPWord:
     s = s.strip()
     if s in ("", "e", "1"):
@@ -620,22 +628,22 @@ def parse_word(sig: FPSignature, s: str) -> FPWord:
             body = token[1:]
             if "^" in body:
                 idx_s, _, exp_s = body.partition("^")
-                idx, exp = int(idx_s), int(exp_s)
+                idx, exp = _token_int(token, idx_s), _token_int(token, exp_s)
             else:
-                idx, exp = int(body), 1
+                idx, exp = _token_int(token, body), 1
             if not 1 <= idx <= sig.r:
                 raise BadFactorIndex(f"no Z factor z{idx}")
             raw.append((idx - 1, exp))
         elif token.startswith("g"):
             head, _, label = token.partition(":")
-            j = int(head[1:])
+            j = _token_int(token, head[1:])
             if not 1 <= j <= sig.num_factors:
                 raise BadFactorIndex(f"no finite factor g{j}")
             G = sig.factor(j - 1)
             if label in G.labels:
                 v = G.label_index(label)
             else:
-                v = int(label)
+                v = _token_int(token, label)
                 if not 0 <= v < G.order:
                     raise BadElementIndex(f"element {label!r} out of range for g{j}")
             raw.append((sig.r + j - 1, v))

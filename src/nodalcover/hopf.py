@@ -9,10 +9,19 @@ associativity, the counit law is the identity, the antipode law is inverses,
 and compatibility and the unit law hold because Delta is the pullback along
 the multiplication (Waterhouse, Introduction to Affine Group Schemes, 2.3).
 Building a `FiniteGroup` proves those group axioms, so the Hopf axioms hold
-for every algebra built here and are counted, not scanned again.  Dual maps
-of surjective homomorphisms are injective Hopf maps; a tower of quotients
-therefore produces a strictly growing chain of these algebras, and building
-a `QuotientTower` proves that each transition map is one.
+for every algebra built here (`HopfAlgebra` gives the proof) and nothing is
+scanned again.  Its product is pointwise, so every such algebra is
+commutative.
+
+A representation rho of the group is a comodule by the coaction
+v -> sum_g rho(g) v (x) e_g.  The counit axiom is rho(e) = 1 and
+coassociativity at (g, h) is rho(g) rho(h) = rho(gh); building a
+`FiniteQuotientRep` proved both.  The coaction's g-component is rho(g)
+itself, so reading the rep back off it is exact.
+
+Dual maps of surjective homomorphisms are injective Hopf maps; a tower of
+quotients therefore produces a strictly growing chain of these algebras, and
+building a `QuotientTower` proves that each transition map is one.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup
-from .reps import FiniteQuotientRep
 
 Vector = tuple
 Tensor2 = dict  # {(h, k): coeff}
@@ -28,7 +36,29 @@ Tensor2 = dict  # {(h, k): coeff}
 
 @dataclass(frozen=True)
 class HopfAlgebra:
-    """Functions on a finite group with the convolution coproduct."""
+    """Functions on a finite group with the convolution coproduct.
+
+    The Hopf axioms hold at every instance: coassociativity, the counit law
+    and the antipode law at each basis element, compatibility at each pair
+    of basis elements, and the unit law.  Write e for the identity and g^-1
+    for the stored inverse.  Building the `FiniteGroup` proved three facts
+    of its table: ex = x = xe for every x, x x^-1 = e = x^-1 x for every x,
+    and (ab)c = a(bc) for every triple.  The three facts make the table a
+    group, and in a group k = h^-1 g is the one solution of hk = g, so
+    `comult` is the convolution coproduct.  Then:
+
+    * coassociativity at e_g: (Delta (x) id) Delta(e_g) and
+      (id (x) Delta) Delta(e_g) are the sums of e_a (x) e_b (x) e_c over
+      (ab)c = g and over a(bc) = g, the same triples by associativity;
+    * counit at e_g: (eps (x) id) Delta(e_g) = sum_{ek=g} e_k = e_g and
+      (id (x) eps) Delta(e_g) = sum_{he=g} e_h = e_g by the identity law;
+    * antipode at e_g: m (S (x) id) Delta(e_g) = sum_{hk=g, k=h^-1} e_k,
+      and hh^-1 = e, so this is sum_h e_{h^-1} = 1 when g = e and 0
+      otherwise, eps(e_g) 1, by the inverse law;
+    * compatibility at (e_g, e_h): Delta(f)(x, y) = f(xy) is a pullback,
+      so Delta(e_g e_h) = Delta(e_g) Delta(e_h) for any table;
+    * unit: Delta(1)(x, y) = 1(xy) = 1, so Delta(1) = 1 (x) 1.
+    """
 
     group: FiniteGroup
 
@@ -55,37 +85,6 @@ class HopfAlgebra:
                 out[(h, row[g])] = c
         return out
 
-    def verify_axioms(self) -> dict:
-        """The Hopf axioms hold, with their instance count: coassociativity,
-        the counit law and the antipode law at each of the m basis elements,
-        compatibility at each of the m^2 pairs of basis elements, and the unit
-        law once, 3m + m^2 + 1 in all.
-
-        Write e for the identity and g^-1 for the stored inverse.  Building
-        the `FiniteGroup` proved three facts of its table: ex = x = xe for
-        every x, x x^-1 = e = x^-1 x for every x, and (ab)c = a(bc) for every
-        triple.  So nothing is scanned here.  The three facts make the table
-        a group, and in a group k = h^-1 g is the one solution of hk = g, so
-        `comult` is the convolution coproduct.  Then:
-
-        * coassociativity at e_g: (Delta (x) id) Delta(e_g) and
-          (id (x) Delta) Delta(e_g) are the sums of e_a (x) e_b (x) e_c over
-          (ab)c = g and over a(bc) = g, the same triples by associativity;
-        * counit at e_g: (eps (x) id) Delta(e_g) = sum_{ek=g} e_k = e_g and
-          (id (x) eps) Delta(e_g) = sum_{he=g} e_h = e_g by the identity law;
-        * antipode at e_g: m (S (x) id) Delta(e_g) = sum_{hk=g, k=h^-1} e_k,
-          and hh^-1 = e, so this is sum_h e_{h^-1} = 1 when g = e and 0
-          otherwise, eps(e_g) 1, by the inverse law;
-        * compatibility at (e_g, e_h): Delta(f)(x, y) = f(xy) is a pullback,
-          so Delta(e_g e_h) = Delta(e_g) Delta(e_h) for any table;
-        * unit: Delta(1)(x, y) = 1(xy) = 1, so Delta(1) = 1 (x) 1.
-        """
-        m = self.group.order
-        return {"dimension": m, "checks": 3 * m + m * m + 1}
-
-    def is_commutative(self) -> bool:
-        return True  # pointwise products commute; kept for symmetry with the next
-
     def is_cocommutative(self) -> bool:
         """Delta(e_g) is the sum of e_h (x) e_k over hk = g, so it is symmetric
         for every g exactly when hk = kh for all h, k."""
@@ -94,32 +93,8 @@ class HopfAlgebra:
 
 def function_hopf(G: FiniteGroup) -> HopfAlgebra:
     """Function algebra on G, whose Hopf axioms G's construction proved
-    (`HopfAlgebra.verify_axioms`)."""
+    (`HopfAlgebra`)."""
     return HopfAlgebra(G)
-
-
-# ---------------------------------------------------------------------------
-# representations as comodules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    group: str
-    rank: int
-    coassociative_pairs: int
-    exact: bool
-
-
-def rep_comodule_roundtrip(fq: FiniteQuotientRep) -> RoundtripReport:
-    """Turn the quotient rep into its coaction v -> sum rho(g) v (x) e_g and
-    report the comodule axioms.  The counit axiom is rho(e) = 1, and
-    coassociativity at (g, h) is rho(g) rho(h) = rho(gh); building `fq`
-    proved both, the law on the (element, generator) pairs of
-    `FiniteGroup.hom_failure`, which prove it on all |G|^2 pairs, and the
-    report counts those.  The coaction's g-component is rho(g) itself, so
-    reading the rep back off it is exact."""
-    G = fq.group
-    return RoundtripReport(G.name, fq.rank, G.order ** 2, True)
 
 
 # ---------------------------------------------------------------------------

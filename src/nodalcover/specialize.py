@@ -1,26 +1,21 @@
 """The specialization pipeline, its finite-quotient sibling, and the square.
 
-sp takes a representation through the whole machine: finite cover, freeness
-certificate, fundamental domain, twist datum, constant divided sequence,
-integral models.  F builds the finite twist data of a quotient rep directly.
-The two routes are compared after collapsing the inflated datum to the
-quotient; in this constant-coefficient model the comparison is elementwise
-equality and the natural-transformation witness is the identity matrix.
+sp takes a representation through the whole machine: fundamental domain,
+twist datum, constant divided sequence, integral models.  F builds the
+finite twist data of a quotient rep directly.  The two routes are compared
+after collapsing the inflated datum to the quotient; in this
+constant-coefficient model the comparison is elementwise equality, so the
+natural transformation between them is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import (
-    FiniteCover,
-    FundamentalDomain,
-    build_finite_cover,
-    certify_free_action,
-    fundamental_domain,
-)
+from .covering import FundamentalDomain, fundamental_domain
 from .curves import Pi1Presentation
 from .descent import (
+    CocycleCertificate,
     FiniteCocycle,
     LatticeAssignment,
     check_cocycle,
@@ -28,97 +23,54 @@ from .descent import (
     descend_inflation,
     integralize,
 )
-from .errors import SquareViolation, TransportConflict
-from .field import MatrixK
+from .errors import SquareViolation
 from .groups import first_kernel_word
 from .reps import ContinuousRep, FiniteQuotientRep, inflate
-from .stratified import FDividedDatum, S_RELATIVE, fdiv_from_rep
+from .stratified import FDividedDatum, S_RELATIVE, TensorCertificate, fdiv_from_rep, tensor_fdiv
 
 LATTICE_LEN = 3  # integral transport lists the components up to this length
 
 
 @dataclass(frozen=True)
-class Certificate:
-    name: str
-    passed: bool
-    bound: int | None
-    detail: str
-
-
-@dataclass(frozen=True)
 class SpecializationResult:
+    """What `sp_pipeline` computed.  `domain` is None when ker alpha is
+    trivial: the whole cover is then its own domain."""
+
     fdiv: FDividedDatum
-    finite_cover: FiniteCover
     domain: FundamentalDomain | None
-    lattice: LatticeAssignment | None
-    certificates: tuple[Certificate, ...]
+    cocycle: CocycleCertificate
+    lattice: LatticeAssignment
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.certificates)
+        return self.cocycle.passed
 
 
 def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
-    """Run a representation through cover, freeness, domain, twist datum,
-    divided sequence, and integral transport, bundling every certificate."""
+    """Run a representation through domain, twist datum, divided sequence and
+    integral transport.
+
+    Only the cocycle certificate is a check that can fail.  The rest holds by
+    construction: the deck action is free (`certify_free_action`), a domain
+    is built from a kernel word alone (`FundamentalDomain`), the divided
+    sequence is constant, and each orbit representative's lattice is the
+    Hermite form of H(()), the identity matrix seeded in the twist cache, so
+    `integralize` accepts every datum built from a rep.
+    """
     sig = rep.sig
-    certs: list[Certificate] = []
-
-    cover = build_finite_cover(rep)
-    certs.append(Certificate(
-        "finite-cover", True, None,
-        f"fiber {len(cover.fiber)}, deck group order {len(cover.fiber)}"))
-
-    free = certify_free_action(sig, max(2, max_len))
-    certs.append(Certificate(
-        "freeness", free.passed, free.max_len,
-        f"{free.strategy}: {free.checks} checks, "
-        f"{free.kernel_words} kernel words, {free.components} components"))
-
-    domain = None
     w = first_kernel_word(sig)
-    if w is None:
-        certs.append(Certificate(
-            "fundamental-domain", True, None,
-            "deck group over the finite cover is trivial; the whole cover is its own domain"))
-    else:
-        domain = fundamental_domain(sig, w, rep.presentation)
-        certs.append(Certificate(
-            "fundamental-domain", True, None,
-            f"core size {len(domain.core)}, {len(domain.section)} section entries"))
-
+    domain = None if w is None else fundamental_domain(sig, w, rep.presentation)
     datum = datum_from_rep(rep)
-    ccert = check_cocycle(datum, min(max_len, 4))
-    certs.append(Certificate(
-        "cocycle", ccert.passed, ccert.max_len,
-        f"{ccert.strategy}: {ccert.pairs_checked} pairs"))
-
-    fdiv = fdiv_from_rep(rep, S_RELATIVE)
-    certs.append(Certificate(
-        "divided-sequence", fdiv.layer(0) is fdiv.layer(1), None,
-        "constant layers"))
-
-    lattice = None
-    try:
-        lattice = integralize(datum.restricted(), max_len=LATTICE_LEN)
-        certs.append(Certificate(
-            "integral-model", True, LATTICE_LEN,
-            f"{len(lattice.orbit_reps)} orbits, {len(lattice.components)} components"))
-    except TransportConflict as exc:
-        certs.append(Certificate("integral-model", False, LATTICE_LEN, str(exc)))
-
-    return SpecializationResult(fdiv, cover, domain, lattice, tuple(certs))
+    cocycle = check_cocycle(datum, min(max_len, 4))
+    lattice = integralize(datum.restricted(), max_len=LATTICE_LEN)
+    return SpecializationResult(FDividedDatum(datum, S_RELATIVE), domain, cocycle, lattice)
 
 
-def sp_tensor_certificate(r1: ContinuousRep, r2: ContinuousRep) -> Certificate:
+def sp_tensor_certificate(r1: ContinuousRep, r2: ContinuousRep) -> TensorCertificate:
     """Generator-level functoriality: the tensor datum's twists are the
     Kronecker products of the factors' twists, compared on the Z letters and
     proved on the factor letters (`tensor_fdiv`)."""
-    from .stratified import tensor_fdiv
-
-    _, cert = tensor_fdiv(fdiv_from_rep(r1), fdiv_from_rep(r2))
-    return Certificate("tensor-functoriality", cert.passed, None,
-                       f"{cert.generators_checked} generators compared")
+    return tensor_fdiv(fdiv_from_rep(r1), fdiv_from_rep(r2))[1]
 
 
 def F_pipeline(fq: FiniteQuotientRep) -> FiniteCocycle:
@@ -136,8 +88,6 @@ class SquareCertificate:
     max_len: int
     words_checked: int
     elements_compared: int
-    witness: MatrixK
-    detail: str
 
 
 def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
@@ -154,8 +104,8 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
     exponentially.
 
     Route two is `F_pipeline`, the quotient twist data read directly,
-    H(g) = rho(g^-1).  The collapse is compared elementwise; the identity
-    matrix witnesses the identification.
+    H(g) = rho(g^-1).  The collapse is compared elementwise, so the routes
+    are identified by the identity; a disagreement raises `SquareViolation`.
 
     The group law is checked once per input: `FiniteQuotientRep.build`
     checked rho's law when fq was loaded, and `descend_inflation` checks the
@@ -169,7 +119,4 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
             raise SquareViolation(
                 f"routes disagree at quotient element {G.labels[g]}",
                 witness=G.labels[g])
-    return SquareCertificate(
-        True, max_len, fin_sp.words_checked, G.order,
-        MatrixK.identity(fq.field, fq.rank),
-        f"collapsed datum equals the direct finite data on {G.name}")
+    return SquareCertificate(True, max_len, fin_sp.words_checked, G.order)

@@ -798,9 +798,10 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
 
 
 class DenseHopf(HopfAlgebra):
-    """Oracle for `HopfAlgebra.verify_axioms`: every axiom instance checked by
-    dense coordinate arithmetic mod 3 on m-tuples and coproduct tensors, where
-    the library reads each axiom off one group law of the table.  The group
+    """Oracle for the Hopf axioms that `HopfAlgebra`'s docstring proves:
+    every axiom instance checked by dense coordinate arithmetic mod 3 on
+    m-tuples and coproduct tensors, where the library proves each axiom from
+    one group law of the table.  The group
     may be raw data (`raw_group`) that no constructor checked."""
 
     def zero_vec(self):

@@ -231,6 +231,17 @@ def test_separating_open_needs_max_len_two():
         find_separating_open(InvariantOpen((NodeClass("n0", (1, 1)),)), _geom(), 1)
 
 
+@pytest.mark.parametrize("removed,message", [
+    (NodeClass("n9", (1, 1)), "unknown node n9"),
+    (SmoothClass(0, (1, 2), "pt"),
+     "smooth class coordinates must be trivial at its own factor"),
+    ("n0", "removed classes must be SmoothClass or NodeClass"),
+], ids=["unknown-node", "smooth-class-off-its-factor", "neither-kind"])
+def test_separating_open_refuses_bad_removed_classes(removed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_separating_open(InvariantOpen((removed,)), _geom(), 4)
+
+
 @st.composite
 def separating_cases(draw):
     """A chain curve of a signature with r 0-2 and one or two factors, one

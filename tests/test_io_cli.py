@@ -395,13 +395,13 @@ def test_cli_free_work_does_not_grow_with_max_len():
                            "free", "rank1_rep.json", timeout=10)
     assert code == 0
     payload = json.loads(out)
-    assert payload["free"] is True and payload["strategy"] == "stabilizer-enumeration"
+    assert payload["signature"] == "Z^*1 * [Z2]"
     total = syllable_grade_counts(1, [2], 40)
     ending = [0] * 41  # words of length n ending in the Z2 letter
     for n in range(1, 41):
         ending[n] = total[n - 1] - ending[n - 1]
     components = sum(t - e for t, e in zip(total, ending))
-    assert payload["components"] == payload["checks"] == components
+    assert payload["components"] == components
     assert certify_free_oracle(FPSignature(1, (cyclic_group(2),)), 6).components == \
         sum(t - e for t, e in zip(total[:7], ending[:7]))
 
@@ -460,22 +460,21 @@ def test_cli_hull_tower():
 
 
 def test_cli_hull_at_the_order_budget(tmp_path):
-    """A group at io.MAX_GROUP_ORDER passes its Hopf axiom suite within ten
-    seconds: the axioms are read off the table by one associativity scan,
-    and all 3m + m^2 + 1 instances are still counted."""
+    """A group at io.MAX_GROUP_ORDER gets its report within ten seconds:
+    building the group proved its table, and the Hopf axioms follow from
+    that (`HopfAlgebra`), so `hull` scans nothing again."""
     path = tmp_path / "z120.json"
     path.write_text(json.dumps({"builtin": "cyclic", "n": spec_io.MAX_GROUP_ORDER}))
     code, out, _ = run_cli("--format", "json", "hull", str(path), timeout=10)
     assert code == 0
     report = json.loads(out)
-    assert report["dimension"] == 120
-    assert report["axiom_checks"] == 3 * 120 + 120 ** 2 + 1
+    assert report["dimension"] == 120 and report["cocommutative"] is True
 
 
 def test_cli_rep_check():
     code, out, _ = run_cli("rep", "check", "rank2_rep.json")
     assert code == 0
-    assert "valid: True" in out
+    assert "rank: 2" in out and "prime: 3" in out
 
 
 @pytest.mark.parametrize("command", [("rep", "check"), ("descend",)], ids=["rep-check", "descend"])
@@ -526,49 +525,20 @@ def test_cli_spec_nested_past_the_parser_depth_exits_2(tmp_path):
 
 
 def test_cli_bad_prime_rejected():
-    code, _, err = run_cli("--prime", "6", "pi1", "nodal_cubic.json")
-    assert code == 2
-    assert_error_line(err)
-
-
-@pytest.mark.parametrize("argv", [
-    ("rep", "check", "rank1_rep.json"),
-    ("descend", "rank2_rep.json"),
-    ("strat", "tensor", "rank1_rep.json", "rank2_rep.json"),
-    ("square", "s3_2dim.json", "nodal_cubic.json"),
-], ids=["rep-check", "descend", "strat", "square"])
-def test_cli_prime_conflicting_with_a_spec_exits_2(argv):
-    """rank1/rank2 specs carry p = 3 and s3_2dim p = 7: a different --prime
-    is refused rather than echoed beside the spec's own characteristic."""
-    code, out, err = run_cli("--prime", "5", *argv)
-    assert code == 2 and out == ""
-    assert_error_line(err)
-    assert "--prime 5 conflicts with p = " in err
-
-
-def test_cli_prime_default_and_matching_prime_echo_the_same_report():
-    """Without --prime the header still echoes 3, even over a p = 7 spec; an
-    explicit --prime equal to the spec's p is accepted."""
-    default = run_cli("--format", "json", "rep", "check", "rank1_rep.json")
-    explicit = run_cli("--prime", "3", "--format", "json", "rep", "check", "rank1_rep.json")
-    assert default[0] == explicit[0] == 0 and default[1] == explicit[1]
-    assert json.loads(default[1])["config"]["prime"] == 3
+    """Each spec carries its own p, so there is no --prime option: any value
+    is a usage error, and a report's config echoes only max_len and seed,
+    even over the p = 7 spec."""
+    for value in ("6", "3"):
+        code, out, err = run_cli("--prime", value, "pi1", "nodal_cubic.json")
+        assert (code, out) == (2, "")
+        assert "nodalcover: error:" in err and "Traceback" not in err
     code, out, _ = run_cli("--format", "json", "square", "s3_2dim.json", "nodal_cubic.json")
-    assert code == 0 and json.loads(out)["config"]["prime"] == 3
-    code, out, _ = run_cli("--prime", "7", "--format", "json",
-                           "square", "s3_2dim.json", "nodal_cubic.json")
-    assert code == 0 and json.loads(out)["config"]["prime"] == 7
+    assert code == 0 and json.loads(out)["config"] == {"max_len": 6, "seed": 42}
 
 
 # A prime far past 2^31: trial division up to its square root would run for
 # hours, so it must be refused by the characteristic bound before that.
 HUGE_PRIME = 1000000000000000003
-
-
-def test_cli_prime_above_the_bound_exits_2_at_once():
-    code, _, err = run_cli("--prime", str(HUGE_PRIME), "pi1", "nodal_cubic.json", timeout=10)
-    assert code == 2
-    assert_error_line(err)
 
 
 def test_cli_rep_p_above_the_bound_exits_2_at_once(tmp_path):
@@ -581,12 +551,19 @@ def test_cli_rep_p_above_the_bound_exits_2_at_once(tmp_path):
     assert "below 2^31" in err
 
 
-@pytest.mark.parametrize("word", ["z1^x", "q", "g9:0", "g1:1"])
+MALFORMED_WORDS = ("z1^x", "q", "g1:", "z1^", "g1:xyz", "zq", "g")
+
+
+@pytest.mark.parametrize("word", ["z1^x", "q", "g9:0", "g1:1",
+                                  "g1:", "z1^", "g1:xyz", "zq", "g"])
 def test_cli_domain_bad_word_exits_2(word):
-    # malformed, no such factor, and well formed but outside the kernel
+    # malformed, no such factor, and well formed but outside the kernel; a
+    # malformed word's error names its bad token
     code, _, err = run_cli("--max-len", "3", "domain", "rank1_rep.json", "--word", word)
     assert code == 2
     assert_error_line(err)
+    if word in MALFORMED_WORDS:
+        assert f"cannot parse word token {word!r}" in err
 
 
 def rank1_spec(**changes):
@@ -629,8 +606,8 @@ UNPAIRABLE = {
 def test_cli_strat_on_unpairable_reps_exits_2(tmp_path, action, other):
     """Reps over different fields, presentations or signatures, or with
     generator tuples that cannot be paired, are malformed input: exit 2 with
-    an error naming both files and the mismatch, as --prime's conflict with
-    a spec does, not a certificate failure."""
+    an error naming both files and the mismatch, not a certificate
+    failure."""
     spec, hom_message, tensor_message = UNPAIRABLE[other]
     path = tmp_path / f"{other}.json"
     path.write_text(json.dumps(spec))
@@ -1006,14 +983,14 @@ def test_cli_process_malformed_input_per_loader_exits_2(tmp_path, kind, command)
 
 def test_cli_in_process_calls_in_a_row_print_what_fresh_processes_print():
     """The shared parser carries nothing from one call to the next: a usage
-    error, then an explicit --prime, then the default prime."""
+    error, then an explicit --max-len, then the default."""
     sequence = (["--depth", "3", "pi1", "nodal_cubic.json"],
-                ["--prime", "5", "--format", "json", "hull", "z2.json"],
+                ["--max-len", "5", "--format", "json", "hull", "z2.json"],
                 ["--format", "json", "hull", "z2.json"])
     results = [run_cli(*argv) for argv in sequence]
     assert results == [run_cli_process(*argv) for argv in sequence]
     assert [code for code, _, _ in results] == [2, 0, 0]
-    assert [json.loads(out)["config"]["prime"] for _, out, _ in results[1:]] == [5, 3]
+    assert [json.loads(out)["config"]["max_len"] for _, out, _ in results[1:]] == [5, 6]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_CASES))

@@ -64,10 +64,9 @@ def _sign_fq(field=F3):
 def test_sp_trivial_rep_all_certificates_pass():
     sig, pres = sig_with_pres(1, (Z2,))
     res = sp_pipeline(trivial_rep(pres, F3, (Z2,)))
-    assert res.passed
-    names = {c.name for c in res.certificates}
-    assert {"finite-cover", "freeness", "fundamental-domain", "cocycle",
-            "divided-sequence", "integral-model"} <= names
+    assert res.passed and res.cocycle.passed and res.cocycle.witness is None
+    assert res.domain is not None and res.lattice.orbit_reps
+    assert res.fdiv.generator.scope == "full"
 
 
 def test_sp_rank_one_exponent_gradient():
@@ -107,8 +106,6 @@ def test_sp_domain_over_a_kernel_with_no_short_word():
     res = sp_pipeline(trivial_rep(pres, F3, (S3, Z2)), max_len=3)
     assert res.passed
     assert str(res.domain.word) == "g1:021 * g2:1 * g1:021 * g2:1"
-    cert = next(c for c in res.certificates if c.name == "fundamental-domain")
-    assert "trivial" not in cert.detail
 
 
 def test_sp_tensor_certificate_random_pair():
@@ -137,7 +134,7 @@ def test_tensor_certificate_compares_the_z_letters_only(monkeypatch):
     for name in ("__mul__", "kron", "__eq__"):
         monkeypatch.setattr(MatrixK, name, counted(name, getattr(MatrixK, name)))
     cert = sp_tensor_certificate(r1, r2)
-    assert cert.passed and cert.detail == "3 generators compared"
+    assert cert.passed and cert.generators_checked == 3
     assert dict(counts) == {"product_subgroup": 1, "kron": 4, "__eq__": 1}
 
 
@@ -207,8 +204,7 @@ def test_square_trivial():
     fq = FiniteQuotientRep.build(pres, F3, (Z2,), triv, [0], [(0, 0)],
                                  (MatrixK.identity(F3, 2),))
     cert = commuting_square_check(fq, pres, max_len=4)
-    assert cert.passed
-    assert cert.witness.is_identity()
+    assert cert.passed and cert.elements_compared == 1
 
 
 def test_square_sign_rep():
