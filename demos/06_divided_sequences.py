@@ -9,7 +9,7 @@ intersection of K).
 Run:  python demos/06_divided_sequences.py
 """
 
-from nodalcover import FunctionField, MatrixK, fdiv_from_rep, frobenius_transport, hom_fdiv
+from nodalcover import FunctionField, MatrixK, fdiv_from_rep, hom_fdiv
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
 from nodalcover.groups import cyclic_group
 from nodalcover.reps import ContinuousRep, trivial_rep
@@ -21,9 +21,8 @@ pres = pi1_presentation(chain_curve_for_signature(1, 1))
 
 print("== transport modes ==")
 M = MatrixK.from_rows(F, [["t", "1"], ["0", "2"]])
-print(f"base-relative transport fixes M: {frobenius_transport(M, S_RELATIVE) == M}")
-print(f"field-relative transport cubes entries: "
-      f"{frobenius_transport(M, K_RELATIVE).to_strings()}")
+print(f"base-relative transport keeps M = {M.to_strings()}")
+print(f"field-relative transport cubes entries: {M.frobenius().to_strings()}")
 
 unit = trivial_rep(pres, F, (Z2,))
 print("\n== endomorphisms of the unit ==")
@@ -40,7 +39,6 @@ rep = ContinuousRep.build(
     factor_homs=((MatrixK.identity(F, 2),
                   MatrixK.from_rows(F, [["0", "1"], ["1", "0"]])),))
 d = fdiv_from_rep(rep, K_RELATIVE)
-print(f"layers are one object: {d.layer(0) is d.layer(5)}")
 hb = hom_fdiv(d, d)
 print(f"field-relative End: dimension {hb.dimension} over {hb.scalar_field}")
 for f in hb.basis:

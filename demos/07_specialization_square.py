@@ -26,7 +26,7 @@ rep = ContinuousRep.build(
 result = sp_pipeline(rep)
 print(f"  fundamental domain: core size {len(result.domain.core)}, "
       f"{len(result.domain.section)} section entries")
-print(f"  [{'ok' if result.passed else 'FAIL'}] cocycle: "
+print(f"  [{'ok' if result.cocycle.passed else 'FAIL'}] cocycle: "
       f"{result.cocycle.pairs_checked} pairs compared")
 print(f"  integral model: {len(result.lattice.orbit_reps)} orbits, "
       f"{len(result.lattice.components)} components")

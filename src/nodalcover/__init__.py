@@ -63,7 +63,6 @@ from .descent import (
 from .stratified import (
     FDividedDatum,
     fdiv_from_rep,
-    frobenius_transport,
     hom_fdiv,
     tensor_fdiv,
 )

@@ -37,7 +37,7 @@ from .errors import (
     SpecParseError,
     TrivialW,
 )
-from .groups import first_kernel_word, parse_word
+from .groups import first_kernel_word, iter_grade_states, parse_word
 from .hopf import QuotientTower, function_hopf, tower_hull
 from .specialize import commuting_square_check
 from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
@@ -90,9 +90,9 @@ def _print_text(obj, indent: int = 0):
         print(f"{pad}{obj}")
 
 
-# `domain` and `cover` list entries that grow with |G_1 x ... x G_N| (the
-# witnesses also exponentially in min(--max-len, 4)), so each count is worked
-# out from the rep and refused past this budget before anything is built.
+# `domain`, `cover` and `descend` build entries that grow with |G_1 x ... x G_N|
+# or exponentially in --max-len, so each count is worked out from the rep and
+# refused past this budget before anything is built.
 MAX_REPORT_ENTRIES = 100_000
 
 
@@ -113,6 +113,18 @@ def _domain_entries(rep, max_len: int) -> int:
         1 + ends[j] * G.order for j, G in enumerate(sig.factors))
     _check_budget(bound, "domain")
     return bound + certify_free_action(sig, min(max_len, 4)).components
+
+
+def _descend_entries(sig, max_len: int) -> int:
+    """Entries `descend` builds: the cocycle check's twists, one per normal
+    form up to min(max_len, 4), and the lattice assignment's components up to
+    min(max_len, 3), counted from states that carry no group element.  A
+    component Y^j_s is counted through a word s that does not end in a
+    j-factor letter, as `certify_free_action` counts it."""
+    grades = list(iter_grade_states(sig, min(max_len, 4), None, lambda key, letter: None))
+    return sum(sum(grade.values()) for grade in grades) + sum(
+        count * (sig.num_factors - (last >= sig.r))
+        for grade in grades[:min(max_len, 3) + 1] for (last, _, _), count in grade.items())
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +204,25 @@ def cmd_domain(args, cfg: RunConfig) -> int:
         "size_bound": dom.size_bound,
         "boundary": [{"node": nid, "lift": str(u), "inside": str(a), "outside": str(b)}
                      for nid, u, a, b in dom.boundary],
-        "geometry": dom.geometry_note,
         "coverage_witnesses": witnesses,
     }
     return _emit(cfg, report, True)
 
 
 def cmd_descend(args, cfg: RunConfig) -> int:
-    datum = datum_from_rep(spec_io.load_rep(args.rep))
+    rep = spec_io.load_rep(args.rep)
+    _check_budget(_descend_entries(rep.sig, cfg.max_len), "descend")
+    datum = datum_from_rep(rep)
     cert = check_cocycle(datum, min(cfg.max_len, 4))
     end_basis = hom_cocycle(datum, datum)
-    # a datum built from a rep has H(()) = 1, so integralize accepts it
-    # (`sp_pipeline`)
     assignment = integralize(datum.restricted(), max_len=min(cfg.max_len, 3))
     report = {
         "command": "descend",
-        "cocycle_ok": cert.passed,
         "cocycle": {"pairs": cert.pairs_checked, "max_len": cert.max_len},
         "hom_dims": {"end": len(end_basis)},
         "lattice_assignment": {
             "orbits": len(assignment.orbit_reps),
             "components": len(assignment.components),
-            "diagonal_exponents": {
-                str(c): list(assignment.lattice_of(c).diagonal_exponents)
-                for c in assignment.orbit_reps},
         },
     }
     return _emit(cfg, report, cert.passed)
@@ -246,9 +253,8 @@ def cmd_strat(args, cfg: RunConfig) -> int:
     report = {
         "command": "strat tensor",
         "mode": mode,
-        "rank": tensored.rank,
-        "certificate": {"generators_checked": cert.generators_checked,
-                        "passed": cert.passed},
+        "rank": tensored.generator.rank,
+        "certificate": {"generators_checked": cert.generators_checked},
     }
     return _emit(cfg, report, cert.passed)
 
@@ -299,7 +305,6 @@ def cmd_hull(args, cfg: RunConfig) -> int:
         "tower": [G.name for G in groups],
         "dimensions": list(rpt.dimensions),
         "duals_injective": rpt.injective,
-        "hopf_maps_verified": rpt.hopf_maps_verified,
     }
     return _emit(cfg, report, rpt.injective)
 

@@ -283,13 +283,11 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
 
 @dataclass(frozen=True)
 class SmoothClass:
-    """Deck orbit of a smooth point: a component family (factor j plus the
-    quotient coordinates away from j, normalized to identity at j) and a
-    label marking one orbit of smooth points on it."""
+    """Deck orbit of a smooth point: a component family, factor j plus the
+    quotient coordinates away from j, normalized to identity at j."""
 
     j: int
     coords: tuple[int, ...]
-    label: str = "x"
 
 
 @dataclass(frozen=True)
@@ -311,11 +309,9 @@ class InvariantOpen:
 class SeparatingOpen:
     case: int
     components: tuple[ComponentIndex, ...]
-    max_len: int
     kernel_words_checked: int
     empty_meets: int
     one_sided_meets: int
-    note: str
 
 
 def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
@@ -352,8 +348,7 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
         if cl.coords[cl.j] != sig.factor(cl.j).identity:
             raise ValueError("smooth class coordinates must be trivial at its own factor")
         c = ComponentIndex(cl.j, sigma_word(sig, cl.coords))
-        return SeparatingOpen(1, (c,), max_len, kernel, kernel, 0,
-                              "component through the removed smooth point, nodes deleted")
+        return SeparatingOpen(1, (c,), kernel, kernel, 0)
 
     cl = nodes[0]
     nid_info = next((ni for ni in geom.node_info if ni[0] == cl.node_id), None)
@@ -370,8 +365,7 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
             if w and _alpha_tuple(sig, w) == sig.identity_tuple() \
                     and shortlex_key(sig, w)[0] <= max_len:
                 hits.update((w, _inv_letters(sig, w)))
-    return SeparatingOpen(2, (c_a, c_b), max_len, kernel, kernel - len(hits), len(hits),
-                          "two components through the removed node, other nodes deleted")
+    return SeparatingOpen(2, (c_a, c_b), kernel, kernel - len(hits), len(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +389,6 @@ class FundamentalDomain:
     presentation: InitVar[Pi1Presentation | None] = None
     core: tuple[ComponentIndex, ...] = field(init=False)
     boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...] = field(init=False)
-    geometry_note: str = field(init=False)
     section: Mapping[tuple[int, ...], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, presentation):
@@ -406,12 +399,8 @@ class FundamentalDomain:
             raise TrivialW("the chosen word must be nontrivial")
         if _alpha_tuple(sig, w.letters) != sig.identity_tuple():
             raise TrivialW("the chosen word must lie in the kernel of the quotient")
-        if presentation is None:
-            geom = CoverGeometry.for_signature(sig)
-            note = "synthetic chain curve supplied the node structure"
-        else:
-            geom = CoverGeometry.build(presentation, sig)
-            note = "node structure from the supplied presentation"
+        geom = (CoverGeometry.for_signature(sig) if presentation is None
+                else CoverGeometry.build(presentation, sig))
 
         groups = [sig.factor(j) for j in range(sig.num_factors)]
         core: set[ComponentIndex] = set()
@@ -444,7 +433,6 @@ class FundamentalDomain:
             core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters)))))
         object.__setattr__(self, "boundary", tuple(sorted(
             boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters)))))
-        object.__setattr__(self, "geometry_note", note)
         object.__setattr__(self, "section", MappingProxyType(section))
 
     @property

@@ -165,7 +165,6 @@ def datum_from_rep(rep: ContinuousRep) -> MeromorphicCocycle:
 
 @dataclass(frozen=True)
 class CocycleCertificate:
-    scope: str
     max_len: int
     pairs_checked: int
     identity_ok: bool
@@ -212,7 +211,7 @@ def check_cocycle(c, max_len: int) -> CocycleCertificate:
         if H[v] * H[u] != H[uv]:
             witness = (str(FPWord(sig, u)), str(FPWord(sig, v)))
             break
-    return CocycleCertificate(c.scope, max_len, pairs, identity_ok,
+    return CocycleCertificate(max_len, pairs, identity_ok,
                               identity_ok and witness is None, witness)
 
 
@@ -265,7 +264,6 @@ class LatticeAssignment:
     when H(()) = 1."""
 
     cocycle: MeromorphicCocycle
-    max_len: int
     orbit_reps: tuple[ComponentIndex, ...]
     components: tuple[ComponentIndex, ...]
 
@@ -314,18 +312,18 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
     """Pick the standard lattice on one representative per component orbit and
     transport it along the kernel action; freeness makes this conflict-free.
 
-    The returned assignment is verified by one check per orbit representative
-    c0: its lattice B(c0) A^n is the standard lattice A^n.  That check is what
-    the transport condition at every kernel word reduces to.  Let w be a
-    kernel word.  c0's transport word is empty, so B(c0) =
-    `lattice_hermite(H(()))`.  ker alpha is free and meets no conjugate of a
-    G_j (Kurosh), so w is the only kernel word carrying c0 to c0 w, hence
-    `transport_word(c0 w)` = w and B(c0 w) A^n = H(w) A^n.  The transported
-    lattice H(w) B(c0) A^n therefore equals the stored one exactly when
-    B(c0) A^n = A^n, for every invertible H(w).  The same equality shows
-    that the basis change `integral_twist(w, c0)` = B(c0 w)^{-1} H(w) B(c0)
-    maps A^n onto A^n, so it and its inverse are integral: it lies in
-    GL_n(A).
+    The transport condition holds at every kernel word, so nothing is
+    checked.  Let c0 be an orbit representative and w a kernel word.  c0's
+    transport word is empty, so B(c0) = `lattice_hermite(H(()))`, and H(())
+    is the identity matrix seeded in the cocycle's twist cache, whose
+    Hermite form is the identity: B(c0) A^n = A^n.  ker alpha is free and
+    meets no conjugate of a G_j (Kurosh), so w is the only kernel word
+    carrying c0 to c0 w, hence `transport_word(c0 w)` = w and B(c0 w) A^n =
+    H(w) A^n, which is the transported lattice H(w) B(c0) A^n.  The same
+    equality shows that the basis change `integral_twist(w, c0)` =
+    B(c0 w)^{-1} H(w) B(c0) maps A^n onto A^n, so it and its inverse are
+    integral: it lies in GL_n(A).  Only data whose H(()) is not the identity
+    escape this, and `check_cocycle` refuses those (`identity_ok`).
     """
     if c.scope != KERNEL:
         raise ScopeMismatch("integral transport works over the kernel scope")
@@ -334,13 +332,7 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
     orbit_reps: dict[tuple, ComponentIndex] = {}
     for ci in comps:
         orbit_reps.setdefault(_orbit_key(sig, ci)[0], ci)
-    assignment = LatticeAssignment(c, max_len, tuple(orbit_reps.values()),
-                                   tuple(comps))
-    for c0 in assignment.orbit_reps:
-        if not assignment.lattice_of(c0).basis.is_identity():
-            raise TransportConflict(
-                f"lattice at orbit representative {c0} is not the standard lattice")
-    return assignment
+    return LatticeAssignment(c, tuple(orbit_reps.values()), tuple(comps))
 
 
 def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
@@ -371,14 +363,13 @@ def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
 class FiniteCocycle:
     """Twist data indexed by a finite group, with the same anti-composition
     law as the word-indexed data it came from.  A collapse records how many
-    normal forms it covered (`words_checked`) and up to which length."""
+    normal forms it covered (`words_checked`)."""
 
     group: FiniteGroup
     field: FunctionField
     rank: int
     mats: tuple[MatrixK, ...]
     words_checked: int = 0
-    max_len: int = 0
 
     def check_law(self) -> bool:
         G = self.group
@@ -433,7 +424,7 @@ def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
     if missing:
         raise KernelNotTrivial(
             f"enumeration bound too small: no preimage found for {missing}")
-    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked, max_len)
+    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked)
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")
     return fin

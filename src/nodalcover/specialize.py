@@ -41,10 +41,6 @@ class SpecializationResult:
     cocycle: CocycleCertificate
     lattice: LatticeAssignment
 
-    @property
-    def passed(self) -> bool:
-        return self.cocycle.passed
-
 
 def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
     """Run a representation through domain, twist datum, divided sequence and
@@ -53,9 +49,8 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
     Only the cocycle certificate is a check that can fail.  The rest holds by
     construction: the deck action is free (`certify_free_action`), a domain
     is built from a kernel word alone (`FundamentalDomain`), the divided
-    sequence is constant, and each orbit representative's lattice is the
-    Hermite form of H(()), the identity matrix seeded in the twist cache, so
-    `integralize` accepts every datum built from a rep.
+    sequence is constant, and the transported lattices agree at every kernel
+    word (`integralize`).
     """
     sig = rep.sig
     w = first_kernel_word(sig)
@@ -85,7 +80,6 @@ def F_pipeline(fq: FiniteQuotientRep) -> FiniteCocycle:
 @dataclass(frozen=True)
 class SquareCertificate:
     passed: bool
-    max_len: int
     words_checked: int
     elements_compared: int
 
@@ -119,4 +113,4 @@ def commuting_square_check(fq: FiniteQuotientRep, pres: Pi1Presentation,
             raise SquareViolation(
                 f"routes disagree at quotient element {G.labels[g]}",
                 witness=G.labels[g])
-    return SquareCertificate(True, max_len, fin_sp.words_checked, G.order)
+    return SquareCertificate(True, fin_sp.words_checked, G.order)

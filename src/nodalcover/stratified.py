@@ -1,12 +1,11 @@
 """Frobenius-divided twist data: constant sequences and their morphisms.
 
 A representation yields the constant sequence whose every layer is the same
-twist datum; the base-relative Frobenius fixes the coefficient ring, which
-is what makes the literal constancy correct.  Morphism computations depend
-on the transport mode: base-relative transport is the identity (so chains
-are plain twisted morphisms over K), while field-relative transport raises
-entries to the p-th power, pinning eventually-constant chains down to the
-prime field.
+twist datum, its `generator`; the base-relative Frobenius fixes the
+coefficient ring, which is what makes the literal constancy correct.  A
+transport mode says how a constant matrix M crosses a layer: base-relative,
+as M, so chains are plain twisted morphisms over K; field-relative, as
+`M.frobenius()`, pinning eventually-constant chains down to the prime field.
 """
 
 from __future__ import annotations
@@ -33,31 +32,9 @@ class FDividedDatum:
         if self.mode not in (S_RELATIVE, K_RELATIVE):
             raise ModeMismatch(f"unknown transport mode {self.mode!r}")
 
-    def layer(self, i: int) -> MeromorphicCocycle:
-        if i < 0:
-            raise ValueError("layers are indexed by nonnegative integers")
-        return self.generator
-
-    @property
-    def rank(self) -> int:
-        return self.generator.rank
-
-    @property
-    def field(self) -> FunctionField:
-        return self.generator.field
-
 
 def fdiv_from_rep(rep: ContinuousRep, mode: str = S_RELATIVE) -> FDividedDatum:
     return FDividedDatum(datum_from_rep(rep), mode)
-
-
-def frobenius_transport(M: MatrixK, mode: str) -> MatrixK:
-    """Transport of a constant matrix across one Frobenius layer."""
-    if mode == S_RELATIVE:
-        return M
-    if mode == K_RELATIVE:
-        return M.frobenius()
-    raise ModeMismatch(f"unknown transport mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +62,8 @@ def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum) -> FdivHomBasis:
     basis = hom_cocycle(d1.generator, d2.generator)
     if d1.mode == S_RELATIVE:
         return FdivHomBasis(S_RELATIVE, "K", tuple(basis))
-    field = d1.field
-    if not basis:
-        return FdivHomBasis(K_RELATIVE, f"F_{field.p}", ())
-    fixed = _frobenius_fixed_combinations(field, basis)
+    field = d1.generator.field
+    fixed = _frobenius_fixed_combinations(field, basis) if basis else []
     return FdivHomBasis(K_RELATIVE, f"F_{field.p}", tuple(fixed))
 
 

@@ -329,8 +329,7 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
         for w in kernel:
             if component_action(w, c) == c:
                 raise AssertionError("case 1 separating open hit a fixed component")
-        return SeparatingOpen(1, (c,), max_len, len(kernel), len(kernel), 0,
-                              "component through the removed smooth point, nodes deleted")
+        return SeparatingOpen(1, (c,), len(kernel), len(kernel), 0)
     nid, ja, jb, z = next(ni for ni in geom.node_info if ni[0] == nodes[0].node_id)
     c_a, c_b = geom.lift_sides(nid, ja, jb, z, sigma_word(sig, nodes[0].coords).letters)
     one_sided = 0
@@ -340,9 +339,7 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
         if hit_ba and hit_ab:
             raise AssertionError(f"double overlap at w={w}")
         one_sided += hit_ba or hit_ab
-    return SeparatingOpen(2, (c_a, c_b), max_len, len(kernel), len(kernel) - one_sided,
-                          one_sided,
-                          "two components through the removed node, other nodes deleted")
+    return SeparatingOpen(2, (c_a, c_b), len(kernel), len(kernel) - one_sided, one_sided)
 
 
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:
@@ -638,7 +635,7 @@ def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
             f"enumeration bound too small: no preimage found for {missing}")
     if not slots[G.identity].is_identity():
         raise KernelNotTrivial("kernel words do not act trivially")
-    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked, max_len)
+    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked)
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")
     return fin
@@ -648,14 +645,14 @@ def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
     """Per-pair transport check: the same assignment as `integralize`, verified
     by comparing, for each orbit representative c0 and nonidentity kernel word
     w of length <= min(max_len, 3), the Hermite form of H(w) B(c0) with the
-    lattice stored at c0 w.  The oracle of `integralize`, which reduces every
-    pair to one standard-lattice check per representative."""
+    lattice stored at c0 w.  The oracle of `integralize`, whose docstring
+    proves that every pair passes."""
     sig = c.sig
     comps = enumerate_components(sig, max_len)
     reps: dict[tuple, ComponentIndex] = {}
     for ci in comps:
         reps.setdefault(_orbit_key(sig, ci)[0], ci)
-    assignment = LatticeAssignment(c, max_len, tuple(reps.values()), tuple(comps))
+    assignment = LatticeAssignment(c, tuple(reps.values()), tuple(comps))
     kernel = list(kernel_words(sig, min(max_len, 3)))
     for c0 in assignment.orbit_reps:
         base = assignment.lattice_of(c0)
@@ -930,4 +927,4 @@ def dense_tower_hull(tower) -> TowerReport:
                 raise AssertionError(f"dual map {i} does not respect the antipode")
         if dual(Adown.unit()) != Aup.unit():
             raise AssertionError(f"dual map {i} does not respect the unit")
-    return TowerReport(tuple(G.order for G in tower.groups), True, len(tower.maps))
+    return TowerReport(tuple(G.order for G in tower.groups), True)

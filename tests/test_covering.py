@@ -192,7 +192,7 @@ def _geom():
 def test_case_one_disjoint_translates():
     geom = _geom()
     out = find_separating_open(
-        InvariantOpen((SmoothClass(0, (0, 2), "pt"),)), geom, max_len=4)
+        InvariantOpen((SmoothClass(0, (0, 2)),)), geom, max_len=4)
     assert out.case == 1
     assert out.one_sided_meets == 0
     assert out.kernel_words_checked == out.empty_meets > 0
@@ -233,7 +233,7 @@ def test_separating_open_needs_max_len_two():
 
 @pytest.mark.parametrize("removed,message", [
     (NodeClass("n9", (1, 1)), "unknown node n9"),
-    (SmoothClass(0, (1, 2), "pt"),
+    (SmoothClass(0, (1, 2)),
      "smooth class coordinates must be trivial at its own factor"),
     ("n0", "removed classes must be SmoothClass or NodeClass"),
 ], ids=["unknown-node", "smooth-class-off-its-factor", "neither-kind"])
@@ -581,8 +581,8 @@ def test_domain_is_built_from_its_kernel_word_alone(sig, data):
     assume(sig.num_factors and kernel)
     w = data.draw(st.sampled_from(kernel))
     raw, built = FundamentalDomain(sig, w), fundamental_domain(sig, w)
-    assert (raw.core, raw.boundary, raw.geometry_note, dict(raw.section)) \
-        == (built.core, built.boundary, built.geometry_note, dict(built.section))
+    assert (raw.core, raw.boundary, dict(raw.section)) \
+        == (built.core, built.boundary, dict(built.section))
 
 
 @pytest.mark.parametrize("r, groups, word", [

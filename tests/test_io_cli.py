@@ -23,6 +23,7 @@ from nodalcover import io as spec_io
 from nodalcover.cli import main
 from nodalcover.covering import certify_free_action
 from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
+from nodalcover.descent import MeromorphicCocycle
 from nodalcover.errors import SpecParseError
 from nodalcover.field import MAX_LITERAL_DEGREE, MatrixK
 from nodalcover.groups import FiniteGroup, FPSignature, cyclic_group
@@ -440,7 +441,7 @@ def test_cli_strat_tensor_and_group_file_reference():
                            "rank1_rep.json", "rank1_filegroup_rep.json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["certificate"]["passed"] and payload["rank"] == 1
+    assert payload["ok"] and payload["rank"] == 1
 
 
 def test_cli_strat_hom_unit_dimension():
@@ -718,7 +719,81 @@ def test_report_budget_bounds_the_domain_report(tmp_path, spec, max_len, word):
 def test_report_budget_admits_every_demo_spec():
     for name in ("rank1_rep.json", "rank2_rep.json", "rank1_filegroup_rep.json"):
         assert run_cli("--max-len", "40", "domain", name)[0] == 0
+        assert run_cli("--max-len", "40", "descend", name)[0] == 0
         assert run_cli("cover", name)[0] == 0
+
+
+def looped_sign_spec(n):
+    """The sign rep over p = 3 of a chain of two components, each with the
+    symmetric group on n points, joined by two nodes: one loop."""
+    sign = {"group": {"builtin": "symmetric", "n": n},
+            "gen_images": [[["2"]], [["1" if n % 2 else "2"]]]}
+    return {"p": 3, "rank": 1,
+            "curve": {"components": [{"id": "C0", "branches": ["R", "a"]},
+                                     {"id": "C1", "branches": ["L", "b"]}],
+                      "nodes": [{"id": "n0", "ends": [["C0", "R"], ["C1", "L"]]},
+                                {"id": "n1", "ends": [["C0", "a"], ["C1", "b"]]}]},
+            "z_images": [[["t"]]], "factors": [sign, sign]}
+
+
+@pytest.mark.parametrize("n,max_len,entries", [
+    (5, "6", 445_935_849 + 3_686_872),
+    (5, "3", 3_628_317 + 3_686_872),
+    (4, "6", 916_329 + 36_952),
+], ids=["s5-default", "s5-len3", "s4-default"])
+def test_cli_descend_past_the_report_budget_exits_2_before_building(
+        tmp_path, monkeypatch, n, max_len, entries):
+    """The cocycle check stores one twist per normal form up to
+    min(--max-len, 4) and the lattice assignment lists the components up to
+    min(--max-len, 3): counted from states and refused before either is
+    built."""
+    def refuse(*args):
+        raise AssertionError("a twist or a lattice was built")
+
+    monkeypatch.setattr(cli_module, "check_cocycle", refuse)
+    monkeypatch.setattr(cli_module, "integralize", refuse)
+    path = tmp_path / f"s{n}_looped.json"
+    path.write_text(json.dumps(looped_sign_spec(n)))
+    code, out, err = run_cli("--max-len", max_len, "descend", str(path), timeout=10)
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert (f"descend would list up to {entries} entries, "
+            f"above the budget of {cli_module.MAX_REPORT_ENTRIES}") in err
+
+
+@pytest.mark.parametrize("spec,max_len", [
+    ("rank1_rep.json", "6"),
+    ("rank2_rep.json", "3"),
+    ("rank1_filegroup_rep.json", "2"),
+    ("s3_looped", "4"),
+])
+def test_descend_budget_counts_the_twists_and_components_built(
+        tmp_path, monkeypatch, spec, max_len):
+    """The estimate the budget is held to equals the twists the cocycle
+    check stores plus the components the lattice assignment lists."""
+    path = DATA / spec
+    if spec == "s3_looped":
+        path = tmp_path / "s3_looped.json"
+        path.write_text(json.dumps(looped_sign_spec(3)))
+    built = []
+    twist_map, integralize = MeromorphicCocycle.twist_map, cli_module.integralize
+
+    def counted_twist_map(self, L):
+        out = twist_map(self, L)
+        built.append(len(out))
+        return out
+
+    def counted_integralize(c, max_len):
+        out = integralize(c, max_len=max_len)
+        built.append(len(out.components))
+        return out
+
+    monkeypatch.setattr(MeromorphicCocycle, "twist_map", counted_twist_map)
+    monkeypatch.setattr(cli_module, "integralize", counted_integralize)
+    assert run_cli("--max-len", max_len, "descend", str(path))[0] == 0
+    assert len(built) == 2
+    sig = spec_io.load_rep(path).sig
+    assert sum(built) == cli_module._descend_entries(sig, int(max_len))
 
 
 PAST_BUDGET = spec_io.MAX_GROUP_ORDER + 1

@@ -15,7 +15,6 @@ from nodalcover.stratified import (
     K_RELATIVE,
     S_RELATIVE,
     fdiv_from_rep,
-    frobenius_transport,
     hom_fdiv,
     tensor_fdiv,
 )
@@ -39,46 +38,35 @@ def unit_datum(mode=S_RELATIVE):
 
 # -- constancy ------------------------------------------------------------------
 
-def test_layers_are_literally_constant():
-    d = fdiv_from_rep(rank2_rep())
-    assert d.layer(0) is d.layer(1) is d.layer(7)
-    with pytest.raises(ValueError):
-        d.layer(-1)
-
-
 def test_trivial_rep_gives_unit_datum():
     d = unit_datum()
-    assert d.rank == 1
+    assert d.generator.rank == 1
     assert d.generator.twist(FPWord(d.generator.sig, ())).is_identity()
 
 
 # -- transport ---------------------------------------------------------------------
+# The base-relative mode keeps a constant matrix M across a layer; the
+# field-relative mode takes it to `M.frobenius()`.
 
 def test_transport_modes_on_identity():
     I = MatrixK.identity(F3, 2)
-    assert frobenius_transport(I, S_RELATIVE) == I
-    assert frobenius_transport(I, K_RELATIVE) == I
+    assert I.frobenius() == I
 
 
 def test_transport_k_mode_is_entrywise_power():
     M = MatrixK.from_rows(F3, [["t"]])
-    assert frobenius_transport(M, K_RELATIVE) == MatrixK.from_rows(F3, [["t^3"]])
-    assert frobenius_transport(M, S_RELATIVE) == M
+    assert M.frobenius() == MatrixK.from_rows(F3, [["t^3"]])
 
 
 def test_transport_multiplicative():
     A = MatrixK.from_rows(F3, [["t", "1"], ["0", "1"]])
     B = MatrixK.from_rows(F3, [["1", "t^2"], ["2", "1"]])
-    for mode in (S_RELATIVE, K_RELATIVE):
-        assert frobenius_transport(A * B, mode) == \
-            frobenius_transport(A, mode) * frobenius_transport(B, mode)
+    assert (A * B).frobenius() == A.frobenius() * B.frobenius()
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ModeMismatch):
         fdiv_from_rep(rank1_rep(), "X")
-    with pytest.raises(ModeMismatch):
-        frobenius_transport(MatrixK.identity(F3, 1), "X")
 
 
 # -- morphism chains -----------------------------------------------------------------
@@ -172,14 +160,14 @@ def test_tensor_with_unit():
     u = fdiv_from_rep(trivial_rep(rank2_rep().presentation, F3, (Z2,)))
     out, cert = tensor_fdiv(d, u)
     assert cert.passed
-    assert out.rank == 2
+    assert out.generator.rank == 2
 
 
 def test_tensor_ranks_multiply_and_certificate():
     d1 = fdiv_from_rep(rank2_rep())
     d2 = fdiv_from_rep(rank1_rep())
     out, cert = tensor_fdiv(d1, d2)
-    assert out.rank == 2
+    assert out.generator.rank == 2
     assert cert.passed and cert.generators_checked >= 2
 
 
@@ -188,7 +176,7 @@ def test_tensor_associative_rank():
     a, _ = tensor_fdiv(*[d1, d1])
     b, _ = tensor_fdiv(a, d1)
     c, _ = tensor_fdiv(d1, a)
-    assert b.rank == c.rank == 1
+    assert b.generator.rank == c.generator.rank == 1
     # rank-one data multiply commutatively: the twists agree on generators
     assert b.generator.letter_twist((0, 1)) == c.generator.letter_twist((0, 1))
 
