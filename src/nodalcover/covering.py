@@ -21,7 +21,6 @@ from .errors import NoComplement, SignatureMismatch, TrivialW
 from .groups import (
     FPSignature,
     FPWord,
-    _alpha_tuple,
     _concat,
     _inv_letters,
     iter_grade_states,
@@ -113,13 +112,13 @@ def kernel_generators(sig: FPSignature) -> list[FPWord]:
 def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
     """Component indices over every factor whose canonical representative has
     generator length <= max_len, shortlex-ordered by representative.  Each
-    normal form is one `FPWord`, shared by the indices of every factor it
-    serves."""
+    normal form is one `FPWord`, carrying the alpha the walk computed and
+    shared by the indices of every factor it serves."""
     r = sig.r
     factors = range(sig.num_factors)
     return [ComponentIndex(j, s)
-            for letters, _, _ in iter_words_raw(sig, max_len)
-            for s in (FPWord(sig, letters),)
+            for letters, al, _ in iter_words_raw(sig, max_len)
+            for s in (FPWord(sig, letters, al),)
             for j in factors if not letters or letters[0][0] != r + j]
 
 
@@ -360,11 +359,11 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
         G = sig.factor(c_a.j)
         for g in range(G.order):
             g_letters = ((sig.r + c_a.j, g),) if g != G.identity else ()
-            w = _concat(sig, _concat(sig, _inv_letters(sig, c_b.rep.letters), g_letters),
-                        c_a.rep.letters)
-            if w and _alpha_tuple(sig, w) == sig.identity_tuple() \
-                    and shortlex_key(sig, w)[0] <= max_len:
-                hits.update((w, _inv_letters(sig, w)))
+            w = FPWord(sig, _concat(sig, _concat(
+                sig, _inv_letters(sig, c_b.rep.letters), g_letters), c_a.rep.letters))
+            if w.letters and w.alpha_coords == sig.identity_tuple() \
+                    and shortlex_key(sig, w.letters)[0] <= max_len:
+                hits.update((w.letters, _inv_letters(sig, w.letters)))
     return SeparatingOpen(2, (c_a, c_b), kernel, kernel - len(hits), len(hits))
 
 
@@ -397,7 +396,7 @@ class FundamentalDomain:
             raise SignatureMismatch("word over the wrong signature")
         if w.is_identity():
             raise TrivialW("the chosen word must be nontrivial")
-        if _alpha_tuple(sig, w.letters) != sig.identity_tuple():
+        if w.alpha_coords != sig.identity_tuple():
             raise TrivialW("the chosen word must lie in the kernel of the quotient")
         geom = (CoverGeometry.for_signature(sig) if presentation is None
                 else CoverGeometry.build(presentation, sig))
@@ -456,7 +455,7 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     canon_j(c s) = s: a component index is canonical by construction, so s
     has no leading j-letter for c to merge with."""
     sig = dom.sig
-    s = target.rep.letters
-    if target.rep.sig is not sig and target.rep.sig != sig:
+    rep = target.rep
+    if rep.sig is not sig and rep.sig != sig:
         raise SignatureMismatch("target over the wrong signature")
-    return FPWord(sig, _concat(sig, dom.section[_alpha_tuple(sig, s)], s))
+    return FPWord(sig, _concat(sig, dom.section[rep.alpha_coords], rep.letters))

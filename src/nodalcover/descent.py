@@ -35,7 +35,6 @@ from .groups import (
     FiniteGroup,
     FPSignature,
     FPWord,
-    _alpha_tuple,
     _concat,
     _inv_letters,
     iter_grade_states,
@@ -244,11 +243,11 @@ def hom_cocycle(c1, c2) -> list[MatrixK]:
 # integral models by transport along the free action
 # ---------------------------------------------------------------------------
 
-def _orbit_key(sig: FPSignature, c: ComponentIndex) -> tuple[tuple, tuple[int, ...]]:
+def _orbit_key(c: ComponentIndex) -> tuple[int, tuple[int, ...]]:
     """(j, alpha(c) with coordinate j dropped), which names c's orbit under
-    the kernel action, and alpha(c) itself."""
-    al = _alpha_tuple(sig, c.rep.letters)
-    return (c.j, al[:c.j] + al[c.j + 1:]), al
+    the kernel action."""
+    al = c.rep.alpha_coords
+    return c.j, al[:c.j] + al[c.j + 1:]
 
 
 @dataclass(frozen=True)
@@ -269,12 +268,7 @@ class LatticeAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "_lattice_cache", {})
-        sig = self.cocycle.sig
-        by_key = {}
-        for c0 in self.orbit_reps:
-            key, al0 = _orbit_key(sig, c0)
-            by_key[key] = (c0, al0)
-        object.__setattr__(self, "_reps_by_key", by_key)
+        object.__setattr__(self, "_reps_by_key", {_orbit_key(c0): c0 for c0 in self.orbit_reps})
 
     def transport_word(self, c: ComponentIndex) -> FPWord:
         """The unique kernel word carrying the orbit representative to c.
@@ -283,13 +277,11 @@ class LatticeAssignment:
         orbit key fixes alpha off coordinate j, and g fixes coordinate j, so
         alpha(c0^{-1} g c) = e."""
         sig = self.cocycle.sig
-        key, al = _orbit_key(sig, c)
-        rep0 = self._reps_by_key.get(key)
-        if rep0 is None:
+        c0 = self._reps_by_key.get(_orbit_key(c))
+        if c0 is None:
             raise TransportConflict("component lies outside the enumerated orbits")
-        c0, al0 = rep0
         G = sig.factor(c.j)
-        g = G.table[al0[c.j]][G.inverse[al[c.j]]]
+        g = G.table[c0.rep.alpha_coords[c.j]][G.inverse[c.rep.alpha_coords[c.j]]]
         return FPWord(sig, _concat(sig, _concat(
             sig, _inv_letters(sig, c0.rep.letters),
             ((sig.r + c.j, g),) if g != G.identity else ()), c.rep.letters))
@@ -331,7 +323,7 @@ def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
     comps = enumerate_components(sig, max_len)
     orbit_reps: dict[tuple, ComponentIndex] = {}
     for ci in comps:
-        orbit_reps.setdefault(_orbit_key(sig, ci)[0], ci)
+        orbit_reps.setdefault(_orbit_key(ci), ci)
     return LatticeAssignment(c, tuple(orbit_reps.values()), tuple(comps))
 
 

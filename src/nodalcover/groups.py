@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import BadElementIndex, BadFactorIndex, SignatureMismatch
@@ -295,6 +296,13 @@ class FPSignature:
     def identity_tuple(self) -> tuple[int, ...]:
         return self._idents
 
+    @cached_property
+    def _letter_strings(self) -> tuple[tuple[str, ...], ...]:
+        """Per finite factor j, the string "g{j+1}:label" of each element's
+        letter, built on the first word this signature formats."""
+        return tuple(tuple(f"g{j + 1}:{label}" for label in G.labels)
+                     for j, G in enumerate(self.factors))
+
     def describe(self) -> str:
         names = ",".join(G.name for G in self.factors)
         return f"Z^*{self.r} * [{names}]"
@@ -307,13 +315,28 @@ class FPWord:
     Its fields are read-only by contract, not by ``frozen``: words are built
     once per normal form on the hot paths, and ``frozen`` makes construction
     about 3.5 times dearer.  An AST guard in `tests/test_stdlib_only.py`
-    refuses any store to them outside this class."""
+    refuses any store to them outside this class.
+
+    ``_alpha`` holds the word's image under `alpha` once it is known: the
+    word walk passes the coordinates it already has, and any other word
+    computes them on the first read of `alpha_coords`.  It takes no part in
+    equality, hashing or ``repr``."""
 
     sig: FPSignature
     letters: tuple[tuple[int, int], ...]
+    _alpha: tuple[int, ...] | None = dataclass_field(default=None, compare=False, repr=False)
 
     def __hash__(self):
         return hash(self.letters)
+
+    @property
+    def alpha_coords(self) -> tuple[int, ...]:
+        """The coordinates of alpha(self), one per finite factor: those the
+        word walk passed, or `_alpha_tuple` of the letters on first read."""
+        al = self._alpha
+        if al is None:
+            al = self._alpha = _alpha_tuple(self.sig, self.letters)
+        return al
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -442,7 +465,7 @@ def _alpha_tuple(sig: FPSignature, letters) -> tuple[int, ...]:
 
 def alpha(w: FPWord) -> DirectTuple:
     """Quotient onto the direct product: kills Z letters, multiplies the rest."""
-    return DirectTuple(w.sig, _alpha_tuple(w.sig, w.letters))
+    return DirectTuple(w.sig, w.alpha_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +485,25 @@ def shortlex_key(sig: FPSignature, letters) -> tuple:
     return (glen, tuple(_letter_key(r, l) for l in letters))
 
 
+class _AlphaSteps(dict):
+    """alpha(u x) by alpha(x), for one finite letter u on coordinate
+    ``coord`` whose element has table row ``row``, filled on first use.
+    ``shared`` is the walk's one tuple per quotient element, so words that
+    keep their alpha share it."""
+
+    __slots__ = ("coord", "row", "shared")
+
+    def __init__(self, coord: int, row: tuple[int, ...], shared: dict):
+        super().__init__()
+        self.coord, self.row, self.shared = coord, row, shared
+
+    def __missing__(self, al):
+        j = self.coord
+        moved = al[:j] + (self.row[al[j]],) + al[j + 1:]
+        moved = self[al] = self.shared.setdefault(moved, moved)
+        return moved
+
+
 def iter_words_raw(sig: FPSignature, max_len: int,
                    carry_init=None,
                    carry_step: Callable | None = None,
@@ -477,17 +519,27 @@ def iter_words_raw(sig: FPSignature, max_len: int,
     letter of grade n's z_i^{+-(k-1)} block, and those blocks lie in grade n
     in the same rank order.  The optional carry threads any multiplicative
     bookkeeping (matrix evaluation, quotient images) from the back:
-    carry(u x) = carry_step(carry(x), u).  `sorted_grades` must be True.
+    carry(u x) = carry_step(carry(x), u).  `sorted_grades` must be True,
+    and a negative bound is refused.
+
+    A Z letter keeps alpha; a finite letter's step is looked up in a table
+    kept for this walk (`_AlphaSteps`), so every alpha the walk yields is
+    one shared tuple per quotient element.
     """
     if not sorted_grades:
         raise ValueError("iter_words_raw yields shortlex-sorted grades only")
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     r = sig.r
     step = carry_step
-    grade: list[tuple] = [((), sig.identity_tuple(), carry_init)]
+    ident = sig.identity_tuple()
+    grade: list[tuple] = [((), ident, carry_init)]
     yield from grade
-    # per finite factor: its letter id, coordinate, table and unit letters
-    finite = [(r + j, j, tab, [g for g in range(len(tab)) if g != ident])
-              for j, (tab, ident) in enumerate(zip(sig._tables, sig._idents))]
+    # per finite factor: its letter id, and each unit letter's alpha steps
+    shared = {ident: ident}
+    finite = [(r + j, [((r + j, g), _AlphaSteps(j, tab[g], shared))
+                       for g in range(len(tab)) if g != e])
+              for j, (tab, e) in enumerate(zip(sig._tables, sig._idents))]
     spans: dict = {}  # factor id -> (start, end) of the words it starts
     for _ in range(max_len):
         nxt: list[tuple] = []
@@ -503,14 +555,13 @@ def iter_words_raw(sig: FPSignature, max_len: int,
                 d = 1 if e > 0 else -1
                 nxt.append((((i, e + d),) + x[1:], al, step(c, (i, d)) if step else None))
             nspans[i] = (start, len(nxt))
-        for fid, j, tab, units in finite:
+        for fid, units in finite:
             start = len(nxt)
             lo, hi = spans.get(fid, (0, 0))
             rest = grade[:lo] + grade[hi:]
-            for g in units:
-                u, row = (fid, g), tab[g]
-                nxt += [((u,) + x, al[:j] + (row[al[j]],) + al[j + 1:],
-                         step(c, u) if step else None) for x, al, c in rest]
+            for u, moved in units:
+                nxt += [((u,) + x, moved[al], step(c, u) if step else None)
+                        for x, al, c in rest]
             nspans[fid] = (start, len(nxt))
         yield from nxt
         grade, spans = nxt, nspans
@@ -554,19 +605,18 @@ def iter_grade_states(sig: FPSignature, max_len: int, key_init,
 
 
 def enumerate_words(sig: FPSignature, max_len: int) -> list[FPWord]:
-    """Shortlex list of normal forms with generator length <= max_len."""
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    return [FPWord(sig, letters) for letters, _, _ in iter_words_raw(sig, max_len)]
+    """Shortlex list of normal forms with generator length <= max_len, each
+    carrying its alpha."""
+    return [FPWord(sig, letters, al) for letters, al, _ in iter_words_raw(sig, max_len)]
 
 
 def kernel_words(sig: FPSignature, max_len: int) -> Iterator[FPWord]:
     """Nonidentity words of generator length <= max_len in the kernel of
-    alpha, lazily and in shortlex order."""
+    alpha, lazily and in shortlex order, each carrying its alpha."""
     ident = sig.identity_tuple()
     for letters, al, _ in iter_words_raw(sig, max_len):
         if letters and al == ident:
-            yield FPWord(sig, letters)
+            yield FPWord(sig, letters, al)
 
 
 def first_kernel_word(sig: FPSignature) -> FPWord | None:
@@ -599,14 +649,10 @@ def format_word(w: FPWord) -> str:
     if not w.letters:
         return "e"
     r = w.sig.r
-    parts = []
-    for fid, v in w.letters:
-        if fid < r:
-            parts.append(f"z{fid + 1}" if v == 1 else f"z{fid + 1}^{v}")
-        else:
-            j = fid - r
-            parts.append(f"g{j + 1}:{w.sig.factor(j).labels[v]}")
-    return " * ".join(parts)
+    finite = w.sig._letter_strings
+    return " * ".join([finite[fid - r][v] if fid >= r
+                       else f"z{fid + 1}" if v == 1 else f"z{fid + 1}^{v}"
+                       for fid, v in w.letters])
 
 
 def _token_int(token: str, text: str) -> int:

@@ -242,6 +242,22 @@ def random_word(rng: random.Random, sig: FPSignature, syllables=4) -> FPWord:
     return fp_normalize(sig, raw)
 
 
+def format_word_oracle(w: FPWord) -> str:
+    """Letter by letter, "zi" or "zi^e" for a Z letter and "gj:label" with
+    the label read off the factor group for a finite one, joined by " * ";
+    "e" for the identity.  The oracle of `format_word`'s per-signature table."""
+    if not w.letters:
+        return "e"
+    r = w.sig.r
+    parts = []
+    for fid, v in w.letters:
+        if fid < r:
+            parts.append(f"z{fid + 1}" if v == 1 else f"z{fid + 1}^{v}")
+        else:
+            parts.append(f"g{fid - r + 1}:{w.sig.factor(fid - r).labels[v]}")
+    return " * ".join(parts)
+
+
 def rank1_rep(field=F3, r=1):
     """z_i -> t^i, one two-element factor acting by the sign."""
     Z2 = cyclic_group(2)
@@ -651,7 +667,7 @@ def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
     comps = enumerate_components(sig, max_len)
     reps: dict[tuple, ComponentIndex] = {}
     for ci in comps:
-        reps.setdefault(_orbit_key(sig, ci)[0], ci)
+        reps.setdefault(_orbit_key(ci), ci)
     assignment = LatticeAssignment(c, tuple(reps.values()), tuple(comps))
     kernel = list(kernel_words(sig, min(max_len, 3)))
     for c0 in assignment.orbit_reps:

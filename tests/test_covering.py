@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nodalcover import covering as covering_module
+from nodalcover import covering as covering_module, groups as groups_module
 from nodalcover.covering import (
     ComponentIndex,
     CoverGeometry,
@@ -463,6 +463,30 @@ def test_witness_every_component_up_to_length():
         cover_witness(dom, target)  # raises on failure
 
 
+def test_witnesses_of_enumerated_targets_compute_no_alpha(monkeypatch):
+    """Each enumerated target carries the alpha of the walk that built it,
+    so its witness computes none; a hand-built target computes it once."""
+    sig = FPSignature(1, (Z2, S3))
+    dom = fundamental_domain(sig, FPWord(sig, ((0, 1),)))
+    targets = enumerate_components(sig, 4)
+    calls = []
+    real = groups_module._alpha_tuple
+
+    def counted(sig, letters):
+        calls.append(letters)
+        return real(sig, letters)
+
+    for module in (groups_module, covering_module):
+        monkeypatch.setattr(module, "_alpha_tuple", counted, raising=False)
+    witnesses = [cover_witness(dom, t) for t in targets]
+    assert len(targets) > 1000 and calls == []
+    hand_built = ComponentIndex(targets[-1].j, FPWord(sig, targets[-1].rep.letters))
+    assert cover_witness(dom, hand_built) == witnesses[-1]
+    assert calls == [hand_built.rep.letters]
+    monkeypatch.undo()
+    assert witnesses == [cover_witness_oracle(dom, t) for t in targets]
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_signatures, st.integers(0, 5))
 def test_shared_word_components_equal_the_per_factor_oracle(sig, L):
@@ -527,7 +551,8 @@ def test_section_is_read_only_and_proved_for_every_factor():
 def test_witness_equals_per_target_oracle(sig, data):
     """For every word s among the first 3,000 normal forms of length <= 4 and
     every factor j, canonical for j or not, `cover_witness` returns the
-    oracle's word on the fundamental domain."""
+    oracle's word on the fundamental domain; so it does on the first 3,000
+    targets `enumerate_components` builds, which carry their alpha."""
     kernel = list(itertools.islice(kernel_words(sig, 4), 12))
     assume(sig.num_factors and kernel)
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
@@ -535,6 +560,8 @@ def test_witness_equals_per_target_oracle(sig, data):
         for j in range(sig.num_factors):
             target = ComponentIndex(j, FPWord(sig, letters))
             assert cover_witness(dom, target) == cover_witness_oracle(dom, target)
+    for target in enumerate_components(sig, 3)[:3000]:
+        assert cover_witness(dom, target) == cover_witness_oracle(dom, target)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nodalcover.covering import ComponentIndex, enumerate_components
 from nodalcover.errors import BadElementIndex, BadFactorIndex, SignatureMismatch
 from nodalcover.field import MatrixK
 from nodalcover.groups import (
@@ -44,6 +45,7 @@ from helpers import (
     associativity_failure,
     closure_oracle,
     extend_from_generators,
+    format_word_oracle,
     gen_length,
     hom_failure_oracle,
     normalize_letters_oracle,
@@ -633,6 +635,40 @@ def test_kernel_words_start_at_once_under_a_huge_bound():
     assert next(kernel_words(SIG, 10**9)) == next(kernel_words(SIG, 1))
 
 
+@pytest.mark.parametrize("bound", [-1, -3])
+@pytest.mark.parametrize("walk", [enumerate_words, lambda sig, n: list(kernel_words(sig, n)),
+                                  enumerate_components],
+                         ids=["enumerate_words", "kernel_words", "enumerate_components"])
+def test_a_negative_word_bound_is_refused(walk, bound):
+    """The one word walk refuses a negative bound, so every list built on
+    it does, instead of returning the identity alone or nothing."""
+    with pytest.raises(ValueError, match="^max_len must be nonnegative$"):
+        walk(SIG, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_signatures, st.integers(0, 4))
+def test_walk_built_words_carry_their_alpha(sig, L):
+    """Every word that `enumerate_words`, `kernel_words` and
+    `enumerate_components` build carries the walk's alpha, equal to the
+    factorwise oracle, and within one walk each quotient element is one
+    tuple.  A component index that strips a leading letter holds a fresh
+    word, which computes the same alpha on its first read."""
+    states = iter_grade_states(sig, L, None, lambda key, letter: None)
+    assume(sum(sum(grade.values()) for grade in states) <= 5000)
+    walks = [enumerate_words(sig, L), list(kernel_words(sig, L)),
+             [c.rep for c in enumerate_components(sig, L)]]
+    for words in walks:
+        assert all(w._alpha is not None for w in words)
+        assert [w.alpha_coords for w in words] == [alpha_oracle(sig, w.letters) for w in words]
+        assert len({id(w._alpha) for w in words}) == len({w._alpha for w in words})
+    for w in walks[0]:
+        if w.letters and w.letters[0][0] >= sig.r:
+            stripped = ComponentIndex(w.letters[0][0] - sig.r, w).rep
+            assert stripped._alpha is None
+            assert stripped.alpha_coords == alpha_oracle(sig, stripped.letters)
+
+
 kernel_word_signatures = st.tuples(
     st.integers(0, 2),
     st.lists(st.sampled_from([trivial_group(), Z2, Z3, cyclic_group(4), S3, dihedral_group(4)]),
@@ -700,3 +736,21 @@ def test_word_string_roundtrip():
         assert parse_word(SIG, format_word(w)) == w
     assert format_word(FPWord(SIG, ())) == "e"
     assert parse_word(SIG, "z1^2 * g1:1 * z2^-1").letters == ((0, 2), (2, 1), (1, -1))
+
+
+labelled_signatures = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.sampled_from([trivial_group(), Z2, S3, dihedral_group(4)]), max_size=3),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_signatures, st.data())
+def test_format_word_equals_the_per_letter_formatting(sig, data):
+    """`format_word`'s per-signature letter table gives the strings the
+    per-letter formatting does, and a signature builds the table only when
+    it formats its first word."""
+    assert "_letter_strings" not in vars(sig)
+    for _ in range(5):
+        w = fp_normalize(sig, data.draw(raw_words(sig)))
+        assert format_word(w) == format_word_oracle(w)

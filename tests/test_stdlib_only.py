@@ -185,9 +185,9 @@ def test_read_only_fields_are_stored_only_in_their_own_class():
         "w.letters = ()\nf.num += (1,)\nc.rep: object = w\nsetattr(w, 'sig', s)\n"
         "object.__setattr__(c, 'j', 1)\ndel f.den\nf.field, x = F, 0\n"
         "class ComponentIndex:\n    def __post_init__(self):\n        self.rep = w\n"
-        "        self.letters = ()\n")
+        "        self.letters = ()\n        self.rep._alpha = al\n")
     assert [name for _, name in field_stores(probe, owner)] == \
-        ["letters", "num", "rep", "sig", "j", "den", "field", "letters"]
+        ["letters", "num", "rep", "sig", "j", "den", "field", "letters", "_alpha"]
     stores = []
     for folder in ("src", "demos", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
