@@ -214,7 +214,8 @@ class RationalFunction:
         return bool(self.num)
 
     def _check(self, other: "RationalFunction"):
-        if not isinstance(other, RationalFunction) or other.field != self.field:
+        if not isinstance(other, RationalFunction) or (
+                other.field is not self.field and other.field != self.field):
             raise DimensionMismatch("operands live in different coefficient fields")
 
     def __add__(self, other):
@@ -385,7 +386,8 @@ def _poly_to_string(a: tuple) -> str:
 
 
 def _poly_from_string(F: FunctionField, s: str) -> tuple:
-    s = s.strip().replace("-", "+-")
+    # a minus starts a new term, except the sign of an exponent
+    s = s.strip().replace("-", "+-").replace("^+-", "^-")
     if s.startswith("+-"):
         s = s[1:]
     coeffs: dict[int, int] = {}
@@ -398,7 +400,9 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
             term = term[1:].strip()
         if "t" in term:
             coeff_part, _, exp_part = term.partition("t")
-            coeff_part = coeff_part.rstrip("*").strip()
+            coeff_part = coeff_part.strip().removesuffix("*").strip()
+            if coeff_part.endswith("*"):
+                raise ValueError(f"cannot parse term {raw.strip()!r}")
             exp = 1
             if exp_part.startswith("^"):
                 try:
@@ -407,7 +411,8 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
                     raise ValueError(f"cannot parse exponent in term {raw!r}") from None
                 if exp < 0:
                     raise ValueError(
-                        f"negative exponent in {raw!r}: put powers of t in the denominator")
+                        f"negative exponent in {raw.strip()!r}: "
+                        "put powers of t in the denominator")
                 if exp > MAX_LITERAL_DEGREE:
                     raise ValueError(f"exponent {exp} in {raw.strip()!r} is above the "
                                      f"degree budget of {MAX_LITERAL_DEGREE}")
@@ -630,6 +635,20 @@ def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:
     The kernel basis comes from the reduced row echelon form: one vector per
     free column, with entry 1 at its own free column and 0 at the others, so
     the basis is canonical for a given column order.
+
+    The reduced row echelon form of [M | rhs] is unique, so the pivot row
+    chosen in a column changes only the intermediate entries, never the
+    particular solution, the kernel basis or the inconsistency verdict.  The
+    pivot is the smallest entry (fewest stored coefficients in num and den),
+    ties going to the sparsest row, then to the first: a constant or
+    monomial pivot keeps the other rows free of new general denominators, so
+    their updates need no Euclid.
+
+    Normalising and subtracting touch only the columns where the pivot row
+    is nonzero.  That row is zero left of `col`: every row at or below `row`
+    is zero in the earlier pivot columns, which were eliminated, and in the
+    earlier free columns, where no pivot was found and where later updates
+    subtract only rows from that same zero set.
     """
     if M.rows != rhs.rows:
         raise DimensionMismatch("matrix and right-hand side have different heights")
@@ -639,16 +658,23 @@ def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:
     pivots: list[int] = []
     row = 0
     for col in range(m):
-        piv = next((r for r in range(row, n) if a[r][col].num), None)
-        if piv is None:
+        candidates = [r for r in range(row, n) if a[r][col].num]
+        if not candidates:
             continue
+        piv = min(candidates, key=lambda r: (len(a[r][col].num) + len(a[r][col].den),
+                                             sum(1 for x in a[r] if x.num)))
         a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
-        a[row] = [e * inv for e in a[row]]
+        prow = a[row]
+        nz = [j for j in range(col, m + k) if prow[j].num]
+        inv = prow[col].inverse()
+        for j in nz:
+            prow[j] = prow[j] * inv
         for r in range(n):
             if r != row and a[r][col].num:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+                ar = a[r]
+                f = ar[col]
+                for j in nz:
+                    ar[j] = ar[j] - f * prow[j]
         pivots.append(col)
         row += 1
         if row == n:

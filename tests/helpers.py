@@ -24,6 +24,7 @@ from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
 from nodalcover.errors import (
     BadElementIndex,
     BadFactorIndex,
+    DimensionMismatch,
     KernelNotTrivial,
     NoComplement,
     PresentationMismatch,
@@ -31,7 +32,14 @@ from nodalcover.errors import (
     SingularBasis,
     TransportConflict,
 )
-from nodalcover.field import INFINITY, FunctionField, LatticeK, MatrixK, lattice_hermite
+from nodalcover.field import (
+    INFINITY,
+    FunctionField,
+    LatticeK,
+    LinearSolution,
+    MatrixK,
+    lattice_hermite,
+)
 from nodalcover.groups import (
     FiniteGroup,
     FPSignature,
@@ -356,6 +364,52 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
             raise AssertionError(f"double overlap at w={w}")
         one_sided += hit_ba or hit_ab
     return SeparatingOpen(2, (c_a, c_b), len(kernel), len(kernel) - one_sided, one_sided)
+
+
+def solve_linear_oracle(M: MatrixK, rhs: MatrixK) -> LinearSolution:
+    """Gaussian elimination on the first nonzero pivot of each column, with
+    dense row updates.  The oracle of `solve_linear`, which pivots on the
+    smallest entry and updates only the pivot row's nonzero columns; both
+    return the reduced row echelon form's solution."""
+    if M.rows != rhs.rows:
+        raise DimensionMismatch("matrix and right-hand side have different heights")
+    F = M.field
+    n, m, k = M.rows, M.cols, rhs.cols
+    a = [list(M.entries[i]) + list(rhs.entries[i]) for i in range(n)]
+    pivots: list[int] = []
+    row = 0
+    for col in range(m):
+        piv = next((r for r in range(row, n) if a[r][col].num), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = a[row][col].inverse()
+        a[row] = [e * inv for e in a[row]]
+        for r in range(n):
+            if r != row and a[r][col].num:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == n:
+            break
+    zero, one = F.zero(), F.one()
+    for r in range(row, n):
+        if any(a[r][m + j].num for j in range(k)):
+            return LinearSolution(None, ())
+    part = [[zero] * k for _ in range(m)]
+    for r, col in enumerate(pivots):
+        for j in range(k):
+            part[col][j] = a[r][m + j]
+    free = [c for c in range(m) if c not in pivots]
+    kernel = []
+    for fcol in free:
+        vec = [zero] * m
+        vec[fcol] = one
+        for r, col in enumerate(pivots):
+            vec[col] = -a[r][fcol]
+        kernel.append(MatrixK(F, tuple((e,) for e in vec)))
+    return LinearSolution(MatrixK(F, tuple(tuple(r) for r in part)), tuple(kernel))
 
 
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:

@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nodalcover import field
-from nodalcover.errors import DivisionByZero, SingularBasis
+from nodalcover.errors import DimensionMismatch, DivisionByZero, SingularBasis
 from nodalcover.field import (
     MAX_LITERAL_DEGREE,
     FunctionField,
@@ -34,6 +35,7 @@ from helpers import (
     random_matrix,
     random_rf,
     smith_exponents,
+    solve_linear_oracle,
 )
 
 F2 = FunctionField(2)
@@ -45,6 +47,17 @@ def test_telescoping_sum_is_one():
     t = F3.t()
     one = F3.one()
     assert t / (t + one) + one / (t + one) == one
+
+
+def test_equal_fields_interoperate_and_others_are_refused():
+    a, b = FunctionField(3), FunctionField(3)
+    x, y = a.t() + a.one(), b.t()
+    assert a is not b
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(x, op)(y) == getattr(F3.t() + F3.one(), op)(F3.t())
+        for other in (FunctionField(5).t(), 1, (0, 1)):
+            with pytest.raises(DimensionMismatch):
+                getattr(x, op)(other)
 
 
 def test_mul_by_inverse_is_one():
@@ -347,6 +360,41 @@ def test_kernel_is_echelonized():
     assert sol.kernel[1].entries[2][0] == F3.one()
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from((2, 3, 5, 7)),
+       n=st.integers(1, 6), m=st.integers(1, 6), k=st.integers(1, 2),
+       density=st.sampled_from((0.2, 0.5, 0.9)), deg=st.integers(0, 2),
+       dependent=st.integers(0, 2), zero_row=st.booleans(),
+       rhs_kind=st.sampled_from(("image", "random", "zero")))
+def test_solve_linear_equals_the_first_pivot_oracle(seed, p, n, m, k, density, deg,
+                                                    dependent, zero_row, rhs_kind):
+    """The reduced row echelon form does not depend on the pivot rows, so
+    the smallest-entry pivot with sparse updates returns the oracle's
+    particular solution (or its inconsistency, a random right-hand side of a
+    rank-deficient system) and its kernel basis."""
+    rng = random.Random(seed)
+    F = FunctionField(p)
+
+    def entry(fill):
+        return random_rf(rng, F, deg) if rng.random() < fill else F.zero()
+
+    rows = [[entry(density) for _ in range(m)] for _ in range(n)]
+    for _ in range(dependent if n > 2 else 0):
+        i, j, l = rng.sample(range(n), 3)
+        c, d = entry(1), entry(1)
+        rows[i] = [c * x + d * y for x, y in zip(rows[j], rows[l])]
+    if zero_row:
+        rows[rng.randrange(n)] = [F.zero()] * m
+    M = MatrixK(F, tuple(tuple(row) for row in rows))
+    if rhs_kind == "image":
+        rhs = M * MatrixK(F, tuple(tuple(entry(density) for _ in range(k)) for _ in range(m)))
+    elif rhs_kind == "random":
+        rhs = MatrixK(F, tuple(tuple(entry(1) for _ in range(k)) for _ in range(n)))
+    else:
+        rhs = MatrixK.zeros(F, n, k)
+    assert solve_linear(M, rhs) == solve_linear_oracle(M, rhs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2), k=st.integers(-5, 5))
 def test_matrix_power_matches_repeated_products(seed, n, k):
@@ -542,7 +590,20 @@ def test_string_roundtrip():
         assert rf_from_string(F3, rf_to_string(f)) == f
     assert rf_from_string(F3, "(t^2 + 1)/(t + 2)") == F3.rf((1, 0, 1), (2, 1))
     assert rf_from_string(F3, "2*t^3 - 1") == F3.rf((-1, 0, 0, 2))
+    assert rf_from_string(F3, "2 * t - t^2") == F3.rf((0, 2, -1))
     assert rf_to_string(F3.zero()) == "0"
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("t^-1", "negative exponent in 't^-1'"),
+    ("1 + 2*t^-3", "negative exponent in '2*t^-3'"),
+    ("(1)/(t^-2)", "negative exponent in 't^-2'"),
+    ("2**t", "cannot parse term '2**t'"),
+    ("2***t + 1", "cannot parse term '2***t'"),
+])
+def test_malformed_literal_is_refused_naming_the_term(literal, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rf_from_string(F3, literal)
 
 
 def test_literal_exponent_past_the_degree_budget_is_refused():

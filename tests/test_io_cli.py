@@ -830,6 +830,24 @@ def test_cli_literal_past_the_degree_budget_exits_2(tmp_path, literal):
     assert f"above the degree budget of {MAX_LITERAL_DEGREE}" in err
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("t^-1", "negative exponent in 't^-1'"),
+    ("2*t^-2 + 1", "negative exponent in '2*t^-2'"),
+    ("2**t", "cannot parse term '2**t'"),
+    ("2***t", "cannot parse term '2***t'"),
+])
+def test_cli_malformed_literal_exits_2_naming_the_term(tmp_path, literal, message):
+    spec = json.loads((DATA / "rank2_rep.json").read_text())
+    spec["curve"] = str(DATA / spec["curve"])
+    spec["z_images"] = [[[literal, "1"], ["0", "1"]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("rep", "check", str(path), timeout=10)
+    assert code == 2 and out == ""
+    assert_error_line(err)
+    assert message in err
+
+
 def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
     # x -> x % 2 is not a homomorphism from S3 (element order) onto Z2
     s3 = tmp_path / "s3.json"
