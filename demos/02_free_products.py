@@ -3,7 +3,7 @@
 Run:  python demos/02_free_products.py
 """
 
-from nodalcover import FPSignature, FPWord, alpha, enumerate_words, fp_normalize, kernel_words
+from nodalcover import FPSignature, FPWord, enumerate_words, fp_normalize, kernel_words
 from nodalcover.groups import cyclic_group, symmetric_group
 
 Z2 = cyclic_group(2)
@@ -21,7 +21,7 @@ print(f"({u})^-1 = {u.inv()}")
 
 print("\n== the quotient onto G_1 x G_2 ==")
 for word in (u, u * v, fp_normalize(sig, [(0, 5)])):
-    labels = tuple(sig.factor(j).labels[c] for j, c in enumerate(alpha(word).coords))
+    labels = tuple(sig.factor(j).labels[c] for j, c in enumerate(word.alpha_coords))
     print(f"alpha({word}) = {labels}")
 
 print("\n== graded enumeration (shortlex) ==")

@@ -23,10 +23,8 @@ from .groups import (
     FiniteGroup,
     FPSignature,
     FPWord,
-    DirectTuple,
     fp_normalize,
     fp_mul,
-    alpha,
     enumerate_words,
     kernel_words,
 )

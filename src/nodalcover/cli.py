@@ -16,7 +16,6 @@ import functools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from . import io as spec_io
 from .covering import (
@@ -43,27 +42,11 @@ from .specialize import commuting_square_check
 from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    max_len: int
-    seed: int
-    out_format: str
-
-    def __post_init__(self):
-        if self.max_len < 2:
-            raise SpecParseError("--max-len must be at least 2")
-        if self.out_format not in ("text", "json"):
-            raise SpecParseError("--format must be text or json")
-
-    def header(self) -> dict:
-        return {"max_len": self.max_len, "seed": self.seed}
-
-
-def _emit(cfg: RunConfig, report: dict, ok: bool) -> int:
+def _emit(args, report: dict, ok: bool) -> int:
     report = dict(report)
-    report["config"] = cfg.header()
+    report["config"] = {"max_len": args.max_len, "seed": args.seed}
     report["ok"] = ok
-    if cfg.out_format == "json":
+    if args.out_format == "json":
         print(spec_io.dumps_report(report))
     else:
         _print_text(report)
@@ -127,11 +110,24 @@ def _descend_entries(sig, max_len: int) -> int:
         for grade in grades[:min(max_len, 3) + 1] for (last, _, _), count in grade.items())
 
 
+# `free` and `square` count the normal forms up to --max-len from states, and
+# a count has at most L*log10(alphabet) + 1 digits.  At L = 256 that stays far
+# under the 4,300 digits Python will convert to a string for any spec within
+# io.MAX_GROUP_ORDER (it would take an alphabet of 10^16 letters), while each
+# grade's bigint sums grow dearer with L.
+MAX_WORD_LEN = 256
+
+
+def _check_word_len(max_len: int, what: str) -> None:
+    if max_len > MAX_WORD_LEN:
+        raise SpecParseError(f"{what} takes --max-len up to {MAX_WORD_LEN}, not {max_len}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_pi1(args, cfg: RunConfig) -> int:
+def cmd_pi1(args) -> int:
     curve = spec_io.load_curve(args.curve)
     pres = pi1_presentation(curve)
     report = {
@@ -145,10 +141,10 @@ def cmd_pi1(args, cfg: RunConfig) -> int:
         "paths": {nid: {"sigma": list(sig_p), "tau": list(tau_p)}
                   for nid, (sig_p, tau_p) in pres.path_data},
     }
-    return _emit(cfg, report, True)
+    return _emit(args, report, True)
 
 
-def cmd_cover(args, cfg: RunConfig) -> int:
+def cmd_cover(args) -> int:
     rep = spec_io.load_rep(args.rep)
     sig = rep.sig
     _check_budget(math.prod(G.order for G in sig.factors)
@@ -159,11 +155,12 @@ def cmd_cover(args, cfg: RunConfig) -> int:
         "fiber_size": len(cover.fiber),
         "generator_actions": {name: list(perm) for name, perm in cover.actions},
     }
-    return _emit(cfg, report, True)
+    return _emit(args, report, True)
 
 
-def cmd_free(args, cfg: RunConfig) -> int:
-    rpt = certify_free_action(spec_io.load_rep(args.rep).sig, cfg.max_len)
+def cmd_free(args) -> int:
+    _check_word_len(args.max_len, "free")
+    rpt = certify_free_action(spec_io.load_rep(args.rep).sig, args.max_len)
     report = {
         "command": "free",
         "signature": rpt.sig_description,
@@ -171,12 +168,12 @@ def cmd_free(args, cfg: RunConfig) -> int:
         "components": rpt.components,
         "full_group_witnesses": list(rpt.full_group_witnesses),
     }
-    return _emit(cfg, report, True)
+    return _emit(args, report, True)
 
 
-def cmd_domain(args, cfg: RunConfig) -> int:
+def cmd_domain(args) -> int:
     rep = spec_io.load_rep(args.rep)
-    _check_budget(_domain_entries(rep, cfg.max_len), "domain")
+    _check_budget(_domain_entries(rep, args.max_len), "domain")
     sig = rep.sig
     if args.word:
         try:
@@ -193,7 +190,7 @@ def cmd_domain(args, cfg: RunConfig) -> int:
     except TrivialW as exc:
         raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     witnesses = []
-    for target in enumerate_components(sig, min(cfg.max_len, 4)):
+    for target in enumerate_components(sig, min(args.max_len, 4)):
         t = cover_witness(dom, target)
         witnesses.append({"target": str(target), "translate": str(t)})
     report = {
@@ -206,16 +203,16 @@ def cmd_domain(args, cfg: RunConfig) -> int:
                      for nid, u, a, b in dom.boundary],
         "coverage_witnesses": witnesses,
     }
-    return _emit(cfg, report, True)
+    return _emit(args, report, True)
 
 
-def cmd_descend(args, cfg: RunConfig) -> int:
+def cmd_descend(args) -> int:
     rep = spec_io.load_rep(args.rep)
-    _check_budget(_descend_entries(rep.sig, cfg.max_len), "descend")
+    _check_budget(_descend_entries(rep.sig, args.max_len), "descend")
     datum = datum_from_rep(rep)
-    cert = check_cocycle(datum, min(cfg.max_len, 4))
+    cert = check_cocycle(datum, min(args.max_len, 4))
     end_basis = hom_cocycle(datum, datum)
-    assignment = integralize(datum.restricted(), max_len=min(cfg.max_len, 3))
+    assignment = integralize(datum.restricted(), max_len=min(args.max_len, 3))
     report = {
         "command": "descend",
         "cocycle": {"pairs": cert.pairs_checked, "max_len": cert.max_len},
@@ -225,10 +222,10 @@ def cmd_descend(args, cfg: RunConfig) -> int:
             "components": len(assignment.components),
         },
     }
-    return _emit(cfg, report, cert.passed)
+    return _emit(args, report, cert.passed)
 
 
-def cmd_strat(args, cfg: RunConfig) -> int:
+def cmd_strat(args) -> int:
     rep1 = spec_io.load_rep(args.rep1)
     mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
     if args.action == "tensor" and not args.rep2:
@@ -248,7 +245,7 @@ def cmd_strat(args, cfg: RunConfig) -> int:
             "dimension": out.dimension,
             "basis": [spec_io.matrix_to_json(b) for b in out.basis],
         }
-        return _emit(cfg, report, True)
+        return _emit(args, report, True)
     tensored, cert = out
     report = {
         "command": "strat tensor",
@@ -256,27 +253,28 @@ def cmd_strat(args, cfg: RunConfig) -> int:
         "rank": tensored.generator.rank,
         "certificate": {"generators_checked": cert.generators_checked},
     }
-    return _emit(cfg, report, cert.passed)
+    return _emit(args, report, cert.passed)
 
 
-def cmd_square(args, cfg: RunConfig) -> int:
+def cmd_square(args) -> int:
+    _check_word_len(args.max_len, "square")
     curve = spec_io.load_curve(args.curve)
     fq = spec_io.load_fq(args.fq, curve)
     try:
-        cert = commuting_square_check(fq, fq.presentation, max_len=cfg.max_len)
+        cert = commuting_square_check(fq, fq.presentation, max_len=args.max_len)
         report = {
             "command": "square",
             "result": "PASS",
             "words_checked": cert.words_checked,
             "elements_compared": cert.elements_compared,
         }
-        return _emit(cfg, report, True)
+        return _emit(args, report, True)
     except NodalCoverError as exc:
         report = {"command": "square", "result": "FAIL", "reason": str(exc)}
-        return _emit(cfg, report, False)
+        return _emit(args, report, False)
 
 
-def cmd_hull(args, cfg: RunConfig) -> int:
+def cmd_hull(args) -> int:
     if len(args.groups) == 1 and not args.tower:
         G = spec_io.load_group(args.groups[0])
         algebra = function_hopf(G)
@@ -286,7 +284,7 @@ def cmd_hull(args, cfg: RunConfig) -> int:
             "dimension": algebra.dim,
             "cocommutative": algebra.is_cocommutative(),
         }
-        return _emit(cfg, report, True)
+        return _emit(args, report, True)
     groups = [spec_io.load_group(g) for g in args.groups]
     maps = []
     for low, high in zip(groups, groups[1:]):
@@ -306,10 +304,10 @@ def cmd_hull(args, cfg: RunConfig) -> int:
         "dimensions": list(rpt.dimensions),
         "duals_injective": rpt.injective,
     }
-    return _emit(cfg, report, rpt.injective)
+    return _emit(args, report, rpt.injective)
 
 
-def cmd_rep(args, cfg: RunConfig) -> int:
+def cmd_rep(args) -> int:
     rep = spec_io.load_rep(args.rep)
     datum = datum_from_rep(rep)
     end = hom_cocycle(datum, datum)
@@ -321,14 +319,14 @@ def cmd_rep(args, cfg: RunConfig) -> int:
         "factor_groups": [G.name for G in rep.factor_groups],
         "intertwiner_dims": {"end": len(end)},
     }
-    return _emit(cfg, report, True)
+    return _emit(args, report, True)
 
 
-def cmd_selftest(args, cfg: RunConfig) -> int:
+def cmd_selftest(args) -> int:
     from .selfcheck import run_all
 
-    echo = print if cfg.out_format == "text" else None
-    results = run_all(seed=cfg.seed, echo=echo)
+    echo = print if args.out_format == "text" else None
+    results = run_all(seed=args.seed, echo=echo)
     ok = all(r.passed and r.in_time for r in results)
     report = {
         "command": "selftest",
@@ -341,8 +339,8 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
         } for r in results],
         "all_passed": ok,
     }
-    if cfg.out_format == "json":
-        return _emit(cfg, report, ok)
+    if args.out_format == "json":
+        return _emit(args, report, ok)
     print(f"selftest: {'PASS' if ok else 'FAIL'} "
           f"({sum(r.passed for r in results)}/{len(results)} criteria)")
     return 0 if ok else 1
@@ -423,8 +421,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig(args.max_len, args.seed, args.out_format)
-        return args.fn(args, cfg)
+        if args.max_len < 2:
+            raise SpecParseError("--max-len must be at least 2")
+        return args.fn(args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

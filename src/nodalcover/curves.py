@@ -1,10 +1,12 @@
 """Combinatorial nodal curves, dual graphs, and free-product presentations.
 
 A curve is a list of components, each with distinct marked branch points,
-plus nodes gluing branch pairs.  The fundamental-group presentation picks
-a deterministic spanning tree of the dual graph (smallest node ids first);
-the nodes left out index the Z generators, and the recorded path data says
-which tree paths realize the gluing bookkeeping at each node.
+plus nodes gluing branch pairs.  One Kruskal spanning forest of the dual
+graph (smallest node ids first) decides connectivity, for `dual_graph` and
+`betti_rank`, and gives the fundamental-group presentation: the nodes left
+out index the Z generators, and the recorded path data, read off one walk of
+the tree from the base component, says which tree paths realize the gluing
+bookkeeping at each node.
 """
 
 from __future__ import annotations
@@ -81,42 +83,44 @@ class NodalCurve:
     def component_index(self, cid: str) -> int:
         return self.component_ids.index(cid)
 
-    def node_by_id(self, nid: str) -> Node:
-        for n in self.nodes:
-            if n.id == nid:
-                return n
-        raise InvalidCurve(f"no node {nid}")
-
 
 @dataclass(frozen=True)
 class Multigraph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]  # (edge id, endpoint, endpoint)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for _, a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+
+def _spanning_forest(curve: NodalCurve):
+    """The dual graph, its Kruskal spanning forest over lexicographic node ids
+    as (node id, endpoint, endpoint) edges, and the node ids left out.  The
+    graph is connected exactly when the forest is a tree, with |V| - 1 edges;
+    a disconnected one is refused."""
+    graph = Multigraph(curve.component_ids,
+                       tuple((n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes))
+    parent = {v: v for v in graph.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree, loops = [], []
+    for nid, a, b in sorted(graph.edges):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            loops.append(nid)
+        else:
+            parent[ra] = rb
+            tree.append((nid, a, b))
+    if len(tree) != len(graph.vertices) - 1:
+        raise DisconnectedCurve("the dual graph of the curve is not connected")
+    return graph, tree, loops
 
 
 def dual_graph(curve: NodalCurve) -> Multigraph:
     """One vertex per component, one edge per node; self-nodes become loops."""
-    g = Multigraph(curve.component_ids,
-                   tuple((n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes))
-    if not g.is_connected():
-        raise DisconnectedCurve("the dual graph of the curve is not connected")
-    return g
+    return _spanning_forest(curve)[0]
 
 
 def betti_rank(curve: NodalCurve) -> int:
@@ -147,64 +151,41 @@ class Pi1Presentation:
 
 
 def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:
-    graph = dual_graph(curve)
-    edges = sorted(graph.edges)  # Kruskal over lexicographic node ids
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree, loops = [], []
-    for nid, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            loops.append(nid)
-        else:
-            parent[ra] = rb
-            tree.append(nid)
-
+    graph, tree, loops = _spanning_forest(curve)
     base = min(graph.vertices)
     adj: dict[str, list[tuple[str, str]]] = {v: [] for v in graph.vertices}
-    for nid in tree:
-        n = curve.node_by_id(nid)
-        ca, cb = n.ends[0][0], n.ends[1][0]
-        adj[ca].append((nid, cb))
-        adj[cb].append((nid, ca))
+    for nid, a, b in tree:
+        adj[a].append((nid, b))
+        adj[b].append((nid, a))
+    root_path = {base: ()}  # component -> the tree path from base to it
+    stack = [base]
+    while stack:
+        v = stack.pop()
+        for nid, w in adj[v]:
+            if w not in root_path:
+                root_path[w] = root_path[v] + (nid,)
+                stack.append(w)
 
-    def tree_path(src: str, dst: str) -> tuple[str, ...]:
-        if src == dst:
-            return ()
-        prev: dict[str, tuple[str, str]] = {}
-        stack = [src]
-        seen = {src}
-        while stack:
-            v = stack.pop()
-            for nid, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    prev[w] = (nid, v)
-                    stack.append(w)
-        path = []
-        v = dst
-        while v != src:
-            nid, v = prev[v]
-            path.append(nid)
-        return tuple(reversed(path))
-
+    loop_set = set(loops)
     path_data = []
     for n in sorted(curve.nodes, key=lambda n: n.id):
-        ca, cb = n.ends[0][0], n.ends[1][0]
-        sigma = tree_path(base, ca)
-        tau = tree_path(ca, cb) if n.id in loops else (n.id,)
+        sigma = root_path[n.ends[0][0]]
+        if n.id in loop_set:
+            # up from the first end to the last component both root paths
+            # share, then down to the second end: the one path in the tree
+            other = root_path[n.ends[1][0]]
+            k = 0
+            while k < min(len(sigma), len(other)) and sigma[k] == other[k]:
+                k += 1
+            tau = sigma[k:][::-1] + other[k:]
+        else:
+            tau = (n.id,)
         path_data.append((n.id, (sigma, tau)))
 
     return Pi1Presentation(
         curve=curve,
         r=len(loops),
-        spanning_tree=tuple(tree),
+        spanning_tree=tuple(nid for nid, _, _ in tree),
         loop_nodes=tuple(loops),
         base_component=base,
         path_data=tuple(path_data),

@@ -203,10 +203,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.field, self.num, self.den))
 
-    @property
-    def p(self) -> int:
-        return self.field.p
-
     def is_zero(self) -> bool:
         return not self.num
 

@@ -10,8 +10,9 @@ Two length notions coexist: len(word) counts syllables, while generator
 length charges a Z syllable its |exponent|; enumeration is graded by
 generator length, the only grading with finitely many words per grade.
 `enumerate_words` lists every normal form up to a bound and `kernel_words`
-yields the nonidentity ones in the kernel of the direct-product quotient;
-`iter_grade_states` counts them by (last letter, key) state instead.
+yields the nonidentity ones in the kernel of the direct-product quotient
+alpha, read only through `FPWord.alpha_coords`; `iter_grade_states` counts
+them by (last letter, key) state instead.
 The word kernels read the factor tables, identities and inverses that each
 signature compiles once when it is built.
 """
@@ -128,12 +129,6 @@ class FiniteGroup:
             generators = range(len(tab))
         return cls(tab, tuple(str(s) for s in labels), name,
                    tuple(int(g) for g in generators))
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def nonidentity(self) -> list[int]:
         return [x for x in range(self.order) if x != self.identity]
@@ -317,10 +312,11 @@ class FPWord:
     about 3.5 times dearer.  An AST guard in `tests/test_stdlib_only.py`
     refuses any store to them outside this class.
 
-    ``_alpha`` holds the word's image under `alpha` once it is known: the
-    word walk passes the coordinates it already has, and any other word
-    computes them on the first read of `alpha_coords`.  It takes no part in
-    equality, hashing or ``repr``."""
+    ``_alpha`` holds the word's image under the quotient alpha once it is
+    known, and `alpha_coords` is the one accessor of that image: the word
+    walk passes the coordinates it already has, and any other word computes
+    them on the first read.  It takes no part in equality, hashing or
+    ``repr``."""
 
     sig: FPSignature
     letters: tuple[tuple[int, int], ...]
@@ -427,32 +423,9 @@ def fp_mul(w1: FPWord, w2: FPWord) -> FPWord:
     return FPWord(w1.sig, _concat(w1.sig, w1.letters, w2.letters))
 
 
-@dataclass(frozen=True, eq=True)
-class DirectTuple:
-    """Element of G_1 x ... x G_N, one index per finite factor."""
-
-    sig: FPSignature
-    coords: tuple[int, ...]
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def is_identity(self) -> bool:
-        return self.coords == self.sig.identity_tuple()
-
-    def __mul__(self, other: "DirectTuple") -> "DirectTuple":
-        if self.sig != other.sig:
-            raise SignatureMismatch("tuples over different signatures")
-        return DirectTuple(self.sig, tuple(
-            self.sig.factor(j).table[a][b]
-            for j, (a, b) in enumerate(zip(self.coords, other.coords))))
-
-    def inv(self) -> "DirectTuple":
-        return DirectTuple(self.sig, tuple(
-            self.sig.factor(j).inverse[a] for j, a in enumerate(self.coords)))
-
-
 def _alpha_tuple(sig: FPSignature, letters) -> tuple[int, ...]:
+    """The quotient alpha onto the direct product: kills Z letters and
+    multiplies the rest factorwise.  Words read it through `alpha_coords`."""
     r = sig.r
     tables = sig._tables
     coords = list(sig.identity_tuple())
@@ -461,11 +434,6 @@ def _alpha_tuple(sig: FPSignature, letters) -> tuple[int, ...]:
             j = fid - r
             coords[j] = tables[j][coords[j]][v]
     return tuple(coords)
-
-
-def alpha(w: FPWord) -> DirectTuple:
-    """Quotient onto the direct product: kills Z letters, multiplies the rest."""
-    return DirectTuple(w.sig, w.alpha_coords)
 
 
 # ---------------------------------------------------------------------------

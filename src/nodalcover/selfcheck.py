@@ -200,12 +200,14 @@ def criterion_1(rng) -> tuple[bool, str]:
     for _ in range(200):
         curve = _random_curve(rng)
         g = dual_graph(curve)
-        oracle = len(g.edges) - _dfs_tree_edge_count(curve)
-        if betti_rank(curve) != oracle:
+        rank = betti_rank(curve)
+        if rank != len(g.edges) - _dfs_tree_edge_count(curve):
             return False, f"betti mismatch on a curve with {len(g.edges)} nodes"
-        if betti_rank(curve) != len(curve.nodes) - len(curve.components) + 1:
-            return False, "formula |I| - N + 1 violated"
-    return True, "200 random curves agree with the spanning-tree oracle"
+        r = pi1_presentation(curve).r
+        if rank != r:
+            return False, f"betti rank {rank}, but the presentation leaves {r} nodes off its tree"
+    return True, ("200 random curves agree with the spanning-tree oracle "
+                  "and with their presentations' Z generators")
 
 
 def criterion_2(rng) -> tuple[bool, str]:
@@ -313,6 +315,18 @@ def criterion_4(rng) -> tuple[bool, str]:
     return True, "; ".join(totals)
 
 
+def _meets_by_word(sig: FPSignature, components, max_len: int) -> tuple[int, int, int]:
+    """(kernel words, empty meets, one-sided meets) of the open through
+    `components`, one kernel word at a time: w meets it when it carries one
+    of them onto one of them.  `find_separating_open` counts the same from
+    states and from its 2|G_j| candidate words."""
+    kernel = meets = 0
+    for w in kernel_words(sig, max_len):
+        kernel += 1
+        meets += any(component_action(w, c) in components for c in components)
+    return kernel, kernel - meets, meets
+
+
 def criterion_5(rng) -> tuple[bool, str]:
     Z2 = cyclic_group(2)
     triangle = NodalCurve.build(
@@ -321,24 +335,27 @@ def criterion_5(rng) -> tuple[bool, str]:
          ("n1", ("C2", "b"), ("C3", "a")),
          ("n2", ("C3", "b"), ("C1", "a"))])
     pres = pi1_presentation(triangle)
-    sig = FPSignature(pres.r, (Z2, Z2, Z2))
-    geom = CoverGeometry.build(pres, sig)
-    u1 = InvariantOpen((SmoothClass(0, (0, 1, 1)),))
-    v1 = find_separating_open(u1, geom, max_len=6)
-    if v1.case != 1 or v1.one_sided_meets != 0:
-        return False, "case 1 produced overlaps"
-    u2 = InvariantOpen((NodeClass("n1", (1, 0, 1)),))
-    v2 = find_separating_open(u2, geom, max_len=6)
-    if v2.case != 2:
-        return False, "case 2 failed"
-    geom2 = CoverGeometry.for_signature(FPSignature(1, (Z2, cyclic_group(3))))
-    v3 = find_separating_open(
-        InvariantOpen((NodeClass("n0", (1, 2)),)), geom2, max_len=6)
-    if v3.case != 2:
-        return False, "two-component case 2 failed"
-    return True, (f"case1: {v1.kernel_words_checked} kernel words disjoint; "
-                  f"case2: {v2.empty_meets} empty, {v2.one_sided_meets} one-sided, "
-                  "guard never fired")
+    geom = CoverGeometry.build(pres, FPSignature(pres.r, (Z2, Z2, Z2)))
+    chain = CoverGeometry.for_signature(FPSignature(1, (Z2, cyclic_group(3))))
+    cases = [
+        (1, geom, SmoothClass(0, (0, 1, 1))),
+        (2, geom, NodeClass("n1", (1, 0, 1))),
+        (2, chain, NodeClass("n0", (1, 2))),
+        (2, chain, NodeClass("x0", (1, 2))),  # a self-node: one-sided meets exist
+    ]
+    details = []
+    for case, g, cl in cases:
+        v = find_separating_open(InvariantOpen((cl,)), g, max_len=6)
+        counted = (v.kernel_words_checked, v.empty_meets, v.one_sided_meets)
+        by_word = _meets_by_word(g.sig, v.components, 6)
+        if v.case != case or counted != by_word:
+            return False, (f"{cl}: case {v.case} with {counted} kernel words, empty and "
+                           f"one-sided meets; expected case {case}, and the per-word "
+                           f"walk finds {by_word}")
+        where = f"node {cl.node_id}" if case == 2 else "a smooth point"
+        details.append(f"case {case} at {where} of {g.sig.describe()}: {counted[0]} kernel "
+                       f"words, {counted[1]} empty, {counted[2]} one-sided")
+    return True, "; ".join(details) + ", as counted word by word"
 
 
 def _brute_rref_dim(field: FunctionField, rows: list[list]) -> int:

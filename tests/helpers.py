@@ -19,12 +19,18 @@ from nodalcover.covering import (
     enumerate_components,
     sigma_word,
 )
-from nodalcover.curves import chain_curve_for_signature, pi1_presentation
+from nodalcover.curves import (
+    NodalCurve,
+    Pi1Presentation,
+    chain_curve_for_signature,
+    pi1_presentation,
+)
 from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
 from nodalcover.errors import (
     BadElementIndex,
     BadFactorIndex,
     DimensionMismatch,
+    DisconnectedCurve,
     KernelNotTrivial,
     NoComplement,
     PresentationMismatch,
@@ -71,6 +77,89 @@ F7 = FunctionField(7)
 def sig_with_pres(r, groups):
     pres = pi1_presentation(chain_curve_for_signature(r, len(groups)))
     return FPSignature(r, tuple(groups)), pres
+
+
+def pi1_presentation_oracle(curve: NodalCurve) -> Pi1Presentation:
+    """Three walks where `pi1_presentation` makes one forest: a DFS for
+    connectivity, Kruskal with union-find for the tree, and a fresh DFS for
+    each tree path, with nodes looked up by id."""
+    vertices = curve.component_ids
+    edges = [(n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes]
+    adj_all: dict[str, list[str]] = {v: [] for v in vertices}
+    for _, a, b in edges:
+        adj_all[a].append(b)
+        adj_all[b].append(a)
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for w in adj_all[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(vertices):
+        raise DisconnectedCurve("the dual graph of the curve is not connected")
+
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree, loops = [], []
+    for nid, a, b in sorted(edges):  # Kruskal over lexicographic node ids
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            loops.append(nid)
+        else:
+            parent[ra] = rb
+            tree.append(nid)
+
+    base = min(vertices)
+    node_by_id = {n.id: n for n in curve.nodes}
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+    for nid in tree:
+        n = node_by_id[nid]
+        ca, cb = n.ends[0][0], n.ends[1][0]
+        adj[ca].append((nid, cb))
+        adj[cb].append((nid, ca))
+
+    def tree_path(src: str, dst: str) -> tuple[str, ...]:
+        if src == dst:
+            return ()
+        prev: dict[str, tuple[str, str]] = {}
+        stack = [src]
+        seen = {src}
+        while stack:
+            v = stack.pop()
+            for nid, w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    prev[w] = (nid, v)
+                    stack.append(w)
+        path = []
+        v = dst
+        while v != src:
+            nid, v = prev[v]
+            path.append(nid)
+        return tuple(reversed(path))
+
+    path_data = []
+    for n in sorted(curve.nodes, key=lambda n: n.id):
+        ca, cb = n.ends[0][0], n.ends[1][0]
+        sigma = tree_path(base, ca)
+        tau = tree_path(ca, cb) if n.id in loops else (n.id,)
+        path_data.append((n.id, (sigma, tau)))
+
+    return Pi1Presentation(
+        curve=curve,
+        r=len(loops),
+        spanning_tree=tuple(tree),
+        loop_nodes=tuple(loops),
+        base_component=base,
+        path_data=tuple(path_data),
+    )
 
 
 def hom_failure_oracle(G: FiniteGroup, images, compose) -> tuple[int, int] | None:
@@ -197,7 +286,7 @@ def extend_from_generators(G, gen_images, compose, one):
         nxt = []
         for x in frontier:
             for s, fs in zip(G.generators, gen_images):
-                y = G.mul(x, s)
+                y = G.table[x][s]
                 if y not in f:
                     f[y] = compose(f[x], fs)
                     nxt.append(y)

@@ -33,7 +33,6 @@ from nodalcover.groups import (
     FiniteGroup,
     FPSignature,
     FPWord,
-    alpha,
     cyclic_group,
     dihedral_group,
     enumerate_words,
@@ -118,7 +117,7 @@ def _direct_pairing(sig, max_len):
     and require that it moves it.  Returns (kernel words, components, checks),
     one check per component and nonidentity element of its factor."""
     kernel = [w for w in enumerate_words(sig, max_len)
-              if not w.is_identity() and alpha(w).is_identity()]
+              if not w.is_identity() and w.alpha_coords == sig.identity_tuple()]
     comps = enumerate_components(sig, max_len)
     for w in kernel:
         for c in comps:
@@ -341,7 +340,8 @@ def test_kernel_basis_words_are_distinct_short_kernel_normal_forms(sig):
     assert len(basis_set) == len(basis)
     for letters in basis:
         w = FPWord(sig, letters)
-        assert letters and fp_normalize(sig, letters) == w and alpha(w).is_identity()
+        assert letters and fp_normalize(sig, letters) == w
+        assert w.alpha_coords == sig.identity_tuple()
         assert shortlex_key(sig, letters)[0] <= 2 * sig.num_factors + 1
         assert w.inv().letters not in basis_set
 
@@ -417,7 +417,7 @@ def test_domain_core_components_not_stabilized():
     dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]))
     for c in dom.core:
         for w in enumerate_words(sig, 4):
-            if not w.is_identity() and alpha(w).is_identity():
+            if not w.is_identity() and w.alpha_coords == sig.identity_tuple():
                 assert component_action(w, c) != c
 
 
@@ -451,8 +451,8 @@ def test_witness_random_targets():
         j = rng.randrange(2)
         target = ComponentIndex(j, random_word(rng, sig, 6))
         t = cover_witness(dom, target)
-        assert alpha(t).is_identity()
-        start = ComponentIndex(j, dom.word * sigma_word(sig, alpha(target.rep).coords))
+        assert t.alpha_coords == sig.identity_tuple()
+        start = ComponentIndex(j, dom.word * sigma_word(sig, target.rep.alpha_coords))
         assert component_action(t, start) == target
 
 
@@ -538,7 +538,7 @@ def test_section_is_read_only_and_proved_for_every_factor():
     """The section cannot be replaced after construction: item assignment
     raises, and the per-(g, j) oracle accepts the entry at every factor."""
     s = fp_normalize(SIG, [(0, 2), (1, 1), (0, -1)])
-    coords = alpha(s).coords
+    coords = s.alpha_coords
     dom = fundamental_domain(SIG, fp_normalize(SIG, [(0, 1)]))
     entry = dom.section[coords]
     with pytest.raises(TypeError):
@@ -624,7 +624,7 @@ def test_witness_from_section_equals_recomputed_witness(r, groups, word):
     for coords, ws_inv in dom.section.items():
         assert ws_inv == (dom.word * sigma_word(sig, coords)).inv().letters
     for target in enumerate_components(sig, 4):
-        ws = dom.word * sigma_word(sig, alpha(target.rep).coords)
+        ws = dom.word * sigma_word(sig, target.rep.alpha_coords)
         assert cover_witness(dom, target) == ws.inv() * target.rep
     other = FPSignature(r + 1, groups)
     with pytest.raises(SignatureMismatch):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcover.curves import (
     NodalCurve,
@@ -12,6 +13,8 @@ from nodalcover.curves import (
     pi1_presentation,
 )
 from nodalcover.errors import DisconnectedCurve, InvalidCurve
+
+from helpers import pi1_presentation_oracle
 
 
 def nodal_cubic():
@@ -168,7 +171,8 @@ def test_presentation_invariants():
         # the tree spans: it connects all components with no cycles
         assert len(pres.spanning_tree) == len(curve.components) - 1
         # paths land where they claim: walk the tree edges step by step
-        tree_nodes = {nid: curve.node_by_id(nid) for nid in pres.spanning_tree}
+        nodes = {n.id: n for n in curve.nodes}
+        tree_nodes = {nid: nodes[nid] for nid in pres.spanning_tree}
 
         def walk(start, path):
             at = start
@@ -179,7 +183,7 @@ def test_presentation_invariants():
             return at
 
         for nid, (sigma, tau) in pres.path_data:
-            node = curve.node_by_id(nid)
+            node = nodes[nid]
             assert all(x in pres.spanning_tree for x in sigma)
             assert walk(pres.base_component, sigma) == node.ends[0][0]
             if nid in pres.spanning_tree:
@@ -202,3 +206,44 @@ def test_base_choice_does_not_change_rank():
     assert pres2.base_component != pres.base_component
     assert pres2.r == pres.r
     assert len(pres2.path_data) == len(pres.path_data)
+
+
+@st.composite
+def random_curves(draw):
+    """Curves as selfcheck's `_random_curve` draws them, 1-8 components and
+    up to 14 nodes, but with the spanning chain of nodes only half the time,
+    so disconnected curves come too, and node ids in a drawn order, so the
+    forest's lexicographic order is not the order the nodes were built in."""
+    n_comp = draw(st.integers(1, 8))
+    pairs = []
+    if draw(st.booleans()):
+        pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_comp)]
+    comp = st.integers(0, n_comp - 1)
+    pairs += draw(st.lists(st.tuples(comp, comp), max_size=14 - len(pairs)))
+    ids = draw(st.permutations(range(len(pairs))))
+    comps = [[f"C{i}", []] for i in range(n_comp)]
+    nodes = []
+    for k, (a, b) in zip(ids, pairs):
+        ba, bb = f"b{k}a", f"b{k}b"
+        comps[a][1].append(ba)
+        comps[b][1].append(bb)
+        nodes.append((f"n{k:02d}", (f"C{a}", ba), (f"C{b}", bb)))
+    return NodalCurve.build([(c, tuple(bs)) for c, bs in comps], nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_curves())
+def test_presentation_equals_the_three_walk_oracle(curve):
+    """One forest and one tree walk give the presentation that a DFS for
+    connectivity, Kruskal and a DFS per tree path give, and both refuse a
+    disconnected curve."""
+    try:
+        expected = pi1_presentation_oracle(curve)
+    except DisconnectedCurve:
+        with pytest.raises(DisconnectedCurve):
+            pi1_presentation(curve)
+        with pytest.raises(DisconnectedCurve):
+            dual_graph(curve)
+        return
+    assert pi1_presentation(curve) == expected
+    assert dual_graph(curve).vertices == curve.component_ids

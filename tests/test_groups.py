@@ -12,7 +12,6 @@ from nodalcover.covering import ComponentIndex, enumerate_components
 from nodalcover.errors import BadElementIndex, BadFactorIndex, SignatureMismatch
 from nodalcover.field import MatrixK
 from nodalcover.groups import (
-    DirectTuple,
     FiniteGroup,
     FPSignature,
     FPWord,
@@ -20,7 +19,6 @@ from nodalcover.groups import (
     _concat,
     _inv_letters,
     _normalize_letters,
-    alpha,
     cyclic_group,
     dihedral_group,
     enumerate_words,
@@ -62,7 +60,7 @@ SIG = FPSignature(2, (Z2, Z3))
 # -- finite groups ------------------------------------------------------------
 
 def test_group_constructors():
-    assert Z3.order == 3 and Z3.identity == 0 and Z3.inv(1) == 2
+    assert Z3.order == 3 and Z3.identity == 0 and Z3.inverse[1] == 2
     assert S3.order == 6 and not S3.is_abelian()
     assert dihedral_group(4).order == 8
     assert trivial_group().order == 1
@@ -151,21 +149,21 @@ def test_generator_column_test_agrees_with_the_all_pairs_oracle(case):
 
 def test_hom_failure_scans_rows_first():
     Z4 = cyclic_group(4)
-    assert Z4.hom_failure(range(4), Z4.mul) is None
+    assert Z4.hom_failure(range(4), lambda x, y: Z4.table[x][y]) is None
     D4 = dihedral_group(4)  # generators 1 (a rotation) and 4 (a reflection)
     broken = {(2, 1), (1, 4), (0, 3)}
 
     def compose(x, y):
-        return -1 if (x, y) in broken else D4.mul(x, y)
+        return -1 if (x, y) in broken else D4.table[x][y]
 
     # (0,3) is off the generator columns; row 1 comes before row 2, though
     # (2,1) comes first by columns
     assert D4.hom_failure(range(8), compose) == (1, 4)
     # the anti-law of a non-abelian group fails where the law holds
     ident = list(range(S3.order))
-    assert S3.hom_failure(ident, S3.mul) is None
-    a, b = S3.hom_failure(ident, lambda x, y: S3.mul(y, x))
-    assert b in S3.generators and S3.mul(a, b) != S3.mul(b, a)
+    assert S3.hom_failure(ident, lambda x, y: S3.table[x][y]) is None
+    a, b = S3.hom_failure(ident, lambda x, y: S3.table[y][x])
+    assert b in S3.generators and S3.table[a][b] != S3.table[b][a]
 
 
 SMALL_GROUPS = ([cyclic_group(n) for n in range(1, 7)]
@@ -189,7 +187,7 @@ def maps_out_of_small_groups(draw):
     target = draw(st.sampled_from(["group", "1x1", "2x2"]))
     if target == "group":
         H = draw(st.sampled_from(SMALL_GROUPS))
-        pool, compose, one = list(range(H.order)), H.mul, H.identity
+        pool, compose, one = list(range(H.order)), lambda x, y: H.table[x][y], H.identity
     else:
         pool = SCALARS if target == "1x1" else SQUARES
         compose, one = operator.mul, MatrixK.identity(F7, pool[0].rows)
@@ -210,7 +208,7 @@ def test_generator_scan_agrees_with_the_all_pairs_oracle(case):
     if bad is not None:
         a, s = bad
         assert s in (G.generators or (G.identity,))
-        assert compose(images[a], images[s]) != images[G.mul(a, s)]
+        assert compose(images[a], images[s]) != images[G.table[a][s]]
 
 
 STOCK_GROUPS = SMALL_GROUPS + [dihedral_group(4), symmetric_group(4)]
@@ -251,7 +249,7 @@ def test_product_subgroup_diagonal_and_mixed():
 def test_cancellation_examples():
     assert fp_normalize(SIG, [(0, 1), (0, -1)]).is_identity()
     g = 1
-    assert fp_normalize(SIG, [(2, g), (2, Z2.inv(g))]).is_identity()
+    assert fp_normalize(SIG, [(2, g), (2, Z2.inverse[g])]).is_identity()
     w = fp_normalize(SIG, [(3, 1), (3, 2)])
     assert w.is_identity()  # the order-three elements 1 and 2 are inverse
 
@@ -292,7 +290,7 @@ def test_normal_form_uniqueness_under_insert_cancel():
         else:
             G = SIG.factor(fid - 2)
             g = rng.randrange(1, G.order)
-            noise = [(fid, g), (fid, G.inv(g))]
+            noise = [(fid, g), (fid, G.inverse[g])]
         perturbed = raw[:pos] + noise + raw[pos:]
         assert fp_normalize(SIG, perturbed) == w
 
@@ -353,7 +351,7 @@ def test_normalize_is_a_monoid_morphism_on_raw_sequences(a, b):
 def test_inverse_from_reversed_negated_raw(a):
     w = fp_normalize(SIG, a)
     manual = fp_normalize(SIG, [
-        (fid, -v) if fid < 2 else (fid, SIG.factor(fid - 2).inv(v))
+        (fid, -v) if fid < 2 else (fid, SIG.factor(fid - 2).inverse[v])
         for fid, v in reversed(list(a))])
     assert manual == w.inv()
     assert fp_mul(w, manual).is_identity()
@@ -369,7 +367,7 @@ def test_signature_mismatch():
 
 def test_alpha_kills_z_letters():
     w = fp_normalize(SIG, [(0, 3), (1, -2), (0, 1)])
-    assert alpha(w).is_identity()
+    assert w.alpha_coords == SIG.identity_tuple()
 
 
 def test_alpha_commutator_of_distinct_factors():
@@ -377,19 +375,16 @@ def test_alpha_commutator_of_distinct_factors():
     g2 = fp_normalize(SIG, [(3, 1)])
     comm = g1 * g2 * g1.inv() * g2.inv()
     assert not comm.is_identity()
-    assert alpha(comm).is_identity()
+    assert comm.alpha_coords == SIG.identity_tuple()
 
 
 def test_alpha_homomorphism_oracle():
+    """alpha(w1 w2) is the factorwise table product of alpha(w1) and alpha(w2)."""
     rng = random.Random(31)
     for _ in range(300):
         w1, w2 = random_word(rng, SIG, 4), random_word(rng, SIG, 4)
-        assert alpha(w1 * w2) == alpha(w1) * alpha(w2)
-
-
-def test_direct_tuple_ops():
-    t1 = DirectTuple(SIG, (1, 2))
-    assert (t1 * t1.inv()).is_identity()
+        assert (w1 * w2).alpha_coords == tuple(
+            G.table[a][b] for G, a, b in zip(SIG.factors, w1.alpha_coords, w2.alpha_coords))
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -424,7 +419,7 @@ def test_kernel_filter_postcondition():
     words = list(kernel_words(SIG, 4))
     assert words
     for w in words:
-        assert alpha(w).is_identity() and not w.is_identity()
+        assert w.alpha_coords == SIG.identity_tuple() and not w.is_identity()
 
 
 def test_section_witnesses_alpha_surjectivity():
@@ -435,7 +430,7 @@ def test_section_witnesses_alpha_surjectivity():
     for _ in range(50):
         coords = (rng.randrange(Z2.order), rng.randrange(Z3.order))
         w = sigma_word(SIG, coords)
-        assert alpha(w).coords == coords
+        assert w.alpha_coords == coords
         assert gen_length(SIG.r, w.letters) <= SIG.num_factors
 
 
@@ -482,7 +477,7 @@ def junction_pairs(draw):
     tail = []
     if mode == "merge" and meets is not None:
         fid, v = meets
-        inv = -v if fid < sig.r else sig.factor(fid - sig.r).inv(v)
+        inv = -v if fid < sig.r else sig.factor(fid - sig.r).inverse[v]
         merging = [x for x in nonidentity_values(sig, fid) if x != inv]
         if merging:  # an order-two factor only cancels
             tail = [(fid, draw(st.sampled_from(merging)))]
@@ -504,7 +499,7 @@ def alpha_oracle(sig, letters):
         x = G.identity
         for fid, v in letters:
             if fid == sig.r + j:
-                x = G.mul(x, v)
+                x = G.table[x][v]
         coords.append(x)
     return tuple(coords)
 
@@ -518,7 +513,7 @@ def test_concat_equals_normalized_concatenation(case):
 
 
 def inverse_raw(sig, raw):
-    return [(fid, -v) if fid < sig.r else (fid, sig.factor(fid - sig.r).inv(v))
+    return [(fid, -v) if fid < sig.r else (fid, sig.factor(fid - sig.r).inverse[v])
             for fid, v in reversed(raw)]
 
 
@@ -695,7 +690,7 @@ def test_first_kernel_word_closed_forms():
 @given(signatures, st.integers(0, 4))
 def test_kernel_words_are_the_filtered_enumeration(sig, L):
     expected = [w for w in enumerate_words(sig, L)
-                if w.letters and alpha(w).is_identity()]
+                if w.letters and w.alpha_coords == sig.identity_tuple()]
     assert list(kernel_words(sig, L)) == expected
 
 

@@ -407,6 +407,18 @@ def test_cli_free_work_does_not_grow_with_max_len():
         sum(t - e for t, e in zip(total[:7], ending[:7]))
 
 
+@pytest.mark.parametrize("argv", [("free", "rank1_rep.json"),
+                                  ("square", "z2_sign.json", "cycle3.json")])
+def test_cli_word_counts_refuse_a_max_len_past_their_bound(argv):
+    """`free` and `square` count normal forms up to --max-len, and past
+    cli.MAX_WORD_LEN a count could pass the digits Python converts to a
+    string: 20,000 exits 2 with an error line, the bound itself runs."""
+    code, out, err = run_cli("--max-len", "20000", *argv, timeout=10)
+    assert code == 2 and not out
+    assert_error_line(err)
+    assert run_cli("--max-len", str(cli_module.MAX_WORD_LEN), *argv, timeout=10)[0] == 0
+
+
 def test_cli_domain_work_does_not_grow_with_max_len():
     """The first kernel word is found in the first grades and the coverage
     targets stop at length 4, so a bound of 10^7 costs what 4 does."""
