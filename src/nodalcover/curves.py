@@ -1,17 +1,18 @@
 """Combinatorial nodal curves, dual graphs, and free-product presentations.
 
 A curve is a list of components, each with distinct marked branch points,
-plus nodes gluing branch pairs.  One Kruskal spanning forest of the dual
-graph (smallest node ids first) decides connectivity, for `dual_graph` and
-`betti_rank`, and gives the fundamental-group presentation: the nodes left
-out index the Z generators, and the recorded path data, read off one walk of
-the tree from the base component, says which tree paths realize the gluing
-bookkeeping at each node.
+plus nodes gluing branch pairs.  A `NodalCurve` is checked once, when it is
+built: every branch point glued by exactly one node, and a connected dual
+graph.  Connectivity is decided by one Kruskal spanning forest of the dual
+graph (smallest node ids first), which the curve keeps.  The nodes the tree
+leaves out index the Z generators of the fundamental-group presentation, and
+the recorded path data, read off one walk of the tree from the base
+component, says which tree paths realize the gluing bookkeeping at each node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import DisconnectedCurve, InvalidCurve
 
@@ -24,32 +25,24 @@ class Node:
 
 @dataclass(frozen=True)
 class NodalCurve:
+    """A connected nodal curve, with its dual graph's Kruskal spanning tree
+    as (node id, endpoint, endpoint) edges and the node ids it leaves out."""
+
     components: tuple[tuple[str, tuple[str, ...]], ...]  # (id, branch labels)
     nodes: tuple[Node, ...]
+    tree_edges: tuple = dataclass_field(init=False, repr=False, compare=False)
+    loop_nodes: tuple[str, ...] = dataclass_field(init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, components, nodes) -> "NodalCurve":
-        comps = []
-        for cid, branches in components:
-            comps.append((str(cid), tuple(str(b) for b in branches)))
-        node_objs = []
-        for k, spec in enumerate(nodes):
-            if isinstance(spec, Node):
-                node_objs.append(spec)
-                continue
-            if len(spec) == 3:
-                nid, ea, eb = spec
-            else:
-                ea, eb = spec
-                nid = f"n{k}"
-            node_objs.append(Node(str(nid), ((str(ea[0]), str(ea[1])),
-                                             (str(eb[0]), str(eb[1])))))
-        curve = cls(tuple(comps), tuple(node_objs))
-        curve._validate()
-        return curve
+        """From (id, branches) components and (id, end, end) nodes."""
+        return cls(
+            tuple((str(cid), tuple(str(b) for b in branches)) for cid, branches in components),
+            tuple(Node(str(nid), ((str(ea[0]), str(ea[1])), (str(eb[0]), str(eb[1]))))
+                  for nid, ea, eb in nodes))
 
-    def _validate(self):
-        ids = [cid for cid, _ in self.components]
+    def __post_init__(self):
+        ids = self.component_ids
         if len(set(ids)) != len(ids) or not ids:
             raise InvalidCurve("component ids must be nonempty and distinct")
         branch_set = set()
@@ -72,9 +65,31 @@ class NodalCurve:
                 if end in used:
                     raise InvalidCurve(f"branch point {end} used by two nodes")
                 used.add(end)
-        for leftover in branch_set - used:
+        for leftover in sorted(branch_set - used):
             raise InvalidCurve(
                 f"branch point {leftover} is marked but not glued by any node")
+
+        parent = {v: v for v in ids}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        tree, loops = [], []
+        for nid, a, b in sorted((n.id, n.ends[0][0], n.ends[1][0]) for n in self.nodes):
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                loops.append(nid)
+            else:
+                parent[ra] = rb
+                tree.append((nid, a, b))
+        # the graph is connected exactly when the forest is a tree
+        if len(tree) != len(ids) - 1:
+            raise DisconnectedCurve("the dual graph of the curve is not connected")
+        object.__setattr__(self, "tree_edges", tuple(tree))
+        object.__setattr__(self, "loop_nodes", tuple(loops))
 
     @property
     def component_ids(self) -> tuple[str, ...]:
@@ -90,42 +105,14 @@ class Multigraph:
     edges: tuple[tuple[str, str, str], ...]  # (edge id, endpoint, endpoint)
 
 
-def _spanning_forest(curve: NodalCurve):
-    """The dual graph, its Kruskal spanning forest over lexicographic node ids
-    as (node id, endpoint, endpoint) edges, and the node ids left out.  The
-    graph is connected exactly when the forest is a tree, with |V| - 1 edges;
-    a disconnected one is refused."""
-    graph = Multigraph(curve.component_ids,
-                       tuple((n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes))
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree, loops = [], []
-    for nid, a, b in sorted(graph.edges):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            loops.append(nid)
-        else:
-            parent[ra] = rb
-            tree.append((nid, a, b))
-    if len(tree) != len(graph.vertices) - 1:
-        raise DisconnectedCurve("the dual graph of the curve is not connected")
-    return graph, tree, loops
-
-
 def dual_graph(curve: NodalCurve) -> Multigraph:
     """One vertex per component, one edge per node; self-nodes become loops."""
-    return _spanning_forest(curve)[0]
+    return Multigraph(curve.component_ids,
+                      tuple((n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes))
 
 
 def betti_rank(curve: NodalCurve) -> int:
     """Number of independent cycles of the dual graph: |nodes| - |components| + 1."""
-    dual_graph(curve)
     return len(curve.nodes) - len(curve.components) + 1
 
 
@@ -151,10 +138,9 @@ class Pi1Presentation:
 
 
 def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:
-    graph, tree, loops = _spanning_forest(curve)
-    base = min(graph.vertices)
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in graph.vertices}
-    for nid, a, b in tree:
+    base = min(curve.component_ids)
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in curve.component_ids}
+    for nid, a, b in curve.tree_edges:
         adj[a].append((nid, b))
         adj[b].append((nid, a))
     root_path = {base: ()}  # component -> the tree path from base to it
@@ -166,7 +152,7 @@ def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:
                 root_path[w] = root_path[v] + (nid,)
                 stack.append(w)
 
-    loop_set = set(loops)
+    loop_set = set(curve.loop_nodes)
     path_data = []
     for n in sorted(curve.nodes, key=lambda n: n.id):
         sigma = root_path[n.ends[0][0]]
@@ -184,9 +170,9 @@ def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:
 
     return Pi1Presentation(
         curve=curve,
-        r=len(loops),
-        spanning_tree=tuple(nid for nid, _, _ in tree),
-        loop_nodes=tuple(loops),
+        r=len(curve.loop_nodes),
+        spanning_tree=tuple(nid for nid, _, _ in curve.tree_edges),
+        loop_nodes=curve.loop_nodes,
         base_component=base,
         path_data=tuple(path_data),
     )

@@ -381,6 +381,12 @@ def _poly_to_string(a: tuple) -> str:
     return " + ".join(parts)
 
 
+def _is_decimal(text: str) -> bool:
+    """A nonempty run of ASCII digits 0-9: int() alone also reads '1_0' as
+    10, '٣' as 3 and ' 2' as 2."""
+    return text.isascii() and text.isdigit()
+
+
 def _poly_from_string(F: FunctionField, s: str) -> tuple:
     # a minus starts a new term, except the sign of an exponent
     s = s.strip().replace("-", "+-").replace("^+-", "^-")
@@ -394,30 +400,27 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
         neg = term.startswith("-")
         if neg:
             term = term[1:].strip()
-        if "t" in term:
-            coeff_part, _, exp_part = term.partition("t")
-            coeff_part = coeff_part.strip().removesuffix("*").strip()
-            if coeff_part.endswith("*"):
-                raise ValueError(f"cannot parse term {raw.strip()!r}")
-            exp = 1
-            if exp_part.startswith("^"):
-                try:
-                    exp = int(exp_part[1:])
-                except ValueError:
-                    raise ValueError(f"cannot parse exponent in term {raw!r}") from None
-                if exp < 0:
-                    raise ValueError(
-                        f"negative exponent in {raw.strip()!r}: "
-                        "put powers of t in the denominator")
-                if exp > MAX_LITERAL_DEGREE:
-                    raise ValueError(f"exponent {exp} in {raw.strip()!r} is above the "
-                                     f"degree budget of {MAX_LITERAL_DEGREE}")
-            elif exp_part.strip():
-                raise ValueError(f"cannot parse term {raw!r}")
-            c = int(coeff_part) if coeff_part else 1
-        else:
-            exp = 0
-            c = int(term)
+        coeff, t, exp_part = term.partition("t")
+        if t:
+            coeff = coeff.strip().removesuffix("*").strip() or "1"
+        if not _is_decimal(coeff):
+            raise ValueError(f"cannot parse term {raw.strip()!r}")
+        c = int(coeff)
+        exp = 1 if t else 0
+        if exp_part.startswith("^"):
+            exp_s = exp_part[1:]
+            if exp_s.startswith("-") and _is_decimal(exp_s[1:]):
+                raise ValueError(
+                    f"negative exponent in {raw.strip()!r}: "
+                    "put powers of t in the denominator")
+            if not _is_decimal(exp_s):
+                raise ValueError(f"cannot parse exponent in term {raw!r}")
+            exp = int(exp_s)
+            if exp > MAX_LITERAL_DEGREE:
+                raise ValueError(f"exponent {exp} in {raw.strip()!r} is above the "
+                                 f"degree budget of {MAX_LITERAL_DEGREE}")
+        elif exp_part.strip():
+            raise ValueError(f"cannot parse term {raw!r}")
         coeffs[exp] = coeffs.get(exp, 0) + (-c if neg else c)
     if not coeffs:
         return ()

@@ -623,12 +623,14 @@ def format_word(w: FPWord) -> str:
                        for fid, v in w.letters])
 
 
-def _token_int(token: str, text: str) -> int:
-    """int(text), refused with the word token that holds it."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"cannot parse word token {token!r}") from None
+def _token_int(token: str, text: str, signed: bool = False) -> int:
+    """The integer written in ASCII digits 0-9 (after one minus sign if
+    `signed`), refused with the word token that holds it.  int() alone also
+    reads '1_0' as 10, '٣' as 3 and ' 2' as 2."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"cannot parse word token {token!r}")
+    return int(text)
 
 
 def parse_word(sig: FPSignature, s: str) -> FPWord:
@@ -642,7 +644,7 @@ def parse_word(sig: FPSignature, s: str) -> FPWord:
             body = token[1:]
             if "^" in body:
                 idx_s, _, exp_s = body.partition("^")
-                idx, exp = _token_int(token, idx_s), _token_int(token, exp_s)
+                idx, exp = _token_int(token, idx_s), _token_int(token, exp_s, signed=True)
             else:
                 idx, exp = _token_int(token, body), 1
             if not 1 <= idx <= sig.r:

@@ -22,7 +22,7 @@ import math
 from contextlib import contextmanager
 from pathlib import Path
 
-from .curves import NodalCurve, dual_graph, pi1_presentation
+from .curves import NodalCurve, pi1_presentation
 from .errors import SpecParseError
 from .field import FunctionField, MatrixK, rf_from_string
 from .groups import (
@@ -181,9 +181,7 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
                 raise SpecParseError(f"node ends must be two pairs, got {ends!r}")
             nodes.append((_json_str(n.get("id", f"n{k}"), "node id"),
                           _node_end(ends[0]), _node_end(ends[1])))
-        curve = NodalCurve.build(comps, nodes)
-        dual_graph(curve)  # a disconnected curve has no presentation
-        return curve
+        return NodalCurve.build(comps, nodes)
 
 
 def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:

@@ -1,9 +1,10 @@
 """The acceptance suite: every exit criterion as an executable check.
 
-Each criterion function returns a CheckResult; run_all executes them in
-order with one seeded generator so reports are reproducible.  The pytest
-acceptance module and the CLI selftest both call into this file, so the
-gate cannot drift between the two entry points.
+Each criterion function returns (passed, detail).  run_criterion times one
+CRITERIA entry on a generator seeded by its number, so reports are
+reproducible, and run_all runs every entry in order.  The pytest acceptance
+module and the CLI selftest both go through run_criterion, so the gate
+cannot drift between the two entry points.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .covering import (
     find_separating_open,
     fundamental_domain,
 )
-from .curves import NodalCurve, chain_curve_for_signature, pi1_presentation
+from .curves import (
+    NodalCurve,
+    betti_rank,
+    chain_curve_for_signature,
+    dual_graph,
+    pi1_presentation,
+)
 from .descent import (
     CorruptedCocycle,
     check_cocycle,
@@ -80,17 +87,6 @@ class CheckResult:
         bound = f" (< {self.time_bound:.0f}s)" if self.time_bound else ""
         return (f"[{status}] criterion {self.criterion:2d} {self.name}: "
                 f"{self.detail} [{self.seconds:.2f}s{bound}]")
-
-
-def _timed(criterion, name, bound, fn, rng) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        passed, detail = fn(rng)
-    except Exception as exc:  # a crash is a failed criterion, not a crash of the suite
-        return CheckResult(criterion, name, False, time.perf_counter() - start,
-                           bound, f"raised {type(exc).__name__}: {exc}")
-    return CheckResult(criterion, name, passed, time.perf_counter() - start,
-                       bound, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,6 @@ def _random_rank_le2_rep(rng: random.Random, field: FunctionField,
 # ---------------------------------------------------------------------------
 
 def criterion_1(rng) -> tuple[bool, str]:
-    from .curves import betti_rank, dual_graph
-
     for _ in range(200):
         curve = _random_curve(rng)
         g = dual_graph(curve)
@@ -636,19 +630,22 @@ CRITERIA = [
 ]
 
 
+def run_criterion(entry, seed: int = 42) -> CheckResult:
+    """Run one CRITERIA entry on its own seeded generator, timed."""
+    num, name, bound, fn = entry
+    start = time.perf_counter()
+    try:
+        passed, detail = fn(random.Random(seed * 1009 + num))
+    except Exception as exc:  # a crash is a failed criterion, not a crash of the suite
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(num, name, passed, time.perf_counter() - start, bound, detail)
+
+
 def run_all(seed: int = 42, echo=None) -> list[CheckResult]:
     results = []
-    for num, name, bound, fn in CRITERIA:
-        rng = random.Random(seed * 1009 + num)
-        res = _timed(num, name, bound, fn, rng)
+    for entry in CRITERIA:
+        res = run_criterion(entry, seed)
         results.append(res)
         if echo is not None:
             echo(res.line())
     return results
-
-
-def run_one(number: int, seed: int = 42) -> CheckResult:
-    for num, name, bound, fn in CRITERIA:
-        if num == number:
-            return _timed(num, name, bound, fn, random.Random(seed * 1009 + num))
-    raise KeyError(f"no criterion {number}")

@@ -79,12 +79,14 @@ def sig_with_pres(r, groups):
     return FPSignature(r, tuple(groups)), pres
 
 
-def pi1_presentation_oracle(curve: NodalCurve) -> Pi1Presentation:
-    """Three walks where `pi1_presentation` makes one forest: a DFS for
-    connectivity, Kruskal with union-find for the tree, and a fresh DFS for
+def pi1_presentation_oracle(components, nodes) -> Pi1Presentation:
+    """Three walks where `NodalCurve` makes one forest and `pi1_presentation`
+    one tree walk: a DFS of the raw (id, branches) components and (id, end,
+    end) nodes for connectivity, refusing a disconnected graph before any
+    curve is built, Kruskal with union-find for the tree, and a fresh DFS for
     each tree path, with nodes looked up by id."""
-    vertices = curve.component_ids
-    edges = [(n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes]
+    vertices = [cid for cid, _ in components]
+    edges = [(nid, ea[0], eb[0]) for nid, ea, eb in nodes]
     adj_all: dict[str, list[str]] = {v: [] for v in vertices}
     for _, a, b in edges:
         adj_all[a].append(b)
@@ -98,6 +100,7 @@ def pi1_presentation_oracle(curve: NodalCurve) -> Pi1Presentation:
                 stack.append(w)
     if len(seen) != len(vertices):
         raise DisconnectedCurve("the dual graph of the curve is not connected")
+    curve = NodalCurve.build(components, nodes)
 
     parent = {v: v for v in vertices}
 
@@ -160,6 +163,21 @@ def pi1_presentation_oracle(curve: NodalCurve) -> Pi1Presentation:
         base_component=base,
         path_data=tuple(path_data),
     )
+
+
+def count_curve_builds(monkeypatch) -> list:
+    """The component ids of each `NodalCurve` built from here on.  A curve
+    builds its Kruskal forest in construction and nowhere else, so this
+    counts forests."""
+    built = []
+    check = NodalCurve.__post_init__
+
+    def counted(self):
+        built.append(self.component_ids)
+        check(self)
+
+    monkeypatch.setattr(NodalCurve, "__post_init__", counted)
+    return built
 
 
 def hom_failure_oracle(G: FiniteGroup, images, compose) -> tuple[int, int] | None:

@@ -9,17 +9,25 @@ import pytest
 
 from nodalcover import selfcheck
 from nodalcover.hopf import HopfAlgebra
-from nodalcover.selfcheck import CRITERIA, run_one
+from nodalcover.selfcheck import CRITERIA, run_criterion
+
+from helpers import count_curve_builds
 
 
-@pytest.mark.parametrize("number,name", [(num, name) for num, name, _, _ in CRITERIA],
+def criterion(number):
+    """Criterion `number` run as `run_all` runs it, at seed 42."""
+    return run_criterion(CRITERIA[number - 1], seed=42)
+
+
+@pytest.mark.parametrize("number", [num for num, _, _, _ in CRITERIA],
                          ids=[f"criterion_{num:02d}" for num, _, _, _ in CRITERIA])
-def test_criterion(number, name):
-    result = run_one(number, seed=42)
+def test_criterion(number):
+    result = criterion(number)
     print(result.line())
-    assert result.passed, f"criterion {number} ({name}) failed: {result.detail}"
+    assert result.criterion == number
+    assert result.passed, f"criterion {number} ({result.name}) failed: {result.detail}"
     assert result.in_time, (
-        f"criterion {number} ({name}) exceeded its time bound: "
+        f"criterion {number} ({result.name}) exceeded its time bound: "
         f"{result.seconds:.2f}s >= {result.time_bound:.0f}s")
 
 
@@ -27,7 +35,7 @@ def test_criterion_11_fails_under_an_identity_antipode(monkeypatch):
     """Criterion 11 evaluates the antipode law, so an antipode that is the
     identity map fails it (Z4 has elements of order 4)."""
     monkeypatch.setattr(HopfAlgebra, "antipode", lambda self, v: v)
-    result = run_one(11, seed=42)
+    result = criterion(11)
     assert not result.passed
     assert "antipode law fails" in result.detail
 
@@ -42,7 +50,7 @@ def test_criterion_1_fails_when_the_presentation_rank_is_off_by_one(monkeypatch)
         return dataclasses.replace(pres, r=pres.r + 1)
 
     monkeypatch.setattr(selfcheck, "pi1_presentation", off_by_one)
-    result = run_one(1, seed=42)
+    result = criterion(1)
     assert not result.passed
     assert "leaves" in result.detail
 
@@ -57,6 +65,15 @@ def test_criterion_5_fails_on_a_wrong_one_sided_count(monkeypatch):
         return dataclasses.replace(v, one_sided_meets=v.one_sided_meets + (v.case == 2))
 
     monkeypatch.setattr(selfcheck, "find_separating_open", miscounted)
-    result = run_one(5, seed=42)
+    result = criterion(5)
     assert not result.passed
     assert "per-word walk" in result.detail
+
+
+def test_criterion_1_builds_one_spanning_forest_per_curve(monkeypatch):
+    """Each of criterion 1's 200 random curves builds its forest once, at
+    construction; the Betti rank, the dual graph and the presentation it
+    compares build none."""
+    built = count_curve_builds(monkeypatch)
+    assert criterion(1).passed
+    assert len(built) == 200

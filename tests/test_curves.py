@@ -1,12 +1,14 @@
 """Nodal curves, dual graphs, cycle ranks, spanning-tree presentations."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodalcover.curves import (
     NodalCurve,
+    Node,
     betti_rank,
     chain_curve_for_signature,
     dual_graph,
@@ -48,11 +50,21 @@ def test_dual_graph_examples():
 
 
 def test_disconnected_curve_surfaces():
-    curve = NodalCurve.build(
-        [("A", ("p", "q")), ("B", ("p", "q"))],
-        [("n0", ("A", "p"), ("A", "q")), ("n1", ("B", "p"), ("B", "q"))])
-    with pytest.raises(DisconnectedCurve):
-        dual_graph(curve)
+    with pytest.raises(DisconnectedCurve, match="the dual graph of the curve is not connected"):
+        NodalCurve.build(
+            [("A", ("p", "q")), ("B", ("p", "q"))],
+            [("n0", ("A", "p"), ("A", "q")), ("n1", ("B", "p"), ("B", "q"))])
+
+
+def test_direct_construction_is_checked():
+    """A curve built without `build` is refused on the same grounds."""
+    with pytest.raises(DisconnectedCurve, match="the dual graph of the curve is not connected"):
+        NodalCurve((("A", ("p", "q")), ("B", ())),
+                   (Node("n0", (("A", "p"), ("A", "q"))),))
+    # of two unglued branch points, the first in sorted order is named
+    with pytest.raises(InvalidCurve, match=re.escape(
+            "branch point ('A', 'p') is marked but not glued by any node")):
+        NodalCurve((("A", ("p",)), ("B", ("q",))), ())
 
 
 def test_structural_validation():
@@ -209,11 +221,12 @@ def test_base_choice_does_not_change_rank():
 
 
 @st.composite
-def random_curves(draw):
-    """Curves as selfcheck's `_random_curve` draws them, 1-8 components and
-    up to 14 nodes, but with the spanning chain of nodes only half the time,
-    so disconnected curves come too, and node ids in a drawn order, so the
-    forest's lexicographic order is not the order the nodes were built in."""
+def random_curve_specs(draw):
+    """(components, nodes) as selfcheck's `_random_curve` draws them, 1-8
+    components and up to 14 nodes, but with the spanning chain of nodes only
+    half the time, so disconnected graphs come too, and node ids in a drawn
+    order, so the forest's lexicographic order is not the order the nodes
+    were built in."""
     n_comp = draw(st.integers(1, 8))
     pairs = []
     if draw(st.booleans()):
@@ -228,22 +241,22 @@ def random_curves(draw):
         comps[a][1].append(ba)
         comps[b][1].append(bb)
         nodes.append((f"n{k:02d}", (f"C{a}", ba), (f"C{b}", bb)))
-    return NodalCurve.build([(c, tuple(bs)) for c, bs in comps], nodes)
+    return [(c, tuple(bs)) for c, bs in comps], nodes
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_curves())
-def test_presentation_equals_the_three_walk_oracle(curve):
-    """One forest and one tree walk give the presentation that a DFS for
-    connectivity, Kruskal and a DFS per tree path give, and both refuse a
-    disconnected curve."""
+@given(random_curve_specs())
+def test_presentation_equals_the_three_walk_oracle(spec):
+    """One forest at construction and one tree walk give the presentation
+    that a DFS for connectivity, Kruskal and a DFS per tree path give, and
+    construction refuses exactly the graphs the oracle's DFS finds
+    disconnected."""
     try:
-        expected = pi1_presentation_oracle(curve)
+        expected = pi1_presentation_oracle(*spec)
     except DisconnectedCurve:
         with pytest.raises(DisconnectedCurve):
-            pi1_presentation(curve)
-        with pytest.raises(DisconnectedCurve):
-            dual_graph(curve)
+            NodalCurve.build(*spec)
         return
+    curve = NodalCurve.build(*spec)
     assert pi1_presentation(curve) == expected
     assert dual_graph(curve).vertices == curve.component_ids

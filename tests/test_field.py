@@ -600,6 +600,11 @@ def test_string_roundtrip():
     ("(1)/(t^-2)", "negative exponent in 't^-2'"),
     ("2**t", "cannot parse term '2**t'"),
     ("2***t + 1", "cannot parse term '2***t'"),
+    # int() reads all of these: 10, t^10, 3 and 12
+    ("1_0", "cannot parse term '1_0'"),
+    ("t^1_0", "cannot parse exponent in term 't^1_0'"),
+    ("\u0663", "cannot parse term '\u0663'"),
+    ("2*t + \uff11\uff12", "cannot parse term '\uff11\uff12'"),
 ])
 def test_malformed_literal_is_refused_naming_the_term(literal, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -29,7 +29,7 @@ from nodalcover.field import MAX_LITERAL_DEGREE, MatrixK
 from nodalcover.groups import FiniteGroup, FPSignature, cyclic_group
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
-from helpers import F3, certify_free_oracle
+from helpers import F3, certify_free_oracle, count_curve_builds
 from test_reports import CASES as REPORT_CASES
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -564,11 +564,12 @@ def test_cli_rep_p_above_the_bound_exits_2_at_once(tmp_path):
     assert "below 2^31" in err
 
 
-MALFORMED_WORDS = ("z1^x", "q", "g1:", "z1^", "g1:xyz", "zq", "g")
+# int() would read the last four as z1^10, element 11, z3 and element 1
+MALFORMED_WORDS = ("z1^x", "q", "g1:", "z1^", "g1:xyz", "zq", "g",
+                   "z1^1_0", "g1:1_1", "z\u0663", "g1:\uff11")
 
 
-@pytest.mark.parametrize("word", ["z1^x", "q", "g9:0", "g1:1",
-                                  "g1:", "z1^", "g1:xyz", "zq", "g"])
+@pytest.mark.parametrize("word", ["g9:0", "g1:1", *MALFORMED_WORDS])
 def test_cli_domain_bad_word_exits_2(word):
     # malformed, no such factor, and well formed but outside the kernel; a
     # malformed word's error names its bad token
@@ -847,6 +848,10 @@ def test_cli_literal_past_the_degree_budget_exits_2(tmp_path, literal):
     ("2*t^-2 + 1", "negative exponent in '2*t^-2'"),
     ("2**t", "cannot parse term '2**t'"),
     ("2***t", "cannot parse term '2***t'"),
+    ("1_0", "cannot parse term '1_0'"),
+    ("t^1_0", "cannot parse exponent in term 't^1_0'"),
+    ("\u0663", "cannot parse term '\u0663'"),
+    ("\uff11\uff12", "cannot parse term '\uff11\uff12'"),
 ])
 def test_cli_malformed_literal_exits_2_naming_the_term(tmp_path, literal, message):
     spec = json.loads((DATA / "rank2_rep.json").read_text())
@@ -1024,6 +1029,25 @@ def test_cli_main_builds_its_parser_once(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run_cli("pi1", "nodal_cubic.json")[0] == 0
     assert built == []
+
+
+
+@pytest.mark.parametrize("argv", [
+    ("pi1", "nodal_cubic.json"),
+    ("rep", "check", "rank2_rep.json"),
+    ("square", "z2_sign.json", "cycle3.json"),
+    ("domain", "rank1_rep.json"),
+    ("descend", "rank1_rep.json"),
+    ("free", "rank1_rep.json"),
+], ids=lambda argv: argv[0] if argv[0] != "rep" else "rep_check")
+def test_cli_request_builds_one_spanning_forest(monkeypatch, argv):
+    """A curve builds its Kruskal forest once, in construction, and the
+    presentation, the Betti rank and the dual graph read it, so a request
+    that loads one curve builds one forest."""
+    built = count_curve_builds(monkeypatch)
+    code, _, err = run_cli(*argv)
+    assert code == 0, err
+    assert len(built) == 1
 
 
 # -- the command line through a real process --------------------------------------

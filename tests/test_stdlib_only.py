@@ -88,20 +88,80 @@ def names_read(tree: ast.AST) -> set[str]:
     return reads
 
 
+def module_level_reads(tree: ast.AST, module: str | None) -> set[tuple[str, str]]:
+    """(module, name) for each way a file reads a package module's top-level
+    name: `from .module import name` or `from nodalcover.module import
+    name`, an attribute `module.name` (also as `lib.module.name`, or through
+    `from . import module as alias`), a tuple that starts with the two
+    strings "module", "name", as the benchmark tracer's span and counter
+    tables do, and a bare read of `name` in the file of `module` itself
+    (None for a file outside the package)."""
+    aliases = {}  # local name -> package module, for `from . import io as spec_io`
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "nodalcover"):
+            aliases |= {alias.asname or alias.name: alias.name for alias in node.names}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.removeprefix("nodalcover.") if node.level == 0 \
+                else node.module
+            reads.update((source, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                reads.add((aliases.get(owner.id, owner.id), node.attr))
+            elif isinstance(owner, ast.Attribute):
+                reads.add((owner.attr, node.attr))
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in node.elts[:2]):
+            reads.add((node.elts[0].value, node.elts[1].value))
+        elif module and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((module, node.id))
+    return reads
+
+
+def test_module_level_reads_resolve_by_module():
+    probe = ast.parse(
+        "from .curves import a\nfrom nodalcover.io import b\nfrom . import hopf as h\n"
+        "h.c\nlib.field.d\nSPANS = (('reps', 'e', 'reps.e'),)\nf()\n"
+        "def run_one(args):\n    return args\n")
+    assert module_level_reads(probe, "cli") == {
+        ("curves", "a"), ("io", "b"), ("hopf", "c"), ("field", "d"), ("reps", "e"),
+        ("cli", "h"), ("cli", "lib"), ("lib", "field"), ("cli", "f"), ("cli", "args")}
+    # a file outside the package that defines and calls its own run_one, as
+    # perfbench/run.py does, reads no package module's run_one
+    outside = ast.parse("def run_one(args):\n    return args\n\nrun_one(1)\n")
+    assert module_level_reads(outside, None) == set()
+    assert "run_one" in names_read(outside)
+
+
 def test_every_package_definition_has_a_reader_outside_the_tests():
     """Each def and class in the package is read somewhere in the package,
     the demos or the benchmark (read, never written), so no library code
-    exists only for the tests; an oracle belongs in tests/ instead."""
-    reads = set()
+    exists only for the tests; an oracle belongs in tests/ instead.
+
+    A module-level definition is read only through its own module (see
+    `module_level_reads`), so a same-named definition elsewhere does not
+    count.  A method or a nested def is matched by name alone, anywhere,
+    because an AST shows no receiver types: `x.inv()` may call any `inv`."""
+    by_name, by_module = set(), set()
     for folder in ("src", "demos", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            reads |= names_read(ast.parse(path.read_text(), str(path)))
+            tree = ast.parse(path.read_text(), str(path))
+            by_name |= names_read(tree)
+            by_module |= module_level_reads(tree, path.stem if path.parent == PACKAGE else None)
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not (node.name.startswith("__") and node.name.endswith("__")) \
-                    and node.name not in reads:
+        tree = ast.parse(path.read_text(), str(path))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            read = (path.stem, node.name) in by_module if id(node) in top \
+                else node.name in by_name
+            if not read:
                 unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unread, unread
 
