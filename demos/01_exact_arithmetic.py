@@ -3,7 +3,7 @@
 Run:  python demos/01_exact_arithmetic.py
 """
 
-from nodalcover import FunctionField, MatrixK, lattice_hermite, solve_linear
+from nodalcover.field import FunctionField, MatrixK, lattice_hermite, solve_linear
 
 F = FunctionField(3)
 t = F.t()

@@ -3,8 +3,15 @@
 Run:  python demos/02_free_products.py
 """
 
-from nodalcover import FPSignature, FPWord, enumerate_words, fp_normalize, kernel_words
-from nodalcover.groups import cyclic_group, symmetric_group
+from nodalcover.groups import (
+    FPSignature,
+    FPWord,
+    cyclic_group,
+    enumerate_words,
+    fp_normalize,
+    kernel_words,
+    symmetric_group,
+)
 
 Z2 = cyclic_group(2)
 S3 = symmetric_group(3)

@@ -7,7 +7,7 @@ component, at the representation level.
 Run:  python demos/03_curves_and_presentations.py
 """
 
-from nodalcover import NodalCurve, betti_rank, dual_graph, pi1_presentation
+from nodalcover.curves import NodalCurve, betti_rank, dual_graph, pi1_presentation
 
 print("== a nodal cubic: one component glued to itself ==")
 cubic = NodalCurve.build([("C1", ("a", "b"))],

@@ -10,16 +10,15 @@ only after passing to the finite cover.
 Run:  python demos/04_coverings_and_domains.py
 """
 
-from nodalcover import (
+from nodalcover.covering import (
     ComponentIndex,
-    FPSignature,
     certify_free_action,
     component_action,
     cover_witness,
+    enumerate_components,
     fundamental_domain,
 )
-from nodalcover.covering import enumerate_components
-from nodalcover.groups import cyclic_group, fp_normalize
+from nodalcover.groups import FPSignature, cyclic_group, fp_normalize
 
 Z2, Z3 = cyclic_group(2), cyclic_group(3)
 sig = FPSignature(1, (Z2, Z3))

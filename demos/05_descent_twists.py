@@ -8,16 +8,10 @@ along the free kernel action produces an integral model of the same datum.
 Run:  python demos/05_descent_twists.py
 """
 
-from nodalcover import (
-    ComponentIndex,
-    FunctionField,
-    MatrixK,
-    check_cocycle,
-    datum_from_rep,
-    det_valuation_conserved,
-    integralize,
-)
+from nodalcover.covering import ComponentIndex
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
+from nodalcover.descent import check_cocycle, datum_from_rep, det_valuation_conserved, integralize
+from nodalcover.field import FunctionField, MatrixK
 from nodalcover.groups import cyclic_group, fp_normalize, kernel_words
 from nodalcover.reps import ContinuousRep
 

@@ -9,11 +9,11 @@ intersection of K).
 Run:  python demos/06_divided_sequences.py
 """
 
-from nodalcover import FunctionField, MatrixK, fdiv_from_rep, hom_fdiv
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
+from nodalcover.field import FunctionField, MatrixK
 from nodalcover.groups import cyclic_group
 from nodalcover.reps import ContinuousRep, trivial_rep
-from nodalcover.stratified import K_RELATIVE, S_RELATIVE
+from nodalcover.stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv
 
 F = FunctionField(3)
 Z2 = cyclic_group(2)

@@ -9,11 +9,16 @@ same matrices, elementwise.
 Run:  python demos/07_specialization_square.py
 """
 
-from nodalcover import FunctionField, MatrixK, commuting_square_check, sp_pipeline
 from nodalcover.curves import chain_curve_for_signature, pi1_presentation
+from nodalcover.field import FunctionField, MatrixK
 from nodalcover.groups import cyclic_group, symmetric_group
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep, hom_from_generator_images
-from nodalcover.specialize import F_pipeline, sp_tensor_certificate
+from nodalcover.specialize import (
+    F_pipeline,
+    commuting_square_check,
+    sp_pipeline,
+    sp_tensor_certificate,
+)
 
 F3 = FunctionField(3)
 Z2 = cyclic_group(2)

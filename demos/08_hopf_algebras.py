@@ -3,9 +3,8 @@
 Run:  python demos/08_hopf_algebras.py
 """
 
-from nodalcover import function_hopf, tower_hull
 from nodalcover.groups import cyclic_group, symmetric_group
-from nodalcover.hopf import QuotientTower
+from nodalcover.hopf import QuotientTower, function_hopf, tower_hull
 
 Z2 = cyclic_group(2)
 S3 = symmetric_group(3)

@@ -6,7 +6,8 @@ json emits one canonical JSON object.  A report carries what its run
 computed, and its `config` echoes the run's inputs, `max_len` and `seed`;
 each spec carries its own characteristic p.  The exit code is 0 exactly when
 every check in the report passed, 1 when one failed, and 2 on malformed
-input.
+input.  A module imports a layer inside a function only to skip loading it
+or to break a cycle, so each command loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ import sys
 from collections import Counter
 
 from . import io as spec_io
-from .covering import (
-    build_finite_cover,
-    certify_free_action,
-    cover_witness,
-    enumerate_components,
-    fundamental_domain,
-)
 from .curves import betti_rank, pi1_presentation
-from .descent import check_cocycle, datum_from_rep, hom_cocycle, integralize
 from .errors import (
     BadElementIndex,
     BadFactorIndex,
@@ -37,9 +30,6 @@ from .errors import (
     TrivialW,
 )
 from .groups import first_kernel_word, iter_grade_states, parse_word
-from .hopf import QuotientTower, function_hopf, tower_hull
-from .specialize import commuting_square_check
-from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
 
 
 def _emit(args, report: dict, ok: bool) -> int:
@@ -90,6 +80,8 @@ def _domain_entries(rep, max_len: int) -> int:
     (1 + r) core components with |G_j| boundary lifts per node end on curve
     component j, then the witnesses, counted exactly by the freeness walk
     once the rest, which bounds its states, is within budget."""
+    from .covering import certify_free_action
+
     sig, curve = rep.sig, rep.presentation.curve
     ends = Counter(curve.component_index(c) for n in curve.nodes for c, _ in n.ends)
     bound = math.prod(G.order for G in sig.factors) * (1 + sig.r) * sum(
@@ -145,6 +137,8 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from .covering import build_finite_cover
+
     rep = spec_io.load_rep(args.rep)
     sig = rep.sig
     _check_budget(math.prod(G.order for G in sig.factors)
@@ -159,6 +153,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_free(args) -> int:
+    from .covering import certify_free_action
+
     _check_word_len(args.max_len, "free")
     rpt = certify_free_action(spec_io.load_rep(args.rep).sig, args.max_len)
     report = {
@@ -172,6 +168,8 @@ def cmd_free(args) -> int:
 
 
 def cmd_domain(args) -> int:
+    from .covering import cover_witness, enumerate_components, fundamental_domain
+
     rep = spec_io.load_rep(args.rep)
     _check_budget(_domain_entries(rep, args.max_len), "domain")
     sig = rep.sig
@@ -207,6 +205,8 @@ def cmd_domain(args) -> int:
 
 
 def cmd_descend(args) -> int:
+    from .descent import check_cocycle, datum_from_rep, hom_cocycle, integralize
+
     rep = spec_io.load_rep(args.rep)
     _check_budget(_descend_entries(rep.sig, args.max_len), "descend")
     datum = datum_from_rep(rep)
@@ -226,6 +226,8 @@ def cmd_descend(args) -> int:
 
 
 def cmd_strat(args) -> int:
+    from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
+
     rep1 = spec_io.load_rep(args.rep1)
     mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
     if args.action == "tensor" and not args.rep2:
@@ -243,7 +245,7 @@ def cmd_strat(args) -> int:
             "mode": out.mode,
             "scalar_field": out.scalar_field,
             "dimension": out.dimension,
-            "basis": [spec_io.matrix_to_json(b) for b in out.basis],
+            "basis": [b.to_strings() for b in out.basis],
         }
         return _emit(args, report, True)
     tensored, cert = out
@@ -257,6 +259,8 @@ def cmd_strat(args) -> int:
 
 
 def cmd_square(args) -> int:
+    from .specialize import commuting_square_check
+
     _check_word_len(args.max_len, "square")
     curve = spec_io.load_curve(args.curve)
     fq = spec_io.load_fq(args.fq, curve)
@@ -275,6 +279,8 @@ def cmd_square(args) -> int:
 
 
 def cmd_hull(args) -> int:
+    from .hopf import QuotientTower, function_hopf, tower_hull
+
     if len(args.groups) == 1 and not args.tower:
         G = spec_io.load_group(args.groups[0])
         algebra = function_hopf(G)
@@ -308,6 +314,8 @@ def cmd_hull(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    from .descent import datum_from_rep, hom_cocycle
+
     rep = spec_io.load_rep(args.rep)
     datum = datum_from_rep(rep)
     end = hom_cocycle(datum, datum)

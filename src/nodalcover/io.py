@@ -21,10 +21,10 @@ import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .curves import NodalCurve, pi1_presentation
 from .errors import SpecParseError
-from .field import FunctionField, MatrixK, rf_from_string
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -32,7 +32,10 @@ from .groups import (
     symmetric_group,
     trivial_group,
 )
-from .reps import ContinuousRep, FiniteQuotientRep, hom_from_generator_images
+
+if TYPE_CHECKING:  # the loaders that build these import them when they run
+    from .field import FunctionField, MatrixK
+    from .reps import ContinuousRep, FiniteQuotientRep
 
 
 def _load_obj(source, base_dir: Path | None = None):
@@ -50,6 +53,8 @@ def _load_obj(source, base_dir: Path | None = None):
 
 def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> MatrixK:
     """Matrix from rows of element strings; a given rank asks for rank x rank."""
+    from .field import MatrixK, rf_from_string
+
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise SpecParseError(f"a matrix must be a list of rows, got {rows!r}")
     for row in rows:
@@ -64,10 +69,6 @@ def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> Mat
         raise SpecParseError(
             f"a {M.rows}x{M.cols} matrix does not match the declared rank {rank}")
     return M
-
-
-def matrix_to_json(M: MatrixK) -> list[list[str]]:
-    return M.to_strings()
 
 
 @contextmanager
@@ -185,6 +186,9 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
 
 
 def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
+    from .field import FunctionField
+    from .reps import ContinuousRep, hom_from_generator_images
+
     obj, base_dir = _load_obj(source, base_dir)
     with _spec("rep"):
         field = FunctionField(_json_int(obj["p"], "p"))
@@ -206,6 +210,9 @@ def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
 
 
 def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQuotientRep:
+    from .field import FunctionField
+    from .reps import FiniteQuotientRep, hom_from_generator_images
+
     obj, base_dir = _load_obj(source, base_dir)
     with _spec("quotient rep"):
         field = FunctionField(_json_int(obj["p"], "p"))

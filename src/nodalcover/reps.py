@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .curves import Pi1Presentation
 from .errors import PresentationMismatch, SignatureMismatch, SingularBasis
-from .field import FunctionField, MatrixK
+from .field import FunctionField, MatrixK, solve_linear
 from .groups import FiniteGroup, FPSignature, FPWord, generation_walk, product_subgroup
 
 
@@ -249,8 +249,6 @@ def inflate(fq: FiniteQuotientRep, pres: Pi1Presentation) -> ContinuousRep:
 def solve_intertwining(field: FunctionField, n1: int, n2: int,
                        pairs: list[tuple[MatrixK, MatrixK]]) -> list[MatrixK]:
     """Basis of {f (n2 x n1) : B f = f A for every (A, B) in pairs}."""
-    from .field import solve_linear
-
     zero = field.zero()
     nvars = n1 * n2
     rows = []

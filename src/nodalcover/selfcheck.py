@@ -63,9 +63,10 @@ from .reps import (
     ContinuousRep,
     FiniteQuotientRep,
     hom_from_generator_images,
+    rep_tensor,
     trivial_rep,
 )
-from .specialize import commuting_square_check, sp_tensor_certificate
+from .specialize import commuting_square_check, sp_pipeline, sp_tensor_certificate
 from .stratified import K_RELATIVE, fdiv_from_rep, hom_fdiv
 
 
@@ -456,9 +457,6 @@ def criterion_7(rng) -> tuple[bool, str]:
 
 
 def criterion_8(rng) -> tuple[bool, str]:
-    from .reps import rep_tensor
-    from .specialize import sp_pipeline
-
     field = FunctionField(3)
     Z2 = cyclic_group(2)
     last_pair = None

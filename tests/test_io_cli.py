@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalcover
-from nodalcover import cli as cli_module
+from nodalcover import cli as cli_module, covering, descent
 from nodalcover import io as spec_io
 from nodalcover.cli import main
 from nodalcover.covering import certify_free_action
@@ -273,7 +273,7 @@ def test_gen_image_extension_catches_bad_assignments():
 
 def test_matrix_json_roundtrip():
     M = MatrixK.from_rows(F3, [["(t + 1)/(t)", "2"], ["0", "t^2"]])
-    again = spec_io.matrix_from_json(F3, spec_io.matrix_to_json(M))
+    again = spec_io.matrix_from_json(F3, M.to_strings())
     assert again == M
 
 
@@ -679,7 +679,7 @@ def test_cli_domain_past_the_report_budget_exits_2_before_building(
     def refuse(*args):
         raise AssertionError("the domain was built")
 
-    monkeypatch.setattr(cli_module, "fundamental_domain", refuse)
+    monkeypatch.setattr(covering, "fundamental_domain", refuse)
     path = tmp_path / "s4_cubed.json"
     path.write_text(json.dumps(s4_chain_spec(3)))
     code, out, err = run_cli("--max-len", max_len, "domain", str(path),
@@ -695,7 +695,7 @@ def test_cli_cover_past_the_report_budget_exits_2_before_building(tmp_path, monk
     def refuse(*args):
         raise AssertionError("the cover was built")
 
-    monkeypatch.setattr(cli_module, "build_finite_cover", refuse)
+    monkeypatch.setattr(covering, "build_finite_cover", refuse)
     spec = dict(s4_chain_spec(3), factors=[trivial_factor("symmetric", 5, 2)] * 3)
     path = tmp_path / "s5_cubed.json"
     path.write_text(json.dumps(spec))
@@ -763,8 +763,8 @@ def test_cli_descend_past_the_report_budget_exits_2_before_building(
     def refuse(*args):
         raise AssertionError("a twist or a lattice was built")
 
-    monkeypatch.setattr(cli_module, "check_cocycle", refuse)
-    monkeypatch.setattr(cli_module, "integralize", refuse)
+    monkeypatch.setattr(descent, "check_cocycle", refuse)
+    monkeypatch.setattr(descent, "integralize", refuse)
     path = tmp_path / f"s{n}_looped.json"
     path.write_text(json.dumps(looped_sign_spec(n)))
     code, out, err = run_cli("--max-len", max_len, "descend", str(path), timeout=10)
@@ -789,7 +789,7 @@ def test_descend_budget_counts_the_twists_and_components_built(
         path = tmp_path / "s3_looped.json"
         path.write_text(json.dumps(looped_sign_spec(3)))
     built = []
-    twist_map, integralize = MeromorphicCocycle.twist_map, cli_module.integralize
+    twist_map, integralize = MeromorphicCocycle.twist_map, descent.integralize
 
     def counted_twist_map(self, L):
         out = twist_map(self, L)
@@ -802,7 +802,7 @@ def test_descend_budget_counts_the_twists_and_components_built(
         return out
 
     monkeypatch.setattr(MeromorphicCocycle, "twist_map", counted_twist_map)
-    monkeypatch.setattr(cli_module, "integralize", counted_integralize)
+    monkeypatch.setattr(descent, "integralize", counted_integralize)
     assert run_cli("--max-len", max_len, "descend", str(path))[0] == 0
     assert len(built) == 2
     sig = spec_io.load_rep(path).sig
@@ -1063,6 +1063,27 @@ def test_cli_process_imports_the_package_under_test():
         capture_output=True, text=True, cwd=str(DATA), env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert Path(proc.stdout.strip()).resolve() == Path(nodalcover.__file__).resolve()
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (("pi1", "nodal_cubic.json"), {"cli", "curves", "errors", "groups", "io"}),
+    (("hull", "z2.json"), {"cli", "curves", "errors", "groups", "hopf", "io"}),
+], ids=["pi1", "hull"])
+def test_cli_process_loads_only_the_layers_its_command_runs(argv, layers):
+    """The package root imports nothing and a command imports the layers
+    beyond `io` when it runs, so a child that runs `pi1` or `hull` loads no
+    field, reps, covering, descent, stratified, specialize or selfcheck."""
+    script = ("import sys\nfrom nodalcover.cli import main\n"
+              f"code = main({list(argv)!r})\n"
+              "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=str(DATA), env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("nodalcover.") for name in proc.stderr.split()
+              if name.startswith("nodalcover.")}
+    assert loaded == layers
+    assert run_cli(*argv)[:2] == (0, proc.stdout)
 
 
 # Z7 reached from one Z generator: at --max-len 2 the words z^{+-1}, z^{+-2}

@@ -48,12 +48,9 @@ def module_scope_reads(tree: ast.AST) -> set[str]:
 
 
 def test_package_modules_use_every_name_they_import():
-    """Each name a module imports is read somewhere in that module; the
-    package's `__init__` re-exports its imports and is exempt."""
+    """Each name a module imports is read somewhere in that module."""
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         imported = {}
         for node in ast.walk(tree):
