@@ -6,7 +6,7 @@ Run:  python demos/01_exact_arithmetic.py
 from nodalcover.field import FunctionField, MatrixK, lattice_hermite, solve_linear
 
 F = FunctionField(3)
-t = F.t()
+t = F.t_power(1)
 one = F.one()
 
 print("== exact rational functions over F_3(t) ==")
@@ -20,7 +20,7 @@ for h in (t ** 3 / (one + t), one / t, F.zero()):
     print(f"v({h}) = {h.valuation()}")
 
 print("\n== Frobenius ==")
-print(f"frobenius(t + 2) = {(t + F.from_int(2)).frobenius()}")
+print(f"frobenius(t + 2) = {(t + F.rf(2)).frobenius()}")
 x = (t ** 2 + one) / t
 print(f"({x})^3 = {x.frobenius()},  cube root back: {x.frobenius().pth_root()}")
 

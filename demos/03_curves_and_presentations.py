@@ -7,7 +7,7 @@ component, at the representation level.
 Run:  python demos/03_curves_and_presentations.py
 """
 
-from nodalcover.curves import NodalCurve, betti_rank, dual_graph, pi1_presentation
+from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
 
 print("== a nodal cubic: one component glued to itself ==")
 cubic = NodalCurve.build([("C1", ("a", "b"))],
@@ -22,8 +22,7 @@ triangle = NodalCurve.build(
     [("n0", ("C1", "b"), ("C2", "a")),
      ("n1", ("C2", "b"), ("C3", "a")),
      ("n2", ("C3", "b"), ("C1", "a"))])
-g = dual_graph(triangle)
-print(f"dual graph: {len(g.vertices)} vertices, {len(g.edges)} edges")
+print(f"dual graph: {len(triangle.components)} vertices, {len(triangle.nodes)} edges")
 pres = pi1_presentation(triangle)
 print(f"spanning tree: {pres.spanning_tree}, loop node: {pres.loop_nodes}")
 print(f"base component: {pres.base_component}")

@@ -19,7 +19,6 @@ import sys
 from collections import Counter
 
 from . import io as spec_io
-from .curves import betti_rank, pi1_presentation
 from .errors import (
     BadElementIndex,
     BadFactorIndex,
@@ -29,7 +28,6 @@ from .errors import (
     SpecParseError,
     TrivialW,
 )
-from .groups import first_kernel_word, iter_grade_states, parse_word
 
 
 def _emit(args, report: dict, ok: bool) -> int:
@@ -63,6 +61,8 @@ def _print_text(obj, indent: int = 0):
         print(f"{pad}{obj}")
 
 
+WITNESS_LEN = 4  # `domain` lists a coverage witness per component up to this length
+
 # `domain`, `cover` and `descend` build entries that grow with |G_1 x ... x G_N|
 # or exponentially in --max-len, so each count is worked out from the rep and
 # refused past this budget before anything is built.
@@ -83,23 +83,27 @@ def _domain_entries(rep, max_len: int) -> int:
     from .covering import certify_free_action
 
     sig, curve = rep.sig, rep.presentation.curve
-    ends = Counter(curve.component_index(c) for n in curve.nodes for c, _ in n.ends)
+    ends = Counter(curve.component_ids.index(c) for n in curve.nodes for c, _ in n.ends)
     bound = math.prod(G.order for G in sig.factors) * (1 + sig.r) * sum(
         1 + ends[j] * G.order for j, G in enumerate(sig.factors))
     _check_budget(bound, "domain")
-    return bound + certify_free_action(sig, min(max_len, 4)).components
+    return bound + certify_free_action(sig, min(max_len, WITNESS_LEN)).components
 
 
 def _descend_entries(sig, max_len: int) -> int:
     """Entries `descend` builds: the cocycle check's twists, one per normal
-    form up to min(max_len, 4), and the lattice assignment's components up to
-    min(max_len, 3), counted from states that carry no group element.  A
-    component Y^j_s is counted through a word s that does not end in a
-    j-factor letter, as `certify_free_action` counts it."""
-    grades = list(iter_grade_states(sig, min(max_len, 4), None, lambda key, letter: None))
+    form, and the lattice assignment's components, each up to the shorter
+    of its bound and max_len, counted from states that carry no group
+    element.  A component Y^j_s is counted through a word s that does not
+    end in a j-factor letter, as `certify_free_action` counts it."""
+    from .descent import COCYCLE_LEN, LATTICE_LEN
+    from .groups import iter_grade_states
+
+    grades = list(iter_grade_states(sig, min(max_len, COCYCLE_LEN), None, lambda *_: None))
+    lattice_grades = grades[:min(max_len, LATTICE_LEN) + 1]
     return sum(sum(grade.values()) for grade in grades) + sum(
         count * (sig.num_factors - (last >= sig.r))
-        for grade in grades[:min(max_len, 3) + 1] for (last, _, _), count in grade.items())
+        for grade in lattice_grades for (last, _, _), count in grade.items())
 
 
 # `free` and `square` count the normal forms up to --max-len from states, and
@@ -120,6 +124,8 @@ def _check_word_len(max_len: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_pi1(args) -> int:
+    from .curves import betti_rank, pi1_presentation
+
     curve = spec_io.load_curve(args.curve)
     pres = pi1_presentation(curve)
     report = {
@@ -169,6 +175,7 @@ def cmd_free(args) -> int:
 
 def cmd_domain(args) -> int:
     from .covering import cover_witness, enumerate_components, fundamental_domain
+    from .groups import first_kernel_word, parse_word
 
     rep = spec_io.load_rep(args.rep)
     _check_budget(_domain_entries(rep, args.max_len), "domain")
@@ -188,7 +195,7 @@ def cmd_domain(args) -> int:
     except TrivialW as exc:
         raise SpecParseError(f"--word {args.word!r}: {exc}") from exc
     witnesses = []
-    for target in enumerate_components(sig, min(args.max_len, 4)):
+    for target in enumerate_components(sig, min(args.max_len, WITNESS_LEN)):
         t = cover_witness(dom, target)
         witnesses.append({"target": str(target), "translate": str(t)})
     report = {
@@ -205,14 +212,15 @@ def cmd_domain(args) -> int:
 
 
 def cmd_descend(args) -> int:
-    from .descent import check_cocycle, datum_from_rep, hom_cocycle, integralize
+    from .descent import (COCYCLE_LEN, LATTICE_LEN, check_cocycle, datum_from_rep,
+                          hom_cocycle, integralize)
 
     rep = spec_io.load_rep(args.rep)
     _check_budget(_descend_entries(rep.sig, args.max_len), "descend")
     datum = datum_from_rep(rep)
-    cert = check_cocycle(datum, min(args.max_len, 4))
+    cert = check_cocycle(datum, min(args.max_len, COCYCLE_LEN))
     end_basis = hom_cocycle(datum, datum)
-    assignment = integralize(datum.restricted(), max_len=min(args.max_len, 3))
+    assignment = integralize(datum.restricted(), max_len=min(args.max_len, LATTICE_LEN))
     report = {
         "command": "descend",
         "cocycle": {"pairs": cert.pairs_checked, "max_len": cert.max_len},
@@ -358,7 +366,10 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: `parse_args` keeps no
+    state between calls and returns a fresh namespace each time."""
     ap = argparse.ArgumentParser(
         prog="nodalcover",
         description="Exact covering-space combinatorics and descent data for nodal curves.")
@@ -419,15 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and then shared: `parse_args` keeps no
-    state between calls and returns a fresh namespace each time."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.max_len < 2:
             raise SpecParseError("--max-len must be at least 2")

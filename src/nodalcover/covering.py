@@ -186,9 +186,9 @@ class CoverGeometry:
         curve = presentation.curve
         info = []
         for n in curve.nodes:
-            ja = curve.component_index(n.ends[0][0])
-            jb = curve.component_index(n.ends[1][0])
-            z = presentation.loop_index(n.id) if n.id in presentation.loop_nodes else None
+            ja = curve.component_ids.index(n.ends[0][0])
+            jb = curve.component_ids.index(n.ends[1][0])
+            z = presentation.loop_nodes.index(n.id) if n.id in presentation.loop_nodes else None
             info.append((n.id, ja, jb, z))
         return cls(presentation, sig, tuple(info))
 

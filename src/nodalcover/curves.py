@@ -95,21 +95,6 @@ class NodalCurve:
     def component_ids(self) -> tuple[str, ...]:
         return tuple(cid for cid, _ in self.components)
 
-    def component_index(self, cid: str) -> int:
-        return self.component_ids.index(cid)
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]  # (edge id, endpoint, endpoint)
-
-
-def dual_graph(curve: NodalCurve) -> Multigraph:
-    """One vertex per component, one edge per node; self-nodes become loops."""
-    return Multigraph(curve.component_ids,
-                      tuple((n.id, n.ends[0][0], n.ends[1][0]) for n in curve.nodes))
-
 
 def betti_rank(curve: NodalCurve) -> int:
     """Number of independent cycles of the dual graph: |nodes| - |components| + 1."""
@@ -132,9 +117,6 @@ class Pi1Presentation:
     loop_nodes: tuple[str, ...]
     base_component: str
     path_data: tuple[tuple[str, tuple[tuple[str, ...], tuple[str, ...]]], ...]
-
-    def loop_index(self, node_id: str) -> int:
-        return self.loop_nodes.index(node_id)
 
 
 def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:

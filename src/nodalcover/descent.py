@@ -44,6 +44,8 @@ from .reps import ContinuousRep, solve_intertwining
 
 FULL = "full"
 KERNEL = "kernel"
+COCYCLE_LEN = 4  # `descend` and `sp_pipeline` check the cocycle up to this length
+LATTICE_LEN = 3  # and list the components of integral transport up to this one
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ class LatticeAssignment:
         return dst.inverse() * self.cocycle.twist(w) * src
 
 
-def integralize(c: MeromorphicCocycle, max_len: int = 4) -> LatticeAssignment:
+def integralize(c: MeromorphicCocycle, max_len: int) -> LatticeAssignment:
     """Pick the standard lattice on one representative per component orbit and
     transport it along the kernel action; freeness makes this conflict-free.
 

@@ -56,7 +56,8 @@ class FunctionField:
 
     def __post_init__(self):
         check_characteristic(self.p)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_zero", RationalFunction(self, (), (1,)))
+        object.__setattr__(self, "_one", RationalFunction(self, (1,), (1,)))
 
     # -- element constructors --------------------------------------------
     def rf(self, num, den=1) -> "RationalFunction":
@@ -69,30 +70,15 @@ class FunctionField:
         return _pnorm(tuple(c % self.p for c in obj))
 
     def zero(self) -> "RationalFunction":
-        cache = self._cache
-        if "zero" not in cache:
-            cache["zero"] = self.rf(0)
-        return cache["zero"]
+        return self._zero
 
     def one(self) -> "RationalFunction":
-        cache = self._cache
-        if "one" not in cache:
-            cache["one"] = self.rf(1)
-        return cache["one"]
-
-    def t(self) -> "RationalFunction":
-        cache = self._cache
-        if "t" not in cache:
-            cache["t"] = self.rf((0, 1))
-        return cache["t"]
+        return self._one
 
     def t_power(self, k: int) -> "RationalFunction":
         if k >= 0:
             return RationalFunction(self, (0,) * k + (1,), (1,))
         return RationalFunction(self, (1,), (0,) * -k + (1,))
-
-    def from_int(self, n: int) -> "RationalFunction":
-        return self.rf(n)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +545,9 @@ class MatrixK:
                 out.append(tuple(a * b for a in ra for b in rb))
         return MatrixK(self.field, tuple(out))
 
-    def map_entries(self, fn) -> "MatrixK":
-        return MatrixK(self.field, tuple(tuple(fn(e) for e in row) for row in self.entries))
-
     def frobenius(self) -> "MatrixK":
-        return self.map_entries(lambda e: e.frobenius())
+        return MatrixK(self.field, tuple(tuple(e.frobenius() for e in row)
+                                         for row in self.entries))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:

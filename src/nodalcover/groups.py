@@ -341,7 +341,9 @@ class FPWord:
         return not self.letters
 
     def __mul__(self, other: "FPWord") -> "FPWord":
-        return fp_mul(self, other)
+        if self.sig != other.sig:
+            raise SignatureMismatch("words over different signatures")
+        return FPWord(self.sig, _concat(self.sig, self.letters, other.letters))
 
     def inv(self) -> "FPWord":
         return FPWord(self.sig, _inv_letters(self.sig, self.letters))
@@ -415,12 +417,6 @@ def _concat(sig: FPSignature, a, b) -> tuple[tuple[int, int], ...]:
 def fp_normalize(sig: FPSignature, raw) -> FPWord:
     """Canonical normal form of an arbitrary letter sequence; idempotent."""
     return FPWord(sig, _normalize_letters(sig, raw))
-
-
-def fp_mul(w1: FPWord, w2: FPWord) -> FPWord:
-    if w1.sig != w2.sig:
-        raise SignatureMismatch("words over different signatures")
-    return FPWord(w1.sig, _concat(w1.sig, w1.letters, w2.letters))
 
 
 def _alpha_tuple(sig: FPSignature, letters) -> tuple[int, ...]:

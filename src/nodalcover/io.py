@@ -23,18 +23,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .curves import NodalCurve, pi1_presentation
 from .errors import SpecParseError
-from .groups import (
-    FiniteGroup,
-    cyclic_group,
-    dihedral_group,
-    symmetric_group,
-    trivial_group,
-)
 
 if TYPE_CHECKING:  # the loaders that build these import them when they run
+    from .curves import NodalCurve
     from .field import FunctionField, MatrixK
+    from .groups import FiniteGroup
     from .reps import ContinuousRep, FiniteQuotientRep
 
 
@@ -116,6 +110,8 @@ def _builtin_order(kind, n: int) -> int:
 
 
 def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
+    from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group, trivial_group
+
     obj, _ = _load_obj(source, base_dir)
     with _spec("group"):
         if not isinstance(obj, dict):
@@ -166,6 +162,8 @@ def _node_end(end) -> tuple[str, str]:
 
 
 def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
+    from .curves import NodalCurve
+
     obj, _ = _load_obj(source, base_dir)
     with _spec("curve"):
         comps = []
@@ -185,9 +183,20 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
         return NodalCurve.build(comps, nodes)
 
 
+def _hom_images(field, obj, images_key: str, gens_key: str, group, rank: int) -> tuple:
+    """A hom given by its element images, or else by its generator images."""
+    from .reps import hom_from_generator_images
+
+    if images_key in obj:
+        return tuple(matrix_from_json(field, m, rank) for m in obj[images_key])
+    gens = [matrix_from_json(field, m, rank) for m in obj[gens_key]]
+    return hom_from_generator_images(field, group, gens, rank)
+
+
 def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
+    from .curves import pi1_presentation
     from .field import FunctionField
-    from .reps import ContinuousRep, hom_from_generator_images
+    from .reps import ContinuousRep
 
     obj, base_dir = _load_obj(source, base_dir)
     with _spec("rep"):
@@ -201,17 +210,14 @@ def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
         for fac in obj["factors"]:
             G = load_group(fac["group"], base_dir)
             groups.append(G)
-            if "images" in fac:
-                homs.append(tuple(matrix_from_json(field, m, rank) for m in fac["images"]))
-            else:
-                gens = [matrix_from_json(field, m, rank) for m in fac["gen_images"]]
-                homs.append(hom_from_generator_images(field, G, gens, rank))
+            homs.append(_hom_images(field, fac, "images", "gen_images", G, rank))
         return ContinuousRep.build(pres, field, z_images, groups, homs)
 
 
 def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQuotientRep:
+    from .curves import pi1_presentation
     from .field import FunctionField
-    from .reps import FiniteQuotientRep, hom_from_generator_images
+    from .reps import FiniteQuotientRep
 
     obj, base_dir = _load_obj(source, base_dir)
     with _spec("quotient rep"):
@@ -223,11 +229,7 @@ def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQu
         z_to = [_json_int(x, "z_to entry") for x in obj.get("z_to", ())]
         factor_to = [tuple(_json_int(x, "factor_to entry") for x in m)
                      for m in obj["factor_to"]]
-        if "hom" in obj:
-            hom = tuple(matrix_from_json(field, m, rank) for m in obj["hom"])
-        else:
-            gens = [matrix_from_json(field, m, rank) for m in obj["hom_gen_images"]]
-            hom = hom_from_generator_images(field, quotient, gens, rank)
+        hom = _hom_images(field, obj, "hom", "hom_gen_images", quotient, rank)
         return FiniteQuotientRep.build(pres, field, source_groups, quotient,
                                        z_to, factor_to, hom)
 

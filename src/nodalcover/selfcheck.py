@@ -34,7 +34,6 @@ from .curves import (
     NodalCurve,
     betti_rank,
     chain_curve_for_signature,
-    dual_graph,
     pi1_presentation,
 )
 from .descent import (
@@ -52,7 +51,6 @@ from .groups import (
     FPWord,
     cyclic_group,
     dihedral_group,
-    fp_mul,
     fp_normalize,
     iter_words_raw,
     kernel_words,
@@ -194,10 +192,9 @@ def _random_rank_le2_rep(rng: random.Random, field: FunctionField,
 def criterion_1(rng) -> tuple[bool, str]:
     for _ in range(200):
         curve = _random_curve(rng)
-        g = dual_graph(curve)
         rank = betti_rank(curve)
-        if rank != len(g.edges) - _dfs_tree_edge_count(curve):
-            return False, f"betti mismatch on a curve with {len(g.edges)} nodes"
+        if rank != len(curve.nodes) - _dfs_tree_edge_count(curve):
+            return False, f"betti mismatch on a curve with {len(curve.nodes)} nodes"
         r = pi1_presentation(curve).r
         if rank != r:
             return False, f"betti rank {rank}, but the presentation leaves {r} nodes off its tree"
@@ -214,11 +211,11 @@ def criterion_2(rng) -> tuple[bool, str]:
         groups = tuple(rng.choice(pool) for _ in range(n_fac))
         sig = FPSignature(r, groups)
         w1, w2, w3 = (_random_word(rng, sig, rng.randint(0, 5)) for _ in range(3))
-        if fp_mul(fp_mul(w1, w2), w3) != fp_mul(w1, fp_mul(w2, w3)):
+        if (w1 * w2) * w3 != w1 * (w2 * w3):
             return False, "associativity failed"
-        if not fp_mul(w1, w1.inv()).is_identity():
+        if not (w1 * w1.inv()).is_identity():
             return False, "inverse failed"
-        if fp_mul(FPWord(sig, ()), w1) != w1 or fp_mul(w1, FPWord(sig, ())) != w1:
+        if FPWord(sig, ()) * w1 != w1 or w1 * FPWord(sig, ()) != w1:
             return False, "identity law failed"
         checks += 3
     return True, f"{checks} randomized identity/inverse/associativity checks"

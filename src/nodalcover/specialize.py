@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .covering import FundamentalDomain, fundamental_domain
 from .curves import Pi1Presentation
 from .descent import (
+    COCYCLE_LEN,
+    LATTICE_LEN,
     CocycleCertificate,
     FiniteCocycle,
     LatticeAssignment,
@@ -28,8 +30,6 @@ from .groups import first_kernel_word
 from .reps import ContinuousRep, FiniteQuotientRep, inflate
 from .stratified import FDividedDatum, S_RELATIVE, TensorCertificate, fdiv_from_rep, tensor_fdiv
 
-LATTICE_LEN = 3  # integral transport lists the components up to this length
-
 
 @dataclass(frozen=True)
 class SpecializationResult:
@@ -42,7 +42,7 @@ class SpecializationResult:
     lattice: LatticeAssignment
 
 
-def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
+def sp_pipeline(rep: ContinuousRep, max_len: int = COCYCLE_LEN) -> SpecializationResult:
     """Run a representation through domain, twist datum, divided sequence and
     integral transport.
 
@@ -56,7 +56,7 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = 4) -> SpecializationResult:
     w = first_kernel_word(sig)
     domain = None if w is None else fundamental_domain(sig, w, rep.presentation)
     datum = datum_from_rep(rep)
-    cocycle = check_cocycle(datum, min(max_len, 4))
+    cocycle = check_cocycle(datum, min(max_len, COCYCLE_LEN))
     lattice = integralize(datum.restricted(), max_len=LATTICE_LEN)
     return SpecializationResult(FDividedDatum(datum, S_RELATIVE), domain, cocycle, lattice)
 

@@ -92,7 +92,7 @@ def _frobenius_fixed_combinations(field: FunctionField,
                     common = common * field.rf(e.den)
             polys = [(e * common).num for e in entries]
             for k in range(max(map(len, polys))):
-                row = tuple(field.from_int(poly[k]) if k < len(poly) else zero
+                row = tuple(field.rf(poly[k]) if k < len(poly) else zero
                             for poly in polys)
                 if any(e.num for e in row):
                     rows.append(row)

@@ -11,7 +11,6 @@ from nodalcover.curves import (
     Node,
     betti_rank,
     chain_curve_for_signature,
-    dual_graph,
     pi1_presentation,
 )
 from nodalcover.errors import DisconnectedCurve, InvalidCurve
@@ -41,12 +40,14 @@ def two_components_two_nodes():
 # -- dual graphs ----------------------------------------------------------------
 
 def test_dual_graph_examples():
-    g = dual_graph(nodal_cubic())
-    assert g.vertices == ("C1",) and g.edges[0][1] == g.edges[0][2] == "C1"
-    g3 = dual_graph(triangle())
-    assert len(g3.vertices) == 3 and len(g3.edges) == 3
-    g2 = dual_graph(two_components_two_nodes())
-    assert len(g2.vertices) == 2 and len(g2.edges) == 2
+    # the nodal cubic's one node is a self-node: a loop at its one vertex
+    cubic = nodal_cubic()
+    assert cubic.component_ids == ("C1",)
+    assert [c for c, _ in cubic.nodes[0].ends] == ["C1", "C1"]
+    g3 = triangle()
+    assert len(g3.components) == 3 and len(g3.nodes) == 3
+    g2 = two_components_two_nodes()
+    assert len(g2.components) == 2 and len(g2.nodes) == 2
 
 
 def test_disconnected_curve_surfaces():
@@ -116,13 +117,14 @@ def test_betti_matches_spanning_tree_oracle():
     rng = random.Random(41)
     for _ in range(60):
         curve = _random_connected_curve(rng)
-        g = dual_graph(curve)
         # DFS spanning tree, counted independently of the Kruskal code path
-        adj = {v: [] for v in g.vertices}
-        for _, a, b in g.edges:
+        ids = curve.component_ids
+        adj = {v: [] for v in ids}
+        for n in curve.nodes:
+            (a, _), (b, _) = n.ends
             adj[a].append(b)
             adj[b].append(a)
-        seen, stack, tree_edges = {g.vertices[0]}, [g.vertices[0]], 0
+        seen, stack, tree_edges = {ids[0]}, [ids[0]], 0
         while stack:
             v = stack.pop()
             for w in adj[v]:
@@ -130,7 +132,7 @@ def test_betti_matches_spanning_tree_oracle():
                     seen.add(w)
                     tree_edges += 1
                     stack.append(w)
-        assert betti_rank(curve) == len(g.edges) - tree_edges
+        assert betti_rank(curve) == len(curve.nodes) - tree_edges
 
 
 def test_betti_invariant_under_relabeling():
@@ -259,4 +261,3 @@ def test_presentation_equals_the_three_walk_oracle(spec):
         return
     curve = NodalCurve.build(*spec)
     assert pi1_presentation(curve) == expected
-    assert dual_graph(curve).vertices == curve.component_ids

@@ -96,7 +96,7 @@ def test_rank_one_twist_inverts_the_exponent():
     rep = rank1_rep()  # z -> t
     datum = datum_from_rep(rep)
     sig = rep.sig
-    t = F3.t()
+    t = F3.t_power(1)
     for k in range(-3, 4):
         w = fp_normalize(sig, [(0, k)])
         assert datum.twist(w).entries[0][0] == t ** (-k)
@@ -184,7 +184,7 @@ def draw_rep(data):
     z_images = [MatrixK.from_rows(F3, data.draw(square)) for _ in range(r)]
     assume(all(not z.det().is_zero() for z in z_images))
     ident = MatrixK.identity(F3, rank)
-    involutions = [ident, ident.scale(F3.from_int(-1))]
+    involutions = [ident, ident.scale(F3.rf(-1))]
     if rank == 2:
         involutions.append(MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]]))
     sign = data.draw(st.sampled_from(involutions))
@@ -353,7 +353,7 @@ def test_corrupted_identity_twist_fails_the_identity_check():
     where it is caught."""
     rep = rank2_rep()
     bad = CorruptedCocycle(datum_from_rep(rep), FPWord(rep.sig, ()),
-                           MatrixK.identity(F3, 2).scale(F3.t()))
+                           MatrixK.identity(F3, 2).scale(F3.t_power(1)))
     cert = check_cocycle(bad, 3)
     assert not cert.identity_ok
     assert not cert.passed
@@ -443,7 +443,7 @@ def test_certificate_covers_words_up_to_max_len():
     for L in (1, 2, 3):
         w = next(w for w in enumerate_words(rep.sig, L + 1)
                  if gen_length(1, w.letters) == L + 1)
-        bad = CorruptedCocycle(datum, w, datum.twist(w).scale(F3.t()))
+        bad = CorruptedCocycle(datum, w, datum.twist(w).scale(F3.t_power(1)))
         assert check_cocycle(bad, L).passed
         assert not check_cocycle(bad, L + 1).passed
         # the oracle reads the products of two words up to L, so twice as far
@@ -514,7 +514,7 @@ def test_hom_end_contains_identity():
 def _random_involution(rng, F, n):
     """P diag(+-1) P^-1 for a random invertible P over K: a Z2 image."""
     P = random_matrix(rng, F, n, invertible=True)
-    signs = MatrixK(F, tuple(tuple(F.from_int(rng.choice((1, -1)) if i == j else 0)
+    signs = MatrixK(F, tuple(tuple(F.rf(rng.choice((1, -1)) if i == j else 0)
                                    for j in range(n)) for i in range(n)))
     return P * signs * P.inverse()
 
@@ -612,7 +612,7 @@ def kernel_hom_pairs(draw):
     rng = random.Random(draw(st.integers(0, 10**6)))
 
     def const(rows):
-        return MatrixK(field, tuple(tuple(field.from_int(x) for x in row) for row in rows))
+        return MatrixK(field, tuple(tuple(field.rf(x) for x in row) for row in rows))
 
     def rep(n):
         z = random_matrix(rng, field, n, deg=draw(st.integers(0, 1)), invertible=True)
@@ -783,7 +783,7 @@ def test_det_valuation_conserved_fails_on_a_corrupted_lattice():
     rep = rank2_rep()
     datum = datum_from_rep(rep).restricted()
     z1 = FPWord(rep.sig, ((0, 1),))
-    bad = CorruptedCocycle(datum, z1, datum.twist(z1).scale(F3.t()))
+    bad = CorruptedCocycle(datum, z1, datum.twist(z1).scale(F3.t_power(1)))
     assignment = integralize(bad, 3)
     for c0 in assignment.orbit_reps:
         assert not det_valuation_conserved(assignment, z1, c0)
@@ -952,7 +952,7 @@ def test_descend_reports_a_fiber_out_of_reach():
     F7 = FunctionField(7)
     Z6 = cyclic_group(6)
     sig, pres = sig_with_pres(1, (Z2,))
-    omega = F7.from_int(3)  # a primitive sixth root of unity mod 7
+    omega = F7.rf(3)  # a primitive sixth root of unity mod 7
     hom = tuple(MatrixK(F7, ((omega ** k,),)) for k in range(6))
     fq = FiniteQuotientRep.build(pres, F7, (Z2,), Z6, [1], [(0, 0)], hom)
     datum = datum_from_rep(inflate(fq, pres))
@@ -998,11 +998,11 @@ def quotient_reps(Q):
     if not Q.is_abelian():
         swap = MatrixK.from_rows(F13, [["0", "1"], ["1", "0"]])
         rot = MatrixK.from_rows(F13, [["0", "12"], ["1", "12"]])
-        one, minus = MatrixK.identity(F13, 1), MatrixK(F13, ((F13.from_int(-1),),))
+        one, minus = MatrixK.identity(F13, 1), MatrixK(F13, ((F13.rf(-1),),))
         return [hom_from_generator_images(F13, Q, gens, n)
                 for gens, n in (([swap, rot], 2), ([minus, one], 1), ([one, one], 1))]
     n = Q.order
-    return [tuple(MatrixK(F13, ((F13.from_int(ROOTS[n] ** (k * g)),),)) for g in range(n))
+    return [tuple(MatrixK(F13, ((F13.rf(ROOTS[n] ** (k * g)),),)) for g in range(n))
             for k in range(n)]
 
 
@@ -1033,7 +1033,7 @@ def collapse_cases(draw):
         other = draw(quotient_data(pres, groups, Q))
         rep = inflate(other or fq, pres)
     elif kind == "z acts by t" and r:
-        z1 = rep.z_images[0].scale(F13.t())
+        z1 = rep.z_images[0].scale(F13.t_power(1))
         rep = ContinuousRep.build(pres, F13, (z1,) + rep.z_images[1:],
                                   rep.factor_groups, rep.factor_homs)
     return datum_from_rep(rep), fq, draw(st.integers(0, 5))

@@ -24,7 +24,6 @@ from nodalcover.groups import (
     enumerate_words,
     first_kernel_word,
     format_word,
-    fp_mul,
     fp_normalize,
     iter_grade_states,
     iter_words_raw,
@@ -309,7 +308,7 @@ def test_identity_law_and_conjugate_inverse():
     e = FPWord(SIG, ())
     for _ in range(20):
         w = random_word(rng, SIG, 4)
-        assert fp_mul(w, e) == w and fp_mul(e, w) == w
+        assert w * e == w and e * w == w
     g = fp_normalize(SIG, [(2, 1)])
     z = fp_normalize(SIG, [(0, 1)])
     conj = z * g * z.inv()
@@ -320,7 +319,7 @@ def test_associativity_oracle():
     rng = random.Random(29)
     for _ in range(500):
         w1, w2, w3 = (random_word(rng, SIG, rng.randint(0, 5)) for _ in range(3))
-        assert fp_mul(fp_mul(w1, w2), w3) == fp_mul(w1, fp_mul(w2, w3))
+        assert (w1 * w2) * w3 == w1 * (w2 * w3)
 
 
 raw_letters = st.lists(
@@ -337,7 +336,7 @@ raw_letters = st.lists(
 def test_normalize_is_a_monoid_morphism_on_raw_sequences(a, b):
     # normalizing a concatenation equals multiplying the normalizations
     w = fp_normalize(SIG, list(a) + list(b))
-    product = fp_mul(fp_normalize(SIG, a), fp_normalize(SIG, b))
+    product = fp_normalize(SIG, a) * fp_normalize(SIG, b)
     assert w == product
     # equality and hash are those of (sig, letters) and letters, as when
     # FPWord was a frozen dataclass
@@ -354,13 +353,13 @@ def test_inverse_from_reversed_negated_raw(a):
         (fid, -v) if fid < 2 else (fid, SIG.factor(fid - 2).inverse[v])
         for fid, v in reversed(list(a))])
     assert manual == w.inv()
-    assert fp_mul(w, manual).is_identity()
+    assert (w * manual).is_identity()
 
 
 def test_signature_mismatch():
     other = FPSignature(1, (Z2,))
     with pytest.raises(SignatureMismatch):
-        fp_mul(FPWord(SIG, ()), FPWord(other, ()))
+        FPWord(SIG, ()) * FPWord(other, ())
 
 
 # -- the quotient onto the direct product ------------------------------------------

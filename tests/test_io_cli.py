@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalcover
-from nodalcover import cli as cli_module, covering, descent
+from nodalcover import cli as cli_module, covering, descent, groups
 from nodalcover import io as spec_io
 from nodalcover.cli import main
 from nodalcover.covering import certify_free_action
@@ -912,7 +912,7 @@ def test_cli_group_spec_raising_an_unexpected_error_exits_2(tmp_path, monkeypatc
     def broken(n):
         raise ArithmeticError("table construction broke")
 
-    monkeypatch.setattr(spec_io, "cyclic_group", broken)
+    monkeypatch.setattr(groups, "cyclic_group", broken)
     path = tmp_path / "z4.json"
     path.write_text(json.dumps({"builtin": "cyclic", "n": 4}))
     code, out, err = run_cli("hull", str(path))
@@ -1066,13 +1066,14 @@ def test_cli_process_imports_the_package_under_test():
 
 
 @pytest.mark.parametrize("argv,layers", [
-    (("pi1", "nodal_cubic.json"), {"cli", "curves", "errors", "groups", "io"}),
-    (("hull", "z2.json"), {"cli", "curves", "errors", "groups", "hopf", "io"}),
+    (("pi1", "nodal_cubic.json"), {"cli", "curves", "errors", "io"}),
+    (("hull", "z2.json"), {"cli", "errors", "groups", "hopf", "io"}),
 ], ids=["pi1", "hull"])
 def test_cli_process_loads_only_the_layers_its_command_runs(argv, layers):
     """The package root imports nothing and a command imports the layers
-    beyond `io` when it runs, so a child that runs `pi1` or `hull` loads no
-    field, reps, covering, descent, stratified, specialize or selfcheck."""
+    beyond `io` and `errors` when it runs, so a child that runs `pi1` loads
+    no groups, one that runs `hull` no curves, and neither loads field, reps,
+    covering, descent, stratified, specialize or selfcheck."""
     script = ("import sys\nfrom nodalcover.cli import main\n"
               f"code = main({list(argv)!r})\n"
               "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"

@@ -334,8 +334,8 @@ def test_fq_direct_sum_rank_additivity():
     a, b = sign_fq(), sign_fq()
     s = fq_direct_sum(a, b)
     assert s.rank == a.rank + b.rank
-    assert s.hom[1].entries[0][0] == F3.from_int(-1)
-    assert s.hom[1].entries[1][1] == F3.from_int(-1)
+    assert s.hom[1].entries[0][0] == F3.rf(-1)
+    assert s.hom[1].entries[1][1] == F3.rf(-1)
 
 
 # -- intertwiners ----------------------------------------------------------------------

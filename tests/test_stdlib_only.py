@@ -25,6 +25,72 @@ def test_package_imports_only_the_standard_library():
     assert not foreign, foreign
 
 
+def package_imports(tree: ast.AST) -> list[tuple[str, int, str]]:
+    """(when, line, layer) for each import of a package module: `when` is
+    "load" for a statement that runs when the module is imported, "call" for
+    one inside a function, and "typing" for one in an `if TYPE_CHECKING:`
+    block, which runs only under a type checker."""
+    found = []
+
+    def visit(node, when):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            when = "call"
+        elif isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING" and when == "load":
+            when = "typing"
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                layers = [node.module] if node.module else [a.name for a in node.names]
+            elif node.module and node.module.startswith("nodalcover."):
+                layers = [node.module.removeprefix("nodalcover.")]
+            else:
+                layers = []
+            found.extend((when, node.lineno, layer) for layer in layers)
+        for child in ast.iter_child_nodes(node):
+            visit(child, when)
+
+    visit(tree, "load")
+    return found
+
+
+def test_package_imports_classify_load_call_and_typing_time():
+    probe = ast.parse(
+        "from . import io as spec_io, errors\nfrom nodalcover.curves import c\n"
+        "import json\nif TYPE_CHECKING:\n    from .field import F\n"
+        "def f():\n    from .groups import g\n    return lambda: g\n")
+    assert package_imports(probe) == [
+        ("load", 1, "io"), ("load", 1, "errors"), ("load", 2, "curves"),
+        ("typing", 5, "field"), ("call", 7, "groups")]
+
+
+def test_call_time_imports_skip_a_layer_or_break_a_cycle():
+    """`cli`'s rule: a module imports a layer inside a function only to skip
+    loading it or to break a cycle.  So every call-time import names a layer
+    outside the module's load-time closure, the layers that its module-level
+    imports load, followed transitively; a `TYPE_CHECKING` import loads
+    nothing."""
+    imports = {path.stem: package_imports(ast.parse(path.read_text(), str(path)))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    direct = {module: {layer for when, _, layer in found if when == "load"}
+              for module, found in imports.items()}
+
+    def closure(module):
+        loaded, stack = {module}, [module]
+        while stack:
+            for layer in direct.get(stack.pop(), ()):
+                if layer not in loaded:
+                    loaded.add(layer)
+                    stack.append(layer)
+        return loaded
+
+    calls = [(module, line, layer) for module, found in imports.items()
+             for when, line, layer in found if when == "call"]
+    # the cycle breaker: `descent` imports `reps` at load time
+    assert any(module == "reps" and layer == "descent" for module, _, layer in calls)
+    redundant = [f"{module}.py:{line}: {layer}" for module, line, layer in calls
+                 if layer in closure(module)]
+    assert not redundant, redundant
+
 
 def module_scope_reads(tree: ast.AST) -> set[str]:
     """Names read where they resolve to the module scope: a read inside a

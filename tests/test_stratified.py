@@ -121,7 +121,7 @@ def test_k_relative_homs_match_brute_force_fixed_combinations(rep, dim):
     def combination(coeffs, mats):
         acc = zero
         for c, B in zip(coeffs, mats):
-            acc = acc + B.scale(F3.from_int(c))
+            acc = acc + B.scale(F3.rf(c))
         return acc
 
     fixed = set()
