@@ -7,14 +7,17 @@ is built, so it is canonical by construction.
 Deck transformations over the finite cover are right concatenations by
 kernel words of the direct-product quotient.  That kernel has the free basis
 `kernel_generators` (Kurosh rank 1 - |Q| chi) and acts freely on components.
+
+`ComponentIndex`, `CoverGeometry` and `FundamentalDomain` are plain classes
+whose fields are read-only by contract; the result records and orbit
+classes, with no checks and no derived state, are `typing.NamedTuple`s.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .curves import Pi1Presentation, chain_curve_for_signature, pi1_presentation
 from .errors import NoComplement, SignatureMismatch, TrivialW
@@ -34,24 +37,28 @@ from .reps import ContinuousRep
 # component indices and the right action
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class ComponentIndex:
     """Irreducible component over curve component j: the right coset G_j s.
 
     Construction refuses a factor index outside 0..N-1 and strips a leading
     j-factor letter from ``rep``, so the stored representative is the coset's
-    canonical one: equal cosets give equal indices, whatever word built them.
-    Its fields are read-only by contract, as `FPWord`'s are."""
+    canonical one: equal cosets give equal indices, whatever word built them."""
 
-    j: int
-    rep: FPWord
+    __slots__ = ("j", "rep")
 
-    def __post_init__(self):
-        sig, letters = self.rep.sig, self.rep.letters
-        if not 0 <= self.j < len(sig.factors):
-            raise SignatureMismatch(f"no finite factor {self.j}")
-        if letters and letters[0][0] == sig.r + self.j:
-            self.rep = FPWord(sig, letters[1:])
+    def __init__(self, j: int, rep: FPWord):
+        sig, letters = rep.sig, rep.letters
+        if not 0 <= j < len(sig.factors):
+            raise SignatureMismatch(f"no finite factor {j}")
+        if letters and letters[0][0] == sig.r + j:
+            rep = FPWord(sig, letters[1:])
+        self.j = j
+        self.rep = rep
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.j, self.rep) == (other.j, other.rep)
 
     def __hash__(self):
         return hash((self.j, self.rep.letters))
@@ -126,8 +133,7 @@ def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]
 # the finite cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteCover:
+class FiniteCover(NamedTuple):
     """Finite cover with fiber the direct product of the factor groups; each
     group generator acts through the quotient by left multiplication.  The
     action is regular (`build_finite_cover`), so the cover is connected and
@@ -164,7 +170,6 @@ def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
 # node-level geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CoverGeometry:
     """Gluing data of the covering above each node of the curve.
 
@@ -173,9 +178,11 @@ class CoverGeometry:
     where glue is the Z generator of a loop node and trivial on tree nodes.
     """
 
-    presentation: Pi1Presentation
-    sig: FPSignature
-    node_info: tuple[tuple[str, int, int, int | None], ...]
+    def __init__(self, presentation: Pi1Presentation, sig: FPSignature,
+                 node_info: tuple[tuple[str, int, int, int | None], ...]):
+        self.presentation = presentation
+        self.sig = sig
+        self.node_info = node_info
 
     @classmethod
     def build(cls, presentation: Pi1Presentation, sig: FPSignature) -> "CoverGeometry":
@@ -211,8 +218,7 @@ class CoverGeometry:
 # freeness certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     sig_description: str
     max_len: int
     strategy: str
@@ -280,8 +286,7 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
 # invariant opens and the separating construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothClass:
+class SmoothClass(NamedTuple):
     """Deck orbit of a smooth point: a component family, factor j plus the
     quotient coordinates away from j, normalized to identity at j."""
 
@@ -289,23 +294,20 @@ class SmoothClass:
     coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NodeClass:
+class NodeClass(NamedTuple):
     """Deck orbit of a node lift: the node id plus the quotient coordinates."""
 
     node_id: str
     coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InvariantOpen:
+class InvariantOpen(NamedTuple):
     """Invariant open given by its complement: finitely many orbit classes."""
 
     removed: tuple
 
 
-@dataclass(frozen=True)
-class SeparatingOpen:
+class SeparatingOpen(NamedTuple):
     case: int
     components: tuple[ComponentIndex, ...]
     kernel_words_checked: int
@@ -371,7 +373,6 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 # fundamental domains and coverage witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FundamentalDomain:
     """Finite core of the quasi-compact fundamental domain of the nontrivial
     kernel word w, its boundary lifts and its read-only ``section``, all built
@@ -383,15 +384,9 @@ class FundamentalDomain:
     the letters of ws^{-1}, the exact inverse of ws, and coverage witnesses
     start from it.  w lies in ker alpha, so alpha(ws) = alpha(w) g = g."""
 
-    sig: FPSignature
-    word: FPWord
-    presentation: InitVar[Pi1Presentation | None] = None
-    core: tuple[ComponentIndex, ...] = field(init=False)
-    boundary: tuple[tuple[str, FPWord, ComponentIndex, ComponentIndex], ...] = field(init=False)
-    section: Mapping[tuple[int, ...], tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, presentation):
-        sig, w = self.sig, self.word
+    def __init__(self, sig: FPSignature, word: FPWord,
+                 presentation: Pi1Presentation | None = None):
+        w = word
         if w.sig != sig:
             raise SignatureMismatch("word over the wrong signature")
         if w.is_identity():
@@ -428,11 +423,12 @@ class FundamentalDomain:
                         if outside not in core:
                             boundary.append((nid, FPWord(sig, u), c, outside))
 
-        object.__setattr__(self, "core", tuple(sorted(
-            core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters)))))
-        object.__setattr__(self, "boundary", tuple(sorted(
-            boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters)))))
-        object.__setattr__(self, "section", MappingProxyType(section))
+        self.sig = sig
+        self.word = word
+        self.core = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
+        self.boundary = tuple(sorted(
+            boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
+        self.section = MappingProxyType(section)
 
     @property
     def size_bound(self) -> int:

@@ -8,30 +8,27 @@ graph (smallest node ids first), which the curve keeps.  The nodes the tree
 leaves out index the Z generators of the fundamental-group presentation, and
 the recorded path data, read off one walk of the tree from the base
 component, says which tree paths realize the gluing bookkeeping at each node.
+
+`NodalCurve` and `Pi1Presentation` are plain classes whose fields are
+read-only by contract; `Node`, a pure record, is a `typing.NamedTuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .errors import DisconnectedCurve, InvalidCurve
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     ends: tuple[tuple[str, str], tuple[str, str]]  # ((comp, branch), (comp, branch))
 
 
-@dataclass(frozen=True)
 class NodalCurve:
     """A connected nodal curve, with its dual graph's Kruskal spanning tree
-    as (node id, endpoint, endpoint) edges and the node ids it leaves out."""
-
-    components: tuple[tuple[str, tuple[str, ...]], ...]  # (id, branch labels)
-    nodes: tuple[Node, ...]
-    tree_edges: tuple = dataclass_field(init=False, repr=False, compare=False)
-    loop_nodes: tuple[str, ...] = dataclass_field(init=False, repr=False, compare=False)
+    as (node id, endpoint, endpoint) edges and the node ids it leaves out;
+    those two are derived and take no part in equality."""
 
     @classmethod
     def build(cls, components, nodes) -> "NodalCurve":
@@ -41,21 +38,25 @@ class NodalCurve:
             tuple(Node(str(nid), ((str(ea[0]), str(ea[1])), (str(eb[0]), str(eb[1]))))
                   for nid, ea, eb in nodes))
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[tuple[str, tuple[str, ...]], ...],
+                 nodes: tuple[Node, ...]):
+        """From (id, branch labels) components and `Node`s."""
+        self.components = components
+        self.nodes = nodes
         ids = self.component_ids
         if len(set(ids)) != len(ids) or not ids:
             raise InvalidCurve("component ids must be nonempty and distinct")
         branch_set = set()
-        for cid, branches in self.components:
+        for cid, branches in components:
             if len(set(branches)) != len(branches):
                 raise InvalidCurve(f"duplicate branch label on component {cid}")
             for b in branches:
                 branch_set.add((cid, b))
-        node_ids = [n.id for n in self.nodes]
+        node_ids = [n.id for n in nodes]
         if len(set(node_ids)) != len(node_ids):
             raise InvalidCurve("node ids must be distinct")
         used = set()
-        for n in self.nodes:
+        for n in nodes:
             ea, eb = n.ends
             if ea == eb:
                 raise InvalidCurve(f"node {n.id} must glue two distinct branch points")
@@ -78,7 +79,7 @@ class NodalCurve:
             return v
 
         tree, loops = [], []
-        for nid, a, b in sorted((n.id, n.ends[0][0], n.ends[1][0]) for n in self.nodes):
+        for nid, a, b in sorted((n.id, n.ends[0][0], n.ends[1][0]) for n in nodes):
             ra, rb = find(a), find(b)
             if ra == rb:
                 loops.append(nid)
@@ -88,8 +89,16 @@ class NodalCurve:
         # the graph is connected exactly when the forest is a tree
         if len(tree) != len(ids) - 1:
             raise DisconnectedCurve("the dual graph of the curve is not connected")
-        object.__setattr__(self, "tree_edges", tuple(tree))
-        object.__setattr__(self, "loop_nodes", tuple(loops))
+        self.tree_edges = tuple(tree)
+        self.loop_nodes = tuple(loops)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.components, self.nodes) == (other.components, other.nodes)
+
+    def __hash__(self):
+        return hash((self.components, self.nodes))
 
     @property
     def component_ids(self) -> tuple[str, ...]:
@@ -101,7 +110,6 @@ def betti_rank(curve: NodalCurve) -> int:
     return len(curve.nodes) - len(curve.components) + 1
 
 
-@dataclass(frozen=True)
 class Pi1Presentation:
     """Spanning-tree presentation data for the fundamental group of a curve.
 
@@ -111,12 +119,27 @@ class Pi1Presentation:
     the node itself for tree nodes).
     """
 
-    curve: NodalCurve
-    r: int
-    spanning_tree: tuple[str, ...]
-    loop_nodes: tuple[str, ...]
-    base_component: str
-    path_data: tuple[tuple[str, tuple[tuple[str, ...], tuple[str, ...]]], ...]
+    def __init__(self, curve: NodalCurve, r: int, spanning_tree: tuple[str, ...],
+                 loop_nodes: tuple[str, ...], base_component: str,
+                 path_data: tuple[tuple[str, tuple[tuple[str, ...], tuple[str, ...]]], ...]):
+        self.curve = curve
+        self.r = r
+        self.spanning_tree = spanning_tree
+        self.loop_nodes = loop_nodes
+        self.base_component = base_component
+        self.path_data = path_data
+
+    def _key(self):
+        return (self.curve, self.r, self.spanning_tree, self.loop_nodes,
+                self.base_component, self.path_data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:

@@ -10,11 +10,15 @@ the kernel of the direct-product quotient.  Each cocycle memoises its twists
 per word and each lattice assignment its lattices per component.  The cocycle
 certificate checks the presentation's relations and the letter recurrence of
 the stored twists, not every pair of words.
+
+The twist data and lattice assignments are plain classes whose fields are
+read-only by contract; `CocycleCertificate`, a pure record, is a
+`typing.NamedTuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covering import (
     ComponentIndex,
@@ -48,16 +52,14 @@ COCYCLE_LEN = 4  # `descend` and `sp_pipeline` check the cocycle up to this leng
 LATTICE_LEN = 3  # and list the components of integral transport up to this one
 
 
-@dataclass(frozen=True)
 class MeromorphicCocycle:
     """Twist data attached to a representation, over the chosen deck scope."""
 
-    rep: ContinuousRep
-    scope: str = FULL
-
-    def __post_init__(self):
-        object.__setattr__(self, "_letter_cache", {})
-        object.__setattr__(self, "_twist_cache", {(): self.rep.identity_matrix()})
+    def __init__(self, rep: ContinuousRep, scope: str = FULL):
+        self.rep = rep
+        self.scope = scope
+        self._letter_cache = {}
+        self._twist_cache = {(): rep.identity_matrix()}
 
     @property
     def sig(self) -> FPSignature:
@@ -133,7 +135,10 @@ class CorruptedCocycle:
         self.base = base
         self.override_word = word
         self.override_matrix = matrix
-        self.scope = base.scope
+
+    @property
+    def scope(self) -> str:
+        return self.base.scope
 
     @property
     def sig(self):
@@ -164,8 +169,7 @@ def datum_from_rep(rep: ContinuousRep) -> MeromorphicCocycle:
 # cocycle verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CocycleCertificate:
+class CocycleCertificate(NamedTuple):
     max_len: int
     pairs_checked: int
     identity_ok: bool
@@ -252,7 +256,6 @@ def _orbit_key(c: ComponentIndex) -> tuple[int, tuple[int, ...]]:
     return c.j, al[:c.j] + al[c.j + 1:]
 
 
-@dataclass(frozen=True)
 class LatticeAssignment:
     """Lattice at each enumerated component, transported from one standard
     lattice per component orbit along the free kernel action.
@@ -264,13 +267,13 @@ class LatticeAssignment:
     defined, and B(c0) is the Hermite form of H(()), the standard lattice
     when H(()) = 1."""
 
-    cocycle: MeromorphicCocycle
-    orbit_reps: tuple[ComponentIndex, ...]
-    components: tuple[ComponentIndex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lattice_cache", {})
-        object.__setattr__(self, "_reps_by_key", {_orbit_key(c0): c0 for c0 in self.orbit_reps})
+    def __init__(self, cocycle: MeromorphicCocycle, orbit_reps: tuple[ComponentIndex, ...],
+                 components: tuple[ComponentIndex, ...]):
+        self.cocycle = cocycle
+        self.orbit_reps = orbit_reps
+        self.components = components
+        self._lattice_cache = {}
+        self._reps_by_key = {_orbit_key(c0): c0 for c0 in orbit_reps}
 
     def transport_word(self, c: ComponentIndex) -> FPWord:
         """The unique kernel word carrying the orbit representative to c.
@@ -353,26 +356,23 @@ def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
 # finite quotients of the twist data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FiniteCocycle:
     """Twist data indexed by a finite group, with the same anti-composition
     law as the word-indexed data it came from.  A collapse records how many
     normal forms it covered (`words_checked`)."""
 
-    group: FiniteGroup
-    field: FunctionField
-    rank: int
-    mats: tuple[MatrixK, ...]
-    words_checked: int = 0
+    def __init__(self, group: FiniteGroup, field: FunctionField, rank: int,
+                 mats: tuple[MatrixK, ...], words_checked: int = 0):
+        self.group = group
+        self.field = field
+        self.rank = rank
+        self.mats = mats
+        self.words_checked = words_checked
 
     def check_law(self) -> bool:
         G = self.group
         return (self.mats[G.identity].is_identity()
                 and G.hom_failure(self.mats, lambda x, y: y * x) is None)
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteCocycle) and self.group.table == other.group.table
-                and self.mats == other.mats)
 
 
 def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:

@@ -16,13 +16,17 @@ rational-function arithmetic: the Hermite form is computed modulo t^N on
 int lists of t-adic coefficients, at a precision N > v(det) that the run
 certifies, and each output entry (a Laurent polynomial) is built directly
 in canonical form.  No floating point is used anywhere.
+
+Value types are plain classes whose fields are read-only by contract: an
+AST guard in `tests/test_stdlib_only.py` refuses any store to them outside
+their own class.  Result records with no checks and no derived state
+(`LinearSolution`, `LatticeK`) are `typing.NamedTuple`s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, DivisionByZero, SingularBasis
 
@@ -46,18 +50,24 @@ def check_characteristic(p: int) -> None:
         raise ValueError(f"characteristic must be prime, got {p}")
 
 
-@dataclass(frozen=True)
 class FunctionField:
     """The coefficient field of the package: F_p(t) for a prime p.
 
     Coefficients are ints in [0, p)."""
 
-    p: int
+    def __init__(self, p: int):
+        check_characteristic(p)
+        self.p = p
+        self._zero = RationalFunction(self, (), (1,))
+        self._one = RationalFunction(self, (1,), (1,))
 
-    def __post_init__(self):
-        check_characteristic(self.p)
-        object.__setattr__(self, "_zero", RationalFunction(self, (), (1,)))
-        object.__setattr__(self, "_one", RationalFunction(self, (1,), (1,)))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     # -- element constructors --------------------------------------------
     def rf(self, num, den=1) -> "RationalFunction":
@@ -173,18 +183,22 @@ def _pord(a: tuple) -> int | None:
 # rational functions
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class RationalFunction:
     """Canonical num/den over F_p[t]: coprime, monic denominator, int
-    coefficients in [0, p).
+    coefficients in [0, p).  Construction goes through `_make_rf`, which
+    normalises; this constructor stores what it is given."""
 
-    Its fields are read-only by contract, as `FPWord`'s are."""
+    __slots__ = ("field", "num", "den")
 
-    field: FunctionField
-    num: tuple
-    den: tuple
+    def __init__(self, field: FunctionField, num: tuple, den: tuple):
+        self.field = field
+        self.num = num
+        self.den = den
 
-    # construction goes through _make_rf; the dataclass stays dumb.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.num, self.den) == (other.field, other.num, other.den)
 
     def __hash__(self):
         return hash((self.field, self.num, self.den))
@@ -455,19 +469,25 @@ def rf_from_string(field: FunctionField, s: str) -> RationalFunction:
 # matrices over K
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MatrixK:
     """Immutable rectangular matrix with RationalFunction entries."""
 
-    field: FunctionField
-    entries: tuple[tuple[RationalFunction, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    def __init__(self, field: FunctionField, entries: tuple[tuple[RationalFunction, ...], ...]):
+        if not entries or not entries[0]:
             raise DimensionMismatch("matrices must have positive dimensions")
-        w = len(self.entries[0])
-        if any(len(row) != w for row in self.entries):
+        w = len(entries[0])
+        if any(len(row) != w for row in entries):
             raise DimensionMismatch("ragged rows")
+        self.field = field
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.entries) == (other.field, other.entries)
+
+    def __hash__(self):
+        return hash((self.field, self.entries))
 
     @property
     def rows(self) -> int:
@@ -602,8 +622,7 @@ class MatrixK:
         return f"MatrixK({self.to_strings()})"
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Affine solution space of M X = rhs: one particular solution plus a
     deterministic reduced kernel basis (column vectors).  particular is None
     when the system is inconsistent."""
@@ -701,8 +720,7 @@ def tadic_coefficients(p: int, num, den, terms: int) -> list[int]:
     return series
 
 
-@dataclass(frozen=True)
-class LatticeK:
+class LatticeK(NamedTuple):
     """Full A-lattice in K^n, stored by its canonical t-adic Hermite basis."""
 
     field: FunctionField

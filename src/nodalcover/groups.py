@@ -15,12 +15,14 @@ alpha, read only through `FPWord.alpha_coords`; `iter_grade_states` counts
 them by (last letter, key) state instead.
 The word kernels read the factor tables, identities and inverses that each
 signature compiles once when it is built.
+
+`FiniteGroup`, `FPSignature` and `FPWord` are plain classes whose fields are
+read-only by contract.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -51,22 +53,15 @@ def generation_walk(start, gens, step: Callable) -> Iterator[tuple]:
         frontier = nxt
 
 
-@dataclass(frozen=True, eq=True)
 class FiniteGroup:
     """Finite group on indices 0..order-1 given by its multiplication table.
 
     Construction proves the group laws, so every value of this type is a
     group whose designated generators generate it; the identity and the
-    inverses are worked out from the table."""
+    inverses are worked out from the table and take no part in equality."""
 
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    name: str
-    generators: tuple[int, ...]
-    identity: int = dataclass_field(init=False, repr=False, compare=False)
-    inverse: tuple[int, ...] = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 name: str, generators: tuple[int, ...]):
         """Refuse a table that is not a group under these generators.
 
         Associativity is tested on the generator columns alone, (ab)s = a(bs)
@@ -77,7 +72,7 @@ class FiniteGroup:
         (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  The closure
         walk reaches every element as x s with x reached and s a generator,
         so C is the whole group: m^2 |S| steps, not m^3."""
-        tab = self.table
+        tab = table
         m = len(tab)
         if m == 0 or any(len(row) != m for row in tab):
             raise ValueError("multiplication table must be square and nonempty")
@@ -93,21 +88,31 @@ class FiniteGroup:
             if inv is None or tab[inv][x] != e:
                 raise ValueError(f"element {x} has no two-sided inverse")
             inverse.append(inv)
-        object.__setattr__(self, "identity", e)
-        object.__setattr__(self, "inverse", tuple(inverse))
-        if len(self.labels) != m or len(set(self.labels)) != m:
+        if len(labels) != m or len(set(labels)) != m:
             raise ValueError("labels must be distinct, one per element")
-        if any(not 0 <= g < m for g in self.generators):
+        if any(not 0 <= g < m for g in generators):
             raise ValueError("generator index out of range")
-        if len(self.closure(self.generators)) != m:
+        self.table = table
+        self.labels = labels
+        self.name = name
+        self.generators = generators
+        self.identity = e
+        self.inverse = tuple(inverse)
+        if len(self.closure(generators)) != m:
             raise ValueError("designated generators do not generate the group")
         cols = tuple(zip(*tab))  # cols[c][x] = xc
-        for s in self.generators:
+        for s in generators:
             right_s = cols[s].__getitem__
             for b, col_b in enumerate(cols):
                 # (ab)s against a(bs), for every a at once
                 if tuple(map(right_s, col_b)) != cols[tab[b][s]]:
                     raise ValueError("table is not associative")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.table, self.labels, self.name, self.generators) == \
+            (other.table, other.labels, other.name, other.generators)
 
     def __hash__(self):
         # equality stays structural; hashing the whole table per call would
@@ -259,25 +264,28 @@ def product_subgroup(G: FiniteGroup, H: FiniteGroup,
 # signatures and words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
 class FPSignature:
     """Shape of the free product: r Z factors and a tuple of finite factors."""
 
-    r: int
-    factors: tuple[FiniteGroup, ...] = ()
+    def __init__(self, r: int, factors: tuple[FiniteGroup, ...] = ()):
+        if r < 0:
+            raise ValueError("r must be nonnegative")
+        if r == 0 and not factors:
+            raise ValueError("empty signature: need r >= 1 or at least one factor")
+        self.r = r
+        self.factors = factors
+        # compiled tables the word kernels index by j = fid - r
+        self._tables = tuple(G.table for G in factors)
+        self._inverses = tuple(G.inverse for G in factors)
+        self._idents = tuple(G.identity for G in factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.factors) == (other.r, other.factors)
 
     def __hash__(self):
         return hash((self.r, len(self.factors)))
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be nonnegative")
-        if self.r == 0 and not self.factors:
-            raise ValueError("empty signature: need r >= 1 or at least one factor")
-        # compiled tables the word kernels index by j = fid - r
-        object.__setattr__(self, "_tables", tuple(G.table for G in self.factors))
-        object.__setattr__(self, "_inverses", tuple(G.inverse for G in self.factors))
-        object.__setattr__(self, "_idents", tuple(G.identity for G in self.factors))
 
     @property
     def num_factors(self) -> int:
@@ -303,7 +311,6 @@ class FPSignature:
         return f"Z^*{self.r} * [{names}]"
 
 
-@dataclass(slots=True)
 class FPWord:
     """Normal-form element of the free product.
 
@@ -315,12 +322,20 @@ class FPWord:
     ``_alpha`` holds the word's image under the quotient alpha once it is
     known, and `alpha_coords` is the one accessor of that image: the word
     walk passes the coordinates it already has, and any other word computes
-    them on the first read.  It takes no part in equality, hashing or
-    ``repr``."""
+    them on the first read.  It takes no part in equality or hashing."""
 
-    sig: FPSignature
-    letters: tuple[tuple[int, int], ...]
-    _alpha: tuple[int, ...] | None = dataclass_field(default=None, compare=False, repr=False)
+    __slots__ = ("sig", "letters", "_alpha")
+
+    def __init__(self, sig: FPSignature, letters: tuple[tuple[int, int], ...],
+                 _alpha: tuple[int, ...] | None = None):
+        self.sig = sig
+        self.letters = letters
+        self._alpha = _alpha
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig, self.letters) == (other.sig, other.letters)
 
     def __hash__(self):
         return hash(self.letters)

@@ -23,11 +23,14 @@ itself, so reading the rep back off it is exact.
 Dual maps of surjective homomorphisms are injective Hopf maps; a tower of
 quotients therefore produces a strictly growing chain of these algebras, and
 building a `QuotientTower` proves that each transition map is one.
+
+`HopfAlgebra` and `QuotientTower` are plain classes whose fields are
+read-only by contract; `TowerReport`, a pure record, is a `typing.NamedTuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import FiniteGroup
 
@@ -35,7 +38,6 @@ Vector = tuple
 Tensor2 = dict  # {(h, k): coeff}
 
 
-@dataclass(frozen=True)
 class HopfAlgebra:
     """Functions on a finite group with the convolution coproduct.
 
@@ -61,7 +63,8 @@ class HopfAlgebra:
     * unit: Delta(1)(x, y) = 1(xy) = 1, so Delta(1) = 1 (x) 1.
     """
 
-    group: FiniteGroup
+    def __init__(self, group: FiniteGroup):
+        self.group = group
 
     @property
     def dim(self) -> int:
@@ -102,18 +105,17 @@ def function_hopf(G: FiniteGroup) -> HopfAlgebra:
 # towers of finite quotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QuotientTower:
     """Finite groups pi_0, pi_1, ... with surjections pi_{i+1} ->> pi_i."""
 
-    groups: tuple[FiniteGroup, ...]
-    maps: tuple[tuple[int, ...], ...]  # maps[i]: pi_{i+1} -> pi_i, element images
-
-    def __post_init__(self):
-        """Refuse maps that are not surjective homomorphisms."""
-        if len(self.maps) != len(self.groups) - 1:
+    def __init__(self, groups: tuple[FiniteGroup, ...], maps: tuple[tuple[int, ...], ...]):
+        """Refuse maps that are not surjective homomorphisms; maps[i]:
+        pi_{i+1} -> pi_i by element images."""
+        if len(maps) != len(groups) - 1:
             raise ValueError("need one transition map per consecutive pair")
-        for i, m in enumerate(self.maps):
+        self.groups = groups
+        self.maps = maps
+        for i, m in enumerate(maps):
             if len(m) != self.groups[i + 1].order:
                 raise ValueError(f"map {i} must cover every element upstairs")
             failure = self.map_failure(i)
@@ -137,8 +139,7 @@ class QuotientTower:
         return None if bad is None else ("a homomorphism", bad)
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     dimensions: tuple[int, ...]
     injective: bool
 

@@ -68,14 +68,16 @@ def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> Mat
 @contextmanager
 def _spec(kind: str):
     """The loaders' one error boundary: a SpecParseError passes through, a
-    missing key or a value of the wrong type or range reads "bad <kind>
-    spec", and any other failure while building reads "invalid <kind>", so
-    no malformed spec ends in a traceback."""
+    missing key reads "bad <kind> spec: missing key 'k'", a value of the
+    wrong type or range "bad <kind> spec", and any other failure while
+    building "invalid <kind>", so no malformed spec ends in a traceback."""
     try:
         yield
     except SpecParseError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SpecParseError(f"bad {kind} spec: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad {kind} spec: {exc}") from exc
     except Exception as exc:
         raise SpecParseError(f"invalid {kind}: {exc}") from exc

@@ -4,12 +4,12 @@ A rep assigns an invertible matrix over K to each Z generator and a matrix
 homomorphism to each finite factor; this is exactly the data a continuous
 finite-dimensional representation of the curve's fundamental group boils
 down to once every component factor acts through a finite quotient.
+Both rep types are plain classes whose fields are read-only by contract.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from .curves import Pi1Presentation
@@ -42,27 +42,39 @@ def _common_rank(field: FunctionField, mats) -> int:
     return rank
 
 
-@dataclass(frozen=True)
 class ContinuousRep:
     """Matrices over K for the Z generators plus a hom per finite factor. The
-    Z images are inverted once, at construction: that certifies them invertible."""
+    Z images are inverted once, at construction: that certifies them
+    invertible.  The inverses take no part in equality."""
 
-    presentation: Pi1Presentation
-    field: FunctionField
-    rank: int
-    z_images: tuple[MatrixK, ...]
-    factor_groups: tuple[FiniteGroup, ...]
-    factor_homs: tuple[tuple[MatrixK, ...], ...]
-    z_inverses: tuple[MatrixK, ...] = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, presentation: Pi1Presentation, field: FunctionField, rank: int,
+                 z_images: tuple[MatrixK, ...], factor_groups: tuple[FiniteGroup, ...],
+                 factor_homs: tuple[tuple[MatrixK, ...], ...]):
         inverses = []
-        for i, z in enumerate(self.z_images):
+        for i, z in enumerate(z_images):
             try:
                 inverses.append(z.inverse())
             except SingularBasis:
                 raise SingularBasis(f"z{i + 1} image is singular") from None
-        object.__setattr__(self, "z_inverses", tuple(inverses))
+        self.presentation = presentation
+        self.field = field
+        self.rank = rank
+        self.z_images = z_images
+        self.factor_groups = factor_groups
+        self.factor_homs = factor_homs
+        self.z_inverses = tuple(inverses)
+
+    def _key(self):
+        return (self.presentation, self.field, self.rank, self.z_images,
+                self.factor_groups, self.factor_homs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def build(cls, presentation: Pi1Presentation, field: FunctionField,
@@ -168,41 +180,40 @@ def rep_tensor(r1: ContinuousRep, r2: ContinuousRep) -> ContinuousRep:
 # finite-quotient representations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FiniteQuotientRep:
     """A surjection of the free-product group onto a finite group, plus a
     matrix representation of that quotient.  Construction proves both, and
     the rank is read off the matrices."""
 
-    presentation: Pi1Presentation
-    field: FunctionField
-    source_groups: tuple[FiniteGroup, ...]
-    group: FiniteGroup
-    z_to: tuple[int, ...]
-    factor_to: tuple[tuple[int, ...], ...]
-    hom: tuple[MatrixK, ...]
-    rank: int = dataclass_field(init=False)
-
-    def __post_init__(self):
-        group = self.group
-        if len(self.z_to) != self.presentation.r:
+    def __init__(self, presentation: Pi1Presentation, field: FunctionField,
+                 source_groups: tuple[FiniteGroup, ...], group: FiniteGroup,
+                 z_to: tuple[int, ...], factor_to: tuple[tuple[int, ...], ...],
+                 hom: tuple[MatrixK, ...]):
+        if len(z_to) != presentation.r:
             raise PresentationMismatch("one quotient image per Z generator required")
-        if len(self.source_groups) != len(self.presentation.curve.components):
+        if len(source_groups) != len(presentation.curve.components):
             raise PresentationMismatch("one source group per curve component required")
-        if len(self.factor_to) != len(self.source_groups):
+        if len(factor_to) != len(source_groups):
             raise PresentationMismatch("one element map per source factor required")
-        images = list(self.z_to) + [x for mp in self.factor_to for x in mp]
+        images = list(z_to) + [x for mp in factor_to for x in mp]
         if any(not 0 <= x < group.order for x in images):
             raise ValueError("image out of range in the quotient")
-        for j, (G, mp) in enumerate(zip(self.source_groups, self.factor_to)):
+        for j, (G, mp) in enumerate(zip(source_groups, factor_to)):
             if len(mp) != G.order:
                 raise ValueError(f"factor map {j + 1} must cover every element")
             if G.hom_failure(mp, lambda x, y: group.table[x][y]) is not None:
                 raise ValueError(f"factor map {j + 1} is not a homomorphism")
-        object.__setattr__(self, "rank", _common_rank(self.field, self.hom))
-        _check_hom(group, self.hom, "quotient hom")
+        self.rank = _common_rank(field, hom)
+        _check_hom(group, hom, "quotient hom")
         if len(group.closure(images)) != group.order:
             raise ValueError("surjection data does not hit every quotient element")
+        self.presentation = presentation
+        self.field = field
+        self.source_groups = source_groups
+        self.group = group
+        self.z_to = z_to
+        self.factor_to = factor_to
+        self.hom = hom
 
     @classmethod
     def build(cls, presentation: Pi1Presentation, field: FunctionField,

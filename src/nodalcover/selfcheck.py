@@ -2,9 +2,9 @@
 
 Each criterion function returns (passed, detail).  run_criterion times one
 CRITERIA entry on a generator seeded by its number, so reports are
-reproducible, and run_all runs every entry in order.  The pytest acceptance
-module and the CLI selftest both go through run_criterion, so the gate
-cannot drift between the two entry points.
+reproducible, and returns a `CheckResult`, a plain class; run_all runs every
+entry in order.  The pytest acceptance module and the CLI selftest both go
+through run_criterion, so the gate cannot drift between the two entry points.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import operator
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from .covering import (
     CoverGeometry,
@@ -68,14 +67,17 @@ from .specialize import commuting_square_check, sp_pipeline, sp_tensor_certifica
 from .stratified import K_RELATIVE, fdiv_from_rep, hom_fdiv
 
 
-@dataclass
 class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    seconds: float
-    time_bound: float | None
-    detail: str
+    """One criterion's outcome, as `run_criterion` timed it."""
+
+    def __init__(self, criterion: int, name: str, passed: bool, seconds: float,
+                 time_bound: float | None, detail: str):
+        self.criterion = criterion
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.time_bound = time_bound
+        self.detail = detail
 
     @property
     def in_time(self) -> bool:

@@ -5,12 +5,13 @@ twist datum, constant divided sequence, integral models.  F builds the
 finite twist data of a quotient rep directly.  The two routes are compared
 after collapsing the inflated datum to the quotient; in this
 constant-coefficient model the comparison is elementwise equality, so the
-natural transformation between them is the identity.
+natural transformation between them is the identity.  The two results are
+`typing.NamedTuple` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covering import FundamentalDomain, fundamental_domain
 from .curves import Pi1Presentation
@@ -31,8 +32,7 @@ from .reps import ContinuousRep, FiniteQuotientRep, inflate
 from .stratified import FDividedDatum, S_RELATIVE, TensorCertificate, fdiv_from_rep, tensor_fdiv
 
 
-@dataclass(frozen=True)
-class SpecializationResult:
+class SpecializationResult(NamedTuple):
     """What `sp_pipeline` computed.  `domain` is None when ker alpha is
     trivial: the whole cover is then its own domain."""
 
@@ -57,7 +57,7 @@ def sp_pipeline(rep: ContinuousRep, max_len: int = COCYCLE_LEN) -> Specializatio
     domain = None if w is None else fundamental_domain(sig, w, rep.presentation)
     datum = datum_from_rep(rep)
     cocycle = check_cocycle(datum, min(max_len, COCYCLE_LEN))
-    lattice = integralize(datum.restricted(), max_len=LATTICE_LEN)
+    lattice = integralize(datum.restricted(), max_len=min(max_len, LATTICE_LEN))
     return SpecializationResult(FDividedDatum(datum, S_RELATIVE), domain, cocycle, lattice)
 
 
@@ -77,8 +77,7 @@ def F_pipeline(fq: FiniteQuotientRep) -> FiniteCocycle:
                          tuple(fq.hom[G.inverse[g]] for g in range(G.order)))
 
 
-@dataclass(frozen=True)
-class SquareCertificate:
+class SquareCertificate(NamedTuple):
     passed: bool
     words_checked: int
     elements_compared: int

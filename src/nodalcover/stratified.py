@@ -6,11 +6,14 @@ coefficient ring, which is what makes the literal constancy correct.  A
 transport mode says how a constant matrix M crosses a layer: base-relative,
 as M, so chains are plain twisted morphisms over K; field-relative, as
 `M.frobenius()`, pinning eventually-constant chains down to the prime field.
+
+`FDividedDatum` is a plain class whose fields are read-only by contract; the
+result records are `typing.NamedTuple`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .descent import MeromorphicCocycle, datum_from_rep, hom_cocycle
 from .errors import ModeMismatch
@@ -21,24 +24,21 @@ S_RELATIVE = "S"
 K_RELATIVE = "K"
 
 
-@dataclass(frozen=True)
 class FDividedDatum:
     """Constant sequence of twist data plus a Frobenius transport mode."""
 
-    generator: MeromorphicCocycle
-    mode: str = S_RELATIVE
-
-    def __post_init__(self):
-        if self.mode not in (S_RELATIVE, K_RELATIVE):
-            raise ModeMismatch(f"unknown transport mode {self.mode!r}")
+    def __init__(self, generator: MeromorphicCocycle, mode: str = S_RELATIVE):
+        if mode not in (S_RELATIVE, K_RELATIVE):
+            raise ModeMismatch(f"unknown transport mode {mode!r}")
+        self.generator = generator
+        self.mode = mode
 
 
 def fdiv_from_rep(rep: ContinuousRep, mode: str = S_RELATIVE) -> FDividedDatum:
     return FDividedDatum(datum_from_rep(rep), mode)
 
 
-@dataclass(frozen=True)
-class FdivHomBasis:
+class FdivHomBasis(NamedTuple):
     mode: str
     scalar_field: str
     basis: tuple[MatrixK, ...]
@@ -109,8 +109,7 @@ def _frobenius_fixed_combinations(field: FunctionField,
     return out
 
 
-@dataclass(frozen=True)
-class TensorCertificate:
+class TensorCertificate(NamedTuple):
     generators_checked: int
     passed: bool
 

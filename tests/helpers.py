@@ -170,13 +170,13 @@ def count_curve_builds(monkeypatch) -> list:
     builds its Kruskal forest in construction and nowhere else, so this
     counts forests."""
     built = []
-    check = NodalCurve.__post_init__
+    check = NodalCurve.__init__
 
-    def counted(self):
-        built.append(self.component_ids)
-        check(self)
+    def counted(self, components, nodes):
+        built.append(tuple(cid for cid, _ in components))
+        check(self, components, nodes)
 
-    monkeypatch.setattr(NodalCurve, "__post_init__", counted)
+    monkeypatch.setattr(NodalCurve, "__init__", counted)
     return built
 
 

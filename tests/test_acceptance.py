@@ -3,11 +3,10 @@
 Run with `pytest -s tests/test_acceptance.py` to see the one-line verdicts.
 """
 
-import dataclasses
-
 import pytest
 
 from nodalcover import selfcheck
+from nodalcover.curves import Pi1Presentation
 from nodalcover.hopf import HopfAlgebra
 from nodalcover.selfcheck import CRITERIA, run_criterion
 
@@ -47,7 +46,8 @@ def test_criterion_1_fails_when_the_presentation_rank_is_off_by_one(monkeypatch)
 
     def off_by_one(curve):
         pres = real(curve)
-        return dataclasses.replace(pres, r=pres.r + 1)
+        return Pi1Presentation(pres.curve, pres.r + 1, pres.spanning_tree, pres.loop_nodes,
+                               pres.base_component, pres.path_data)
 
     monkeypatch.setattr(selfcheck, "pi1_presentation", off_by_one)
     result = criterion(1)
@@ -62,7 +62,7 @@ def test_criterion_5_fails_on_a_wrong_one_sided_count(monkeypatch):
 
     def miscounted(U, geom, max_len=6):
         v = real(U, geom, max_len)
-        return dataclasses.replace(v, one_sided_meets=v.one_sided_meets + (v.case == 2))
+        return v._replace(one_sided_meets=v.one_sided_meets + (v.case == 2))
 
     monkeypatch.setattr(selfcheck, "find_separating_open", miscounted)
     result = criterion(5)

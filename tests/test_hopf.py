@@ -216,7 +216,7 @@ def test_certificates_check_nothing_that_construction_proved(monkeypatch):
 
     for G in (z2, z4, z8, s3):
         object.__setattr__(G, "table", Unread(G.table))
-    for owner, name in ((FiniteGroup, "__post_init__"), (FiniteGroup, "hom_failure"),
+    for owner, name in ((FiniteGroup, "__init__"), (FiniteGroup, "hom_failure"),
                         (FiniteGroup, "closure"), (QuotientTower, "map_failure"),
                         (MatrixK, "__mul__")):
         monkeypatch.setattr(owner, name, refuse)

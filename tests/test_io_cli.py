@@ -28,6 +28,7 @@ from nodalcover.errors import SpecParseError
 from nodalcover.field import MAX_LITERAL_DEGREE, MatrixK
 from nodalcover.groups import FiniteGroup, FPSignature, cyclic_group
 from nodalcover.reps import ContinuousRep, FiniteQuotientRep
+from nodalcover.specialize import sp_pipeline
 
 from helpers import F3, certify_free_oracle, count_curve_builds
 from test_reports import CASES as REPORT_CASES
@@ -440,6 +441,17 @@ def test_cli_descend_json_deterministic():
     code, out, _ = first
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_sp_pipeline_and_descend_cap_integral_transport_alike():
+    """`sp_pipeline` and `descend` list integral transport up to
+    min(max_len, LATTICE_LEN): on rank2_rep.json at max_len 2 both build the
+    7 components of length <= 2, not the 15 of length <= 3."""
+    assert len(sp_pipeline(spec_io.load_rep(DATA / "rank2_rep.json"), max_len=2)
+               .lattice.components) == 7
+    code, out, _ = run_cli("--format", "json", "--max-len", "2", "descend", "rank2_rep.json")
+    assert code == 0
+    assert json.loads(out)["lattice_assignment"]["components"] == 7
 
 
 def test_cli_free_and_domain_and_cover():
@@ -946,6 +958,21 @@ def test_cli_malformed_rep_or_fq_integer_exits_2(tmp_path, kind, field, value):
     assert f"{field} " in err and "must be prime" not in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("rep", "check", "z2.json"), "error: bad rep spec: missing key 'p'"),
+    (("square", "z2.json", "cycle3.json"), "error: bad quotient rep spec: missing key 'p'"),
+    (("hull", "nodal_cubic.json"), "error: bad group spec: missing key 'table'"),
+    (("pi1", "z2.json"), "error: bad curve spec: missing key 'components'"),
+], ids=["rep", "quotient", "group", "curve"])
+def test_cli_spec_without_a_required_key_names_it(argv, line):
+    """Each loader reads a spec of another kind as one missing a key, and
+    says which key, not only its name."""
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert line in err.splitlines()
+
+
 IMAGES_Z2 = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
 
 
@@ -1073,7 +1100,9 @@ def test_cli_process_loads_only_the_layers_its_command_runs(argv, layers):
     """The package root imports nothing and a command imports the layers
     beyond `io` and `errors` when it runs, so a child that runs `pi1` loads
     no groups, one that runs `hull` no curves, and neither loads field, reps,
-    covering, descent, stratified, specialize or selfcheck."""
+    covering, descent, stratified, specialize or selfcheck.  The value types
+    are plain classes, so neither child loads `dataclasses` or the `inspect`
+    module that it imports."""
     script = ("import sys\nfrom nodalcover.cli import main\n"
               f"code = main({list(argv)!r})\n"
               "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"
@@ -1084,6 +1113,7 @@ def test_cli_process_loads_only_the_layers_its_command_runs(argv, layers):
     loaded = {name.removeprefix("nodalcover.") for name in proc.stderr.split()
               if name.startswith("nodalcover.")}
     assert loaded == layers
+    assert not {"dataclasses", "inspect"} & set(proc.stderr.split())
     assert run_cli(*argv)[:2] == (0, proc.stdout)
 
 

@@ -7,22 +7,35 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nodalcover"
 
 
+def absolute_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for each import of an absolute module name in the file,
+    at module level or inside a function; relative imports stay inside the
+    package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return found
+
+
 def test_package_imports_only_the_standard_library():
     allowed = sys.stdlib_module_names | {"nodalcover"}
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    foreign = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue  # relative imports stay inside the package
-            foreign += [f"{path.name}: {name}" for name in names
-                        if name.split(".")[0] not in allowed]
+    foreign = [f"{path.name}: {name}" for path in sources
+               for _, name in absolute_imports(path) if name.split(".")[0] not in allowed]
     assert not foreign, foreign
+
+
+def test_no_package_module_imports_dataclasses():
+    """Value types are written out by hand, so importing the package
+    generates no code: no module imports `dataclasses`, at load time or
+    inside a function."""
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in absolute_imports(path) if name.split(".")[0] == "dataclasses"]
+    assert not found, found
 
 
 def package_imports(tree: ast.AST) -> list[tuple[str, int, str]]:
@@ -254,26 +267,49 @@ def test_every_test_helper_has_a_reader():
     assert not unread, unread
 
 
-# value objects built once per element: slotted, and read-only by contract
-# rather than by `frozen`, which makes construction about 3.5 times dearer
-READ_ONLY = {"groups.py": "FPWord", "covering.py": "ComponentIndex",
-             "field.py": "RationalFunction"}
+# Value types are plain classes, read-only by contract rather than frozen
+# dataclasses: generating their code made each import of the package about
+# 27 ms dearer, and `frozen` made a word about 3.5 times dearer to build.
+# `FiniteGroup` is left out: tests/test_hopf.py replaces a group's table on
+# purpose, to show that the Hopf certificates never read it.
+READ_ONLY = {
+    "field.py": ("FunctionField", "RationalFunction", "MatrixK"),
+    "groups.py": ("FPSignature", "FPWord"),
+    "curves.py": ("NodalCurve", "Pi1Presentation"),
+    "reps.py": ("ContinuousRep", "FiniteQuotientRep"),
+    "covering.py": ("ComponentIndex", "CoverGeometry", "FundamentalDomain"),
+    "descent.py": ("MeromorphicCocycle", "LatticeAssignment", "FiniteCocycle"),
+    "stratified.py": ("FDividedDatum",),
+    "hopf.py": ("HopfAlgebra", "QuotientTower"),
+}
 STORE_CALLS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 
-def read_only_fields() -> dict[str, str]:
-    """Field name -> the class that owns it, for every class in READ_ONLY."""
-    owner = {}
-    for module, name in READ_ONLY.items():
+def read_only_fields() -> dict[str, set[str]]:
+    """Field name -> the classes in READ_ONLY that own it: the names in a
+    class's `__slots__` and its stores to `self.<name>` in any method.
+    Names such as `field` and `rank` have several owners."""
+    owners: dict[str, set[str]] = {}
+    for module, names in READ_ONLY.items():
         tree = ast.parse((PACKAGE / module).read_text(), module)
-        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
-        owner |= {n.target.id: name for n in cls.body if isinstance(n, ast.AnnAssign)}
-    return owner
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in names):
+                continue
+            fields = {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                      and n.value.id == "self"}
+            for n in cls.body:
+                if isinstance(n, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in n.targets):
+                    fields |= set(ast.literal_eval(n.value))
+            for name in fields:
+                owners.setdefault(name, set()).add(cls.name)
+    return owners
 
 
-def field_stores(tree: ast.AST, owner: dict[str, str]) -> list[tuple[int, str]]:
+def field_stores(tree: ast.AST, owner: dict[str, set[str]]) -> list[tuple[int, str]]:
     """(line, field) of each store to a read-only field outside the body of
-    the class that owns it: an attribute target of any assignment or `del`,
+    every class that owns it: an attribute target of any assignment or `del`,
     or a setattr, delattr or `__setattr__` call naming the field by a string
     constant.  An AST shows no types, so the attribute name alone decides."""
     found = []
@@ -290,7 +326,7 @@ def field_stores(tree: ast.AST, owner: dict[str, str]) -> list[tuple[int, str]]:
             if callee in STORE_CALLS:
                 names = [a.value for a in node.args[:2] if isinstance(a, ast.Constant)]
         found.extend((node.lineno, name) for name in names
-                     if name in owner and owner[name] != cls)
+                     if name in owner and cls not in owner[name])
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
@@ -301,16 +337,20 @@ def field_stores(tree: ast.AST, owner: dict[str, str]) -> list[tuple[int, str]]:
 def test_read_only_fields_are_stored_only_in_their_own_class():
     """No code in the package, the demos, the tests or the benchmark (read,
     never written) assigns, augments, annotates, deletes or setattr's a field
-    of FPWord, ComponentIndex or RationalFunction outside that class."""
+    of a class in READ_ONLY outside a class that owns a field of that name."""
     owner = read_only_fields()
-    assert set(owner.values()) == set(READ_ONLY.values())
+    assert set().union(*owner.values()) == {c for names in READ_ONLY.values() for c in names}
+    assert owner["letters"] == {"FPWord"}
+    assert owner["field"] >= {"RationalFunction", "MatrixK", "ContinuousRep"}
     probe = ast.parse(
         "w.letters = ()\nf.num += (1,)\nc.rep: object = w\nsetattr(w, 'sig', s)\n"
         "object.__setattr__(c, 'j', 1)\ndel f.den\nf.field, x = F, 0\n"
-        "class ComponentIndex:\n    def __post_init__(self):\n        self.rep = w\n"
-        "        self.letters = ()\n        self.rep._alpha = al\n")
+        "class ComponentIndex:\n    def __init__(self):\n        self.rep = w\n"
+        "        self.letters = ()\n        self.rep._alpha = al\n"
+        "class MatrixK:\n    def __init__(self):\n        self.field = F\n"
+        "class CoverGeometry:\n    def __init__(self):\n        self.field = F\n")
     assert [name for _, name in field_stores(probe, owner)] == \
-        ["letters", "num", "rep", "sig", "j", "den", "field", "letters", "_alpha"]
+        ["letters", "num", "rep", "sig", "j", "den", "field", "letters", "_alpha", "field"]
     stores = []
     for folder in ("src", "demos", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
