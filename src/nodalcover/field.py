@@ -7,7 +7,8 @@ denominator, monic denominator, zero as 0/1) so equality is literal.
 Coefficients are plain ints in [0, p), and the polynomial kernels reduce
 mod p inline.  Monomial denominators c*t^k and monomial factors are
 normalised and multiplied by shifting and scaling, without Euclid; only
-denominators of two or more terms go through the polynomial gcd.
+denominators of two or more terms go through the polynomial gcd.  Determinants
+are fraction-free (Bareiss), so polynomial entries up to 2 x 2 need no Euclid.
 
 The valuation ring A consists of the elements of nonnegative t-adic
 valuation, i.e. F_p[t] localized at (t); its maximal ideal is generated
@@ -72,12 +73,10 @@ class FunctionField:
     # -- element constructors --------------------------------------------
     def rf(self, num, den=1) -> "RationalFunction":
         """Build an element from int coefficient sequences (ascending powers) or ints."""
-        return _make_rf(self, self._coerce_poly(num), self._coerce_poly(den))
-
-    def _coerce_poly(self, obj) -> tuple:
-        if isinstance(obj, int):
-            obj = (obj,)
-        return _pnorm(tuple(c % self.p for c in obj))
+        p = self.p
+        num = (num % p,) if isinstance(num, int) else tuple([c % p for c in num])
+        den = (den % p,) if isinstance(den, int) else tuple([c % p for c in den])
+        return _make_rf(self, num, den)
 
     def zero(self) -> "RationalFunction":
         return self._zero
@@ -389,14 +388,13 @@ def _is_decimal(text: str) -> bool:
 
 def _poly_from_string(F: FunctionField, s: str) -> tuple:
     # a minus starts a new term, except the sign of an exponent
-    s = s.strip().replace("-", "+-").replace("^+-", "^-")
-    if s.startswith("+-"):
-        s = s[1:]
+    text = s.strip()
+    s = text.replace("-", "+-").replace("^+-", "^-").removeprefix("+")
     coeffs: dict[int, int] = {}
     for raw in s.split("+"):
         term = raw.strip()
         if not term:
-            continue
+            raise ValueError(f"empty term in {text!r}")
         neg = term.startswith("-")
         if neg:
             term = term[1:].strip()
@@ -422,8 +420,6 @@ def _poly_from_string(F: FunctionField, s: str) -> tuple:
         elif exp_part.strip():
             raise ValueError(f"cannot parse term {raw!r}")
         coeffs[exp] = coeffs.get(exp, 0) + (-c if neg else c)
-    if not coeffs:
-        return ()
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c % F.p
@@ -577,28 +573,30 @@ class MatrixK:
                    for i, row in enumerate(self.entries) for j, e in enumerate(row))
 
     def det(self) -> RationalFunction:
+        """Bareiss (1968) elimination on first nonzero pivots: each division by
+        the previous pivot is exact, and the first, by 1, is skipped."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant needs a square matrix")
         n = self.rows
         m = [list(row) for row in self.entries]
-        acc = self.field.one()
-        sign = 1
+        prev, sign = None, 1
         for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col].num), None)
-            if piv is None:
-                return self.field.zero()
+            piv = col
+            while not m[piv][col].num:
+                piv += 1
+                if piv == n:
+                    return self.field.zero()
             if piv != col:
                 m[piv], m[col] = m[col], m[piv]
                 sign = -sign
-            acc = acc * m[col][col]
-            inv = m[col][col].inverse()
-            for r in range(col + 1, n):
-                if m[r][col].num:
-                    f = m[r][col] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        if sign < 0:
-            acc = -acc
-        return acc
+            pc, prow = m[col][col], m[col]
+            for row in m[col + 1:]:
+                f = row[col]
+                for j in range(col + 1, n):
+                    e = pc * row[j] - f * prow[j]
+                    row[j] = e if prev is None else e / prev
+            prev = pc
+        return prev if sign > 0 else -prev
 
     def inverse(self) -> "MatrixK":
         if self.rows != self.cols:

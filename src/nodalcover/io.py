@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from os import PathLike
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,17 +33,22 @@ if TYPE_CHECKING:  # the loaders that build these import them when they run
     from .reps import ContinuousRep, FiniteQuotientRep
 
 
-def _load_obj(source, base_dir: Path | None = None):
-    if isinstance(source, (dict, list)):
-        return source, base_dir
-    path = Path(source)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    try:
-        # nested file references resolve relative to the referencing file
-        return json.loads(path.read_text()), path.resolve().parent
-    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
-        raise SpecParseError(f"cannot read spec file {path}: {exc}") from exc
+def _load_obj(source, kind: str, base_dir: Path | None = None):
+    """The object of a spec given inline or by the path of a JSON file; nested
+    file references resolve relative to the referencing file."""
+    obj = source
+    if isinstance(source, (str, PathLike)):
+        path = Path(source)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        try:
+            obj, base_dir = json.loads(path.read_text()), path.resolve().parent
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
+            raise SpecParseError(f"cannot read spec file {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SpecParseError(f"a {kind} spec must be a JSON object or a file path "
+                             f"string, got {obj!r:.60}")
+    return obj, base_dir
 
 
 def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> MatrixK:
@@ -114,10 +120,8 @@ def _builtin_order(kind, n: int) -> int:
 def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
     from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group, trivial_group
 
-    obj, _ = _load_obj(source, base_dir)
+    obj, _ = _load_obj(source, "group", base_dir)
     with _spec("group"):
-        if not isinstance(obj, dict):
-            raise SpecParseError("group spec must be an object")
         if "builtin" in obj:
             kind = obj["builtin"]
             n = _json_int(obj.get("n", 1), "builtin group size n")
@@ -166,7 +170,7 @@ def _node_end(end) -> tuple[str, str]:
 def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
     from .curves import NodalCurve
 
-    obj, _ = _load_obj(source, base_dir)
+    obj, _ = _load_obj(source, "curve", base_dir)
     with _spec("curve"):
         comps = []
         for c in obj["components"]:
@@ -200,7 +204,7 @@ def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
     from .field import FunctionField
     from .reps import ContinuousRep
 
-    obj, base_dir = _load_obj(source, base_dir)
+    obj, base_dir = _load_obj(source, "rep", base_dir)
     with _spec("rep"):
         field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")
@@ -221,7 +225,7 @@ def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQu
     from .field import FunctionField
     from .reps import FiniteQuotientRep
 
-    obj, base_dir = _load_obj(source, base_dir)
+    obj, base_dir = _load_obj(source, "quotient rep", base_dir)
     with _spec("quotient rep"):
         field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")

@@ -519,6 +519,32 @@ def solve_linear_oracle(M: MatrixK, rhs: MatrixK) -> LinearSolution:
     return LinearSolution(MatrixK(F, tuple(tuple(r) for r in part)), tuple(kernel))
 
 
+def det_oracle(M: MatrixK):
+    """Gaussian elimination over K on the first nonzero pivot of each column,
+    inverting each pivot.  The oracle of `MatrixK.det`, which eliminates
+    fraction-free (Bareiss) on the same pivots."""
+    if M.rows != M.cols:
+        raise DimensionMismatch("determinant needs a square matrix")
+    n = M.rows
+    m = [list(row) for row in M.entries]
+    acc = M.field.one()
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col].num), None)
+        if piv is None:
+            return M.field.zero()
+        if piv != col:
+            m[piv], m[col] = m[col], m[piv]
+            sign = -sign
+        acc = acc * m[col][col]
+        inv = m[col][col].inverse()
+        for r in range(col + 1, n):
+            if m[r][col].num:
+                f = m[r][col] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return acc if sign > 0 else -acc
+
+
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:
     """Elementary divisor exponents of an invertible matrix over the valuation
     ring: M is GL_n(A)-equivalent on both sides to diag(t^{e_1}, ..., t^{e_n}),

@@ -54,6 +54,7 @@ from helpers import (
     F7,
     append_walk,
     descend_inflation_oracle,
+    det_oracle,
     det_valuation_conserved_oracle,
     eval_word,
     gen_length,
@@ -168,6 +169,32 @@ def test_laurent_hom_solves_with_at_most_two_gcds(monkeypatch):
     monkeypatch.setattr(field, "_pgcd", counted)
     assert len(hom_cocycle(datum, datum)) >= 1
     assert len(calls) <= 2
+
+
+def test_polynomial_determinants_up_to_2x2_run_no_gcd(monkeypatch):
+    """Bareiss divides by no pivot up to 2 x 2, so the determinants of
+    polynomial matrices, as `z_det_valuations` takes of polynomial Z images,
+    stay in F_p[t].  Inverting each pivot, as the oracle does, takes gcds."""
+    rng = random.Random(39)
+    mats = [MatrixK(F, tuple(tuple(F.rf(tuple(rng.randrange(F.p) for _ in range(3)))
+                                   for _ in range(n)) for _ in range(n)))
+            for F in (FunctionField(2), F3, F7) for n in (1, 2) for _ in range(20)]
+    sig, pres = sig_with_pres(1, (Z2,))
+    z = MatrixK.from_rows(F3, [["t + 1", "2"], ["t^2", "t + 2"]])
+    rep = ContinuousRep.build(pres, F3, [z], (Z2,), ((MatrixK.identity(F3, 2),) * 2,))
+    calls = []
+    pgcd = field._pgcd
+
+    def counted(*args):
+        calls.append(args)
+        return pgcd(*args)
+
+    monkeypatch.setattr(field, "_pgcd", counted)
+    dets = [M.det() for M in mats]
+    assert rep.z_det_valuations == (0,)
+    assert len(calls) == 0
+    assert dets == [det_oracle(M) for M in mats]
+    assert len(calls) > 0
 
 
 TWIST_ENTRIES = ["0", "1", "2", "t", "t + 1", "(1)/(t)", "(t + 2)/(t^2 + 1)"]

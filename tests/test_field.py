@@ -1,5 +1,6 @@
 """Exact arithmetic: canonical forms, valuations, Frobenius, solving, lattices."""
 
+import itertools
 import math
 import random
 import re
@@ -31,6 +32,7 @@ from helpers import (
     F3,
     F5,
     F7,
+    det_oracle,
     lattice_hermite_oracle,
     random_matrix,
     random_rf,
@@ -117,6 +119,22 @@ def test_zero_normalization_and_division_guard():
         F3.one() / F3.zero()
     with pytest.raises(DivisionByZero):
         F3.rf(1, 0)
+
+
+def test_rf_reduces_and_normalises_what_it_is_given():
+    """Ints and coefficient sequences are reduced mod p and trimmed, so any
+    spelling of an element gives its canonical form."""
+    canonical = _make_rf(F5, (4, 0, 1), (2, 1))
+    for num, den in [((-1, 0, 1), (2, 1)), ((4, 5, 6), (7, 6)), ((4, 0, 1, 0, 0), (2, 1, 0)),
+                     ((-6, 10, -4, 5), (-3, -4, 5))]:
+        got = F5.rf(num, den)
+        assert (got.num, got.den) == (canonical.num, canonical.den)
+    assert F5.rf(-1) == F5.rf(4) == F5.rf(9) == F5.rf((4, 0), (1, 0, 0))
+    assert F5.rf(7, 3) == F5.rf(4) and F5.rf(0, -2) == F5.zero()
+    assert F5.rf((5, 10)) == F5.zero() and F5.rf(6, 1).num == (1,)
+    for den in (0, 5, -10, (), (0,), (5, 0), (0, 10)):
+        with pytest.raises(DivisionByZero):
+            F5.rf(1, den)
 
 
 # -- monomial fast paths against the general path -----------------------------
@@ -415,6 +433,93 @@ def test_matrix_power_matches_repeated_products(seed, n, k):
         assert (M ** k).is_identity()
 
 
+# -- determinants ---------------------------------------------------------------
+
+def _leibniz(M):
+    """The permutation sum: sign(s) * prod_i M[i][s(i)] over all s in S_n."""
+    n, F = M.rows, M.field
+    total = F.zero()
+    for perm in itertools.permutations(range(n)):
+        term = F.one()
+        for i, j in enumerate(perm):
+            term = term * M.entries[i][j]
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def _det_entry(data, F, den_kind):
+    num = tuple(data.draw(st.lists(_coeffs(F), max_size=3)))
+    if den_kind == "constant":
+        den = (data.draw(_coeffs(F, nonzero=True)),)
+    elif den_kind == "monomial":
+        den = _monomial(data, F, data.draw(st.integers(0, 2)))
+    else:
+        # two or more terms: a nonzero constant and a nonzero top coefficient
+        low = data.draw(_coeffs(F, nonzero=True))
+        middle = data.draw(st.lists(_coeffs(F), max_size=1))
+        den = (low, *middle, data.draw(_coeffs(F, nonzero=True)))
+    return F.rf(num, den)
+
+
+DET_SHAPES = ("plain", "zero column", "repeated row", "first pivot zero", "late swap")
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("den_kind", ["constant", "monomial", "general"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_det_equals_the_elimination_oracle_and_the_leibniz_sum(F, den_kind, data):
+    """Bareiss against Gaussian elimination with inverted pivots and against
+    the permutation sum, n <= 4.  "late swap" makes the leading 2 x 2 minor
+    zero, so the second pivot of a 3 x 3 or 4 x 4 matrix needs a row swap."""
+    n = data.draw(st.integers(1, 4))
+    shape = data.draw(st.sampled_from(DET_SHAPES if n > 1 else DET_SHAPES[:2]))
+    rows = [[_det_entry(data, F, den_kind) for _ in range(n)] for _ in range(n)]
+    if shape == "zero column":
+        c = data.draw(st.integers(0, n - 1))
+        for row in rows:
+            row[c] = F.zero()
+    elif shape == "repeated row":
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        rows[j] = list(rows[i])
+    elif shape == "first pivot zero":
+        rows[0][0] = F.zero()
+    elif shape == "late swap":
+        c = _det_entry(data, F, den_kind)
+        rows[1][:2] = [c * e for e in rows[0][:2]]
+    M = MatrixK(F, tuple(tuple(row) for row in rows))
+    det = M.det()
+    assert det == det_oracle(M) == _leibniz(M)
+    if shape in ("zero column", "repeated row") or (shape == "late swap" and n == 2):
+        assert det.is_zero()
+
+
+def test_det_swaps_a_zero_pivot_and_flips_the_sign():
+    # the first pivot is zero; then the second pivot is the zero leading minor
+    # of [[1, 1], [1, 1]], so the third row swaps in at step 2
+    for rows, expected in [([["0", "1"], ["1", "0"]], "2"),
+                           ([["1", "1", "0"], ["1", "1", "1"], ["0", "1", "1"]], "2"),
+                           ([["t", "1", "0"], ["t^2", "t", "1"], ["0", "1", "t"]], "2*t"),
+                           ([["0", "0"], ["1", "t"]], "0")]:
+        M = MatrixK.from_rows(F3, rows)
+        assert M.det() == det_oracle(M) == rf_from_string(F3, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from((2, 3, 7)), n=st.integers(1, 3))
+def test_det_is_multiplicative(seed, p, n):
+    rng = random.Random(seed)
+    F = FunctionField(p)
+    A, B = random_matrix(rng, F, n), random_matrix(rng, F, n)
+    assert (A * B).det() == A.det() * B.det()
+
+
+def test_det_needs_a_square_matrix():
+    with pytest.raises(DimensionMismatch):
+        MatrixK.zeros(F3, 2, 3).det()
+
+
 # -- lattices ---------------------------------------------------------------------
 
 def test_hermite_identity_and_diagonal():
@@ -615,6 +720,19 @@ def test_string_roundtrip():
 def test_malformed_literal_is_refused_naming_the_term(literal, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         rf_from_string(F3, literal)
+
+
+@pytest.mark.parametrize("literal", ["t+", "t++1", "+", "", " ", "()", "(t)/()", "1/",
+                                     "t + -1", "++t", "+-t"])
+def test_literal_with_an_empty_term_is_refused(literal):
+    with pytest.raises(ValueError, match="empty term in "):
+        rf_from_string(F3, literal)
+
+
+def test_literal_may_sign_its_first_term():
+    assert rf_from_string(F3, "-t") == rf_from_string(F3, " - t") == F3.rf((0, 2))
+    assert rf_from_string(F3, "+t + 1") == rf_from_string(F3, "(+1 + t)/(+1)") == F3.rf((1, 1))
+    assert rf_from_string(F3, "(-1)/(-t + 1)") == F3.rf(-1, (1, -1))
 
 
 def test_literal_exponent_past_the_degree_budget_is_refused():

@@ -877,6 +877,65 @@ def test_cli_malformed_literal_exits_2_naming_the_term(tmp_path, literal, messag
     assert message in err
 
 
+@pytest.mark.parametrize("literal", ["t+", "t++1", "+", "", "()", "(1)/()", "t + -1", "+-t"])
+def test_cli_literal_with_an_empty_term_exits_2(tmp_path, literal):
+    """A sign with no term after it, or a literal with no term at all, is
+    refused; it used to read as if the empty term were absent or zero."""
+    spec = json.loads((DATA / "rank2_rep.json").read_text())
+    spec["curve"] = str(DATA / spec["curve"])
+    spec["z_images"] = [[["1", literal], ["0", "1"]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("rep", "check", str(path), timeout=10)
+    assert code == 2 and out == ""
+    assert_error_line(err)
+    assert any(line.startswith("error: bad matrix literal: empty term in ")
+               for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("literal", ["-t", "+t", "- 1 + t"])
+def test_cli_literal_with_a_leading_sign_loads(tmp_path, literal):
+    spec = json.loads((DATA / "rank2_rep.json").read_text())
+    spec["curve"] = str(DATA / spec["curve"])
+    spec["z_images"] = [[["1", literal], ["0", "1"]]]
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("rep", "check", str(path), timeout=10)
+    assert (code, err) == (0, "") and "ok: True" in out
+
+
+@pytest.mark.parametrize("edit, line", [
+    ({"curve": 5}, "error: a curve spec must be a JSON object or a file path string, got 5"),
+    ({"curve": None},
+     "error: a curve spec must be a JSON object or a file path string, got None"),
+    ({"curve": ["nodal_cubic.json"]}, "error: a curve spec must be a JSON object or a "
+                                      "file path string, got ['nodal_cubic.json']"),
+    ({"factors": [{"group": True, "gen_images": []}]},
+     "error: a group spec must be a JSON object or a file path string, got True"),
+], ids=["curve-int", "curve-null", "curve-list", "group-boolean"])
+def test_cli_spec_reference_of_the_wrong_kind_exits_2(tmp_path, edit, line):
+    """A nested spec is an object or the path of a file holding one; any
+    other JSON value is refused naming both, not with Python's own text."""
+    spec = dict(json.loads((DATA / "rank2_rep.json").read_text()),
+                curve=str(DATA / "nodal_cubic.json"))
+    spec.update(edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("rep", "check", str(path))
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert line in err.splitlines()
+
+
+def test_cli_spec_file_holding_no_object_exits_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"builtin": "cyclic", "n": 2}]))
+    code, out, err = run_cli("hull", str(path))
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert "error: a group spec must be a JSON object or a file path string" in err
+
+
 def test_cli_hull_tower_non_homomorphism_exits_2(tmp_path):
     # x -> x % 2 is not a homomorphism from S3 (element order) onto Z2
     s3 = tmp_path / "s3.json"
