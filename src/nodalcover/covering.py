@@ -11,11 +11,15 @@ kernel words of the direct-product quotient.  That kernel has the free basis
 `ComponentIndex`, `CoverGeometry` and `FundamentalDomain` are plain classes
 whose fields are read-only by contract; the result records and orbit
 classes, with no checks and no derived state, are `typing.NamedTuple`s.
+A `FundamentalDomain` builds its core and section when it is built, and its
+boundary lifts on their first read, once: coverage witnesses read only the
+section.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -121,12 +125,16 @@ def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]
     generator length <= max_len, shortlex-ordered by representative.  Each
     normal form is one `FPWord`, carrying the alpha the walk computed and
     shared by the indices of every factor it serves."""
-    r = sig.r
-    factors = range(sig.num_factors)
-    return [ComponentIndex(j, s)
-            for letters, al, _ in iter_words_raw(sig, max_len)
-            for s in (FPWord(sig, letters, al),)
-            for j in factors if not letters or letters[0][0] != r + j]
+    factors = [(sig.r + j, j) for j in range(sig.num_factors)]
+    out = []
+    append = out.append
+    for letters, al, _ in iter_words_raw(sig, max_len):
+        s = FPWord(sig, letters, al)
+        first = letters[0][0] if letters else -1
+        for fid, j in factors:
+            if fid != first:
+                append(ComponentIndex(j, s))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +383,18 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
 
 class FundamentalDomain:
     """Finite core of the quasi-compact fundamental domain of the nontrivial
-    kernel word w, its boundary lifts and its read-only ``section``, all built
-    from w and the node structure (a synthetic chain curve by default).
+    kernel word w, its read-only ``section`` and its boundary lifts, all
+    derived from w and the node structure (a synthetic chain curve by
+    default).
 
     The core holds, for every factor j and direct-product element g, the
-    components of ws = w*sigma(g) and of each z_i ws; boundary records are
-    the node lifts joining it to components outside.  ``section`` maps g to
+    components of ws = w*sigma(g) and of each z_i ws.  ``section`` maps g to
     the letters of ws^{-1}, the exact inverse of ws, and coverage witnesses
-    start from it.  w lies in ker alpha, so alpha(ws) = alpha(w) g = g."""
+    start from it.  w lies in ker alpha, so alpha(ws) = alpha(w) g = g.
+    Construction checks w and the node structure against the signature and
+    builds the core and the section; ``boundary``, the node lifts joining
+    the core to components outside, is built from the stored geometry on
+    its first read, once."""
 
     def __init__(self, sig: FPSignature, word: FPWord,
                  presentation: Pi1Presentation | None = None):
@@ -396,25 +408,37 @@ class FundamentalDomain:
         geom = (CoverGeometry.for_signature(sig) if presentation is None
                 else CoverGeometry.build(presentation, sig))
 
-        groups = [sig.factor(j) for j in range(sig.num_factors)]
         core: set[ComponentIndex] = set()
         section = {}
-        for coords in itertools.product(*(range(G.order) for G in groups)):
+        for coords in itertools.product(*(range(G.order) for G in sig.factors)):
             tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
             section[coords] = _inv_letters(sig, tail)
             words = [FPWord(sig, tail)] + [
                 FPWord(sig, _concat(sig, ((i, 1),), tail)) for i in range(sig.r)]
             core.update(ComponentIndex(j, ws) for j in range(sig.num_factors) for ws in words)
 
-        # a lift reached from both of its sides has both in the core, so it is
-        # never a boundary lift, and each lift is reached at most once per side
+        self.sig = sig
+        self.word = word
+        self.core = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
+        self.section = MappingProxyType(section)
+        self._geometry = geom
+
+    @cached_property
+    def boundary(self) -> tuple:
+        """(node id, lift word u, core component, outside component) for each
+        node lift with one side in the core, ordered by node id, then u in
+        shortlex.  A lift reached from both of its sides has both in the
+        core, so it is never a boundary lift, and each lift is reached at
+        most once per side."""
+        sig, geom = self.sig, self._geometry
+        core = set(self.core)
         boundary = []
-        for c in core:
+        for c in self.core:
+            G = sig.factors[c.j]
             for nid, ja, jb, z in geom.node_info:
                 for side, j in ((0, ja), (1, jb)):
                     if j != c.j:
                         continue
-                    G = groups[j]
                     glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
                     for g in range(G.order):
                         u = _concat(sig, glue_inv, _concat(
@@ -422,13 +446,7 @@ class FundamentalDomain:
                         outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
                         if outside not in core:
                             boundary.append((nid, FPWord(sig, u), c, outside))
-
-        self.sig = sig
-        self.word = word
-        self.core = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
-        self.boundary = tuple(sorted(
-            boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
-        self.section = MappingProxyType(section)
+        return tuple(sorted(boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
 
     @property
     def size_bound(self) -> int:

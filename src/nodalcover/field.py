@@ -8,7 +8,7 @@ Coefficients are plain ints in [0, p), and the polynomial kernels reduce
 mod p inline.  Monomial denominators c*t^k and monomial factors are
 normalised and multiplied by shifting and scaling, without Euclid; only
 denominators of two or more terms go through the polynomial gcd.  Determinants
-are fraction-free (Bareiss), so polynomial entries up to 2 x 2 need no Euclid.
+are fraction-free (Bareiss), so polynomial entries need no Euclid.
 
 The valuation ring A consists of the elements of nonnegative t-adic
 valuation, i.e. F_p[t] localized at (t); its maximal ideal is generated
@@ -574,18 +574,22 @@ class MatrixK:
 
     def det(self) -> RationalFunction:
         """Bareiss (1968) elimination on first nonzero pivots: each division by
-        the previous pivot is exact, and the first, by 1, is skipped."""
+        the previous pivot is exact, and the first, by 1, is skipped.  Each
+        entry it divides is a minor of the matrix, so over polynomial entries
+        the quotient is a polynomial: one `_pdivmod`, with no gcd."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant needs a square matrix")
+        F = self.field
         n = self.rows
         m = [list(row) for row in self.entries]
+        poly = all(e.den == (1,) for row in m for e in row)
         prev, sign = None, 1
         for col in range(n):
             piv = col
             while not m[piv][col].num:
                 piv += 1
                 if piv == n:
-                    return self.field.zero()
+                    return F.zero()
             if piv != col:
                 m[piv], m[col] = m[col], m[piv]
                 sign = -sign
@@ -594,7 +598,12 @@ class MatrixK:
                 f = row[col]
                 for j in range(col + 1, n):
                     e = pc * row[j] - f * prow[j]
-                    row[j] = e if prev is None else e / prev
+                    if prev is None:
+                        row[j] = e
+                    elif poly:
+                        row[j] = RationalFunction(F, _pdivmod(F, e.num, prev.num)[0], (1,))
+                    else:
+                        row[j] = e / prev
             prev = pc
         return prev if sign > 0 else -prev
 

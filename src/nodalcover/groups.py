@@ -501,9 +501,12 @@ def iter_words_raw(sig: FPSignature, max_len: int,
     carry(u x) = carry_step(carry(x), u).  `sorted_grades` must be True,
     and a negative bound is refused.
 
-    A Z letter keeps alpha; a finite letter's step is looked up in a table
-    kept for this walk (`_AlphaSteps`), so every alpha the walk yields is
-    one shared tuple per quotient element.
+    A grade is held as parallel lists of letters, alphas and carries (no
+    carry list without a carry_step), extended a whole block at a time, and
+    yielded through `zip`, so no tuple is kept per word.  A Z letter keeps
+    alpha; a finite letter's step is looked up in a table kept for this walk
+    (`_AlphaSteps`), so every alpha the walk yields is one shared tuple per
+    quotient element.
     """
     if not sorted_grades:
         raise ValueError("iter_words_raw yields shortlex-sorted grades only")
@@ -512,38 +515,54 @@ def iter_words_raw(sig: FPSignature, max_len: int,
     r = sig.r
     step = carry_step
     ident = sig.identity_tuple()
-    grade: list[tuple] = [((), ident, carry_init)]
-    yield from grade
-    # per finite factor: its letter id, and each unit letter's alpha steps
+    words: list = [()]
+    alphas: list = [ident]
+    carries: list = [carry_init]
+    yield (), ident, carry_init
+    # per factor id, in rank order: its unit letters, their 1-tuples, and
+    # their alpha steps (None for a Z factor, whose letters keep alpha)
     shared = {ident: ident}
-    finite = [(r + j, [((r + j, g), _AlphaSteps(j, tab[g], shared))
-                       for g in range(len(tab)) if g != e])
-              for j, (tab, e) in enumerate(zip(sig._tables, sig._idents))]
+    blocks = [(i, ((i, 1), (i, -1)), (((i, 1),), ((i, -1),)), None) for i in range(r)]
+    for j, (tab, e) in enumerate(zip(sig._tables, sig._idents)):
+        units = [(r + j, g) for g in range(len(tab)) if g != e]
+        blocks.append((r + j, units, [(u,) for u in units],
+                       [_AlphaSteps(j, tab[g], shared) for _, g in units]))
+    nones = itertools.repeat(None)
     spans: dict = {}  # factor id -> (start, end) of the words it starts
     for _ in range(max_len):
-        nxt: list[tuple] = []
+        nw: list = []
+        na: list = []
+        nc: list = []
         nspans: dict = {}
-        for i in range(r):
-            start = len(nxt)
-            lo, hi = spans.get(i, (0, 0))
-            rest = grade[:lo] + grade[hi:]
-            for u in ((i, 1), (i, -1)):
-                nxt += [((u,) + x, al, step(c, u) if step else None) for x, al, c in rest]
-            for x, al, c in grade[lo:hi]:
-                e = x[0][1]
-                d = 1 if e > 0 else -1
-                nxt.append((((i, e + d),) + x[1:], al, step(c, (i, d)) if step else None))
-            nspans[i] = (start, len(nxt))
-        for fid, units in finite:
-            start = len(nxt)
+        for fid, units, heads, moves in blocks:
+            start = len(nw)
             lo, hi = spans.get(fid, (0, 0))
-            rest = grade[:lo] + grade[hi:]
-            for u, moved in units:
-                nxt += [((u,) + x, moved[al], step(c, u) if step else None)
-                        for x, al, c in rest]
-            nspans[fid] = (start, len(nxt))
-        yield from nxt
-        grade, spans = nxt, nspans
+            if lo == hi:
+                rest_w, rest_a, rest_c = words, alphas, carries
+            else:
+                rest_w, rest_a = words[:lo] + words[hi:], alphas[:lo] + alphas[hi:]
+                rest_c = carries[:lo] + carries[hi:] if step else carries
+            nw += [head + x for head in heads for x in rest_w]
+            if moves is None:
+                na += rest_a  # z_i and z_i^-1 keep alpha
+                na += rest_a
+            else:
+                na += [move[al] for move in moves for al in rest_a]
+            if step:
+                nc += [step(c, u) for u in units for c in rest_c]
+            if fid < r and lo < hi:
+                # z_i^{+-k} x grows to z_i^{+-(k+1)} x
+                block = words[lo:hi]
+                nw += [((fid, x[0][1] + 1),) + x[1:] if x[0][1] > 0 else
+                       ((fid, x[0][1] - 1),) + x[1:] for x in block]
+                na += alphas[lo:hi]
+                if step:
+                    up, down = units
+                    nc += [step(c, up if x[0][1] > 0 else down)
+                           for c, x in zip(carries[lo:hi], block)]
+            nspans[fid] = (start, len(nw))
+        words, alphas, carries, spans = nw, na, nc, nspans
+        yield from zip(words, alphas, carries if step else nones)
 
 
 def iter_grade_states(sig: FPSignature, max_len: int, key_init,

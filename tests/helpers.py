@@ -58,6 +58,7 @@ from nodalcover.groups import (
     iter_words_raw,
     kernel_words,
     product_subgroup,
+    shortlex_key,
     symmetric_group,
 )
 from nodalcover.hopf import HopfAlgebra, TowerReport
@@ -908,6 +909,36 @@ def enumerate_components_oracle(sig: FPSignature, max_len: int) -> list[Componen
             for letters, _, _ in iter_words_raw(sig, max_len)
             for j in range(sig.num_factors)
             if not letters or letters[0][0] != r + j]
+
+
+def domain_boundary_oracle(dom: FundamentalDomain,
+                           presentation: Pi1Presentation | None = None) -> tuple:
+    """The boundary of `dom` built eagerly, as construction used to build it:
+    for every core component (in set order), node, side on the component's
+    factor and element g of that factor, the lift u = glue^{-side} g s is
+    recorded when its other side leaves the core; the records are sorted by
+    node id, then u in shortlex.  The oracle of `FundamentalDomain.boundary`,
+    which builds the same tuple on its first read from the geometry stored
+    at construction."""
+    sig = dom.sig
+    geom = (CoverGeometry.for_signature(sig) if presentation is None
+            else CoverGeometry.build(presentation, sig))
+    core = set(dom.core)
+    boundary = []
+    for c in core:
+        for nid, ja, jb, z in geom.node_info:
+            for side, j in ((0, ja), (1, jb)):
+                if j != c.j:
+                    continue
+                G = sig.factor(j)
+                glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
+                for g in range(G.order):
+                    u = _concat(sig, glue_inv, _concat(
+                        sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters))
+                    outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
+                    if outside not in core:
+                        boundary.append((nid, FPWord(sig, u), c, outside))
+    return tuple(sorted(boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
 
 
 def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:

@@ -50,6 +50,7 @@ from helpers import (
     certify_free_oracle,
     coset_strip,
     cover_witness_oracle,
+    domain_boundary_oracle,
     enumerate_components_oracle,
     finite_cover_transitive_oracle,
     rank1_rep,
@@ -430,6 +431,73 @@ def test_domain_boundary_records_outside_partners():
     for nid, lift, inside, outside in dom.boundary:
         assert inside in core
         assert outside not in core
+
+
+@st.composite
+def domain_cases(draw):
+    """A one- or two-factor signature, a random nontrivial kernel word (a
+    product of conjugated free-basis words), and either no presentation or
+    that of a random curve: the factors' components in a chain, plus r
+    nodes each joining two random components, or one to itself."""
+    r = draw(st.integers(0, 2))
+    groups = tuple(draw(st.lists(st.sampled_from([Z1, Z2, Z3, S3]), min_size=1, max_size=2)))
+    sig = FPSignature(r, groups)
+    basis = kernel_generators(sig)
+    assume(basis)
+    w = FPWord(sig, ())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(basis))
+        s = FPWord(sig, draw(st.sampled_from(
+            [letters for letters, _, _ in iter_words_raw(sig, 2)])))
+        w = w * s * (k if draw(st.booleans()) else k.inv()) * s.inv()
+    assume(not w.is_identity())
+    if not draw(st.booleans()):
+        return sig, w, None
+    n = len(groups)
+    branches = [[] for _ in range(n)]
+    nodes = []
+    ends = [(j, j + 1) for j in range(n - 1)]
+    ends += [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(r)]
+    for k, (a, b) in enumerate(ends):
+        branches[a].append(f"p{k}")
+        branches[b].append(f"q{k}")
+        nodes.append((f"m{k}", (f"C{a + 1}", f"p{k}"), (f"C{b + 1}", f"q{k}")))
+    curve = NodalCurve.build([(f"C{j + 1}", tuple(bs)) for j, bs in enumerate(branches)], nodes)
+    return sig, w, pi1_presentation(curve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain_cases())
+def test_domain_boundary_equals_the_eager_oracle(case):
+    """The boundary a domain builds on its first read equals, record for
+    record and in order, the one construction used to build."""
+    sig, w, pres = case
+    dom = fundamental_domain(sig, w, pres)
+    assert dom.boundary == domain_boundary_oracle(dom, pres)
+
+
+def test_domain_boundary_is_built_on_first_read_once(monkeypatch):
+    """Constructing a domain calls `CoverGeometry.lift_sides` 0 times; the
+    first read of ``boundary`` calls it as often as the eager oracle does,
+    and a second read calls it no more and returns the same tuple."""
+    rep = rank2_rep()
+    sig = rep.sig
+    calls = []
+    lift_sides = CoverGeometry.lift_sides
+
+    def counted(self, *args):
+        calls.append(args)
+        return lift_sides(self, *args)
+
+    monkeypatch.setattr(CoverGeometry, "lift_sides", counted)
+    dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]), rep.presentation)
+    assert calls == []
+    expected = domain_boundary_oracle(dom, rep.presentation)
+    oracle_calls = len(calls)
+    first = dom.boundary
+    assert oracle_calls > 0 and len(calls) == 2 * oracle_calls
+    assert dom.boundary is first and len(calls) == 2 * oracle_calls
+    assert first == expected
 
 
 # -- coverage witnesses --------------------------------------------------------------------

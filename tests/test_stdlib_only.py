@@ -287,7 +287,8 @@ STORE_CALLS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 def read_only_fields() -> dict[str, set[str]]:
     """Field name -> the classes in READ_ONLY that own it: the names in a
-    class's `__slots__` and its stores to `self.<name>` in any method.
+    class's `__slots__`, its stores to `self.<name>` in any method, and the
+    methods it decorates with `cached_property`, which store on first read.
     Names such as `field` and `rank` have several owners."""
     owners: dict[str, set[str]] = {}
     for module, names in READ_ONLY.items():
@@ -302,6 +303,10 @@ def read_only_fields() -> dict[str, set[str]]:
                 if isinstance(n, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id == "__slots__" for t in n.targets):
                     fields |= set(ast.literal_eval(n.value))
+                if isinstance(n, ast.FunctionDef) and any(
+                        getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                        for d in n.decorator_list):
+                    fields.add(n.name)
             for name in fields:
                 owners.setdefault(name, set()).add(cls.name)
     return owners
@@ -342,15 +347,19 @@ def test_read_only_fields_are_stored_only_in_their_own_class():
     assert set().union(*owner.values()) == {c for names in READ_ONLY.values() for c in names}
     assert owner["letters"] == {"FPWord"}
     assert owner["field"] >= {"RationalFunction", "MatrixK", "ContinuousRep"}
+    assert (owner["boundary"], owner["z_det_valuations"], owner["_letter_strings"]) == \
+        ({"FundamentalDomain"}, {"ContinuousRep"}, {"FPSignature"})
+    assert owner["sig"] >= {"ContinuousRep", "FiniteQuotientRep"}
     probe = ast.parse(
         "w.letters = ()\nf.num += (1,)\nc.rep: object = w\nsetattr(w, 'sig', s)\n"
-        "object.__setattr__(c, 'j', 1)\ndel f.den\nf.field, x = F, 0\n"
+        "object.__setattr__(c, 'j', 1)\ndel f.den\nf.field, x = F, 0\ndom.boundary = ()\n"
         "class ComponentIndex:\n    def __init__(self):\n        self.rep = w\n"
         "        self.letters = ()\n        self.rep._alpha = al\n"
         "class MatrixK:\n    def __init__(self):\n        self.field = F\n"
         "class CoverGeometry:\n    def __init__(self):\n        self.field = F\n")
     assert [name for _, name in field_stores(probe, owner)] == \
-        ["letters", "num", "rep", "sig", "j", "den", "field", "letters", "_alpha", "field"]
+        ["letters", "num", "rep", "sig", "j", "den", "field", "boundary", "letters", "_alpha",
+         "field"]
     stores = []
     for folder in ("src", "demos", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
