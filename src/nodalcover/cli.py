@@ -80,10 +80,10 @@ def _domain_entries(rep, max_len: int) -> int:
     (1 + r) core components with |G_j| boundary lifts per node end on curve
     component j, then the witnesses, counted exactly by the freeness walk
     once the rest, which bounds its states, is within budget."""
-    from .covering import certify_free_action
+    from .covering import certify_free_action, node_lifts
 
-    sig, curve = rep.sig, rep.presentation.curve
-    ends = Counter(curve.component_ids.index(c) for n in curve.nodes for c, _ in n.ends)
+    sig = rep.sig
+    ends = Counter(j for _, ja, jb, _ in node_lifts(sig, rep.presentation) for j in (ja, jb))
     bound = math.prod(G.order for G in sig.factors) * (1 + sig.r) * sum(
         1 + ends[j] * G.order for j, G in enumerate(sig.factors))
     _check_budget(bound, "domain")

@@ -8,9 +8,14 @@ Deck transformations over the finite cover are right concatenations by
 kernel words of the direct-product quotient.  That kernel has the free basis
 `kernel_generators` (Kurosh rank 1 - |Q| chi) and acts freely on components.
 
-`ComponentIndex`, `CoverGeometry` and `FundamentalDomain` are plain classes
-whose fields are read-only by contract; the result records and orbit
-classes, with no checks and no derived state, are `typing.NamedTuple`s.
+The covering is glued over each node of the curve by the node's lifts, and
+`node_lifts` holds their one rule: the lift of node n at a word u joins the
+component of u over n's first end to that of glue*u over its second end,
+glue being n's Z generator at a loop node and empty at a tree node.
+
+`ComponentIndex` and `FundamentalDomain` are plain classes whose fields are
+read-only by contract; the result records and orbit classes, with no checks
+and no derived state, are `typing.NamedTuple`s.
 A `FundamentalDomain` builds its core and section when it is built, and its
 boundary lifts on their first read, once: coverage witnesses read only the
 section.
@@ -147,7 +152,6 @@ class FiniteCover(NamedTuple):
     action is regular (`build_finite_cover`), so the cover is connected and
     its deck group has order len(fiber)."""
 
-    sig: FPSignature
     fiber: tuple[tuple[int, ...], ...]
     actions: tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -171,55 +175,33 @@ def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
             perm = tuple(
                 index[t[:j] + (G.table[g][t[j]],) + t[j + 1:]] for t in fiber)
             actions.append((f"g{j + 1}:{G.labels[g]}", perm))
-    return FiniteCover(sig, fiber, tuple(actions))
+    return FiniteCover(fiber, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
-# node-level geometry
+# node lifts
 # ---------------------------------------------------------------------------
 
-class CoverGeometry:
-    """Gluing data of the covering above each node of the curve.
-
-    The lift of a node indexed by a group word u joins the component of u on
-    the first-end side to the component of glue*u on the second-end side,
-    where glue is the Z generator of a loop node and trivial on tree nodes.
-    """
-
-    def __init__(self, presentation: Pi1Presentation, sig: FPSignature,
-                 node_info: tuple[tuple[str, int, int, int | None], ...]):
-        self.presentation = presentation
-        self.sig = sig
-        self.node_info = node_info
-
-    @classmethod
-    def build(cls, presentation: Pi1Presentation, sig: FPSignature) -> "CoverGeometry":
-        if sig.num_factors != len(presentation.curve.components):
-            raise SignatureMismatch("one factor per curve component required")
-        if sig.r != presentation.r:
-            raise SignatureMismatch("signature rank differs from the presentation")
-        curve = presentation.curve
-        info = []
-        for n in curve.nodes:
-            ja = curve.component_ids.index(n.ends[0][0])
-            jb = curve.component_ids.index(n.ends[1][0])
-            z = presentation.loop_nodes.index(n.id) if n.id in presentation.loop_nodes else None
-            info.append((n.id, ja, jb, z))
-        return cls(presentation, sig, tuple(info))
-
-    @classmethod
-    def for_signature(cls, sig: FPSignature) -> "CoverGeometry":
-        curve = chain_curve_for_signature(sig.r, sig.num_factors)
-        return cls.build(pi1_presentation(curve), sig)
-
-    def glue_letters(self, z: int | None):
-        return ((z, 1),) if z is not None else ()
-
-    def lift_sides(self, nid: str, ja: int, jb: int, z: int | None, u_letters):
-        """Components joined by the lift (nid, u)."""
-        sig = self.sig
-        return (ComponentIndex(ja, FPWord(sig, u_letters)),
-                ComponentIndex(jb, FPWord(sig, _concat(sig, self.glue_letters(z), u_letters))))
+def node_lifts(sig: FPSignature, presentation: Pi1Presentation | None = None) -> tuple:
+    """(node id, ja, jb, glue letters) for each node of the presentation's
+    curve, the chain curve of `sig` by default, after checking the curve and
+    rank against `sig`.  The lift of node n at a word u joins the component
+    of u over curve component ja, n's first end, to the component of glue*u
+    over jb, its second end; glue is z_{i+1} at the i-th loop node and empty
+    at a tree node."""
+    if presentation is None:
+        presentation = pi1_presentation(chain_curve_for_signature(sig.r, sig.num_factors))
+    curve = presentation.curve
+    if sig.num_factors != len(curve.components):
+        raise SignatureMismatch("one factor per curve component required")
+    if sig.r != presentation.r:
+        raise SignatureMismatch("signature rank differs from the presentation")
+    loops = presentation.loop_nodes
+    out = []
+    for n in curve.nodes:
+        ja, jb = (curve.component_ids.index(c) for c, _ in n.ends)
+        out.append((n.id, ja, jb, ((loops.index(n.id), 1),) if n.id in loops else ()))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +210,6 @@ class CoverGeometry:
 
 class FreenessReport(NamedTuple):
     sig_description: str
-    max_len: int
     strategy: str
     kernel_words: int
     components: int
@@ -286,7 +267,7 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
             checks += count * chks
     witnesses = [f"g{j + 1}:{G.labels[G.nonidentity()[0]]} fixes Y^{j + 1}_e"
                  for j, G in enumerate(sig.factors) if G.order > 1]
-    return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",
+    return FreenessReport(sig.describe(), "stabilizer-enumeration",
                           kernel_words, components, checks, tuple(witnesses), True)
 
 
@@ -323,12 +304,13 @@ class SeparatingOpen(NamedTuple):
     one_sided_meets: int
 
 
-def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
-                         max_len: int = 6) -> SeparatingOpen:
+def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
+                         presentation: Pi1Presentation | None = None) -> SeparatingOpen:
     """Construct a quasi-compact open V with V not inside U and V cap wV
     inside U for every nonidentity kernel word w, and count how the kernel
     words up to max_len (at least 2) meet V; `certify_free_action`'s state
-    walk counts those words.
+    walk counts those words.  The nodes are those of `presentation`'s curve,
+    the chain curve of `sig` by default.
 
     Case 1 (some smooth point removed): V is the component through that point
     minus its nodes; translates are disjoint by freeness.  Case 2 (only node
@@ -344,7 +326,7 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
     """
     if not U.removed:
         raise NoComplement("the open set is the whole covering")
-    sig = geom.sig
+    lifts = node_lifts(sig, presentation)
     smooth = [c for c in U.removed if isinstance(c, SmoothClass)]
     nodes = [c for c in U.removed if isinstance(c, NodeClass)]
     if len(smooth) + len(nodes) != len(U.removed):
@@ -360,10 +342,13 @@ def find_separating_open(U: InvariantOpen, geom: CoverGeometry,
         return SeparatingOpen(1, (c,), kernel, kernel, 0)
 
     cl = nodes[0]
-    nid_info = next((ni for ni in geom.node_info if ni[0] == cl.node_id), None)
-    if nid_info is None:
+    lift = next((rec for rec in lifts if rec[0] == cl.node_id), None)
+    if lift is None:
         raise ValueError(f"unknown node {cl.node_id}")
-    c_a, c_b = geom.lift_sides(*nid_info, sigma_word(sig, cl.coords).letters)
+    _, ja, jb, glue = lift
+    u = sigma_word(sig, cl.coords)
+    c_a = ComponentIndex(ja, u)
+    c_b = ComponentIndex(jb, FPWord(sig, _concat(sig, glue, u.letters)))
     hits = set()
     if c_a.j == c_b.j:
         G = sig.factor(c_a.j)
@@ -393,8 +378,8 @@ class FundamentalDomain:
     start from it.  w lies in ker alpha, so alpha(ws) = alpha(w) g = g.
     Construction checks w and the node structure against the signature and
     builds the core and the section; ``boundary``, the node lifts joining
-    the core to components outside, is built from the stored geometry on
-    its first read, once."""
+    the core to components outside, is built from the stored `node_lifts`
+    records on its first read, once."""
 
     def __init__(self, sig: FPSignature, word: FPWord,
                  presentation: Pi1Presentation | None = None):
@@ -405,8 +390,7 @@ class FundamentalDomain:
             raise TrivialW("the chosen word must be nontrivial")
         if w.alpha_coords != sig.identity_tuple():
             raise TrivialW("the chosen word must lie in the kernel of the quotient")
-        geom = (CoverGeometry.for_signature(sig) if presentation is None
-                else CoverGeometry.build(presentation, sig))
+        lifts = node_lifts(sig, presentation)
 
         core: set[ComponentIndex] = set()
         section = {}
@@ -421,7 +405,7 @@ class FundamentalDomain:
         self.word = word
         self.core = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
         self.section = MappingProxyType(section)
-        self._geometry = geom
+        self._lifts = lifts
 
     @cached_property
     def boundary(self) -> tuple:
@@ -429,23 +413,30 @@ class FundamentalDomain:
         node lift with one side in the core, ordered by node id, then u in
         shortlex.  A lift reached from both of its sides has both in the
         core, so it is never a boundary lift, and each lift is reached at
-        most once per side."""
-        sig, geom = self.sig, self._geometry
+        most once per side.  A core component G_j s meets the lifts at g s
+        (g in G_j) from a first end on j, whose outside side is glue g s over
+        jb, and the lifts at u = glue^{-1} g s from a second end on j, whose
+        outside side is u over ja; only that side is built."""
+        sig = self.sig
         core = set(self.core)
         boundary = []
         for c in self.core:
-            G = sig.factors[c.j]
-            for nid, ja, jb, z in geom.node_info:
-                for side, j in ((0, ja), (1, jb)):
-                    if j != c.j:
-                        continue
-                    glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
-                    for g in range(G.order):
-                        u = _concat(sig, glue_inv, _concat(
-                            sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters))
-                        outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
+            j, G = c.j, sig.factors[c.j]
+            for nid, ja, jb, glue in self._lifts:
+                if j != ja and j != jb:
+                    continue
+                glue_inv = _inv_letters(sig, glue)
+                for g in range(G.order):
+                    gs = _concat(sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters)
+                    if j == ja:
+                        outside = ComponentIndex(jb, FPWord(sig, _concat(sig, glue, gs)))
                         if outside not in core:
-                            boundary.append((nid, FPWord(sig, u), c, outside))
+                            boundary.append((nid, FPWord(sig, gs), c, outside))
+                    if j == jb:
+                        u = FPWord(sig, _concat(sig, glue_inv, gs))
+                        outside = ComponentIndex(ja, u)
+                        if outside not in core:
+                            boundary.append((nid, u, c, outside))
         return tuple(sorted(boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
 
     @property

@@ -17,7 +17,6 @@ import time
 from collections import Counter
 
 from .covering import (
-    CoverGeometry,
     FundamentalDomain,
     InvariantOpen,
     NodeClass,
@@ -329,25 +328,25 @@ def criterion_5(rng) -> tuple[bool, str]:
          ("n1", ("C2", "b"), ("C3", "a")),
          ("n2", ("C3", "b"), ("C1", "a"))])
     pres = pi1_presentation(triangle)
-    geom = CoverGeometry.build(pres, FPSignature(pres.r, (Z2, Z2, Z2)))
-    chain = CoverGeometry.for_signature(FPSignature(1, (Z2, cyclic_group(3))))
+    tri = FPSignature(pres.r, (Z2, Z2, Z2))
+    chain = FPSignature(1, (Z2, cyclic_group(3)))  # on its chain curve
     cases = [
-        (1, geom, SmoothClass(0, (0, 1, 1))),
-        (2, geom, NodeClass("n1", (1, 0, 1))),
-        (2, chain, NodeClass("n0", (1, 2))),
-        (2, chain, NodeClass("x0", (1, 2))),  # a self-node: one-sided meets exist
+        (1, tri, pres, SmoothClass(0, (0, 1, 1))),
+        (2, tri, pres, NodeClass("n1", (1, 0, 1))),
+        (2, chain, None, NodeClass("n0", (1, 2))),
+        (2, chain, None, NodeClass("x0", (1, 2))),  # a self-node: one-sided meets exist
     ]
     details = []
-    for case, g, cl in cases:
-        v = find_separating_open(InvariantOpen((cl,)), g, max_len=6)
+    for case, sig, curve_pres, cl in cases:
+        v = find_separating_open(InvariantOpen((cl,)), sig, max_len=6, presentation=curve_pres)
         counted = (v.kernel_words_checked, v.empty_meets, v.one_sided_meets)
-        by_word = _meets_by_word(g.sig, v.components, 6)
+        by_word = _meets_by_word(sig, v.components, 6)
         if v.case != case or counted != by_word:
             return False, (f"{cl}: case {v.case} with {counted} kernel words, empty and "
                            f"one-sided meets; expected case {case}, and the per-word "
                            f"walk finds {by_word}")
         where = f"node {cl.node_id}" if case == 2 else "a smooth point"
-        details.append(f"case {case} at {where} of {g.sig.describe()}: {counted[0]} kernel "
+        details.append(f"case {case} at {where} of {sig.describe()}: {counted[0]} kernel "
                        f"words, {counted[1]} empty, {counted[2]} one-sided")
     return True, "; ".join(details) + ", as counted word by word"
 

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 from nodalcover.covering import (
     ComponentIndex,
-    CoverGeometry,
     FiniteCover,
     FreenessReport,
     FundamentalDomain,
@@ -443,15 +442,39 @@ def kernel_hom_oracle(c1, c2, max_len: int) -> list[MatrixK]:
     return solve_intertwining(c1.field, c1.rank, c2.rank, pairs)
 
 
-def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
-                           max_len: int = 6) -> SeparatingOpen:
+def node_ends_oracle(sig: FPSignature, presentation: Pi1Presentation | None) -> dict:
+    """Node id -> (ja, jb, glue), read off the curve of `presentation` (the
+    chain curve of `sig` by default): the positions among the curve's
+    components of the node's first and second ends, and the raw letters of
+    z_{i+1} when the node is the i-th loop node, else none.  The oracle of
+    the records `node_lifts` returns."""
+    if presentation is None:
+        presentation = pi1_presentation(chain_curve_for_signature(sig.r, sig.num_factors))
+    position = {cid: j for j, (cid, _) in enumerate(presentation.curve.components)}
+    loops = presentation.loop_nodes
+    return {n.id: (position[n.ends[0][0]], position[n.ends[1][0]],
+                   [(loops.index(n.id), 1)] if n.id in loops else [])
+            for n in presentation.curve.nodes}
+
+
+def lift_sides_oracle(sig: FPSignature, ends: tuple, raw) -> tuple:
+    """The components joined by the lift at the word with raw letters `raw`
+    of a node whose `node_ends_oracle` entry is ``ends``: the word's
+    component over the first end, and over the second that of glue times
+    the word, each word normalized by `fp_normalize`."""
+    ja, jb, glue = ends
+    return (ComponentIndex(ja, fp_normalize(sig, raw)),
+            ComponentIndex(jb, fp_normalize(sig, glue + list(raw))))
+
+
+def separating_open_oracle(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
+                           presentation: Pi1Presentation | None = None) -> SeparatingOpen:
     """Per-word separating open: every nonidentity kernel word up to max_len
     acts on the open's components, and a word meeting it both ways raises.
     The oracle of `find_separating_open`, which counts the kernel words by
     states and its meets from the 2|G_j| candidate words."""
     if not U.removed:
         raise NoComplement("the open set is the whole covering")
-    sig = geom.sig
     smooth = [c for c in U.removed if isinstance(c, SmoothClass)]
     nodes = [c for c in U.removed if isinstance(c, NodeClass)]
     kernel = list(kernel_words(sig, max_len))
@@ -462,8 +485,8 @@ def separating_open_oracle(U: InvariantOpen, geom: CoverGeometry,
             if component_action(w, c) == c:
                 raise AssertionError("case 1 separating open hit a fixed component")
         return SeparatingOpen(1, (c,), len(kernel), len(kernel), 0)
-    nid, ja, jb, z = next(ni for ni in geom.node_info if ni[0] == nodes[0].node_id)
-    c_a, c_b = geom.lift_sides(nid, ja, jb, z, sigma_word(sig, nodes[0].coords).letters)
+    ends = node_ends_oracle(sig, presentation)[nodes[0].node_id]
+    c_a, c_b = lift_sides_oracle(sig, ends, sigma_word(sig, nodes[0].coords).letters)
     one_sided = 0
     for w in kernel:
         hit_ba = component_action(w, c_b) == c_a
@@ -913,31 +936,28 @@ def enumerate_components_oracle(sig: FPSignature, max_len: int) -> list[Componen
 
 def domain_boundary_oracle(dom: FundamentalDomain,
                            presentation: Pi1Presentation | None = None) -> tuple:
-    """The boundary of `dom` built eagerly, as construction used to build it:
-    for every core component (in set order), node, side on the component's
-    factor and element g of that factor, the lift u = glue^{-side} g s is
-    recorded when its other side leaves the core; the records are sorted by
-    node id, then u in shortlex.  The oracle of `FundamentalDomain.boundary`,
-    which builds the same tuple on its first read from the geometry stored
-    at construction."""
+    """The boundary of `dom` built eagerly: for every core component G_j s
+    (in set order), node and element g of G_j, each lift u with one side
+    G_j s is recorded when `lift_sides_oracle` puts its other side outside
+    the core.  Those lifts are u = g s when the node's first end lies on
+    curve component j and u = z^{-1} g s, with z the node's glue, when its
+    second end does, both normalized by `fp_normalize`.  The records are
+    sorted by node id, then u in shortlex.  The oracle of
+    `FundamentalDomain.boundary`, which builds only the outside side of
+    each lift, on its first read."""
     sig = dom.sig
-    geom = (CoverGeometry.for_signature(sig) if presentation is None
-            else CoverGeometry.build(presentation, sig))
+    nodes = node_ends_oracle(sig, presentation)
     core = set(dom.core)
     boundary = []
     for c in core:
-        for nid, ja, jb, z in geom.node_info:
-            for side, j in ((0, ja), (1, jb)):
-                if j != c.j:
-                    continue
-                G = sig.factor(j)
-                glue_inv = _inv_letters(sig, geom.glue_letters(z)) if side else ()
-                for g in range(G.order):
-                    u = _concat(sig, glue_inv, _concat(
-                        sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters))
-                    outside = geom.lift_sides(nid, ja, jb, z, u)[1 - side]
-                    if outside not in core:
-                        boundary.append((nid, FPWord(sig, u), c, outside))
+        for nid, ends in nodes.items():
+            glue_inv = [(z, -1) for z, _ in ends[2]]
+            for g in range(sig.factor(c.j).order):
+                gs = [(sig.r + c.j, g)] + list(c.rep.letters)
+                for side, raw in ((0, gs), (1, glue_inv + gs)):
+                    sides = lift_sides_oracle(sig, ends, raw)
+                    if sides[side] == c and sides[1 - side] not in core:
+                        boundary.append((nid, fp_normalize(sig, raw), c, sides[1 - side]))
     return tuple(sorted(boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
 
 
@@ -1024,7 +1044,7 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
             raise AssertionError(
                 "expected full-group witness failed: factor letter moved its base")
         witnesses.append(f"g{j + 1}:{G.labels[g]} fixes Y^{j + 1}_e")
-    return FreenessReport(sig.describe(), max_len, "stabilizer-enumeration",
+    return FreenessReport(sig.describe(), "stabilizer-enumeration",
                           kernel_words, components, checks, tuple(witnesses), True)
 
 

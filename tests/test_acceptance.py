@@ -60,8 +60,8 @@ def test_criterion_5_fails_on_a_wrong_one_sided_count(monkeypatch):
     that reports one more one-sided meet fails it."""
     real = selfcheck.find_separating_open
 
-    def miscounted(U, geom, max_len=6):
-        v = real(U, geom, max_len)
+    def miscounted(U, sig, max_len=6, presentation=None):
+        v = real(U, sig, max_len, presentation)
         return v._replace(one_sided_meets=v.one_sided_meets + (v.case == 2))
 
     monkeypatch.setattr(selfcheck, "find_separating_open", miscounted)

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from nodalcover import covering as covering_module, groups as groups_module
 from nodalcover.covering import (
     ComponentIndex,
-    CoverGeometry,
     FundamentalDomain,
     InvariantOpen,
     NodeClass,
@@ -25,6 +24,7 @@ from nodalcover.covering import (
     find_separating_open,
     fundamental_domain,
     kernel_generators,
+    node_lifts,
     sigma_word,
 )
 from nodalcover.curves import NodalCurve, pi1_presentation
@@ -53,6 +53,7 @@ from helpers import (
     domain_boundary_oracle,
     enumerate_components_oracle,
     finite_cover_transitive_oracle,
+    node_ends_oracle,
     rank1_rep,
     rank2_rep,
     random_word,
@@ -182,17 +183,9 @@ def test_max_len_precondition():
 
 # -- separating opens -----------------------------------------------------------------
 
-def _geom():
-    from nodalcover.curves import chain_curve_for_signature
-
-    pres = pi1_presentation(chain_curve_for_signature(1, 2))
-    return CoverGeometry.build(pres, SIG)
-
-
 def test_case_one_disjoint_translates():
-    geom = _geom()
     out = find_separating_open(
-        InvariantOpen((SmoothClass(0, (0, 2)),)), geom, max_len=4)
+        InvariantOpen((SmoothClass(0, (0, 2)),)), SIG, max_len=4)
     assert out.case == 1
     assert out.one_sided_meets == 0
     assert out.kernel_words_checked == out.empty_meets > 0
@@ -201,9 +194,8 @@ def test_case_one_disjoint_translates():
 def test_case_two_subcases_and_guard():
     """A tree node joins two curve components, which no kernel word
     exchanges; the double-overlap subcase is excluded by proof, not checked."""
-    geom = _geom()
     out = find_separating_open(
-        InvariantOpen((NodeClass("n0", (1, 1)),)), geom, max_len=4)
+        InvariantOpen((NodeClass("n0", (1, 1)),)), SIG, max_len=4)
     assert out.case == 2 and out.one_sided_meets == 0
     assert out.empty_meets + out.one_sided_meets == out.kernel_words_checked
 
@@ -212,23 +204,20 @@ def test_self_node_case_two():
     """The self-node's lift at g joins G s and G z s; the kernel word
     s^-1 z^-1 s and its inverse are its one-sided meets."""
     rep = rank1_rep()
-    pres = rep.presentation
-    sig = rep.sig
-    geom = CoverGeometry.build(pres, sig)
-    out = find_separating_open(
-        InvariantOpen((NodeClass("x0", (1,)),)), geom, max_len=4)
+    out = find_separating_open(InvariantOpen((NodeClass("x0", (1,)),)), rep.sig,
+                               max_len=4, presentation=rep.presentation)
     assert out.case == 2 and out.one_sided_meets == 2
     assert out.empty_meets + out.one_sided_meets == out.kernel_words_checked
 
 
 def test_no_complement():
     with pytest.raises(NoComplement):
-        find_separating_open(InvariantOpen(()), _geom(), 4)
+        find_separating_open(InvariantOpen(()), SIG, 4)
 
 
 def test_separating_open_needs_max_len_two():
     with pytest.raises(ValueError, match="max_len must be at least 2"):
-        find_separating_open(InvariantOpen((NodeClass("n0", (1, 1)),)), _geom(), 1)
+        find_separating_open(InvariantOpen((NodeClass("n0", (1, 1)),)), SIG, 1)
 
 
 @pytest.mark.parametrize("removed,message", [
@@ -239,7 +228,7 @@ def test_separating_open_needs_max_len_two():
 ], ids=["unknown-node", "smooth-class-off-its-factor", "neither-kind"])
 def test_separating_open_refuses_bad_removed_classes(removed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        find_separating_open(InvariantOpen((removed,)), _geom(), 4)
+        find_separating_open(InvariantOpen((removed,)), SIG, 4)
 
 
 @st.composite
@@ -250,9 +239,8 @@ def separating_cases(draw):
     r = draw(st.integers(0, 2))
     groups = draw(st.lists(st.sampled_from([Z2, Z3, S3]), min_size=1, max_size=2))
     sig = FPSignature(r, tuple(groups))
-    geom = CoverGeometry.for_signature(sig)
     coords = tuple(draw(st.integers(0, G.order - 1)) for G in groups)
-    node_ids = [ni[0] for ni in geom.node_info]
+    node_ids = [rec[0] for rec in node_lifts(sig)]
     if node_ids and draw(st.integers(0, 3)):  # three node classes in four
         removed = NodeClass(draw(st.sampled_from(node_ids)), coords)
     else:
@@ -262,7 +250,7 @@ def separating_cases(draw):
     while L > 2 and sum(sum(g.values()) for g in iter_grade_states(
             sig, L, None, lambda key, letter: None)) > 50000:
         L -= 1
-    return InvariantOpen((removed,)), geom, L
+    return InvariantOpen((removed,)), sig, L
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,12 +270,13 @@ def test_separating_open_at_length_forty_is_fast():
          ("n1", ("C2", "b"), ("C3", "a")),
          ("n2", ("C3", "b"), ("C1", "a"))])
     pres = pi1_presentation(triangle)
-    geom = CoverGeometry.build(pres, FPSignature(pres.r, (Z2, Z2, Z2)))
+    sig = FPSignature(pres.r, (Z2, Z2, Z2))
     start = time.perf_counter()
-    out = find_separating_open(InvariantOpen((NodeClass("n1", (1, 0, 1)),)), geom, 40)
+    out = find_separating_open(InvariantOpen((NodeClass("n1", (1, 0, 1)),)), sig, 40,
+                               presentation=pres)
     assert time.perf_counter() - start < 1.0
     assert out.case == 2
-    assert out.kernel_words_checked == certify_free_action(geom.sig, 40).kernel_words
+    assert out.kernel_words_checked == certify_free_action(sig, 40).kernel_words
 
 
 # -- the free basis of the kernel ------------------------------------------------------
@@ -477,27 +466,79 @@ def test_domain_boundary_equals_the_eager_oracle(case):
 
 
 def test_domain_boundary_is_built_on_first_read_once(monkeypatch):
-    """Constructing a domain calls `CoverGeometry.lift_sides` 0 times; the
-    first read of ``boundary`` calls it as often as the eager oracle does,
-    and a second read calls it no more and returns the same tuple."""
+    """Constructing a domain builds its core; the first read of ``boundary``
+    builds one `ComponentIndex` per lift it examines, only the lift's
+    outside side, and a second read builds none and returns the same tuple.
+    A core component G_j s is examined at |G_j| lifts per node end on
+    curve component j."""
     rep = rank2_rep()
     sig = rep.sig
-    calls = []
-    lift_sides = CoverGeometry.lift_sides
-
-    def counted(self, *args):
-        calls.append(args)
-        return lift_sides(self, *args)
-
-    monkeypatch.setattr(CoverGeometry, "lift_sides", counted)
     dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]), rep.presentation)
-    assert calls == []
+    ends = node_ends_oracle(sig, rep.presentation).values()
+    examined = sum(sig.factor(c.j).order * sum((ja == c.j) + (jb == c.j) for ja, jb, _ in ends)
+                   for c in dom.core)
     expected = domain_boundary_oracle(dom, rep.presentation)
-    oracle_calls = len(calls)
+    built = []
+    init = ComponentIndex.__init__
+
+    def counted(self, j, word):
+        built.append(j)
+        init(self, j, word)
+
+    monkeypatch.setattr(ComponentIndex, "__init__", counted)
     first = dom.boundary
-    assert oracle_calls > 0 and len(calls) == 2 * oracle_calls
-    assert dom.boundary is first and len(calls) == 2 * oracle_calls
+    assert examined > 0 and len(built) == examined
+    assert dom.boundary is first and len(built) == examined
     assert first == expected
+
+
+def test_domain_boundary_on_a_self_node_by_hand():
+    """The z1 domain of Z^*1 * [Z2] on its one-component curve, glued to
+    itself by the loop node x0.  Its core is G s for s in z, za, z^2, z^2 a
+    (a the generator of Z2).  The lift (x0, u) joins G u to G zu, so a core
+    component G s meets the lifts at u = s, as, z^-1 s and z^-1 as; the
+    twelve whose other side is not a core component are listed."""
+    sig = FPSignature(1, (Z2,))
+    dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]))
+    assert node_lifts(sig) == (("x0", 0, 0, ((0, 1),)),)
+    a, za, z2, z2a = "g1:1", "z1 * g1:1", "z1^2", "z1^2 * g1:1"
+    assert [str(c) for c in dom.core] == [f"Y^1_[{s}]" for s in ("z1", za, z2, z2a)]
+    assert [(nid, str(u), str(inside), str(outside))
+            for nid, u, inside, outside in dom.boundary] == [
+        ("x0", u, f"Y^1_[{s}]", f"Y^1_[{t}]") for u, s, t in [
+            ("e", "z1", "e"),
+            (a, za, "e"),
+            (z2, z2, "z1^3"),
+            (f"{a} * z1", "z1", f"{za} * z1"),
+            (f"z1^-1 * {a} * z1", "z1", f"z1^-1 * {a} * z1"),
+            (z2a, z2a, f"z1^3 * {a}"),
+            (f"{a} * {za}", za, f"{za} * {za}"),
+            (f"{a} * {z2}", z2, f"{za} * {z2}"),
+            (f"z1^-1 * {a} * {za}", za, f"z1^-1 * {a} * {za}"),
+            (f"z1^-1 * {a} * {z2}", z2, f"z1^-1 * {a} * {z2}"),
+            (f"{a} * {z2a}", z2a, f"{za} * {z2a}"),
+            (f"z1^-1 * {a} * {z2a}", z2a, f"z1^-1 * {a} * {z2a}"),
+        ]]
+    assert dom.boundary == domain_boundary_oracle(dom)
+
+
+def test_node_lifts_read_the_curve_and_refuse_a_mismatched_signature():
+    """Each node's record holds its ends' curve components and its glue
+    letters; a signature with another factor count or rank is refused."""
+    triangle = NodalCurve.build(
+        [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
+        [("n0", ("C1", "b"), ("C2", "a")),
+         ("n1", ("C2", "b"), ("C3", "a")),
+         ("n2", ("C3", "b"), ("C1", "a"))])
+    pres = pi1_presentation(triangle)
+    sig = FPSignature(pres.r, (Z2, Z2, Z2))
+    assert node_lifts(sig, pres) == (("n0", 0, 1, ()), ("n1", 1, 2, ()), ("n2", 2, 0, ((0, 1),)))
+    assert [(nid, ja, jb, list(glue)) for nid, ja, jb, glue in node_lifts(sig, pres)] == \
+        [(nid, *ends) for nid, ends in node_ends_oracle(sig, pres).items()]
+    with pytest.raises(SignatureMismatch, match="one factor per curve component"):
+        node_lifts(FPSignature(pres.r, (Z2, Z2)), pres)
+    with pytest.raises(SignatureMismatch, match="signature rank differs"):
+        node_lifts(FPSignature(0, (Z2, Z2, Z2)), pres)
 
 
 # -- coverage witnesses --------------------------------------------------------------------

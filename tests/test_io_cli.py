@@ -1151,17 +1151,25 @@ def test_cli_process_imports_the_package_under_test():
     assert Path(proc.stdout.strip()).resolve() == Path(nodalcover.__file__).resolve()
 
 
+REP_LAYERS = {"cli", "covering", "curves", "errors", "field", "groups", "io", "reps"}
+
+
 @pytest.mark.parametrize("argv,layers", [
     (("pi1", "nodal_cubic.json"), {"cli", "curves", "errors", "io"}),
     (("hull", "z2.json"), {"cli", "errors", "groups", "hopf", "io"}),
-], ids=["pi1", "hull"])
+    (("domain", "rank2_rep.json"), REP_LAYERS),
+    (("descend", "rank2_rep.json"), REP_LAYERS | {"descent"}),
+    (("square", "z2_sign.json", "cycle3.json"),
+     REP_LAYERS | {"descent", "specialize", "stratified"}),
+], ids=["pi1", "hull", "domain", "descend", "square"])
 def test_cli_process_loads_only_the_layers_its_command_runs(argv, layers):
     """The package root imports nothing and a command imports the layers
     beyond `io` and `errors` when it runs, so a child that runs `pi1` loads
     no groups, one that runs `hull` no curves, and neither loads field, reps,
-    covering, descent, stratified, specialize or selfcheck.  The value types
-    are plain classes, so neither child loads `dataclasses` or the `inspect`
-    module that it imports."""
+    covering, descent, stratified, specialize or selfcheck.  A command on a
+    rep loads the rep's layers and those of its own certificate, never hopf
+    or selfcheck.  The value types are plain classes, so no child loads
+    `dataclasses` or the `inspect` module that it imports."""
     script = ("import sys\nfrom nodalcover.cli import main\n"
               f"code = main({list(argv)!r})\n"
               "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"

@@ -277,7 +277,7 @@ READ_ONLY = {
     "groups.py": ("FPSignature", "FPWord"),
     "curves.py": ("NodalCurve", "Pi1Presentation"),
     "reps.py": ("ContinuousRep", "FiniteQuotientRep"),
-    "covering.py": ("ComponentIndex", "CoverGeometry", "FundamentalDomain"),
+    "covering.py": ("ComponentIndex", "FundamentalDomain"),
     "descent.py": ("MeromorphicCocycle", "LatticeAssignment", "FiniteCocycle"),
     "stratified.py": ("FDividedDatum",),
     "hopf.py": ("HopfAlgebra", "QuotientTower"),
@@ -356,7 +356,7 @@ def test_read_only_fields_are_stored_only_in_their_own_class():
         "class ComponentIndex:\n    def __init__(self):\n        self.rep = w\n"
         "        self.letters = ()\n        self.rep._alpha = al\n"
         "class MatrixK:\n    def __init__(self):\n        self.field = F\n"
-        "class CoverGeometry:\n    def __init__(self):\n        self.field = F\n")
+        "class FundamentalDomain:\n    def __init__(self):\n        self.field = F\n")
     assert [name for _, name in field_stores(probe, owner)] == \
         ["letters", "num", "rep", "sig", "j", "den", "field", "boundary", "letters", "_alpha",
          "field"]
