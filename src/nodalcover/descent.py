@@ -75,7 +75,10 @@ class MeromorphicCocycle:
 
     def twist(self, w: FPWord) -> MatrixK:
         """H(w) = rho(w)^{-1}: the matrix glued along the deck word w, built
-        from its longest memoised prefix u by H(u a) = H(a) H(u)."""
+        from its longest memoised prefix u by H(u a) = H(a) H(u).  A word
+        with no memoised prefix but the empty one starts from the twist of
+        its first letter, so no product is taken with H(()) = 1: a word of
+        n unit letters asked cold costs n - 1 products."""
         if w.sig != self.sig:
             raise SignatureMismatch("word does not match the representation's signature")
         letters = w.letters
@@ -84,20 +87,36 @@ class MeromorphicCocycle:
         while letters[:k] not in cache:
             k -= 1
         out = cache[letters[:k]]
+        if not k and letters:
+            out = cache[letters[:1]] = self.letter_twist(letters[0])
+            k = 1
         for i in range(k, len(letters)):
             out = self.letter_twist(letters[i]) * out
             cache[letters[:i + 1]] = out
         return out
 
     def letter_twist(self, letter: tuple[int, int]) -> MatrixK:
+        """H(a) for one letter a, memoised.  H(z^{+-1}) is the rep's inverse
+        Z image or the Z image itself, and H(g) = rho(g^{-1}) for a finite
+        letter.  A power z^v, |v| >= 2, is one product H(z^a) H(z^{v-a}) of
+        two memoised powers: a = v -+ 1 when that power is memoised, so z^3
+        asked after z^2 costs one product, else a = +-floor(|v|/2), which
+        costs a cold power no more products than square-and-multiply."""
         cached = self._letter_cache.get(letter)
         if cached is not None:
             return cached
         fid, v = letter
         r = self.sig.r
         if fid < r:
-            # H(z^v) = rho(z)^-v: a power of the rep's inverse, or of z itself
-            out = self.rep.z_inverses[fid] ** v if v > 0 else self.rep.z_images[fid] ** -v
+            if v == 1:
+                out = self.rep.z_inverses[fid]
+            elif v == -1:
+                out = self.rep.z_images[fid]
+            else:
+                # powers of one matrix commute, so the order of the factors is free
+                d = 1 if v > 0 else -1
+                a = v - d if (fid, v - d) in self._letter_cache else d * (abs(v) // 2)
+                out = self.letter_twist((fid, a)) * self.letter_twist((fid, v - a))
         else:
             G = self.sig.factor(fid - r)
             out = self.rep.factor_homs[fid - r][G.inverse[v]]
@@ -115,14 +134,17 @@ class MeromorphicCocycle:
 
     def twist_map(self, max_len: int) -> dict:
         """Twists of every word in shortlex order, by H(a x) = H(x) H(a) from
-        the first unit letter a: the opposite recurrence to `twist`'s."""
-        start = self.rep.identity_matrix()
-
+        the first unit letter a: the opposite recurrence to `twist`'s.  The
+        walk starts from no carry, so a grade-1 word carries its letter twist
+        and every longer word costs one product; H[()] is the identity."""
         def step(carry, letter):
-            return carry * self.letter_twist(letter)
+            h = self.letter_twist(letter)
+            return h if carry is None else carry * h
 
-        return {letters: carry for letters, _, carry in iter_words_raw(
-            self.sig, max_len, carry_init=start, carry_step=step)}
+        H = {letters: carry for letters, _, carry in iter_words_raw(
+            self.sig, max_len, carry_step=step)}
+        H[()] = self.rep.identity_matrix()
+        return H
 
     def restricted(self) -> "MeromorphicCocycle":
         return MeromorphicCocycle(self.rep, KERNEL)
@@ -390,8 +412,10 @@ def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
 
     The check relies on `iter_grade_states` calling `step` exactly once per
     edge, in the order of the edge's first word in the enumeration: that
-    order decides which fiber a failure names, as in the per-word collapse.  Kernel words act trivially because
-    the identity's fiber is seeded with the identity matrix of the empty word.
+    order decides which fiber a failure names, as in the per-word collapse.
+    Kernel words act trivially because the identity's fiber is seeded with
+    the identity matrix of the empty word, so an edge out of the identity
+    element takes the letter twist itself, with no product.
     """
     sig = c.sig
     if fq.sig != sig:
@@ -400,10 +424,13 @@ def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
     slots: list[MatrixK | None] = [None] * G.order
     slots[G.identity] = c.rep.identity_matrix()
 
-    # the twist composes on the left (anti-law), the quotient image on the right
+    # the twist composes on the left (anti-law), the quotient image on the right;
+    # an edge out of the identity element takes the letter twist itself
     def step(qv, letter):
         qa = G.table[qv][fq.q_letter(letter)]
-        mat = c.letter_twist(letter) * slots[qv]
+        mat = c.letter_twist(letter)
+        if qv != G.identity:
+            mat = mat * slots[qv]
         if slots[qa] is None:
             slots[qa] = mat
         elif slots[qa] != mat:

@@ -5,10 +5,11 @@ transport) computes in the rational function field over a small prime
 field.  Elements are kept in a canonical form (coprime numerator and
 denominator, monic denominator, zero as 0/1) so equality is literal.
 Coefficients are plain ints in [0, p), and the polynomial kernels reduce
-mod p inline.  Monomial denominators c*t^k and monomial factors are
-normalised and multiplied by shifting and scaling, without Euclid; only
-denominators of two or more terms go through the polynomial gcd.  Determinants
-are fraction-free (Bareiss), so polynomial entries need no Euclid.
+mod p inline.  Monomial numerators and denominators c*t^k are reduced by
+shifting, without Euclid, and monomial factors are multiplied by shifting and
+scaling; only a numerator and a denominator of two or more terms each go
+through the polynomial gcd.  Determinants are fraction-free (Bareiss), so
+polynomial entries need no Euclid.
 
 The valuation ring A consists of the elements of nonnegative t-adic
 valuation, i.e. F_p[t] localized at (t); its maximal ideal is generated
@@ -308,6 +309,10 @@ def _power(base, k: int):
 
 
 def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
+    """The canonical form of num/den: coprime, monic denominator, zero as
+    0/1.  When either side is a monomial c*t^k, the gcd is t^s with
+    s = min(k, ord of the other side), so it is stripped by a shift; only two
+    sides of two or more terms each go through Euclid."""
     num = _pnorm(num)
     den = _pnorm(den)
     if not den:
@@ -327,10 +332,18 @@ def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
         elif not s:
             return RationalFunction(F, num, den)
         return RationalFunction(F, num[s:], (0,) * (k - s) + (1,))
-    g = _pgcd(F, num, den)
-    if len(g) > 1 or g[0] != 1:
-        num = _pdivmod(F, num, g)[0]
-        den = _pdivmod(F, den, g)[0]
+    if not any(num[:-1]):
+        # num = c*t^k: the gcd is t^s with s = min(k, ord den)
+        k = len(num) - 1
+        s = 0
+        while s < k and not den[s]:
+            s += 1
+        num, den = num[s:], den[s:]
+    else:
+        g = _pgcd(F, num, den)
+        if len(g) > 1 or g[0] != 1:
+            num = _pdivmod(F, num, g)[0]
+            den = _pdivmod(F, den, g)[0]
     lc = den[-1]
     if lc != 1:
         inv = pow(lc, -1, p)

@@ -17,6 +17,7 @@ import time
 from collections import Counter
 
 from .covering import (
+    ComponentIndex,
     FundamentalDomain,
     InvariantOpen,
     NodeClass,
@@ -320,6 +321,28 @@ def _meets_by_word(sig: FPSignature, components, max_len: int) -> tuple[int, int
     return kernel, kernel - meets, meets
 
 
+def _open_components(sig: FPSignature, presentation, cl) -> tuple:
+    """The components of the separating open at class `cl`, read off the
+    curve of `presentation` (the chain curve of `sig` when None), with each
+    word normalized by `fp_normalize`: the component of u = sigma(coords)
+    for a smooth class, and for a node class the component of u over the
+    node's first end and that of z_{i+1} u over its second, glue z_{i+1}
+    at the i-th loop node and none at a tree node.  `find_separating_open`
+    takes these from `node_lifts`."""
+    u = [(sig.r + j, g) for j, g in enumerate(cl.coords) if g != sig.factor(j).identity]
+    if isinstance(cl, SmoothClass):
+        return (ComponentIndex(cl.j, fp_normalize(sig, u)),)
+    if presentation is None:
+        presentation = pi1_presentation(chain_curve_for_signature(sig.r, sig.num_factors))
+    curve = presentation.curve
+    position = {cid: j for j, (cid, _) in enumerate(curve.components)}
+    (a, _), (b, _) = next(n.ends for n in curve.nodes if n.id == cl.node_id)
+    loops = presentation.loop_nodes
+    glue = [(loops.index(cl.node_id), 1)] if cl.node_id in loops else []
+    return (ComponentIndex(position[a], fp_normalize(sig, u)),
+            ComponentIndex(position[b], fp_normalize(sig, glue + u)))
+
+
 def criterion_5(rng) -> tuple[bool, str]:
     Z2 = cyclic_group(2)
     triangle = NodalCurve.build(
@@ -340,7 +363,11 @@ def criterion_5(rng) -> tuple[bool, str]:
     for case, sig, curve_pres, cl in cases:
         v = find_separating_open(InvariantOpen((cl,)), sig, max_len=6, presentation=curve_pres)
         counted = (v.kernel_words_checked, v.empty_meets, v.one_sided_meets)
-        by_word = _meets_by_word(sig, v.components, 6)
+        sides = _open_components(sig, curve_pres, cl)
+        if v.components != sides:
+            return False, (f"{cl}: the open runs through {', '.join(map(str, v.components))}; "
+                           f"the curve gives {', '.join(map(str, sides))}")
+        by_word = _meets_by_word(sig, sides, 6)
         if v.case != case or counted != by_word:
             return False, (f"{cl}: case {v.case} with {counted} kernel words, empty and "
                            f"one-sided meets; expected case {case}, and the per-word "

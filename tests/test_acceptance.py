@@ -6,6 +6,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the one-line verdicts.
 import pytest
 
 from nodalcover import selfcheck
+from nodalcover.covering import ComponentIndex, sigma_word
 from nodalcover.curves import Pi1Presentation
 from nodalcover.hopf import HopfAlgebra
 from nodalcover.selfcheck import CRITERIA, run_criterion
@@ -68,6 +69,28 @@ def test_criterion_5_fails_on_a_wrong_one_sided_count(monkeypatch):
     result = criterion(5)
     assert not result.passed
     assert "per-word walk" in result.detail
+
+
+def test_criterion_5_fails_on_a_lift_without_its_glue(monkeypatch):
+    """Criterion 5 reads the lift's two components off the curve, so an open
+    whose second component drops the loop node's glue z1 fails it, though
+    its meets agree word by word with its own wrong components."""
+    real = selfcheck.find_separating_open
+
+    def glue_dropped(U, sig, max_len=6, presentation=None):
+        v = real(U, sig, max_len, presentation)
+        if v.case == 1:
+            return v
+        c_a, c_b = v.components
+        c_b = ComponentIndex(c_b.j, sigma_word(sig, U.removed[0].coords))
+        return v._replace(components=(c_a, c_b), empty_meets=v.kernel_words_checked,
+                          one_sided_meets=0)
+
+    monkeypatch.setattr(selfcheck, "find_separating_open", glue_dropped)
+    result = criterion(5)
+    assert not result.passed
+    assert result.detail.startswith("NodeClass(node_id='x0'")
+    assert "the curve gives" in result.detail
 
 
 def test_criterion_1_builds_one_spanning_forest_per_curve(monkeypatch):

@@ -356,6 +356,71 @@ def r2_rank2_rep():
                                ((MatrixK.identity(F3, 2), swap),))
 
 
+def count_products(monkeypatch) -> list:
+    """Count `MatrixK` products from here on, in the returned one-item list."""
+    count = [0]
+    mul = MatrixK.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(MatrixK, "__mul__", counted)
+    return count
+
+
+def test_twist_of_a_cold_word_takes_no_product_with_the_identity(monkeypatch):
+    """A word of n unit letters with no memoised prefix but () costs n - 1
+    products: its first letter's twist starts it, not H(()) = 1."""
+    rep = r2_rank2_rep()
+    sig = rep.sig
+    words = [letters for letters, _, _ in groups.iter_words_raw(sig, 4)
+             if all(abs(v) == 1 for _, v in letters)]
+    count = count_products(monkeypatch)
+    for letters in words:
+        datum = datum_from_rep(rep)
+        count[0] = 0
+        got = datum.twist(FPWord(sig, letters))
+        assert count[0] == max(len(letters) - 1, 0)
+        assert got == eval_word(rep, FPWord(sig, letters).inv())
+    assert max(map(len, words)) == 4
+
+
+def test_twist_map_takes_one_product_per_word_past_grade_one(monkeypatch):
+    """Grade 0 is the identity and grade 1 the letter twists, with no
+    product; every word of generator length >= 2 costs one."""
+    rep = r2_rank2_rep()
+    count = count_products(monkeypatch)
+    for L in range(5):
+        count[0] = 0
+        H = datum_from_rep(rep).twist_map(L)
+        assert count[0] == sum(gen_length(rep.sig.r, w) >= 2 for w in H)
+        assert H[()].is_identity()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_z_powers_build_on_memoised_powers(monkeypatch, sign):
+    """z^2, z^3, z^4 asked in increasing order cost one product each, and a
+    cold z^v costs no more than square-and-multiply: z^4 at most two."""
+    rep = r2_rank2_rep()
+    count = count_products(monkeypatch)
+    datum = datum_from_rep(rep)
+    got = {}
+    for v in (2, 3, 4):
+        count[0] = 0
+        got[v] = datum.letter_twist((1, sign * v))
+        assert count[0] == 1
+    cold = {}
+    for v in range(2, 10):
+        count[0] = 0
+        cold[v] = datum_from_rep(rep).letter_twist((1, sign * v))
+        assert count[0] <= v.bit_length() + bin(v).count("1") - 2
+    monkeypatch.undo()
+    for v, mat in cold.items():
+        assert mat == eval_word(rep, FPWord(rep.sig, ((1, sign * v),)).inv())
+        assert got.get(v, mat) == mat
+
+
 def test_integralize_and_kernel_hom_invert_only_lattice_bases(monkeypatch):
     """The rep inverts its Z images once, when it is built; after that
     `integralize` and both hom solves invert nothing: the transport check

@@ -161,24 +161,21 @@ def _monomial(data, F, k):
     return (0,) * k + (data.draw(_coeffs(F, nonzero=True)),)
 
 
-@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
-@pytest.mark.parametrize("where", ["below", "equal", "above"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_make_rf_monomial_den_matches_euclid(F, where, data):
-    # ord num below, equal to or above the denominator's degree k
+def _orders(data, where):
+    """(k, order) with order below, equal to or above k."""
     if where == "below":
         k = data.draw(st.integers(1, 4))
-        order = data.draw(st.integers(0, k - 1))
-    elif where == "equal":
-        k = order = data.draw(st.integers(0, 4))
-    else:
+        return k, data.draw(st.integers(0, k - 1))
+    if where == "equal":
         k = data.draw(st.integers(0, 4))
-        order = data.draw(st.integers(k + 1, k + 3))
-    num = _poly_of_order(data, F, order)
-    den = _monomial(data, F, k)
-    got = _make_rf(F, num, den)
-    # the general canonical form: divide out the Euclidean gcd, make den monic
+        return k, k
+    k = data.draw(st.integers(0, 4))
+    return k, data.draw(st.integers(k + 1, k + 3))
+
+
+def _assert_euclid_form(F, num, den, got):
+    """got is num/den in the general canonical form: the Euclidean gcd
+    divided out and the denominator made monic."""
     g = _pgcd(F, num, den)
     n, d = _pdivmod(F, num, g)[0], _pdivmod(F, den, g)[0]
     inv = pow(d[-1], -1, F.p)
@@ -186,6 +183,59 @@ def test_make_rf_monomial_den_matches_euclid(F, where, data):
     assert got.den == tuple(c * inv % F.p for c in d)
     assert got.den[-1] == 1
     assert len(_poly_gcd_oracle(F.p, got.num, got.den)) == 1
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("where", ["below", "equal", "above"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_make_rf_monomial_den_matches_euclid(F, where, data):
+    # ord num below, equal to or above the denominator's degree k
+    k, order = _orders(data, where)
+    num = _poly_of_order(data, F, order)
+    den = _monomial(data, F, k)
+    _assert_euclid_form(F, num, den, _make_rf(F, num, den))
+
+
+def _non_monomial_of_order(data, F, order):
+    """A normalised polynomial of two or more terms, the lowest of degree ``order``."""
+    low = data.draw(_coeffs(F, nonzero=True))
+    rest = data.draw(st.lists(_coeffs(F), max_size=2))
+    return (0,) * order + (low,) + tuple(rest) + (data.draw(_coeffs(F, nonzero=True)),)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("where", ["below", "equal", "above"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_make_rf_monomial_num_matches_euclid(F, where, data):
+    # ord den below, equal to or above the numerator's degree k
+    k, order = _orders(data, where)
+    num = _monomial(data, F, k)
+    den = _non_monomial_of_order(data, F, order)
+    _assert_euclid_form(F, num, den, _make_rf(F, num, den))
+
+
+def test_make_rf_reduces_monomial_sides_without_gcd(monkeypatch):
+    """c*t^k over a denominator of several terms, and the reverse, are
+    reduced by a shift: no polynomial gcd, while two sides of several terms
+    each take one."""
+    calls = []
+
+    def counted(F, a, b, gcd=_pgcd):
+        calls.append((a, b))
+        return gcd(F, a, b)
+
+    monkeypatch.setattr(field, "_pgcd", counted)
+    for F in KERNEL_FIELDS:
+        for k in range(4):
+            for other in ((1, 1), (0, 1, 1), (0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 1)):
+                mono = (0,) * k + (F.p - 1,)
+                for num, den in ((mono, other), (other, mono)):
+                    _assert_euclid_form(F, num, den, _make_rf(F, num, den))
+    assert calls == []
+    _make_rf(F3, (1, 1), (2, 0, 1))
+    assert len(calls) == 1
 
 
 def _strip(coeffs):
