@@ -25,13 +25,13 @@ sig = FPSignature(1, (Z2, Z3))
 
 print("== canonical component indices ==")
 s = fp_normalize(sig, [(0, 1), (2, 2)])
-c = ComponentIndex(0, s)
+c = ComponentIndex(0, sig, s.letters)
 print(f"component through {s}: {c}")
 gs = fp_normalize(sig, [(1, 1)]) * s  # built from g1 s, stored as s
-print(f"same coset after a leading factor letter: {ComponentIndex(0, gs) == c}")
+print(f"same coset after a leading factor letter: {ComponentIndex(0, sig, gs.letters) == c}")
 
 print("\n== the action: full group vs kernel ==")
-base = ComponentIndex(0, fp_normalize(sig, []))
+base = ComponentIndex(0, sig, ())
 g = fp_normalize(sig, [(1, 1)])
 print(f"factor letter g1 fixes the base component: {component_action(g, base) == base}")
 z = fp_normalize(sig, [(0, 1)])

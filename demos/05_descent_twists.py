@@ -41,7 +41,7 @@ assignment = integralize(datum.restricted(), max_len=3)
 print(f"{len(assignment.orbit_reps)} component orbit(s), "
       f"{len(assignment.components)} components in range")
 for k in range(-2, 3):
-    c = ComponentIndex(0, fp_normalize(sig, [(0, k)]))
+    c = ComponentIndex(0, sig, fp_normalize(sig, [(0, k)]).letters)
     exps = assignment.lattice_of(c).diagonal_exponents
     print(f"  lattice at z1^{k:+d}: diagonal exponents {exps}")
 

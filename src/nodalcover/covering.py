@@ -2,8 +2,11 @@
 
 The big covering attached to a rep has fiber the free-product group itself;
 its irreducible components over the j-th curve component are the right
-cosets G_j * s.  A `ComponentIndex` strips a leading j-factor letter when it
-is built, so it is canonical by construction.
+cosets G_j * s.  A `ComponentIndex` holds its factor j and the letters of
+its coset's representative, with no word object: it strips a leading
+j-factor letter when it is built, so it is canonical by construction, it
+reads alpha through the same `alpha_coords` getter as `FPWord`, and its
+``rep`` builds the representative's word on read.
 Deck transformations over the finite cover are right concatenations by
 kernel words of the direct-product quotient.  That kernel has the free basis
 `kernel_generators` (Kurosh rank 1 - |Q| chi) and acts freely on components.
@@ -49,28 +52,40 @@ from .reps import ContinuousRep
 class ComponentIndex:
     """Irreducible component over curve component j: the right coset G_j s.
 
+    An index holds its factor j, the signature and the letters of the
+    coset's representative, and the alpha of those letters once known.
     Construction refuses a factor index outside 0..N-1 and strips a leading
-    j-factor letter from ``rep``, so the stored representative is the coset's
-    canonical one: equal cosets give equal indices, whatever word built them."""
+    j-factor letter, dropping any alpha it was given, so the stored letters
+    are the coset's canonical representative: equal cosets give equal
+    indices, whatever letters built them.  `alpha_coords` is `FPWord`'s own
+    getter, and ``rep`` builds the representative's `FPWord` on each read."""
 
-    __slots__ = ("j", "rep")
+    __slots__ = ("j", "sig", "letters", "_alpha")
 
-    def __init__(self, j: int, rep: FPWord):
-        sig, letters = rep.sig, rep.letters
+    def __init__(self, j: int, sig: FPSignature, letters: tuple[tuple[int, int], ...],
+                 _alpha: tuple[int, ...] | None = None):
         if not 0 <= j < len(sig.factors):
             raise SignatureMismatch(f"no finite factor {j}")
         if letters and letters[0][0] == sig.r + j:
-            rep = FPWord(sig, letters[1:])
+            letters, _alpha = letters[1:], None
         self.j = j
-        self.rep = rep
+        self.sig = sig
+        self.letters = letters
+        self._alpha = _alpha
+
+    alpha_coords = FPWord.alpha_coords
+
+    @property
+    def rep(self) -> FPWord:
+        return FPWord(self.sig, self.letters, self._alpha)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.j, self.rep) == (other.j, other.rep)
+        return (self.j, self.sig, self.letters) == (other.j, other.sig, other.letters)
 
     def __hash__(self):
-        return hash((self.j, self.rep.letters))
+        return hash((self.j, self.letters))
 
     def __str__(self) -> str:
         return f"Y^{self.j + 1}_[{self.rep}]"
@@ -79,9 +94,9 @@ class ComponentIndex:
 def component_action(w: FPWord, c: ComponentIndex) -> ComponentIndex:
     """Right action by concatenation: the coset G_j s moves to G_j s w."""
     sig = w.sig
-    if c.rep.sig != sig:
+    if c.sig != sig:
         raise SignatureMismatch("component and word over different signatures")
-    return ComponentIndex(c.j, FPWord(sig, _concat(sig, c.rep.letters, w.letters)))
+    return ComponentIndex(c.j, sig, _concat(sig, c.letters, w.letters))
 
 
 def sigma_word(sig: FPSignature, coords) -> FPWord:
@@ -127,18 +142,17 @@ def kernel_generators(sig: FPSignature) -> list[FPWord]:
 
 def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
     """Component indices over every factor whose canonical representative has
-    generator length <= max_len, shortlex-ordered by representative.  Each
-    normal form is one `FPWord`, carrying the alpha the walk computed and
-    shared by the indices of every factor it serves."""
+    generator length <= max_len, shortlex-ordered by representative.  The
+    indices of one normal form share its letters and the alpha the walk
+    computed; no word is built."""
     factors = [(sig.r + j, j) for j in range(sig.num_factors)]
     out = []
     append = out.append
     for letters, al, _ in iter_words_raw(sig, max_len):
-        s = FPWord(sig, letters, al)
         first = letters[0][0] if letters else -1
         for fid, j in factors:
             if fid != first:
-                append(ComponentIndex(j, s))
+                append(ComponentIndex(j, sig, letters, al))
     return out
 
 
@@ -338,7 +352,7 @@ def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
         cl = smooth[0]
         if cl.coords[cl.j] != sig.factor(cl.j).identity:
             raise ValueError("smooth class coordinates must be trivial at its own factor")
-        c = ComponentIndex(cl.j, sigma_word(sig, cl.coords))
+        c = ComponentIndex(cl.j, sig, sigma_word(sig, cl.coords).letters)
         return SeparatingOpen(1, (c,), kernel, kernel, 0)
 
     cl = nodes[0]
@@ -346,16 +360,16 @@ def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
     if lift is None:
         raise ValueError(f"unknown node {cl.node_id}")
     _, ja, jb, glue = lift
-    u = sigma_word(sig, cl.coords)
-    c_a = ComponentIndex(ja, u)
-    c_b = ComponentIndex(jb, FPWord(sig, _concat(sig, glue, u.letters)))
+    u = sigma_word(sig, cl.coords).letters
+    c_a = ComponentIndex(ja, sig, u)
+    c_b = ComponentIndex(jb, sig, _concat(sig, glue, u))
     hits = set()
     if c_a.j == c_b.j:
         G = sig.factor(c_a.j)
         for g in range(G.order):
             g_letters = ((sig.r + c_a.j, g),) if g != G.identity else ()
             w = FPWord(sig, _concat(sig, _concat(
-                sig, _inv_letters(sig, c_b.rep.letters), g_letters), c_a.rep.letters))
+                sig, _inv_letters(sig, c_b.letters), g_letters), c_a.letters))
             if w.letters and w.alpha_coords == sig.identity_tuple() \
                     and shortlex_key(sig, w.letters)[0] <= max_len:
                 hits.update((w.letters, _inv_letters(sig, w.letters)))
@@ -397,13 +411,12 @@ class FundamentalDomain:
         for coords in itertools.product(*(range(G.order) for G in sig.factors)):
             tail = _concat(sig, w.letters, sigma_word(sig, coords).letters)
             section[coords] = _inv_letters(sig, tail)
-            words = [FPWord(sig, tail)] + [
-                FPWord(sig, _concat(sig, ((i, 1),), tail)) for i in range(sig.r)]
-            core.update(ComponentIndex(j, ws) for j in range(sig.num_factors) for ws in words)
+            words = [tail] + [_concat(sig, ((i, 1),), tail) for i in range(sig.r)]
+            core.update(ComponentIndex(j, sig, ws) for j in range(sig.num_factors) for ws in words)
 
         self.sig = sig
         self.word = word
-        self.core = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.rep.letters))))
+        self.core = tuple(sorted(core, key=lambda c: (c.j, shortlex_key(sig, c.letters))))
         self.section = MappingProxyType(section)
         self._lifts = lifts
 
@@ -427,16 +440,16 @@ class FundamentalDomain:
                     continue
                 glue_inv = _inv_letters(sig, glue)
                 for g in range(G.order):
-                    gs = _concat(sig, ((sig.r + j, g),) if g != G.identity else (), c.rep.letters)
+                    gs = _concat(sig, ((sig.r + j, g),) if g != G.identity else (), c.letters)
                     if j == ja:
-                        outside = ComponentIndex(jb, FPWord(sig, _concat(sig, glue, gs)))
+                        outside = ComponentIndex(jb, sig, _concat(sig, glue, gs))
                         if outside not in core:
                             boundary.append((nid, FPWord(sig, gs), c, outside))
                     if j == jb:
-                        u = FPWord(sig, _concat(sig, glue_inv, gs))
-                        outside = ComponentIndex(ja, u)
+                        u = _concat(sig, glue_inv, gs)
+                        outside = ComponentIndex(ja, sig, u)
                         if outside not in core:
-                            boundary.append((nid, u, c, outside))
+                            boundary.append((nid, FPWord(sig, u), c, outside))
         return tuple(sorted(boundary, key=lambda b: (b[0], shortlex_key(sig, b[1].letters))))
 
     @property
@@ -460,7 +473,6 @@ def cover_witness(dom: FundamentalDomain, target: ComponentIndex) -> FPWord:
     canon_j(c s) = s: a component index is canonical by construction, so s
     has no leading j-letter for c to merge with."""
     sig = dom.sig
-    rep = target.rep
-    if rep.sig is not sig and rep.sig != sig:
+    if target.sig is not sig and target.sig != sig:
         raise SignatureMismatch("target over the wrong signature")
-    return FPWord(sig, _concat(sig, dom.section[rep.alpha_coords], rep.letters))
+    return FPWord(sig, _concat(sig, dom.section[target.alpha_coords], target.letters))

@@ -274,7 +274,7 @@ def hom_cocycle(c1, c2) -> list[MatrixK]:
 def _orbit_key(c: ComponentIndex) -> tuple[int, tuple[int, ...]]:
     """(j, alpha(c) with coordinate j dropped), which names c's orbit under
     the kernel action."""
-    al = c.rep.alpha_coords
+    al = c.alpha_coords
     return c.j, al[:c.j] + al[c.j + 1:]
 
 
@@ -308,10 +308,10 @@ class LatticeAssignment:
         if c0 is None:
             raise TransportConflict("component lies outside the enumerated orbits")
         G = sig.factor(c.j)
-        g = G.table[c0.rep.alpha_coords[c.j]][G.inverse[c.rep.alpha_coords[c.j]]]
+        g = G.table[c0.alpha_coords[c.j]][G.inverse[c.alpha_coords[c.j]]]
         return FPWord(sig, _concat(sig, _concat(
-            sig, _inv_letters(sig, c0.rep.letters),
-            ((sig.r + c.j, g),) if g != G.identity else ()), c.rep.letters))
+            sig, _inv_letters(sig, c0.letters),
+            ((sig.r + c.j, g),) if g != G.identity else ()), c.letters))
 
     def lattice_of(self, c: ComponentIndex) -> LatticeK:
         out = self._lattice_cache.get(c)

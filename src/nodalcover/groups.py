@@ -11,8 +11,9 @@ length charges a Z syllable its |exponent|; enumeration is graded by
 generator length, the only grading with finitely many words per grade.
 `enumerate_words` lists every normal form up to a bound and `kernel_words`
 yields the nonidentity ones in the kernel of the direct-product quotient
-alpha, read only through `FPWord.alpha_coords`; `iter_grade_states` counts
-them by (last letter, key) state instead.
+alpha, read only through the `alpha_coords` getter, which `FPWord` defines
+and `covering.ComponentIndex` shares; `iter_grade_states` counts them by
+(last letter, key) state instead.
 The word kernels read the factor tables, identities and inverses that each
 signature compiles once when it is built.
 
@@ -322,7 +323,9 @@ class FPWord:
     ``_alpha`` holds the word's image under the quotient alpha once it is
     known, and `alpha_coords` is the one accessor of that image: the word
     walk passes the coordinates it already has, and any other word computes
-    them on the first read.  It takes no part in equality or hashing."""
+    them on the first read.  It takes no part in equality or hashing.  A
+    `covering.ComponentIndex` holds ``sig``, ``letters`` and ``_alpha`` too
+    and reads its alpha through this same getter."""
 
     __slots__ = ("sig", "letters", "_alpha")
 

@@ -331,7 +331,7 @@ def _open_components(sig: FPSignature, presentation, cl) -> tuple:
     takes these from `node_lifts`."""
     u = [(sig.r + j, g) for j, g in enumerate(cl.coords) if g != sig.factor(j).identity]
     if isinstance(cl, SmoothClass):
-        return (ComponentIndex(cl.j, fp_normalize(sig, u)),)
+        return (ComponentIndex(cl.j, sig, fp_normalize(sig, u).letters),)
     if presentation is None:
         presentation = pi1_presentation(chain_curve_for_signature(sig.r, sig.num_factors))
     curve = presentation.curve
@@ -339,8 +339,8 @@ def _open_components(sig: FPSignature, presentation, cl) -> tuple:
     (a, _), (b, _) = next(n.ends for n in curve.nodes if n.id == cl.node_id)
     loops = presentation.loop_nodes
     glue = [(loops.index(cl.node_id), 1)] if cl.node_id in loops else []
-    return (ComponentIndex(position[a], fp_normalize(sig, u)),
-            ComponentIndex(position[b], fp_normalize(sig, glue + u)))
+    return (ComponentIndex(position[a], sig, fp_normalize(sig, u).letters),
+            ComponentIndex(position[b], sig, fp_normalize(sig, glue + u).letters))
 
 
 def criterion_5(rng) -> tuple[bool, str]:

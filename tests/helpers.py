@@ -463,8 +463,8 @@ def lift_sides_oracle(sig: FPSignature, ends: tuple, raw) -> tuple:
     component over the first end, and over the second that of glue times
     the word, each word normalized by `fp_normalize`."""
     ja, jb, glue = ends
-    return (ComponentIndex(ja, fp_normalize(sig, raw)),
-            ComponentIndex(jb, fp_normalize(sig, glue + list(raw))))
+    return (ComponentIndex(ja, sig, fp_normalize(sig, raw).letters),
+            ComponentIndex(jb, sig, fp_normalize(sig, glue + list(raw)).letters))
 
 
 def separating_open_oracle(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
@@ -480,7 +480,7 @@ def separating_open_oracle(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
     kernel = list(kernel_words(sig, max_len))
     if smooth:
         cl = smooth[0]
-        c = ComponentIndex(cl.j, sigma_word(sig, cl.coords))
+        c = ComponentIndex(cl.j, sig, sigma_word(sig, cl.coords).letters)
         for w in kernel:
             if component_action(w, c) == c:
                 raise AssertionError("case 1 separating open hit a fixed component")
@@ -924,11 +924,12 @@ def coset_strip(sig: FPSignature, j: int, letters) -> tuple:
 
 
 def enumerate_components_oracle(sig: FPSignature, max_len: int) -> list[ComponentIndex]:
-    """One fresh `FPWord` and one index per (normal form, factor) for which
-    the form is canonical: the per-(word, j) comprehension that
-    `enumerate_components` replaced by one word shared across factors."""
+    """One index per (normal form, factor) for which the form is canonical,
+    built from the letters alone, so each computes its own alpha: the
+    per-(word, j) comprehension that `enumerate_components` replaced by
+    indices sharing the walk's letters and alpha."""
     r = sig.r
-    return [ComponentIndex(j, FPWord(sig, letters))
+    return [ComponentIndex(j, sig, letters)
             for letters, _, _ in iter_words_raw(sig, max_len)
             for j in range(sig.num_factors)
             if not letters or letters[0][0] != r + j]
@@ -953,7 +954,7 @@ def domain_boundary_oracle(dom: FundamentalDomain,
         for nid, ends in nodes.items():
             glue_inv = [(z, -1) for z, _ in ends[2]]
             for g in range(sig.factor(c.j).order):
-                gs = [(sig.r + c.j, g)] + list(c.rep.letters)
+                gs = [(sig.r + c.j, g)] + list(c.letters)
                 for side, raw in ((0, gs), (1, glue_inv + gs)):
                     sides = lift_sides_oracle(sig, ends, raw)
                     if sides[side] == c and sides[1 - side] not in core:
@@ -968,8 +969,8 @@ def cover_witness_oracle(dom: FundamentalDomain, target: ComponentIndex) -> FPWo
     action code path.  The oracle of `cover_witness`, which rests both checks
     on how the domain derives each section entry from its kernel word."""
     sig = dom.sig
-    s = target.rep.letters
-    if target.rep.sig is not sig and target.rep.sig != sig:
+    s = target.letters
+    if target.sig is not sig and target.sig != sig:
         raise SignatureMismatch("target over the wrong signature")
     j = target.j
     ws_inv = dom.section[_alpha_tuple(sig, s)]
@@ -1039,7 +1040,7 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
             continue
         g = G.nonidentity()[0]
         w = FPWord(sig, ((r + j, g),))
-        base = ComponentIndex(j, FPWord(sig, ()))
+        base = ComponentIndex(j, sig, ())
         if component_action(w, base) != base:
             raise AssertionError(
                 "expected full-group witness failed: factor letter moved its base")

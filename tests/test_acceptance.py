@@ -82,7 +82,7 @@ def test_criterion_5_fails_on_a_lift_without_its_glue(monkeypatch):
         if v.case == 1:
             return v
         c_a, c_b = v.components
-        c_b = ComponentIndex(c_b.j, sigma_word(sig, U.removed[0].coords))
+        c_b = ComponentIndex(c_b.j, sig, sigma_word(sig, U.removed[0].coords).letters)
         return v._replace(components=(c_a, c_b), empty_meets=v.kernel_words_checked,
                           one_sided_meets=0)
 

@@ -33,6 +33,7 @@ from nodalcover.groups import (
     FiniteGroup,
     FPSignature,
     FPWord,
+    _alpha_tuple,
     cyclic_group,
     dihedral_group,
     enumerate_words,
@@ -75,8 +76,8 @@ SIG = FPSignature(1, (Z2, Z3))
 def test_coset_absorption():
     s = fp_normalize(SIG, [(1, 1), (0, 2)])
     gs = fp_normalize(SIG, [(1, 1)]) * s  # leading letter merges into the factor
-    assert ComponentIndex(0, gs) == ComponentIndex(0, s)
-    assert ComponentIndex(0, FPWord(SIG, ())).rep.is_identity()
+    assert ComponentIndex(0, SIG, gs.letters) == ComponentIndex(0, SIG, s.letters)
+    assert ComponentIndex(0, SIG, ()).rep.is_identity()
 
 
 def test_canonical_agrees_with_brute_force_coset():
@@ -89,7 +90,7 @@ def test_canonical_agrees_with_brute_force_coset():
         same_coset = any(
             (fp_normalize(SIG, [(1 + j, g)]) * s1) == s2 or (g == G.identity and s1 == s2)
             for g in range(G.order))
-        idx_equal = ComponentIndex(j, s1) == ComponentIndex(j, s2)
+        idx_equal = ComponentIndex(j, SIG, s1.letters) == ComponentIndex(j, SIG, s2.letters)
         assert idx_equal == same_coset
 
 
@@ -99,7 +100,7 @@ def test_action_identity_and_composition():
     rng = random.Random(83)
     e = FPWord(SIG, ())
     for _ in range(100):
-        c = ComponentIndex(rng.randrange(2), random_word(rng, SIG, 3))
+        c = ComponentIndex(rng.randrange(2), SIG, random_word(rng, SIG, 3).letters)
         assert component_action(e, c) == c
         w1, w2 = random_word(rng, SIG, 3), random_word(rng, SIG, 3)
         assert component_action(w2, component_action(w1, c)) == \
@@ -107,7 +108,7 @@ def test_action_identity_and_composition():
 
 
 def test_factor_letter_stabilizes_base_component():
-    base = ComponentIndex(0, FPWord(SIG, ()))
+    base = ComponentIndex(0, SIG, ())
     g = fp_normalize(SIG, [(1, 1)])
     assert component_action(g, base) == base
 
@@ -465,12 +466,27 @@ def test_domain_boundary_equals_the_eager_oracle(case):
     assert dom.boundary == domain_boundary_oracle(dom, pres)
 
 
+def _counting_inits(mp, classes):
+    """Count the constructions of each class while `mp` is active."""
+    counts = dict.fromkeys(classes, 0)
+
+    def counted(cls, init):
+        def __init__(self, *args, **kwargs):
+            counts[cls] += 1
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in classes:
+        mp.setattr(cls, "__init__", counted(cls, cls.__init__))
+    return counts
+
+
 def test_domain_boundary_is_built_on_first_read_once(monkeypatch):
     """Constructing a domain builds its core; the first read of ``boundary``
     builds one `ComponentIndex` per lift it examines, only the lift's
-    outside side, and a second read builds none and returns the same tuple.
-    A core component G_j s is examined at |G_j| lifts per node end on
-    curve component j."""
+    outside side, and one word per boundary lift, and a second read builds
+    none and returns the same tuple.  A core component G_j s is examined at
+    |G_j| lifts per node end on curve component j."""
     rep = rank2_rep()
     sig = rep.sig
     dom = fundamental_domain(sig, fp_normalize(sig, [(0, 1)]), rep.presentation)
@@ -478,17 +494,10 @@ def test_domain_boundary_is_built_on_first_read_once(monkeypatch):
     examined = sum(sig.factor(c.j).order * sum((ja == c.j) + (jb == c.j) for ja, jb, _ in ends)
                    for c in dom.core)
     expected = domain_boundary_oracle(dom, rep.presentation)
-    built = []
-    init = ComponentIndex.__init__
-
-    def counted(self, j, word):
-        built.append(j)
-        init(self, j, word)
-
-    monkeypatch.setattr(ComponentIndex, "__init__", counted)
+    built = _counting_inits(monkeypatch, (ComponentIndex, FPWord))
     first = dom.boundary
-    assert examined > 0 and len(built) == examined
-    assert dom.boundary is first and len(built) == examined
+    assert examined > 0 and built == {ComponentIndex: examined, FPWord: len(first)}
+    assert dom.boundary is first and built == {ComponentIndex: examined, FPWord: len(first)}
     assert first == expected
 
 
@@ -548,7 +557,7 @@ def test_witness_identity_on_core():
     w = fp_normalize(sig, [(0, 1)])
     dom = fundamental_domain(sig, w)
     g = sigma_word(sig, (1,))
-    target = ComponentIndex(0, w * g)
+    target = ComponentIndex(0, sig, (w * g).letters)
     assert cover_witness(dom, target).is_identity()
 
 
@@ -558,10 +567,10 @@ def test_witness_random_targets():
     rng = random.Random(89)
     for _ in range(200):
         j = rng.randrange(2)
-        target = ComponentIndex(j, random_word(rng, sig, 6))
+        target = ComponentIndex(j, sig, random_word(rng, sig, 6).letters)
         t = cover_witness(dom, target)
         assert t.alpha_coords == sig.identity_tuple()
-        start = ComponentIndex(j, dom.word * sigma_word(sig, target.rep.alpha_coords))
+        start = ComponentIndex(j, sig, (dom.word * sigma_word(sig, target.alpha_coords)).letters)
         assert component_action(t, start) == target
 
 
@@ -589,9 +598,9 @@ def test_witnesses_of_enumerated_targets_compute_no_alpha(monkeypatch):
         monkeypatch.setattr(module, "_alpha_tuple", counted, raising=False)
     witnesses = [cover_witness(dom, t) for t in targets]
     assert len(targets) > 1000 and calls == []
-    hand_built = ComponentIndex(targets[-1].j, FPWord(sig, targets[-1].rep.letters))
+    hand_built = ComponentIndex(targets[-1].j, sig, targets[-1].letters)
     assert cover_witness(dom, hand_built) == witnesses[-1]
-    assert calls == [hand_built.rep.letters]
+    assert calls == [hand_built.letters]
     monkeypatch.undo()
     assert witnesses == [cover_witness_oracle(dom, t) for t in targets]
 
@@ -599,13 +608,40 @@ def test_witnesses_of_enumerated_targets_compute_no_alpha(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(small_signatures, st.integers(0, 5))
 def test_shared_word_components_equal_the_per_factor_oracle(sig, L):
-    """`enumerate_components` equals, in order, one fresh word per (normal
-    form, factor), and builds each normal form's word once for all factors."""
+    """`enumerate_components` equals, in order, one index per (normal form,
+    factor); it builds no word and one index per component, and the indices
+    of one normal form share its letters tuple."""
     assume(sum(sum(g.values()) for g in iter_grade_states(
         sig, L, None, lambda key, letter: None)) <= 20000)
-    targets = enumerate_components(sig, L)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counting_inits(mp, (FPWord, ComponentIndex))
+        targets = enumerate_components(sig, L)
+    assert built == {FPWord: 0, ComponentIndex: len(targets)}
     assert targets == enumerate_components_oracle(sig, L)
-    assert len({id(t.rep) for t in targets}) == len({t.rep.letters for t in targets})
+    assert len({id(t.letters) for t in targets}) == len({t.letters for t in targets})
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_signatures, st.integers(0, 5), st.data())
+def test_enumerated_indices_read_alpha_and_witness_from_their_letters(sig, L, data):
+    """Every enumerated index reports the alpha of its letters, has the
+    oracle's coverage witness and reads back its representative as the word
+    of its letters.  An index built from a word with a leading j-letter and
+    that word's alpha strips the letter and reports the alpha of the rest."""
+    kernel = list(itertools.islice(kernel_words(sig, 4), 12))
+    assume(sig.num_factors and kernel)
+    assume(sum(sum(g.values()) for g in iter_grade_states(
+        sig, L, None, lambda key, letter: None)) <= 3000)
+    dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
+    for c in enumerate_components(sig, L):
+        assert c.alpha_coords == _alpha_tuple(sig, c.letters)
+        assert cover_witness(dom, c) == cover_witness_oracle(dom, c)
+        assert c.rep == FPWord(sig, c.letters)
+    for letters, al, _ in iter_words_raw(sig, L):
+        if letters and letters[0][0] >= sig.r:
+            c = ComponentIndex(letters[0][0] - sig.r, sig, letters, al)
+            assert c.letters == letters[1:]
+            assert c.alpha_coords == _alpha_tuple(sig, letters[1:]) != al
 
 
 @settings(max_examples=30, deadline=None)
@@ -616,13 +652,13 @@ def test_component_index_is_canonical_by_construction(sig, data):
     and its letters are the strip of s, the coset's unique shortest member.
     A factor index outside 0..N-1 is refused, and the witness of a target
     built from a non-canonical word is its coset's witness.  Equality and
-    hash are those of (j, rep) and (j, rep.letters), as when the class was a
-    frozen dataclass."""
+    hash are those of (j, sig, letters) and (j, letters), as when the class
+    was a frozen dataclass holding its representative's word."""
     s = FPWord(sig, data.draw(st.sampled_from(
         [letters for letters, _, _ in iter_words_raw(sig, 3)])))
     for bad in (-1, sig.num_factors):
         with pytest.raises(SignatureMismatch, match=f"^no finite factor {bad}$"):
-            ComponentIndex(bad, s)
+            ComponentIndex(bad, sig, s.letters)
     kernel = list(itertools.islice(kernel_words(sig, 4), 12))
     assume(sig.num_factors and kernel)
     j = data.draw(st.integers(0, sig.num_factors - 1))
@@ -631,16 +667,17 @@ def test_component_index_is_canonical_by_construction(sig, data):
     assert [len(gs) for gs in coset].count(len(canon)) == 1
     assert min(coset, key=len).letters == canon
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
-    c = ComponentIndex(j, FPWord(sig, canon))
+    c = ComponentIndex(j, sig, canon)
     witness = cover_witness_oracle(dom, c)
     for gs in coset:
-        index = ComponentIndex(j, gs)
-        assert (index, hash(index), index.rep.letters) == (c, hash(c), canon)
+        index = ComponentIndex(j, sig, gs.letters)
+        assert (index, hash(index), index.letters) == (c, hash(c), canon)
         assert cover_witness(dom, index) == witness
     assert hash(c) == hash((j, canon))
-    for other in (ComponentIndex((j + 1) % sig.num_factors, s), ComponentIndex(j, dom.word)):
-        assert (other == c) == ((other.j, other.rep) == (c.j, c.rep))
-        assert hash(other) == hash((other.j, other.rep.letters))
+    for other in (ComponentIndex((j + 1) % sig.num_factors, sig, s.letters),
+                  ComponentIndex(j, sig, dom.word.letters)):
+        assert (other == c) == ((other.j, other.sig, other.letters) == (c.j, c.sig, c.letters))
+        assert hash(other) == hash((other.j, other.letters))
 
 
 def test_section_is_read_only_and_proved_for_every_factor():
@@ -667,7 +704,7 @@ def test_witness_equals_per_target_oracle(sig, data):
     dom = fundamental_domain(sig, data.draw(st.sampled_from(kernel)))
     for letters, _, _ in itertools.islice(iter_words_raw(sig, 4), 3000):
         for j in range(sig.num_factors):
-            target = ComponentIndex(j, FPWord(sig, letters))
+            target = ComponentIndex(j, sig, letters)
             assert cover_witness(dom, target) == cover_witness_oracle(dom, target)
     for target in enumerate_components(sig, 3)[:3000]:
         assert cover_witness(dom, target) == cover_witness_oracle(dom, target)
@@ -733,11 +770,11 @@ def test_witness_from_section_equals_recomputed_witness(r, groups, word):
     for coords, ws_inv in dom.section.items():
         assert ws_inv == (dom.word * sigma_word(sig, coords)).inv().letters
     for target in enumerate_components(sig, 4):
-        ws = dom.word * sigma_word(sig, target.rep.alpha_coords)
+        ws = dom.word * sigma_word(sig, target.alpha_coords)
         assert cover_witness(dom, target) == ws.inv() * target.rep
     other = FPSignature(r + 1, groups)
     with pytest.raises(SignatureMismatch):
-        cover_witness(dom, ComponentIndex(0, FPWord(other, ())))
+        cover_witness(dom, ComponentIndex(0, other, ()))
 
 
 # -- finite covers ------------------------------------------------------------------------

@@ -788,7 +788,7 @@ def test_rank_one_lattice_exponents_shift_along_orbit():
     assignment = integralize(datum_from_rep(rep).restricted(), max_len=3)
     sig = rep.sig
     for k in range(-2, 3):
-        c = ComponentIndex(0, fp_normalize(sig, [(0, k)]))
+        c = ComponentIndex(0, sig, fp_normalize(sig, [(0, k)]).letters)
         assert assignment.lattice_of(c).diagonal_exponents == (k,)
 
 

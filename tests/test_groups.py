@@ -643,22 +643,22 @@ def test_a_negative_word_bound_is_refused(walk, bound):
 @settings(max_examples=40, deadline=None)
 @given(small_signatures, st.integers(0, 4))
 def test_walk_built_words_carry_their_alpha(sig, L):
-    """Every word that `enumerate_words`, `kernel_words` and
-    `enumerate_components` build carries the walk's alpha, equal to the
-    factorwise oracle, and within one walk each quotient element is one
-    tuple.  A component index that strips a leading letter holds a fresh
-    word, which computes the same alpha on its first read."""
+    """Every word that `enumerate_words` and `kernel_words` build, and every
+    index that `enumerate_components` builds, carries the walk's alpha,
+    equal to the factorwise oracle, and within one walk each quotient
+    element is one tuple.  A component index that strips a leading letter
+    drops the alpha it was given and computes its own on its first read."""
     states = iter_grade_states(sig, L, None, lambda key, letter: None)
     assume(sum(sum(grade.values()) for grade in states) <= 5000)
     walks = [enumerate_words(sig, L), list(kernel_words(sig, L)),
-             [c.rep for c in enumerate_components(sig, L)]]
+             enumerate_components(sig, L)]
     for words in walks:
         assert all(w._alpha is not None for w in words)
         assert [w.alpha_coords for w in words] == [alpha_oracle(sig, w.letters) for w in words]
         assert len({id(w._alpha) for w in words}) == len({w._alpha for w in words})
     for w in walks[0]:
         if w.letters and w.letters[0][0] >= sig.r:
-            stripped = ComponentIndex(w.letters[0][0] - sig.r, w).rep
+            stripped = ComponentIndex(w.letters[0][0] - sig.r, sig, w.letters, w._alpha)
             assert stripped._alpha is None
             assert stripped.alpha_coords == alpha_oracle(sig, stripped.letters)
 

@@ -80,7 +80,7 @@ def test_sp_rank_one_exponent_gradient():
     sig = rep.sig
     exps = []
     for k in range(-2, 3):
-        c = ComponentIndex(0, fp_normalize(sig, [(0, k)]))
+        c = ComponentIndex(0, sig, fp_normalize(sig, [(0, k)]).letters)
         exps.append(res.lattice.lattice_of(c).diagonal_exponents[0])
     # the twist of z is 1/t, so exponents fall linearly along the orbit
     assert exps == [2, 1, 0, -1, -2]

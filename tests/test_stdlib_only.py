@@ -345,20 +345,19 @@ def test_read_only_fields_are_stored_only_in_their_own_class():
     of a class in READ_ONLY outside a class that owns a field of that name."""
     owner = read_only_fields()
     assert set().union(*owner.values()) == {c for names in READ_ONLY.values() for c in names}
-    assert owner["letters"] == {"FPWord"}
+    assert owner["letters"] == {"FPWord", "ComponentIndex"}
     assert owner["field"] >= {"RationalFunction", "MatrixK", "ContinuousRep"}
     assert (owner["boundary"], owner["z_det_valuations"], owner["_letter_strings"]) == \
         ({"FundamentalDomain"}, {"ContinuousRep"}, {"FPSignature"})
     assert owner["sig"] >= {"ContinuousRep", "FiniteQuotientRep"}
     probe = ast.parse(
-        "w.letters = ()\nf.num += (1,)\nc.rep: object = w\nsetattr(w, 'sig', s)\n"
+        "w.letters = ()\nf.num += (1,)\nc.j: object = w\nsetattr(w, 'sig', s)\n"
         "object.__setattr__(c, 'j', 1)\ndel f.den\nf.field, x = F, 0\ndom.boundary = ()\n"
-        "class ComponentIndex:\n    def __init__(self):\n        self.rep = w\n"
-        "        self.letters = ()\n        self.rep._alpha = al\n"
-        "class MatrixK:\n    def __init__(self):\n        self.field = F\n"
+        "class MatrixK:\n    def __init__(self):\n        self.j = w\n"
+        "        self.letters = ()\n        self.rep._alpha = al\n        self.field = F\n"
         "class FundamentalDomain:\n    def __init__(self):\n        self.field = F\n")
     assert [name for _, name in field_stores(probe, owner)] == \
-        ["letters", "num", "rep", "sig", "j", "den", "field", "boundary", "letters", "_alpha",
+        ["letters", "num", "j", "sig", "j", "den", "field", "boundary", "j", "letters", "_alpha",
          "field"]
     stores = []
     for folder in ("src", "demos", "tests", "perfbench"):

@@ -58,8 +58,9 @@ CASES = {
         {"sig": FPSignature(1, (G3, C3)), "letters": ((0, 1), (1, 1))}, ("_alpha",),
         lambda w: w.letters),
     ComponentIndex: (
-        {"j": 0, "rep": FPWord(SIG, ((0, 1),))},
-        {"j": 1, "rep": FPWord(SIG, ((0, 2),))}, (), lambda c: (c.j, c.rep.letters)),
+        {"j": 0, "sig": SIG, "letters": ((0, 1),)},
+        {"j": 1, "sig": FPSignature(1, (G3, C3)), "letters": ((0, 2),)}, ("_alpha",),
+        lambda c: (c.j, c.letters)),
     NodalCurve: (
         {"components": CHAIN, "nodes": CHAIN_NODE},
         {"components": CHAIN[::-1], "nodes": (Node("n1", CHAIN_NODE[0].ends),)},
