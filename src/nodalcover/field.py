@@ -186,7 +186,14 @@ def _pord(a: tuple) -> int | None:
 class RationalFunction:
     """Canonical num/den over F_p[t]: coprime, monic denominator, int
     coefficients in [0, p).  Construction goes through `_make_rf`, which
-    normalises; this constructor stores what it is given."""
+    normalises; this constructor stores what it is given.
+
+    A canonical denominator is monic, so it is t^k exactly when all but its
+    last coefficient are zero.  A nonzero constant c times n/d is c*n/d,
+    already canonical, so it is not normalised.  A product over t^a and t^b
+    is the numerators' product over t^(a+b), and a sum over t^a and t^b, a < b,
+    is (n_a*t^(b-a) + n_b)/t^b: neither builds a product of denominators.
+    An operand whose denominator has two or more terms cross-multiplies."""
 
     __slots__ = ("field", "num", "den")
 
@@ -215,28 +222,29 @@ class RationalFunction:
             raise DimensionMismatch("operands live in different coefficient fields")
 
     def __add__(self, other):
-        self._check(other)
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        F = self.field
-        if self.den == other.den:
-            return _make_rf(F, _padd(F, self.num, other.num), self.den)
-        num = _padd(F, _pmul(F, self.num, other.den), _pmul(F, other.num, self.den))
-        return _make_rf(F, num, _pmul(F, self.den, other.den))
+        return self._combine(other, _padd)
 
     def __sub__(self, other):
+        return self._combine(other, _psub)
+
+    def _combine(self, other, op):
+        """self + other or self - other, as op is _padd or _psub."""
         self._check(other)
         if not other.num:
             return self
         F = self.field
-        if not self.num:
-            return RationalFunction(F, _pneg(F, other.num), other.den)
-        if self.den == other.den:
-            return _make_rf(F, _psub(F, self.num, other.num), self.den)
-        num = _psub(F, _pmul(F, self.num, other.den), _pmul(F, other.num, self.den))
-        return _make_rf(F, num, _pmul(F, self.den, other.den))
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if not a:
+            return RationalFunction(F, op(F, a, b), db)
+        if da == db:
+            return _make_rf(F, op(F, a, b), da)
+        ka, kb = len(da) - 1, len(db) - 1
+        if da.count(0) == ka and db.count(0) == kb:
+            # t^ka and t^kb: shift the numerator over the smaller power up
+            if ka < kb:
+                return _make_rf(F, op(F, (0,) * (kb - ka) + a, b), db)
+            return _make_rf(F, op(F, a, (0,) * (ka - kb) + b), da)
+        return _make_rf(F, op(F, _pmul(F, a, db), _pmul(F, b, da)), _pmul(F, da, db))
 
     def __neg__(self):
         return RationalFunction(self.field, _pneg(self.field, self.num), self.den)
@@ -244,13 +252,22 @@ class RationalFunction:
     def __mul__(self, other):
         self._check(other)
         F = self.field
-        if not self.num or not other.num:
+        a, b = self, other
+        if not a.num or not b.num:
             return F.zero()
-        if self.num == (1,) and self.den == (1,):
-            return other
-        if other.num == (1,) and other.den == (1,):
-            return self
-        return _make_rf(F, _pmul(F, self.num, other.num), _pmul(F, self.den, other.den))
+        if len(b.num) == 1 == len(b.den):
+            a, b = b, a
+        if len(a.num) == 1 == len(a.den):
+            # a nonzero constant c scales b, and c*n/d is still canonical
+            c = a.num[0]
+            if c == 1:
+                return b
+            p = F.p
+            return RationalFunction(F, tuple([c * x % p for x in b.num]), b.den)
+        da, db = a.den, b.den
+        if da.count(0) == len(da) - 1 and db.count(0) == len(db) - 1:
+            return _make_rf(F, _pmul(F, a.num, b.num), (0,) * (len(da) + len(db) - 2) + (1,))
+        return _make_rf(F, _pmul(F, a.num, b.num), _pmul(F, da, db))
 
     def __truediv__(self, other):
         self._check(other)
@@ -549,6 +566,8 @@ class MatrixK:
     def __mul__(self, other: "MatrixK") -> "MatrixK":
         if self.cols != other.rows:
             raise DimensionMismatch("shape mismatch in matrix product")
+        if len(self.entries) == 1 == len(other.entries[0]) == len(other.entries):
+            return MatrixK(self.field, ((self.entries[0][0] * other.entries[0][0],),))
         cols = list(zip(*other.entries))
         zero = self.field.zero()
         out = []

@@ -295,6 +295,97 @@ def test_general_kernels_match_schoolbook(F, data):
     assert len(_poly_gcd_oracle(F.p, f.num, f.den)) == 1
 
 
+OPERAND_KINDS = ["zero", "constant", "polynomial", "laurent", "general"]
+
+
+def _operand(data, F, kind):
+    """A canonical element of one kind: zero, a constant (1 and p - 1 drawn
+    often), a polynomial, c*t^-k*poly with k >= 1, or a denominator of two or
+    more terms."""
+    if kind == "zero":
+        return F.zero()
+    if kind == "constant":
+        return F.rf(data.draw(st.sampled_from([1, F.p - 1]) | _coeffs(F, nonzero=True)))
+    if kind == "laurent":
+        num = _poly_of_order(data, F, 0)
+        return _make_rf(F, num, _monomial(data, F, data.draw(st.integers(1, 4))))
+    num = _poly_of_order(data, F, data.draw(st.integers(0, 3)))
+    if kind == "polynomial":
+        return _make_rf(F, num, (1,))
+    return _make_rf(F, num, _non_monomial_of_order(data, F, data.draw(st.integers(0, 2))))
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("kind", OPERAND_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_and_sums_match_the_cross_multiplied_euclid_form(F, kind, data):
+    """a*b, a+b and a-b against the Euclid normal form of the cross-multiplied
+    fraction, for every pair of operand kinds.  A b that repeats a's
+    denominator and cancels its low terms makes a sum strip a power of t, and
+    b = -a makes a + b and a - (-b) cancel to zero."""
+    a = _operand(data, F, kind)
+    mode = data.draw(st.sampled_from(["free", "cancel_low", "negate"]) if a else st.just("free"))
+    if mode == "free":
+        b = _operand(data, F, data.draw(st.sampled_from(OPERAND_KINDS)))
+    elif mode == "negate":
+        b = -a
+    else:
+        s = data.draw(st.integers(1, len(a.num)))
+        low = tuple(-c % F.p for c in a.num[:s])
+        b = _make_rf(F, low + tuple(data.draw(st.lists(_coeffs(F), max_size=3))), a.den)
+    for x, y in ((a, b), (b, a), (a, -b)):
+        _assert_euclid_form(F, _schoolbook(F, x.num, y.num), _schoolbook(F, x.den, y.den), x * y)
+        cross = _schoolbook(F, x.num, y.den), _schoolbook(F, y.num, x.den)
+        den = _schoolbook(F, x.den, y.den)
+        _assert_euclid_form(F, _coefwise(F, *cross, 1), den, x + y)
+        _assert_euclid_form(F, _coefwise(F, *cross, -1), den, x - y)
+
+
+def test_laurent_and_constant_arithmetic_skip_the_cross_products(monkeypatch):
+    """Denominators t^ka and t^kb are added by a shift and multiplied without
+    a product of denominators, a constant scales without normalising, and a
+    1x1 matrix product is one entry product."""
+    calls = {"pmul": 0, "make_rf": 0, "rf_mul": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(field, "_pmul", counting("pmul", _pmul))
+    monkeypatch.setattr(field, "_make_rf", counting("make_rf", _make_rf))
+
+    def counts_of(thunk):
+        for name in calls:
+            calls[name] = 0
+        thunk()
+        return dict(calls)
+
+    for F in KERNEL_FIELDS:
+        t = F.t_power(1)
+        laurent = [F.rf((1, 1), (0, 0, 1)), F.rf((F.p - 1, 0, 1), (0, 0, 0, 1)), F.t_power(-1)]
+        others = laurent + [t + F.one(), F.rf((1,), (1, 1))]
+        for a, b in itertools.product(laurent, laurent):
+            assert counts_of(lambda: a * b)["pmul"] == 1
+        for c in {F.rf(c) for c in (1, 2, F.p - 1) if c % F.p}:
+            for x in others:
+                for a, b in ((c, x), (x, c)):
+                    got = counts_of(lambda: a * b)
+                    assert (got["pmul"], got["make_rf"]) == (0, 0)
+        for a, b in ((laurent[0], laurent[1]), (laurent[2], t), (t + F.one(), laurent[1])):
+            assert counts_of(lambda: (a + b, a - b, b - a))["pmul"] == 0
+
+    rf_mul = field.RationalFunction.__mul__
+    monkeypatch.setattr(field.RationalFunction, "__mul__", counting("rf_mul", rf_mul))
+    a, b = F3.rf((1, 1), (0, 1)), F3.rf((2,), (1, 1))
+    M, N = MatrixK(F3, ((a,),)), MatrixK(F3, ((b,),))
+    assert counts_of(lambda: M * N)["rf_mul"] == 1
+    assert M * N == MatrixK(F3, ((rf_mul(a, b),),))
+    assert M * MatrixK.zeros(F3, 1, 1) == MatrixK.zeros(F3, 1, 1)
+
+
 # -- field axioms (randomized, exact equality) --------------------------------
 
 small_rf = st.builds(
