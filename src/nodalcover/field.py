@@ -106,7 +106,8 @@ def _padd(F: FunctionField, a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
     p = F.p
-    return _pnorm(tuple([(x + y) % p for x, y in zip(a, b)]) + a[len(b):])
+    s = tuple([(x + y) % p for x, y in zip(a, b)]) + a[len(b):]
+    return s if not s or s[-1] else _pnorm(s)
 
 
 def _pneg(F: FunctionField, a: tuple) -> tuple:
@@ -186,7 +187,9 @@ def _pord(a: tuple) -> int | None:
 class RationalFunction:
     """Canonical num/den over F_p[t]: coprime, monic denominator, int
     coefficients in [0, p).  Construction goes through `_make_rf`, which
-    normalises; this constructor stores what it is given.
+    normalises; this constructor stores what it is given.  Each operator
+    checks that its operands share a field and runs its kernel (`_rf_mul`,
+    `_rf_combine`); a matrix operation checks once and calls the kernels.
 
     A canonical denominator is monic, so it is t^k exactly when all but its
     last coefficient are zero.  A nonzero constant c times n/d is c*n/d,
@@ -222,52 +225,19 @@ class RationalFunction:
             raise DimensionMismatch("operands live in different coefficient fields")
 
     def __add__(self, other):
-        return self._combine(other, _padd)
+        self._check(other)
+        return _rf_combine(self.field, self, other, _padd)
 
     def __sub__(self, other):
-        return self._combine(other, _psub)
-
-    def _combine(self, other, op):
-        """self + other or self - other, as op is _padd or _psub."""
         self._check(other)
-        if not other.num:
-            return self
-        F = self.field
-        a, b, da, db = self.num, other.num, self.den, other.den
-        if not a:
-            return RationalFunction(F, op(F, a, b), db)
-        if da == db:
-            return _make_rf(F, op(F, a, b), da)
-        ka, kb = len(da) - 1, len(db) - 1
-        if da.count(0) == ka and db.count(0) == kb:
-            # t^ka and t^kb: shift the numerator over the smaller power up
-            if ka < kb:
-                return _make_rf(F, op(F, (0,) * (kb - ka) + a, b), db)
-            return _make_rf(F, op(F, a, (0,) * (ka - kb) + b), da)
-        return _make_rf(F, op(F, _pmul(F, a, db), _pmul(F, b, da)), _pmul(F, da, db))
+        return _rf_combine(self.field, self, other, _psub)
 
     def __neg__(self):
         return RationalFunction(self.field, _pneg(self.field, self.num), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        F = self.field
-        a, b = self, other
-        if not a.num or not b.num:
-            return F.zero()
-        if len(b.num) == 1 == len(b.den):
-            a, b = b, a
-        if len(a.num) == 1 == len(a.den):
-            # a nonzero constant c scales b, and c*n/d is still canonical
-            c = a.num[0]
-            if c == 1:
-                return b
-            p = F.p
-            return RationalFunction(F, tuple([c * x % p for x in b.num]), b.den)
-        da, db = a.den, b.den
-        if da.count(0) == len(da) - 1 and db.count(0) == len(db) - 1:
-            return _make_rf(F, _pmul(F, a.num, b.num), (0,) * (len(da) + len(db) - 2) + (1,))
-        return _make_rf(F, _pmul(F, a.num, b.num), _pmul(F, da, db))
+        return _rf_mul(self.field, self, other)
 
     def __truediv__(self, other):
         self._check(other)
@@ -314,6 +284,43 @@ class RationalFunction:
         return f"RF({rf_to_string(self)})"
 
 
+def _rf_mul(F: FunctionField, a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    """a * b; the caller has checked that both lie in F."""
+    if not a.num or not b.num:
+        return F._zero
+    if len(b.num) == 1 == len(b.den):
+        a, b = b, a
+    if len(a.num) == 1 == len(a.den):
+        # a nonzero constant c scales b, and c*n/d is still canonical
+        c = a.num[0]
+        if c == 1:
+            return b
+        p = F.p
+        return RationalFunction(F, tuple([c * x % p for x in b.num]), b.den)
+    da, db = a.den, b.den
+    if da.count(0) == len(da) - 1 and db.count(0) == len(db) - 1:
+        return _make_rf(F, _pmul(F, a.num, b.num), (0,) * (len(da) + len(db) - 2) + (1,))
+    return _make_rf(F, _pmul(F, a.num, b.num), _pmul(F, da, db))
+
+
+def _rf_combine(F: FunctionField, x: RationalFunction, y: RationalFunction, op) -> RationalFunction:
+    """x + y or x - y, as op is _padd or _psub; the caller has checked the field."""
+    if not y.num:
+        return x
+    a, b, da, db = x.num, y.num, x.den, y.den
+    if not a:
+        return RationalFunction(F, op(F, a, b), db)
+    if da == db:
+        return _make_rf(F, op(F, a, b), da)
+    ka, kb = len(da) - 1, len(db) - 1
+    if da.count(0) == ka and db.count(0) == kb:
+        # t^ka and t^kb: shift the numerator over the smaller power up
+        if ka < kb:
+            return _make_rf(F, op(F, (0,) * (kb - ka) + a, b), db)
+        return _make_rf(F, op(F, a, (0,) * (ka - kb) + b), da)
+    return _make_rf(F, op(F, _pmul(F, a, db), _pmul(F, b, da)), _pmul(F, da, db))
+
+
 def _power(base, k: int):
     """base ** k for k >= 1, squaring from the top bit down: no product with
     the identity and no square past the last bit, so z ** -1 is one inverse."""
@@ -330,8 +337,8 @@ def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
     0/1.  When either side is a monomial c*t^k, the gcd is t^s with
     s = min(k, ord of the other side), so it is stripped by a shift; only two
     sides of two or more terms each go through Euclid."""
-    num = _pnorm(num)
-    den = _pnorm(den)
+    num = num if not num or num[-1] else _pnorm(num)
+    den = den if not den or den[-1] else _pnorm(den)
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
@@ -496,14 +503,17 @@ def rf_from_string(field: FunctionField, s: str) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 class MatrixK:
-    """Immutable rectangular matrix with RationalFunction entries."""
+    """Immutable rectangular matrix whose entries lie in its `field`, as
+    `from_rows` checks.  Each operation checks once that its operands share
+    that field, then runs its entry arithmetic through `_rf_mul` and `_rf_combine`."""
 
     def __init__(self, field: FunctionField, entries: tuple[tuple[RationalFunction, ...], ...]):
         if not entries or not entries[0]:
             raise DimensionMismatch("matrices must have positive dimensions")
         w = len(entries[0])
-        if any(len(row) != w for row in entries):
-            raise DimensionMismatch("ragged rows")
+        for row in entries:
+            if len(row) != w:
+                raise DimensionMismatch("ragged rows")
         self.field = field
         self.entries = entries
 
@@ -530,6 +540,8 @@ class MatrixK:
             out = []
             for e in row:
                 if isinstance(e, RationalFunction):
+                    if e.field is not field and e.field != field:
+                        raise DimensionMismatch("entry lives in a different coefficient field")
                     out.append(e)
                 elif isinstance(e, str):
                     out.append(rf_from_string(field, e))
@@ -549,27 +561,33 @@ class MatrixK:
         zero = field.zero()
         return cls(field, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
 
-    def __add__(self, other: "MatrixK") -> "MatrixK":
+    def _check(self, other) -> FunctionField:
+        F = self.field
+        if other.field is not F and other.field != F:
+            raise DimensionMismatch("operands live in different coefficient fields")
+        return F
+
+    def _entrywise(self, other: "MatrixK", op, what: str) -> "MatrixK":
+        F = self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix addition")
-        return MatrixK(self.field, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
+            raise DimensionMismatch(f"shape mismatch in matrix {what}")
+        return MatrixK(F, tuple(
+            tuple([_rf_combine(F, a, b, op) for a, b in zip(ra, rb)])
             for ra, rb in zip(self.entries, other.entries)))
+
+    def __add__(self, other: "MatrixK") -> "MatrixK":
+        return self._entrywise(other, _padd, "addition")
 
     def __sub__(self, other: "MatrixK") -> "MatrixK":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix subtraction")
-        return MatrixK(self.field, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._entrywise(other, _psub, "subtraction")
 
     def __mul__(self, other: "MatrixK") -> "MatrixK":
+        F = self._check(other)
         if self.cols != other.rows:
             raise DimensionMismatch("shape mismatch in matrix product")
         if len(self.entries) == 1 == len(other.entries[0]) == len(other.entries):
-            return MatrixK(self.field, ((self.entries[0][0] * other.entries[0][0],),))
+            return MatrixK(F, ((_rf_mul(F, self.entries[0][0], other.entries[0][0]),),))
         cols = list(zip(*other.entries))
-        zero = self.field.zero()
         out = []
         for row in self.entries:
             new = []
@@ -577,21 +595,23 @@ class MatrixK:
                 acc = None
                 for a, b in zip(row, col):
                     if a.num and b.num:
-                        term = a * b
-                        acc = term if acc is None else acc + term
-                new.append(zero if acc is None else acc)
+                        term = _rf_mul(F, a, b)
+                        acc = term if acc is None else _rf_combine(F, acc, term, _padd)
+                new.append(F._zero if acc is None else acc)
             out.append(tuple(new))
-        return MatrixK(self.field, tuple(out))
+        return MatrixK(F, tuple(out))
 
     def scale(self, c: RationalFunction) -> "MatrixK":
-        return MatrixK(self.field, tuple(tuple(c * e for e in row) for row in self.entries))
+        F = self._check(c)
+        return MatrixK(F, tuple(tuple([_rf_mul(F, c, e) for e in row]) for row in self.entries))
 
     def kron(self, other: "MatrixK") -> "MatrixK":
+        F = self._check(other)
         out = []
         for ra in self.entries:
             for rb in other.entries:
-                out.append(tuple(a * b for a in ra for b in rb))
-        return MatrixK(self.field, tuple(out))
+                out.append(tuple([_rf_mul(F, a, b) for a in ra for b in rb]))
+        return MatrixK(F, tuple(out))
 
     def frobenius(self) -> "MatrixK":
         return MatrixK(self.field, tuple(tuple(e.frobenius() for e in row)
@@ -629,7 +649,7 @@ class MatrixK:
             for row in m[col + 1:]:
                 f = row[col]
                 for j in range(col + 1, n):
-                    e = pc * row[j] - f * prow[j]
+                    e = _rf_combine(F, _rf_mul(F, pc, row[j]), _rf_mul(F, f, prow[j]), _psub)
                     if prev is None:
                         row[j] = e
                     elif poly:
@@ -691,9 +711,9 @@ def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:
     earlier free columns, where no pivot was found and where later updates
     subtract only rows from that same zero set.
     """
+    F = M._check(rhs)
     if M.rows != rhs.rows:
         raise DimensionMismatch("matrix and right-hand side have different heights")
-    F = M.field
     n, m, k = M.rows, M.cols, rhs.cols
     a = [list(M.entries[i]) + list(rhs.entries[i]) for i in range(n)]
     pivots: list[int] = []
@@ -709,13 +729,13 @@ def solve_linear(M: MatrixK, rhs: MatrixK) -> LinearSolution:
         nz = [j for j in range(col, m + k) if prow[j].num]
         inv = prow[col].inverse()
         for j in nz:
-            prow[j] = prow[j] * inv
+            prow[j] = _rf_mul(F, prow[j], inv)
         for r in range(n):
             if r != row and a[r][col].num:
                 ar = a[r]
                 f = ar[col]
                 for j in nz:
-                    ar[j] = ar[j] - f * prow[j]
+                    ar[j] = _rf_combine(F, ar[j], _rf_mul(F, f, prow[j]), _psub)
         pivots.append(col)
         row += 1
         if row == n:

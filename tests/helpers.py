@@ -569,6 +569,28 @@ def det_oracle(M: MatrixK):
     return acc if sign > 0 else -acc
 
 
+def matrix_op_oracle(name: str, A: MatrixK, B) -> MatrixK:
+    """A + B, A - B, A * B, A.kron(B) or A.scale(B), entry by entry through
+    the checked `RationalFunction` operators.  The oracle of the `MatrixK`
+    operations, which check the field once and call the unchecked kernels."""
+    F = A.field
+    a = A.entries
+    if name == "scale":
+        return MatrixK(F, tuple(tuple(B * x for x in row) for row in a))
+    b = B.entries
+    if name in ("+", "-"):
+        out = [[a[i][j] + b[i][j] if name == "+" else a[i][j] - b[i][j]
+                for j in range(A.cols)] for i in range(A.rows)]
+    elif name == "*":
+        out = [[sum((a[i][k] * b[k][j] for k in range(A.cols)), F.zero())
+                for j in range(B.cols)] for i in range(A.rows)]
+    else:
+        q, s = B.rows, B.cols
+        out = [[a[i // q][j // s] * b[i % q][j % s] for j in range(A.cols * s)]
+               for i in range(A.rows * q)]
+    return MatrixK(F, tuple(tuple(row) for row in out))
+
+
 def smith_exponents(M: MatrixK) -> tuple[int, ...]:
     """Elementary divisor exponents of an invertible matrix over the valuation
     ring: M is GL_n(A)-equivalent on both sides to diag(t^{e_1}, ..., t^{e_n}),

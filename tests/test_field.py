@@ -34,6 +34,7 @@ from helpers import (
     F7,
     det_oracle,
     lattice_hermite_oracle,
+    matrix_op_oracle,
     random_matrix,
     random_rf,
     smith_exponents,
@@ -144,8 +145,7 @@ KERNEL_IDS = ["F2", "F3", "F7"]
 
 
 def _coeffs(F, nonzero=False):
-    c = st.integers(0, F.p - 1)
-    return c.filter(bool) if nonzero else c
+    return st.integers(1 if nonzero else 0, F.p - 1)
 
 
 def _poly_of_order(data, F, order):
@@ -342,11 +342,9 @@ def test_products_and_sums_match_the_cross_multiplied_euclid_form(F, kind, data)
         _assert_euclid_form(F, _coefwise(F, *cross, -1), den, x - y)
 
 
-def test_laurent_and_constant_arithmetic_skip_the_cross_products(monkeypatch):
-    """Denominators t^ka and t^kb are added by a shift and multiplied without
-    a product of denominators, a constant scales without normalising, and a
-    1x1 matrix product is one entry product."""
-    calls = {"pmul": 0, "make_rf": 0, "rf_mul": 0}
+def _count_calls(monkeypatch, target, names):
+    """Wrap target.<name> for each name; returns the dict of call counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def counted(*args):
@@ -354,8 +352,16 @@ def test_laurent_and_constant_arithmetic_skip_the_cross_products(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(field, "_pmul", counting("pmul", _pmul))
-    monkeypatch.setattr(field, "_make_rf", counting("make_rf", _make_rf))
+    for name in names:
+        monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
+    return calls
+
+
+def test_laurent_and_constant_arithmetic_skip_the_cross_products(monkeypatch):
+    """Denominators t^ka and t^kb are added by a shift and multiplied without
+    a product of denominators, a constant scales without normalising, and a
+    1x1 matrix product is one entry product."""
+    calls = _count_calls(monkeypatch, field, ("_pmul", "_make_rf", "_rf_mul"))
 
     def counts_of(thunk):
         for name in calls:
@@ -368,22 +374,108 @@ def test_laurent_and_constant_arithmetic_skip_the_cross_products(monkeypatch):
         laurent = [F.rf((1, 1), (0, 0, 1)), F.rf((F.p - 1, 0, 1), (0, 0, 0, 1)), F.t_power(-1)]
         others = laurent + [t + F.one(), F.rf((1,), (1, 1))]
         for a, b in itertools.product(laurent, laurent):
-            assert counts_of(lambda: a * b)["pmul"] == 1
+            assert counts_of(lambda: a * b)["_pmul"] == 1
         for c in {F.rf(c) for c in (1, 2, F.p - 1) if c % F.p}:
             for x in others:
                 for a, b in ((c, x), (x, c)):
                     got = counts_of(lambda: a * b)
-                    assert (got["pmul"], got["make_rf"]) == (0, 0)
+                    assert (got["_pmul"], got["_make_rf"]) == (0, 0)
         for a, b in ((laurent[0], laurent[1]), (laurent[2], t), (t + F.one(), laurent[1])):
-            assert counts_of(lambda: (a + b, a - b, b - a))["pmul"] == 0
+            assert counts_of(lambda: (a + b, a - b, b - a))["_pmul"] == 0
 
-    rf_mul = field.RationalFunction.__mul__
-    monkeypatch.setattr(field.RationalFunction, "__mul__", counting("rf_mul", rf_mul))
     a, b = F3.rf((1, 1), (0, 1)), F3.rf((2,), (1, 1))
     M, N = MatrixK(F3, ((a,),)), MatrixK(F3, ((b,),))
-    assert counts_of(lambda: M * N)["rf_mul"] == 1
-    assert M * N == MatrixK(F3, ((rf_mul(a, b),),))
+    assert counts_of(lambda: M * N)["_rf_mul"] == 1
+    assert M * N == MatrixK(F3, ((a * b,),))
     assert M * MatrixK.zeros(F3, 1, 1) == MatrixK.zeros(F3, 1, 1)
+
+
+# -- matrix operations: one field check, then the entry kernels -----------------
+
+def test_from_rows_refuses_an_entry_of_another_field():
+    with pytest.raises(DimensionMismatch):
+        MatrixK.from_rows(F3, [[F5.rf(1)]])
+    with pytest.raises(DimensionMismatch):
+        MatrixK.from_rows(F3, [["1", 2], [F3.one(), F7.t_power(1)]])
+    twin = FunctionField(3)
+    M = MatrixK.from_rows(F3, [[twin.t_power(1), "t"], [1, F3.one()]])
+    assert M.entries[0][0] == M.entries[0][1] == F3.t_power(1)
+
+
+MIXED_FIELD_OPS = {
+    "*": lambda x, y: x * y,
+    "kron": lambda x, y: x.kron(y),
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "scale": lambda x, y: x.scale(y.entries[0][0]),
+    "solve_linear": solve_linear,
+}
+
+
+@pytest.mark.parametrize("op", MIXED_FIELD_OPS)
+def test_mixed_field_operands_fail_before_any_entry_work(monkeypatch, op):
+    rows = [["1 + t", "(t^2)/(1 + t)"], ["(2)/(t)", "t + 2"]]
+    M3, M5 = MatrixK.from_rows(F3, rows), MatrixK.from_rows(F5, rows)
+    calls = _count_calls(monkeypatch, field, ("_pmul", "_make_rf"))
+    for x, y in ((M3, M5), (M5, M3)):
+        with pytest.raises(DimensionMismatch):
+            MIXED_FIELD_OPS[op](x, y)
+    assert calls == {"_pmul": 0, "_make_rf": 0}
+
+
+def test_matrix_operations_check_no_entry_field(monkeypatch):
+    """A 3x3 Laurent product, its sums, Kronecker and scalar products, and a
+    3x3 solve and inverse run on the unchecked kernels: the field is checked
+    once per operation, never per entry."""
+    rows = [["1 + t", "(1)/(t)", "(t + 2)/(t^2)"], ["2", "(2*t^2 + 1)/(t)", "0"],
+            ["(1)/(t^3)", "t", "(1 + t^2)/(t)"]]
+    M = MatrixK.from_rows(F3, rows)
+    N = MatrixK.from_rows(F3, [row[::-1] for row in rows])
+    calls = _count_calls(monkeypatch, field.RationalFunction, ("_check",))
+    results = [M * N, M + N, M - N, M.kron(N), M.scale(F3.rf((1,), (0, 1))),
+               solve_linear(M, N), M.inverse()]
+    assert calls == {"_check": 0}
+    assert results[0] == matrix_op_oracle("*", M, N)
+    assert results[-1] * M == MatrixK.identity(F3, 3)
+
+
+def _matrix(data, F, rows, cols):
+    kinds = st.sampled_from(OPERAND_KINDS)
+    return MatrixK(F, tuple(tuple(_operand(data, F, data.draw(kinds)) for _ in range(cols))
+                            for _ in range(rows)))
+
+
+def _assert_over(F, M):
+    assert M.field == F
+    assert all(e.field == F for row in M.entries for e in row)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matrix_operations_match_the_entrywise_oracle(F, data):
+    """Every matrix operation on the kernels against the checked entry
+    operators, for 1x1 to 3x3 and non-square shapes over every operand kind.
+    The second operand lies over an equal field object or the same one."""
+    n, m, k = (data.draw(st.integers(1, 3), label=name) for name in "nmk")
+    G = data.draw(st.sampled_from([F, FunctionField(F.p)]), label="second field")
+    A, B, C = _matrix(data, F, n, m), _matrix(data, G, n, m), _matrix(data, G, m, k)
+    c = _operand(data, G, data.draw(st.sampled_from(OPERAND_KINDS)))
+    for name, x, y, got in (("+", A, B, A + B), ("-", A, B, A - B), ("*", A, C, A * C),
+                            ("kron", A, C, A.kron(C)), ("scale", A, c, A.scale(c))):
+        assert got == matrix_op_oracle(name, x, y)
+        _assert_over(F, got)
+    sol = solve_linear(A, B)
+    assert sol == solve_linear_oracle(A, B)
+    for M in filter(None, (sol.particular,) + sol.kernel):
+        _assert_over(F, M)
+    S = _matrix(data, F, n, n)
+    det = S.det()
+    assert det == det_oracle(S) and det.field == F
+    if det:
+        inv = S.inverse()
+        assert inv == solve_linear_oracle(S, MatrixK.identity(G, n)).particular
+        _assert_over(F, inv)
 
 
 # -- field axioms (randomized, exact equality) --------------------------------
