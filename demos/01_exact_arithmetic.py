@@ -10,18 +10,18 @@ t = F.t_power(1)
 one = F.one()
 
 print("== exact rational functions over F_3(t) ==")
-f = (t ** 2 - one) / (t - one)
+f = (F.t_power(2) - one) / (t - one)
 print(f"(t^2 - 1)/(t - 1) canonicalizes to: {f}")
 g = t / (t + one) + one / (t + one)
 print(f"t/(t+1) + 1/(t+1) = {g}")
 
 print("\n== t-adic valuations ==")
-for h in (t ** 3 / (one + t), one / t, F.zero()):
+for h in (F.t_power(3) / (one + t), one / t, F.zero()):
     print(f"v({h}) = {h.valuation()}")
 
 print("\n== Frobenius ==")
 print(f"frobenius(t + 2) = {(t + F.rf(2)).frobenius()}")
-x = (t ** 2 + one) / t
+x = (F.t_power(2) + one) / t
 print(f"({x})^3 = {x.frobenius()},  cube root back: {x.frobenius().pth_root()}")
 
 print("\n== linear solving ==")

@@ -5,19 +5,21 @@ transport) computes in the rational function field over a small prime
 field.  Elements are kept in a canonical form (coprime numerator and
 denominator, monic denominator, zero as 0/1) so equality is literal.
 Coefficients are plain ints in [0, p), and the polynomial kernels reduce
-mod p inline.  Monomial numerators and denominators c*t^k are reduced by
-shifting, without Euclid, and monomial factors are multiplied by shifting and
-scaling; only a numerator and a denominator of two or more terms each go
-through the polynomial gcd.  Determinants are fraction-free (Bareiss), so
-polynomial entries need no Euclid.
+mod p inline.  `_make_rf` is the one normaliser of a (num, den) pair: when
+either side is a monomial c*t^k the gcd is a power of t, stripped by a
+shift, and only a numerator and a denominator of two or more terms each go
+through the polynomial gcd.  `_pmul` multiplies by a monomial factor by
+shifting and scaling.  Determinants are fraction-free (Bareiss), and each
+exact division is a field division.
 
 The valuation ring A consists of the elements of nonnegative t-adic
 valuation, i.e. F_p[t] localized at (t); its maximal ideal is generated
 by the uniformizer t.  Lattice normal forms (`lattice_hermite`) do no
 rational-function arithmetic: the Hermite form is computed modulo t^N on
 int lists of t-adic coefficients, at a precision N > v(det) that the run
-certifies, and each output entry (a Laurent polynomial) is built directly
-in canonical form.  No floating point is used anywhere.
+certifies, and each output entry, t^m times a polynomial, is normalised by
+`_make_rf`'s monomial rule, without Euclid.  No floating point is used
+anywhere.
 
 Value types are plain classes whose fields are read-only by contract: an
 AST guard in `tests/test_stdlib_only.py` refuses any store to them outside
@@ -187,16 +189,19 @@ def _pord(a: tuple) -> int | None:
 class RationalFunction:
     """Canonical num/den over F_p[t]: coprime, monic denominator, int
     coefficients in [0, p).  Construction goes through `_make_rf`, which
-    normalises; this constructor stores what it is given.  Each operator
-    checks that its operands share a field and runs its kernel (`_rf_mul`,
-    `_rf_combine`); a matrix operation checks once and calls the kernels.
+    normalises; this constructor stores what it is given, and an AST guard
+    in `tests/test_stdlib_only.py` lists the few functions that call it.
+    Each operator checks that its operands share a field and runs its kernel
+    (`_rf_mul`, `_rf_combine`); a matrix operation checks once and calls the
+    kernels.
 
     A canonical denominator is monic, so it is t^k exactly when all but its
     last coefficient are zero.  A nonzero constant c times n/d is c*n/d,
     already canonical, so it is not normalised.  A product over t^a and t^b
-    is the numerators' product over t^(a+b), and a sum over t^a and t^b, a < b,
-    is (n_a*t^(b-a) + n_b)/t^b: neither builds a product of denominators.
-    An operand whose denominator has two or more terms cross-multiplies."""
+    takes the numerators' product over the denominators' product, which
+    `_pmul` forms as a shift, and a sum over t^a and t^b, a < b, is
+    (n_a*t^(b-a) + n_b)/t^b, with no product of denominators.  An operand
+    whose denominator has two or more terms cross-multiplies."""
 
     __slots__ = ("field", "num", "den")
 
@@ -251,11 +256,6 @@ class RationalFunction:
             raise DivisionByZero("zero has no inverse")
         return _make_rf(self.field, self.den, self.num)
 
-    def __pow__(self, k: int) -> "RationalFunction":
-        if not k:
-            return self.field.one()
-        return _power(self if k > 0 else self.inverse(), abs(k))
-
     def valuation(self):
         """t-adic valuation; +inf on zero."""
         if self.is_zero():
@@ -297,10 +297,7 @@ def _rf_mul(F: FunctionField, a: RationalFunction, b: RationalFunction) -> Ratio
             return b
         p = F.p
         return RationalFunction(F, tuple([c * x % p for x in b.num]), b.den)
-    da, db = a.den, b.den
-    if da.count(0) == len(da) - 1 and db.count(0) == len(db) - 1:
-        return _make_rf(F, _pmul(F, a.num, b.num), (0,) * (len(da) + len(db) - 2) + (1,))
-    return _make_rf(F, _pmul(F, a.num, b.num), _pmul(F, da, db))
+    return _make_rf(F, _pmul(F, a.num, b.num), _pmul(F, a.den, b.den))
 
 
 def _rf_combine(F: FunctionField, x: RationalFunction, y: RationalFunction, op) -> RationalFunction:
@@ -334,35 +331,21 @@ def _power(base, k: int):
 
 def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
     """The canonical form of num/den: coprime, monic denominator, zero as
-    0/1.  When either side is a monomial c*t^k, the gcd is t^s with
-    s = min(k, ord of the other side), so it is stripped by a shift; only two
-    sides of two or more terms each go through Euclid."""
+    0/1.  When either side is a monomial c*t^k, the gcd is t^s with s the
+    smaller of the two orders, so it is stripped by a shift; only two sides
+    of two or more terms each go through Euclid."""
     num = num if not num or num[-1] else _pnorm(num)
     den = den if not den or den[-1] else _pnorm(den)
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
         return RationalFunction(F, (), (1,))
-    p = F.p
-    if not any(den[:-1]):
-        # den = c*t^k (a constant is k = 0): the gcd is t^s with s = min(k, ord num)
-        k, c = len(den) - 1, den[-1]
+    if not any(den[:-1]) or not any(num[:-1]):
         s = 0
-        while s < k and not num[s]:
+        while not num[s] and not den[s]:
             s += 1
-        if c != 1:
-            inv = pow(c, -1, p)
-            num = tuple([x * inv % p for x in num])
-        elif not s:
-            return RationalFunction(F, num, den)
-        return RationalFunction(F, num[s:], (0,) * (k - s) + (1,))
-    if not any(num[:-1]):
-        # num = c*t^k: the gcd is t^s with s = min(k, ord den)
-        k = len(num) - 1
-        s = 0
-        while s < k and not den[s]:
-            s += 1
-        num, den = num[s:], den[s:]
+        if s:
+            num, den = num[s:], den[s:]
     else:
         g = _pgcd(F, num, den)
         if len(g) > 1 or g[0] != 1:
@@ -370,6 +353,7 @@ def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
             den = _pdivmod(F, den, g)[0]
     lc = den[-1]
     if lc != 1:
+        p = F.p
         inv = pow(lc, -1, p)
         num = tuple([c * inv % p for c in num])
         den = tuple([c * inv % p for c in den])
@@ -626,15 +610,13 @@ class MatrixK:
 
     def det(self) -> RationalFunction:
         """Bareiss (1968) elimination on first nonzero pivots: each division by
-        the previous pivot is exact, and the first, by 1, is skipped.  Each
-        entry it divides is a minor of the matrix, so over polynomial entries
-        the quotient is a polynomial: one `_pdivmod`, with no gcd."""
+        the previous pivot is exact, and the first, by 1, is skipped.  Every
+        division is `e / prev` in K."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant needs a square matrix")
         F = self.field
         n = self.rows
         m = [list(row) for row in self.entries]
-        poly = all(e.den == (1,) for row in m for e in row)
         prev, sign = None, 1
         for col in range(n):
             piv = col
@@ -650,12 +632,7 @@ class MatrixK:
                 f = row[col]
                 for j in range(col + 1, n):
                     e = _rf_combine(F, _rf_mul(F, pc, row[j]), _rf_mul(F, f, prow[j]), _psub)
-                    if prev is None:
-                        row[j] = e
-                    elif poly:
-                        row[j] = RationalFunction(F, _pdivmod(F, e.num, prev.num)[0], (1,))
-                    else:
-                        row[j] = e / prev
+                    row[j] = e if prev is None else e / prev
             prev = pc
         return prev if sign > 0 else -prev
 
@@ -821,9 +798,9 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
     and t^N A^{n-i}, of index >= N; so every pivot is seen, and the count
     applied to C A^n gives D = delta' < N.  N starts at 1, and after a run
     that does not certify it doubles, or becomes D + 1 if that is more.
-    Output entries are t^m times polynomials, built in canonical form with
-    denominator 1 or t^k, without Euclid.  A 1 x 1 basis costs one
-    valuation.
+    Output entries are t^m times polynomials, so `_make_rf` normalises each
+    by its monomial rule, to denominator 1 or t^k, without Euclid.  A 1 x 1
+    basis costs one valuation.
 
     Singular input.  Write b'_ij = n_ij / e_ij with e_ij(0) != 0, and clear
     each row's denominators: P_ij = n_ij prod_{k != j} e_ik.  Then
@@ -875,19 +852,11 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
             raise SingularBasis("basis is singular over K")
         N = min(bound + 1, 2 * N if ds is None else max(2 * N, sum(ds) + 1))
 
+    # entry (i, j) is t^m * cols[j][i], a polynomial of degree < N
+    shift, den = (0,) * max(m, 0), (0,) * max(-m, 0) + (1,)
     zero = F.zero()
-
-    def element(c):
-        # t^m * c for a polynomial c of degree < N, in canonical form
-        o = next((k for k, x in enumerate(c) if x), None)
-        if o is None:
-            return zero
-        num, s = _pnorm(tuple(c[o:])), m + o
-        if s >= 0:
-            return RationalFunction(F, (0,) * s + num, (1,))
-        return RationalFunction(F, num, (0,) * -s + (1,))
-
-    entries = tuple(tuple(element(cols[j][i]) if j >= i else zero for j in range(n))
+    entries = tuple(tuple(_make_rf(F, shift + tuple(cols[j][i]), den) if j >= i else zero
+                          for j in range(n))
                     for i in range(n))
     return LatticeK(F, n, MatrixK(F, entries))
 

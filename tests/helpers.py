@@ -377,8 +377,7 @@ def rank1_rep(field=F3, r=1):
     """z_i -> t^i, one two-element factor acting by the sign."""
     Z2 = cyclic_group(2)
     sig, pres = sig_with_pres(r, (Z2,))
-    t = field.t_power(1)
-    z_imgs = [MatrixK(field, ((t ** (i + 1),),)) for i in range(r)]
+    z_imgs = [MatrixK(field, ((field.t_power(i + 1),),)) for i in range(r)]
     one = MatrixK.identity(field, 1)
     neg = MatrixK(field, ((field.rf(-1),),))
     return ContinuousRep.build(pres, field, z_imgs, (Z2,), ((one, neg),))

@@ -365,3 +365,54 @@ def test_read_only_fields_are_stored_only_in_their_own_class():
             stores += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name
                        in field_stores(ast.parse(path.read_text(), str(path)), owner)]
     assert not stores, stores
+
+
+# The functions that may call the `RationalFunction` constructor: each stores
+# a form it knows to be canonical.  Every other element, in any package
+# module, comes from `_make_rf`, the one normaliser of a (num, den) pair.
+RF_CONSTRUCTOR_CALLERS = {
+    "FunctionField.__init__", "FunctionField.t_power",
+    "RationalFunction.__neg__", "RationalFunction.frobenius", "RationalFunction.pth_root",
+    "_rf_mul",  # a nonzero constant scales a canonical element
+    "_rf_combine",  # a zero left operand
+    "_make_rf",
+}
+
+
+def calls_by_scope(tree: ast.AST, callee: str) -> list[tuple[int, str]]:
+    """(line, scope) of each call to `callee`, bare or as an attribute: the
+    scope is the dotted path of the enclosing classes and defs, or
+    "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                found.append((node.lineno, ".".join(scope) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_listed_functions_build_rational_functions_directly():
+    """No package module calls the `RationalFunction` constructor outside
+    RF_CONSTRUCTOR_CALLERS, and each listed function still calls it."""
+    probe = ast.parse(
+        "x = RationalFunction(F, (), (1,))\nclass A:\n    def f(self):\n"
+        "        def g():\n            return field.RationalFunction(F, n, d)\n"
+        "        return _make_rf(F, n, d)\n")
+    assert calls_by_scope(probe, "RationalFunction") == [(1, "<module>"), (5, "A.f.g")]
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, scope in calls_by_scope(ast.parse(path.read_text(), str(path)),
+                                          "RationalFunction"):
+            calls.setdefault(scope if path.name == "field.py" else f"{path.name}:{scope}",
+                             f"{path.name}:{line}")
+    extra = sorted(calls[scope] for scope in calls.keys() - RF_CONSTRUCTOR_CALLERS)
+    assert not extra, extra
+    assert calls.keys() == RF_CONSTRUCTOR_CALLERS
