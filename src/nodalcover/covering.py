@@ -146,14 +146,8 @@ def enumerate_components(sig: FPSignature, max_len: int) -> list[ComponentIndex]
     indices of one normal form share its letters and the alpha the walk
     computed; no word is built."""
     factors = [(sig.r + j, j) for j in range(sig.num_factors)]
-    out = []
-    append = out.append
-    for letters, al, _ in iter_words_raw(sig, max_len):
-        first = letters[0][0] if letters else -1
-        for fid, j in factors:
-            if fid != first:
-                append(ComponentIndex(j, sig, letters, al))
-    return out
+    return [ComponentIndex(j, sig, letters, al) for letters, al, _ in iter_words_raw(sig, max_len)
+            for fid, j in factors if not letters or letters[0][0] != fid]
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,8 @@ class FPSignature:
         self._idents = tuple(G.identity for G in factors)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.r, self.factors) == (other.r, other.factors)
@@ -406,30 +408,30 @@ def _inv_letters(sig: FPSignature, letters) -> tuple[tuple[int, int], ...]:
 def _concat(sig: FPSignature, a, b) -> tuple[tuple[int, int], ...]:
     """Product of two normal forms: only the junction can simplify.
 
-    k letter pairs cancel across the junction; the next pair, if it shares a
-    factor, merges into one letter."""
+    One walk meets the junction from both sides, i down a and k up b: the
+    pair a[i], b[k] of one factor cancels, or merges into the one letter of
+    the display (*a[:i], (fid, g), *b[k + 1:]).  After a cancellation the
+    walk stops on one test, when a is used up, b is used up, or the next
+    pair's factors differ."""
     if not a or not b or a[-1][0] != b[0][0]:
         return a + b
     r = sig.r
     tables, idents = sig._tables, sig._idents
-    na = len(a)
-    m = min(na, len(b))
-    k = 0
-    while k < m:
+    i, k, nb = len(a), 0, len(b)
+    while True:
+        i -= 1
         fid, v = b[k]
-        pfid, pv = a[na - 1 - k]
-        if pfid != fid:
-            break
         if fid < r:
-            e = pv + v
-            if e:
-                return a[:na - 1 - k] + ((fid, e),) + b[k + 1:]
+            g = a[i][1] + v
+            if g:
+                return (*a[:i], (fid, g), *b[k + 1:])
         else:
-            g = tables[fid - r][pv][v]
+            g = tables[fid - r][a[i][1]][v]
             if g != idents[fid - r]:
-                return a[:na - 1 - k] + ((fid, g),) + b[k + 1:]
+                return (*a[:i], (fid, g), *b[k + 1:])
         k += 1
-    return a[:na - k] + b[k:]
+        if not i or k == nb or a[i - 1][0] != b[k][0]:
+            return a[:i] + b[k:]
 
 
 def fp_normalize(sig: FPSignature, raw) -> FPWord:

@@ -239,6 +239,37 @@ def test_twist_memo_matches_word_evaluation(data):
         datum.twist(fp_normalize(FPSignature(r + 1, (Z2,)), [(r, 1)]))
 
 
+def test_an_equal_signature_built_apart_is_accepted_and_another_refused():
+    """`FPSignature.__eq__` answers at once for the same object, and still
+    compares by value: words and components over an equal signature built
+    apart compare equal and pass every signature check, and a signature
+    with other factors is refused."""
+    rep = rank1_rep()
+    sig = rep.sig
+    twin = FPSignature(sig.r, (cyclic_group(2),))
+    other = FPSignature(sig.r, (cyclic_group(3),))
+    assert twin is not sig and twin == sig and not twin != sig and hash(twin) == hash(sig)
+    assert other != sig and not other == sig
+    letters = ((0, 1), (1, 1))
+    w, w_twin = FPWord(sig, letters), FPWord(twin, letters)
+    c, c_twin = ComponentIndex(0, sig, letters), ComponentIndex(0, twin, letters)
+    assert w_twin == w and c_twin == c
+    assert (w_twin * w).letters == (w * w).letters
+    assert component_action(w_twin, c) == component_action(w, c_twin) == component_action(w, c)
+    datum = datum_from_rep(rep)
+    assert datum.twist(w_twin) == datum.twist(w)
+    assert datum.det_valuation(w_twin) == datum.det_valuation(w)
+    dom = covering.fundamental_domain(sig, FPWord(sig, ((0, 1),)))
+    assert covering.cover_witness(dom, c_twin) == covering.cover_witness(dom, c)
+    w_other, c_other = FPWord(other, ((0, 1),)), ComponentIndex(0, other, ())
+    for refused in (lambda: w * w_other, lambda: component_action(w_other, c),
+                    lambda: component_action(w, c_other), lambda: datum.twist(w_other),
+                    lambda: datum.det_valuation(w_other),
+                    lambda: covering.cover_witness(dom, c_other)):
+        with pytest.raises(SignatureMismatch):
+            refused()
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_twist_map_matches_the_prefix_memo(data):

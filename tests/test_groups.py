@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nodalcover.covering import ComponentIndex, enumerate_components
 from nodalcover.errors import BadElementIndex, BadFactorIndex, SignatureMismatch
@@ -466,11 +466,14 @@ def nonidentity_values(sig, fid):
 @st.composite
 def junction_pairs(draw):
     """Normal forms a, b whose junction cancels fully, cancels partly, merges
-    into a non-identity letter, or does not touch."""
+    into a non-identity letter, or does not touch.  A merge comes after any
+    k >= 0 cancelled pairs and may be followed by more letters of b: k = 0
+    is the shape of nearly every coverage witness."""
     sig = draw(signatures)
     a = _normalize_letters(sig, draw(raw_words(sig)))
     mode = draw(st.sampled_from(["cancel", "partial", "merge", "free"]))
-    k = 0 if mode == "free" else draw(st.integers(min(1, len(a)), len(a)))
+    low = 0 if mode == "merge" else min(1, len(a))
+    k = 0 if mode == "free" else draw(st.integers(low, len(a)))
     head = _inv_letters(sig, a[len(a) - k:])  # cancels the last k letters of a
     meets = a[len(a) - k - 1] if k < len(a) else None  # a's letter after the cancellation
     tail = []
@@ -479,7 +482,8 @@ def junction_pairs(draw):
         inv = -v if fid < sig.r else sig.factor(fid - sig.r).inverse[v]
         merging = [x for x in nonidentity_values(sig, fid) if x != inv]
         if merging:  # an order-two factor only cancels
-            tail = [(fid, draw(st.sampled_from(merging)))]
+            rest = itertools.dropwhile(lambda letter: letter[0] == fid, draw(raw_words(sig, 3)))
+            tail = [(fid, draw(st.sampled_from(merging))), *rest]
     elif mode == "partial":
         blocked = {letter[0] for letter in (meets, head[-1] if head else None) if letter}
         fids = [f for f in range(sig.r + sig.num_factors) if f not in blocked]
@@ -505,6 +509,9 @@ def alpha_oracle(sig, letters):
 
 @settings(max_examples=200, deadline=None)
 @given(junction_pairs())
+@example((SIG, ((3, 1), (0, 2)), ((0, -1), (2, 1))))  # a Z exponent sum on the first pair
+@example((SIG, ((0, 1), (3, 1)), ((3, 1), (1, 1))))  # a Z3 product on the first pair
+@example((FPSignature(1, (S3,)), ((0, 1), (1, 1)), ((1, 2), (0, 1))))  # as in an S3 witness
 def test_concat_equals_normalized_concatenation(case):
     sig, a, b = case
     assert _concat(sig, a, b) == normalize_letters_oracle(sig, a + b)

@@ -8,11 +8,15 @@ Times are not tested here.
 import re
 from pathlib import Path
 
+from nodalcover import cli
 from nodalcover import io as spec_io
 from nodalcover.curves import pi1_presentation
-from nodalcover.descent import FiniteCocycle
+from nodalcover.descent import COCYCLE_LEN, FiniteCocycle
 from nodalcover.field import MatrixK
+from nodalcover.groups import iter_grade_states
 from nodalcover.specialize import commuting_square_check
+
+from test_io_cli import looped_sign_spec, s4_chain_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -64,3 +68,51 @@ def test_readme_square_counts_match_a_run(monkeypatch):
             (int(total), int(walk), int(check))
     assert words[0] == int(forms.replace(",", ""))
     assert f"{words[1]:.1e}" == f"{mantissa}e+{exponent}"
+
+
+DOMAIN_BUDGET_SENTENCE = re.compile(
+    r"S4² at `--max-len (\d+)` \(([\d,]+) entries\) took [\d.]+ s and \d+ MB, "
+    r"at `--max-len (\d+)` \(([\d,]+) entries\)")
+
+DESCEND_BUDGET_SENTENCE = re.compile(
+    r"On the sign rep of a looped chain of two S4 factors that is ([\d,]+) entries at "
+    r"the default `--max-len`, which exits 2 at once, and ([\d,]+) at `--max-len (\d+)`, "
+    r"which runs; two S5 factors give (\d\.\d) million entries even at `--max-len (\d+)`, "
+    r"(\d\.\d) million of them twist matrices")
+
+
+def count(text: str) -> int:
+    return int(text.replace(",", ""))
+
+
+def test_readme_domain_budget_counts_match_the_estimate():
+    """The README's report-budget paragraph gives the entries of a `domain`
+    report on a chain of two S4 factors at two lengths; `cli._domain_entries`,
+    the estimate the budget is held to, recomputes both."""
+    match = DOMAIN_BUDGET_SENTENCE.search(readme_text())
+    assert match, "the README's domain budget sentence was not found"
+    short, short_entries, long, long_entries = match.groups()
+    rep = spec_io.load_rep(s4_chain_spec(2))
+    assert cli._domain_entries(rep, int(short)) == count(short_entries)
+    assert cli._domain_entries(rep, int(long)) == count(long_entries)
+
+
+def test_readme_descend_budget_counts_match_the_estimate():
+    """The README gives the entries `descend` would build on the looped sign
+    rep of two S4 factors at the default `--max-len` and at a shorter one,
+    and on two S5 factors, with the share of twist matrices: one per normal
+    form up to min(--max-len, COCYCLE_LEN).  `cli._descend_entries`
+    recomputes each total and the normal-form walk the twists."""
+    match = DESCEND_BUDGET_SENTENCE.search(readme_text())
+    assert match, "the README's descend budget sentence was not found"
+    default, short_entries, short, s5_millions, s5_len, twist_millions = match.groups()
+    s4 = spec_io.load_rep(looped_sign_spec(4)).sig
+    s5 = spec_io.load_rep(looped_sign_spec(5)).sig
+    default_len = cli.build_parser().parse_args(["selftest"]).max_len
+    assert cli._descend_entries(s4, default_len) == count(default)
+    assert cli._descend_entries(s4, int(short)) == count(short_entries)
+    total = cli._descend_entries(s5, int(s5_len))
+    twists = sum(sum(grade.values()) for grade in iter_grade_states(
+        s5, min(int(s5_len), COCYCLE_LEN), None, lambda *_: None))
+    assert f"{total / 1e6:.1f}" == s5_millions
+    assert f"{twists / 1e6:.1f}" == twist_millions
