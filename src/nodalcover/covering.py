@@ -93,8 +93,8 @@ class ComponentIndex:
 
 def component_action(w: FPWord, c: ComponentIndex) -> ComponentIndex:
     """Right action by concatenation: the coset G_j s moves to G_j s w."""
-    sig = w.sig
-    if c.sig != sig:
+    sig = c.sig
+    if w.sig is not sig and w.sig != sig:
         raise SignatureMismatch("component and word over different signatures")
     return ComponentIndex(c.j, sig, _concat(sig, c.letters, w.letters))
 

@@ -79,7 +79,7 @@ class MeromorphicCocycle:
         with no memoised prefix but the empty one starts from the twist of
         its first letter, so no product is taken with H(()) = 1: a word of
         n unit letters asked cold costs n - 1 products."""
-        if w.sig != self.sig:
+        if w.sig is not self.rep.sig and w.sig != self.rep.sig:
             raise SignatureMismatch("word does not match the representation's signature")
         letters = w.letters
         cache = self._twist_cache
@@ -126,11 +126,11 @@ class MeromorphicCocycle:
     def det_valuation(self, w: FPWord) -> int:
         """v(det H(w)) = -sum_i e_i(w) v(det rho(z_i)), e_i(w) the exponent sum
         of z_i in w: see `det_valuation_conserved`."""
-        if w.sig != self.sig:
+        if w.sig is not self.rep.sig and w.sig != self.rep.sig:
             raise SignatureMismatch("word does not match the representation's signature")
         vals = self.rep.z_det_valuations
-        r = self.sig.r
-        return -sum(v * vals[fid] for fid, v in w.letters if fid < r)
+        r = self.rep.sig.r
+        return -sum([v * vals[fid] for fid, v in w.letters if fid < r])
 
     def twist_map(self, max_len: int) -> dict:
         """Twists of every word in shortlex order, by H(a x) = H(x) H(a) from
@@ -287,15 +287,20 @@ class LatticeAssignment:
     representative c0 to c.  ker alpha is free and meets no conjugate of a
     G_j (Kurosh), so it acts freely and w is the only such word: B is well
     defined, and B(c0) is the Hermite form of H(()), the standard lattice
-    when H(()) = 1."""
+    when H(()) = 1.  Lattices are memoised under (j, letters), which names a
+    component once its signature is checked to be the assignment's: a
+    component over another one raises `SignatureMismatch`."""
 
     def __init__(self, cocycle: MeromorphicCocycle, orbit_reps: tuple[ComponentIndex, ...],
                  components: tuple[ComponentIndex, ...]):
         self.cocycle = cocycle
+        self.sig = sig = cocycle.sig
         self.orbit_reps = orbit_reps
         self.components = components
         self._lattice_cache = {}
-        self._reps_by_key = {_orbit_key(c0): c0 for c0 in orbit_reps}
+        # per orbit key: alpha(c0)_j and the letters of c0^{-1}
+        self._heads = {_orbit_key(c0): (c0.alpha_coords[c0.j], _inv_letters(sig, c0.letters))
+                       for c0 in orbit_reps}
 
     def transport_word(self, c: ComponentIndex) -> FPWord:
         """The unique kernel word carrying the orbit representative to c.
@@ -303,21 +308,25 @@ class LatticeAssignment:
         It is c0^{-1} g c with g = alpha(c0)_j alpha(c)_j^{-1} in G_j.  The
         orbit key fixes alpha off coordinate j, and g fixes coordinate j, so
         alpha(c0^{-1} g c) = e."""
-        sig = self.cocycle.sig
-        c0 = self._reps_by_key.get(_orbit_key(c))
-        if c0 is None:
+        sig, j, al = self.sig, c.j, c.alpha_coords
+        if c.sig is not sig and c.sig != sig:
+            raise SignatureMismatch("component does not match the assignment's signature")
+        a0, letters = self._heads.get((j, al[:j] + al[j + 1:]), (None, None))
+        if a0 is None:
             raise TransportConflict("component lies outside the enumerated orbits")
-        G = sig.factor(c.j)
-        g = G.table[c0.alpha_coords[c.j]][G.inverse[c.alpha_coords[c.j]]]
-        return FPWord(sig, _concat(sig, _concat(
-            sig, _inv_letters(sig, c0.letters),
-            ((sig.r + c.j, g),) if g != G.identity else ()), c.letters))
+        G = sig.factors[j]
+        g = G.table[a0][G.inverse[al[j]]]
+        if g != G.identity:
+            letters = _concat(sig, letters, ((sig.r + j, g),))
+        return FPWord(sig, _concat(sig, letters, c.letters))
 
     def lattice_of(self, c: ComponentIndex) -> LatticeK:
-        out = self._lattice_cache.get(c)
+        if c.sig is not self.sig and c.sig != self.sig:
+            raise SignatureMismatch("component does not match the assignment's signature")
+        out = self._lattice_cache.get((c.j, c.letters))
         if out is None:
             out = lattice_hermite(self.cocycle.twist(self.transport_word(c)))
-            self._lattice_cache[c] = out
+            self._lattice_cache[c.j, c.letters] = out
         return out
 
     def integral_twist(self, w: FPWord, c: ComponentIndex) -> MatrixK:

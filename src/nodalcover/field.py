@@ -567,7 +567,7 @@ class MatrixK:
 
     def __mul__(self, other: "MatrixK") -> "MatrixK":
         F = self._check(other)
-        if self.cols != other.rows:
+        if len(self.entries[0]) != len(other.entries):
             raise DimensionMismatch("shape mismatch in matrix product")
         if len(self.entries) == 1 == len(other.entries[0]) == len(other.entries):
             return MatrixK(F, ((_rf_mul(F, self.entries[0][0], other.entries[0][0]),),))
@@ -765,7 +765,9 @@ class LatticeK(NamedTuple):
 
     @property
     def diagonal_exponents(self) -> tuple[int, ...]:
-        return tuple(int(self.basis.entries[i][i].valuation()) for i in range(self.n))
+        """The d_i of the diagonal t^{d_i}: the canonical t^d is (0,...,0,1)/(1,) for
+        d >= 0 and (1,)/(0,...,0,1) for d < 0, so d = len(num) - len(den)."""
+        return tuple([len(r[i].num) - len(r[i].den) for i, r in enumerate(self.basis.entries)])
 
 
 def lattice_hermite(basis: MatrixK) -> LatticeK:
@@ -809,15 +811,14 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
     A run with N > bound that does not certify therefore proves det B = 0,
     and `SingularBasis` is raised; N never grows past bound + 1.
     """
-    if basis.rows != basis.cols:
+    F, n, p = basis.field, len(basis.entries), basis.field.p
+    if n != len(basis.entries[0]):
         raise SingularBasis("lattice bases must be square")
-    F = basis.field
-    n, p = basis.rows, F.p
     if n == 1:
-        v = basis.entries[0][0].valuation()
-        if v == INFINITY:
+        e = basis.entries[0][0]
+        if not e.num:
             raise SingularBasis("basis is singular over K")
-        return LatticeK(F, 1, MatrixK(F, ((F.t_power(int(v)),),)))
+        return LatticeK(F, 1, MatrixK(F, ((F.t_power(_pord(e.num) - _pord(e.den)),),)))
     # b_ij = t^v * n0/d0 with n0(0) and d0(0) nonzero
     parts = {}
     for i, row in enumerate(basis.entries):
@@ -827,7 +828,7 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
                 parts[i, j] = (on - od, e.num[on:], e.den[od:])
     if len({i for i, _ in parts}) < n:
         raise SingularBasis("basis is singular over K")
-    m = min(v for v, _, _ in parts.values())
+    m = min([v for v, _, _ in parts.values()])
 
     def expansion(part, N):
         s = N if part is None else part[0] - m
@@ -855,9 +856,9 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
     # entry (i, j) is t^m * cols[j][i], a polynomial of degree < N
     shift, den = (0,) * max(m, 0), (0,) * max(-m, 0) + (1,)
     zero = F.zero()
-    entries = tuple(tuple(_make_rf(F, shift + tuple(cols[j][i]), den) if j >= i else zero
-                          for j in range(n))
-                    for i in range(n))
+    entries = tuple([tuple([_make_rf(F, shift + tuple(cols[j][i]), den) if j >= i else zero
+                            for j in range(n)])
+                     for i in range(n)])
     return LatticeK(F, n, MatrixK(F, entries))
 
 
@@ -871,8 +872,8 @@ def _hermite_mod_tpow(p: int, cols: list, N: int) -> list[int] | None:
     for i in range(n - 1, -1, -1):
         best, d = None, N
         for c in range(i + 1):
-            v = next((k for k, x in enumerate(cols[c][i]) if x), N)
-            if v < d:
+            v = _pord(cols[c][i])
+            if v is not None and v < d:
                 best, d = c, v
         if best is None:
             return None

@@ -444,7 +444,7 @@ def _alpha_tuple(sig: FPSignature, letters) -> tuple[int, ...]:
     multiplies the rest factorwise.  Words read it through `alpha_coords`."""
     r = sig.r
     tables = sig._tables
-    coords = list(sig.identity_tuple())
+    coords = list(sig._idents)
     for fid, v in letters:
         if fid >= r:
             j = fid - r

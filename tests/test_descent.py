@@ -261,11 +261,22 @@ def test_an_equal_signature_built_apart_is_accepted_and_another_refused():
     assert datum.det_valuation(w_twin) == datum.det_valuation(w)
     dom = covering.fundamental_domain(sig, FPWord(sig, ((0, 1),)))
     assert covering.cover_witness(dom, c_twin) == covering.cover_witness(dom, c)
+    assignment = integralize(datum.restricted(), max_len=2)
+    assert assignment.transport_word(c_twin) == assignment.transport_word(c)
+    assert assignment.lattice_of(c_twin) == assignment.lattice_of(c)
     w_other, c_other = FPWord(other, ((0, 1),)), ComponentIndex(0, other, ())
+    # the lattice under c_other's (j, letters) is memoised, and still refused
+    assert assignment.lattice_of(ComponentIndex(0, sig, ())).basis.is_identity()
+    # z2 over Z^*2 * [Z2] has the letters of g1:1 over Z^*1 * [Z2]
+    c_rank = ComponentIndex(0, FPSignature(sig.r + 1, (cyclic_group(2),)), ((1, 1),))
     for refused in (lambda: w * w_other, lambda: component_action(w_other, c),
                     lambda: component_action(w, c_other), lambda: datum.twist(w_other),
                     lambda: datum.det_valuation(w_other),
-                    lambda: covering.cover_witness(dom, c_other)):
+                    lambda: covering.cover_witness(dom, c_other),
+                    lambda: assignment.transport_word(c_other),
+                    lambda: assignment.lattice_of(c_other),
+                    lambda: assignment.transport_word(c_rank),
+                    lambda: assignment.lattice_of(c_rank)):
         with pytest.raises(SignatureMismatch):
             refused()
 
@@ -875,6 +886,101 @@ def test_det_valuation_conservation():
     for w in kernel_oracle(rep.sig, 3):
         for c in assignment.orbit_reps:
             assert det_valuation_conserved(assignment, w, c)
+
+
+@st.composite
+def lattice_reps(draw, den_kind):
+    """A rep over F_3 of rank 1 to 3 on Z^{*r} * [Z2] or Z * [Z2, Z3], r = 1
+    or 2, whose Z images have entries 0 or t^v e, v in [-1, 1]: e is a
+    nonzero constant ("monomial"), a polynomial a ("laurent") or a/b
+    ("general"), a and b of degree <= 1 with nonzero constant terms.  Z2
+    acts by the sign or a swap of two coordinates, Z3 by a constant matrix
+    of order 3 or by 1 + t^-1 E_12."""
+    n = draw(st.integers(1, 3))
+    factors = draw(st.sampled_from([(Z2,), (Z2, Z3)] if n > 1 else [(Z2,)]))
+    sig, pres = sig_with_pres(draw(st.integers(1, 3 - len(factors))), factors)
+
+    def unit_poly():
+        return (draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+
+    def entry():
+        if not draw(st.integers(0, 4)):
+            return F3.zero()
+        if den_kind == "monomial":
+            e = F3.rf(draw(st.integers(1, 2)))
+        else:
+            e = F3.rf(unit_poly()) if den_kind == "laurent" else F3.rf(unit_poly(), unit_poly())
+        return e * F3.t_power(draw(st.integers(-1, 1)))
+
+    zs = [MatrixK(F3, tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+          for _ in range(sig.r)]
+    assume(all(not z.det().is_zero() for z in zs))
+    ident = MatrixK.identity(F3, n)
+    swap = MatrixK(F3, tuple(tuple(F3.one() if {i, j} == {0, 1} or i == j > 1 else F3.zero()
+                                   for j in range(n)) for i in range(n)))
+    homs = [(ident, draw(st.sampled_from([ident, ident.scale(F3.rf(-1)), swap][:n + 1])))]
+    if len(factors) > 1:
+        rot = (MatrixK.from_rows(F3, [["0", "2"], ["1", "2"]]) if n == 2 else
+               MatrixK(F3, tuple(tuple(F3.one() if j == (i + 1) % 3 else F3.zero()
+                                       for j in range(3)) for i in range(3))))
+        # 1 + t^-1 E_12 has order p = 3 and lies outside GL_n(A)
+        unipotent = MatrixK(F3, tuple(tuple(F3.t_power(-1) if (i, j) == (0, 1) else e
+                                            for j, e in enumerate(row))
+                                      for i, row in enumerate(ident.entries)))
+        rot = draw(st.sampled_from([rot, unipotent]))
+        homs.append(hom_from_generator_images(F3, Z3, [rot], n))
+    return ContinuousRep.build(pres, F3, zs, factors, homs)
+
+
+def check_lattices_against_fresh_hermite_forms(rep, order):
+    """Ask every component of `integralize(rep, 3)` in `order` (indices into
+    the components, each asked twice) and compare `transport_word` with the
+    word c0^{-1} g c built by word products, and `lattice_of` with a fresh
+    Hermite form of its twist from a cocycle with no memoised twists."""
+    sig = rep.sig
+    assignment = integralize(datum_from_rep(rep).restricted(), 3)
+    fresh = datum_from_rep(rep).restricted()
+    reps_by_key = {descent._orbit_key(c0): c0 for c0 in assignment.orbit_reps}
+    for k in order(2 * len(assignment.components)):
+        c = assignment.components[k % len(assignment.components)]
+        c0 = reps_by_key[descent._orbit_key(c)]
+        G = sig.factor(c.j)
+        g = G.table[c0.alpha_coords[c.j]][G.inverse[c.alpha_coords[c.j]]]
+        w = c0.rep.inv() * fp_normalize(sig, [(sig.r + c.j, g)]) * c.rep
+        assert assignment.transport_word(c) == w
+        assert assignment.lattice_of(c) == field.lattice_hermite(fresh.twist(w))
+    return assignment
+
+
+@pytest.mark.parametrize("den_kind", ["monomial", "laurent", "general"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lattice_of_equals_a_fresh_hermite_form_of_the_transport_twist(den_kind, data):
+    """`transport_word` reads the orbit table kept per key, and `lattice_of`
+    memoises under (j, letters): both agree with the general path at every
+    component, asked in a random order."""
+    rep = data.draw(lattice_reps(den_kind))
+    check_lattices_against_fresh_hermite_forms(
+        rep, lambda n: data.draw(st.permutations(range(n))))
+
+
+def test_lattice_of_tells_the_factors_of_equal_letters_apart():
+    """Over Z * [Z2, Z3] with Z3 acting by 1 + t^-1 E_12, outside GL_2(A),
+    some letters name components over both factors whose lattices differ,
+    so a memo keyed by the letters alone would return the wrong one."""
+    sig, pres = sig_with_pres(1, (Z2, Z3))
+    ident = MatrixK.identity(F3, 2)
+    rep = ContinuousRep.build(
+        pres, F3, [MatrixK.from_rows(F3, [["t + 1", "1"], ["1", "2"]])], (Z2, Z3),
+        ((ident, MatrixK.from_rows(F3, [["0", "1"], ["1", "0"]])),
+         hom_from_generator_images(F3, Z3, [MatrixK.from_rows(F3, [["1", "(1)/(t)"],
+                                                                   ["0", "1"]])], 2)))
+    for order in (range, lambda n: reversed(range(n))):
+        assignment = check_lattices_against_fresh_hermite_forms(rep, order)
+    by_letters = {}
+    for c in assignment.components:
+        by_letters.setdefault(c.letters, set()).add(assignment.lattice_of(c))
+    assert any(len(lattices) > 1 for lattices in by_letters.values())
 
 
 @settings(max_examples=15, deadline=None)

@@ -855,10 +855,12 @@ def test_hermite_rejects_singular():
 
 
 @st.composite
-def hermite_bases(draw, min_n=1):
+def hermite_bases(draw, min_n=1, den_kind="general"):
     """An invertible n x n basis over F2, F3 or F7, n <= 3, with entries 0 or
-    t^v a/b: v in [-3, 3], and a, b of degree <= 2 with nonzero constant
-    terms, so most denominators are not monomials."""
+    t^v e, v in [-3, 3].  By `den_kind`, e is a nonzero constant
+    ("monomial"), a polynomial a ("laurent") or a/b ("general"), with a and b
+    of degree <= 2 and nonzero constant terms, so most general denominators
+    are not monomials."""
     F = draw(st.sampled_from((F2, F3, F7)))
     n = draw(st.integers(min_n, 3))
     coeffs = st.integers(0, F.p - 1)
@@ -866,12 +868,17 @@ def hermite_bases(draw, min_n=1):
     def unit_poly():
         return (draw(st.integers(1, F.p - 1)),) + tuple(draw(st.lists(coeffs, max_size=2)))
 
+    def unit():
+        if den_kind == "monomial":
+            return F.rf(draw(st.integers(1, F.p - 1)))
+        return F.rf(unit_poly()) if den_kind == "laurent" else F.rf(unit_poly(), unit_poly())
+
     rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
             if draw(st.integers(0, 5)):
-                row.append(F.rf(unit_poly(), unit_poly()) * F.t_power(draw(st.integers(-3, 3))))
+                row.append(unit() * F.t_power(draw(st.integers(-3, 3))))
             else:
                 row.append(F.zero())
         rows.append(tuple(row))
@@ -887,6 +894,19 @@ def test_hermite_equals_the_oracle(B, seed):
     assert L == lattice_hermite_oracle(B)
     U = _random_gl_a(random.Random(seed), B.rows, B.field)
     assert lattice_hermite(B * U) == L
+
+
+@pytest.mark.parametrize("den_kind", ["monomial", "laurent", "general"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_diagonal_exponents_are_the_diagonal_valuations(den_kind, data):
+    """`diagonal_exponents` reads each d_i off the lengths of the canonical
+    t^{d_i}; it equals the valuations of the diagonal, on the Hermite form
+    and on the oracle's, at ranks 1 to 3."""
+    B = data.draw(hermite_bases(den_kind=den_kind))
+    for L in (lattice_hermite(B), lattice_hermite_oracle(B)):
+        diagonal = [row[i] for i, row in enumerate(L.basis.entries)]
+        assert L.diagonal_exponents == tuple(int(e.valuation()) for e in diagonal)
 
 
 @settings(max_examples=100, deadline=None)

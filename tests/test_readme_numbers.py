@@ -8,10 +8,13 @@ Times are not tested here.
 import re
 from pathlib import Path
 
+import pytest
+
 from nodalcover import cli
 from nodalcover import io as spec_io
 from nodalcover.curves import pi1_presentation
 from nodalcover.descent import COCYCLE_LEN, FiniteCocycle
+from nodalcover.errors import SpecParseError
 from nodalcover.field import MatrixK
 from nodalcover.groups import iter_grade_states
 from nodalcover.specialize import commuting_square_check
@@ -74,6 +77,8 @@ DOMAIN_BUDGET_SENTENCE = re.compile(
     r"S4² at `--max-len (\d+)` \(([\d,]+) entries\) took [\d.]+ s and \d+ MB, "
     r"at `--max-len (\d+)` \(([\d,]+) entries\)")
 
+S4_CUBED_SENTENCE = re.compile(r"S4³ at `--max-len (\d+)` \(about (\d\.\d) million entries\)")
+
 DESCEND_BUDGET_SENTENCE = re.compile(
     r"On the sign rep of a looped chain of two S4 factors that is ([\d,]+) entries at "
     r"the default `--max-len`, which exits 2 at once, and ([\d,]+) at `--max-len (\d+)`, "
@@ -95,6 +100,22 @@ def test_readme_domain_budget_counts_match_the_estimate():
     rep = spec_io.load_rep(s4_chain_spec(2))
     assert cli._domain_entries(rep, int(short)) == count(short_entries)
     assert cli._domain_entries(rep, int(long)) == count(long_entries)
+
+
+def test_readme_s4_cubed_count_is_the_refused_bound():
+    """The README gives the entries of a `domain` report on a chain of three
+    S4 factors in millions, rounded; `cli._domain_entries` refuses that spec
+    before the witness walk, and the bound its message names rounds to the
+    README's figure."""
+    match = S4_CUBED_SENTENCE.search(readme_text())
+    assert match, "the README's S4 cubed sentence was not found"
+    max_len, millions = match.groups()
+    rep = spec_io.load_rep(s4_chain_spec(3))
+    with pytest.raises(SpecParseError) as refused:
+        cli._domain_entries(rep, int(max_len))
+    bound = re.search(r"would list up to (\d+) entries", str(refused.value))
+    assert bound, str(refused.value)
+    assert f"{int(bound.group(1)) / 1e6:.1f}" == millions
 
 
 def test_readme_descend_budget_counts_match_the_estimate():

@@ -21,6 +21,12 @@ Usage, from the root of the repository:
 
     python3 tools/pair_bench.py --parent HEAD~1 --out BENCH_N.json \\
         --claim words_free:verdicts_per_s
+    python3 tools/pair_bench.py --summary
+
+With --summary it builds no tree and runs no benchmark: it prints the
+change-side median of each end-to-end metric per workload and seed from
+every BENCH_*.json at the root that has `rows`, ordered by PR number, and
+lists the files without `rows` as skipped.
 
 Standard library only; the trees live in a temporary directory under
 --workdir and are removed at exit.
@@ -139,6 +145,23 @@ def trace_counts(trees: dict, workloads: list, seed: int) -> dict:
     return differing
 
 
+def summary(root: Path) -> list[str]:
+    """The --summary lines: one per workload and seed of each BENCH_<n>.json
+    under root that has `rows`, by n, then the files without `rows`."""
+    paths = sorted(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    lines, skipped = [], []
+    for path in paths:
+        rows = json.loads(path.read_text()).get("rows")
+        if not rows:
+            skipped.append(path.name)
+        for row in rows or ():
+            medians = ", ".join(f"{name} {m['change_median']:.6g}"
+                                for name, m in row["metrics"].items())
+            lines.append(f"{path.stem} {row['workload']} seed {row['seed']}: {medians}")
+    lines.append(f"skipped, no rows: {', '.join(skipped) or 'none'}")
+    return lines
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -147,8 +170,15 @@ def main(argv=None) -> int:
     ap.add_argument("--change", help="change commit; default: the tracked files on disk")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     ap.add_argument("--workdir", help="where the two trees are built (default: system temp)")
-    ap.add_argument("--out", required=True, help="the BENCH json to write")
+    ap.add_argument("--out", help="the BENCH json to write (required unless --summary)")
+    ap.add_argument("--summary", action="store_true",
+                    help="print the change-side medians of the BENCH files with rows; run nothing")
     args = ap.parse_args(argv)
+    if args.summary:
+        print("\n".join(summary(ROOT)))
+        return 0
+    if not args.out:
+        ap.error("--out is required unless --summary is given")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     claims = [c.partition(":")[::2] for c in args.claim]
     for workload, metric in claims:
