@@ -318,17 +318,6 @@ def _rf_combine(F: FunctionField, x: RationalFunction, y: RationalFunction, op) 
     return _make_rf(F, op(F, _pmul(F, a, db), _pmul(F, b, da)), _pmul(F, da, db))
 
 
-def _power(base, k: int):
-    """base ** k for k >= 1, squaring from the top bit down: no product with
-    the identity and no square past the last bit, so z ** -1 is one inverse."""
-    out = base
-    for bit in bin(k)[3:]:
-        out = out * out
-        if bit == "1":
-            out = out * base
-    return out
-
-
 def _make_rf(F: FunctionField, num: tuple, den: tuple) -> RationalFunction:
     """The canonical form of num/den: coprime, monic denominator, zero as
     0/1.  When either side is a monomial c*t^k, the gcd is t^s with s the
@@ -645,11 +634,18 @@ class MatrixK:
         return sol.particular
 
     def __pow__(self, k: int) -> "MatrixK":
+        """Squares from the top bit of |k| down: no product with the identity
+        and no square past the last bit, so M ** -1 is one inverse."""
         if self.rows != self.cols:
             raise DimensionMismatch("power needs a square matrix")
         if not k:
             return MatrixK.identity(self.field, self.rows)
-        return _power(self if k > 0 else self.inverse(), abs(k))
+        out = base = self if k > 0 else self.inverse()
+        for bit in bin(abs(k))[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
+        return out
 
     def to_strings(self) -> list[list[str]]:
         return [[rf_to_string(e) for e in row] for row in self.entries]
@@ -759,8 +755,6 @@ def tadic_coefficients(p: int, num, den, terms: int) -> list[int]:
 class LatticeK(NamedTuple):
     """Full A-lattice in K^n, stored by its canonical t-adic Hermite basis."""
 
-    field: FunctionField
-    n: int
     basis: MatrixK
 
     @property
@@ -787,19 +781,16 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
     and then the off-diagonal reduction, each column operation exact on the
     current polynomial matrix C followed by truncation mod t^N.
 
-    Precision: a run certifies itself exactly when N > delta'.  Unimodular
-    column operations and changes by t^N M_n(A) keep M = C A^n + t^N A^n
-    fixed, and at the start M = L' + t^N A^n.  Adding t^N A^n to a lattice
-    with elementary divisors t^{a_k} gives index sum_k min(a_k, N), which is
-    below N only when every a_k < N, and then adds nothing.  (1) Let every
-    pivot be seen with D = sum d_i < N.  The triangular C with diagonal
-    t^{d_i} contains t^D A^n (C adj(C) = t^D I), so M = C A^n has index
-    D < N; then L' = M, and the result is the form of L' with D = delta'.
-    (2) Let N > delta', so M = L' has index delta' < N.  A pivot zero mod
-    t^N at row i would leave rows >= i of M spanned by n - i - 1 columns
-    and t^N A^{n-i}, of index >= N; so every pivot is seen, and the count
-    applied to C A^n gives D = delta' < N.  N starts at 1, and after a run
-    that does not certify it doubles, or becomes D + 1 if that is more.
+    Precision: a run certifies itself when it sees every pivot and their
+    sum D is below N, and it does exactly when N > delta'.  The column
+    operations and truncations keep M = C A^n + t^N A^n equal to
+    L' + t^N A^n, whose index sum_k min(a_k, N) over the elementary divisors
+    t^{a_k} of L' is below N only when M = L'.  A certified C contains
+    t^D A^n (C adj(C) = t^D I), so M = C A^n has index D < N: then M = L'
+    and D = delta'.  If N > delta', then M = L', and a pivot zero mod t^N at
+    row i would leave rows >= i of M spanned by n - i - 1 columns and
+    t^N A^{n-i}, of index >= N; so every pivot is seen and D = delta' < N.
+    N starts at 1 and doubles, capped at bound + 1.
     Output entries are t^m times polynomials, so `_make_rf` normalises each
     by its monomial rule, to denominator 1 or t^k, without Euclid.  A 1 x 1
     basis costs one valuation.
@@ -809,49 +800,53 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
     det(P) = det(B') prod_ik e_ik, whose second factor is a unit, so a
     nonzero det(P) gives delta' <= deg det P <= bound = sum_i max_j deg P_ij.
     A run with N > bound that does not certify therefore proves det B = 0,
-    and `SingularBasis` is raised; N never grows past bound + 1.
+    and `SingularBasis` is raised.
     """
-    F, n, p = basis.field, len(basis.entries), basis.field.p
+    F, p, n = basis.field, basis.field.p, len(basis.entries)
     if n != len(basis.entries[0]):
         raise SingularBasis("lattice bases must be square")
     if n == 1:
-        e = basis.entries[0][0]
-        if not e.num:
+        num, den = basis.entries[0][0].num, basis.entries[0][0].den
+        if not num:
             raise SingularBasis("basis is singular over K")
-        return LatticeK(F, 1, MatrixK(F, ((F.t_power(_pord(e.num) - _pord(e.den)),),)))
-    # b_ij = t^v * n0/d0 with n0(0) and d0(0) nonzero
-    parts = {}
-    for i, row in enumerate(basis.entries):
-        for j, e in enumerate(row):
-            if e.num:
-                on, od = _pord(e.num), _pord(e.den)
-                parts[i, j] = (on - od, e.num[on:], e.den[od:])
-    if len({i for i, _ in parts}) < n:
+        return LatticeK(MatrixK(F, ((F.t_power(_pord(num) if den[0] else -_pord(den)),),)))
+    # each entry once, column by column: b_ij = t^v n0/d0 with n0(0) and d0(0)
+    # nonzero, or None; num and den are coprime, so t divides at most one
+    split = []
+    for col in zip(*basis.entries):
+        parts = []
+        for e in col:
+            num, den = e.num, e.den
+            if not num:
+                parts.append(None)
+            elif den[0]:
+                v = _pord(num)
+                parts.append((v, num[v:], den))
+            else:
+                v = _pord(den)
+                parts.append((-v, num, den[v:]))
+        split.append(parts)
+    rows = [[x for x in row if x] for row in zip(*split)]
+    if not all(rows):
         raise SingularBasis("basis is singular over K")
-    m = min([v for v, _, _ in parts.values()])
-
-    def expansion(part, N):
-        s = N if part is None else part[0] - m
-        if s >= N:
-            return [0] * N
-        return [0] * s + tadic_coefficients(p, part[1], part[2], N - s)
+    m = min([x[0] for row in rows for x in row])
 
     N, bound = 1, None
     while True:
-        cols = [[expansion(parts.get((i, j)), N) for i in range(n)] for j in range(n)]
-        ds = _hermite_mod_tpow(p, cols, N)
-        if ds is not None and sum(ds) < N:
+        # entry i of column j of B' mod t^N: t^(v - m) n0/d0
+        cols = [[[0] * N if x is None or x[0] - m >= N else
+                 [0] * (x[0] - m) + tadic_coefficients(p, x[1], x[2], N + m - x[0])
+                 for x in col] for col in split]
+        if _hermite_mod_tpow(p, cols, N) is not None:
             break
         if bound is None:
-            bound = 0
-            for i in range(n):
-                # (deg n_ij, deg e_ij) over the row's nonzero entries
-                row = [(v - m + len(n0) - 1, len(d0) - 1)
-                       for (r, _), (v, n0, d0) in parts.items() if r == i]
-                bound += sum(de for _, de in row) + max(dn - de for dn, de in row)
+            # deg P_ij = deg n'_ij - deg e_ij + sum_k deg e_ik, n'_ij = t^(v - m) n0
+            bound = sum([sum([len(d0) - 1 for _, _, d0 in row])
+                         + max([v - m + len(n0) - len(d0) for v, n0, d0 in row])
+                         for row in rows])
         if N > bound:
             raise SingularBasis("basis is singular over K")
-        N = min(bound + 1, 2 * N if ds is None else max(2 * N, sum(ds) + 1))
+        N = min(bound + 1, 2 * N)
 
     # entry (i, j) is t^m * cols[j][i], a polynomial of degree < N
     shift, den = (0,) * max(m, 0), (0,) * max(-m, 0) + (1,)
@@ -859,18 +854,19 @@ def lattice_hermite(basis: MatrixK) -> LatticeK:
     entries = tuple([tuple([_make_rf(F, shift + tuple(cols[j][i]), den) if j >= i else zero
                             for j in range(n)])
                      for i in range(n)])
-    return LatticeK(F, n, MatrixK(F, entries))
+    return LatticeK(MatrixK(F, entries))
 
 
 def _hermite_mod_tpow(p: int, cols: list, N: int) -> list[int] | None:
     """Bring the columns (lists of rows of N coefficients, mod t^N) to
     Hermite form in place; see `lattice_hermite`.  Returns the diagonal
-    exponents, or None when a pivot is zero mod t^N.  The off-diagonal
-    reduction runs only when their sum is below N."""
-    n = len(cols)
+    exponents from a run that certifies itself, every pivot nonzero mod t^N
+    and their sum below N, and None from any other run."""
+    n, left = len(cols), N
     ds = [0] * n
     for i in range(n - 1, -1, -1):
-        best, d = None, N
+        # a pivot of order >= left would bring the sum to N or past it
+        best, d = None, left
         for c in range(i + 1):
             v = _pord(cols[c][i])
             if v is not None and v < d:
@@ -888,8 +884,7 @@ def _hermite_mod_tpow(p: int, cols: list, N: int) -> list[int] | None:
             if any(q):
                 _sub_mul(p, cols[c], q, piv, i, N)
         ds[i] = d
-    if sum(ds) >= N:
-        return ds
+        left -= d
     for i in range(n - 1, -1, -1):
         d, piv = ds[i], cols[i]
         for j in range(i + 1, n):

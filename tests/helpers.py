@@ -682,7 +682,7 @@ def lattice_hermite_oracle(basis: MatrixK) -> LatticeK:
                 if q.num:
                     cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
     entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return LatticeK(F, n, MatrixK(F, entries))
+    return LatticeK(MatrixK(F, entries))
 
 
 def is_integral_matrix(M: MatrixK) -> bool:

@@ -951,6 +951,95 @@ def test_hermite_restarts_until_the_precision_passes_the_determinant(B, a):
     assert all(N <= delta for N in precisions[:-1]) and precisions[-1] > delta
 
 
+def _diagonal_columns(exponents, N):
+    """The columns of diag(t^e_i) mod t^N, as `_hermite_mod_tpow` takes them."""
+    return [[[int(r == j and k == e) for k in range(N)] for r in range(len(exponents))]
+            for j, e in enumerate(exponents)]
+
+
+def test_hermite_mod_tpow_returns_only_a_certified_diagonal():
+    """A run returns the d_i only when it sees every pivot with sum below N:
+    diag(t^3, t^3) sees both pivots at N = 4 but 3 + 3 >= 4, so it returns
+    None, as a run that misses a pivot does; at N = 7 it certifies."""
+    assert field._hermite_mod_tpow(3, _diagonal_columns((3, 3), 4), 4) is None
+    assert field._hermite_mod_tpow(3, _diagonal_columns((3, 0), 2), 2) is None
+    assert field._hermite_mod_tpow(3, _diagonal_columns((3, 3), 7), 7) == [3, 3]
+    assert field._hermite_mod_tpow(3, _diagonal_columns((3, 0), 4), 4) == [3, 0]
+
+
+def _precisions(B):
+    """The N of each `_hermite_mod_tpow` run of `lattice_hermite(B)`, and its
+    result or the exception it raised."""
+    precisions, run = [], field._hermite_mod_tpow
+
+    def spy(p, cols, N):
+        precisions.append(N)
+        return run(p, cols, N)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_hermite_mod_tpow", spy)
+        try:
+            out = lattice_hermite(B)
+        except SingularBasis as exc:
+            out = exc
+    return precisions, out
+
+
+def _singular_bound(B):
+    """sum_i max_j deg P_ij, with P_ij = n_ij prod_{k != j} e_ik for the
+    canonical n_ij / e_ij of t^-m B (see `lattice_hermite`), in
+    RationalFunction arithmetic."""
+    F = B.field
+    m = min(int(e.valuation()) for row in B.entries for e in row if e.num)
+    bound = 0
+    for row in B.entries:
+        shifted = [e * F.t_power(-m) for e in row]
+        dens = sum(len(e.den) - 1 for e in shifted)
+        bound += dens + max(len(e.num) - len(e.den) for e in shifted if e.num)
+    return bound
+
+
+def _assert_doubling(precisions, bound):
+    assert precisions[0] == 1
+    for N, after in zip(precisions, precisions[1:]):
+        assert after == min(bound + 1, 2 * N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=hermite_bases(min_n=2), a=st.integers(0, 40), j=st.integers(0, 2))
+def test_hermite_precision_doubles_capped_at_the_bound(B, a, j):
+    """Each run after the first doubles N, capped at bound + 1, and the last
+    run is the first with N > delta'.  Scaling a column by t^a raises delta'
+    by a, so the cap is reached at large a."""
+    F, j = B.field, j % B.rows
+    C = MatrixK(F, tuple(tuple(e * F.t_power(a) if k == j else e for k, e in enumerate(row))
+                         for row in B.entries))
+    precisions, out = _precisions(C)
+    assert out == lattice_hermite_oracle(C)
+    delta = sum(out.diagonal_exponents) - C.rows * min(
+        int(e.valuation()) for row in C.entries for e in row if e.num)
+    _assert_doubling(precisions, _singular_bound(C))
+    assert all(N <= delta for N in precisions[:-1]) and precisions[-1] > delta
+
+
+def test_hermite_precisions_on_fixed_bases():
+    """This basis has diagonal t^3 and bound 26; the run at N = 4 sees all
+    three pivots with sum 9, and N still just doubles: 8, then 16 > delta' =
+    9.  A singular basis runs N = 1, 2, 4, ... up to bound + 1, then raises."""
+    D = MatrixK.from_rows(F3, [["t^3", "1", "t^20"], ["0", "t^3", "0"], ["0", "0", "t^3"]])
+    assert _singular_bound(D) == 26
+    assert _precisions(D) == ([1, 2, 4, 8, 16], lattice_hermite_oracle(D))
+    for name, rows in SINGULAR_BASES.items():
+        B = MatrixK.from_rows(F3, rows)
+        if B.rows != B.cols or all(e.is_zero() for row in B.entries for e in row):
+            continue
+        precisions, out = _precisions(B)
+        assert isinstance(out, SingularBasis), name
+        bound = _singular_bound(B)
+        _assert_doubling(precisions, bound)
+        assert precisions[-1] == bound + 1, name
+
+
 def test_smith_exponents_invariance():
     # smith_exponents is the test oracle of the relative elementary divisors
     rng = random.Random(23)
