@@ -57,8 +57,6 @@ def _print_text(obj, indent: int = 0):
                 _print_text(v, indent + 1)
             else:
                 print(f"{pad}- {v}")
-    else:
-        print(f"{pad}{obj}")
 
 
 WITNESS_LEN = 4  # `domain` lists a coverage witness per component up to this length

@@ -150,33 +150,23 @@ class MeromorphicCocycle:
         return MeromorphicCocycle(self.rep, KERNEL)
 
 
-class CorruptedCocycle:
-    """Test double: a cocycle with the twist overridden on one word."""
+class CorruptedCocycle(MeromorphicCocycle):
+    """Test double: `base` with the twist overridden on one word, which only
+    `twist` and `twist_map` see (`letter_twist` and `det_valuation` read the
+    rep).  An inherited `restricted()` returns the uncorrupted kernel datum."""
 
     def __init__(self, base: MeromorphicCocycle, word: FPWord, matrix: MatrixK):
-        self.base = base
+        super().__init__(base.rep, base.scope)
         self.override_word = word
         self.override_matrix = matrix
-
-    @property
-    def scope(self) -> str:
-        return self.base.scope
-
-    @property
-    def sig(self):
-        return self.base.sig
 
     def twist(self, w: FPWord) -> MatrixK:
         if w.letters == self.override_word.letters:
             return self.override_matrix
-        return self.base.twist(w)
-
-    def det_valuation(self, w: FPWord) -> int:
-        """Read off the base rep's letters, not the overridden twist."""
-        return self.base.det_valuation(w)
+        return super().twist(w)
 
     def twist_map(self, max_len: int) -> dict:
-        out = self.base.twist_map(max_len)
+        out = super().twist_map(max_len)
         if self.override_word.letters in out:
             out[self.override_word.letters] = self.override_matrix
         return out

@@ -501,6 +501,25 @@ def test_corrupted_generator_fails_with_witness():
     assert not cert.passed and cert.witness is not None
 
 
+def test_corrupted_control_is_the_datum_with_one_word_overridden():
+    """The control is a datum: its own members serve it, and it differs from
+    the datum it corrupts at the override word's twist alone."""
+    rep = rank2_rep()
+    datum = datum_from_rep(rep).restricted()
+    z1 = FPWord(rep.sig, ((0, 1),))
+    M = datum.twist(z1).scale(F3.t_power(1))
+    bad = CorruptedCocycle(datum, z1, M)
+    assert isinstance(bad, descent.MeromorphicCocycle)
+    assert (bad.scope, bad.sig, bad.field, bad.rank) == \
+        (datum.scope, datum.sig, datum.field, datum.rank)
+    for w in enumerate_words(rep.sig, 3):
+        assert bad.twist(w) == (M if w.letters == z1.letters else datum.twist(w))
+        assert bad.det_valuation(w) == datum.det_valuation(w)
+    H, bad_H = datum.twist_map(3), bad.twist_map(3)
+    assert H.keys() == bad_H.keys()
+    assert [w for w in H if H[w] != bad_H[w]] == [z1.letters]
+
+
 def test_certificate_over_1706_words_passes_and_catches_corruption():
     # 1,706 words over Z^{*2}*[Z2] at L=5: 2.9 million pairs for the oracle
     rep = rank1_rep(r=2)

@@ -278,7 +278,8 @@ READ_ONLY = {
     "curves.py": ("NodalCurve", "Pi1Presentation"),
     "reps.py": ("ContinuousRep", "FiniteQuotientRep"),
     "covering.py": ("ComponentIndex", "FundamentalDomain"),
-    "descent.py": ("MeromorphicCocycle", "LatticeAssignment", "FiniteCocycle"),
+    "descent.py": ("MeromorphicCocycle", "CorruptedCocycle", "LatticeAssignment",
+                   "FiniteCocycle"),
     "stratified.py": ("FDividedDatum",),
     "hopf.py": ("HopfAlgebra", "QuotientTower"),
 }

@@ -43,6 +43,7 @@ COMMANDS = (
     ["cover", "rank1_rep.json"],
     ["--max-len", "4", "free", "rank1_rep.json"],
     ["--max-len", "3", "domain", "rank2_rep.json"],
+    ["--max-len", "3", "domain", "rank2_rep.json", "--word", "z1^2 * g1:1 * z1 * g1:1"],
     ["descend", "rank1_rep.json"],
     ["descend", "rank2_rep.json"],
     ["strat", "hom", "rank2_rep.json", "--mode", "K"],
