@@ -17,8 +17,9 @@ component of u over n's first end to that of glue*u over its second end,
 glue being n's Z generator at a loop node and empty at a tree node.
 
 `ComponentIndex` and `FundamentalDomain` are plain classes whose fields are
-read-only by contract; the result records and orbit classes, with no checks
-and no derived state, are `typing.NamedTuple`s.
+read-only by contract; the result records and orbit classes, with no checks,
+are `typing.NamedTuple`s, and `SeparatingOpen.empty_meets` is derived from
+its counts.
 A `FundamentalDomain` builds its core and section when it is built, and its
 boundary lifts on their first read, once: coverage witnesses read only the
 section.
@@ -308,8 +309,11 @@ class SeparatingOpen(NamedTuple):
     case: int
     components: tuple[ComponentIndex, ...]
     kernel_words_checked: int
-    empty_meets: int
     one_sided_meets: int
+
+    @property
+    def empty_meets(self) -> int:
+        return self.kernel_words_checked - self.one_sided_meets
 
 
 def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
@@ -347,7 +351,7 @@ def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
         if cl.coords[cl.j] != sig.factor(cl.j).identity:
             raise ValueError("smooth class coordinates must be trivial at its own factor")
         c = ComponentIndex(cl.j, sig, sigma_word(sig, cl.coords).letters)
-        return SeparatingOpen(1, (c,), kernel, kernel, 0)
+        return SeparatingOpen(1, (c,), kernel, 0)
 
     cl = nodes[0]
     lift = next((rec for rec in lifts if rec[0] == cl.node_id), None)
@@ -367,7 +371,7 @@ def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
             if w.letters and w.alpha_coords == sig.identity_tuple() \
                     and shortlex_key(sig, w.letters)[0] <= max_len:
                 hits.update((w.letters, _inv_letters(sig, w.letters)))
-    return SeparatingOpen(2, (c_a, c_b), kernel, kernel - len(hits), len(hits))
+    return SeparatingOpen(2, (c_a, c_b), kernel, len(hits))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,11 @@ def betti_rank(curve: NodalCurve) -> int:
 
 
 class Pi1Presentation:
-    """Spanning-tree presentation data for the fundamental group of a curve.
+    """Spanning-tree presentation data for the fundamental group of a curve,
+    read off the curve alone: the tree is the curve's Kruskal tree, rooted at
+    the least component id (`base_component`), and one walk of it gives the
+    rest.  `r`, `spanning_tree`, `loop_nodes`, `base_component` and
+    `path_data` are derived and take no part in equality.
 
     loop_nodes are ordered; the i-th one indexes the Z generator z_{i+1}.
     path_data records, per node id, the tree paths (sigma: base to the node's
@@ -119,68 +123,56 @@ class Pi1Presentation:
     the node itself for tree nodes).
     """
 
-    def __init__(self, curve: NodalCurve, r: int, spanning_tree: tuple[str, ...],
-                 loop_nodes: tuple[str, ...], base_component: str,
-                 path_data: tuple[tuple[str, tuple[tuple[str, ...], tuple[str, ...]]], ...]):
-        self.curve = curve
-        self.r = r
-        self.spanning_tree = spanning_tree
-        self.loop_nodes = loop_nodes
-        self.base_component = base_component
-        self.path_data = path_data
+    def __init__(self, curve: NodalCurve):
+        base = min(curve.component_ids)
+        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in curve.component_ids}
+        for nid, a, b in curve.tree_edges:
+            adj[a].append((nid, b))
+            adj[b].append((nid, a))
+        root_path = {base: ()}  # component -> the tree path from base to it
+        stack = [base]
+        while stack:
+            v = stack.pop()
+            for nid, w in adj[v]:
+                if w not in root_path:
+                    root_path[w] = root_path[v] + (nid,)
+                    stack.append(w)
 
-    def _key(self):
-        return (self.curve, self.r, self.spanning_tree, self.loop_nodes,
-                self.base_component, self.path_data)
+        loop_set = set(curve.loop_nodes)
+        path_data = []
+        for n in sorted(curve.nodes, key=lambda n: n.id):
+            sigma = root_path[n.ends[0][0]]
+            if n.id in loop_set:
+                # up from the first end to the last component both root paths
+                # share, then down to the second end: the one path in the tree
+                other = root_path[n.ends[1][0]]
+                k = 0
+                while k < min(len(sigma), len(other)) and sigma[k] == other[k]:
+                    k += 1
+                tau = sigma[k:][::-1] + other[k:]
+            else:
+                tau = (n.id,)
+            path_data.append((n.id, (sigma, tau)))
+
+        self.curve = curve
+        self.r = len(curve.loop_nodes)
+        self.spanning_tree = tuple(nid for nid, _, _ in curve.tree_edges)
+        self.loop_nodes = curve.loop_nodes
+        self.base_component = base
+        self.path_data = tuple(path_data)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.curve == other.curve
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.curve)
 
 
 def pi1_presentation(curve: NodalCurve) -> Pi1Presentation:
-    base = min(curve.component_ids)
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in curve.component_ids}
-    for nid, a, b in curve.tree_edges:
-        adj[a].append((nid, b))
-        adj[b].append((nid, a))
-    root_path = {base: ()}  # component -> the tree path from base to it
-    stack = [base]
-    while stack:
-        v = stack.pop()
-        for nid, w in adj[v]:
-            if w not in root_path:
-                root_path[w] = root_path[v] + (nid,)
-                stack.append(w)
-
-    loop_set = set(curve.loop_nodes)
-    path_data = []
-    for n in sorted(curve.nodes, key=lambda n: n.id):
-        sigma = root_path[n.ends[0][0]]
-        if n.id in loop_set:
-            # up from the first end to the last component both root paths
-            # share, then down to the second end: the one path in the tree
-            other = root_path[n.ends[1][0]]
-            k = 0
-            while k < min(len(sigma), len(other)) and sigma[k] == other[k]:
-                k += 1
-            tau = sigma[k:][::-1] + other[k:]
-        else:
-            tau = (n.id,)
-        path_data.append((n.id, (sigma, tau)))
-
-    return Pi1Presentation(
-        curve=curve,
-        r=len(curve.loop_nodes),
-        spanning_tree=tuple(nid for nid, _, _ in curve.tree_edges),
-        loop_nodes=curve.loop_nodes,
-        base_component=base,
-        path_data=tuple(path_data),
-    )
+    """`Pi1Presentation(curve)`, which `perfbench/tracing.py` wraps by name."""
+    return Pi1Presentation(curve)
 
 
 def chain_curve_for_signature(r: int, num_components: int) -> NodalCurve:

@@ -12,8 +12,8 @@ certificate checks the presentation's relations and the letter recurrence of
 the stored twists, not every pair of words.
 
 The twist data and lattice assignments are plain classes whose fields are
-read-only by contract; `CocycleCertificate`, a pure record, is a
-`typing.NamedTuple`.
+read-only by contract; `CocycleCertificate`, a record whose verdict `passed`
+is derived from its fields, is a `typing.NamedTuple`.
 """
 
 from __future__ import annotations
@@ -185,8 +185,11 @@ class CocycleCertificate(NamedTuple):
     max_len: int
     pairs_checked: int
     identity_ok: bool
-    passed: bool
     witness: tuple[str, str] | None
+
+    @property
+    def passed(self) -> bool:
+        return self.identity_ok and self.witness is None
 
 
 def check_cocycle(c, max_len: int) -> CocycleCertificate:
@@ -228,8 +231,7 @@ def check_cocycle(c, max_len: int) -> CocycleCertificate:
         if H[v] * H[u] != H[uv]:
             witness = (str(FPWord(sig, u)), str(FPWord(sig, v)))
             break
-    return CocycleCertificate(max_len, pairs, identity_ok,
-                              identity_ok and witness is None, witness)
+    return CocycleCertificate(max_len, pairs, identity_ok, witness)
 
 
 def hom_cocycle(c1, c2) -> list[MatrixK]:
@@ -270,7 +272,8 @@ def _orbit_key(c: ComponentIndex) -> tuple[int, tuple[int, ...]]:
 
 class LatticeAssignment:
     """Lattice at each enumerated component, transported from one standard
-    lattice per component orbit along the free kernel action.
+    lattice per component orbit along the free kernel action.  The orbit
+    representatives are derived: per `_orbit_key`, the first of `components`.
 
     The lattice at c is B(c) A^n with B(c) = `lattice_hermite(H(w))`, where
     w = `transport_word(c)` is the kernel word carrying c's orbit
@@ -281,16 +284,18 @@ class LatticeAssignment:
     component once its signature is checked to be the assignment's: a
     component over another one raises `SignatureMismatch`."""
 
-    def __init__(self, cocycle: MeromorphicCocycle, orbit_reps: tuple[ComponentIndex, ...],
-                 components: tuple[ComponentIndex, ...]):
+    def __init__(self, cocycle: MeromorphicCocycle, components: tuple[ComponentIndex, ...]):
+        first: dict[tuple, ComponentIndex] = {}
+        for c in components:
+            first.setdefault(_orbit_key(c), c)
         self.cocycle = cocycle
         self.sig = sig = cocycle.sig
-        self.orbit_reps = orbit_reps
+        self.orbit_reps = tuple(first.values())
         self.components = components
         self._lattice_cache = {}
         # per orbit key: alpha(c0)_j and the letters of c0^{-1}
-        self._heads = {_orbit_key(c0): (c0.alpha_coords[c0.j], _inv_letters(sig, c0.letters))
-                       for c0 in orbit_reps}
+        self._heads = {key: (c0.alpha_coords[c0.j], _inv_letters(sig, c0.letters))
+                       for key, c0 in first.items()}
 
     def transport_word(self, c: ComponentIndex) -> FPWord:
         """The unique kernel word carrying the orbit representative to c.
@@ -327,8 +332,9 @@ class LatticeAssignment:
 
 
 def integralize(c: MeromorphicCocycle, max_len: int) -> LatticeAssignment:
-    """Pick the standard lattice on one representative per component orbit and
-    transport it along the kernel action; freeness makes this conflict-free.
+    """The lattice assignment over every component of word length <= max_len,
+    which picks the standard lattice on its first component of each orbit and
+    transports it along the kernel action; freeness makes this conflict-free.
 
     The transport condition holds at every kernel word, so nothing is
     checked.  Let c0 be an orbit representative and w a kernel word.  c0's
@@ -345,12 +351,7 @@ def integralize(c: MeromorphicCocycle, max_len: int) -> LatticeAssignment:
     """
     if c.scope != KERNEL:
         raise ScopeMismatch("integral transport works over the kernel scope")
-    sig = c.sig
-    comps = enumerate_components(sig, max_len)
-    orbit_reps: dict[tuple, ComponentIndex] = {}
-    for ci in comps:
-        orbit_reps.setdefault(_orbit_key(ci), ci)
-    return LatticeAssignment(c, tuple(orbit_reps.values()), tuple(comps))
+    return LatticeAssignment(c, tuple(enumerate_components(c.sig, max_len)))
 
 
 def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
@@ -379,14 +380,14 @@ def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
 
 class FiniteCocycle:
     """Twist data indexed by a finite group, with the same anti-composition
-    law as the word-indexed data it came from.  A collapse records how many
-    normal forms it covered (`words_checked`)."""
+    law as the word-indexed data it came from.  The field and rank are read
+    off the first matrix.  A collapse records how many normal forms it
+    covered (`words_checked`)."""
 
-    def __init__(self, group: FiniteGroup, field: FunctionField, rank: int,
-                 mats: tuple[MatrixK, ...], words_checked: int = 0):
+    def __init__(self, group: FiniteGroup, mats: tuple[MatrixK, ...], words_checked: int = 0):
         self.group = group
-        self.field = field
-        self.rank = rank
+        self.field = mats[0].field
+        self.rank = mats[0].rows
         self.mats = mats
         self.words_checked = words_checked
 
@@ -444,7 +445,7 @@ def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
     if missing:
         raise KernelNotTrivial(
             f"enumeration bound too small: no preimage found for {missing}")
-    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked)
+    fin = FiniteCocycle(G, tuple(slots), checked)
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")
     return fin

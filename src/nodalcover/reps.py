@@ -43,12 +43,14 @@ def _common_rank(field: FunctionField, mats) -> int:
 
 
 class ContinuousRep:
-    """Matrices over K for the Z generators plus a hom per finite factor. The
-    Z images are inverted once, at construction: that certifies them
-    invertible.  The inverses take no part in equality."""
+    """Matrices over K for the Z generators plus a hom per finite factor.
+    The field and rank are read off the first matrix of the first factor
+    hom; a curve has a component, so that matrix exists.  The Z images are inverted
+    once, at construction: that certifies them invertible.  The field, rank
+    and inverses take no part in equality."""
 
-    def __init__(self, presentation: Pi1Presentation, field: FunctionField, rank: int,
-                 z_images: tuple[MatrixK, ...], factor_groups: tuple[FiniteGroup, ...],
+    def __init__(self, presentation: Pi1Presentation, z_images: tuple[MatrixK, ...],
+                 factor_groups: tuple[FiniteGroup, ...],
                  factor_homs: tuple[tuple[MatrixK, ...], ...]):
         inverses = []
         for i, z in enumerate(z_images):
@@ -57,16 +59,15 @@ class ContinuousRep:
             except SingularBasis:
                 raise SingularBasis(f"z{i + 1} image is singular") from None
         self.presentation = presentation
-        self.field = field
-        self.rank = rank
+        self.field = factor_homs[0][0].field
+        self.rank = factor_homs[0][0].rows
         self.z_images = z_images
         self.factor_groups = factor_groups
         self.factor_homs = factor_homs
         self.z_inverses = tuple(inverses)
 
     def _key(self):
-        return (self.presentation, self.field, self.rank, self.z_images,
-                self.factor_groups, self.factor_homs)
+        return (self.presentation, self.z_images, self.factor_groups, self.factor_homs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -89,11 +90,10 @@ class ContinuousRep:
             raise PresentationMismatch("one factor group per curve component required")
         if len(factor_homs) != len(factor_groups):
             raise PresentationMismatch("one factor hom per factor group required")
-        rank = _common_rank(field, list(z_images) + [m for h in factor_homs for m in h])
-        rep = cls(presentation, field, rank, z_images, factor_groups, factor_homs)
+        _common_rank(field, list(z_images) + [m for h in factor_homs for m in h])
         for j, (G, images) in enumerate(zip(factor_groups, factor_homs)):
             _check_hom(G, images, f"factor hom {j + 1} ({G.name})")
-        return rep
+        return cls(presentation, z_images, factor_groups, factor_homs)
 
     @cached_property
     def sig(self) -> FPSignature:
@@ -170,7 +170,7 @@ def rep_tensor(r1: ContinuousRep, r2: ContinuousRep) -> ContinuousRep:
         new_homs.append(tuple(
             r1.factor_homs[j][g].kron(r2.factor_homs[j][h]) for (g, h) in elems))
     return ContinuousRep(
-        r1.presentation, r1.field, r1.rank * r2.rank,
+        r1.presentation,
         z_images=tuple(a.kron(b) for a, b in zip(r1.z_images, r2.z_images)),
         factor_groups=tuple(new_groups),
         factor_homs=tuple(new_homs))
@@ -250,7 +250,7 @@ def inflate(fq: FiniteQuotientRep, pres: Pi1Presentation) -> ContinuousRep:
     if pres != fq.presentation:
         raise SignatureMismatch("presentation does not match the quotient data")
     return ContinuousRep(
-        pres, fq.field, fq.rank,
+        pres,
         z_images=tuple(fq.hom[x] for x in fq.z_to),
         factor_groups=fq.source_groups,
         factor_homs=tuple(tuple(fq.hom[mp[g]] for g in range(G.order))

@@ -73,8 +73,7 @@ def F_pipeline(fq: FiniteQuotientRep) -> FiniteCocycle:
     built directly as a constant divided sequence.  Its law H(gh) = H(h) H(g)
     restates rho's, since (gh)^-1 = h^-1 g^-1, and building fq proved that."""
     G = fq.group
-    return FiniteCocycle(G, fq.field, fq.rank,
-                         tuple(fq.hom[G.inverse[g]] for g in range(G.order)))
+    return FiniteCocycle(G, tuple(fq.hom[G.inverse[g]] for g in range(G.order)))
 
 
 class SquareCertificate(NamedTuple):

@@ -24,7 +24,7 @@ from nodalcover.curves import (
     chain_curve_for_signature,
     pi1_presentation,
 )
-from nodalcover.descent import FiniteCocycle, LatticeAssignment, _orbit_key
+from nodalcover.descent import FiniteCocycle, LatticeAssignment
 from nodalcover.errors import (
     BadElementIndex,
     BadFactorIndex,
@@ -79,12 +79,13 @@ def sig_with_pres(r, groups):
     return FPSignature(r, tuple(groups)), pres
 
 
-def pi1_presentation_oracle(components, nodes) -> Pi1Presentation:
-    """Three walks where `NodalCurve` makes one forest and `pi1_presentation`
+def pi1_presentation_oracle(components, nodes) -> tuple:
+    """Three walks where `NodalCurve` makes one forest and `Pi1Presentation`
     one tree walk: a DFS of the raw (id, branches) components and (id, end,
     end) nodes for connectivity, refusing a disconnected graph before any
     curve is built, Kruskal with union-find for the tree, and a fresh DFS for
-    each tree path, with nodes looked up by id."""
+    each tree path, with nodes looked up by id.  Returns the presentation's
+    (curve, r, spanning_tree, loop_nodes, base_component, path_data)."""
     vertices = [cid for cid, _ in components]
     edges = [(nid, ea[0], eb[0]) for nid, ea, eb in nodes]
     adj_all: dict[str, list[str]] = {v: [] for v in vertices}
@@ -155,14 +156,7 @@ def pi1_presentation_oracle(components, nodes) -> Pi1Presentation:
         tau = tree_path(ca, cb) if n.id in loops else (n.id,)
         path_data.append((n.id, (sigma, tau)))
 
-    return Pi1Presentation(
-        curve=curve,
-        r=len(loops),
-        spanning_tree=tuple(tree),
-        loop_nodes=tuple(loops),
-        base_component=base,
-        path_data=tuple(path_data),
-    )
+    return curve, len(loops), tuple(tree), tuple(loops), base, tuple(path_data)
 
 
 def count_curve_builds(monkeypatch) -> list:
@@ -483,7 +477,7 @@ def separating_open_oracle(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
         for w in kernel:
             if component_action(w, c) == c:
                 raise AssertionError("case 1 separating open hit a fixed component")
-        return SeparatingOpen(1, (c,), len(kernel), len(kernel), 0)
+        return SeparatingOpen(1, (c,), len(kernel), 0)
     ends = node_ends_oracle(sig, presentation)[nodes[0].node_id]
     c_a, c_b = lift_sides_oracle(sig, ends, sigma_word(sig, nodes[0].coords).letters)
     one_sided = 0
@@ -493,7 +487,7 @@ def separating_open_oracle(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
         if hit_ba and hit_ab:
             raise AssertionError(f"double overlap at w={w}")
         one_sided += hit_ba or hit_ab
-    return SeparatingOpen(2, (c_a, c_b), len(kernel), len(kernel) - one_sided, one_sided)
+    return SeparatingOpen(2, (c_a, c_b), len(kernel), one_sided)
 
 
 def solve_linear_oracle(M: MatrixK, rhs: MatrixK) -> LinearSolution:
@@ -883,7 +877,7 @@ def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
             f"enumeration bound too small: no preimage found for {missing}")
     if not slots[G.identity].is_identity():
         raise KernelNotTrivial("kernel words do not act trivially")
-    fin = FiniteCocycle(G, c.field, c.rank, tuple(slots), checked)
+    fin = FiniteCocycle(G, tuple(slots), checked)
     if not fin.check_law():
         raise KernelNotTrivial("collapsed data violates the finite composition law")
     return fin
@@ -895,13 +889,8 @@ def integralize_pair_oracle(c, max_len: int = 4) -> LatticeAssignment:
     w of length <= min(max_len, 3), the Hermite form of H(w) B(c0) with the
     lattice stored at c0 w.  The oracle of `integralize`, whose docstring
     proves that every pair passes."""
-    sig = c.sig
-    comps = enumerate_components(sig, max_len)
-    reps: dict[tuple, ComponentIndex] = {}
-    for ci in comps:
-        reps.setdefault(_orbit_key(ci), ci)
-    assignment = LatticeAssignment(c, tuple(reps.values()), tuple(comps))
-    kernel = list(kernel_words(sig, min(max_len, 3)))
+    assignment = LatticeAssignment(c, tuple(enumerate_components(c.sig, max_len)))
+    kernel = list(kernel_words(c.sig, min(max_len, 3)))
     for c0 in assignment.orbit_reps:
         base = assignment.lattice_of(c0)
         for w in kernel:

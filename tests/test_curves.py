@@ -259,5 +259,6 @@ def test_presentation_equals_the_three_walk_oracle(spec):
         with pytest.raises(DisconnectedCurve):
             NodalCurve.build(*spec)
         return
-    curve = NodalCurve.build(*spec)
-    assert pi1_presentation(curve) == expected
+    pres = pi1_presentation(NodalCurve.build(*spec))
+    assert (pres.curve, pres.r, pres.spanning_tree, pres.loop_nodes,
+            pres.base_component, pres.path_data) == expected

@@ -579,7 +579,7 @@ def test_relations_only_double_fails_both_checks():
     # whose square is not the identity
     sig, pres = sig_with_pres(1, (Z2,))
     one = MatrixK.identity(F3, 1)
-    bogus = ContinuousRep(pres, F3, 1, (MatrixK.from_rows(F3, [["t"]]),), (Z2,),
+    bogus = ContinuousRep(pres, (MatrixK.from_rows(F3, [["t"]]),), (Z2,),
                           ((one, MatrixK.from_rows(F3, [["t"]])),))
     datum = datum_from_rep(bogus)
     for L in (1, 3):
@@ -1177,8 +1177,7 @@ def test_descend_rejects_non_inflated_datum():
 def test_finite_cocycle_law_check():
     fq = _sign_fq()
     fin = descend_inflation(datum_from_rep(inflate(fq, fq.presentation)), fq, 4)
-    broken = FiniteCocycle(fin.group, fin.field, fin.rank,
-                           (fin.mats[1], fin.mats[1]))
+    broken = FiniteCocycle(fin.group, (fin.mats[1], fin.mats[1]))
     assert not broken.check_law()
 
 
@@ -1189,8 +1188,8 @@ def test_finite_cocycle_law_check_past_the_identity():
     Z3 = cyclic_group(3)
     good = tuple(MatrixK.from_rows(F7, [[x]]) for x in ("1", "2", "4"))
     bad = tuple(MatrixK.from_rows(F7, [[x]]) for x in ("1", "6", "1"))
-    assert FiniteCocycle(Z3, F7, 1, good).check_law()
-    assert not FiniteCocycle(Z3, F7, 1, bad).check_law()
+    assert FiniteCocycle(Z3, good).check_law()
+    assert not FiniteCocycle(Z3, bad).check_law()
 
 
 def test_descend_reports_a_fiber_out_of_reach():

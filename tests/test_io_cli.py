@@ -1043,8 +1043,10 @@ IMAGES_Z2 = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
     ({"z_images": [[["t", 1], [0, 1]]]}, "matrix entry 1 is not a string"),
     ({"z_images": [[["1", True], ["0", "1"]]]}, "matrix entry True is not a string"),
     ({"z_images": ["t"]}, "list of rows"),
+    ({"factors": [{"group": {"builtin": "cyclic", "n": 2}, "images": []}]},
+     "error: bad rep spec: factor hom 1 (Z2): need one matrix per group element"),
 ], ids=["rank-7-images", "rank-1-z_images", "rank-3-gen_images", "entry-number",
-        "entry-boolean", "rows-not-lists"])
+        "entry-boolean", "rows-not-lists", "images-empty"])
 def test_cli_rep_matrix_shape_or_entry_mismatch_exits_2(tmp_path, edit, message):
     spec = dict(FUZZED_SPECS["rep"], **edit)
     spec["curve"] = str(DATA / "nodal_cubic.json")

@@ -12,6 +12,7 @@ import pytest
 
 from nodalcover import cli
 from nodalcover import io as spec_io
+from nodalcover.covering import certify_free_action
 from nodalcover.curves import pi1_presentation
 from nodalcover.descent import COCYCLE_LEN, FiniteCocycle
 from nodalcover.errors import SpecParseError
@@ -71,6 +72,24 @@ def test_readme_square_counts_match_a_run(monkeypatch):
             (int(total), int(walk), int(check))
     assert words[0] == int(forms.replace(",", ""))
     assert f"{words[1]:.1e}" == f"{mantissa}e+{exponent}"
+
+
+FREE_SENTENCE = re.compile(
+    r"`free rank1_rep\.json` counts about (\d\.\d)·10\^(\d+) components at "
+    r"`--max-len (\d+)`")
+
+
+def test_readme_free_count_matches_a_run():
+    """The README's `free` paragraph gives the components that `free
+    rank1_rep.json` counts at one `--max-len`, to two significant figures;
+    the freeness certificate recomputes the count (2,199,023,255,551 at
+    length 40)."""
+    match = FREE_SENTENCE.search(readme_text())
+    assert match, "the README's free sentence was not found"
+    mantissa, exponent, max_len = match.groups()
+    sig = spec_io.load_rep(DATA / "rank1_rep.json").sig
+    components = certify_free_action(sig, int(max_len)).components
+    assert f"{components:.1e}" == f"{mantissa}e+{exponent}"
 
 
 DOMAIN_BUDGET_SENTENCE = re.compile(

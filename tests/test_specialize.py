@@ -261,7 +261,7 @@ def test_square_failure_names_the_element_where_the_routes_part(monkeypatch, cap
         fin = true_route(quotient)
         mats = list(fin.mats)
         mats[wrong_at] = mats[wrong_at] * MatrixK.from_rows(quotient.field, [["2"]])
-        return FiniteCocycle(fin.group, fin.field, fin.rank, tuple(mats))
+        return FiniteCocycle(fin.group, tuple(mats))
 
     monkeypatch.setattr(specialize_module, "F_pipeline", wrong_route)
     with pytest.raises(SquareViolation) as info:
