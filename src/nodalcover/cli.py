@@ -147,7 +147,7 @@ def cmd_cover(args) -> int:
     sig = rep.sig
     _check_budget(math.prod(G.order for G in sig.factors)
                   * (sig.r + sum(len(G.generators) for G in sig.factors)), "cover")
-    cover = build_finite_cover(rep)
+    cover = build_finite_cover(sig)
     report = {
         "command": "cover",
         "fiber_size": len(cover.fiber),

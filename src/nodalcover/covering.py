@@ -16,6 +16,10 @@ The covering is glued over each node of the curve by the node's lifts, and
 component of u over n's first end to that of glue*u over its second end,
 glue being n's Z generator at a loop node and empty at a tree node.
 
+The layer computes with words and signatures alone, and no matrix enters
+it: a finite cover is built from its signature, and a separating open
+through the one deck orbit it removes, a `SmoothClass` or a `NodeClass`.
+
 `ComponentIndex` and `FundamentalDomain` are plain classes whose fields are
 read-only by contract; the result records and orbit classes, with no checks,
 are `typing.NamedTuple`s, and `SeparatingOpen.empty_meets` is derived from
@@ -33,7 +37,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .curves import Pi1Presentation, chain_curve_for_signature, pi1_presentation
-from .errors import NoComplement, SignatureMismatch, TrivialW
+from .errors import SignatureMismatch, TrivialW
 from .groups import (
     FPSignature,
     FPWord,
@@ -43,7 +47,6 @@ from .groups import (
     iter_words_raw,
     shortlex_key,
 )
-from .reps import ContinuousRep
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +168,14 @@ class FiniteCover(NamedTuple):
     actions: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def build_finite_cover(rep: ContinuousRep) -> FiniteCover:
-    """The finite cover of `rep`'s signature, which is always transitive.
+def build_finite_cover(sig: FPSignature) -> FiniteCover:
+    """The finite cover of the signature `sig`, which is always transitive.
 
     Each generator of G_j acts on the fiber G_1 x ... x G_N by left
     multiplication on coordinate j.  Constructing a `FiniteGroup` refuses
-    designated generators that do not generate the group, so the actions generate G_1 x ... x G_N acting on itself by left
-    multiplication: a regular, hence transitive, action."""
-    sig = rep.sig
+    designated generators that do not generate the group, so the actions
+    generate G_1 x ... x G_N acting on itself by left multiplication: a
+    regular, hence transitive, action."""
     groups = [sig.factor(j) for j in range(sig.num_factors)]
     fiber = tuple(itertools.product(*(range(G.order) for G in groups)))
     index = {t: i for i, t in enumerate(fiber)}
@@ -281,7 +284,7 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
 
 
 # ---------------------------------------------------------------------------
-# invariant opens and the separating construction
+# removed orbits and the separating construction
 # ---------------------------------------------------------------------------
 
 class SmoothClass(NamedTuple):
@@ -299,12 +302,6 @@ class NodeClass(NamedTuple):
     coords: tuple[int, ...]
 
 
-class InvariantOpen(NamedTuple):
-    """Invariant open given by its complement: finitely many orbit classes."""
-
-    removed: tuple
-
-
 class SeparatingOpen(NamedTuple):
     case: int
     components: tuple[ComponentIndex, ...]
@@ -316,19 +313,21 @@ class SeparatingOpen(NamedTuple):
         return self.kernel_words_checked - self.one_sided_meets
 
 
-def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
+def find_separating_open(removed: SmoothClass | NodeClass, sig: FPSignature, max_len: int = 6,
                          presentation: Pi1Presentation | None = None) -> SeparatingOpen:
-    """Construct a quasi-compact open V with V not inside U and V cap wV
-    inside U for every nonidentity kernel word w, and count how the kernel
-    words up to max_len (at least 2) meet V; `certify_free_action`'s state
-    walk counts those words.  The nodes are those of `presentation`'s curve,
-    the chain curve of `sig` by default.
+    """Construct a quasi-compact open V through the orbit class `removed`,
+    with V cap wV off that orbit for every nonidentity kernel word w, and
+    count how the kernel words up to max_len (at least 2) meet V;
+    `certify_free_action`'s state walk counts those words.  So V is not
+    inside the invariant open that the orbit's removal leaves, and each
+    V cap wV is.  The nodes are those of `presentation`'s curve, the chain
+    curve of `sig` by default.
 
-    Case 1 (some smooth point removed): V is the component through that point
-    minus its nodes; translates are disjoint by freeness.  Case 2 (only node
-    lifts removed): V is the union of the components c_a and c_b through one
-    removed node lift minus the other nodes, and wV meets V in a smooth part
-    only when w carries one onto the other.  The action keeps the curve
+    Case 1 (a smooth class): V is the component through a point of the class
+    minus its nodes; translates are disjoint by freeness.  Case 2 (a node
+    class): V is the union of the components c_a and c_b through a lift in
+    the class minus the other nodes, and wV meets V in a smooth part only
+    when w carries one onto the other.  The action keeps the curve
     component, so that needs c_a.j = c_b.j = j; then c_b w = c_a means
     w = s_b^{-1} g s_a for some g in G_j, and c_a w = c_b that w is the inverse
     of such a word: the one-sided meets are the kernel words among these
@@ -336,29 +335,23 @@ def find_separating_open(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
     the stabilizer s_a^{-1} G_j s_a, which meets ker alpha only in 1, and ker
     alpha is free, hence torsion-free, so w = 1.
     """
-    if not U.removed:
-        raise NoComplement("the open set is the whole covering")
     lifts = node_lifts(sig, presentation)
-    smooth = [c for c in U.removed if isinstance(c, SmoothClass)]
-    nodes = [c for c in U.removed if isinstance(c, NodeClass)]
-    if len(smooth) + len(nodes) != len(U.removed):
-        raise ValueError("removed classes must be SmoothClass or NodeClass")
+    if not isinstance(removed, (SmoothClass, NodeClass)):
+        raise ValueError("the removed class must be a SmoothClass or NodeClass")
 
     kernel = certify_free_action(sig, max_len).kernel_words
 
-    if smooth:
-        cl = smooth[0]
-        if cl.coords[cl.j] != sig.factor(cl.j).identity:
+    if isinstance(removed, SmoothClass):
+        if removed.coords[removed.j] != sig.factor(removed.j).identity:
             raise ValueError("smooth class coordinates must be trivial at its own factor")
-        c = ComponentIndex(cl.j, sig, sigma_word(sig, cl.coords).letters)
+        c = ComponentIndex(removed.j, sig, sigma_word(sig, removed.coords).letters)
         return SeparatingOpen(1, (c,), kernel, 0)
 
-    cl = nodes[0]
-    lift = next((rec for rec in lifts if rec[0] == cl.node_id), None)
+    lift = next((rec for rec in lifts if rec[0] == removed.node_id), None)
     if lift is None:
-        raise ValueError(f"unknown node {cl.node_id}")
+        raise ValueError(f"unknown node {removed.node_id}")
     _, ja, jb, glue = lift
-    u = sigma_word(sig, cl.coords).letters
+    u = sigma_word(sig, removed.coords).letters
     c_a = ComponentIndex(ja, sig, u)
     c_b = ComponentIndex(jb, sig, _concat(sig, glue, u))
     hits = set()

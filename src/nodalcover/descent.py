@@ -380,14 +380,11 @@ def det_valuation_conserved(assignment: LatticeAssignment, w: FPWord,
 
 class FiniteCocycle:
     """Twist data indexed by a finite group, with the same anti-composition
-    law as the word-indexed data it came from.  The field and rank are read
-    off the first matrix.  A collapse records how many normal forms it
-    covered (`words_checked`)."""
+    law as the word-indexed data it came from.  A collapse records how many
+    normal forms it covered (`words_checked`)."""
 
     def __init__(self, group: FiniteGroup, mats: tuple[MatrixK, ...], words_checked: int = 0):
         self.group = group
-        self.field = mats[0].field
-        self.rank = mats[0].rows
         self.mats = mats
         self.words_checked = words_checked
 

@@ -46,10 +46,6 @@ class PresentationMismatch(NodalCoverError):
 
 
 # coverings
-class NoComplement(NodalCoverError):
-    pass
-
-
 class TrivialW(NodalCoverError):
     pass
 

@@ -161,6 +161,12 @@ def _json_str(value, what: str) -> str:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise SpecParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _node_end(end) -> tuple[str, str]:
     if type(end) is not list or len(end) != 2:
         raise SpecParseError(f"a node end must be a [component, branch] pair, got {end!r}")
@@ -173,14 +179,12 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
     obj, _ = _load_obj(source, "curve", base_dir)
     with _spec("curve"):
         comps = []
-        for c in obj["components"]:
-            branches = c.get("branches", [])
-            if type(branches) is not list:
-                raise SpecParseError(f"branches must be a list, got {branches!r}")
+        for c in _json_list(obj["components"], "components"):
+            branches = _json_list(c.get("branches", []), "branches")
             comps.append((_json_str(c["id"], "component id"),
                           tuple(_json_str(b, "branch label") for b in branches)))
         nodes = []
-        for k, n in enumerate(obj.get("nodes", ())):
+        for k, n in enumerate(_json_list(obj.get("nodes", []), "nodes")):
             ends = n["ends"]
             if type(ends) is not list or len(ends) != 2:
                 raise SpecParseError(f"node ends must be two pairs, got {ends!r}")
@@ -194,8 +198,9 @@ def _hom_images(field, obj, images_key: str, gens_key: str, group, rank: int) ->
     from .reps import hom_from_generator_images
 
     if images_key in obj:
-        return tuple(matrix_from_json(field, m, rank) for m in obj[images_key])
-    gens = [matrix_from_json(field, m, rank) for m in obj[gens_key]]
+        return tuple(matrix_from_json(field, m, rank)
+                     for m in _json_list(obj[images_key], images_key))
+    gens = [matrix_from_json(field, m, rank) for m in _json_list(obj[gens_key], gens_key)]
     return hom_from_generator_images(field, group, gens, rank)
 
 
@@ -210,10 +215,11 @@ def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
         rank = _json_int(obj["rank"], "rank")
         curve = load_curve(obj["curve"], base_dir)
         pres = pi1_presentation(curve)
-        z_images = tuple(matrix_from_json(field, m, rank) for m in obj.get("z_images", ()))
+        z_images = tuple(matrix_from_json(field, m, rank)
+                         for m in _json_list(obj.get("z_images", []), "z_images"))
         groups = []
         homs = []
-        for fac in obj["factors"]:
+        for fac in _json_list(obj["factors"], "factors"):
             G = load_group(fac["group"], base_dir)
             groups.append(G)
             homs.append(_hom_images(field, fac, "images", "gen_images", G, rank))
@@ -230,11 +236,12 @@ def load_fq(source, curve: NodalCurve, base_dir: Path | None = None) -> FiniteQu
         field = FunctionField(_json_int(obj["p"], "p"))
         rank = _json_int(obj["rank"], "rank")
         pres = pi1_presentation(curve)
-        source_groups = [load_group(g, base_dir) for g in obj["source_groups"]]
+        source_groups = [load_group(g, base_dir)
+                         for g in _json_list(obj["source_groups"], "source_groups")]
         quotient = load_group(obj["quotient"], base_dir)
-        z_to = [_json_int(x, "z_to entry") for x in obj.get("z_to", ())]
-        factor_to = [tuple(_json_int(x, "factor_to entry") for x in m)
-                     for m in obj["factor_to"]]
+        z_to = [_json_int(x, "z_to entry") for x in _json_list(obj.get("z_to", []), "z_to")]
+        factor_to = [tuple(_json_int(x, "factor_to entry") for x in _json_list(m, "factor_to row"))
+                     for m in _json_list(obj["factor_to"], "factor_to")]
         hom = _hom_images(field, obj, "hom", "hom_gen_images", quotient, rank)
         return FiniteQuotientRep.build(pres, field, source_groups, quotient,
                                        z_to, factor_to, hom)

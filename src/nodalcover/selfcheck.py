@@ -19,7 +19,6 @@ from collections import Counter
 from .covering import (
     ComponentIndex,
     FundamentalDomain,
-    InvariantOpen,
     NodeClass,
     SmoothClass,
     certify_free_action,
@@ -361,7 +360,7 @@ def criterion_5(rng) -> tuple[bool, str]:
     ]
     details = []
     for case, sig, curve_pres, cl in cases:
-        v = find_separating_open(InvariantOpen((cl,)), sig, max_len=6, presentation=curve_pres)
+        v = find_separating_open(cl, sig, max_len=6, presentation=curve_pres)
         counted = (v.kernel_words_checked, v.empty_meets, v.one_sided_meets)
         sides = _open_components(sig, curve_pres, cl)
         if v.components != sides:

@@ -10,7 +10,6 @@ from nodalcover.covering import (
     FiniteCover,
     FreenessReport,
     FundamentalDomain,
-    InvariantOpen,
     NodeClass,
     SeparatingOpen,
     SmoothClass,
@@ -31,7 +30,6 @@ from nodalcover.errors import (
     DimensionMismatch,
     DisconnectedCurve,
     KernelNotTrivial,
-    NoComplement,
     PresentationMismatch,
     SignatureMismatch,
     SingularBasis,
@@ -460,26 +458,22 @@ def lift_sides_oracle(sig: FPSignature, ends: tuple, raw) -> tuple:
             ComponentIndex(jb, sig, fp_normalize(sig, glue + list(raw)).letters))
 
 
-def separating_open_oracle(U: InvariantOpen, sig: FPSignature, max_len: int = 6,
+def separating_open_oracle(removed: SmoothClass | NodeClass, sig: FPSignature, max_len: int = 6,
                            presentation: Pi1Presentation | None = None) -> SeparatingOpen:
-    """Per-word separating open: every nonidentity kernel word up to max_len
-    acts on the open's components, and a word meeting it both ways raises.
-    The oracle of `find_separating_open`, which counts the kernel words by
-    states and its meets from the 2|G_j| candidate words."""
-    if not U.removed:
-        raise NoComplement("the open set is the whole covering")
-    smooth = [c for c in U.removed if isinstance(c, SmoothClass)]
-    nodes = [c for c in U.removed if isinstance(c, NodeClass)]
+    """Per-word separating open through the removed orbit class: every
+    nonidentity kernel word up to max_len acts on the open's components, and
+    a word meeting it both ways raises.  The oracle of `find_separating_open`,
+    which counts the kernel words by states and its meets from the 2|G_j|
+    candidate words."""
     kernel = list(kernel_words(sig, max_len))
-    if smooth:
-        cl = smooth[0]
-        c = ComponentIndex(cl.j, sig, sigma_word(sig, cl.coords).letters)
+    if isinstance(removed, SmoothClass):
+        c = ComponentIndex(removed.j, sig, sigma_word(sig, removed.coords).letters)
         for w in kernel:
             if component_action(w, c) == c:
                 raise AssertionError("case 1 separating open hit a fixed component")
         return SeparatingOpen(1, (c,), len(kernel), 0)
-    ends = node_ends_oracle(sig, presentation)[nodes[0].node_id]
-    c_a, c_b = lift_sides_oracle(sig, ends, sigma_word(sig, nodes[0].coords).letters)
+    ends = node_ends_oracle(sig, presentation)[removed.node_id]
+    c_a, c_b = lift_sides_oracle(sig, ends, sigma_word(sig, removed.coords).letters)
     one_sided = 0
     for w in kernel:
         hit_ba = component_action(w, c_b) == c_a

@@ -61,8 +61,8 @@ def test_criterion_5_fails_on_a_wrong_one_sided_count(monkeypatch):
     that reports one more one-sided meet fails it."""
     real = selfcheck.find_separating_open
 
-    def miscounted(U, sig, max_len=6, presentation=None):
-        v = real(U, sig, max_len, presentation)
+    def miscounted(removed, sig, max_len=6, presentation=None):
+        v = real(removed, sig, max_len, presentation)
         return v._replace(one_sided_meets=v.one_sided_meets + (v.case == 2))
 
     monkeypatch.setattr(selfcheck, "find_separating_open", miscounted)
@@ -77,12 +77,12 @@ def test_criterion_5_fails_on_a_lift_without_its_glue(monkeypatch):
     its meets agree word by word with its own wrong components."""
     real = selfcheck.find_separating_open
 
-    def glue_dropped(U, sig, max_len=6, presentation=None):
-        v = real(U, sig, max_len, presentation)
+    def glue_dropped(removed, sig, max_len=6, presentation=None):
+        v = real(removed, sig, max_len, presentation)
         if v.case == 1:
             return v
         c_a, c_b = v.components
-        c_b = ComponentIndex(c_b.j, sig, sigma_word(sig, U.removed[0].coords).letters)
+        c_b = ComponentIndex(c_b.j, sig, sigma_word(sig, removed.coords).letters)
         return v._replace(components=(c_a, c_b), one_sided_meets=0)
 
     monkeypatch.setattr(selfcheck, "find_separating_open", glue_dropped)

@@ -13,7 +13,6 @@ from nodalcover import covering as covering_module, groups as groups_module
 from nodalcover.covering import (
     ComponentIndex,
     FundamentalDomain,
-    InvariantOpen,
     NodeClass,
     SmoothClass,
     build_finite_cover,
@@ -28,7 +27,7 @@ from nodalcover.covering import (
     sigma_word,
 )
 from nodalcover.curves import NodalCurve, pi1_presentation
-from nodalcover.errors import NoComplement, SignatureMismatch, TrivialW
+from nodalcover.errors import SignatureMismatch, TrivialW
 from nodalcover.groups import (
     FiniteGroup,
     FPSignature,
@@ -45,7 +44,6 @@ from nodalcover.groups import (
     symmetric_group,
     trivial_group,
 )
-from nodalcover.reps import trivial_rep
 
 from helpers import (
     certify_free_oracle,
@@ -60,7 +58,6 @@ from helpers import (
     random_word,
     section_entry_oracle,
     separating_open_oracle,
-    sig_with_pres,
 )
 
 Z1 = trivial_group()
@@ -185,8 +182,7 @@ def test_max_len_precondition():
 # -- separating opens -----------------------------------------------------------------
 
 def test_case_one_disjoint_translates():
-    out = find_separating_open(
-        InvariantOpen((SmoothClass(0, (0, 2)),)), SIG, max_len=4)
+    out = find_separating_open(SmoothClass(0, (0, 2)), SIG, max_len=4)
     assert out.case == 1
     assert out.one_sided_meets == 0
     assert out.kernel_words_checked == out.empty_meets > 0
@@ -195,8 +191,7 @@ def test_case_one_disjoint_translates():
 def test_case_two_subcases_and_guard():
     """A tree node joins two curve components, which no kernel word
     exchanges; the double-overlap subcase is excluded by proof, not checked."""
-    out = find_separating_open(
-        InvariantOpen((NodeClass("n0", (1, 1)),)), SIG, max_len=4)
+    out = find_separating_open(NodeClass("n0", (1, 1)), SIG, max_len=4)
     assert out.case == 2 and out.one_sided_meets == 0
     assert out.empty_meets + out.one_sided_meets == out.kernel_words_checked
 
@@ -205,31 +200,27 @@ def test_self_node_case_two():
     """The self-node's lift at g joins G s and G z s; the kernel word
     s^-1 z^-1 s and its inverse are its one-sided meets."""
     rep = rank1_rep()
-    out = find_separating_open(InvariantOpen((NodeClass("x0", (1,)),)), rep.sig,
+    out = find_separating_open(NodeClass("x0", (1,)), rep.sig,
                                max_len=4, presentation=rep.presentation)
     assert out.case == 2 and out.one_sided_meets == 2
     assert out.empty_meets + out.one_sided_meets == out.kernel_words_checked
 
 
-def test_no_complement():
-    with pytest.raises(NoComplement):
-        find_separating_open(InvariantOpen(()), SIG, 4)
-
-
 def test_separating_open_needs_max_len_two():
     with pytest.raises(ValueError, match="max_len must be at least 2"):
-        find_separating_open(InvariantOpen((NodeClass("n0", (1, 1)),)), SIG, 1)
+        find_separating_open(NodeClass("n0", (1, 1)), SIG, 1)
 
 
 @pytest.mark.parametrize("removed,message", [
     (NodeClass("n9", (1, 1)), "unknown node n9"),
     (SmoothClass(0, (1, 2)),
      "smooth class coordinates must be trivial at its own factor"),
-    ("n0", "removed classes must be SmoothClass or NodeClass"),
-], ids=["unknown-node", "smooth-class-off-its-factor", "neither-kind"])
+    ("n0", "the removed class must be a SmoothClass or NodeClass"),
+    ((NodeClass("n0", (1, 1)),), "the removed class must be a SmoothClass or NodeClass"),
+], ids=["unknown-node", "smooth-class-off-its-factor", "neither-kind", "a-tuple-of-classes"])
 def test_separating_open_refuses_bad_removed_classes(removed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        find_separating_open(InvariantOpen((removed,)), SIG, 4)
+        find_separating_open(removed, SIG, 4)
 
 
 @st.composite
@@ -251,14 +242,14 @@ def separating_cases(draw):
     while L > 2 and sum(sum(g.values()) for g in iter_grade_states(
             sig, L, None, lambda key, letter: None)) > 50000:
         L -= 1
-    return InvariantOpen((removed,)), sig, L
+    return removed, sig, L
 
 
 @settings(max_examples=100, deadline=None)
 @given(separating_cases())
 def test_separating_open_equals_per_word_oracle(case):
-    U, geom, L = case
-    assert find_separating_open(U, geom, L) == separating_open_oracle(U, geom, L)
+    removed, geom, L = case
+    assert find_separating_open(removed, geom, L) == separating_open_oracle(removed, geom, L)
 
 
 def test_separating_open_at_length_forty_is_fast():
@@ -273,8 +264,7 @@ def test_separating_open_at_length_forty_is_fast():
     pres = pi1_presentation(triangle)
     sig = FPSignature(pres.r, (Z2, Z2, Z2))
     start = time.perf_counter()
-    out = find_separating_open(InvariantOpen((NodeClass("n1", (1, 0, 1)),)), sig, 40,
-                               presentation=pres)
+    out = find_separating_open(NodeClass("n1", (1, 0, 1)), sig, 40, presentation=pres)
     assert time.perf_counter() - start < 1.0
     assert out.case == 2
     assert out.kernel_words_checked == certify_free_action(sig, 40).kernel_words
@@ -780,23 +770,18 @@ def test_witness_from_section_equals_recomputed_witness(r, groups, word):
 # -- finite covers ------------------------------------------------------------------------
 
 def test_finite_cover_trivial_groups():
-    sig, pres = sig_with_pres(1, (trivial_group(),))
-    rep = trivial_rep(pres, rank1_rep().field, (trivial_group(),))
-    cover = build_finite_cover(rep)
+    cover = build_finite_cover(FPSignature(1, (trivial_group(),)))
     assert len(cover.fiber) == 1 and finite_cover_transitive_oracle(cover)
 
 
 def test_finite_cover_sign():
-    rep = rank1_rep()
-    cover = build_finite_cover(rep)
+    cover = build_finite_cover(FPSignature(1, (Z2,)))
     assert len(cover.fiber) == 2
     assert finite_cover_transitive_oracle(cover)
 
 
 def test_finite_cover_regular_orbit():
-    sig, pres = sig_with_pres(1, (Z2, Z3))
-    rep = trivial_rep(pres, rank1_rep().field, (Z2, Z3))
-    cover = build_finite_cover(rep)
+    cover = build_finite_cover(FPSignature(1, (Z2, Z3)))
     assert len(cover.fiber) == 6
     assert finite_cover_transitive_oracle(cover)
     for name, perm in cover.actions:
@@ -822,10 +807,8 @@ def _relabelled(G: FiniteGroup, rng: random.Random) -> FiniteGroup:
 
 
 def test_finite_cover_of_every_stock_group_is_transitive():
-    field = rank1_rep().field
     for G in STOCK_GROUPS:
-        sig, pres = sig_with_pres(1, (G,))
-        cover = build_finite_cover(trivial_rep(pres, field, (G,)))
+        cover = build_finite_cover(FPSignature(1, (G,)))
         assert finite_cover_transitive_oracle(cover)
     # the proof's premise: generators that do not generate are refused
     with pytest.raises(ValueError, match="do not generate"):
@@ -841,6 +824,5 @@ def test_finite_cover_transitivity_equals_the_search_oracle(data):
         G = data.draw(st.sampled_from(STOCK_GROUPS))
         groups.append(_relabelled(G, rng) if data.draw(st.booleans()) else G)
     assume(math.prod(G.order for G in groups) <= 2000)
-    sig, pres = sig_with_pres(data.draw(st.integers(0, 2)), groups)
-    cover = build_finite_cover(trivial_rep(pres, rank1_rep().field, tuple(groups)))
+    cover = build_finite_cover(FPSignature(data.draw(st.integers(0, 2)), tuple(groups)))
     assert finite_cover_transitive_oracle(cover)

@@ -1081,6 +1081,38 @@ def test_cli_pi1_malformed_curve_exits_2(tmp_path, spec):
     assert_error_line(err)
 
 
+@pytest.mark.parametrize("kind,edit,message", [
+    ("curve", {"components": "x"}, "components must be a list, got 'x'"),
+    ("curve", {"nodes": {"a": 1}}, "nodes must be a list, got {'a': 1}"),
+    ("rep", {"factors": "x"}, "factors must be a list, got 'x'"),
+    ("rep", {"z_images": {"a": 1}}, "z_images must be a list, got {'a': 1}"),
+    ("rep", {"factors": [{"group": {"builtin": "cyclic", "n": 2}, "images": "x"}]},
+     "images must be a list, got 'x'"),
+    ("fq", {"source_groups": "x"}, "source_groups must be a list, got 'x'"),
+    ("fq", {"factor_to": 5}, "factor_to must be a list, got 5"),
+    ("fq", {"factor_to": [5]}, "factor_to row must be a list, got 5"),
+    ("fq", {"z_to": "4"}, "z_to must be a list, got '4'"),
+], ids=["components-a-string", "nodes-an-object", "factors-a-string", "z_images-an-object",
+        "images-a-string", "source_groups-a-string", "factor_to-a-number",
+        "factor_to-row-a-number", "z_to-a-string"])
+def test_cli_spec_list_key_not_a_list_names_it(tmp_path, kind, edit, message):
+    """A list-valued key that holds a string, an object or a number is
+    refused by name before it is iterated, so no Python message leaks, no
+    object key is read as a matrix and no string as a file path."""
+    spec = dict(json.loads((DATA / "nodal_cubic.json").read_text()) if kind == "curve"
+                else FUZZED_SPECS[kind], **edit)
+    if kind == "rep":
+        spec["curve"] = str(DATA / "nodal_cubic.json")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    argv = {"curve": ("pi1", str(path)), "rep": ("rep", "check", str(path)),
+            "fq": ("square", str(path), "nodal_cubic.json")}[kind]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert err.splitlines()[-1].endswith(message)
+
+
 def test_cli_main_callable_in_process(capsys):
     code = main(["--format", "json", "pi1", str(DATA / "nodal_cubic.json")])
     assert code == 0
@@ -1184,6 +1216,19 @@ def test_cli_process_loads_only_the_layers_its_command_runs(argv, layers):
     assert loaded == layers
     assert not {"dataclasses", "inspect"} & set(proc.stderr.split())
     assert run_cli(*argv)[:2] == (0, proc.stdout)
+
+
+def test_covering_import_loads_no_matrix_layer():
+    """The covering layer computes with words and signatures alone, so a
+    child that imports it loads `groups`, `curves` and `errors` beside it,
+    and neither `reps` nor `field`."""
+    script = "import sys\nimport nodalcover.covering\nprint(*sorted(sys.modules), sep='\\n')\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=str(DATA), env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name for name in proc.stdout.split() if name.split(".")[0] == "nodalcover"}
+    assert loaded == {"nodalcover", "nodalcover.covering", "nodalcover.curves",
+                      "nodalcover.errors", "nodalcover.groups"}
 
 
 # Z7 reached from one Z generator: at --max-len 2 the words z^{+-1}, z^{+-2}

@@ -1,4 +1,5 @@
-"""`tools/pair_bench.py --summary`: it reads the BENCH files and runs nothing."""
+"""`tools/pair_bench.py`: `--summary` reads the BENCH files and runs nothing,
+and the claim rule reads paired values."""
 
 import importlib.util
 import json
@@ -44,3 +45,29 @@ def test_out_is_required_without_summary():
     with pytest.raises(SystemExit) as refused:
         load_pair_bench().main([])
     assert refused.value.code == 2
+
+
+PARENT = [100.0] * 5 + [101.0] * 5  # median 100.5, inclusive quartiles 100 and 101
+
+
+@pytest.mark.parametrize("change,wins,met", [
+    ([102.0] * 5 + [103.0] * 4 + [100.0], 9, True),
+    ([102.0] * 5 + [103.0] * 3 + [100.0] * 2, 8, False),
+    ([p + 1.0 for p in PARENT], 10, False),
+], ids=["nine-wins-above-the-iqr", "eight-wins", "ten-wins-at-the-iqr"])
+def test_claim_needs_nine_wins_in_ten_and_a_gain_above_the_parent_iqr(change, wins, met):
+    """A claim is met by 9 or more wins in 10 pairs and a median gain
+    strictly above the parent's interquartile distance (here 1.0): 9 wins
+    with a gain of 1.5 meet it, 8 wins with the same gain do not, and 10
+    wins with a gain of exactly the IQR do not.  Mirrored values give the
+    same verdict for a metric where lower is better."""
+    pair_bench = load_pair_bench()
+    m = pair_bench.compare(PARENT, change, "higher")
+    assert (m["parent_median"], m["parent_iqr"], m["change_wins"]) == (100.5, 1.0, wins)
+    assert m["change_worse_by"] < 0
+    assert pair_bench.claim_met(m, "higher") is met
+    mirrored = pair_bench.compare([200.0 - p for p in PARENT], [200.0 - c for c in change],
+                                  "lower")
+    assert (mirrored["parent_iqr"], mirrored["change_wins"]) == (1.0, wins)
+    assert mirrored["change_worse_by"] < 0
+    assert pair_bench.claim_met(mirrored, "lower") is met

@@ -191,7 +191,7 @@ def test_F_pipeline_data_satisfies_the_law_it_does_not_check(seed):
 def test_F_rank_additive_under_direct_sum():
     fq = _sign_fq()
     s = fq_direct_sum(fq, fq)
-    assert F_pipeline(s).rank == 2 * fq.rank
+    assert F_pipeline(s).mats[0].rows == 2 * fq.rank
 
 
 # -- the square ---------------------------------------------------------------------

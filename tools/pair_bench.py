@@ -215,9 +215,6 @@ def main(argv=None) -> int:
                   f"its median gain exceeds the parent's IQR (9 or more wins of 10 has "
                   f"probability 11/1024 per row under the null). Written by tools/pair_bench.py.",
         "claimed": claimed,
-        "claims_met_by_rule": sorted(
-            f"{row['workload']}:{row['seed']}:{name}" for row in rows
-            for name, m in row["metrics"].items() if claim_met(m, better[name])),
         "rows": rows,
         f"traced_seed{SEEDS[0]}": {
             "method": f"perfbench/run.py --workload W --seed {SEEDS[0]} --seconds 4 --trace 1 "
