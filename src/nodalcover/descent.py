@@ -403,8 +403,10 @@ def descend_inflation(c, fq, max_len: int = 6) -> FiniteCocycle:
     No word is built.  Once every word up to some length carries its fiber's
     matrix, H(w a) = H(a) H(w) depends only on the edge (q(w), a), so the
     walk over (last letter, q(w)) states of `iter_grade_states` multiplies
-    and compares each reachable edge once.  The work grows linearly in
-    max_len; `words_checked` is the number of normal forms covered, the sum
+    and compares each reachable edge once, the first time a state leads
+    along it.  Later grades only add counts along each state's stored
+    children, so the matrix work is fixed and the counting grows linearly in
+    max_len.  `words_checked` is the number of normal forms covered, the sum
     of the state counts.
 
     The check relies on `iter_grade_states` calling `step` exactly once per

@@ -579,30 +579,39 @@ def iter_grade_states(sig: FPSignature, max_len: int, key_init,
     its exponent for a Z letter (0 otherwise), and `key` is threaded along
     appended unit letters by key_step(key, letter), which runs once per
     distinct (key, letter).  The children of a word depend on its state
-    alone, so a grade costs its number of states, not its number of words.
-    States appear in the order of their first word in the append walk: each
-    word of a grade in turn takes z_i^{+1}, z_i^{-1} for each i (after z_i,
-    only the sign that grows it), then each finite letter of another factor.
+    alone, so each state's list of child states is built once, in the first
+    grade that holds it, and every later grade only adds the state's count
+    to each stored child: a grade costs its number of (state, child) edges,
+    not its number of words.  States appear in the order of their first
+    word in the append walk: each word of a grade in turn takes z_i^{+1},
+    z_i^{-1} for each i (after z_i, only the sign that grows it), then each
+    finite letter of another factor.
     """
     r = sig.r
     finite = [(r + j, [(r + j, g) for g in range(len(tab)) if g != ident])
               for j, (tab, ident) in enumerate(zip(sig._tables, sig._idents))]
     steps: dict = {}
+    children_of: dict = {}
     grade = {(-1, 0, key_init): 1}
     yield grade
     for _ in range(max_len):
         nxt: dict = {}
-        for (last, sign, key), n in grade.items():
-            children = [(i, d) for i in range(r)
-                        for d in ((sign,) if last == i else (1, -1))]
-            children += [letter for fid, ext in finite if fid != last for letter in ext]
-            for letter in children:
-                edge = (key, letter)
-                if edge not in steps:
-                    steps[edge] = key_step(key, letter)
-                fid, v = letter
-                state = (fid, v if fid < r else 0, steps[edge])
-                nxt[state] = nxt.get(state, 0) + n
+        for state, n in grade.items():
+            children = children_of.get(state)
+            if children is None:
+                last, sign, key = state
+                letters = [(i, d) for i in range(r)
+                           for d in ((sign,) if last == i else (1, -1))]
+                letters += [letter for fid, ext in finite if fid != last for letter in ext]
+                children = children_of[state] = []
+                for letter in letters:
+                    edge = (key, letter)
+                    if edge not in steps:
+                        steps[edge] = key_step(key, letter)
+                    fid, v = letter
+                    children.append((fid, v if fid < r else 0, steps[edge]))
+            for child in children:
+                nxt[child] = nxt.get(child, 0) + n
         yield nxt
         grade = nxt
 

@@ -167,6 +167,12 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_obj(value, what: str) -> dict:
+    if type(value) is not dict:
+        raise SpecParseError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _node_end(end) -> tuple[str, str]:
     if type(end) is not list or len(end) != 2:
         raise SpecParseError(f"a node end must be a [component, branch] pair, got {end!r}")
@@ -180,11 +186,13 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
     with _spec("curve"):
         comps = []
         for c in _json_list(obj["components"], "components"):
+            c = _json_obj(c, "components item")
             branches = _json_list(c.get("branches", []), "branches")
             comps.append((_json_str(c["id"], "component id"),
                           tuple(_json_str(b, "branch label") for b in branches)))
         nodes = []
         for k, n in enumerate(_json_list(obj.get("nodes", []), "nodes")):
+            n = _json_obj(n, "nodes item")
             ends = n["ends"]
             if type(ends) is not list or len(ends) != 2:
                 raise SpecParseError(f"node ends must be two pairs, got {ends!r}")
@@ -220,6 +228,7 @@ def load_rep(source, base_dir: Path | None = None) -> ContinuousRep:
         groups = []
         homs = []
         for fac in _json_list(obj["factors"], "factors"):
+            fac = _json_obj(fac, "factors item")
             G = load_group(fac["group"], base_dir)
             groups.append(G)
             homs.append(_hom_images(field, fac, "images", "gen_images", G, rank))

@@ -75,7 +75,10 @@ def _frobenius_fixed_combinations(field: FunctionField,
     coefficient into the prime field; what remains is the linear system
     sum c_j (B_j^p - B_j) = 0 with constant coefficients, assembled by
     clearing denominators entrywise and solved over K.  Each entry times the
-    product of every entry's denominator has denominator 1.
+    product of every entry's denominator has denominator 1.  When every
+    difference is zero no row is built and nothing is solved: the kernel of
+    the empty system is the standard basis, so the answer is the basis
+    itself.
     """
     diffs = [B.frobenius() - B for B in basis]
     zero = field.zero()
@@ -97,7 +100,7 @@ def _frobenius_fixed_combinations(field: FunctionField,
                 if any(e.num for e in row):
                     rows.append(row)
     if not rows:
-        rows = [tuple([zero] * len(basis))]
+        return list(basis)
     sol = solve_linear(MatrixK(field, tuple(rows)), MatrixK.zeros(field, len(rows), 1))
     out = []
     for vec in sol.kernel:

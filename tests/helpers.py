@@ -837,6 +837,115 @@ def append_walk(sig: FPSignature, max_len: int, carry_init=None, carry_step=None
         grade = nxt
 
 
+def grade_states_oracle(sig: FPSignature, max_len: int, key_init, key_step):
+    """Oracle state walk that rebuilds every state's children at every grade.
+
+    Yields one dict {(last, sign, key): count} per grade, as
+    `iter_grade_states` does, and calls key_step once per distinct
+    (key, letter), in the order of the edge's first word."""
+    r = sig.r
+    finite = [(r + j, [(r + j, g) for g in range(len(tab)) if g != ident])
+              for j, (tab, ident) in enumerate(zip(sig._tables, sig._idents))]
+    steps: dict = {}
+    grade = {(-1, 0, key_init): 1}
+    yield grade
+    for _ in range(max_len):
+        nxt: dict = {}
+        for (last, sign, key), n in grade.items():
+            children = [(i, d) for i in range(r)
+                        for d in ((sign,) if last == i else (1, -1))]
+            children += [letter for fid, ext in finite if fid != last for letter in ext]
+            for letter in children:
+                edge = (key, letter)
+                if edge not in steps:
+                    steps[edge] = key_step(key, letter)
+                fid, v = letter
+                state = (fid, v if fid < r else 0, steps[edge])
+                nxt[state] = nxt.get(state, 0) + n
+        yield nxt
+        grade = nxt
+
+
+def growth_counts(sig: FPSignature, max_len: int) -> SimpleNamespace:
+    """Normal-form counts up to generator length max_len from the growth
+    series of the free product, with no walk.
+
+    A series is a list of max_len + 1 coefficients in the group ring Z[Q],
+    Q the product of the finite factors, each a dict from a quotient tuple
+    to an integer.  For the free factors A_i (the r copies of Z, then
+    G_1 ... G_N), T_i sums [alpha(a)] x^|a| over the nonidentity a in A_i:
+    2x/(1 - x) [e] for a copy of Z, x times the sum of the nonidentity
+    elements at coordinate j for G_j.  The normal forms that start in A_i
+    sum to S_i = T_i (S - S_i), so S_i = (1 + T_i)^-1 T_i S and
+    S = (1 - sum_i (1 + T_i)^-1 T_i)^-1, with every product kept in its
+    order, so Q may be nonabelian.  Both inverses have constant term 1, so
+    each is the coefficient recurrence and every coefficient an integer.
+
+    Returns `grades`, the number of normal forms of each length 0..max_len;
+    `kernel_words`, the [e]-coefficients of S in degrees 1..max_len; and
+    `components`, sum_j (|S| - |S_{r+j}|) in degrees 0..max_len, with |.|
+    the sum of the coefficients: word inversion swaps a word's first letter
+    and its last, so this counts the words that do not end in a G_j letter,
+    once per such j.
+    """
+    r, L = sig.r, max_len
+    tables = sig._tables
+    ident = sig.identity_tuple()
+
+    def ring_mul(f: dict, g: dict) -> dict:
+        out: dict = {}
+        for a, m in f.items():
+            for b, n in g.items():
+                ab = tuple([tab[x][y] for tab, x, y in zip(tables, a, b)])
+                out[ab] = out.get(ab, 0) + m * n
+        return out
+
+    def ring_add(f: dict, g: dict, sign: int = 1) -> dict:
+        out = dict(f)
+        for b, n in g.items():
+            out[b] = out.get(b, 0) + sign * n
+        return out
+
+    def series_mul(F: list, G: list) -> list:
+        out = []
+        for n in range(L + 1):
+            acc: dict = {}
+            for k in range(n + 1):
+                if F[k] and G[n - k]:
+                    acc = ring_add(acc, ring_mul(F[k], G[n - k]))
+            out.append(acc)
+        return out
+
+    def inverse_of_one_plus(X: list) -> list:
+        """(1 + X)^-1 for X with no constant term: Y_n = -sum_k X_k Y_{n-k}."""
+        Y = [{ident: 1}]
+        for n in range(1, L + 1):
+            acc: dict = {}
+            for k in range(1, n + 1):
+                if X[k] and Y[n - k]:
+                    acc = ring_add(acc, ring_mul(X[k], Y[n - k]), -1)
+            Y.append(acc)
+        return Y
+
+    z_series = [{}] + [{ident: 2} for _ in range(L)]
+    T = [z_series] * r
+    for j, (tab, e) in enumerate(zip(tables, sig._idents)):
+        one = {ident[:j] + (g,) + ident[j + 1:]: 1 for g in range(len(tab)) if g != e}
+        T.append([{}, one] + [{} for _ in range(L - 1)] if L else [{}])
+    V = [series_mul(inverse_of_one_plus(Ti), Ti) for Ti in T]
+    minus_U = [{} for _ in range(L + 1)]
+    for Vi in V:
+        minus_U = [ring_add(acc, c, -1) for acc, c in zip(minus_U, Vi)]
+    S = inverse_of_one_plus(minus_U)
+    grades = [sum(c.values()) for c in S]
+    starts = [sum(sum(c.values()) for c in series_mul(V[r + j], S))
+              for j in range(sig.num_factors)]
+    return SimpleNamespace(
+        grades=grades,
+        kernel_words=sum(S[n].get(ident, 0) for n in range(1, L + 1)),
+        components=sum(sum(grades) - s for s in starts))
+
+
 def descend_inflation_oracle(c, fq, max_len: int = 6) -> FiniteCocycle:
     """Per-word collapse of an inflated datum: every normal form up to max_len
     is enumerated with its twist and quotient image, and its twist compared

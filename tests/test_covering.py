@@ -5,11 +5,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nodalcover import covering as covering_module, groups as groups_module
+from nodalcover import cli, covering as covering_module, groups as groups_module, io as spec_io
 from nodalcover.covering import (
     ComponentIndex,
     FundamentalDomain,
@@ -27,6 +28,7 @@ from nodalcover.covering import (
     sigma_word,
 )
 from nodalcover.curves import NodalCurve, pi1_presentation
+from nodalcover.descent import COCYCLE_LEN, LATTICE_LEN
 from nodalcover.errors import SignatureMismatch, TrivialW
 from nodalcover.groups import (
     FiniteGroup,
@@ -44,6 +46,7 @@ from nodalcover.groups import (
     symmetric_group,
     trivial_group,
 )
+from nodalcover.specialize import commuting_square_check
 
 from helpers import (
     certify_free_oracle,
@@ -52,9 +55,11 @@ from helpers import (
     domain_boundary_oracle,
     enumerate_components_oracle,
     finite_cover_transitive_oracle,
+    growth_counts,
     node_ends_oracle,
     rank1_rep,
     rank2_rep,
+    random_f7_quotient,
     random_word,
     section_entry_oracle,
     separating_open_oracle,
@@ -66,6 +71,7 @@ Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 S3 = symmetric_group(3)
 SIG = FPSignature(1, (Z2, Z3))
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 # -- canonical components -----------------------------------------------------
@@ -177,6 +183,57 @@ def test_free_action_vacuous_without_z_factors():
 def test_max_len_precondition():
     with pytest.raises(ValueError):
         certify_free_action(SIG, 1)
+
+
+# -- growth series ---------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(free_signatures, st.integers(2, 12))
+def test_growth_series_equals_the_state_walk_counts(sig, L):
+    """The growth series of the free product, with no walk, gives the
+    state walk's normal forms per length, `certify_free_action`'s kernel
+    words and components, and the entries `descend` budgets: the normal
+    forms up to COCYCLE_LEN and the components up to LATTICE_LEN."""
+    series = growth_counts(sig, L)
+    totals = [sum(grade.values()) for grade in iter_grade_states(sig, L, None, lambda *_: None)]
+    report = certify_free_action(sig, L)
+    assert series.grades == totals
+    assert (series.kernel_words, series.components) == (report.kernel_words, report.components)
+    lattice = growth_counts(sig, min(L, LATTICE_LEN))
+    assert cli._descend_entries(sig, L) == (sum(series.grades[:min(L, COCYCLE_LEN) + 1])
+                                            + lattice.components)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12))
+def test_growth_series_equals_the_square_word_count(seed, L):
+    """`commuting_square_check` covers every normal form up to L: the sum
+    of the series' coefficients, on random quotient reps of Z^{*r} * G."""
+    fq = random_f7_quotient(random.Random(seed))
+    cert = commuting_square_check(fq, fq.presentation, max_len=L)
+    assert cert.words_checked == sum(growth_counts(fq.sig, L).grades)
+
+
+@pytest.mark.parametrize("files", [("s3_2dim.json", "nodal_cubic.json"),
+                                   ("z2_sign.json", "cycle3.json"), ("rank1_rep.json",)],
+                         ids=["s3-on-the-nodal-cubic", "z2-on-the-triangle", "rank1-rep"])
+def test_growth_series_at_length_40_on_the_demo_data(files):
+    """At L = 40, where no word walk reaches, the series gives every count
+    the state walks report on the demo signatures: Z * S3, Z * Z2 * 1 * 1
+    (with a commuting square on each) and Z * Z2."""
+    if len(files) == 2:
+        fq = spec_io.load_fq(DATA / files[0], spec_io.load_curve(DATA / files[1]))
+        sig = fq.sig
+    else:
+        fq, sig = None, spec_io.load_rep(DATA / files[0]).sig
+    series = growth_counts(sig, 40)
+    totals = [sum(grade.values()) for grade in iter_grade_states(sig, 40, None, lambda *_: None)]
+    report = certify_free_action(sig, 40)
+    assert series.grades == totals
+    assert (series.kernel_words, series.components) == (report.kernel_words, report.components)
+    if fq is not None:
+        cert = commuting_square_check(fq, fq.presentation, max_len=40)
+        assert cert.words_checked == sum(series.grades)
 
 
 # -- separating opens -----------------------------------------------------------------

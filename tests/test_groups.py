@@ -44,6 +44,7 @@ from helpers import (
     extend_from_generators,
     format_word_oracle,
     gen_length,
+    grade_states_oracle,
     hom_failure_oracle,
     normalize_letters_oracle,
     product_subgroup_oracle,
@@ -726,6 +727,55 @@ def test_grade_states_count_the_enumeration_by_alpha(sig, L):
     # so the per-grade totals and the counts per alpha agree as well
     assert [list(g.items()) for g in grades] == [list(e.items()) for e in expected]
     assert set(steps.values()) <= {1}
+
+
+walk_signatures = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.sampled_from([trivial_group(), Z2, Z3, cyclic_group(4), S3, dihedral_group(4)]),
+             max_size=3),
+).filter(lambda t: t[0] or t[1]).map(lambda t: FPSignature(t[0], tuple(t[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_signatures, st.integers(0, 8), st.sampled_from(["alpha", "quotient", "none"]))
+def test_grade_states_equal_the_rebuilding_walk(sig, L, key):
+    """The walk that builds each state's children once yields, grade by
+    grade, the rebuilding oracle's dicts (items and their order) and calls
+    key_step on the same (key, letter) edges in the same order, with an
+    injective key (alpha), a non-injective one (the image in Z/2 x G_1: the
+    parity of the Z exponents and the first factor's coordinate) and None."""
+    r = sig.r
+
+    def alpha_step(al, letter):
+        fid, v = letter
+        if fid < r:
+            return al
+        j = fid - r
+        return al[:j] + (sig.factor(j).table[al[j]][v],) + al[j + 1:]
+
+    def quotient_step(q, letter):
+        fid, v = letter
+        parity, g = q
+        if fid < r:
+            return 1 - parity, g
+        return parity, sig.factor(0).table[g][v] if fid == r else g
+
+    key_init, step = {
+        "alpha": (sig.identity_tuple(), alpha_step),
+        "quotient": ((0, sig.factor(0).identity if sig.num_factors else 0), quotient_step),
+        "none": (None, lambda key, letter: None),
+    }[key]
+    runs = []
+    for walk in (iter_grade_states, grade_states_oracle):
+        calls = []
+
+        def recorded(k, letter):
+            calls.append((k, letter))
+            return step(k, letter)
+
+        grades = [list(grade.items()) for grade in walk(sig, L, key_init, recorded)]
+        runs.append((grades, calls))
+    assert runs[0] == runs[1]
 
 
 # -- strings -------------------------------------------------------------------------

@@ -1092,13 +1092,19 @@ def test_cli_pi1_malformed_curve_exits_2(tmp_path, spec):
     ("fq", {"factor_to": 5}, "factor_to must be a list, got 5"),
     ("fq", {"factor_to": [5]}, "factor_to row must be a list, got 5"),
     ("fq", {"z_to": "4"}, "z_to must be a list, got '4'"),
+    ("curve", {"components": ["x"]}, "components item must be an object, got 'x'"),
+    ("curve", {"nodes": [5]}, "nodes item must be an object, got 5"),
+    ("rep", {"factors": ["x"]}, "factors item must be an object, got 'x'"),
 ], ids=["components-a-string", "nodes-an-object", "factors-a-string", "z_images-an-object",
         "images-a-string", "source_groups-a-string", "factor_to-a-number",
-        "factor_to-row-a-number", "z_to-a-string"])
+        "factor_to-row-a-number", "z_to-a-string", "components-item-a-string",
+        "nodes-item-a-number", "factors-item-a-string"])
 def test_cli_spec_list_key_not_a_list_names_it(tmp_path, kind, edit, message):
     """A list-valued key that holds a string, an object or a number is
     refused by name before it is iterated, so no Python message leaks, no
-    object key is read as a matrix and no string as a file path."""
+    object key is read as a matrix and no string as a file path.  So is an
+    item of such a list that must be an object, before any of its fields is
+    read."""
     spec = dict(json.loads((DATA / "nodal_cubic.json").read_text()) if kind == "curve"
                 else FUZZED_SPECS[kind], **edit)
     if kind == "rep":
