@@ -160,10 +160,11 @@ def cmd_free(args) -> int:
     from .covering import certify_free_action
 
     _check_word_len(args.max_len, "free")
-    rpt = certify_free_action(spec_io.load_rep(args.rep).sig, args.max_len)
+    sig = spec_io.load_rep(args.rep).sig
+    rpt = certify_free_action(sig, args.max_len)
     report = {
         "command": "free",
-        "signature": rpt.sig_description,
+        "signature": sig.describe(),
         "kernel_words": rpt.kernel_words,
         "components": rpt.components,
         "full_group_witnesses": list(rpt.full_group_witnesses),
@@ -232,23 +233,22 @@ def cmd_descend(args) -> int:
 
 
 def cmd_strat(args) -> int:
-    from .stratified import K_RELATIVE, S_RELATIVE, fdiv_from_rep, hom_fdiv, tensor_fdiv
+    from .stratified import fdiv_from_rep, hom_fdiv, tensor_fdiv
 
     rep1 = spec_io.load_rep(args.rep1)
-    mode = K_RELATIVE if args.mode == "K" else S_RELATIVE
     if args.action == "tensor" and not args.rep2:
         raise SpecParseError("strat tensor needs two rep files")
     rep2 = spec_io.load_rep(args.rep2) if args.rep2 else rep1
     op = hom_fdiv if args.action == "hom" else tensor_fdiv
     try:
-        out = op(fdiv_from_rep(rep1, mode), fdiv_from_rep(rep2, mode))
+        out = op(fdiv_from_rep(rep1, args.mode), fdiv_from_rep(rep2, args.mode))
     except (PresentationMismatch, ScopeMismatch) as exc:
         # reps that cannot be paired are malformed input, not a failed certificate
         raise SpecParseError(f"{args.rep1} and {args.rep2}: {exc}") from exc
     if args.action == "hom":
         report = {
             "command": "strat hom",
-            "mode": out.mode,
+            "mode": args.mode,
             "scalar_field": out.scalar_field,
             "dimension": out.dimension,
             "basis": [b.to_strings() for b in out.basis],
@@ -257,7 +257,7 @@ def cmd_strat(args) -> int:
     tensored, cert = out
     report = {
         "command": "strat tensor",
-        "mode": mode,
+        "mode": args.mode,
         "rank": tensored.generator.rank,
         "certificate": {"generators_checked": cert.generators_checked},
     }
@@ -404,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("hom", "tensor"))
     p.add_argument("rep1")
     p.add_argument("rep2", nargs="?")
+    # the choices are stratified.S_RELATIVE and K_RELATIVE themselves
     p.add_argument("--mode", choices=("S", "K"), default="K")
     p.set_defaults(fn=cmd_strat)
 

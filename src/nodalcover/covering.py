@@ -221,7 +221,6 @@ def node_lifts(sig: FPSignature, presentation: Pi1Presentation | None = None) ->
 # ---------------------------------------------------------------------------
 
 class FreenessReport(NamedTuple):
-    sig_description: str
     strategy: str
     kernel_words: int
     components: int
@@ -279,8 +278,8 @@ def certify_free_action(sig: FPSignature, max_len: int) -> FreenessReport:
             checks += count * chks
     witnesses = [f"g{j + 1}:{G.labels[G.nonidentity()[0]]} fixes Y^{j + 1}_e"
                  for j, G in enumerate(sig.factors) if G.order > 1]
-    return FreenessReport(sig.describe(), "stabilizer-enumeration",
-                          kernel_words, components, checks, tuple(witnesses), True)
+    return FreenessReport("stabilizer-enumeration", kernel_words, components, checks,
+                          tuple(witnesses), True)
 
 
 # ---------------------------------------------------------------------------

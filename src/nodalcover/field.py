@@ -444,24 +444,10 @@ def rf_to_string(f: RationalFunction) -> str:
 
 
 def rf_from_string(field: FunctionField, s: str) -> RationalFunction:
-    s = s.strip()
-    if "/" in s:
-        # split at the top-level slash (parenthesized halves or bare monomials)
-        depth = 0
-        split = None
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                split = i
-                break
-        if split is None:
-            raise ValueError(f"cannot parse {s!r}")
-        num_s, den_s = s[:split], s[split + 1:]
-    else:
-        num_s, den_s = s, "1"
+    # a polynomial holds no slash, so a fraction splits at its one slash
+    num_s, slash, den_s = s.partition("/")
+    if not slash:
+        den_s = "1"
     num_s = num_s.strip()
     den_s = den_s.strip()
     if num_s.startswith("(") and num_s.endswith(")"):

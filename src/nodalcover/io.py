@@ -13,6 +13,12 @@ rep:    {"p", "rank", "curve": <curve|path>, "z_images": [<matrix>, ...],
 fq:     {"p", "rank", "source_groups": [<group|path>, ...],
          "quotient": <group|path>, "z_to": [...], "factor_to": [[...], ...],
          "hom": [<matrix per element>] or "hom_gen_images": [<matrix>, ...]}
+
+Every value is read through one of the `_json_*` checkers, which refuse a
+value of the wrong JSON type by its key, "<key> must be <kind>, got
+<value>": among them a group's `table`, each table row, `labels` and
+`generators`.  An element string is a polynomial or a fraction with one
+slash, each half bare or in one pair of parentheses.
 """
 
 from __future__ import annotations
@@ -51,16 +57,42 @@ def _load_obj(source, kind: str, base_dir: Path | None = None):
     return obj, base_dir
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, and not a count
+        raise SpecParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if type(value) is not str:
+        raise SpecParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise SpecParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _json_obj(value, what: str) -> dict:
+    if type(value) is not dict:
+        raise SpecParseError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _json_pair(value, what: str) -> list:
+    if len(_json_list(value, what)) != 2:
+        raise SpecParseError(f"{what} must be a pair, got {value!r}")
+    return value
+
+
 def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> MatrixK:
     """Matrix from rows of element strings; a given rank asks for rank x rank."""
     from .field import MatrixK, rf_from_string
 
-    if type(rows) is not list or any(type(row) is not list for row in rows):
-        raise SpecParseError(f"a matrix must be a list of rows, got {rows!r}")
-    for row in rows:
-        for e in row:
-            if type(e) is not str:
-                raise SpecParseError(f"matrix entry {e!r} is not a string")
+    rows = [[_json_str(e, "matrix entry") for e in _json_list(row, "matrix row")]
+            for row in _json_list(rows, "matrix")]
     try:
         M = MatrixK(field, tuple(tuple(rf_from_string(field, e) for e in row) for row in rows))
     except Exception as exc:
@@ -87,12 +119,6 @@ def _spec(kind: str):
         raise SpecParseError(f"bad {kind} spec: {exc}") from exc
     except Exception as exc:
         raise SpecParseError(f"invalid {kind}: {exc}") from exc
-
-
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:  # bool is an int subclass, and not a count
-        raise SpecParseError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 # Loading a group builds its m x m table and checks associativity on the
@@ -135,48 +161,26 @@ def load_group(source, base_dir: Path | None = None) -> FiniteGroup:
             if kind == "trivial":
                 return trivial_group()
             raise SpecParseError(f"unknown builtin group {kind!r}")
-        table = obj["table"]
-        _check_order(len(table), f"a table of {len(table)} rows")
-        order = obj.get("order", len(table))
-        generators = obj.get("generators")
-        name = obj.get("name", "G")
-        labels = obj.get("labels")
-        ints = [order, *(x for row in table for x in row), *(generators or ())]
-        if any(type(x) is not int for x in ints):
-            raise ValueError("table entries, order and generators must be integers")
-        if not isinstance(name, str):
-            raise ValueError(f"group name must be a string, got {name!r}")
-        if labels is not None and (type(labels) is not list
-                                   or any(type(s) is not str for s in labels)):
-            raise ValueError(f"labels must be a list of strings, got {labels!r}")
-        if order != len(table):
+        rows = _json_list(obj["table"], "table")
+        _check_order(len(rows), f"a table of {len(rows)} rows")
+        table = [[_json_int(x, "table entry") for x in _json_list(row, "table row")]
+                 for row in rows]
+        if _json_int(obj.get("order", len(table)), "order") != len(table):
             raise ValueError("declared order does not match the table size")
-        return FiniteGroup.from_table(table, labels=labels, name=name,
-                                      generators=generators)
-
-
-def _json_str(value, what: str) -> str:
-    if type(value) is not str:
-        raise SpecParseError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    if type(value) is not list:
-        raise SpecParseError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _json_obj(value, what: str) -> dict:
-    if type(value) is not dict:
-        raise SpecParseError(f"{what} must be an object, got {value!r}")
-    return value
+        generators = obj.get("generators")
+        if generators is not None:
+            generators = [_json_int(g, "generator")
+                          for g in _json_list(generators, "generators")]
+        labels = obj.get("labels")
+        if labels is not None:
+            labels = [_json_str(s, "label") for s in _json_list(labels, "labels")]
+        return FiniteGroup.from_table(table, labels=labels, generators=generators,
+                                      name=_json_str(obj.get("name", "G"), "group name"))
 
 
 def _node_end(end) -> tuple[str, str]:
-    if type(end) is not list or len(end) != 2:
-        raise SpecParseError(f"a node end must be a [component, branch] pair, got {end!r}")
-    return _json_str(end[0], "node end component"), _json_str(end[1], "node end branch")
+    comp, branch = _json_pair(end, "node end")
+    return _json_str(comp, "node end component"), _json_str(branch, "node end branch")
 
 
 def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
@@ -193,11 +197,9 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
         nodes = []
         for k, n in enumerate(_json_list(obj.get("nodes", []), "nodes")):
             n = _json_obj(n, "nodes item")
-            ends = n["ends"]
-            if type(ends) is not list or len(ends) != 2:
-                raise SpecParseError(f"node ends must be two pairs, got {ends!r}")
+            a, b = _json_pair(n["ends"], "node ends")
             nodes.append((_json_str(n.get("id", f"n{k}"), "node id"),
-                          _node_end(ends[0]), _node_end(ends[1])))
+                          _node_end(a), _node_end(b)))
         return NodalCurve.build(comps, nodes)
 
 

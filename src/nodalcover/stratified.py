@@ -39,7 +39,6 @@ def fdiv_from_rep(rep: ContinuousRep, mode: str = S_RELATIVE) -> FDividedDatum:
 
 
 class FdivHomBasis(NamedTuple):
-    mode: str
     scalar_field: str
     basis: tuple[MatrixK, ...]
 
@@ -61,10 +60,10 @@ def hom_fdiv(d1: FDividedDatum, d2: FDividedDatum) -> FdivHomBasis:
         raise ModeMismatch("cannot mix transport modes")
     basis = hom_cocycle(d1.generator, d2.generator)
     if d1.mode == S_RELATIVE:
-        return FdivHomBasis(S_RELATIVE, "K", tuple(basis))
+        return FdivHomBasis("K", tuple(basis))
     field = d1.generator.field
     fixed = _frobenius_fixed_combinations(field, basis) if basis else []
-    return FdivHomBasis(K_RELATIVE, f"F_{field.p}", tuple(fixed))
+    return FdivHomBasis(f"F_{field.p}", tuple(fixed))
 
 
 def _frobenius_fixed_combinations(field: FunctionField,

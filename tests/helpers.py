@@ -312,6 +312,37 @@ def raw_group(table, identity, inverse):
                            order=m, labels=tuple(str(i) for i in range(m)))
 
 
+def rf_split_oracle(s: str) -> tuple[str, str]:
+    """The numerator and denominator strings of an element literal, split at
+    the first slash outside every parenthesis by a depth scan, then stripped
+    of one outer pair each: the split `rf_from_string` made before it split
+    at the first slash alone."""
+    s = s.strip()
+    if "/" in s:
+        depth = 0
+        split = None
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "/" and depth == 0:
+                split = i
+                break
+        if split is None:
+            raise ValueError(f"cannot parse {s!r}")
+        num_s, den_s = s[:split], s[split + 1:]
+    else:
+        num_s, den_s = s, "1"
+    num_s = num_s.strip()
+    den_s = den_s.strip()
+    if num_s.startswith("(") and num_s.endswith(")"):
+        num_s = num_s[1:-1]
+    if den_s.startswith("(") and den_s.endswith(")"):
+        den_s = den_s[1:-1]
+    return num_s, den_s
+
+
 def random_rf(rng: random.Random, field=F3, deg=2, nonzero=False):
     p = field.p
     while True:
@@ -1158,8 +1189,8 @@ def certify_free_oracle(sig: FPSignature, max_len: int) -> FreenessReport:
             raise AssertionError(
                 "expected full-group witness failed: factor letter moved its base")
         witnesses.append(f"g{j + 1}:{G.labels[g]} fixes Y^{j + 1}_e")
-    return FreenessReport(sig.describe(), "stabilizer-enumeration",
-                          kernel_words, components, checks, tuple(witnesses), True)
+    return FreenessReport("stabilizer-enumeration", kernel_words, components, checks,
+                          tuple(witnesses), True)
 
 
 class DenseHopf(HopfAlgebra):

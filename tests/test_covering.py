@@ -1,6 +1,7 @@
 """Components, deck actions, freeness, separating opens, domains, witnesses."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -234,6 +235,29 @@ def test_growth_series_at_length_40_on_the_demo_data(files):
     if fq is not None:
         cert = commuting_square_check(fq, fq.presentation, max_len=40)
         assert cert.words_checked == sum(series.grades)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 6, 40])
+@pytest.mark.parametrize("name", ["rank1_rep.json", "rank2_rep.json", "rank1_filegroup_rep.json"])
+def test_growth_series_counts_the_domain_witnesses(monkeypatch, capsys, name, L):
+    """`domain` lists one coverage witness per component up to WITNESS_LEN:
+    the count `cli._domain_entries` budgets for them and the report's list
+    both equal the series' components at that length."""
+    expected = growth_counts(spec_io.load_rep(DATA / name).sig,
+                             min(L, cli.WITNESS_LEN)).components
+    budgeted = []
+    certify = covering_module.certify_free_action
+
+    def counting_certify(sig, max_len):
+        report = certify(sig, max_len)
+        budgeted.append(report.components)
+        return report
+
+    monkeypatch.setattr(covering_module, "certify_free_action", counting_certify)
+    code = cli.main(["--format", "json", "--max-len", str(L), "domain", str(DATA / name)])
+    assert code == 0
+    assert budgeted == [expected]
+    assert len(json.loads(capsys.readouterr().out)["coverage_witnesses"]) == expected
 
 
 # -- separating opens -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nodalcover import field
 from nodalcover.errors import DimensionMismatch, DivisionByZero, SingularBasis
@@ -17,6 +17,7 @@ from nodalcover.field import (
     MatrixK,
     _make_rf,
     _padd,
+    _poly_from_string,
     _pdivmod,
     _pgcd,
     _pmul,
@@ -37,6 +38,7 @@ from helpers import (
     matrix_op_oracle,
     random_matrix,
     random_rf,
+    rf_split_oracle,
     smith_exponents,
     solve_linear_oracle,
 )
@@ -1094,6 +1096,52 @@ def test_literal_may_sign_its_first_term():
     assert rf_from_string(F3, "-t") == rf_from_string(F3, " - t") == F3.rf((0, 2))
     assert rf_from_string(F3, "+t + 1") == rf_from_string(F3, "(+1 + t)/(+1)") == F3.rf((1, 1))
     assert rf_from_string(F3, "(-1)/(-t + 1)") == F3.rf(-1, (1, -1))
+
+
+def _parse_outcome(parse, literal):
+    try:
+        return parse(literal)
+    except Exception as exc:
+        return type(exc)
+
+
+def _parse_by_split_oracle(literal):
+    num_s, den_s = rf_split_oracle(literal)
+    return _make_rf(F3, _poly_from_string(F3, num_s), _poly_from_string(F3, den_s))
+
+
+# a fraction's half, bare or in parentheses: far more of these parse than of
+# the free strings
+_LITERAL_HALF = st.builds(lambda text, wrap: f"({text})" if wrap else text,
+                          st.text(alphabet="t0123^*+- ", min_size=1, max_size=5), st.booleans())
+_LITERALS = st.one_of(st.text(alphabet="t0123^*+-/() ", max_size=12),
+                      st.builds(lambda a, b, pad: f"{a}{pad}/{pad}{b}", _LITERAL_HALF,
+                                _LITERAL_HALF, st.sampled_from(("", " "))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LITERALS)
+@example("1/0")
+@example("(t + 1)/(t^2)")
+@example(" t/2 ")
+@example(" (t) / (2) ")
+@example("(1/2)/3")
+@example("1/(2)/3")
+@example("(1)/(t)/(t)")
+@example(")1/2")
+def test_split_at_the_one_slash_equals_the_depth_scan(literal):
+    """A polynomial holds no slash and no parenthesis but one outer pair, so
+    every literal that parses has one slash, at depth 0: splitting at the
+    first slash gives the element the depth scan gave, or an error of the
+    same type."""
+    assert _parse_outcome(lambda s: rf_from_string(F3, s), literal) == \
+        _parse_outcome(_parse_by_split_oracle, literal)
+
+
+def test_zero_denominator_is_refused_by_both_splits():
+    for parse in (lambda s: rf_from_string(F3, s), _parse_by_split_oracle):
+        with pytest.raises(DivisionByZero):
+            parse("1/0")
 
 
 def test_literal_exponent_past_the_degree_budget_is_refused():

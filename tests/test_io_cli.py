@@ -954,27 +954,35 @@ def test_cli_hull_tower_orders_that_do_not_divide_exit_2(tmp_path):
     assert "x mod |low|" in err and "|Z2| = 2 does not divide |Z3| = 3" in err
 
 
-@pytest.mark.parametrize("spec", [
-    {"builtin": "cyclic", "n": "x"},
-    {"builtin": "cyclic", "n": 1.5},
-    {"builtin": "symmetric", "n": -3},
-    {"table": [[0]], "generators": 5},
-    {"table": [[0.5]]},
-    {"table": [["0"]]},
-    {"table": [[0, 1], [1, 0]], "order": 2.7},
-    {"table": [[0, 1], [1, 0]], "generators": [True]},
-    {"table": [[0]], "name": [1]},
-    {"table": [[0, 1], [1, 0]], "labels": "ab"},
-    {"table": [[0, 1], [1, 0]], "labels": [1, True]},
+@pytest.mark.parametrize("spec,message", [
+    ({"builtin": "cyclic", "n": "x"}, "builtin group size n must be an integer, got 'x'"),
+    ({"builtin": "cyclic", "n": 1.5}, "builtin group size n must be an integer, got 1.5"),
+    ({"builtin": "symmetric", "n": -3}, "bad group spec: symmetric group needs n >= 0"),
+    ({"table": [[0]], "generators": 5}, "generators must be a list, got 5"),
+    ({"table": [[0.5]]}, "table entry must be an integer, got 0.5"),
+    ({"table": [["0"]]}, "table entry must be an integer, got '0'"),
+    ({"table": [[0, 1], [1, 0]], "order": 2.7}, "order must be an integer, got 2.7"),
+    ({"table": [[0, 1], [1, 0]], "generators": [True]}, "generator must be an integer, got True"),
+    ({"table": [[0]], "name": [1]}, "group name must be a string, got [1]"),
+    ({"table": [[0, 1], [1, 0]], "labels": "ab"}, "labels must be a list, got 'ab'"),
+    ({"table": [[0, 1], [1, 0]], "labels": [1, True]}, "label must be a string, got 1"),
+    ({"table": 5}, "table must be a list, got 5"),
+    ({"table": [5]}, "table row must be a list, got 5"),
+    ({"table": "ab"}, "table must be a list, got 'ab'"),
+    ({"table": [[0, 1], [1, 0]], "generators": "ab"}, "generators must be a list, got 'ab'"),
 ], ids=["n-not-a-number", "n-fractional", "n-negative", "generators-not-a-list",
         "entry-fractional", "entry-string", "order-fractional", "generator-boolean",
-        "name-not-a-string", "labels-a-string", "labels-not-strings"])
-def test_cli_hull_malformed_group_exits_2(tmp_path, spec):
+        "name-not-a-string", "labels-a-string", "labels-not-strings", "table-a-number",
+        "table-row-a-number", "table-a-string", "generators-a-string"])
+def test_cli_hull_malformed_group_exits_2(tmp_path, spec, message):
+    """A group value of the wrong JSON type is refused by its key and what it
+    holds, not by a Python message about iterating or measuring it."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     code, _, err = run_cli("hull", str(path))
     assert code == 2
     assert_error_line(err)
+    assert err.splitlines()[-1].endswith(message)
 
 
 def test_cli_group_spec_raising_an_unexpected_error_exits_2(tmp_path, monkeypatch):
@@ -1040,9 +1048,9 @@ IMAGES_Z2 = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
      "declared rank 7"),
     ({"rank": 1}, "declared rank 1"),
     ({"rank": 3, "z_images": []}, "declared rank 3"),
-    ({"z_images": [[["t", 1], [0, 1]]]}, "matrix entry 1 is not a string"),
-    ({"z_images": [[["1", True], ["0", "1"]]]}, "matrix entry True is not a string"),
-    ({"z_images": ["t"]}, "list of rows"),
+    ({"z_images": [[["t", 1], [0, 1]]]}, "matrix entry must be a string, got 1"),
+    ({"z_images": [[["1", True], ["0", "1"]]]}, "matrix entry must be a string, got True"),
+    ({"z_images": ["t"]}, "matrix must be a list, got 't'"),
     ({"factors": [{"group": {"builtin": "cyclic", "n": 2}, "images": []}]},
      "error: bad rep spec: factor hom 1 (Z2): need one matrix per group element"),
 ], ids=["rank-7-images", "rank-1-z_images", "rank-3-gen_images", "entry-number",
@@ -1079,6 +1087,28 @@ def test_cli_pi1_malformed_curve_exits_2(tmp_path, spec):
     code, _, err = run_cli("pi1", str(path))
     assert code == 2
     assert_error_line(err)
+
+
+@pytest.mark.parametrize("ends,message", [
+    ("x", "node ends must be a list, got 'x'"),
+    ([["C1", "a"]], "node ends must be a pair, got [['C1', 'a']]"),
+    (["C1a", ["C1", "b"]], "node end must be a list, got 'C1a'"),
+    ([["C1", "a"], ["C1"]], "node end must be a pair, got ['C1']"),
+    ([[1, "a"], ["C1", "b"]], "node end component must be a string, got 1"),
+    ([["C1", "a"], ["C1", None]], "node end branch must be a string, got None"),
+], ids=["ends-a-string", "one-end", "end-a-string", "end-of-one", "component-a-number",
+        "branch-null"])
+def test_cli_pi1_node_ends_not_two_pairs_names_them(tmp_path, ends, message):
+    """A node's ends and each end are read by one pair check, and a value
+    of the wrong shape is refused by its key."""
+    spec = {"components": [{"id": "C1", "branches": ["a", "b"]}],
+            "nodes": [{"id": "x0", "ends": ends}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("pi1", str(path))
+    assert (code, out) == (2, "")
+    assert_error_line(err)
+    assert err.splitlines()[-1].endswith(message)
 
 
 @pytest.mark.parametrize("kind,edit,message", [

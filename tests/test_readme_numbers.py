@@ -20,6 +20,7 @@ from nodalcover.field import MatrixK
 from nodalcover.groups import iter_grade_states
 from nodalcover.specialize import commuting_square_check
 
+from helpers import growth_counts
 from test_io_cli import looped_sign_spec, s4_chain_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +90,17 @@ def test_readme_free_count_matches_a_run():
     mantissa, exponent, max_len = match.groups()
     sig = spec_io.load_rep(DATA / "rank1_rep.json").sig
     components = certify_free_action(sig, int(max_len)).components
+    assert f"{components:.1e}" == f"{mantissa}e+{exponent}"
+
+
+def test_readme_free_count_matches_the_growth_series():
+    """The same figure from the growth series of Z * Z2, which walks no
+    word: the components of length at most `--max-len`."""
+    match = FREE_SENTENCE.search(readme_text())
+    assert match, "the README's free sentence was not found"
+    mantissa, exponent, max_len = match.groups()
+    sig = spec_io.load_rep(DATA / "rank1_rep.json").sig
+    components = growth_counts(sig, int(max_len)).components
     assert f"{components:.1e}" == f"{mantissa}e+{exponent}"
 
 
