@@ -10,14 +10,14 @@ Run:  python demos/03_curves_and_presentations.py
 from nodalcover.curves import NodalCurve, betti_rank, pi1_presentation
 
 print("== a nodal cubic: one component glued to itself ==")
-cubic = NodalCurve.build([("C1", ("a", "b"))],
-                         [("x0", ("C1", "a"), ("C1", "b"))])
+cubic = NodalCurve([("C1", ("a", "b"))],
+                   [("x0", ("C1", "a"), ("C1", "b"))])
 print(f"cycle rank: {betti_rank(cubic)}")
 pres = pi1_presentation(cubic)
 print(f"loop nodes -> Z generators: {dict(enumerate(pres.loop_nodes, 1))}")
 
 print("\n== a triangle of three rational curves ==")
-triangle = NodalCurve.build(
+triangle = NodalCurve(
     [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
     [("n0", ("C1", "b"), ("C2", "a")),
      ("n1", ("C2", "b"), ("C3", "a")),
@@ -34,5 +34,5 @@ for genus in (2, 3, 4):
     comps = [("A", tuple(f"a{i}" for i in range(genus + 1))),
              ("B", tuple(f"b{i}" for i in range(genus + 1)))]
     nodes = [(f"n{i}", ("A", f"a{i}"), ("B", f"b{i}")) for i in range(genus + 1)]
-    curve = NodalCurve.build(comps, nodes)
+    curve = NodalCurve(comps, nodes)
     print(f"two components, {genus + 1} nodes: rank {betti_rank(curve)}")

@@ -25,7 +25,7 @@ for G in (Z2, cyclic_group(4), S3):
     print(f"  {G.name}: cocommutative={A.is_cocommutative()}, abelian={G.is_abelian()}")
 
 print("\n== a tower of quotients and its dual chain ==")
-tower = QuotientTower.build(
+tower = QuotientTower(
     [cyclic_group(2), cyclic_group(4), cyclic_group(8)],
     [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
 report = tower_hull(tower)

@@ -306,7 +306,7 @@ def cmd_hull(args) -> int:
                 f"and |{low.name}| = {low.order} does not divide |{high.name}| = {high.order}")
         maps.append([x % low.order for x in range(high.order)])
     try:
-        tower = QuotientTower.build(groups, maps)
+        tower = QuotientTower(groups, maps)
     except ValueError as exc:
         raise SpecParseError(f"tower {' -> '.join(args.groups)}: {exc}") from exc
     rpt = tower_hull(tower)

@@ -10,7 +10,10 @@ the recorded path data, read off one walk of the tree from the base
 component, says which tree paths realize the gluing bookkeeping at each node.
 
 `NodalCurve` and `Pi1Presentation` are plain classes whose fields are
-read-only by contract; `Node`, a pure record, is a `typing.NamedTuple`.
+read-only by contract; `Node`, a pure record, is a `typing.NamedTuple`.  A
+curve's one constructor takes (id, branches) components and (id, end, end)
+nodes and stores them as tuples, each node as a `Node`; it converts no id or
+label, so equal inputs as lists or as tuples give equal curves.
 """
 
 from __future__ import annotations
@@ -30,19 +33,12 @@ class NodalCurve:
     as (node id, endpoint, endpoint) edges and the node ids it leaves out;
     those two are derived and take no part in equality."""
 
-    @classmethod
-    def build(cls, components, nodes) -> "NodalCurve":
-        """From (id, branches) components and (id, end, end) nodes."""
-        return cls(
-            tuple((str(cid), tuple(str(b) for b in branches)) for cid, branches in components),
-            tuple(Node(str(nid), ((str(ea[0]), str(ea[1])), (str(eb[0]), str(eb[1]))))
-                  for nid, ea, eb in nodes))
-
-    def __init__(self, components: tuple[tuple[str, tuple[str, ...]], ...],
-                 nodes: tuple[Node, ...]):
-        """From (id, branch labels) components and `Node`s."""
-        self.components = components
-        self.nodes = nodes
+    def __init__(self, components, nodes):
+        """From (id, branch labels) components and (id, end, end) nodes, each
+        end a (component id, branch label) pair."""
+        self.components = components = tuple(
+            (cid, tuple(branches)) for cid, branches in components)
+        self.nodes = nodes = tuple(Node(nid, (tuple(ea), tuple(eb))) for nid, ea, eb in nodes)
         ids = self.component_ids
         if len(set(ids)) != len(ids) or not ids:
             raise InvalidCurve("component ids must be nonempty and distinct")
@@ -194,4 +190,4 @@ def chain_curve_for_signature(r: int, num_components: int) -> NodalCurve:
         nodes.append((f"n{j}", (f"C{j + 1}", "R"), (f"C{j + 2}", "L")))
     for i in range(r):
         nodes.append((f"x{i}", ("C1", f"s{i}a"), ("C1", f"s{i}b")))
-    return NodalCurve.build(comps, nodes)
+    return NodalCurve(comps, nodes)

@@ -128,13 +128,12 @@ class FiniteGroup:
     def from_table(cls, table, labels=None, name="G", generators=None) -> "FiniteGroup":
         """The group of `table`, with labels "0", "1", ... and every element a
         generator unless given."""
-        tab = tuple(tuple(int(x) for x in row) for row in table)
+        tab = tuple(tuple(row) for row in table)
         if labels is None:
-            labels = range(len(tab))
+            labels = map(str, range(len(tab)))
         if generators is None:
             generators = range(len(tab))
-        return cls(tab, tuple(str(s) for s in labels), name,
-                   tuple(int(g) for g in generators))
+        return cls(tab, tuple(labels), name, tuple(generators))
 
     def nonidentity(self) -> list[int]:
         return [x for x in range(self.order) if x != self.identity]
@@ -188,8 +187,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup.from_table(table, labels=tuple(str(i) for i in range(n)),
-                                  name=f"Z{n}", generators=(1 % n,))
+    return FiniteGroup.from_table(table, name=f"Z{n}", generators=(1 % n,))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -241,7 +239,7 @@ def product_subgroup(G: FiniteGroup, H: FiniteGroup,
     Returns the group together with its elements as (g, h) pairs, aligned with
     the element indices, so both projections stay available.
     """
-    pairs = [(int(g), int(h)) for g, h in pairs]
+    pairs = tuple(map(tuple, pairs))
     for g, h in pairs:
         if not 0 <= g < G.order or not 0 <= h < H.order:
             raise BadElementIndex("generator pair out of range")

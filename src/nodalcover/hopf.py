@@ -25,7 +25,8 @@ quotients therefore produces a strictly growing chain of these algebras, and
 building a `QuotientTower` proves that each transition map is one.
 
 `HopfAlgebra` and `QuotientTower` are plain classes whose fields are
-read-only by contract; `TowerReport`, a pure record, is a `typing.NamedTuple`.
+read-only by contract; a tower stores its groups and maps as tuples of the
+values it was given.  `TowerReport`, a pure record, is a `typing.NamedTuple`.
 """
 
 from __future__ import annotations
@@ -108,23 +109,19 @@ def function_hopf(G: FiniteGroup) -> HopfAlgebra:
 class QuotientTower:
     """Finite groups pi_0, pi_1, ... with surjections pi_{i+1} ->> pi_i."""
 
-    def __init__(self, groups: tuple[FiniteGroup, ...], maps: tuple[tuple[int, ...], ...]):
+    def __init__(self, groups, maps):
         """Refuse maps that are not surjective homomorphisms; maps[i]:
         pi_{i+1} -> pi_i by element images."""
-        if len(maps) != len(groups) - 1:
+        self.groups = tuple(groups)
+        self.maps = tuple(tuple(m) for m in maps)
+        if len(self.maps) != len(self.groups) - 1:
             raise ValueError("need one transition map per consecutive pair")
-        self.groups = groups
-        self.maps = maps
-        for i, m in enumerate(maps):
+        for i, m in enumerate(self.maps):
             if len(m) != self.groups[i + 1].order:
                 raise ValueError(f"map {i} must cover every element upstairs")
             failure = self.map_failure(i)
             if failure is not None:
                 raise ValueError(f"map {i} is not {failure[0]}")
-
-    @classmethod
-    def build(cls, groups, maps) -> "QuotientTower":
-        return cls(tuple(groups), tuple(tuple(int(x) for x in m) for m in maps))
 
     def map_failure(self, i: int) -> tuple[str, object] | None:
         """How map i fails to be a surjective homomorphism pi_{i+1} ->> pi_i:

@@ -18,7 +18,9 @@ Every value is read through one of the `_json_*` checkers, which refuse a
 value of the wrong JSON type by its key, "<key> must be <kind>, got
 <value>": among them a group's `table`, each table row, `labels` and
 `generators`.  An element string is a polynomial or a fraction with one
-slash, each half bare or in one pair of parentheses.
+slash, each half bare or in one pair of parentheses.  These checkers alone
+give spec values their types: the library constructors the loaders call
+store what they are given, turning sequences into tuples and nothing more.
 """
 
 from __future__ import annotations
@@ -89,12 +91,12 @@ def _json_pair(value, what: str) -> list:
 
 def matrix_from_json(field: FunctionField, rows, rank: int | None = None) -> MatrixK:
     """Matrix from rows of element strings; a given rank asks for rank x rank."""
-    from .field import MatrixK, rf_from_string
+    from .field import MatrixK
 
     rows = [[_json_str(e, "matrix entry") for e in _json_list(row, "matrix row")]
             for row in _json_list(rows, "matrix")]
     try:
-        M = MatrixK(field, tuple(tuple(rf_from_string(field, e) for e in row) for row in rows))
+        M = MatrixK.from_rows(field, rows)
     except Exception as exc:
         raise SpecParseError(f"bad matrix literal: {exc}") from exc
     if rank is not None and (M.rows, M.cols) != (rank, rank):
@@ -200,7 +202,7 @@ def load_curve(source, base_dir: Path | None = None) -> NodalCurve:
             a, b = _json_pair(n["ends"], "node ends")
             nodes.append((_json_str(n.get("id", f"n{k}"), "node id"),
                           _node_end(a), _node_end(b)))
-        return NodalCurve.build(comps, nodes)
+        return NodalCurve(comps, nodes)
 
 
 def _hom_images(field, obj, images_key: str, gens_key: str, group, rank: int) -> tuple:

@@ -106,7 +106,7 @@ class ContinuousRep:
     def z_det_valuations(self) -> tuple[int, ...]:
         """v(det rho(z_i)) per Z generator: one determinant each, on first use.
         Each is finite, since the Z images were inverted at construction."""
-        return tuple(int(z.det().valuation()) for z in self.z_images)
+        return tuple(z.det().valuation() for z in self.z_images)
 
 
 def hom_from_generator_images(field: FunctionField, G: FiniteGroup,
@@ -218,9 +218,8 @@ class FiniteQuotientRep:
     @classmethod
     def build(cls, presentation: Pi1Presentation, field: FunctionField,
               source_groups, group: FiniteGroup, z_to, factor_to, hom) -> "FiniteQuotientRep":
-        return cls(presentation, field, tuple(source_groups), group,
-                   tuple(int(x) for x in z_to),
-                   tuple(tuple(int(x) for x in m) for m in factor_to), tuple(hom))
+        return cls(presentation, field, tuple(source_groups), group, tuple(z_to),
+                   tuple(tuple(m) for m in factor_to), tuple(hom))
 
     @cached_property
     def sig(self) -> FPSignature:

@@ -30,6 +30,7 @@ from .covering import (
 )
 from .curves import (
     NodalCurve,
+    Pi1Presentation,
     betti_rank,
     chain_curve_for_signature,
     pi1_presentation,
@@ -106,7 +107,7 @@ def _random_curve(rng: random.Random) -> NodalCurve:
         comps[a][1].append(ba)
         comps[b][1].append(bb)
         nodes.append((f"n{k:02d}", (f"C{a}", ba), (f"C{b}", bb)))
-    return NodalCurve.build([(c, tuple(bs)) for c, bs in comps], nodes)
+    return NodalCurve(comps, nodes)
 
 
 def _dfs_tree_edge_count(curve: NodalCurve) -> int:
@@ -144,9 +145,9 @@ def _random_word(rng: random.Random, sig: FPSignature, syllables: int) -> FPWord
     return fp_normalize(sig, raw)
 
 
-def _sig_with_pres(r: int, groups) -> tuple[FPSignature, "Pi1Presentation"]:
-    pres = pi1_presentation(chain_curve_for_signature(r, len(groups)))
-    return FPSignature(r, tuple(groups)), pres
+def _chain_pres(r: int) -> Pi1Presentation:
+    """The presentation of the one-component curve with r self-nodes."""
+    return pi1_presentation(chain_curve_for_signature(r, 1))
 
 
 def _random_gl(rng: random.Random, field: FunctionField, n: int) -> MatrixK:
@@ -344,7 +345,7 @@ def _open_components(sig: FPSignature, presentation, cl) -> tuple:
 
 def criterion_5(rng) -> tuple[bool, str]:
     Z2 = cyclic_group(2)
-    triangle = NodalCurve.build(
+    triangle = NodalCurve(
         [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
         [("n0", ("C1", "b"), ("C2", "a")),
          ("n1", ("C2", "b"), ("C3", "a")),
@@ -427,7 +428,7 @@ def _brute_hom_dim(c1, c2, max_len: int) -> int:
 def criterion_6(rng) -> tuple[bool, str]:
     field = FunctionField(3)
     Z2 = cyclic_group(2)
-    sig, pres = _sig_with_pres(1, (Z2,))
+    sig, pres = FPSignature(1, (Z2,)), _chain_pres(1)
     ident1 = MatrixK.identity(field, 1)
     neg1 = MatrixK.from_rows(field, [["2"]])
     rep_b = ContinuousRep.build(pres, field, [MatrixK.from_rows(field, [["t"]])],
@@ -466,7 +467,7 @@ def criterion_6(rng) -> tuple[bool, str]:
 def criterion_7(rng) -> tuple[bool, str]:
     field = FunctionField(3)
     Z2 = cyclic_group(2)
-    sig, pres = _sig_with_pres(1, (Z2,))
+    sig, pres = FPSignature(1, (Z2,)), _chain_pres(1)
     kernel = list(kernel_words(sig, 3))
     conserved = 0
     for trial in range(50):
@@ -485,7 +486,7 @@ def criterion_8(rng) -> tuple[bool, str]:
     Z2 = cyclic_group(2)
     last_pair = None
     for r in (1, 2):
-        sig, pres = _sig_with_pres(r, (Z2,))
+        pres = _chain_pres(r)
         n_pairs = 25
         for _ in range(n_pairs):
             r1 = _random_rank_le2_rep(rng, field, pres, Z2)
@@ -507,7 +508,7 @@ def criterion_9(rng) -> tuple[bool, str]:
     # sign rep of the two-element group over F_3, one loop
     f3 = FunctionField(3)
     Z2 = cyclic_group(2)
-    sig1, pres1 = _sig_with_pres(1, (Z2,))
+    pres1 = _chain_pres(1)
     fq1 = FiniteQuotientRep.build(
         pres1, f3, (Z2,), Z2, [1], [(0, 1)],
         (MatrixK.identity(f3, 1), MatrixK.from_rows(f3, [["2"]])))
@@ -516,7 +517,7 @@ def criterion_9(rng) -> tuple[bool, str]:
     # order-three quotient over F_7 (cube roots of unity live there), two loops
     f7 = FunctionField(7)
     Z3 = cyclic_group(3)
-    sig2, pres2 = _sig_with_pres(2, (Z3,))
+    pres2 = _chain_pres(2)
     omega = MatrixK.from_rows(f7, [["2"]])  # 2^3 = 8 = 1 mod 7
     fq2 = FiniteQuotientRep.build(
         pres2, f7, (Z3,), Z3, [1, 2], [(0, 1, 2)],
@@ -525,7 +526,7 @@ def criterion_9(rng) -> tuple[bool, str]:
     details.append(f"Z3: {sq2.words_checked} words")
     # two-dimensional rep of the symmetric group on three points over F_7
     S3 = symmetric_group(3)
-    sig3, pres3 = _sig_with_pres(1, (S3,))
+    pres3 = _chain_pres(1)
     swap = MatrixK.from_rows(f7, [["0", "1"], ["1", "0"]])
     rot = MatrixK.from_rows(f7, [["0", "6"], ["1", "6"]])  # order 3
     hom = hom_from_generator_images(f7, S3, [swap, rot], 2)
@@ -540,8 +541,7 @@ def criterion_9(rng) -> tuple[bool, str]:
 def criterion_10(rng) -> tuple[bool, str]:
     field = FunctionField(3)
     Z2 = cyclic_group(2)
-    sig, pres = _sig_with_pres(1, (Z2,))
-    unit = trivial_rep(pres, field, (Z2,))
+    unit = trivial_rep(_chain_pres(1), field, (Z2,))
     d = fdiv_from_rep(unit, K_RELATIVE)
     hb = hom_fdiv(d, d)
     if hb.dimension != 1 or hb.scalar_field != "F_3":
@@ -622,12 +622,12 @@ def criterion_11(rng) -> tuple[bool, str]:
     if not _hopf_fault(function_hopf(S3), lambda v: v):
         return False, "S3 passed the antipode law with the identity map as antipode"
     try:
-        QuotientTower.build([cyclic_group(2), S3], [[x % 2 for x in range(6)]])
+        QuotientTower([cyclic_group(2), S3], [[x % 2 for x in range(6)]])
     except ValueError:
         pass
     else:
         return False, "a tower map that is no homomorphism was accepted"
-    report = tower_hull(QuotientTower.build(
+    report = tower_hull(QuotientTower(
         [cyclic_group(2), cyclic_group(4), cyclic_group(8)],
         [[x % 2 for x in range(4)], [x % 4 for x in range(8)]]))
     if report.dimensions != (2, 4, 8):

@@ -99,7 +99,7 @@ def pi1_presentation_oracle(components, nodes) -> tuple:
                 stack.append(w)
     if len(seen) != len(vertices):
         raise DisconnectedCurve("the dual graph of the curve is not connected")
-    curve = NodalCurve.build(components, nodes)
+    curve = NodalCurve(components, nodes)
 
     parent = {v: v for v in vertices}
 

@@ -337,7 +337,7 @@ def test_separating_open_at_length_forty_is_fast():
     """Criterion 5's case-2 triangle at max_len 40: the count is a state walk
     and the meets come from 2|G_j| candidate words, so no kernel word is
     listed."""
-    triangle = NodalCurve.build(
+    triangle = NodalCurve(
         [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
         [("n0", ("C1", "b"), ("C2", "a")),
          ("n1", ("C2", "b"), ("C3", "a")),
@@ -523,7 +523,7 @@ def domain_cases(draw):
         branches[a].append(f"p{k}")
         branches[b].append(f"q{k}")
         nodes.append((f"m{k}", (f"C{a + 1}", f"p{k}"), (f"C{b + 1}", f"q{k}")))
-    curve = NodalCurve.build([(f"C{j + 1}", tuple(bs)) for j, bs in enumerate(branches)], nodes)
+    curve = NodalCurve([(f"C{j + 1}", tuple(bs)) for j, bs in enumerate(branches)], nodes)
     return sig, w, pi1_presentation(curve)
 
 
@@ -605,7 +605,7 @@ def test_domain_boundary_on_a_self_node_by_hand():
 def test_node_lifts_read_the_curve_and_refuse_a_mismatched_signature():
     """Each node's record holds its ends' curve components and its glue
     letters; a signature with another factor count or rank is refused."""
-    triangle = NodalCurve.build(
+    triangle = NodalCurve(
         [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
         [("n0", ("C1", "b"), ("C2", "a")),
          ("n1", ("C2", "b"), ("C3", "a")),

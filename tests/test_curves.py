@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from nodalcover.curves import (
     NodalCurve,
-    Node,
     betti_rank,
     chain_curve_for_signature,
     pi1_presentation,
@@ -19,12 +18,12 @@ from helpers import pi1_presentation_oracle
 
 
 def nodal_cubic():
-    return NodalCurve.build([("C1", ("a", "b"))],
-                            [("x0", ("C1", "a"), ("C1", "b"))])
+    return NodalCurve([("C1", ("a", "b"))],
+                      [("x0", ("C1", "a"), ("C1", "b"))])
 
 
 def triangle():
-    return NodalCurve.build(
+    return NodalCurve(
         [("C1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
         [("n0", ("C1", "b"), ("C2", "a")),
          ("n1", ("C2", "b"), ("C3", "a")),
@@ -32,7 +31,7 @@ def triangle():
 
 
 def two_components_two_nodes():
-    return NodalCurve.build(
+    return NodalCurve(
         [("A", ("p", "q")), ("B", ("p", "q"))],
         [("n0", ("A", "p"), ("B", "p")), ("n1", ("A", "q"), ("B", "q"))])
 
@@ -52,16 +51,17 @@ def test_dual_graph_examples():
 
 def test_disconnected_curve_surfaces():
     with pytest.raises(DisconnectedCurve, match="the dual graph of the curve is not connected"):
-        NodalCurve.build(
+        NodalCurve(
             [("A", ("p", "q")), ("B", ("p", "q"))],
             [("n0", ("A", "p"), ("A", "q")), ("n1", ("B", "p"), ("B", "q"))])
 
 
 def test_direct_construction_is_checked():
-    """A curve built without `build` is refused on the same grounds."""
+    """A curve given as tuples is refused on the same grounds as one given
+    as lists."""
     with pytest.raises(DisconnectedCurve, match="the dual graph of the curve is not connected"):
         NodalCurve((("A", ("p", "q")), ("B", ())),
-                   (Node("n0", (("A", "p"), ("A", "q"))),))
+                   (("n0", ("A", "p"), ("A", "q")),))
     # of two unglued branch points, the first in sorted order is named
     with pytest.raises(InvalidCurve, match=re.escape(
             "branch point ('A', 'p') is marked but not glued by any node")):
@@ -70,15 +70,15 @@ def test_direct_construction_is_checked():
 
 def test_structural_validation():
     with pytest.raises(InvalidCurve):
-        NodalCurve.build([("A", ("p",))],
-                         [("n0", ("A", "p"), ("A", "p"))])  # same branch twice
+        NodalCurve([("A", ("p",))],
+                   [("n0", ("A", "p"), ("A", "p"))])  # same branch twice
     with pytest.raises(InvalidCurve):
-        NodalCurve.build([("A", ("p", "q")), ("B", ("p",))],
-                         [("n0", ("A", "p"), ("B", "p")),
-                          ("n1", ("A", "p"), ("A", "q"))])  # branch reused
+        NodalCurve([("A", ("p", "q")), ("B", ("p",))],
+                   [("n0", ("A", "p"), ("B", "p")),
+                    ("n1", ("A", "p"), ("A", "q"))])  # branch reused
     with pytest.raises(InvalidCurve):
-        NodalCurve.build([("A", ("p", "q", "spare"))],
-                         [("n0", ("A", "p"), ("A", "q"))])  # unglued branch
+        NodalCurve([("A", ("p", "q", "spare"))],
+                   [("n0", ("A", "p"), ("A", "q"))])  # unglued branch
 
 
 # -- cycle rank -------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_degenerate_genus_g_has_rank_g():
         comps = [("A", tuple(f"a{i}" for i in range(g + 1))),
                  ("B", tuple(f"b{i}" for i in range(g + 1)))]
         nodes = [(f"n{i}", ("A", f"a{i}"), ("B", f"b{i}")) for i in range(g + 1)]
-        assert betti_rank(NodalCurve.build(comps, nodes)) == g
+        assert betti_rank(NodalCurve(comps, nodes)) == g
 
 
 def _random_connected_curve(rng):
@@ -110,7 +110,7 @@ def _random_connected_curve(rng):
         comps[a][1].append(f"x{k}a")
         comps[b][1].append(f"x{k}b")
         nodes.append((f"n{k}", (f"C{a}", f"x{k}a"), (f"C{b}", f"x{k}b")))
-    return NodalCurve.build([(c, tuple(b)) for c, b in comps], nodes)
+    return NodalCurve([(c, tuple(b)) for c, b in comps], nodes)
 
 
 def test_betti_matches_spanning_tree_oracle():
@@ -145,7 +145,7 @@ def test_betti_invariant_under_relabeling():
         comps = [(mapping[cid], brs) for cid, brs in curve.components]
         nodes = [(n.id, (mapping[n.ends[0][0]], n.ends[0][1]),
                   (mapping[n.ends[1][0]], n.ends[1][1])) for n in curve.nodes]
-        relabeled = NodalCurve.build(comps, nodes)
+        relabeled = NodalCurve(comps, nodes)
         assert betti_rank(relabeled) == betti_rank(curve)
 
 
@@ -211,7 +211,7 @@ def test_base_choice_does_not_change_rank():
     curve = triangle()
     pres = pi1_presentation(curve)
     # relabel so a different component is lexicographically first
-    relabeled = NodalCurve.build(
+    relabeled = NodalCurve(
         [("Z1", ("a", "b")), ("C2", ("a", "b")), ("C3", ("a", "b"))],
         [("n0", ("Z1", "b"), ("C2", "a")),
          ("n1", ("C2", "b"), ("C3", "a")),
@@ -257,8 +257,8 @@ def test_presentation_equals_the_three_walk_oracle(spec):
         expected = pi1_presentation_oracle(*spec)
     except DisconnectedCurve:
         with pytest.raises(DisconnectedCurve):
-            NodalCurve.build(*spec)
+            NodalCurve(*spec)
         return
-    pres = pi1_presentation(NodalCurve.build(*spec))
+    pres = pi1_presentation(NodalCurve(*spec))
     assert (pres.curve, pres.r, pres.spanning_tree, pres.loop_nodes,
             pres.base_component, pres.path_data) == expected

@@ -204,7 +204,7 @@ def test_certificates_check_nothing_that_construction_proved(monkeypatch):
     every group-law check and every matrix product made to raise, and the
     groups' tables refusing to be read, they still run."""
     z2, z4, z8, s3 = cyclic_group(2), cyclic_group(4), cyclic_group(8), symmetric_group(3)
-    tower = QuotientTower.build(
+    tower = QuotientTower(
         [z2, z4, z8], [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
 
     def refuse(*args):
@@ -227,7 +227,7 @@ def test_certificates_check_nothing_that_construction_proved(monkeypatch):
 # -- towers -----------------------------------------------------------------------
 
 def test_tower_of_twos():
-    tower = QuotientTower.build(
+    tower = QuotientTower(
         [Z2, Z4, Z8],
         [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
     report = tower_hull(tower)
@@ -236,17 +236,17 @@ def test_tower_of_twos():
 
 
 def test_constant_tower_is_isomorphism_levelwise():
-    tower = QuotientTower.build([Z4, Z4], [list(range(4))])
+    tower = QuotientTower([Z4, Z4], [list(range(4))])
     report = tower_hull(tower)
     assert report.dimensions == (4, 4)
 
 
 def test_tower_validation_rejects_non_surjective():
     with pytest.raises(ValueError):
-        QuotientTower.build([Z4, Z4], [[(2 * x) % 4 for x in range(4)]])
+        QuotientTower([Z4, Z4], [[(2 * x) % 4 for x in range(4)]])
     with pytest.raises(ValueError, match="^map 0 is not a homomorphism$"):
-        QuotientTower.build([Z2, Z4], [[0, 1, 1, 0]])
-    # the raw constructor refuses it too; the dense oracle refuses the raw data
+        QuotientTower([Z2, Z4], [[0, 1, 1, 0]])
+    # given as tuples it is refused too; the dense oracle refuses the same data
     maps = (tuple((2 * x) % 4 for x in range(4)),)
     with pytest.raises(ValueError, match="^map 0 is not surjective$"):
         QuotientTower((Z4, Z4), maps)
@@ -268,7 +268,7 @@ def test_tower_hull_agrees_with_the_dense_oracle():
             ([Z2, Z4, Z8], [[x % 2 for x in range(4)], [x % 4 for x in range(8)]]),
             ([Z2, S3], [[0, 1, 1, 0, 0, 1]]),  # the sign of a permutation
             ([Z2, D4], [[0] * 4 + [1] * 4])):  # rotations and reflections
-        tower = QuotientTower.build(groups, maps)
+        tower = QuotientTower(groups, maps)
         assert tower_hull(tower) == dense_tower_hull(tower)
 
 
@@ -280,7 +280,7 @@ def dual_matrix(tower, i):
 
 
 def test_dual_maps_compose():
-    tower = QuotientTower.build(
+    tower = QuotientTower(
         [Z2, Z4, Z8],
         [[x % 2 for x in range(4)], [x % 4 for x in range(8)]])
     d0 = dual_matrix(tower, 0)  # 4 x 2

@@ -1,7 +1,13 @@
-"""`tools/reach.py`'s statement filter, on a probe source; nothing is traced."""
+"""`tools/reach.py`'s statement filter, on a probe source, and its argument
+parsing; nothing is traced."""
 
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,3 +67,15 @@ def test_unreached_lists_statements_without_an_executed_line():
     # def is listed at its decorator
     assert reach.unreached(PROBE, {9, 14, 31}) == [2, 10, 17, 18, 21, 22, 25, 27]
     assert reach.unreached(PROBE, set(range(1, 40))) == []
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--seed", "1"], 2)],
+                         ids=["help", "unknown-option"])
+def test_arguments_are_parsed_before_anything_is_traced(argv, code):
+    """`--help` prints the usage and exits 0, any other argument exits 2, and
+    neither runs the trace, which would print its statement list."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py"), *argv],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == code
+    assert (out.stdout if code == 0 else out.stderr).startswith("usage: reach.py")
+    assert re.search(r"^src/nodalcover/\w+\.py:\d+: ", out.stdout, re.M) is None

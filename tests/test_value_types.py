@@ -12,10 +12,11 @@ import inspect
 import pytest
 
 from nodalcover.covering import ComponentIndex
-from nodalcover.curves import NodalCurve, Node, Pi1Presentation, pi1_presentation
+from nodalcover.curves import NodalCurve, Pi1Presentation, pi1_presentation
 from nodalcover.field import FunctionField, MatrixK, RationalFunction
-from nodalcover.groups import FiniteGroup, FPSignature, FPWord, cyclic_group
-from nodalcover.reps import ContinuousRep
+from nodalcover.groups import FiniteGroup, FPSignature, FPWord, cyclic_group, product_subgroup
+from nodalcover.hopf import QuotientTower
+from nodalcover.reps import ContinuousRep, FiniteQuotientRep
 
 from helpers import F3, F5
 
@@ -25,8 +26,8 @@ G3 = FiniteGroup(Z3, ("a", "b", "c"), "Z3", (1, 2))
 C3 = FiniteGroup(Z3, ("a", "b", "c"), "C3", (1, 2))
 SIG = FPSignature(1, (G3, G3))
 CHAIN = (("C1", ("R",)), ("C2", ("L",)))
-CHAIN_NODE = (Node("n0", (("C1", "R"), ("C2", "L"))),)
-CUBIC = NodalCurve.build([("C1", ("a", "b"))], [("x0", ("C1", "a"), ("C1", "b"))])
+CHAIN_NODE = (("n0", ("C1", "R"), ("C2", "L")),)
+CUBIC = NodalCurve([("C1", ("a", "b"))], [("x0", ("C1", "a"), ("C1", "b"))])
 PRES = pi1_presentation(CUBIC)
 Z2 = cyclic_group(2)
 T = MatrixK(F3, ((F3.t_power(1),),))
@@ -65,7 +66,7 @@ CASES = {
         lambda c: (c.j, c.letters)),
     NodalCurve: (
         {"components": CHAIN, "nodes": CHAIN_NODE},
-        {"components": CHAIN[::-1], "nodes": (Node("n1", CHAIN_NODE[0].ends),)},
+        {"components": CHAIN[::-1], "nodes": (("n1", ("C1", "R"), ("C2", "L")),)},
         ("tree_edges", "loop_nodes"), fields("components", "nodes")),
     Pi1Presentation: (
         {"curve": CUBIC}, {"curve": NodalCurve(CHAIN, CHAIN_NODE)},
@@ -121,3 +122,36 @@ def test_a_word_equals_itself_whether_its_alpha_was_given_or_computed():
     fresh = FPWord(SIG, letters)
     assert computed == given == fresh
     assert hash(computed) == hash(given) == hash(fresh)
+
+
+# a value of the wrong type is stored as given, with no int() or str(), so the
+# constructor's own checks refuse it
+WRONG_TYPES = {
+    "float-table-entries": (lambda: FiniteGroup.from_table(
+        [[0, 1.9], [1.9, 0]], labels=[0, 1], generators=["1"]), ValueError),
+    "string-tower-map": (
+        lambda: QuotientTower([Z2, cyclic_group(4)], [["0", "1", "0", "1"]]), ValueError),
+    "string-product-pair": (lambda: product_subgroup(Z2, Z2, [("1", "1")]), TypeError),
+    "string-z-image": (lambda: FiniteQuotientRep.build(
+        PRES, F3, (Z2,), Z2, ["1"], [(0, 1)], (ONE, NEG)), TypeError),
+}
+
+
+@pytest.mark.parametrize("build, error", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_a_value_of_the_wrong_type_is_refused_not_converted(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_lists_are_stored_as_tuples():
+    """Each level of a list input is stored as a tuple (a list would compare
+    unequal to the tuple), the curve is the one built from tuples, and a
+    generator pair given as a list is the pair given as a tuple."""
+    curve = NodalCurve([["C1", ["R"]], ["C2", ["L"]]], [["n0", ["C1", "R"], ["C2", "L"]]])
+    assert curve.components == CHAIN
+    assert curve.nodes == (("n0", (("C1", "R"), ("C2", "L"))),)
+    tupled = NodalCurve(CHAIN, CHAIN_NODE)
+    assert curve == tupled and hash(curve) == hash(tupled)
+    tower = QuotientTower([Z2, cyclic_group(4)], [[0, 1, 0, 1]])
+    assert tower.groups == (Z2, cyclic_group(4)) and tower.maps == ((0, 1, 0, 1),)
+    assert product_subgroup(Z2, Z2, [[1, 1]]) == product_subgroup(Z2, Z2, [(1, 1)])

@@ -23,6 +23,7 @@ Usage, from the root of the repository:
 Standard library only; it writes nothing.
 """
 
+import argparse
 import ast
 import contextlib
 import io
@@ -122,6 +123,8 @@ def run_everything() -> None:
 
 
 def main() -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     prefix = str(PACKAGE) + os.sep
     hit: dict = {}
 
